@@ -42,21 +42,6 @@ pub enum KernelKind {
     Hashmap,
 }
 
-/// How scores are produced: the full pair matrix upfront, or one query's
-/// row on demand (see `engine::single_source`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Materialize the full O(n²) pair matrix with the iterative engine
-    /// (the historical behavior, and the differential oracle for
-    /// single-source answers). The default.
-    #[default]
-    AllPairs,
-    /// Answer per-query top-k requests on demand via the linearized
-    /// single-source iteration (diagonal correction + per-query sparse
-    /// forward/backward passes) without ever building the matrix.
-    SingleSource,
-}
-
 /// Parameters shared by all SimRank variants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimrankConfig {
@@ -91,10 +76,6 @@ pub struct SimrankConfig {
     /// oracles. Defaults on deserialize like `sharding`.
     #[serde(default)]
     pub kernel: KernelKind,
-    /// Whether scores come from the all-pairs matrix or the on-demand
-    /// single-source path. Defaults on deserialize like `sharding`.
-    #[serde(default)]
-    pub mode: EngineMode,
 }
 
 impl Default for SimrankConfig {
@@ -109,7 +90,6 @@ impl Default for SimrankConfig {
             threads: 1,
             sharding: ShardStrategy::Off,
             kernel: KernelKind::Pull,
-            mode: EngineMode::AllPairs,
         }
     }
 }
@@ -166,12 +146,6 @@ impl SimrankConfig {
     /// Builder-style: set the accumulation kernel.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Builder-style: set the engine mode.
-    pub fn with_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -327,26 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn mode_builder_defaults_to_all_pairs_and_deserializes_legacy() {
-        let c = SimrankConfig::default();
-        assert_eq!(c.mode, EngineMode::AllPairs);
-        assert_eq!(
-            c.with_mode(EngineMode::SingleSource).mode,
-            EngineMode::SingleSource
-        );
-        // Configs persisted before the mode knob existed must still load.
+    fn legacy_mode_key_is_ignored() {
+        // Configs persisted while `SimrankConfig` still carried the engine
+        // `mode` knob must keep loading: unknown keys are ignored.
         let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
-        assert!(json.contains("mode"));
-        let legacy = {
-            let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
-            match &mut v {
-                serde_json::Value::Object(m) => m.remove("mode"),
-                other => panic!("config must serialize to an object, got {}", other.kind()),
-            };
-            serde_json::to_string(&v).unwrap()
-        };
+        assert!(!json.contains("mode"));
+        let legacy = format!(
+            "{},\"mode\":\"SingleSource\"}}",
+            json.strip_suffix('}')
+                .expect("config serializes to an object")
+        );
         let c: SimrankConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(c.mode, EngineMode::AllPairs);
+        assert_eq!(c, SimrankConfig::default());
     }
 
     #[test]

@@ -40,22 +40,15 @@
 //!   global ids — exact for component sharding. [`run_with_strategy`]
 //!   dispatches on [`crate::config::ShardStrategy`].
 //!
-//! * [`incremental::run_incremental`] extends the same block-diagonal
-//!   argument through time: after a [`simrankpp_graph::GraphDelta`], only
-//!   the dirty components are recomputed and every clean component's block
-//!   is carried over verbatim from the previous score matrices.
-//!
 //! * [`single_source::SingleSourceEngine`] escapes the all-pairs matrix
 //!   entirely: one query's score row on demand via the linearized series
 //!   (precomputed diagonal correction + per-query sparse forward/backward
-//!   passes), selected by [`crate::config::EngineMode`] with the all-pairs
-//!   engine as the differential oracle.
+//!   passes), with the all-pairs engine as the differential oracle.
 //!
 //! [`reference::run_hashmap`] keeps the historical hash-map accumulation path
 //! alive for cross-checking and the `bench_engine` comparison.
 
 pub mod accum;
-pub mod incremental;
 pub mod parallel;
 pub mod pull;
 pub mod reference;
@@ -63,12 +56,9 @@ pub mod sharded;
 pub mod single_source;
 pub mod transition;
 
-pub use incremental::{run_incremental, IncrementalRun};
 pub use sharded::run_sharded;
-pub use single_source::{top_k_by_mode, DiagonalCorrection, RowWorkspace, SingleSourceEngine};
-pub use transition::{
-    Transition, TransitionFactors, TransitionFactorsArena, UniformTransition, WeightedTransition,
-};
+pub use single_source::{DiagonalCorrection, RowWorkspace, SingleSourceEngine};
+pub use transition::{Transition, TransitionFactors, UniformTransition, WeightedTransition};
 
 use crate::config::{KernelKind, ShardStrategy, SimrankConfig};
 use crate::scores::ScoreMatrix;

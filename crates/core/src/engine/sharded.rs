@@ -115,11 +115,8 @@ pub fn run_sharded<T: Transition>(
 
 /// Remaps each shard's raw pair lists to global ids in place (monotone
 /// remaps preserve the key sort) and hands them back as per-shard pieces,
-/// query side and ad side. Shared by the sharded and incremental stitches.
-pub(crate) fn remap_pieces(
-    sharding: &Sharding,
-    runs: &mut [RawRun],
-) -> (Vec<PairVec>, Vec<PairVec>) {
+/// query side and ad side.
+fn remap_pieces(sharding: &Sharding, runs: &mut [RawRun]) -> (Vec<PairVec>, Vec<PairVec>) {
     let mut q_pieces: Vec<PairVec> = Vec::with_capacity(runs.len());
     let mut a_pieces: Vec<PairVec> = Vec::with_capacity(runs.len());
     for (shard, run) in sharding.shards.iter().zip(runs) {
@@ -145,7 +142,7 @@ pub(crate) fn remap_pieces(
 /// the longest iteration count, and whether every shard converged. Shards
 /// that stopped early are padded with their final stationary counts and a
 /// zero delta.
-pub(crate) fn aggregate_diagnostics(
+fn aggregate_diagnostics(
     runs: &[RawRun],
     config: &SimrankConfig,
 ) -> (Vec<(usize, usize)>, Vec<f64>, usize, bool) {
@@ -187,7 +184,7 @@ pub(crate) fn aggregate_diagnostics(
 /// Each worker owns one [`super::EngineScratch`] for its whole drain, so
 /// kernel workspaces (dense pull scratch, flat buffers) are allocated once
 /// per worker, not once per shard.
-pub(crate) fn run_all<T: Transition>(
+fn run_all<T: Transition>(
     sharding: &Sharding,
     config: &SimrankConfig,
     transition: &T,

@@ -56,10 +56,10 @@
 //!   parallelized with [`run_chunked`]), then cheap Gauss–Seidel sweeps
 //!   solve for `d` — the sweep matrix is a contraction with factor ≈ `c`.
 
-use crate::config::{EngineMode, SimrankConfig};
+use crate::config::SimrankConfig;
 use crate::engine::parallel::run_chunked;
-use crate::engine::transition::{Transition, TransitionFactorsArena};
-use crate::scores::ScoreMatrixArena;
+use crate::engine::transition::{Transition, TransitionFactors};
+use crate::scores::ScoreMatrix;
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
 use simrankpp_util::TopK;
 
@@ -107,11 +107,11 @@ impl DiagonalCorrection {
     /// to (near-)convergence for the correction to be exact.
     pub fn from_scores(
         g: &ClickGraph,
-        factors: &TransitionFactorsArena<'_>,
+        factors: &TransitionFactors,
         c1: f64,
         c2: f64,
-        queries: &ScoreMatrixArena<'_>,
-        ads: &ScoreMatrixArena<'_>,
+        queries: &ScoreMatrix,
+        ads: &ScoreMatrix,
     ) -> Self {
         let mut d_query = vec![1.0; g.n_queries()];
         for q in g.queries() {
@@ -160,11 +160,7 @@ impl DiagonalCorrection {
     /// chunk-parallel across `threads` — then Gauss–Seidel sweeps solve the
     /// system: every row's diagonal coefficient dominates (the `j = 0` term
     /// contributes a full 1), so the sweeps contract with factor ≈ `c`.
-    pub fn estimate(
-        g: &ClickGraph,
-        factors: &TransitionFactorsArena<'_>,
-        config: &SimrankConfig,
-    ) -> Self {
+    pub fn estimate(g: &ClickGraph, factors: &TransitionFactors, config: &SimrankConfig) -> Self {
         let c1 = config.c1;
         let c2 = config.c2;
         let c = c1 * c2;
@@ -378,7 +374,7 @@ impl RowWorkspace {
     fn forward(
         &mut self,
         g: &ClickGraph,
-        f: &TransitionFactorsArena<'_>,
+        f: &TransitionFactors,
         u0: &[(u32, f64)],
         levels: usize,
         prune: f64,
@@ -419,12 +415,10 @@ impl RowWorkspace {
 /// answer per-query rows and top-k requests.
 ///
 /// Holds no reference to the graph; pass the *same* graph to every method
-/// (checked only by side cardinality). The factors may borrow from a
-/// serialized arena ([`TransitionFactorsArena::from_bytes`]) — the sweeps
-/// then run directly over the mapped bytes.
+/// (checked only by side cardinality).
 #[derive(Debug)]
-pub struct SingleSourceEngine<'f> {
-    factors: TransitionFactorsArena<'f>,
+pub struct SingleSourceEngine {
+    factors: TransitionFactors,
     correction: DiagonalCorrection,
     c1: f64,
     c: f64,
@@ -432,7 +426,7 @@ pub struct SingleSourceEngine<'f> {
     prune: f64,
 }
 
-impl<'f> SingleSourceEngine<'f> {
+impl SingleSourceEngine {
     /// Builds the engine for `g`, estimating the diagonal correction (the
     /// one-off precompute of this mode — everything per-query afterwards).
     pub fn new<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> Self {
@@ -445,7 +439,7 @@ impl<'f> SingleSourceEngine<'f> {
     /// [`DiagonalCorrection::from_scores`] oracle).
     pub fn with_correction(
         config: &SimrankConfig,
-        factors: TransitionFactorsArena<'f>,
+        factors: TransitionFactors,
         correction: DiagonalCorrection,
     ) -> Self {
         config.validate().expect("invalid SimRank configuration");
@@ -578,30 +572,6 @@ impl<'f> SingleSourceEngine<'f> {
     }
 }
 
-/// Mode-dispatched top-k: `config.mode` selects the all-pairs engine (the
-/// exact oracle — a full run, then one row read) or the linearized
-/// single-source path. Intended for one-shot calls; callers issuing many
-/// queries should build a [`SingleSourceEngine`] (or an all-pairs run) once.
-pub fn top_k_by_mode<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-    q: QueryId,
-    k: usize,
-) -> Vec<(QueryId, f64)> {
-    match config.mode {
-        EngineMode::AllPairs => {
-            let run = crate::engine::run(g, config, transition);
-            run.queries
-                .top_k(q.0, k)
-                .into_iter()
-                .map(|(i, s)| (QueryId(i), s))
-                .collect()
-        }
-        EngineMode::SingleSource => SingleSourceEngine::new(g, config, transition).top_k(g, q, k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,7 +587,7 @@ mod tests {
     fn exact_engine(
         g: &ClickGraph,
         config: &SimrankConfig,
-    ) -> (engine::EngineRun, SingleSourceEngine<'static>) {
+    ) -> (engine::EngineRun, SingleSourceEngine) {
         let run = engine::run(g, config, &UniformTransition);
         let factors = UniformTransition.factors(g);
         let d = DiagonalCorrection::from_scores(
@@ -739,28 +709,6 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a.1 - b.1).abs() < 1e-6);
             }
-        }
-    }
-
-    #[test]
-    fn mode_dispatch_selects_paths() {
-        let g = figure3_graph();
-        let config = converged();
-        let q = g.query_by_name("camera").unwrap();
-        let all = top_k_by_mode(&g, &config, &UniformTransition, q, 3);
-        let single = top_k_by_mode(
-            &g,
-            &config.with_mode(EngineMode::SingleSource),
-            &UniformTransition,
-            q,
-            3,
-        );
-        assert_eq!(
-            all.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            single.iter().map(|&(i, _)| i).collect::<Vec<_>>()
-        );
-        for (a, b) in all.iter().zip(&single) {
-            assert!((a.1 - b.1).abs() < 0.02);
         }
     }
 

@@ -3,9 +3,6 @@
 
 use crate::weighted::{SpreadMode, TransitionWeights};
 use simrankpp_graph::{ClickGraph, WeightKind};
-use simrankpp_util::arena::{AlignedBytes, Arena, ArenaWriter};
-use std::borrow::Cow;
-use std::io::{self, Write};
 
 /// Precomputed per-edge factors in both CSR orders.
 ///
@@ -19,95 +16,19 @@ use std::io::{self, Write};
 /// `q' ∈ E(a)`, ad-major). [`TransitionFactors::from_primary`] derives the
 /// transposed copies with a counting transpose, so each variant still only
 /// supplies the two primary tables.
-///
-/// Each table is a `Cow`: engine builds own their storage (the
-/// [`TransitionFactors`] alias, `'static`), while
-/// [`TransitionFactorsArena::from_bytes`] borrows all four straight out of
-/// a serialized arena's sections so the single-source sweeps run directly
-/// over mapped bytes.
 #[derive(Debug, Clone)]
-pub struct TransitionFactorsArena<'a> {
+pub struct TransitionFactors {
     /// `F(q, a)` per (ad → query) CSR edge, ad-major: the weight with which
     /// ad-side scores flow into query `q` through ad `a`.
-    pub ad_to_query: Cow<'a, [f64]>,
+    pub ad_to_query: Vec<f64>,
     /// `F(a, q)` per (query → ad) CSR edge, query-major.
-    pub query_to_ad: Cow<'a, [f64]>,
+    pub query_to_ad: Vec<f64>,
     /// `F(q, a)` re-laid-out query-major (same values as `ad_to_query`,
     /// addressable per query row) — the pull kernel's query-side pass 1.
-    pub ad_to_query_by_query: Cow<'a, [f64]>,
+    pub ad_to_query_by_query: Vec<f64>,
     /// `F(a, q)` re-laid-out ad-major (same values as `query_to_ad`,
     /// addressable per ad row) — the pull kernel's ad-side pass 1.
-    pub query_to_ad_by_ad: Cow<'a, [f64]>,
-}
-
-/// The owning form of [`TransitionFactorsArena`] — what [`Transition`]
-/// implementations produce.
-pub type TransitionFactors = TransitionFactorsArena<'static>;
-
-/// Arena magic for serialized transition factors.
-const TRF_MAGIC: [u8; 8] = *b"SRPPTRF\0";
-const TRF_VERSION: u32 = 1;
-const SEC_A2Q: u64 = 0x01;
-const SEC_Q2A: u64 = 0x02;
-const SEC_A2Q_BY_Q: u64 = 0x03;
-const SEC_Q2A_BY_A: u64 = 0x04;
-
-impl<'a> TransitionFactorsArena<'a> {
-    /// Serializes the four tables into the shared arena container, each as
-    /// one whole-section `write_all`.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let mut a = ArenaWriter::new(TRF_MAGIC, TRF_VERSION);
-        a.slice(SEC_A2Q, &self.ad_to_query)
-            .slice(SEC_Q2A, &self.query_to_ad)
-            .slice(SEC_A2Q_BY_Q, &self.ad_to_query_by_query)
-            .slice(SEC_Q2A_BY_A, &self.query_to_ad_by_ad);
-        a.write_to(w)
-    }
-
-    /// Serializes into a fresh 8-aligned buffer.
-    pub fn to_arena_bytes(&self) -> AlignedBytes {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf).expect("Vec writes are infallible");
-        AlignedBytes::copy_from(&buf)
-    }
-
-    /// Reconstructs factors whose tables *borrow* from `bytes` (8-aligned;
-    /// a mapped file or an [`AlignedBytes`] buffer). Nothing is copied.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<TransitionFactorsArena<'a>, String> {
-        let a = Arena::parse(bytes, TRF_MAGIC)?;
-        if a.version() != TRF_VERSION {
-            return Err(format!(
-                "unsupported transition-factor arena version {} (expected {TRF_VERSION})",
-                a.version()
-            ));
-        }
-        let ad_to_query = a.slice::<f64>(SEC_A2Q)?;
-        let query_to_ad = a.slice::<f64>(SEC_Q2A)?;
-        let ad_to_query_by_query = a.slice::<f64>(SEC_A2Q_BY_Q)?;
-        let query_to_ad_by_ad = a.slice::<f64>(SEC_Q2A_BY_A)?;
-        if ad_to_query.len() != query_to_ad.len()
-            || ad_to_query.len() != ad_to_query_by_query.len()
-            || ad_to_query.len() != query_to_ad_by_ad.len()
-        {
-            return Err("factor tables disagree in length (one entry per edge each)".into());
-        }
-        Ok(TransitionFactorsArena {
-            ad_to_query: Cow::Borrowed(ad_to_query),
-            query_to_ad: Cow::Borrowed(query_to_ad),
-            ad_to_query_by_query: Cow::Borrowed(ad_to_query_by_query),
-            query_to_ad_by_ad: Cow::Borrowed(query_to_ad_by_ad),
-        })
-    }
-
-    /// Deep-copies into the owning form (detaches from a borrowed arena).
-    pub fn to_owned_factors(&self) -> TransitionFactors {
-        TransitionFactorsArena {
-            ad_to_query: Cow::Owned(self.ad_to_query.to_vec()),
-            query_to_ad: Cow::Owned(self.query_to_ad.to_vec()),
-            ad_to_query_by_query: Cow::Owned(self.ad_to_query_by_query.to_vec()),
-            query_to_ad_by_ad: Cow::Owned(self.query_to_ad_by_ad.to_vec()),
-        }
-    }
+    pub query_to_ad_by_ad: Vec<f64>,
 }
 
 impl TransitionFactors {
@@ -138,10 +59,10 @@ impl TransitionFactors {
             }
         }
         TransitionFactors {
-            ad_to_query: Cow::Owned(ad_to_query),
-            query_to_ad: Cow::Owned(query_to_ad),
-            ad_to_query_by_query: Cow::Owned(ad_to_query_by_query),
-            query_to_ad_by_ad: Cow::Owned(query_to_ad_by_ad),
+            ad_to_query,
+            query_to_ad,
+            ad_to_query_by_query,
+            query_to_ad_by_ad,
         }
     }
 }
@@ -300,24 +221,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn arena_roundtrip_borrows_all_tables() {
-        let g = figure3_graph();
-        let f = UniformTransition.factors(&g);
-        let bytes = f.to_arena_bytes();
-        let v = TransitionFactorsArena::from_bytes(bytes.as_slice()).unwrap();
-        assert!(matches!(v.ad_to_query, Cow::Borrowed(_)));
-        assert_eq!(f.ad_to_query, v.ad_to_query);
-        assert_eq!(f.query_to_ad, v.query_to_ad);
-        assert_eq!(f.ad_to_query_by_query, v.ad_to_query_by_query);
-        assert_eq!(f.query_to_ad_by_ad, v.query_to_ad_by_ad);
-        let o = v.to_owned_factors();
-        assert!(matches!(o.ad_to_query, Cow::Owned(_)));
-        assert_eq!(o.ad_to_query, f.ad_to_query);
-        // Corruption is refused.
-        assert!(TransitionFactorsArena::from_bytes(&bytes.as_slice()[..16]).is_err());
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //!   Appendices A–B), used for paper-exactness tests and Tables 3–4;
 //! * [`montecarlo`] — §11-adjacent extension: Monte-Carlo single-pair
 //!   estimation of the SimRank random-surfer model;
-//! * [`hybrid`] — §11 future-work extension: combining click-graph similarity
-//!   with text similarity;
 //! * [`rewriter`] — the Figure 2 front-end: score → rank → stem-dedup →
 //!   bid-filter → top-5 rewrites.
 //!
@@ -36,7 +34,6 @@ pub mod config;
 pub mod desirability;
 pub mod engine;
 pub mod evidence;
-pub mod hybrid;
 pub mod method;
 pub mod montecarlo;
 pub mod naive;
@@ -46,15 +43,14 @@ pub mod scores;
 pub mod simrank;
 pub mod weighted;
 
-pub use config::{EngineMode, KernelKind, ShardStrategy, SimrankConfig};
+pub use config::{KernelKind, ShardStrategy, SimrankConfig};
 pub use engine::{
-    run_incremental, top_k_by_mode, DiagonalCorrection, IncrementalRun, RowWorkspace,
-    SingleSourceEngine, Transition, TransitionFactors, TransitionFactorsArena, UniformTransition,
-    WeightedTransition,
+    DiagonalCorrection, RowWorkspace, SingleSourceEngine, Transition, TransitionFactors,
+    UniformTransition, WeightedTransition,
 };
 pub use evidence::{evidence_exponential, evidence_geometric, EvidenceKind};
 pub use method::{Method, MethodKind};
 pub use rewriter::{Rewrite, Rewriter, RewriterConfig};
-pub use scores::{ScoreMatrix, ScoreMatrixArena, ScoreMatrixBuilder};
+pub use scores::{ScoreMatrix, ScoreMatrixBuilder};
 pub use simrank::{simrank, SimrankResult};
 pub use weighted::{weighted_simrank, WeightedSimrankResult};

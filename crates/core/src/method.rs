@@ -5,16 +5,14 @@
 //! answers the two questions the evaluation pipeline asks: the score of a
 //! specific pair, and the ranked rewrite candidates of a query.
 //!
-//! Ranking is by `(final score desc, raw walk score desc, id asc)`. The raw
-//! walk score only matters when final scores tie — in particular when the
-//! evidence factor zeroes both candidates (no common ad), where the paper's
-//! Figure 12 behaviour shows the underlying SimRank ordering taking over
-//! (evidence-based predicts exactly as plain SimRank there).
+//! Ranking is by `(final score desc, raw walk score desc, id asc)` — the
+//! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
 use crate::config::{KernelKind, SimrankConfig};
 use crate::evidence::{evidence_simrank, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
+use crate::rewriter::rank_candidates;
 use crate::scores::ScoreMatrix;
 use crate::simrank::simrank;
 use crate::weighted::weighted_simrank;
@@ -173,37 +171,39 @@ impl Method {
         (f, r)
     }
 
-    /// Ranks candidate rewrites for `q`: all queries with positive final or
-    /// raw score, ordered by `(final desc, raw desc, id asc)`, truncated to
-    /// `limit`.
-    pub fn ranked_candidates(&self, q: QueryId, limit: usize) -> Vec<(QueryId, f64)> {
-        let mut candidates: Vec<(u32, f64, f64)> = Vec::new();
+    /// Collects `q`'s rewrite candidates into `out` (cleared first), unranked:
+    /// every query with a positive final or raw score, as
+    /// `(id, final, raw)` with raw falling back to final.
+    pub(crate) fn candidates_into(&self, q: QueryId, out: &mut Vec<(QueryId, f64, f64)>) {
+        out.clear();
         for (other, score) in self.scores.partners(q.0) {
             let raw = self
                 .raw
                 .as_ref()
                 .map(|m| m.get(q.0, other))
                 .unwrap_or(score);
-            candidates.push((other, score, raw));
+            out.push((QueryId(other), score, raw));
         }
         // Pairs visible only through the raw matrix (evidence zeroed them).
         if let Some(raw) = &self.raw {
             for (other, r) in raw.partners(q.0) {
                 if self.scores.get(q.0, other) == 0.0 {
-                    candidates.push((other, 0.0, r));
+                    out.push((QueryId(other), 0.0, r));
                 }
             }
         }
-        candidates.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.0.cmp(&b.0))
-        });
+    }
+
+    /// Ranks candidate rewrites for `q`: all queries with positive final or
+    /// raw score, ordered by `(final desc, raw desc, id asc)`, truncated to
+    /// `limit`.
+    pub fn ranked_candidates(&self, q: QueryId, limit: usize) -> Vec<(QueryId, f64)> {
+        let mut candidates = Vec::new();
+        self.candidates_into(q, &mut candidates);
+        rank_candidates(&mut candidates, limit);
         candidates
             .into_iter()
-            .take(limit)
-            .map(|(id, score, _raw)| (QueryId(id), score))
+            .map(|(id, score, _raw)| (id, score))
             .collect()
     }
 }

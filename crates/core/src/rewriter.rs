@@ -36,6 +36,76 @@ impl Default for RewriterConfig {
     }
 }
 
+/// Orders `(id, final score, raw walk score)` candidates by
+/// `(final desc, raw desc, id asc)` and keeps the first `limit`. The raw
+/// walk score only matters when final scores tie — in particular when the
+/// evidence factor zeroes both candidates (no common ad), where the paper's
+/// Figure 12 behaviour shows the underlying SimRank ordering taking over
+/// (evidence-based predicts exactly as plain SimRank there).
+pub(crate) fn rank_candidates(candidates: &mut Vec<(QueryId, f64, f64)>, limit: usize) {
+    candidates.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    candidates.truncate(limit);
+}
+
+/// The §9.3 funnel — the one implementation every producer of served rows
+/// runs, whether its candidates come from an all-pairs matrix
+/// ([`Rewriter::rewrite_ids_into`]) or a single-source row (the serving
+/// layer's live miss path): rank by `(final desc, raw desc, id asc)` and cap at
+/// `max_candidates` → drop `q` itself → stem-dedup seeded with `q`'s name →
+/// bid filter → cap at `max_rewrites`. Writes the surviving
+/// `(target, final score)` pairs into `out` (cleared first); `candidates` is
+/// left ranked and capped.
+pub fn funnel(
+    graph: &ClickGraph,
+    config: &RewriterConfig,
+    q: QueryId,
+    candidates: &mut Vec<(QueryId, f64, f64)>,
+    bid_terms: Option<&FxHashSet<QueryId>>,
+    out: &mut Vec<(QueryId, f64)>,
+) {
+    out.clear();
+    rank_candidates(candidates, config.max_candidates);
+
+    // An unnamed source query has no signature to seed, but named
+    // candidates must still be deduplicated against each other —
+    // skipping the deduper entirely let duplicates reach the top-5.
+    let mut deduper = if config.stem_dedup {
+        Some(match graph.query_name(q) {
+            Some(name) => StemDeduper::seeded_with(name),
+            None => StemDeduper::new(),
+        })
+    } else {
+        None
+    };
+
+    for &(candidate, score, _raw) in candidates.iter() {
+        if candidate == q {
+            continue;
+        }
+        if let Some(d) = deduper.as_mut() {
+            if let Some(name) = graph.query_name(candidate) {
+                if !d.admit(name) {
+                    continue;
+                }
+            }
+        }
+        if let Some(bids) = bid_terms {
+            if !bids.contains(&candidate) {
+                continue;
+            }
+        }
+        out.push((candidate, score));
+        if out.len() >= config.max_rewrites {
+            break;
+        }
+    }
+}
+
 /// One produced rewrite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rewrite {
@@ -105,59 +175,9 @@ impl<'g> Rewriter<'g> {
         bid_terms: Option<&FxHashSet<QueryId>>,
         out: &mut Vec<(QueryId, f64)>,
     ) {
-        out.clear();
-        let candidates = self.method.ranked_candidates(q, self.config.max_candidates);
-
-        // An unnamed source query has no signature to seed, but named
-        // candidates must still be deduplicated against each other —
-        // skipping the deduper entirely let duplicates reach the top-5.
-        let mut deduper = if self.config.stem_dedup {
-            Some(match self.graph.query_name(q) {
-                Some(name) => StemDeduper::seeded_with(name),
-                None => StemDeduper::new(),
-            })
-        } else {
-            None
-        };
-
-        for (candidate, score) in candidates {
-            if candidate == q {
-                continue;
-            }
-            if let Some(d) = deduper.as_mut() {
-                if let Some(name) = self.graph.query_name(candidate) {
-                    if !d.admit(name) {
-                        continue;
-                    }
-                }
-            }
-            if let Some(bids) = bid_terms {
-                if !bids.contains(&candidate) {
-                    continue;
-                }
-            }
-            out.push((candidate, score));
-            if out.len() >= self.config.max_rewrites {
-                break;
-            }
-        }
-    }
-
-    /// Runs the full §9.3 pipeline for **every** query of the graph — the
-    /// offline half of the precompute-then-serve split — in `threads`
-    /// chunked scoped-thread workers (`0` = all cores). `out[q]` holds the
-    /// rewrites of `QueryId(q)`; chunk order makes the result deterministic
-    /// for any thread count.
-    pub fn rewrites_for_all(
-        &self,
-        bid_terms: Option<&FxHashSet<QueryId>>,
-        threads: usize,
-    ) -> Vec<Vec<Rewrite>> {
-        let chunks = crate::engine::parallel::run_chunked(self.graph.n_queries(), threads, |r| {
-            r.map(|q| self.rewrites(QueryId(q as u32), bid_terms))
-                .collect::<Vec<_>>()
-        });
-        chunks.into_iter().flatten().collect()
+        let mut candidates = Vec::new();
+        self.method.candidates_into(q, &mut candidates);
+        funnel(self.graph, &self.config, q, &mut candidates, bid_terms, out);
     }
 
     /// The §9.4 *depth* of the method for `q`: how many rewrites survive
@@ -312,19 +332,6 @@ mod tests {
             rewrites.iter().any(|rw| rw.query == QueryId(3)),
             "unnamed candidate missing: {rewrites:?}"
         );
-    }
-
-    #[test]
-    fn rewrites_for_all_matches_per_query() {
-        let g = figure3_graph();
-        let r = rewriter(&g, MethodKind::WeightedSimrank);
-        for threads in [1, 4] {
-            let all = r.rewrites_for_all(None, threads);
-            assert_eq!(all.len(), g.n_queries());
-            for q in g.queries() {
-                assert_eq!(all[q.index()], r.rewrites(q, None), "threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -4,18 +4,8 @@
 //! only off-diagonal unordered pairs in a hash map ([`ScoreMatrixBuilder`]),
 //! then freeze into a per-node sorted adjacency form ([`ScoreMatrix`]) for
 //! fast `get`, per-node top-k, and iteration.
-//!
-//! Since the zero-copy refactor the frozen form is [`ScoreMatrixArena`]: a
-//! set of `Cow` slices that either own their storage (the engine-build
-//! path, `ScoreMatrix = ScoreMatrixArena<'static>`) or borrow directly from
-//! the 8-aligned sections of a serialized arena
-//! ([`ScoreMatrixArena::from_bytes`]), so mapped score files are readable
-//! without copying a byte.
 
-use simrankpp_util::arena::{AlignedBytes, Arena, ArenaWriter};
 use simrankpp_util::{FxHashMap, PairKey};
-use std::borrow::Cow;
-use std::io::{self, Write};
 
 /// Fills a flat symmetric CSR arena (`offsets`/`partners`/`scores`) from a
 /// key-sorted, duplicate-free pair list, reusing the caller's buffers.
@@ -186,7 +176,7 @@ impl ScoreMatrixBuilder {
         let mut sorted: Vec<(PairKey, f64)> =
             self.entries.into_iter().filter(|&(_, v)| v > 0.0).collect();
         sorted.sort_unstable_by_key(|&(k, _)| k.raw());
-        ScoreMatrixArena::from_sorted_pairs(self.n, sorted)
+        ScoreMatrix::from_sorted_pairs(self.n, sorted)
     }
 
     /// Read access during iteration: score of `(a, b)` with unit diagonal.
@@ -212,53 +202,31 @@ impl ScoreMatrixBuilder {
 ///
 /// The per-node view is a flat CSR arena (`offsets`/`partners`/`scores`)
 /// rather than the historical `Vec<Vec<(u32, f64)>>`: one allocation per
-/// side instead of one per node, `O(1)` [`ScoreMatrixArena::row`] slice
+/// side instead of one per node, `O(1)` [`ScoreMatrix::row`] slice
 /// views, and the layout the pull kernel consumes directly.
-///
-/// Every slice is a `Cow`: the engine-build path owns its storage (the
-/// [`ScoreMatrix`] alias, `'static`), while [`ScoreMatrixArena::from_bytes`]
-/// borrows all five arrays straight out of an arena's 8-aligned sections —
-/// read paths are identical, and nothing is copied when serving from a
-/// mapped file.
 #[derive(Debug, Clone, Default)]
-pub struct ScoreMatrixArena<'a> {
+pub struct ScoreMatrix {
     n: usize,
     /// Packed [`PairKey`]s of the off-diagonal pairs, strictly ascending.
-    pair_keys: Cow<'a, [u64]>,
+    pair_keys: Vec<u64>,
     /// Scores aligned with `pair_keys`; strictly positive.
-    pair_scores: Cow<'a, [f64]>,
+    pair_scores: Vec<f64>,
     /// Row bounds into `partners`/`scores`: node `a`'s row is
     /// `offsets[a]..offsets[a + 1]`. Length `n + 1`.
-    offsets: Cow<'a, [u64]>,
+    offsets: Vec<u64>,
     /// Partner ids, ascending within each row.
-    partners: Cow<'a, [u32]>,
+    partners: Vec<u32>,
     /// Scores aligned with `partners`.
-    scores: Cow<'a, [f64]>,
+    scores: Vec<f64>,
 }
 
-/// The owning form of [`ScoreMatrixArena`] — what every engine produces.
-pub type ScoreMatrix = ScoreMatrixArena<'static>;
-
-/// Arena magic for a serialized score matrix.
-const SCM_MAGIC: [u8; 8] = *b"SRPPSCM\0";
-const SCM_VERSION: u32 = 1;
-const SEC_META: u64 = 0x01;
-const SEC_PAIR_KEYS: u64 = 0x02;
-const SEC_PAIR_SCORES: u64 = 0x03;
-const SEC_OFFSETS: u64 = 0x04;
-const SEC_PARTNERS: u64 = 0x05;
-const SEC_SCORES: u64 = 0x06;
-
-impl<'a> ScoreMatrixArena<'a> {
+impl ScoreMatrix {
     /// An empty matrix (all off-diagonal scores zero) over `n` nodes.
     pub fn empty(n: usize) -> Self {
-        ScoreMatrixArena {
+        ScoreMatrix {
             n,
-            pair_keys: Cow::Owned(Vec::new()),
-            pair_scores: Cow::Owned(Vec::new()),
-            offsets: Cow::Owned(vec![0; n + 1]),
-            partners: Cow::Owned(Vec::new()),
-            scores: Cow::Owned(Vec::new()),
+            offsets: vec![0; n + 1],
+            ..ScoreMatrix::default()
         }
     }
 
@@ -290,13 +258,13 @@ impl<'a> ScoreMatrixArena<'a> {
             pair_keys.push(k.raw());
             pair_scores.push(v);
         }
-        ScoreMatrixArena {
+        ScoreMatrix {
             n,
-            pair_keys: Cow::Owned(pair_keys),
-            pair_scores: Cow::Owned(pair_scores),
-            offsets: Cow::Owned(offsets),
-            partners: Cow::Owned(partners),
-            scores: Cow::Owned(scores),
+            pair_keys,
+            pair_scores,
+            offsets,
+            partners,
+            scores,
         }
     }
 
@@ -310,11 +278,6 @@ impl<'a> ScoreMatrixArena<'a> {
         self.pair_keys.len()
     }
 
-    /// `true` when any slice borrows from an external arena buffer.
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self.offsets, Cow::Borrowed(_))
-    }
-
     /// Score of `(a, b)`: 1 on the diagonal, 0 for unstored pairs.
     pub fn get(&self, a: u32, b: u32) -> f64 {
         if a == b {
@@ -325,8 +288,7 @@ impl<'a> ScoreMatrixArena<'a> {
     }
 
     /// The stored off-diagonal pairs in packed-key-sorted order — the
-    /// engine's iterate format. The incremental engine filters this list to
-    /// carry clean-component blocks into the next generation verbatim.
+    /// engine's iterate format.
     pub fn sorted_pairs(&self) -> impl Iterator<Item = (PairKey, f64)> + '_ {
         self.pair_keys
             .iter()
@@ -353,86 +315,6 @@ impl<'a> ScoreMatrixArena<'a> {
         (&self.partners[lo..hi], &self.scores[lo..hi])
     }
 
-    /// Serializes into the shared arena container (see
-    /// [`simrankpp_util::arena`]): six 8-aligned sections, each written as
-    /// one byte-slice `write_all`.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let meta = [self.n as u64];
-        let mut a = ArenaWriter::new(SCM_MAGIC, SCM_VERSION);
-        a.slice(SEC_META, &meta)
-            .slice(SEC_PAIR_KEYS, &self.pair_keys)
-            .slice(SEC_PAIR_SCORES, &self.pair_scores)
-            .slice(SEC_OFFSETS, &self.offsets)
-            .slice(SEC_PARTNERS, &self.partners)
-            .slice(SEC_SCORES, &self.scores);
-        a.write_to(w)
-    }
-
-    /// Serializes into a fresh 8-aligned buffer.
-    pub fn to_arena_bytes(&self) -> AlignedBytes {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf).expect("Vec writes are infallible");
-        AlignedBytes::copy_from(&buf)
-    }
-
-    /// Reconstructs a matrix whose slices *borrow* from `bytes` (which must
-    /// be 8-aligned, e.g. a mapped file or an
-    /// [`AlignedBytes`] buffer). No payload is copied; engines and top-k
-    /// reads run directly over the arena sections.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<ScoreMatrixArena<'a>, String> {
-        let a = Arena::parse(bytes, SCM_MAGIC)?;
-        if a.version() != SCM_VERSION {
-            return Err(format!(
-                "unsupported score-matrix arena version {} (expected {SCM_VERSION})",
-                a.version()
-            ));
-        }
-        let meta = a.slice::<u64>(SEC_META)?;
-        let n = *meta.first().ok_or("empty meta section")? as usize;
-        let pair_keys = a.slice::<u64>(SEC_PAIR_KEYS)?;
-        let pair_scores = a.slice::<f64>(SEC_PAIR_SCORES)?;
-        let offsets = a.slice::<u64>(SEC_OFFSETS)?;
-        let partners = a.slice::<u32>(SEC_PARTNERS)?;
-        let scores = a.slice::<f64>(SEC_SCORES)?;
-        if pair_keys.len() != pair_scores.len() {
-            return Err("pair key/score sections disagree in length".into());
-        }
-        if offsets.len() != n + 1 {
-            return Err(format!(
-                "offsets section has {} entries (expected n + 1 = {})",
-                offsets.len(),
-                n + 1
-            ));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets section is not monotone".into());
-        }
-        let nnz = *offsets.last().unwrap_or(&0) as usize;
-        if partners.len() != nnz || scores.len() != nnz {
-            return Err("partner/score sections disagree with offsets".into());
-        }
-        Ok(ScoreMatrixArena {
-            n,
-            pair_keys: Cow::Borrowed(pair_keys),
-            pair_scores: Cow::Borrowed(pair_scores),
-            offsets: Cow::Borrowed(offsets),
-            partners: Cow::Borrowed(partners),
-            scores: Cow::Borrowed(scores),
-        })
-    }
-
-    /// Deep-copies into the owning form (detaches from a borrowed arena).
-    pub fn to_owned_matrix(&self) -> ScoreMatrix {
-        ScoreMatrixArena {
-            n: self.n,
-            pair_keys: Cow::Owned(self.pair_keys.to_vec()),
-            pair_scores: Cow::Owned(self.pair_scores.to_vec()),
-            offsets: Cow::Owned(self.offsets.to_vec()),
-            partners: Cow::Owned(self.partners.to_vec()),
-            scores: Cow::Owned(self.scores.to_vec()),
-        }
-    }
-
     /// The stored partners of node `a` with their scores, ascending by id.
     pub fn partners(&self, a: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
         let (ids, vals) = self.row(a);
@@ -447,8 +329,7 @@ impl<'a> ScoreMatrixArena<'a> {
         out
     }
 
-    /// As [`ScoreMatrixArena::top_k`], but writing into `out` (cleared
-    /// first) so
+    /// As [`ScoreMatrix::top_k`], but writing into `out` (cleared first) so
     /// batched per-node extraction reuses one buffer instead of allocating
     /// per call. NaN scores are skipped (as [`TopK`](simrankpp_util::TopK)
     /// does), keeping the comparator total; selection is O(m) + O(k log k)
@@ -473,7 +354,7 @@ impl<'a> ScoreMatrixArena<'a> {
 
     /// Largest absolute score difference against another matrix over the
     /// union of stored pairs (convergence / engine cross-check metric).
-    pub fn max_abs_diff(&self, other: &ScoreMatrixArena<'_>) -> f64 {
+    pub fn max_abs_diff(&self, other: &ScoreMatrix) -> f64 {
         let mut max = 0.0f64;
         for (k, v) in self.sorted_pairs() {
             let (a, b) = k.parts();
@@ -633,7 +514,7 @@ mod tests {
         let mut m = b.build();
         let lo = m.offsets[0] as usize;
         assert_eq!(m.partners[lo], 1);
-        m.scores.to_mut()[lo] = f64::NAN; // partner id 1 of node 0
+        m.scores[lo] = f64::NAN; // partner id 1 of node 0
         let mut buf = Vec::new();
         m.top_k_into(0, 3, &mut buf);
         assert_eq!(buf, vec![(2, 0.7)]);
@@ -690,43 +571,6 @@ mod tests {
         let mb = b.build();
         assert!((ma.max_abs_diff(&mb) - 0.5).abs() < 1e-12);
         assert!((mb.max_abs_diff(&ma) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arena_roundtrip_borrows_and_matches() {
-        let mut b = ScoreMatrixBuilder::new(5);
-        b.set(0, 1, 0.5);
-        b.set(2, 4, 0.25);
-        b.set(0, 4, 0.125);
-        let m = b.build();
-        let bytes = m.to_arena_bytes();
-        let v = ScoreMatrixArena::from_bytes(bytes.as_slice()).unwrap();
-        assert!(v.is_borrowed() && !m.is_borrowed());
-        assert_eq!(v.n_nodes(), 5);
-        assert_eq!(v.n_pairs(), m.n_pairs());
-        assert_eq!(m.max_abs_diff(&v), 0.0);
-        for a in 0..5 {
-            assert_eq!(m.row(a), v.row(a), "row {a}");
-            assert_eq!(m.top_k(a, 3), v.top_k(a, 3));
-        }
-        assert!(m.sorted_pairs().eq(v.sorted_pairs()));
-        // Detaching copies the slices back onto the heap.
-        let o = v.to_owned_matrix();
-        assert!(!o.is_borrowed());
-        assert_eq!(o.row(0), m.row(0));
-    }
-
-    #[test]
-    fn arena_from_bytes_refuses_corruption() {
-        let mut b = ScoreMatrixBuilder::new(3);
-        b.set(0, 2, 0.5);
-        let bytes = b.build().to_arena_bytes();
-        // Truncated buffer.
-        assert!(ScoreMatrixArena::from_bytes(&bytes.as_slice()[..40]).is_err());
-        // Wrong magic.
-        let mut wrong = bytes.as_slice().to_vec();
-        wrong[0] ^= 0xff;
-        assert!(ScoreMatrixArena::from_bytes(&wrong).is_err());
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   merge into it would require an endpoint inside it), so its score block
 //!   is provably unchanged and can be reused verbatim.
 //!
-//! The engine layer (`simrankpp-core::engine::run_incremental`) recomputes
-//! only the dirty components and stitches the clean blocks from the previous
-//! score matrix; the serving layer refreshes only dirty queries' index rows.
+//! The serving layer (`simrankpp-serve`'s `RewriteIndex::rebuild_incremental`)
+//! recomputes only the dirty components and copies every clean query's index
+//! row from the previous generation verbatim.
 //!
 //! Deltas travel as TSV ([`read_delta_tsv`] / [`write_delta_tsv`]): one op
 //! per line, `+ \t query \t ad \t impressions \t clicks \t ecr` for upserts

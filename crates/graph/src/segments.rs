@@ -594,18 +594,10 @@ fn intern_in_order(
     Ok(())
 }
 
-/// Concatenates interner names `0..n` into (offsets, blob) sections.
+/// Packs interner names `0..n` into (offsets, blob) sections; an id the
+/// interner does not name packs as the empty string.
 fn pack_names(interner: &crate::interner::Interner, n: usize) -> (Vec<u64>, Vec<u8>) {
-    let mut offs = Vec::with_capacity(n + 1);
-    let mut blob = Vec::new();
-    offs.push(0u64);
-    for id in 0..n as u32 {
-        if let Some(name) = interner.name(id) {
-            blob.extend_from_slice(name.as_bytes());
-        }
-        offs.push(blob.len() as u64);
-    }
-    (offs, blob)
+    simrankpp_util::pack_names((0..n as u32).map(|id| interner.name(id).unwrap_or("")))
 }
 
 /// Decodes one segment blob back into a [`Segment`].
@@ -701,24 +693,14 @@ fn unpack_names<'a>(
 ) -> io::Result<Vec<&'a str>> {
     let offs = arena.slice::<u64>(offs_tag).map_err(bad)?;
     let blob = arena.require(blob_tag).map_err(bad)?;
-    if offs.len() != n + 1 {
+    let names = simrankpp_util::unpack_names(offs, blob).map_err(bad)?;
+    if names.len() != n {
         return Err(bad(format!(
-            "name offsets have {} entries, expected {}",
-            offs.len(),
-            n + 1
+            "name table holds {} names, expected {n}",
+            names.len()
         )));
     }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let (lo, hi) = (offs[i], offs[i + 1]);
-        if lo > hi || hi > blob.len() as u64 {
-            return Err(bad(format!("name {i} offsets {lo}..{hi} out of bounds")));
-        }
-        let name = std::str::from_utf8(&blob[lo as usize..hi as usize])
-            .map_err(|_| bad(format!("name {i} is not valid UTF-8")))?;
-        out.push(name);
-    }
-    Ok(out)
+    Ok(names)
 }
 
 #[cfg(test)]
@@ -906,5 +888,59 @@ mod tests {
         let mut store = SegmentedStore::open(&path).unwrap();
         assert!(store.load_segment(0).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_segment_refuses_hostile_name_tables() {
+        // Re-serialized with one section replaced, so every checksum holds
+        // and only `parse_segment`'s own checks face the forged table.
+        fn forged(seg: &[u8], tag: u64, replacement: &[u8]) -> AlignedBytes {
+            let arena = Arena::parse(seg, SEGMENT_MAGIC).unwrap();
+            let mut w = ArenaWriter::new(SEGMENT_MAGIC, STORE_VERSION);
+            for e in arena.entries() {
+                let own = arena.section(e.tag).unwrap();
+                w.section(e.tag, if e.tag == tag { replacement } else { own });
+            }
+            w.to_aligned_bytes()
+        }
+        let g = scattered(6, 5, 14, true);
+        let path = tmp("hostile_names.seg");
+        write_segmented(&g, &path, usize::MAX).unwrap();
+        let info = SegmentedStore::open(&path).unwrap().segments[0];
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let seg =
+            AlignedBytes::copy_from(&file[info.offset as usize..(info.offset + info.len) as usize]);
+        parse_segment(seg.as_slice()).unwrap();
+        let arena = Arena::parse(seg.as_slice(), SEGMENT_MAGIC).unwrap();
+        let offs = arena.slice::<u64>(SEG_QNAME_OFFS).unwrap();
+        let blob = arena.section(SEG_QNAME_BLOB).unwrap();
+
+        // Offsets that do not span the blob: short of it, and past it.
+        for delta in [-1i64, 1] {
+            let mut bad_offs = offs.to_vec();
+            *bad_offs.last_mut().unwrap() = (blob.len() as i64 + delta) as u64;
+            let forged = forged(
+                seg.as_slice(),
+                SEG_QNAME_OFFS,
+                simrankpp_util::bytes_of(&bad_offs),
+            );
+            let err = parse_segment(forged.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("do not span"), "{err}");
+        }
+
+        // One name longer than any real query string.
+        let long = vec![b'x'; simrankpp_util::MAX_NAME_BYTES as usize + 1];
+        let mut long_offs = vec![long.len() as u64; offs.len()];
+        long_offs[0] = 0;
+        let forged_offs = forged(
+            seg.as_slice(),
+            SEG_QNAME_OFFS,
+            simrankpp_util::bytes_of(&long_offs),
+        );
+        let forged = forged(forged_offs.as_slice(), SEG_QNAME_BLOB, &long);
+        let err = parse_segment(forged.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("length out of range"), "{err}");
     }
 }

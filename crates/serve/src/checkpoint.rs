@@ -36,8 +36,9 @@
 //! section FNVs.
 
 use crate::ingest::{EpochIngestor, IngestConfig, LogTailer, SpannedRecord};
+use crate::snapshot::decode_names;
 use simrankpp_graph::Interner;
-use simrankpp_util::{Arena, ArenaWriter};
+use simrankpp_util::{pack_names, Arena, ArenaWriter};
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -99,37 +100,8 @@ fn rebuild_hint(msg: &str) -> io::Error {
     ))
 }
 
-fn pack_names(names: &Interner) -> (Vec<u64>, Vec<u8>) {
-    let mut offs = Vec::with_capacity(names.len() + 1);
-    let mut blob = Vec::new();
-    offs.push(0u64);
-    for (_, name) in names.iter() {
-        blob.extend_from_slice(name.as_bytes());
-        offs.push(blob.len() as u64);
-    }
-    (offs, blob)
-}
-
-fn unpack_names(offs: &[u64], blob: &[u8], what: &str) -> io::Result<Interner> {
-    if offs.is_empty() {
-        return Err(corrupt(&format!("{what}: empty offset table")));
-    }
-    let mut names = Interner::new();
-    for pair in offs.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        if b < a || b > blob.len() as u64 {
-            return Err(corrupt(&format!(
-                "{what}: non-monotone or out-of-range offsets"
-            )));
-        }
-        let s = std::str::from_utf8(&blob[a as usize..b as usize])
-            .map_err(|_| corrupt(&format!("{what}: invalid UTF-8 name")))?;
-        names.intern(s);
-    }
-    if names.len() + 1 != offs.len() {
-        return Err(corrupt(&format!("{what}: duplicate names")));
-    }
-    Ok(names)
+fn unpack(offs: &[u64], blob: &[u8], what: &str) -> io::Result<Interner> {
+    decode_names(offs, blob).map_err(|e| corrupt(&format!("{what}: {e}")))
 }
 
 /// Captures a checkpoint of `ing` (which must have refreshed at least
@@ -163,8 +135,8 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
         ck.window,
         ck.decay_bits,
     ];
-    let (q_offs, q_blob) = pack_names(&ck.query_names);
-    let (a_offs, a_blob) = pack_names(&ck.ad_names);
+    let (q_offs, q_blob) = pack_names(ck.query_names.iter().map(|(_, n)| n));
+    let (a_offs, a_blob) = pack_names(ck.ad_names.iter().map(|(_, n)| n));
     let mut aw = ArenaWriter::new(MAGIC, VERSION);
     aw.slice(CK_META, &meta)
         .slice(CK_QNAME_OFFS, &q_offs)
@@ -223,8 +195,8 @@ fn decode_checkpoint(raw: &[u8]) -> io::Result<Checkpoint> {
         fingerprint: meta[5],
         window: meta[6],
         decay_bits: meta[7],
-        query_names: unpack_names(q_offs, q_blob, "query names")?,
-        ad_names: unpack_names(a_offs, a_blob, "ad names")?,
+        query_names: unpack(q_offs, q_blob, "query names")?,
+        ad_names: unpack(a_offs, a_blob, "ad names")?,
     };
     if ck.replay_offset > ck.commit_offset {
         return Err(rebuild_hint("checkpoint offsets are inconsistent"));
@@ -539,6 +511,55 @@ mod tests {
                 Ok(back) => assert_eq!(back, ck, "pos {pos}: undetected mutation"),
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_name_tables_are_refused() {
+        let dir = tmp_dir("hostile_names");
+        let log = write_log(&dir, &demo_log());
+        let (_, ck) = run_to_end(&log, &cfg(2));
+        let path = dir.join("ingest.ckpt");
+        write_checkpoint(&path, &ck).unwrap();
+        let good = simrankpp_util::AlignedBytes::copy_from(&std::fs::read(&path).unwrap());
+        let arena = Arena::parse(good.as_slice(), MAGIC).unwrap();
+
+        // Offsets that do not span the blob, re-serialized so every
+        // checksum holds and only the decoder's own checks face them.
+        let blob_len = arena.section(CK_QNAME_BLOB).unwrap().len() as u64;
+        for end in [blob_len - 1, blob_len + 1] {
+            let mut offs = arena.slice::<u64>(CK_QNAME_OFFS).unwrap().to_vec();
+            *offs.last_mut().unwrap() = end;
+            let mut w = ArenaWriter::new(MAGIC, VERSION);
+            for e in arena.entries() {
+                if e.tag == CK_QNAME_OFFS {
+                    w.slice(e.tag, &offs);
+                } else {
+                    w.section(e.tag, arena.section(e.tag).unwrap());
+                }
+            }
+            let err = decode_checkpoint(w.to_aligned_bytes().as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("query names: name offsets do not span"),
+                "{err}"
+            );
+        }
+
+        // One name longer than any real query or ad string.
+        let mut oversized = ck.clone();
+        oversized
+            .ad_names
+            .intern(&"x".repeat(simrankpp_util::MAX_NAME_BYTES as usize + 1));
+        write_checkpoint(&path, &oversized).unwrap();
+        let err = read_checkpoint(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("ad names: name")
+                && err.to_string().contains("length out of range"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

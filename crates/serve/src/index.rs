@@ -13,14 +13,13 @@
 //! Lookups slice the arena — no per-request allocation — and an optional
 //! cloned name interner answers `lookup("camera")` for the line protocol.
 
-use serde::{Deserialize, Serialize};
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Sharding};
 use simrankpp_util::FxHashSet;
 
 /// Provenance carried by an index (and through snapshots): what produced the
 /// rows, so a server can refuse mismatched artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexMeta {
     /// The similarity method the rows were ranked by.
     pub method: MethodKind,
@@ -33,32 +32,98 @@ pub struct IndexMeta {
     /// Incremental refresh is exact-per-component and would silently mix
     /// regimes with copied approximate rows, so
     /// [`RewriteIndex::rebuild_incremental`] refuses such indexes.
-    /// Defaults to `false` (exact) for artifacts predating the field.
-    #[serde(default)]
     pub approx_sharding: bool,
     /// Which engine kernel computed the scores. Kernels agree only to f64
     /// rounding, so an incremental refresh recomputing dirty rows with a
     /// different kernel than the copied clean rows would silently mix
     /// generations; [`RewriteIndex::rebuild_incremental`] refuses the
-    /// mismatch. Deliberately **not** serde-defaulted: an artifact without
-    /// the field predates the pull kernel and carries flat-kernel scores,
-    /// so defaulting to the current `KernelKind::default()` would
-    /// mis-attribute it — legacy artifacts are refused on load instead
-    /// (binary snapshots via the version check, JSON via the missing
-    /// field), matching the v1→v2 `approx_sharding` precedent.
+    /// mismatch. An artifact without the field predates the pull kernel
+    /// and carries flat-kernel scores, so the snapshot version check
+    /// refuses it on load rather than mis-attribute it.
     pub kernel: KernelKind,
     /// How many segments of a [`simrankpp_graph::SegmentedStore`] the index
     /// was built from — `0` for a monolithic in-memory build. Provenance
     /// only: segmented and monolithic builds over the same graph are
     /// bit-identical (both decompose exactly by component), so nothing
     /// refuses on a mismatch; the count surfaces in `serve info`.
-    #[serde(default)]
     pub segments: u32,
 }
 
 /// One recomputed row during an incremental rebuild: the global query index
 /// plus its refreshed `(target, score)` entries.
 type FreshRow = (usize, Vec<(u32, f64)>);
+
+/// The arena offset of a row ending at `total` entries — the one place the
+/// `u32` offset width is enforced.
+fn arena_offset(total: usize) -> Result<u32, String> {
+    u32::try_from(total)
+        .ok()
+        .filter(|&t| t < u32::MAX)
+        .ok_or_else(|| "index exceeds u32 arena offsets".to_string())
+}
+
+/// Assembles rows, pushed in query-id order, into the flat
+/// `offsets/targets/scores` arena of a [`RewriteIndex`]. Every build path —
+/// monolithic, segmented, incremental — lays its rows out through this one
+/// type, so the arena layout and its bound check live here only.
+#[derive(Debug)]
+pub(crate) struct RowAssembler {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+impl RowAssembler {
+    /// An assembler expecting `n_queries` rows.
+    pub(crate) fn with_capacity(n_queries: usize) -> RowAssembler {
+        let mut offsets = Vec::with_capacity(n_queries + 1);
+        offsets.push(0);
+        RowAssembler {
+            offsets,
+            targets: Vec::new(),
+            scores: Vec::new(),
+        }
+    }
+
+    /// Appends the next query's row, in ranking order.
+    pub(crate) fn push_row(
+        &mut self,
+        row: impl IntoIterator<Item = (u32, f64)>,
+    ) -> Result<(), String> {
+        for (t, s) in row {
+            self.targets.push(t);
+            self.scores.push(s);
+        }
+        self.offsets.push(arena_offset(self.targets.len())?);
+        Ok(())
+    }
+
+    /// Appends every row of `chunk` after the rows already pushed — how the
+    /// chunk-parallel build stitches its workers' output in order.
+    pub(crate) fn append(&mut self, chunk: RowAssembler) -> Result<(), String> {
+        let base = self.targets.len();
+        for &end in &chunk.offsets[1..] {
+            self.offsets.push(arena_offset(base + end as usize)?);
+        }
+        self.targets.extend_from_slice(&chunk.targets);
+        self.scores.extend_from_slice(&chunk.scores);
+        Ok(())
+    }
+
+    /// Freezes the pushed rows into an index over exactly those queries.
+    pub(crate) fn finish(mut self, meta: IndexMeta, names: Option<Interner>) -> RewriteIndex {
+        self.targets.shrink_to_fit();
+        self.scores.shrink_to_fit();
+        RewriteIndex {
+            meta,
+            n_queries: (self.offsets.len() - 1) as u32,
+            offsets: self.offsets,
+            targets: self.targets,
+            scores: self.scores,
+            names,
+        }
+    }
+}
 
 /// Refresh accounting returned by [`RewriteIndex::rebuild_incremental`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +143,7 @@ pub struct RebuildStats {
 }
 
 /// An immutable query → top-k rewrites index over one click graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RewriteIndex {
     pub(crate) meta: IndexMeta,
     pub(crate) n_queries: u32,
@@ -107,43 +172,22 @@ impl RewriteIndex {
         let g = rewriter.graph();
         let chunks = simrankpp_core::engine::parallel::run_chunked(g.n_queries(), threads, |r| {
             let mut row = Vec::new();
-            let mut lens = Vec::with_capacity(r.len());
-            let mut targets = Vec::new();
-            let mut scores = Vec::new();
+            let mut rows = RowAssembler::with_capacity(r.len());
             for q in r {
                 rewriter.rewrite_ids_into(QueryId(q as u32), bid_terms, &mut row);
-                lens.push(row.len() as u32);
-                for &(t, s) in &row {
-                    targets.push(t.0);
-                    scores.push(s);
-                }
+                rows.push_row(row.iter().map(|&(t, s)| (t.0, s)))?;
             }
-            (lens, targets, scores)
+            Ok(rows)
         });
-
-        let mut offsets = Vec::with_capacity(g.n_queries() + 1);
-        let mut targets = Vec::new();
-        let mut scores = Vec::new();
-        let mut total = 0u64;
-        offsets.push(0u32);
-        for (chunk_lens, chunk_targets, chunk_scores) in chunks {
-            for len in chunk_lens {
-                total += u64::from(len);
-                assert!(
-                    total < u64::from(u32::MAX),
-                    "index exceeds u32 arena offsets"
-                );
-                offsets.push(total as u32);
-            }
-            targets.extend_from_slice(&chunk_targets);
-            scores.extend_from_slice(&chunk_scores);
+        let mut rows = RowAssembler::with_capacity(g.n_queries());
+        for chunk in chunks {
+            chunk
+                .and_then(|c| rows.append(c))
+                .unwrap_or_else(|e: String| panic!("{e}"));
         }
-        debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
-        targets.shrink_to_fit();
-        scores.shrink_to_fit();
 
-        RewriteIndex {
-            meta: IndexMeta {
+        rows.finish(
+            IndexMeta {
                 method: rewriter.method().kind(),
                 max_rewrites: rewriter.config().max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
@@ -151,12 +195,8 @@ impl RewriteIndex {
                 kernel: rewriter.method().kernel(),
                 segments: 0,
             },
-            n_queries: g.n_queries() as u32,
-            offsets,
-            targets,
-            scores,
-            names: g.query_interner().cloned(),
-        }
+            g.query_interner().cloned(),
+        )
     }
 
     /// Builds the index from a [`SegmentedStore`] **one segment at a time**:
@@ -227,23 +267,11 @@ impl RewriteIndex {
             }
         }
 
-        let mut offsets = Vec::with_capacity(n_total + 1);
-        let mut targets = Vec::new();
-        let mut scores = Vec::new();
-        offsets.push(0u32);
-        let mut total = 0u64;
+        let mut arena = RowAssembler::with_capacity(n_total);
         for (q, slot) in rows.into_iter().enumerate() {
             let row =
                 slot.ok_or_else(|| bad(format!("global query id {q} missing from every segment")))?;
-            total += row.len() as u64;
-            if total >= u64::from(u32::MAX) {
-                return Err(bad("index exceeds u32 arena offsets".into()));
-            }
-            offsets.push(total as u32);
-            for (t, s) in row {
-                targets.push(t);
-                scores.push(s);
-            }
+            arena.push_row(row).map_err(bad)?;
         }
 
         let interner = if has_names {
@@ -266,8 +294,8 @@ impl RewriteIndex {
             None
         };
 
-        Ok(RewriteIndex {
-            meta: IndexMeta {
+        Ok(arena.finish(
+            IndexMeta {
                 method: kind,
                 max_rewrites: rewriter_config.max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
@@ -275,12 +303,8 @@ impl RewriteIndex {
                 kernel: kernel.unwrap_or(config.kernel),
                 segments: store.n_segments() as u32,
             },
-            n_queries: n_total as u32,
-            offsets,
-            targets,
-            scores,
-            names: interner,
-        })
+            interner,
+        ))
     }
 
     /// Rebuilds only the **dirty** queries' rows after a graph delta,
@@ -406,36 +430,20 @@ impl RewriteIndex {
         // Assemble the next arena generation: fresh rows for dirty queries
         // (empty when their component holds no candidates), verbatim copies
         // for clean ones.
-        let mut offsets = Vec::with_capacity(new_n + 1);
-        let mut targets = Vec::new();
-        let mut scores = Vec::new();
-        offsets.push(0u32);
+        let mut arena = RowAssembler::with_capacity(new_n);
         let mut refreshed_queries = 0usize;
         let mut copied_entries = 0usize;
         for (q, slot) in fresh.iter_mut().enumerate() {
             let qid = QueryId(q as u32);
             if dirty.query_dirty(qid) {
                 refreshed_queries += 1;
-                if let Some(row) = slot.take() {
-                    for (t, s) in row {
-                        targets.push(t);
-                        scores.push(s);
-                    }
-                }
+                arena.push_row(slot.take().unwrap_or_default())?;
             } else {
                 let old = self.rewrites_of(qid);
                 copied_entries += old.len();
-                targets.extend_from_slice(old.ids());
-                scores.extend_from_slice(old.scores());
+                arena.push_row(old.ids().iter().copied().zip(old.scores().iter().copied()))?;
             }
-            let total = targets.len() as u64;
-            if total >= u64::from(u32::MAX) {
-                return Err("index exceeds u32 arena offsets".into());
-            }
-            offsets.push(total as u32);
         }
-        targets.shrink_to_fit();
-        scores.shrink_to_fit();
 
         let stats = RebuildStats {
             refreshed_queries,
@@ -446,14 +454,7 @@ impl RewriteIndex {
             n_clean_components: dirty.n_clean(),
         };
         Ok((
-            RewriteIndex {
-                meta: self.meta,
-                n_queries: new_n as u32,
-                offsets,
-                targets,
-                scores,
-                names: new_graph.query_interner().cloned(),
-            },
+            arena.finish(self.meta, new_graph.query_interner().cloned()),
             stats,
         ))
     }
@@ -525,22 +526,6 @@ impl RewriteIndex {
     #[inline]
     pub fn query_name(&self, q: QueryId) -> Option<&str> {
         self.names.as_ref().and_then(|i| i.name(q.0))
-    }
-
-    /// JSON snapshot (human-inspectable; prefer the binary format for size).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("index serialization cannot fail")
-    }
-
-    /// Parses a JSON snapshot, rebuilds the name lookup (serde skips the
-    /// reverse index), and validates the structure.
-    pub fn from_json(json: &str) -> Result<RewriteIndex, String> {
-        let mut index: RewriteIndex = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if let Some(i) = index.names.as_mut() {
-            i.rebuild_index();
-        }
-        index.validate()?;
-        Ok(index)
     }
 
     /// Checks every structural invariant; snapshot loading runs this, so a
@@ -722,31 +707,28 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_name_in_json_snapshot_rejected() {
-        // A duplicated name would make the rebuilt name index route lookups
-        // to the wrong query's row; from_json must refuse it.
-        let json = fig3_index().to_json();
-        let forged = json.replace("\"pc\"", "\"tv\"");
-        assert_ne!(json, forged, "fixture must contain the pc query name");
-        let err = RewriteIndex::from_json(&forged).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
+    fn arena_offsets_stop_short_of_u32_max() {
+        assert_eq!(arena_offset(0), Ok(0));
+        assert_eq!(arena_offset(u32::MAX as usize - 1), Ok(u32::MAX - 1));
+        for total in [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX] {
+            let err = arena_offset(total).unwrap_err();
+            assert!(err.contains("exceeds u32"), "{err}");
+        }
     }
 
     #[test]
-    fn json_roundtrip_preserves_lookups() {
-        let index = fig3_index();
-        let loaded = RewriteIndex::from_json(&index.to_json()).unwrap();
-        assert_eq!(loaded.n_entries(), index.n_entries());
-        for q in 0..index.n_queries() {
-            let q = QueryId(q as u32);
-            assert_eq!(loaded.rewrites_of(q).ids(), index.rewrites_of(q).ids());
-            assert_eq!(
-                loaded.rewrites_of(q).scores(),
-                index.rewrites_of(q).scores()
-            );
-        }
-        // Name lookup works after the reverse index rebuild.
-        assert!(loaded.lookup("camera").is_some());
+    fn assembler_appends_chunks_in_order() {
+        let mut head = RowAssembler::with_capacity(2);
+        head.push_row([(1, 0.5), (2, 0.25)]).unwrap();
+        head.push_row([]).unwrap();
+        let mut tail = RowAssembler::with_capacity(1);
+        tail.push_row([(0, 0.125)]).unwrap();
+        head.append(tail).unwrap();
+        let index = head.finish(fig3_index().meta, None);
+        index.validate().unwrap();
+        assert_eq!(index.offsets, [0, 2, 2, 3]);
+        assert_eq!(index.targets, [1, 2, 0]);
+        assert_eq!(index.scores, [0.5, 0.25, 0.125]);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   slices: zero allocation on the hot path.
 //!   [`RewriteIndex::rebuild_incremental`] refreshes only the dirty
 //!   queries' rows after a click-graph delta, copying clean rows verbatim.
-//! * [`snapshot`] — versioned, checksummed binary persistence plus
-//!   serde-JSON, so an index is built once and loaded by server processes.
-//!   Format v4 is an 8-aligned section arena written section-at-a-time.
+//! * [`snapshot`] — versioned, checksummed binary persistence, so an index
+//!   is built once and loaded by server processes. Format v4 is an 8-aligned
+//!   section arena written section-at-a-time.
 //! * [`mmap`]/[`mapped`] — zero-copy loading: [`MappedIndex`] serves rows
 //!   straight out of the snapshot file's bytes (`mmap` with a heap-read
 //!   fallback), so startup is O(#sections) regardless of index size;
@@ -56,7 +56,7 @@ pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};
 pub use server::{
-    serve_lines, serve_session, serve_session_with, LiveContext, ServeState, SessionOptions,
-    Transport, UpdateContext,
+    serve_session, serve_session_with, LiveContext, ServeState, SessionOptions, Transport,
+    UpdateContext,
 };
 pub use swap::AtomicHandle;

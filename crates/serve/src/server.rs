@@ -91,6 +91,7 @@ use crate::mapped::{MappedIndex, ServingIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::RowCache;
 use crate::swap::AtomicHandle;
+use simrankpp_core::rewriter::funnel;
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
     evidence_geometric, MethodKind, RewriterConfig, RowWorkspace, SimrankConfig,
@@ -98,7 +99,6 @@ use simrankpp_core::{
 };
 use simrankpp_graph::delta::{apply_named, read_delta_tsv};
 use simrankpp_graph::{ClickGraph, QueryId};
-use simrankpp_text::StemDeduper;
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -202,7 +202,7 @@ pub struct LiveContext {
     method: MethodKind,
     config: SimrankConfig,
     rewriter: RewriterConfig,
-    engine: SingleSourceEngine<'static>,
+    engine: SingleSourceEngine,
     ws: RowWorkspace,
 }
 
@@ -248,9 +248,8 @@ impl LiveContext {
 
     /// Computes the rendered response suffix (`\t<k>[\t<name>\t<score>]...`)
     /// of one cold query: single-source raw row → evidence factor → the
-    /// §9.3 ranking and stem-dedup of `Method::ranked_candidates` +
-    /// `Rewriter::rewrite_ids_into` — minus the bid filter, which needs a
-    /// bid-term list the live path does not carry.
+    /// shared §9.3 [`funnel`] — without a bid filter, which needs a bid-term
+    /// list the live path does not carry.
     fn compute_suffix(&mut self, q: QueryId) -> String {
         let mut row = Vec::new();
         self.engine.row_into(&self.graph, q, &mut self.ws, &mut row);
@@ -258,8 +257,8 @@ impl LiveContext {
         // (id, final, raw): final applies the geometric evidence factor for
         // the evidence-carrying methods; plain SimRank ranks by raw alone.
         // Evidence-zeroed candidates stay in with final = 0 so the raw
-        // score tie-breaks, mirroring `ranked_candidates`.
-        let mut candidates: Vec<(u32, f64, f64)> = Vec::new();
+        // score tie-breaks, as `Method::ranked_candidates` does.
+        let mut candidates: Vec<(QueryId, f64, f64)> = Vec::new();
         for &(other, raw) in &row {
             if other == q || raw <= 0.0 {
                 continue;
@@ -268,44 +267,23 @@ impl LiveContext {
                 MethodKind::Simrank => raw,
                 _ => evidence_geometric(self.graph.common_ads(q, other)) * raw,
             };
-            candidates.push((other.0, final_score, raw));
+            candidates.push((other, final_score, raw));
         }
-        candidates.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        candidates.truncate(self.rewriter.max_candidates);
-
-        let mut deduper = if self.rewriter.stem_dedup {
-            Some(match self.graph.query_name(q) {
-                Some(name) => StemDeduper::seeded_with(name),
-                None => StemDeduper::new(),
-            })
-        } else {
-            None
-        };
-        let mut picked: Vec<(u32, f64)> = Vec::new();
-        for (candidate, final_score, _raw) in candidates {
-            if let Some(d) = deduper.as_mut() {
-                if let Some(name) = self.graph.query_name(QueryId(candidate)) {
-                    if !d.admit(name) {
-                        continue;
-                    }
-                }
-            }
-            picked.push((candidate, final_score));
-            if picked.len() >= self.rewriter.max_rewrites {
-                break;
-            }
-        }
+        let mut picked = Vec::new();
+        funnel(
+            &self.graph,
+            &self.rewriter,
+            q,
+            &mut candidates,
+            None,
+            &mut picked,
+        );
 
         let mut suffix = format!("\t{}", picked.len());
         for (id, score) in picked {
-            match self.graph.query_name(QueryId(id)) {
+            match self.graph.query_name(id) {
                 Some(n) => suffix.push_str(&format!("\t{}\t{score:.6}", clean(n))),
-                None => suffix.push_str(&format!("\t#{id}\t{score:.6}")),
+                None => suffix.push_str(&format!("\t#{}\t{score:.6}", id.0)),
             }
         }
         suffix
@@ -582,17 +560,6 @@ fn err_line<W: Write>(
     writeln!(out, "err\t{reason}\t{detail}")
 }
 
-/// Drives the line protocol over any reader/writer pair until EOF, `quit`,
-/// a read timeout, or server drain — under the permission boundary and
-/// instrumentation of `opts`. Output is flushed after every request — and
-/// on every exit path, including mid-read I/O errors — so interactive pipes
-/// and sockets see responses immediately and a truncated input never leaves
-/// a half-written response line.
-///
-/// A read timeout (`ErrorKind::TimedOut`/`WouldBlock`, produced by a socket
-/// with `set_read_timeout`) is a *clean* exit: the peer stalled, gets a
-/// best-effort `err\tread timeout` line, and the session returns `Ok` — the
-/// connection thread is freed instead of pinned forever.
 /// Renders the `health` response: liveness state plus, in ingest mode, the
 /// window epoch, refresh count, and the age of the last durable checkpoint
 /// — the fields an external supervisor needs to tell a wedged process from
@@ -636,6 +603,17 @@ fn health_line(state: &ServeState, draining: bool) -> String {
     line
 }
 
+/// Drives the line protocol over any reader/writer pair until EOF, `quit`,
+/// a read timeout, or server drain — under the permission boundary and
+/// instrumentation of `opts`. Output is flushed after every request — and
+/// on every exit path, including mid-read I/O errors — so interactive pipes
+/// and sockets see responses immediately and a truncated input never leaves
+/// a half-written response line.
+///
+/// A read timeout (`ErrorKind::TimedOut`/`WouldBlock`, produced by a socket
+/// with `set_read_timeout`) is a *clean* exit: the peer stalled, gets a
+/// best-effort `err\tread timeout` line, and the session returns `Ok` — the
+/// connection thread is freed instead of pinned forever.
 pub fn serve_session_with<R: BufRead, W: Write>(
     state: &ServeState,
     input: R,
@@ -848,15 +826,6 @@ pub fn serve_session_with<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// [`serve_session`] over a frozen index — the historical entry point;
-/// `update` requests are refused. Clones the index once to seed the swap
-/// handle; callers holding an owned index (like the `serve` binary) should
-/// construct [`ServeState::fixed`] themselves and call [`serve_session`] to
-/// avoid the copy.
-pub fn serve_lines<R: BufRead, W: Write>(index: &RewriteIndex, input: R, out: W) -> io::Result<()> {
-    serve_session(&ServeState::fixed(index.clone()), input, out)
-}
-
 fn respond<W: Write>(
     state: &ServeState,
     index: &ServingIndex,
@@ -922,10 +891,7 @@ mod tests {
     }
 
     fn run(input: &str) -> String {
-        let index = fig3_index();
-        let mut out = Vec::new();
-        serve_lines(&index, input.as_bytes(), &mut out).unwrap();
-        String::from_utf8(out).unwrap()
+        run_on(&ServeState::fixed(fig3_index()), input)
     }
 
     #[test]
@@ -1150,7 +1116,7 @@ mod tests {
             prefix: b"rewrite camera\nrewrite pc\n",
             pos: 0,
         };
-        let err = serve_lines(&index, input, writer).unwrap_err();
+        let err = serve_session(&ServeState::fixed(index), input, writer).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         let seen = String::from_utf8(flushed.borrow().clone()).unwrap();
         assert!(
@@ -1224,20 +1190,13 @@ mod tests {
         // rewrite names in the same order as the offline index build (the
         // scores may differ in trailing digits: the live engine evaluates
         // the converged series, the index a fixed iteration budget).
-        let index = fig3_index();
+        let indexed = ServeState::fixed(fig3_index());
         let state = live_state();
         let g = figure3_graph();
         for q in g.queries() {
             let name = g.query_name(q).unwrap();
             let live_line = run_on(&state, &format!("rewrite {name}\n"));
-            let mut indexed_line = Vec::new();
-            serve_lines(
-                &index,
-                format!("rewrite {name}\n").as_bytes(),
-                &mut indexed_line,
-            )
-            .unwrap();
-            let indexed_line = String::from_utf8(indexed_line).unwrap();
+            let indexed_line = run_on(&indexed, &format!("rewrite {name}\n"));
             let names = |line: &str| -> Vec<String> {
                 line.trim_end()
                     .split('\t')
@@ -1326,9 +1285,7 @@ mod tests {
         let method = Method::compute(MethodKind::Simrank, &g, &cfg);
         let rewriter = Rewriter::new(&g, method, RewriterConfig::default());
         let index = RewriteIndex::build(&rewriter, None, 1);
-        let mut out = Vec::new();
-        serve_lines(&index, "rewrite z\n".as_bytes(), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let out = run_on(&ServeState::fixed(index), "rewrite z\n");
         let fields: Vec<&str> = out.trim_end().split('\t').collect();
         assert_eq!(fields[..3], ["ok", "z", "1"]);
         assert_eq!(fields[3], "x y");

@@ -41,7 +41,7 @@
 use crate::index::{IndexMeta, RewriteIndex};
 use simrankpp_core::{KernelKind, MethodKind};
 use simrankpp_graph::Interner;
-use simrankpp_util::{fnv1a, AlignedBytes, Arena, ArenaWriter};
+use simrankpp_util::{fnv1a, pack_names, unpack_names, AlignedBytes, Arena, ArenaWriter};
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
@@ -62,10 +62,6 @@ pub(crate) const META_WORDS: usize = 7;
 pub(crate) const FLAG_BID: u64 = 1;
 pub(crate) const FLAG_APPROX: u64 = 1 << 1;
 pub(crate) const FLAG_NAMES: u64 = 1 << 2;
-
-/// Longest name accepted on read; anything larger indicates corruption
-/// rather than a real query string.
-pub(crate) const MAX_NAME_BYTES: u64 = 1 << 20;
 
 impl RewriteIndex {
     /// Stages the index's sections into an [`ArenaWriter`] borrowing the
@@ -95,16 +91,11 @@ impl RewriteIndex {
             self.meta.segments as u64,
         ];
         if let Some(names) = &self.names {
-            let n = names.len();
-            scratch.name_offs = Vec::with_capacity(n + 1);
-            scratch.name_offs.push(0u64);
-            scratch.name_blob = Vec::new();
-            let mut hashed: Vec<(u64, u32)> = Vec::with_capacity(n);
-            for (id, name) in names.iter() {
-                scratch.name_blob.extend_from_slice(name.as_bytes());
-                scratch.name_offs.push(scratch.name_blob.len() as u64);
-                hashed.push((fnv1a(name.as_bytes()), id));
-            }
+            (scratch.name_offs, scratch.name_blob) = pack_names(names.iter().map(|(_, n)| n));
+            let mut hashed: Vec<(u64, u32)> = names
+                .iter()
+                .map(|(id, name)| (fnv1a(name.as_bytes()), id))
+                .collect();
             hashed.sort_unstable();
             scratch.name_hash = hashed.iter().map(|&(h, _)| h).collect();
             scratch.name_ids = hashed.iter().map(|&(_, id)| id).collect();
@@ -230,24 +221,15 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
     ))
 }
 
-/// Rebuilds the name interner from the offs/blob sections, refusing
-/// non-monotone offsets, out-of-range extents, invalid UTF-8, oversized
-/// names, and duplicates (a repeated name would silently shift every later
-/// id, serving the wrong query's rewrites).
-pub(crate) fn decode_names(offs: &[u64], blob: &[u8]) -> io::Result<Interner> {
-    if offs.first() != Some(&0) || offs.last().copied() != Some(blob.len() as u64) {
-        return Err(corrupt("name offsets do not span the name blob"));
-    }
+/// Rebuilds a name interner from a packed `(offsets, blob)` name table —
+/// [`unpack_names`] refuses every malformed shape — and refuses duplicates
+/// (a repeated name would silently shift every later id, serving the wrong
+/// query's rewrites).
+pub(crate) fn decode_names(offs: &[u64], blob: &[u8]) -> Result<Interner, String> {
     let mut interner = Interner::new();
-    for (i, w) in offs.windows(2).enumerate() {
-        let (start, end) = (w[0], w[1]);
-        if end < start || end - start > MAX_NAME_BYTES {
-            return Err(corrupt("name length out of range"));
-        }
-        let bytes = &blob[start as usize..end as usize];
-        let name = std::str::from_utf8(bytes).map_err(|_| corrupt("name is not valid UTF-8"))?;
+    for (i, name) in unpack_names(offs, blob)?.into_iter().enumerate() {
         if interner.intern(name) != i as u32 {
-            return Err(corrupt(&format!("duplicate name {name:?} in name table")));
+            return Err(format!("duplicate name {name:?} in name table"));
         }
     }
     Ok(interner)
@@ -284,7 +266,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> io::Result<RewriteIndex> {
         if hash.len() != n_names || ids.len() != n_names {
             return Err(corrupt("name lookup table disagrees with name count"));
         }
-        Some(decode_names(offs, blob)?)
+        Some(decode_names(offs, blob).map_err(|e| corrupt(&e))?)
     } else {
         None
     };

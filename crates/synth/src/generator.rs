@@ -34,8 +34,9 @@ use simrankpp_util::FxHashSet;
 /// Generator parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeneratorConfig {
-    /// Target number of distinct queries (may come out slightly lower after
-    /// name dedup).
+    /// Number of distinct queries. `n_topics × intents_per_topic` intents
+    /// must be able to name that many: each intent renders only a bounded
+    /// set of variants, and [`generate`] panics when the names run out.
     pub n_queries: usize,
     /// Number of ads.
     pub n_ads: usize,
@@ -130,7 +131,17 @@ pub struct SynthDataset {
     pub config: GeneratorConfig,
 }
 
+/// Consecutive query-name collisions after which [`generate`] gives up: the
+/// configured topics and intents cannot name `n_queries` distinct queries.
+/// Graphs that do generate stay far below it (the shipped configurations
+/// peak under 100 in a row; one at ~80 % of its name space under 1 000).
+const MAX_CONSECUTIVE_NAME_COLLISIONS: usize = 1 << 20;
+
 /// Generates a synthetic dataset.
+///
+/// # Panics
+/// Panics when `n_queries` exceeds what `n_topics × intents_per_topic`
+/// intents can name (see [`GeneratorConfig::n_queries`]).
 pub fn generate(config: &GeneratorConfig) -> SynthDataset {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     assert!(config.n_topics >= 1 && config.n_topics <= u16::MAX as usize);
@@ -167,6 +178,7 @@ pub fn generate(config: &GeneratorConfig) -> SynthDataset {
     let mut query_name: Vec<String> = Vec::new();
     let mut variant_counter: Vec<usize> = vec![0; intents.len()];
 
+    let mut collisions_in_a_row = 0usize;
     while query_name.len() < config.n_queries {
         let t = topic_sampler.sample(&mut rng);
         let intent_id = intents_of_topic[t][intent_sampler.sample(&mut rng)];
@@ -174,8 +186,20 @@ pub fn generate(config: &GeneratorConfig) -> SynthDataset {
         variant_counter[intent_id as usize] += 1;
         let name = intents[intent_id as usize].render_variant(variant, &mut rng);
         if builder.intern_query(&name).index() < query_name.len() {
-            continue; // name collision: already a query, skip
+            // Name collision: already a query, skip.
+            collisions_in_a_row += 1;
+            assert!(
+                collisions_in_a_row < MAX_CONSECUTIVE_NAME_COLLISIONS,
+                "generate: n_queries = {} exceeds what n_topics = {} × intents_per_topic = {} \
+                 can name (stuck at {} distinct names)",
+                config.n_queries,
+                config.n_topics,
+                config.intents_per_topic,
+                query_name.len()
+            );
+            continue;
         }
+        collisions_in_a_row = 0;
         query_name.push(name);
         query_topic.push(t as u16);
         query_intent.push(intent_id);
@@ -346,6 +370,18 @@ mod tests {
         for ((q1, a1, e1), (q2, a2, e2)) in a.graph.edges().zip(b.graph.edges()) {
             assert_eq!((q1, a1, e1), (q2, a2, e2));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_queries = 2000 exceeds what n_topics = 2 × intents_per_topic = 2")]
+    fn too_few_topics_for_the_queries_fails_fast() {
+        // Four intents render a few hundred distinct names at most; asking
+        // for 2 000 used to spin forever.
+        let mut c = GeneratorConfig::tiny();
+        c.n_queries = 2_000;
+        c.n_topics = 2;
+        c.intents_per_topic = 2;
+        generate(&c);
     }
 
     #[test]

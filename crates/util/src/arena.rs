@@ -1,8 +1,8 @@
 //! Zero-copy arena container format.
 //!
 //! One wire format shared by every serialized artifact in the workspace
-//! (snapshot v4 in `serve`, the segmented graph store in `graph`, the
-//! score/transition arenas in `core`): a fixed header, a front section
+//! (snapshot v4 and ingest checkpoints in `serve`, the segmented graph
+//! store in `graph`): a fixed header, a front section
 //! table, then 8-byte-aligned sections of raw native-endian bytes. The
 //! format is designed so that a *mapped* file can be consumed in place —
 //! loading checks only the header and table (O(#sections)), and typed
@@ -433,11 +433,75 @@ impl<'a> Arena<'a> {
     }
 }
 
+/// Longest name a packed name table may carry. Far above any real query or
+/// ad string; it bounds what one forged offset pair can make a reader slice.
+pub const MAX_NAME_BYTES: u64 = 1 << 20;
+
+/// Packs names into the `(offsets, blob)` section pair every artifact stores
+/// its name tables as: the names' UTF-8 bytes concatenated, and `n + 1`
+/// byte offsets into that blob starting at 0.
+pub fn pack_names<'a>(names: impl IntoIterator<Item = &'a str>) -> (Vec<u64>, Vec<u8>) {
+    let mut offs = vec![0u64];
+    let mut blob = Vec::new();
+    for name in names {
+        blob.extend_from_slice(name.as_bytes());
+        offs.push(blob.len() as u64);
+    }
+    (offs, blob)
+}
+
+/// Splits an `(offsets, blob)` section pair back into its names, borrowing
+/// from `blob`. The sections come from a file, so every shape is checked:
+/// the offsets must start at 0, end at the blob's length and never
+/// decrease, no name may exceed [`MAX_NAME_BYTES`], and each must be UTF-8.
+pub fn unpack_names<'a>(offs: &[u64], blob: &'a [u8]) -> Result<Vec<&'a str>, String> {
+    if offs.first() != Some(&0) || offs.last().copied() != Some(blob.len() as u64) {
+        return Err("name offsets do not span the name blob".into());
+    }
+    let mut names = Vec::with_capacity(offs.len() - 1);
+    for (i, w) in offs.windows(2).enumerate() {
+        let (start, end) = (w[0], w[1]);
+        if end < start || end - start > MAX_NAME_BYTES {
+            return Err(format!("name {i}: length out of range"));
+        }
+        // A decrease further on can leave this `end` past the blob.
+        let bytes = blob
+            .get(start as usize..end as usize)
+            .ok_or_else(|| format!("name {i}: offsets {start}..{end} out of bounds"))?;
+        names.push(std::str::from_utf8(bytes).map_err(|_| format!("name {i} is not valid UTF-8"))?);
+    }
+    Ok(names)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const MAGIC: [u8; 8] = *b"ARENATST";
+
+    #[test]
+    fn name_table_roundtrips_and_refuses_hostile_shapes() {
+        let (offs, blob) = pack_names(["camera", "", "tv"]);
+        assert_eq!(offs, [0, 6, 6, 8]);
+        assert_eq!(unpack_names(&offs, &blob).unwrap(), ["camera", "", "tv"]);
+        let (offs0, blob0) = pack_names([]);
+        assert!(unpack_names(&offs0, &blob0).unwrap().is_empty());
+
+        let refused = |offs: &[u64], blob: &[u8], why: &str| {
+            let err = unpack_names(offs, blob).unwrap_err();
+            assert!(err.contains(why), "{offs:?}: {err}");
+        };
+        refused(&[], &blob, "do not span");
+        refused(&[1, 6, 6, 8], &blob, "do not span");
+        refused(&[0, 6, 6, 7], &blob, "do not span");
+        refused(&[0, 6, 6, 9], &blob, "do not span");
+        refused(&[0, 7, 6, 8], &blob, "out of range");
+        refused(&[0, 100, 8], &blob, "out of bounds");
+        refused(&[0, 1 << 40, 6, 8], &blob, "out of range");
+        refused(&[0, 2], &[0xff, 0xfe], "UTF-8");
+        let long = vec![b'x'; MAX_NAME_BYTES as usize + 1];
+        refused(&[0, long.len() as u64], &long, "out of range");
+    }
 
     fn sample() -> AlignedBytes {
         let nums: Vec<u32> = vec![1, 2, 3];

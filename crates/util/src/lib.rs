@@ -22,8 +22,8 @@ pub mod stats;
 pub mod topk;
 
 pub use arena::{
-    bytes_of, cast_slice, fnv1a, fnv1a_seeded, AlignedBytes, Arena, ArenaWriter, Pod, ENDIAN_MARK,
-    HEADER_BYTES, TABLE_ENTRY_BYTES,
+    bytes_of, cast_slice, fnv1a, fnv1a_seeded, pack_names, unpack_names, AlignedBytes, Arena,
+    ArenaWriter, Pod, ENDIAN_MARK, HEADER_BYTES, MAX_NAME_BYTES, TABLE_ENTRY_BYTES,
 };
 pub use durable::{atomic_write, atomic_write_bytes, quarantine, temp_path, AtomicFile};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -2,13 +2,13 @@
 //!
 //! PR 3's sharding harness proved the score matrix block-diagonal over
 //! connected components; this suite pins the *temporal* consequence: after a
-//! [`GraphDelta`], recomputing only the dirty components and reusing every
-//! clean block ([`engine::run_incremental`]) reproduces the from-scratch run
-//! over the updated graph **bit for bit** at test scale — for insert-only
-//! deltas, component-merging inserts, removals (splits), and mixed batches —
-//! and the serving layer's [`RewriteIndex::rebuild_incremental`] reproduces
-//! a full index rebuild the same way. Alongside the equivalences, the suite
-//! proves the accounting ISSUE 4 demands:
+//! [`GraphDelta`], recomputing only the dirty components and copying every
+//! clean query's row ([`RewriteIndex::rebuild_incremental`], the one refresh
+//! path production runs) reproduces a from-scratch index build over the
+//! updated graph **bit for bit** at test scale — for insert-only deltas,
+//! component-merging inserts, removals (splits), and mixed batches.
+//! Alongside the equivalence, the suite proves the accounting ISSUE 4
+//! demands:
 //!
 //! * delta application is equivalent to rebuilding the graph from the
 //!   concatenated edge list (insert-only; duplicate edges accumulate
@@ -16,18 +16,16 @@
 //!   f64s are bit-identical);
 //! * `dirty_components` is *sound*: every changed, created, or removed
 //!   score pair lies in a dirty component of the new labeling;
-//! * clean components are strictly zero-recompute: the reused pair count
-//!   equals exactly the previous matrix's clean-endpoint pairs, recomputed
-//!   and reused counts add up to the stitched total, and every
-//!   clean-component pair of the result is the previous generation's f64
-//!   verbatim.
+//! * clean components are strictly zero-recompute: refreshed and copied
+//!   row counts add up to the new graph's queries, exactly the dirty
+//!   queries are refreshed, and every clean query's row is the previous
+//!   generation's, verbatim.
 //!
 //! Runs in CI under `--release` too (`cargo test --release -- incremental`):
 //! bit-identical stitching must survive optimized codegen.
 
 use proptest::prelude::*;
-use simrankpp::core::engine::{self, run_incremental, UniformTransition, WeightedTransition};
-use simrankpp::core::weighted::SpreadMode;
+use simrankpp::core::engine::{self, UniformTransition};
 use simrankpp::core::{RewriterConfig, ScoreMatrix};
 use simrankpp::graph::delta::GraphDelta;
 use simrankpp::prelude::*;
@@ -94,14 +92,22 @@ fn mixed_delta(
     d
 }
 
-fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
-    assert_eq!(a.n_pairs(), b.n_pairs(), "{what}: pair count differs");
-    for ((x1, y1, v1), (x2, y2, v2)) in a.iter().zip(b.iter()) {
-        assert_eq!((x1, y1), (x2, y2), "{what}: pair set differs");
+fn build_index(g: &ClickGraph, kind: MethodKind, c: &SimrankConfig) -> RewriteIndex {
+    let rewriter = Rewriter::new(g, Method::compute(kind, g, c), RewriterConfig::default());
+    RewriteIndex::build(&rewriter, None, 1)
+}
+
+fn assert_same_rows(a: &RewriteIndex, b: &RewriteIndex, what: &str) {
+    assert_eq!(a.n_queries(), b.n_queries(), "{what}: query count differs");
+    assert_eq!(a.n_entries(), b.n_entries(), "{what}: entry count differs");
+    for q in (0..a.n_queries() as u32).map(QueryId) {
+        let (x, y) = (a.rewrites_of(q), b.rewrites_of(q));
+        assert_eq!(x.ids(), y.ids(), "{what}: targets differ for query {q}");
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            v1.to_bits(),
-            v2.to_bits(),
-            "{what}: pair ({x1}, {y1}) drifted: {v1:e} vs {v2:e}"
+            bits(x.scores()),
+            bits(y.scores()),
+            "{what}: scores differ for query {q}"
         );
     }
 }
@@ -203,105 +209,38 @@ proptest! {
     }
 
     #[test]
-    fn incremental_run_bit_identical_to_scratch(
-        n_queries in 20usize..90,
-        seed in 0u64..1_000_000,
-        n_upserts in 1usize..10,
-        n_removals in 0usize..5,
-        weighted in 0u8..2,
-    ) {
-        let g0 = synth_graph(4, n_queries, seed, false);
-        let d = mixed_delta(&g0, seed ^ 0x1AC, n_upserts, n_removals, true);
-        let g1 = d.apply(&g0);
-        let dirty = d.dirty_components(&g1);
-        let c = cfg(5).with_prune_threshold(1e-4);
-
-        macro_rules! run_case {
-            ($t:expr) => {{
-                let prev = engine::run(&g0, &c, $t);
-                let inc = run_incremental(&g1, &c, $t, &prev.queries, &prev.ads, &dirty);
-                let scratch = engine::run(&g1, &c, $t);
-                assert_bit_identical(&inc.run.queries, &scratch.queries, "queries");
-                assert_bit_identical(&inc.run.ads, &scratch.ads, "ads");
-
-                // Accounting: reused == prev's clean-endpoint pairs, and the
-                // stitched total decomposes exactly.
-                let clean_prev_q = prev.queries.iter()
-                    .filter(|&(a, b, _)| {
-                        !dirty.query_dirty(QueryId(a)) && !dirty.query_dirty(QueryId(b))
-                    })
-                    .count();
-                prop_assert_eq!(inc.reused_query_pairs, clean_prev_q);
-                prop_assert_eq!(
-                    inc.reused_query_pairs + inc.recomputed_query_pairs,
-                    inc.run.queries.n_pairs()
-                );
-                prop_assert_eq!(
-                    inc.reused_ad_pairs + inc.recomputed_ad_pairs,
-                    inc.run.ads.n_pairs()
-                );
-                // Strictly zero-recompute for clean components: every
-                // clean-endpoint pair of the result is the previous
-                // generation's value verbatim.
-                for (a, b, v) in inc.run.queries.iter() {
-                    if !dirty.query_dirty(QueryId(a)) {
-                        prop_assert_eq!(v.to_bits(), prev.queries.get(a, b).to_bits());
-                    }
-                }
-                inc
-            }};
-        }
-
-        if weighted == 1 {
-            let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
-            run_case!(&t);
-        } else {
-            run_case!(&UniformTransition);
-        }
-    }
-
-    #[test]
     fn incremental_index_rebuild_equals_full_rebuild(
         n_queries in 20usize..80,
         seed in 0u64..1_000_000,
         n_upserts in 1usize..8,
         n_removals in 0usize..4,
+        weighted in 0u8..2,
     ) {
         // End to end through the serving layer: refreshing only dirty rows
         // (and copying clean ones) reproduces a from-scratch index build
-        // over the new graph, targets and scores bit-identical.
+        // over the new graph, targets and scores bit-identical — for the
+        // uniform and the weighted walk, pruned.
         let g0 = synth_graph(3, n_queries, seed, false);
         let d = mixed_delta(&g0, seed ^ 0x1DE, n_upserts, n_removals, false);
         let g1 = d.apply(&g0);
         let dirty = d.dirty_components(&g1);
-        let c = cfg(5);
+        let c = cfg(5).with_prune_threshold(1e-4);
+        let kind = if weighted == 1 { MethodKind::WeightedSimrank } else { MethodKind::Simrank };
 
-        let build = |g: &ClickGraph| {
-            let method = Method::compute(MethodKind::WeightedSimrank, g, &c);
-            let rewriter = Rewriter::new(g, method, RewriterConfig::default());
-            RewriteIndex::build(&rewriter, None, 1)
-        };
-        let old_index = build(&g0);
+        let old_index = build_index(&g0, kind, &c);
         let (inc, stats) = old_index
             .rebuild_incremental(&g1, &dirty, &c, &RewriterConfig::default(), None)
             .unwrap();
         inc.validate().unwrap();
-        let full = build(&g1);
-
-        prop_assert_eq!(inc.n_queries(), full.n_queries());
-        prop_assert_eq!(inc.n_entries(), full.n_entries());
-        for q in g1.queries() {
-            prop_assert_eq!(
-                inc.rewrites_of(q).ids(), full.rewrites_of(q).ids(),
-                "targets differ for query {}", q
-            );
-            prop_assert_eq!(
-                inc.rewrites_of(q).scores(), full.rewrites_of(q).scores(),
-                "scores differ for query {}", q
-            );
-        }
+        assert_same_rows(&inc, &build_index(&g1, kind, &c), "mixed delta");
         prop_assert_eq!(stats.refreshed_queries + stats.copied_queries, g1.n_queries());
         prop_assert_eq!(stats.refreshed_queries, dirty.dirty_query_count());
+        // Strictly zero-recompute for clean components: every clean
+        // query's row is the previous generation's, verbatim.
+        for q in g1.queries().filter(|&q| !dirty.query_dirty(q)) {
+            prop_assert_eq!(inc.rewrites_of(q).ids(), old_index.rewrites_of(q).ids());
+            prop_assert_eq!(inc.rewrites_of(q).scores(), old_index.rewrites_of(q).scores());
+        }
     }
 }
 
@@ -312,7 +251,7 @@ fn incremental_insert_only_merge_and_removal_cases() {
     // bridging two components (merge), (c) removal splitting a component.
     let g0 = synth_graph(5, 80, 42, false);
     let c = cfg(6);
-    let prev = engine::run(&g0, &c, &UniformTransition);
+    let prev = build_index(&g0, MethodKind::Simrank, &c);
     let components = simrankpp::graph::components::connected_components(&g0);
     assert!(components.count >= 2, "fixture must be multi-component");
 
@@ -341,21 +280,14 @@ fn incremental_insert_only_merge_and_removal_cases() {
     for (name, d) in [("insert", insert), ("merge", merge), ("removal", removal)] {
         let g1 = d.apply(&g0);
         let dirty = d.dirty_components(&g1);
-        let inc = run_incremental(
-            &g1,
-            &c,
-            &UniformTransition,
-            &prev.queries,
-            &prev.ads,
-            &dirty,
-        );
-        let scratch = engine::run(&g1, &c, &UniformTransition);
-        assert_bit_identical(&inc.run.queries, &scratch.queries, name);
-        assert_bit_identical(&inc.run.ads, &scratch.ads, name);
+        let (inc, stats) = prev
+            .rebuild_incremental(&g1, &dirty, &c, &RewriterConfig::default(), None)
+            .unwrap();
+        assert_same_rows(&inc, &build_index(&g1, MethodKind::Simrank, &c), name);
         assert!(
-            inc.n_clean_components > 0,
+            stats.n_clean_components > 0,
             "{name}: fixture should leave some components clean"
         );
-        assert!(inc.reused_query_pairs > 0, "{name}: nothing was reused");
+        assert!(stats.copied_entries > 0, "{name}: nothing was reused");
     }
 }

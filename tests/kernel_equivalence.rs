@@ -29,6 +29,7 @@ use simrankpp::core::{KernelKind, ScoreMatrix};
 use simrankpp::graph::delta::GraphDelta;
 use simrankpp::graph::Sharding;
 use simrankpp::prelude::*;
+use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::{generate, GeneratorConfig};
 
 fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
@@ -175,9 +176,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         // The PR 3/4 guarantees restated explicitly for the pull kernel:
-        // sharded == monolithic and incremental == from-scratch, bit for
-        // bit (the dedicated suites exercise these paths in depth; this
-        // case pins them to KernelKind::Pull by construction).
+        // sharded == monolithic and incremental index refresh ==
+        // from-scratch build, bit for bit (the dedicated suites exercise
+        // these paths in depth; this case pins them to KernelKind::Pull by
+        // construction).
         let g = synth_graph(n_topics, n_queries, seed, false);
         let c = cfg(5, KernelKind::Pull);
         let mono = engine::run(&g, &c, &UniformTransition);
@@ -186,15 +188,25 @@ proptest! {
         assert_bit_identical(&mono.queries, &shard.queries, "sharded queries");
         assert_bit_identical(&mono.ads, &shard.ads, "sharded ads");
 
+        // Incremental, on the one refresh path production runs.
         let mut d = GraphDelta::new();
         d.upsert(QueryId(0), AdId(1), EdgeData::from_clicks(3));
         let g1 = d.apply(&g);
         let dirty = d.dirty_components(&g1);
-        let inc = engine::run_incremental(
-            &g1, &c, &UniformTransition, &mono.queries, &mono.ads, &dirty);
-        let scratch = engine::run(&g1, &c, &UniformTransition);
-        assert_bit_identical(&inc.run.queries, &scratch.queries, "incremental queries");
-        assert_bit_identical(&inc.run.ads, &scratch.ads, "incremental ads");
+        let build = |g: &ClickGraph| {
+            let method = Method::compute(MethodKind::Simrank, g, &c);
+            RewriteIndex::build(&Rewriter::new(g, method, RewriterConfig::default()), None, 1)
+        };
+        let (inc, _) = build(&g)
+            .rebuild_incremental(&g1, &dirty, &c, &RewriterConfig::default(), None)
+            .unwrap();
+        let scratch = build(&g1);
+        for q in g1.queries() {
+            let (got, want) = (inc.rewrites_of(q), scratch.rewrites_of(q));
+            prop_assert_eq!(got.ids(), want.ids(), "incremental targets of {}", q);
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.scores()), bits(want.scores()), "incremental scores of {}", q);
+        }
     }
 }
 
