@@ -1,21 +1,18 @@
-//! Pull SpGEMM kernel vs flat sorted-pair accumulation vs the historical
-//! hash-map path, and component-sharded vs monolithic propagation.
+//! The propagation engine on a 10k-query synthetic graph, monolithic and
+//! component-sharded.
 //!
-//! All kernels share the same transition factors and chunked parallelism —
-//! the only difference is how per-iteration pair contributions are
-//! accumulated — so the first groups isolate the
-//! accumulation strategy on a 10k-query synthetic graph. The sharded group
-//! compares `engine::run` against `engine::run_with_strategy(Components)`
-//! (decomposition cost included) on two 10k-query shapes: the standard
-//! synth graph (§9.2's one-giant-component regime) and a federated
-//! disjoint union of 8 independent worlds (the multi-market regime where
-//! component structure is real). Results are recorded in
-//! `BENCH_engine.json`.
+//! The first group times `engine::run` (the pull kernel) under the uniform
+//! and the weighted transition. The sharded group compares `engine::run`
+//! against `engine::run_with_strategy(Components)` (decomposition cost
+//! included) on two 10k-query shapes: the standard synth graph (§9.2's
+//! one-giant-component regime) and a federated disjoint union of 8
+//! independent worlds (the multi-market regime where component structure is
+//! real). `bench_ci` records the same series in `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simrankpp_core::engine::{self, reference, UniformTransition, WeightedTransition};
+use simrankpp_core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp_core::weighted::SpreadMode;
-use simrankpp_core::{KernelKind, ShardStrategy, SimrankConfig};
+use simrankpp_core::{ShardStrategy, SimrankConfig};
 use simrankpp_graph::{AdId, ClickGraph, ClickGraphBuilder, QueryId, WeightKind};
 use simrankpp_synth::generator::{generate, GeneratorConfig, SynthDataset};
 
@@ -50,38 +47,23 @@ fn federated_graph(k: usize) -> ClickGraph {
     b.build()
 }
 
-fn accumulation(c: &mut Criterion) {
+fn propagation(c: &mut Criterion) {
     let dataset = ten_k_graph();
     let cfg = SimrankConfig::default()
         .with_iterations(5)
         .with_prune_threshold(1e-4);
 
-    let cfg_pull = cfg.with_kernel(KernelKind::Pull);
-    let cfg_flat = cfg.with_kernel(KernelKind::Flat);
-
     let mut group = c.benchmark_group("engine_10k");
     group.sample_size(10);
     group.bench_function("pull_uniform", |b| {
-        b.iter(|| engine::run(&dataset.graph, &cfg_pull, &UniformTransition))
-    });
-    group.bench_function("flat_uniform", |b| {
-        b.iter(|| engine::run(&dataset.graph, &cfg_flat, &UniformTransition))
-    });
-    group.bench_function("hashmap_uniform", |b| {
-        b.iter(|| reference::run_hashmap(&dataset.graph, &cfg, &UniformTransition))
+        b.iter(|| engine::run(&dataset.graph, &cfg, &UniformTransition))
     });
     let weighted = WeightedTransition {
         kind: WeightKind::ExpectedClickRate,
         spread: SpreadMode::Exponential,
     };
     group.bench_function("pull_weighted", |b| {
-        b.iter(|| engine::run(&dataset.graph, &cfg_pull, &weighted))
-    });
-    group.bench_function("flat_weighted", |b| {
-        b.iter(|| engine::run(&dataset.graph, &cfg_flat, &weighted))
-    });
-    group.bench_function("hashmap_weighted", |b| {
-        b.iter(|| reference::run_hashmap(&dataset.graph, &cfg, &weighted))
+        b.iter(|| engine::run(&dataset.graph, &cfg, &weighted))
     });
     group.finish();
 }
@@ -124,25 +106,5 @@ fn sharded(c: &mut Criterion) {
     group.finish();
 }
 
-fn threads(c: &mut Criterion) {
-    let dataset = ten_k_graph();
-    let mut group = c.benchmark_group("engine_10k_threads");
-    group.sample_size(10);
-    for t in [1usize, 4] {
-        let cfg = SimrankConfig::default()
-            .with_iterations(5)
-            .with_prune_threshold(1e-4)
-            .with_threads(t);
-        group.bench_with_input(BenchmarkId::new("pull_uniform", t), &cfg, |b, cfg| {
-            b.iter(|| engine::run(&dataset.graph, cfg, &UniformTransition))
-        });
-        let flat = cfg.with_kernel(KernelKind::Flat);
-        group.bench_with_input(BenchmarkId::new("flat_uniform", t), &flat, |b, cfg| {
-            b.iter(|| engine::run(&dataset.graph, cfg, &UniformTransition))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, accumulation, sharded, threads);
+criterion_group!(benches, propagation, sharded);
 criterion_main!(benches);

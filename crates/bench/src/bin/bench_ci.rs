@@ -14,13 +14,10 @@
 //!   single-world delta at least 5× faster than a full index rebuild on the
 //!   multi-component 10k-query federated graph — the number the
 //!   dirty-component refresh exists to deliver (machine-relative);
-//! * two machine-relative kernel ratios must hold on the runner itself:
-//!   the pull kernel ≥ 1.3× the flat accumulator (both transitions), and
-//!   the flat accumulator ≥ 1.2× the hash-map reference;
 //! * the single-source engine must answer one linearized top-k query at
 //!   least 50× faster than a full all-pairs run over the same graph — the
 //!   ratio the on-demand mode exists to deliver (measured in-process, so
-//!   machine-relative like the kernel gates);
+//!   machine-relative);
 //! * the `serve_tcp` closed-loop series (real loopback sockets against an
 //!   in-process threaded `NetServer`) must show 8 concurrent clients
 //!   delivering at least 1.2× the QPS of a single client on runners with
@@ -60,12 +57,12 @@
 //! freshness/refresh series diff against the committed baseline like the
 //! engine keys.
 
-use simrankpp_core::engine::{self, reference, UniformTransition, WeightedTransition};
+use simrankpp_core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp_core::montecarlo::{mc_topk_into, McConfig};
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
-    KernelKind, Method, MethodKind, Rewriter, RewriterConfig, RowWorkspace, ShardStrategy,
-    SimrankConfig, SingleSourceEngine,
+    Method, MethodKind, Rewriter, RewriterConfig, RowWorkspace, ShardStrategy, SimrankConfig,
+    SingleSourceEngine,
 };
 use simrankpp_eval::{run_windowed_spam_experiment, SpamTimeline};
 use simrankpp_graph::components::connected_components;
@@ -94,14 +91,11 @@ struct Options {
 }
 
 /// Engine series whose absolute time is gated against the committed
-/// baseline. The pull kernel is the production path every workload funnels
-/// through; the flat series stay gated as the oracle's own regression
-/// canary, and the sharded series covers stitch throughput.
-const GATED_ENGINE_KEYS: [&str; 7] = [
+/// baseline. The pull kernel is the path every workload funnels through;
+/// the sharded series covers stitch throughput.
+const GATED_ENGINE_KEYS: [&str; 5] = [
     "engine_10k/pull_uniform",
     "engine_10k/pull_weighted",
-    "engine_10k/flat_uniform",
-    "engine_10k/flat_weighted",
     "engine_10k_sharded/components/federated8",
     "single_source/linearized_topk_x100_ms",
     "single_source/montecarlo_topk_x100_ms",
@@ -116,18 +110,6 @@ const MIN_INCREMENTAL_SPEEDUP: f64 = 5.0;
 /// number of the on-demand mode — a cold serve-path query costs one row,
 /// not the whole matrix.
 const MIN_SINGLE_SOURCE_SPEEDUP: f64 = 50.0;
-
-/// Floor on flat-vs-hashmap accumulation speedup. Unlike the absolute-ms
-/// gate (whose baseline may have been measured on different hardware), this
-/// ratio is computed on the runner itself, so it catches accumulation-path
-/// regressions machine-independently. Historically ~1.7–1.8×.
-const MIN_FLAT_VS_HASHMAP: f64 = 1.2;
-
-/// Floor on pull-vs-flat kernel speedup, machine-relative like the
-/// flat-vs-hashmap gate. ISSUE 5 lands the pull kernel at ~2× on the
-/// headline series; 1.3× leaves room for runner noise while still failing
-/// if the pull path ever regresses toward the flat path.
-const MIN_PULL_VS_FLAT: f64 = 1.3;
 
 /// Closed-loop requests each TCP load-generator client sends per run.
 const TCP_REQS_PER_CLIENT: usize = 400;
@@ -315,7 +297,7 @@ fn main() {
         return;
     }
 
-    let (engine_results, engine_speedups) = engine_series(&opts, reps);
+    let (engine_results, engine_speedups) = engine_series(reps);
     let (serve_results, serve_derived) = serve_series(reps);
 
     let engine_json = render_engine_json(&opts, &engine_results, &engine_speedups);
@@ -401,7 +383,7 @@ fn world0_delta(k: usize) -> GraphDelta {
     d
 }
 
-fn engine_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
+fn engine_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
     let mut r = BTreeMap::new();
     let cfg = SimrankConfig::default()
         .with_iterations(5)
@@ -413,43 +395,14 @@ fn engine_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMa
 
     eprintln!("engine: kernel series (10k standard graph)");
     let standard = ten_k_graph();
-    let cfg_pull = cfg.with_kernel(KernelKind::Pull);
-    let cfg_flat = cfg.with_kernel(KernelKind::Flat);
     r.insert(
         "engine_10k/pull_uniform".to_owned(),
-        median_ms(reps, || {
-            engine::run(&standard, &cfg_pull, &UniformTransition)
-        }),
+        median_ms(reps, || engine::run(&standard, &cfg, &UniformTransition)),
     );
     r.insert(
         "engine_10k/pull_weighted".to_owned(),
-        median_ms(reps, || engine::run(&standard, &cfg_pull, &weighted)),
+        median_ms(reps, || engine::run(&standard, &cfg, &weighted)),
     );
-    r.insert(
-        "engine_10k/flat_uniform".to_owned(),
-        median_ms(reps, || {
-            engine::run(&standard, &cfg_flat, &UniformTransition)
-        }),
-    );
-    r.insert(
-        "engine_10k/flat_weighted".to_owned(),
-        median_ms(reps, || engine::run(&standard, &cfg_flat, &weighted)),
-    );
-    // The hash-map reference runs in quick mode too: pull-vs-flat and
-    // flat-vs-hashmap are the machine-*relative* gates, immune to the
-    // committed baseline having been measured on different hardware.
-    r.insert(
-        "engine_10k/hashmap_uniform".to_owned(),
-        median_ms(reps, || {
-            reference::run_hashmap(&standard, &cfg, &UniformTransition)
-        }),
-    );
-    if !opts.quick {
-        r.insert(
-            "engine_10k/hashmap_weighted".to_owned(),
-            median_ms(reps, || reference::run_hashmap(&standard, &cfg, &weighted)),
-        );
-    }
     eprintln!("engine: single-source series (10k standard graph, 100 queries/rep)");
     // Precompute = transition factors + estimated diagonal correction: the
     // one-off cost a live server pays before answering its first query.
@@ -460,11 +413,7 @@ fn engine_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMa
     r.insert(
         "single_source/precompute_ms".to_owned(),
         median_ms(1, || {
-            ss_engine = Some(SingleSourceEngine::new(
-                &standard,
-                &cfg_pull,
-                &UniformTransition,
-            ))
+            ss_engine = Some(SingleSourceEngine::new(&standard, &cfg, &UniformTransition))
         }),
     );
     let ss_engine = ss_engine.expect("timed run constructs the engine");
@@ -491,14 +440,7 @@ fn engine_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMa
         median_ms(reps, || {
             let mut total = 0usize;
             for i in 0..100u32 {
-                mc_topk_into(
-                    &standard,
-                    QueryId((i * 7919) % nq),
-                    10,
-                    &cfg_pull,
-                    &mc,
-                    &mut top,
-                );
+                mc_topk_into(&standard, QueryId((i * 7919) % nq), 10, &cfg, &mc, &mut top);
                 total += top.len();
             }
             total
@@ -525,28 +467,6 @@ fn engine_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMa
 
     let mut speedups = BTreeMap::new();
     let ratio = |num: &str, den: &str, r: &BTreeMap<String, f64>| r[num] / r[den];
-    speedups.insert(
-        "pull_vs_flat_uniform".to_owned(),
-        ratio("engine_10k/flat_uniform", "engine_10k/pull_uniform", &r),
-    );
-    speedups.insert(
-        "pull_vs_flat_weighted".to_owned(),
-        ratio("engine_10k/flat_weighted", "engine_10k/pull_weighted", &r),
-    );
-    speedups.insert(
-        "flat_vs_hashmap_uniform".to_owned(),
-        ratio("engine_10k/hashmap_uniform", "engine_10k/flat_uniform", &r),
-    );
-    if !opts.quick {
-        speedups.insert(
-            "flat_vs_hashmap_weighted".to_owned(),
-            ratio(
-                "engine_10k/hashmap_weighted",
-                "engine_10k/flat_weighted",
-                &r,
-            ),
-        );
-    }
     speedups.insert(
         "sharded_vs_monolithic_federated8".to_owned(),
         ratio(
@@ -1348,22 +1268,6 @@ fn check(
              than a full rebuild (floor: {MIN_INCREMENTAL_SPEEDUP}x, machine-relative)"
         ));
     }
-    let flat = engine_speedups["flat_vs_hashmap_uniform"];
-    if flat < MIN_FLAT_VS_HASHMAP {
-        failures.push(format!(
-            "flat accumulation is only {flat:.2}x faster than the hash-map reference \
-             (floor: {MIN_FLAT_VS_HASHMAP}x, machine-relative)"
-        ));
-    }
-    for side in ["uniform", "weighted"] {
-        let pull = engine_speedups[&format!("pull_vs_flat_{side}")];
-        if pull < MIN_PULL_VS_FLAT {
-            failures.push(format!(
-                "pull kernel ({side}) is only {pull:.2}x faster than the flat \
-                 accumulator (floor: {MIN_PULL_VS_FLAT}x, machine-relative)"
-            ));
-        }
-    }
     let ss = engine_speedups["single_source_linearized_query_vs_full_run"];
     if ss < MIN_SINGLE_SOURCE_SPEEDUP {
         failures.push(format!(
@@ -1462,17 +1366,14 @@ fn render_engine_json(
         .join(", ");
     format!(
         "{{\n  \"bench\": \"bench_ci (engine)\",\n  \"description\": \"Wall-clock medians for \
-         the engine's headline series on 10k-query synth graphs: pull vs flat vs hash-map \
-         kernels (standard graph) and component-sharded vs monolithic propagation (federated8 = \
-         disjoint union of 8 worlds). 5 iterations, prune_threshold 1e-4; the sharded \
-         series runs the default pull kernel. The \
+         the engine's headline series on 10k-query synth graphs: the pull kernel under both \
+         transitions (standard graph) and component-sharded vs monolithic propagation \
+         (federated8 = disjoint union of 8 worlds). 5 iterations, prune_threshold 1e-4. The \
          single_source series times the on-demand engine on the standard graph: one-off \
          precompute (factors + estimated diagonal correction), then 100 linearized and 100 \
          Monte-Carlo (512 walks) top-10 queries per rep.\",\n\
          {},\n  \"results_ms\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"gate\": {{\n    \
          \"keys\": [{gate_keys}],\n    \"tolerance_pct\": {},\n    \
-         \"min_flat_vs_hashmap_uniform\": {MIN_FLAT_VS_HASHMAP},\n    \
-         \"min_pull_vs_flat\": {MIN_PULL_VS_FLAT},\n    \
          \"min_single_source_speedup\": {MIN_SINGLE_SOURCE_SPEEDUP}\n  }}\n}}\n",
         environment_json(opts),
         json_map(results, "    "),

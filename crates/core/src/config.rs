@@ -23,23 +23,18 @@ pub enum ShardStrategy {
     Extracted(usize),
 }
 
-/// Which accumulation kernel the unified engine runs each Jacobi half-step
-/// on (see `engine::pull` and `engine::accum`).
+/// The engine's propagation kernel. There is one — the row-parallel pull
+/// kernel of `engine::pull` — so this type selects nothing: it keeps its
+/// name, like [`SimrankConfig::kernel`] and [`SimrankConfig::with_kernel`],
+/// only because the frozen `benchmark/` sources and persisted configs and
+/// snapshots spell it. A persisted config naming a removed kernel
+/// (`"Flat"`, `"Hashmap"`) fails to load instead of silently running pull.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelKind {
-    /// Row-parallel pull kernel: the half-step as two Gustavson SpGEMM
-    /// passes over CSR score rows with a dense-scratch workspace — no
-    /// contribution buffers, no sort-merge, bit-deterministic for any
-    /// thread count. The default.
+    /// Two Gustavson SpGEMM passes per half-step over CSR score rows with a
+    /// dense-scratch workspace; bit-deterministic for any thread count.
     #[default]
     Pull,
-    /// Flat scatter–sort–merge accumulation (the previous default): every
-    /// contribution materialized, sorted canonically, tournament-merged.
-    /// Kept as a cross-check oracle and for `bench_ci`'s ratio gates.
-    Flat,
-    /// Per-iteration hash-map accumulation (the historical engines' path).
-    /// Slowest; kept as the second independent oracle.
-    Hashmap,
 }
 
 /// Parameters shared by all SimRank variants.
@@ -71,9 +66,8 @@ pub struct SimrankConfig {
     /// still load.
     #[serde(default)]
     pub sharding: ShardStrategy,
-    /// Which accumulation kernel runs each Jacobi half-step. [`KernelKind::Pull`]
-    /// is the production path; `Flat` and `Hashmap` are the cross-check
-    /// oracles. Defaults on deserialize like `sharding`.
+    /// Always [`KernelKind::Pull`]; selects nothing (see [`KernelKind`]).
+    /// Defaults on deserialize like `sharding`.
     #[serde(default)]
     pub kernel: KernelKind,
 }
@@ -143,7 +137,8 @@ impl SimrankConfig {
         self
     }
 
-    /// Builder-style: set the accumulation kernel.
+    /// Builder-style: set the kernel — a no-op kept for the callers that
+    /// spell it (see [`KernelKind`]).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -281,13 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_builder_defaults_to_pull_and_deserializes_legacy() {
+    fn kernel_defaults_to_pull_and_deserializes_legacy() {
         let c = SimrankConfig::default();
         assert_eq!(c.kernel, KernelKind::Pull);
-        assert_eq!(c.with_kernel(KernelKind::Flat).kernel, KernelKind::Flat);
-        // Configs persisted before the kernel knob existed must still load.
+        assert_eq!(c.with_kernel(KernelKind::Pull), c);
+        // Configs persisted before the kernel field existed must still load.
         let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
-        assert!(json.contains("kernel"));
+        assert!(json.contains("\"kernel\":\"Pull\""), "{json}");
         let legacy = {
             let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
             match &mut v {
@@ -298,6 +293,25 @@ mod tests {
         };
         let c: SimrankConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(c.kernel, KernelKind::Pull);
+    }
+
+    #[test]
+    fn legacy_kernel_values_are_refused() {
+        // A config saved while the flat and hash-map kernels were selectable
+        // must not load as if it had asked for pull: its scores would differ
+        // at rounding level from what the file claims.
+        let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
+        for removed in ["Flat", "Hashmap"] {
+            let legacy = json.replace("\"kernel\":\"Pull\"", &format!("\"kernel\":\"{removed}\""));
+            assert_ne!(legacy, json);
+            let err = serde_json::from_str::<SimrankConfig>(&legacy)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(removed) && err.contains("KernelKind"),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,173 +1,16 @@
-//! Flat sorted-pair accumulation.
+//! The engine's iterate format and the two whole-vector operations on it.
 //!
-//! The historical engines rebuilt an `FxHashMap<PairKey, f64>` every
-//! iteration: each contribution paid a hash + probe, and the map's buckets
-//! were scattered across the heap. The flat path appends contributions to a
-//! plain buffer; full buffers are sorted, duplicate-combined, and kept as
-//! independent sorted runs that a tournament merge combines at the end —
-//! sequential memory traffic throughout, and output already in the sorted
-//! order [`crate::scores::ScoreMatrix`] wants. Since ISSUE 5 this is the
-//! `KernelKind::Flat` cross-check oracle: the production default is the
-//! sort-free pull kernel ([`super::pull`]), and `bench_engine`/`bench_ci`
-//! measure all three kernels side by side.
+//! A Jacobi iterate is a [`PairVec`]: pair scores sorted by key, one entry
+//! per pair — the order [`crate::scores::ScoreMatrix`] freezes from and the
+//! order the pull kernel ([`super::pull`]) emits row by row.
+//! [`merge_all_disjoint`] stitches per-shard iterates back together and
+//! [`max_delta`] measures the change between two iterates (the convergence
+//! diagnostic).
 
 use simrankpp_util::PairKey;
 
 /// Sorted-by-key, duplicate-free pair scores — the engine's iterate format.
 pub type PairVec = Vec<(PairKey, f64)>;
-
-/// Buffer length that triggers an intermediate flush, bounding the *unsorted*
-/// working set per worker; flushed runs hold only distinct pairs.
-const FLUSH_AT: usize = 1 << 20;
-
-/// Accumulates `(pair, delta)` contributions and produces a combined,
-/// key-sorted vector.
-#[derive(Debug, Default)]
-pub struct FlatAccumulator {
-    /// Sorted, duplicate-free runs, one per flush; merged in [`Self::finish`]
-    /// so a long accumulation costs `O(n log k)` rather than re-merging the
-    /// running total on every flush.
-    runs: Vec<PairVec>,
-    /// Raw contributions awaiting a flush.
-    buf: PairVec,
-    /// Contributions added since construction or the last
-    /// [`Self::finish_reset`] — the next round's capacity hint.
-    added: usize,
-}
-
-impl FlatAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-reserves contribution-buffer capacity (capped at the flush
-    /// threshold — a larger buffer would flush before filling anyway).
-    pub fn reserve(&mut self, contributions: usize) {
-        let want = contributions.min(FLUSH_AT);
-        self.buf.reserve(want.saturating_sub(self.buf.len()));
-    }
-
-    /// Contributions added since construction or the last
-    /// [`Self::finish_reset`].
-    pub fn added(&self) -> usize {
-        self.added
-    }
-
-    /// Adds `delta` to the unordered pair `(a, b)`.
-    ///
-    /// # Panics
-    /// Debug builds panic on diagonal pairs — the diagonal is fixed at 1.
-    #[inline]
-    pub fn add(&mut self, a: u32, b: u32, delta: f64) {
-        debug_assert_ne!(a, b, "diagonal scores are fixed at 1");
-        self.added += 1;
-        self.buf.push((PairKey::new(a, b), delta));
-        if self.buf.len() >= FLUSH_AT {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        // Sort by (key, value bits), not key alone: a key-only unstable sort
-        // leaves the order of a pair's contributions at the mercy of the
-        // *surrounding* elements, so the same multiset of contributions could
-        // be summed in different orders — and float addition is not
-        // associative. The value tiebreak makes the per-pair summation order
-        // a function of the contributions themselves, which is what lets a
-        // component-sharded run reproduce the monolithic run bit for bit
-        // (contribution values are engine outputs, hence non-NaN; `to_bits`
-        // orders non-negative floats like the floats themselves).
-        self.buf
-            .sort_unstable_by_key(|&(k, v)| (k.raw(), v.to_bits()));
-        combine_sorted(&mut self.buf);
-        self.runs.push(std::mem::take(&mut self.buf));
-    }
-
-    /// Finishes accumulation: sorted, duplicate-free pair scores.
-    pub fn finish(mut self) -> PairVec {
-        self.finish_reset()
-    }
-
-    /// As [`Self::finish`], but leaves the accumulator reusable: the result
-    /// is returned, the contribution counter resets, and the (now empty)
-    /// internal vectors keep their capacity for the next round — the
-    /// workspace-pool path ([`FlatWorkspace`]) calls this every half-step.
-    pub fn finish_reset(&mut self) -> PairVec {
-        self.flush();
-        self.added = 0;
-        merge_all(std::mem::take(&mut self.runs))
-    }
-}
-
-/// A pooled flat-path worker workspace: the accumulator plus a contribution
-/// peak that pre-sizes the next round's buffer, so repeated half-steps stop
-/// paying growth reallocations. One per engine worker, threaded through
-/// `parallel::run_chunked_stateful` and reused across all iterations of a
-/// run.
-#[derive(Debug, Default)]
-pub struct FlatWorkspace {
-    /// The reusable accumulator.
-    pub acc: FlatAccumulator,
-    peak: usize,
-}
-
-impl FlatWorkspace {
-    /// Prepares the accumulator for a half-step, reserving the largest
-    /// contribution count any previous half-step produced.
-    pub fn start(&mut self) {
-        self.acc.reserve(self.peak);
-    }
-
-    /// Finishes the half-step, recording the contribution peak.
-    pub fn finish(&mut self) -> PairVec {
-        self.peak = self.peak.max(self.acc.added());
-        self.acc.finish_reset()
-    }
-}
-
-/// Sums adjacent entries with equal keys in a sorted vector, in place.
-fn combine_sorted(v: &mut PairVec) {
-    let mut w = 0usize;
-    for r in 0..v.len() {
-        if w > 0 && v[w - 1].0 == v[r].0 {
-            v[w - 1].1 += v[r].1;
-        } else {
-            v[w] = v[r];
-            w += 1;
-        }
-    }
-    v.truncate(w);
-}
-
-/// Additively merges two sorted, duplicate-free vectors.
-fn merge_two(a: PairVec, b: &[(PairKey, f64)]) -> PairVec {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.raw().cmp(&b[j].0.raw()) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
 
 /// Merges two sorted vectors whose key sets must be disjoint; a shared key
 /// is an error (used by the sharded stitch, where a duplicate means two
@@ -201,9 +44,7 @@ fn merge_two_disjoint(a: PairVec, b: PairVec) -> Result<PairVec, String> {
 }
 
 /// Merges sorted, pairwise-disjoint vectors into one sorted vector, erroring
-/// on any key that appears twice. The sharded engine's stitch path — no
-/// hashing, unlike the equivalent `ScoreMatrixBuilder::merge_disjoint`
-/// (which serves the builder-level API).
+/// on any key that appears twice. The sharded engine's stitch path.
 ///
 /// Pieces are merged smallest-pair-first (the optimal-merge-tree order): the
 /// component stitch sees one giant piece and hundreds of tiny satellites,
@@ -233,38 +74,6 @@ pub fn merge_all_disjoint(pieces: Vec<PairVec>) -> Result<PairVec, String> {
     }
     let std::cmp::Reverse((_, i)) = heap.pop().unwrap();
     Ok(slots[i].take().expect("final slot holds the merge result"))
-}
-
-/// Additively merges per-worker results into one sorted vector.
-///
-/// Merges pairwise (tournament-style) so total work is `O(n log k)` for `k`
-/// chunks rather than `O(n·k)` for a left fold.
-pub fn merge_all(mut pieces: Vec<PairVec>) -> PairVec {
-    if pieces.is_empty() {
-        return Vec::new();
-    }
-    while pieces.len() > 1 {
-        let mut next = Vec::with_capacity(pieces.len().div_ceil(2));
-        let mut it = pieces.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, &b)),
-                None => next.push(a),
-            }
-        }
-        pieces = next;
-    }
-    pieces.pop().unwrap()
-}
-
-/// Scales every score by `c` and drops entries at or below
-/// `prune_threshold` (and any non-positive entries), in place.
-pub fn scale_prune(mut v: PairVec, c: f64, prune_threshold: f64) -> PairVec {
-    v.retain_mut(|(_, s)| {
-        *s *= c;
-        *s > prune_threshold && *s > 0.0
-    });
-    v
 }
 
 /// Largest absolute score difference between two sorted pair vectors, over
@@ -303,49 +112,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulates_and_combines_duplicates() {
-        let mut acc = FlatAccumulator::new();
-        acc.add(3, 1, 0.25);
-        acc.add(1, 3, 0.25); // same unordered pair
-        acc.add(0, 2, 1.0);
-        let v = acc.finish();
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].0, PairKey::new(0, 2));
-        assert_eq!(v[1], (PairKey::new(1, 3), 0.5));
-    }
-
-    #[test]
-    fn output_is_sorted_even_across_flushes() {
-        let mut acc = FlatAccumulator::new();
-        // Force multiple flushes with descending keys.
-        for round in 0..3 {
-            for i in (0..(FLUSH_AT as u32 / 2)).rev() {
-                acc.add(i, i + 1 + round, 1.0);
-            }
-        }
-        let v = acc.finish();
-        assert!(v.windows(2).all(|w| w[0].0.raw() < w[1].0.raw()));
-        let total: f64 = v.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, 3.0 * (FLUSH_AT as f64 / 2.0));
-    }
-
-    #[test]
-    fn workspace_finish_reset_is_reusable_and_tracks_peak() {
-        let mut ws = FlatWorkspace::default();
-        for round in 0..3 {
-            ws.start();
-            ws.acc.add(0, 1, 1.0);
-            ws.acc.add(1, 2, 0.5);
-            ws.acc.add(2, 1, 0.5);
-            let v = ws.finish();
-            assert_eq!(v.len(), 2, "round {round}");
-            assert_eq!(v[1], (PairKey::new(1, 2), 1.0));
-            assert_eq!(ws.acc.added(), 0, "counter resets");
-        }
-        assert_eq!(ws.peak, 3);
-    }
-
-    #[test]
     fn merge_all_disjoint_merges_and_rejects_overlap() {
         let a = vec![(PairKey::new(0, 1), 1.0), (PairKey::new(4, 5), 2.0)];
         let b = vec![(PairKey::new(2, 3), 0.5)];
@@ -357,28 +123,6 @@ mod tests {
         let err = merge_all_disjoint(vec![a, overlap]).unwrap_err();
         assert!(err.contains("(4, 5)"), "{err}");
         assert!(merge_all_disjoint(Vec::new()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn merge_all_sums_across_pieces() {
-        let a = vec![(PairKey::new(0, 1), 1.0), (PairKey::new(2, 3), 2.0)];
-        let b = vec![(PairKey::new(0, 1), 0.5)];
-        let c = vec![(PairKey::new(4, 5), 4.0)];
-        let m = merge_all(vec![a, b, c]);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m[0], (PairKey::new(0, 1), 1.5));
-    }
-
-    #[test]
-    fn scale_prune_drops_small() {
-        let v = vec![
-            (PairKey::new(0, 1), 1.0),
-            (PairKey::new(0, 2), 1e-9),
-            (PairKey::new(0, 3), 0.0),
-        ];
-        let out = scale_prune(v, 0.8, 1e-6);
-        assert_eq!(out.len(), 1);
-        assert!((out[0].1 - 0.8).abs() < 1e-15);
     }
 
     #[test]

@@ -15,20 +15,15 @@
 //!
 //! * [`Transition`] abstracts the per-edge walk factor ([`UniformTransition`],
 //!   [`WeightedTransition`]); new variants only supply factor tables.
-//! * [`run`] drives the shared kernel behind a
-//!   [`crate::config::KernelKind`] knob. The default **pull kernel**
-//!   ([`pull`]) computes each half-step as two row-parallel Gustavson
-//!   SpGEMM passes over CSR score rows (`S' = c·F·S·Fᵀ` with unit
-//!   diagonal): no contribution buffers, no sorting, no cross-worker
-//!   merging, and bit-deterministic for any thread count. The previous
-//!   **flat sorted-pair accumulator** ([`accum::FlatAccumulator`]) and the
-//!   historical **hash-map** path stay selectable as independent
-//!   cross-check oracles.
+//! * [`run`] drives the one propagation kernel, [`pull`]: each half-step is
+//!   two row-parallel Gustavson SpGEMM passes over CSR score rows
+//!   (`S' = c·F·S·Fᵀ` with unit diagonal) — no contribution buffers, no
+//!   sorting, no cross-worker merging, and bit-deterministic for any thread
+//!   count.
 //! * [`parallel::run_chunked`] supplies chunked scoped-thread parallelism for
-//!   every variant (previously each engine carried its own copy), and the
-//!   `_stateful` variants thread a reusable per-worker workspace pool
-//!   through it, so scratch survives across Jacobi half-steps and — in the
-//!   sharded engine — across shards.
+//!   every variant, and the `_stateful` variants thread a reusable per-worker
+//!   workspace pool through it, so scratch survives across Jacobi half-steps
+//!   and — in the sharded engine — across shards.
 //! * Per-iteration diagnostics — stored pair counts and the max score delta —
 //!   are recorded for *all* variants, and [`crate::SimrankConfig::tolerance`]
 //!   enables early exit once the iteration becomes stationary.
@@ -45,8 +40,10 @@
 //!   (precomputed diagonal correction + per-query sparse forward/backward
 //!   passes), with the all-pairs engine as the differential oracle.
 //!
-//! [`reference::run_hashmap`] keeps the historical hash-map accumulation path
-//! alive for cross-checking and the `bench_engine` comparison.
+//! [`reference::run_hashmap`] is not part of the engine: it is an independent
+//! sparse implementation of the same recurrence (scatter into a hash map)
+//! that the differential suites call by name beside the dense oracles. No
+//! [`crate::SimrankConfig`] value reaches it.
 
 pub mod accum;
 pub mod parallel;
@@ -60,9 +57,9 @@ pub use sharded::run_sharded;
 pub use single_source::{DiagonalCorrection, RowWorkspace, SingleSourceEngine};
 pub use transition::{Transition, TransitionFactors, UniformTransition, WeightedTransition};
 
-use crate::config::{KernelKind, ShardStrategy, SimrankConfig};
+use crate::config::{ShardStrategy, SimrankConfig};
 use crate::scores::ScoreMatrix;
-use accum::{max_delta, FlatAccumulator, FlatWorkspace, PairVec};
+use accum::{max_delta, PairVec};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
 
 /// Output of one engine run: frozen score matrices plus the per-iteration
@@ -137,32 +134,24 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
     }
 }
 
-/// Reusable per-run kernel scratch: one workspace per worker (plus, for the
-/// pull kernel, the shared iterate-CSR buffers). Created once per engine run
-/// and threaded through every Jacobi half-step, so no kernel allocates
-/// per-iteration scratch; the sharded engine goes further and reuses one
-/// scratch per queue worker across *all* its shards.
+/// Reusable per-run kernel scratch: one pull workspace per worker plus the
+/// shared iterate-CSR buffers. Created once per engine run and threaded
+/// through every Jacobi half-step, so the kernel allocates no per-iteration
+/// scratch; the sharded engine goes further and reuses one scratch per queue
+/// worker across *all* its shards.
 #[derive(Debug)]
 pub(crate) struct EngineScratch {
     pull: Vec<pull::PullWorkspace>,
     csr: pull::CsrScratch,
-    flat: Vec<FlatWorkspace>,
 }
 
 impl EngineScratch {
-    pub(crate) fn new(kernel: KernelKind, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (n_pull, n_flat) = match kernel {
-            KernelKind::Pull => (threads, 0),
-            KernelKind::Flat => (0, threads),
-            KernelKind::Hashmap => (0, 0),
-        };
+    pub(crate) fn new(threads: usize) -> Self {
         EngineScratch {
-            pull: (0..n_pull)
+            pull: (0..threads.max(1))
                 .map(|_| pull::PullWorkspace::default())
                 .collect(),
             csr: pull::CsrScratch::default(),
-            flat: (0..n_flat).map(|_| FlatWorkspace::default()).collect(),
         }
     }
 }
@@ -173,7 +162,7 @@ pub(crate) fn run_raw<T: Transition>(
     config: &SimrankConfig,
     transition: &T,
 ) -> RawRun {
-    let mut scratch = EngineScratch::new(config.kernel, config.effective_threads());
+    let mut scratch = EngineScratch::new(config.effective_threads());
     run_raw_with(g, config, transition, &mut scratch)
 }
 
@@ -187,7 +176,6 @@ pub(crate) fn run_raw_with<T: Transition>(
 ) -> RawRun {
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
-    let threads = config.effective_threads();
 
     let mut q_pairs: PairVec = Vec::new();
     let mut a_pairs: PairVec = Vec::new();
@@ -195,10 +183,8 @@ pub(crate) fn run_raw_with<T: Transition>(
     let mut max_deltas = Vec::with_capacity(config.iterations);
     let mut converged = false;
 
-    // The four CSR row views the kernels walk. The scatter kernels (flat,
-    // hashmap) stream *source* rows with source-major factors; the pull
-    // kernel walks the *output* node's own row in pass 1 (output-major
-    // factors) and scatters through inner rows in pass 2 (inner-major).
+    // The four CSR row views the kernel walks: the *output* node's own row
+    // in pass 1 (output-major factors), inner rows in pass 2 (inner-major).
     let ad_row_qfac = |a: u32| {
         let (qs, _) = g.queries_of(AdId(a));
         let lo = g.ad_csr_offset(AdId(a));
@@ -222,66 +208,28 @@ pub(crate) fn run_raw_with<T: Transition>(
 
     for _ in 0..config.iterations {
         // Jacobi: both sides advance from the *previous* iterate.
-        let next_q = match config.kernel {
-            KernelKind::Pull => pull::propagate_pull(
-                g.n_queries(),
-                g.n_ads(),
-                query_row_qfac,
-                ad_row_qfac,
-                &a_pairs,
-                config.c1,
-                config.prune_threshold,
-                &mut scratch.csr,
-                &mut scratch.pull,
-            ),
-            KernelKind::Flat => propagate(
-                g.n_ads(),
-                ad_row_qfac,
-                &a_pairs,
-                config.c1,
-                config.prune_threshold,
-                &mut scratch.flat,
-            ),
-            KernelKind::Hashmap => reference::propagate_hashmap_sorted(
-                g.n_queries(),
-                g.n_ads(),
-                ad_row_qfac,
-                &a_pairs,
-                config.c1,
-                config.prune_threshold,
-                threads,
-            ),
-        };
-        let next_a = match config.kernel {
-            KernelKind::Pull => pull::propagate_pull(
-                g.n_ads(),
-                g.n_queries(),
-                ad_row_afac,
-                query_row_afac,
-                &q_pairs,
-                config.c2,
-                config.prune_threshold,
-                &mut scratch.csr,
-                &mut scratch.pull,
-            ),
-            KernelKind::Flat => propagate(
-                g.n_queries(),
-                query_row_afac,
-                &q_pairs,
-                config.c2,
-                config.prune_threshold,
-                &mut scratch.flat,
-            ),
-            KernelKind::Hashmap => reference::propagate_hashmap_sorted(
-                g.n_ads(),
-                g.n_queries(),
-                query_row_afac,
-                &q_pairs,
-                config.c2,
-                config.prune_threshold,
-                threads,
-            ),
-        };
+        let next_q = pull::propagate_pull(
+            g.n_queries(),
+            g.n_ads(),
+            query_row_qfac,
+            ad_row_qfac,
+            &a_pairs,
+            config.c1,
+            config.prune_threshold,
+            &mut scratch.csr,
+            &mut scratch.pull,
+        );
+        let next_a = pull::propagate_pull(
+            g.n_ads(),
+            g.n_queries(),
+            ad_row_afac,
+            query_row_afac,
+            &q_pairs,
+            config.c2,
+            config.prune_threshold,
+            &mut scratch.csr,
+            &mut scratch.pull,
+        );
 
         let delta = max_delta(&q_pairs, &next_q).max(max_delta(&a_pairs, &next_a));
         q_pairs = next_q;
@@ -327,97 +275,6 @@ pub fn run_with_strategy<T: Transition>(
             sharded::run_sharded(g, config, transition, &sharding)
         }
     }
-}
-
-/// Destination of kernel contributions — lets the flat and the reference
-/// hash-map paths share one scatter loop, so the two can only differ in
-/// accumulation strategy, never in the propagation math.
-pub(crate) trait PairSink {
-    /// Adds `delta` to the unordered pair `(a, b)`.
-    fn add_pair(&mut self, a: u32, b: u32, delta: f64);
-}
-
-impl PairSink for FlatAccumulator {
-    #[inline]
-    fn add_pair(&mut self, a: u32, b: u32, delta: f64) {
-        self.add(a, b, delta);
-    }
-}
-
-impl PairSink for crate::scores::ScoreMatrixBuilder {
-    #[inline]
-    fn add_pair(&mut self, a: u32, b: u32, delta: f64) {
-        self.add(a, b, delta);
-    }
-}
-
-/// The shared scatter loop of one Jacobi half-step, over one chunk of the
-/// combined item space (`0..prev.len()` = stored source pairs, the rest =
-/// unit source diagonals).
-///
-/// `row(src)` returns the source node's target neighbors together with the
-/// matching factor slice (`F(target, src)` per edge). The stored pair
-/// `(i, j, s)` contributes `F(t,i)·F(t',j)·s` to every ordered neighbor
-/// combination `(t ∈ row(i), t' ∈ row(j))`, and each source's diagonal
-/// (`s(i,i) = 1`) contributes `F(t,i)·F(t',i)` per unordered neighbor pair.
-pub(crate) fn scatter_chunk<'g, I, RowFn, S>(
-    range: std::ops::Range<usize>,
-    prev: &[(simrankpp_util::PairKey, f64)],
-    row: &RowFn,
-    sink: &mut S,
-) where
-    I: NodeId + 'g,
-    RowFn: Fn(u32) -> (&'g [I], &'g [f64]),
-    S: PairSink,
-{
-    let n_pair_items = prev.len();
-    for idx in range {
-        if idx < n_pair_items {
-            let (key, s) = prev[idx];
-            let (i, j) = key.parts();
-            let (targets_i, f_i) = row(i);
-            let (targets_j, f_j) = row(j);
-            for (x, ti) in targets_i.iter().enumerate() {
-                let w = f_i[x] * s;
-                for (y, tj) in targets_j.iter().enumerate() {
-                    if ti.raw() != tj.raw() {
-                        sink.add_pair(ti.raw(), tj.raw(), w * f_j[y]);
-                    }
-                }
-            }
-        } else {
-            let src = (idx - n_pair_items) as u32;
-            let (targets, f) = row(src);
-            for x in 0..targets.len() {
-                for y in (x + 1)..targets.len() {
-                    sink.add_pair(targets[x].raw(), targets[y].raw(), f[x] * f[y]);
-                }
-            }
-        }
-    }
-}
-
-/// One Jacobi half-step on the flat path: scatter into per-worker pooled
-/// [`FlatAccumulator`]s, merge, then scale by the decay `c` and prune.
-pub(crate) fn propagate<'g, I, RowFn>(
-    n_sources: usize,
-    row: RowFn,
-    prev: &PairVec,
-    c: f64,
-    prune_threshold: f64,
-    workspaces: &mut [FlatWorkspace],
-) -> PairVec
-where
-    I: NodeId + 'g,
-    RowFn: Fn(u32) -> (&'g [I], &'g [f64]) + Sync,
-{
-    let pieces = parallel::run_chunked_stateful(prev.len() + n_sources, workspaces, |ws, range| {
-        ws.start();
-        scatter_chunk(range, prev, &row, &mut ws.acc);
-        ws.finish()
-    });
-    let merged = accum::merge_all(pieces);
-    accum::scale_prune(merged, c, prune_threshold)
 }
 
 #[cfg(test)]
@@ -483,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_hashmap_paths_agree() {
+    fn engine_matches_hashmap_reference() {
         use simrankpp_graph::{AdId, ClickGraphBuilder, EdgeData, QueryId};
         let mut b = ClickGraphBuilder::new();
         let mut x: u64 = 17;
@@ -505,7 +362,7 @@ mod tests {
                 spread: SpreadMode::Exponential,
             }),
         ] {
-            let (flat, hashed) = match &transition {
+            let (engine, hashed) = match &transition {
                 None => (
                     run(&g, &cfg(5), &UniformTransition),
                     reference::run_hashmap(&g, &cfg(5), &UniformTransition),
@@ -513,11 +370,11 @@ mod tests {
                 Some(t) => (run(&g, &cfg(5), t), reference::run_hashmap(&g, &cfg(5), t)),
             };
             assert!(
-                flat.queries.max_abs_diff(&hashed.queries) < 1e-12,
+                engine.queries.max_abs_diff(&hashed.queries) < 1e-12,
                 "query drift {}",
-                flat.queries.max_abs_diff(&hashed.queries)
+                engine.queries.max_abs_diff(&hashed.queries)
             );
-            assert!(flat.ads.max_abs_diff(&hashed.ads) < 1e-12);
+            assert!(engine.ads.max_abs_diff(&hashed.ads) < 1e-12);
         }
     }
 }

@@ -11,10 +11,8 @@
 //! with `S_A` the ad-side iterate carrying an implicit unit diagonal — the
 //! linearized form "Efficient SimRank Computation via Linearization"
 //! (Maehara et al.) computes with, specialized to the bipartite click graph.
-//! Instead of scattering every `F(t,i)·F(t',j)·s(i,j)` contribution into a
-//! flat buffer and paying a sort plus a tournament merge per half-step
-//! ([`super::accum`]), each **output row** `q` is *pulled* in two fused
-//! Gustavson passes against a per-worker dense scratch:
+//! Each **output row** `q` is *pulled* in two fused Gustavson passes against
+//! a per-worker dense scratch:
 //!
 //! 1. `T[q, ·] = Σ_{a ∈ E(q)} F(q, a) · S_A[a, ·]` — scan `q`'s own
 //!    neighbor list in CSR order, stream each neighbor's (sorted) score row
@@ -26,27 +24,23 @@
 //!    (the symmetric half above the diagonal; `q' < q` is produced by row
 //!    `q'`, the diagonal is pinned at 1).
 //!
-//! No contribution is ever materialized, so there is nothing to sort or
-//! merge: the only ordering work left is a per-row `sort_unstable` of the
-//! *distinct* touched output ids — `O(r log r)` on row width, versus the
-//! flat path's `O(m log m)` over the full duplicate-heavy contribution
-//! stream. Emitted rows concatenate into a key-sorted [`PairVec`] directly
-//! (`PairKey` is min-major and every emitted pair has `q` as its minimum).
+//! No `F(t,i)·F(t',j)·s(i,j)` contribution is ever materialized, so there is
+//! nothing to sort or merge: the only ordering work left is a per-row `sort_unstable` of the
+//! *distinct* touched output ids — `O(r log r)` on row width. Emitted rows
+//! concatenate into a key-sorted [`PairVec`] directly (`PairKey` is
+//! min-major and every emitted pair has `q` as its minimum).
 //!
 //! **Determinism.** Each output row is computed start-to-finish by exactly
 //! one worker, and every accumulation order inside a row is a function of
-//! CSR neighbor order alone — never of chunk boundaries, flush thresholds,
-//! or surrounding elements. Consequences the differential suites pin down:
+//! CSR neighbor order alone — never of chunk boundaries or surrounding
+//! elements. Consequences the differential suites pin down:
 //!
 //! * thread-count invariance: any worker count produces bit-identical
-//!   iterates (the flat path only guarantees this serially);
+//!   iterates;
 //! * sharded == monolithic and incremental == from-scratch stay
 //!   **bit-identical at any scale**: a component shard's monotone remap
 //!   preserves CSR neighbor order, so each row replays the identical
-//!   floating-point op sequence. The flat path's guarantee degraded to
-//!   "equal modulo rounding" above its 2²⁰-contribution flush threshold,
-//!   because run boundaries could reassociate a pair's partial sums; the
-//!   pull kernel has no flush, so that divergence is gone.
+//!   floating-point op sequence.
 
 use super::accum::PairVec;
 use super::{parallel, NodeId};
@@ -264,15 +258,9 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelKind, SimrankConfig};
+    use crate::config::SimrankConfig;
     use crate::engine::{run, UniformTransition};
-    use simrankpp_graph::fixtures::{figure3_graph, figure4_k22};
-
-    fn cfg(k: usize, kernel: KernelKind) -> SimrankConfig {
-        SimrankConfig::default()
-            .with_iterations(k)
-            .with_kernel(kernel)
-    }
+    use simrankpp_graph::fixtures::figure3_graph;
 
     #[test]
     fn csr_scratch_rebuild_reuses_and_resizes() {
@@ -290,23 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn pull_reproduces_table3_exactly_like_flat() {
-        let g = figure4_k22();
-        let expected = [0.4, 0.56, 0.624, 0.6496, 0.65984, 0.663936, 0.6655744];
-        for (k, &want) in expected.iter().enumerate() {
-            let r = run(&g, &cfg(k + 1, KernelKind::Pull), &UniformTransition);
-            assert!(
-                (r.queries.get(0, 1) - want).abs() < 1e-9,
-                "iteration {}",
-                k + 1
-            );
-        }
-    }
-
-    #[test]
     fn pull_rows_emit_sorted_pairs() {
         let g = figure3_graph();
-        let r = run(&g, &cfg(5, KernelKind::Pull), &UniformTransition);
+        let r = run(&g, &SimrankConfig::default(), &UniformTransition);
         let pairs: Vec<_> = r.queries.sorted_pairs().collect();
         assert!(!pairs.is_empty());
         assert!(pairs.windows(2).all(|w| w[0].0.raw() < w[1].0.raw()));

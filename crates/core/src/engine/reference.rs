@@ -1,13 +1,15 @@
-//! The historical hash-map accumulation path.
+//! The independent sparse reference: the recurrence as a hash-map scatter.
 //!
-//! Kept for two purposes: cross-checking the pull and flat kernels (all
-//! three must agree to rounding), and the `bench_engine`/`bench_ci`
-//! comparisons that document why they replaced it. Same factors, same
-//! chunked parallelism — only the accumulation strategy differs. Besides
-//! [`run_hashmap`], the same loop is reachable as a full engine kernel via
-//! `SimrankConfig::kernel = KernelKind::Hashmap`
-//! ([`propagate_hashmap_sorted`] adapts it to the engine's sorted-pair
-//! iterate format, diagnostics included).
+//! [`run_hashmap`] is the loop the engine ran before the pull kernel
+//! replaced it, kept as a *test reference*: it shares the transition
+//! factors and nothing else with [`super::pull`] (push instead of pull, a
+//! hash map instead of dense row scratch, contribution order set by the
+//! previous iterate instead of CSR rows), so agreement between the two to
+//! rounding is evidence about both. The differential suites
+//! (`tests/engine_equivalence.rs`, `tests/kernel_equivalence.rs`) call it by
+//! name beside the dense oracles `simrank_dense`/`weighted_simrank_dense`,
+//! at sizes the O(n²d²) dense forms cannot reach. It is not an engine
+//! kernel: no [`SimrankConfig`] value selects it.
 
 use super::parallel;
 use super::{NodeId, Transition};
@@ -26,8 +28,10 @@ pub struct ReferenceRun {
     pub ads: ScoreMatrix,
 }
 
-/// Runs the same Jacobi loop as [`super::run`] with per-iteration
-/// `FxHashMap` accumulation.
+/// Runs the same Jacobi recurrence as [`super::run`] with per-iteration
+/// `FxHashMap` accumulation. Honors `config`'s decay factors, iteration
+/// count, prune threshold and thread count; `tolerance` and `sharding` are
+/// engine features and are ignored.
 pub fn run_hashmap<T: Transition>(
     g: &ClickGraph,
     config: &SimrankConfig,
@@ -79,30 +83,8 @@ pub fn run_hashmap<T: Transition>(
     }
 }
 
-/// [`propagate_hashmap`] adapted to the unified engine's iterate format:
-/// the accumulated builder drained into a key-sorted pair vector. This is
-/// the `KernelKind::Hashmap` oracle inside `run_raw`, giving the historical
-/// path the engine's diagnostics, sharding, and incremental plumbing for
-/// free.
-pub(crate) fn propagate_hashmap_sorted<'g, I, RowFn>(
-    n_targets: usize,
-    n_sources: usize,
-    row: RowFn,
-    prev: &[(PairKey, f64)],
-    c: f64,
-    prune_threshold: f64,
-    threads: usize,
-) -> Vec<(PairKey, f64)>
-where
-    I: NodeId + 'g,
-    RowFn: Fn(u32) -> (&'g [I], &'g [f64]) + Sync,
-{
-    let builder = propagate_hashmap(n_targets, n_sources, row, prev, c, prune_threshold, threads);
-    let mut pairs: Vec<(PairKey, f64)> = builder.iter().collect();
-    pairs.sort_unstable_by_key(|&(k, _)| k.raw());
-    pairs
-}
-
+/// One Jacobi half-step: scatter every source's contributions into
+/// per-chunk builders, merge them, scale by the decay `c` and prune.
 fn propagate_hashmap<'g, I, RowFn>(
     n_targets: usize,
     n_sources: usize,
@@ -116,10 +98,9 @@ where
     I: NodeId + 'g,
     RowFn: Fn(u32) -> (&'g [I], &'g [f64]) + Sync,
 {
-    // Same scatter loop as the flat path — only the sink differs.
     let pieces = parallel::run_chunked(prev.len() + n_sources, threads, |range| {
         let mut acc = ScoreMatrixBuilder::new(n_targets);
-        super::scatter_chunk(range, prev, &row, &mut acc);
+        scatter_chunk(range, prev, &row, &mut acc);
         acc
     });
     let mut merged = ScoreMatrixBuilder::new(n_targets);
@@ -129,4 +110,49 @@ where
     merged.map_scores(|_, v| c * v);
     merged.prune(prune_threshold);
     merged
+}
+
+/// The scatter loop of one half-step, over one chunk of the combined item
+/// space (`0..prev.len()` = stored source pairs, the rest = unit source
+/// diagonals).
+///
+/// `row(src)` returns the source node's target neighbors together with the
+/// matching factor slice (`F(target, src)` per edge). The stored pair
+/// `(i, j, s)` contributes `F(t,i)·F(t',j)·s` to every ordered neighbor
+/// combination `(t ∈ row(i), t' ∈ row(j))`, and each source's diagonal
+/// (`s(i,i) = 1`) contributes `F(t,i)·F(t',i)` per unordered neighbor pair.
+fn scatter_chunk<'g, I, RowFn>(
+    range: std::ops::Range<usize>,
+    prev: &[(PairKey, f64)],
+    row: &RowFn,
+    acc: &mut ScoreMatrixBuilder,
+) where
+    I: NodeId + 'g,
+    RowFn: Fn(u32) -> (&'g [I], &'g [f64]),
+{
+    let n_pair_items = prev.len();
+    for idx in range {
+        if idx < n_pair_items {
+            let (key, s) = prev[idx];
+            let (i, j) = key.parts();
+            let (targets_i, f_i) = row(i);
+            let (targets_j, f_j) = row(j);
+            for (x, ti) in targets_i.iter().enumerate() {
+                let w = f_i[x] * s;
+                for (y, tj) in targets_j.iter().enumerate() {
+                    if ti.raw() != tj.raw() {
+                        acc.add(ti.raw(), tj.raw(), w * f_j[y]);
+                    }
+                }
+            }
+        } else {
+            let src = (idx - n_pair_items) as u32;
+            let (targets, f) = row(src);
+            for x in 0..targets.len() {
+                for y in (x + 1)..targets.len() {
+                    acc.add(targets[x].raw(), targets[y].raw(), f[x] * f[y]);
+                }
+            }
+        }
+    }
 }

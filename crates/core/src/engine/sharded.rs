@@ -5,15 +5,11 @@
 //! [`run_sharded`] runs the unified kernel **independently per shard** and
 //! stitches the per-shard [`ScoreMatrix`] results back into global ids.
 //! Stitching rejects duplicates: a pair produced by two shards means the
-//! shards overlap, and the merge fails loudly instead of silently summing
-//! the colliding scores. Two merge paths implement that contract —
-//! [`crate::scores::ScoreMatrixBuilder::merge_disjoint`] for builder-level
-//! stitching, and the engine's hot path below
-//! ([`super::accum::merge_all_disjoint`]), which exploits that each shard's
-//! remap is *monotone*: the remapped pair list is already key-sorted, so a
-//! smallest-first galloping merge stitches the blocks in effectively one
-//! bulk-copy pass over the data, no hashing (the hash-map builder stitch
-//! measured ~2× slower end to end at 10k-query scale).
+//! shards overlap, and the merge ([`super::accum::merge_all_disjoint`])
+//! fails loudly instead of silently summing the colliding scores. It
+//! exploits that each shard's remap is *monotone*: the remapped pair list is
+//! already key-sorted, so a smallest-first galloping merge stitches the
+//! blocks in effectively one bulk-copy pass over the data, no hashing.
 //!
 //! Scheduling: shards arrive largest-first from [`Sharding`] and are pulled
 //! off an atomic queue by `config.effective_threads()` scoped workers, so
@@ -26,14 +22,9 @@
 //!   local and components keep every incident edge);
 //! * the monotone id remap preserves CSR neighbor order, so a shard replays
 //!   the global contribution stream restricted to its component;
-//! * the default pull kernel (`KernelKind::Pull`) fixes each output row's
-//!   accumulation order as a function of CSR neighbor order alone, which
-//!   the monotone remap preserves — **bit-identical** scores at any scale
-//!   and any thread count. The flat oracle (`KernelKind::Flat`) instead
-//!   sorts contributions canonically by `(pair, value)`, which is
-//!   bit-identical only while both runs are serial and stay under the
-//!   accumulator's flush threshold (beyond it, run boundaries can
-//!   reassociate sums; equality then holds to rounding);
+//! * the pull kernel fixes each output row's accumulation order as a
+//!   function of CSR neighbor order alone, which the monotone remap
+//!   preserves — **bit-identical** scores at any scale and any thread count;
 //! * `prune_threshold` is a per-pair decision on identical values, so
 //!   pruned runs decompose exactly too;
 //! * `tolerance > 0` early exit is the one knob that breaks equivalence:
@@ -182,8 +173,7 @@ fn aggregate_diagnostics(
 /// Runs the engine over every shard, pulling shard indices off an atomic
 /// queue with `workers` scoped threads; results come back in shard order.
 /// Each worker owns one [`super::EngineScratch`] for its whole drain, so
-/// kernel workspaces (dense pull scratch, flat buffers) are allocated once
-/// per worker, not once per shard.
+/// the dense pull scratch is allocated once per worker, not once per shard.
 fn run_all<T: Transition>(
     sharding: &Sharding,
     config: &SimrankConfig,
@@ -192,7 +182,7 @@ fn run_all<T: Transition>(
 ) -> Vec<RawRun> {
     let shards = &sharding.shards;
     let mut scratches: Vec<super::EngineScratch> = (0..workers.max(1))
-        .map(|_| super::EngineScratch::new(config.kernel, config.effective_threads()))
+        .map(|_| super::EngineScratch::new(config.effective_threads()))
         .collect();
     super::parallel::run_indexed_stateful(shards.len(), &mut scratches, |scratch, i| {
         super::run_raw_with(&shards[i].graph, config, transition, scratch)

@@ -3,11 +3,11 @@
 //! This crate implements every similarity scheme the paper studies:
 //!
 //! * [`naive`] — §3's common-ad count (Table 1);
-//! * [`engine`] — the unified sparse propagation kernel all recursive
+//! * [`engine`] — the unified sparse propagation engine all recursive
 //!   variants run on: a [`engine::Transition`] abstracts the per-edge walk
-//!   factor, one flat sorted-pair accumulation kernel propagates scores,
-//!   shared chunked parallelism, threshold pruning, per-iteration
-//!   `pair_counts`/max-delta diagnostics and tolerance-based early exit;
+//!   factor, one row-parallel pull kernel ([`engine::pull`]) propagates
+//!   scores, with threshold pruning, per-iteration `pair_counts`/max-delta
+//!   diagnostics and tolerance-based early exit;
 //! * [`mod@simrank`] — §4's bipartite SimRank (Eq. 4.1/4.2): a thin
 //!   front-end over [`engine`] with the uniform `1/N` transition, plus a
 //!   dense cross-validation oracle;

@@ -8,7 +8,7 @@
 //! Ranking is by `(final score desc, raw walk score desc, id asc)` — the
 //! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
-use crate::config::{KernelKind, SimrankConfig};
+use crate::config::SimrankConfig;
 use crate::evidence::{evidence_simrank, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
@@ -58,15 +58,12 @@ impl MethodKind {
 }
 
 /// A computed similarity method over one click graph: final (ranking) scores
-/// plus optional raw tie-break scores, and the engine kernel that produced
-/// them (provenance — the serving layer refuses to mix kernels across an
-/// incremental refresh, since different kernels differ at rounding level).
+/// plus optional raw tie-break scores.
 #[derive(Debug, Clone)]
 pub struct Method {
     kind: MethodKind,
     scores: ScoreMatrix,
     raw: Option<ScoreMatrix>,
-    kernel: KernelKind,
 }
 
 impl Method {
@@ -85,25 +82,21 @@ impl Method {
         config: &SimrankConfig,
         evidence: EvidenceKind,
     ) -> Method {
-        let kernel = config.kernel;
         match kind {
             MethodKind::Naive => Method {
                 kind,
                 scores: naive_scores(g),
                 raw: None,
-                kernel,
             },
             MethodKind::Pearson => Method {
                 kind,
                 scores: pearson_scores(g, config.weight_kind),
                 raw: None,
-                kernel,
             },
             MethodKind::Simrank => Method {
                 kind,
                 scores: simrank(g, config).queries,
                 raw: None,
-                kernel,
             },
             MethodKind::EvidenceSimrank => {
                 let r = evidence_simrank(g, config, evidence);
@@ -111,7 +104,6 @@ impl Method {
                     kind,
                     scores: r.queries,
                     raw: Some(r.raw.queries),
-                    kernel,
                 }
             }
             MethodKind::WeightedSimrank => {
@@ -120,33 +112,20 @@ impl Method {
                     kind,
                     scores: r.queries,
                     raw: Some(r.raw_queries),
-                    kernel,
                 }
             }
         }
     }
 
     /// Wraps precomputed matrices (used by the evaluation harness when the
-    /// same underlying computation serves several read-outs). The kernel
-    /// provenance defaults to [`KernelKind::default`].
+    /// same underlying computation serves several read-outs).
     pub fn from_scores(kind: MethodKind, scores: ScoreMatrix, raw: Option<ScoreMatrix>) -> Method {
-        Method {
-            kind,
-            scores,
-            raw,
-            kernel: KernelKind::default(),
-        }
+        Method { kind, scores, raw }
     }
 
     /// Which method this is.
     pub fn kind(&self) -> MethodKind {
         self.kind
-    }
-
-    /// Which engine kernel computed the scores (see
-    /// [`crate::config::KernelKind`]).
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// The final (ranking) score matrix.

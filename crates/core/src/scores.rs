@@ -129,40 +129,6 @@ impl ScoreMatrixBuilder {
         }
     }
 
-    /// Merges another builder's entries, **rejecting** any pair already
-    /// present instead of summing it — the builder-level stitch path for
-    /// sharded score blocks, where each unordered pair belongs to exactly
-    /// one shard and a duplicate means the shards overlap. Plain
-    /// [`ScoreMatrixBuilder::merge`] would silently sum the colliding scores
-    /// and corrupt the stitched matrix; this variant surfaces the bug
-    /// instead. (The engine's hot stitch uses the equivalent sorted-merge,
-    /// `engine::accum::merge_all_disjoint`, which skips the hashing.) On
-    /// error, `self` may have absorbed a prefix of `other`'s entries —
-    /// discard it.
-    ///
-    /// The node count widens like [`ScoreMatrixBuilder::merge`].
-    pub fn merge_disjoint(&mut self, other: ScoreMatrixBuilder) -> Result<(), String> {
-        self.n = self.n.max(other.n);
-        if self.entries.is_empty() {
-            self.entries = other.entries;
-            return Ok(());
-        }
-        for (k, v) in other.entries {
-            match self.entries.entry(k) {
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    let (a, b) = k.parts();
-                    return Err(format!(
-                        "pair ({a}, {b}) inserted by two shards — shards must be disjoint"
-                    ));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Applies `f` to every stored score (e.g. evidence multiplication).
     pub fn map_scores(&mut self, mut f: impl FnMut(PairKey, f64) -> f64) {
         for (k, v) in self.entries.iter_mut() {
@@ -419,49 +385,6 @@ mod tests {
         a.merge(b);
         assert!((a.get(0, 1) - 0.5).abs() < 1e-12);
         assert!((a.get(1, 2) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_disjoint_rejects_duplicate_pairs() {
-        // Failing-before regression: the stitch path used to ride on plain
-        // `merge`, which silently *summed* a pair inserted by two
-        // overlapping shards (0.2 + 0.3 = 0.5 below) instead of rejecting
-        // the overlap.
-        let mut a = ScoreMatrixBuilder::new(3);
-        a.set(0, 1, 0.2);
-        let mut b = ScoreMatrixBuilder::new(3);
-        b.set(1, 0, 0.3); // same unordered pair
-        b.set(1, 2, 0.1);
-        let err = a.merge_disjoint(b).unwrap_err();
-        assert!(err.contains("(0, 1)"), "{err}");
-        // Sanity: plain merge on identical inputs silently sums — the
-        // behavior the stitch path must not inherit.
-        let mut c = ScoreMatrixBuilder::new(3);
-        c.set(0, 1, 0.2);
-        let mut d = ScoreMatrixBuilder::new(3);
-        d.set(1, 0, 0.3);
-        c.merge(d);
-        assert!((c.get(0, 1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_disjoint_accepts_disjoint_and_widens() {
-        let mut a = ScoreMatrixBuilder::new(2);
-        a.set(0, 1, 0.4);
-        let mut b = ScoreMatrixBuilder::new(6);
-        b.set(4, 5, 0.3);
-        a.merge_disjoint(b).unwrap();
-        let m = a.build();
-        assert_eq!(m.n_nodes(), 6);
-        assert!((m.get(0, 1) - 0.4).abs() < 1e-12);
-        assert!((m.get(4, 5) - 0.3).abs() < 1e-12);
-
-        // Empty-receiver fast path steals the entries wholesale.
-        let mut e = ScoreMatrixBuilder::new(0);
-        let mut f = ScoreMatrixBuilder::new(3);
-        f.set(1, 2, 0.7);
-        e.merge_disjoint(f).unwrap();
-        assert_eq!(e.len(), 1);
     }
 
     #[test]

@@ -190,6 +190,21 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_edges_saturate_instead_of_wrapping() {
+        // Two lines for one edge with impressions = u64::MAX (every parser
+        // accepts it): a wrapping sum panics in debug and, in release,
+        // leaves impressions = MAX - 1 below clicks = MAX on the frozen edge.
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q", "a", EdgeData::new(u64::MAX, u64::MAX, 0.5));
+        b.add_named("q", "a", EdgeData::new(u64::MAX, 0, 0.5));
+        let g = b.build();
+        g.validate().unwrap();
+        let e = g.edge(QueryId(0), AdId(0)).unwrap();
+        assert_eq!((e.impressions, e.clicks), (u64::MAX, u64::MAX));
+        assert!(e.expected_click_rate.is_finite() && e.expected_click_rate >= 0.0);
+    }
+
+    #[test]
     fn isolated_nodes_survive() {
         let mut b = ClickGraphBuilder::new();
         b.reserve_queries(5);

@@ -49,6 +49,7 @@ use crate::components::{connected_components, Components};
 use crate::edge::EdgeData;
 use crate::graph::ClickGraph;
 use crate::ids::{AdId, QueryId};
+use crate::io::check_tsv_name;
 use std::io::{self, BufRead, BufWriter, Write};
 
 /// One edge mutation, by dense id.
@@ -365,26 +366,12 @@ pub fn read_delta_tsv<R: BufRead>(input: R) -> io::Result<Vec<NamedOp>> {
         let fields: Vec<&str> = trimmed.split('\t').collect();
         match fields.as_slice() {
             ["+", q, a, impr, clicks, ecr] => {
-                let impressions: u64 = impr
-                    .parse()
-                    .map_err(|_| bad_line(line_no, &format!("bad impressions field {impr:?}")))?;
-                let clicks: u64 = clicks
-                    .parse()
-                    .map_err(|_| bad_line(line_no, &format!("bad clicks field {clicks:?}")))?;
-                let ecr: f64 = ecr
-                    .parse()
-                    .map_err(|_| bad_line(line_no, &format!("bad ECR field {ecr:?}")))?;
-                if clicks > impressions || !ecr.is_finite() || ecr < 0.0 {
-                    return Err(bad_line(line_no, "edge data violates invariants"));
-                }
+                let data = EdgeData::parse_tsv_fields(impr, clicks, ecr)
+                    .map_err(|e| bad_line(line_no, &e))?;
                 ops.push(NamedOp::Upsert {
                     query: (*q).to_owned(),
                     ad: (*a).to_owned(),
-                    data: EdgeData {
-                        impressions,
-                        clicks,
-                        expected_click_rate: ecr,
-                    },
+                    data,
                 });
             }
             ["-", q, a] => ops.push(NamedOp::Remove {
@@ -411,21 +398,12 @@ pub fn read_delta_tsv<R: BufRead>(input: R) -> io::Result<Vec<NamedOp>> {
 /// Writes named ops in the [`read_delta_tsv`] format. Names containing a
 /// tab or newline are rejected — they would shift every following field.
 pub fn write_delta_tsv<W: Write>(ops: &[NamedOp], out: W) -> io::Result<()> {
-    let check = |field: &str, name: &str| -> io::Result<()> {
-        if name.contains(['\t', '\n', '\r']) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{field} name {name:?} contains a tab or newline"),
-            ));
-        }
-        Ok(())
-    };
     let mut w = BufWriter::new(out);
     for op in ops {
         match op {
             NamedOp::Upsert { query, ad, data } => {
-                check("query", query)?;
-                check("ad", ad)?;
+                check_tsv_name("query", query)?;
+                check_tsv_name("ad", ad)?;
                 writeln!(
                     w,
                     "+\t{query}\t{ad}\t{}\t{}\t{}",
@@ -433,8 +411,8 @@ pub fn write_delta_tsv<W: Write>(ops: &[NamedOp], out: W) -> io::Result<()> {
                 )?;
             }
             NamedOp::Remove { query, ad } => {
-                check("query", query)?;
-                check("ad", ad)?;
+                check_tsv_name("query", query)?;
+                check_tsv_name("ad", ad)?;
                 writeln!(w, "-\t{query}\t{ad}")?;
             }
         }
@@ -498,27 +476,12 @@ pub fn parse_click_log_line(line: &str, line_no: usize) -> io::Result<Option<Cli
             let epoch: u64 = epoch
                 .parse()
                 .map_err(|_| bad(&format!("bad epoch field {epoch:?}")))?;
-            let impressions: u64 = impr
-                .parse()
-                .map_err(|_| bad(&format!("bad impressions field {impr:?}")))?;
-            let clicks: u64 = clicks
-                .parse()
-                .map_err(|_| bad(&format!("bad clicks field {clicks:?}")))?;
-            let ecr: f64 = ecr
-                .parse()
-                .map_err(|_| bad(&format!("bad ECR field {ecr:?}")))?;
-            if clicks > impressions || !ecr.is_finite() || ecr < 0.0 {
-                return Err(bad("edge data violates invariants"));
-            }
+            let data = EdgeData::parse_tsv_fields(impr, clicks, ecr).map_err(|e| bad(&e))?;
             Ok(Some(ClickLogRecord::Event {
                 epoch,
                 query: (*q).to_owned(),
                 ad: (*a).to_owned(),
-                data: EdgeData {
-                    impressions,
-                    clicks,
-                    expected_click_rate: ecr,
-                },
+                data,
             }))
         }
         ["@", epoch] => {
@@ -550,15 +513,6 @@ pub fn read_click_log<R: BufRead>(input: R) -> io::Result<Vec<ClickLogRecord>> {
 /// containing a tab or newline are rejected — they would shift every
 /// following field.
 pub fn write_click_log<W: Write>(records: &[ClickLogRecord], out: W) -> io::Result<()> {
-    let check = |field: &str, name: &str| -> io::Result<()> {
-        if name.contains(['\t', '\n', '\r']) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{field} name {name:?} contains a tab or newline"),
-            ));
-        }
-        Ok(())
-    };
     let mut w = BufWriter::new(out);
     for rec in records {
         match rec {
@@ -568,8 +522,8 @@ pub fn write_click_log<W: Write>(records: &[ClickLogRecord], out: W) -> io::Resu
                 ad,
                 data,
             } => {
-                check("query", query)?;
-                check("ad", ad)?;
+                check_tsv_name("query", query)?;
+                check_tsv_name("ad", ad)?;
                 writeln!(
                     w,
                     "+\t{epoch}\t{query}\t{ad}\t{}\t{}\t{}",

@@ -42,6 +42,29 @@ impl EdgeData {
         }
     }
 
+    /// Parses the `impressions \t clicks \t ecr` field triple that ends an
+    /// edge record in every text format (graph TSV, delta TSV, click log),
+    /// enforcing `clicks ≤ impressions` and a finite non-negative ECR. The
+    /// error is the message only; each reader prefixes its own format name
+    /// and line number.
+    pub(crate) fn parse_tsv_fields(impr: &str, clicks: &str, ecr: &str) -> Result<Self, String> {
+        let impressions: u64 = impr
+            .parse()
+            .map_err(|_| format!("bad impressions field {impr:?}"))?;
+        let clicks: u64 = clicks
+            .parse()
+            .map_err(|_| format!("bad clicks field {clicks:?}"))?;
+        let expected_click_rate: f64 = ecr.parse().map_err(|_| format!("bad ECR field {ecr:?}"))?;
+        if clicks > impressions || !expected_click_rate.is_finite() || expected_click_rate < 0.0 {
+            return Err("edge data violates invariants".to_owned());
+        }
+        Ok(EdgeData {
+            impressions,
+            clicks,
+            expected_click_rate,
+        })
+    }
+
     /// Edge data carrying only a click count (impressions = clicks, ECR =
     /// raw click-through 1.0). Used by the small worked examples where the
     /// paper only talks about clicks.
@@ -75,9 +98,13 @@ impl EdgeData {
     /// Accumulates another observation window onto this edge.
     ///
     /// ECR combines as an impression-weighted average, matching how the
-    /// back-end would recompute it over the union of the windows.
+    /// back-end would recompute it over the union of the windows. The
+    /// counters saturate at `u64::MAX`: every parser accepts that value, and
+    /// a wrapped sum could leave `clicks > impressions` on the merged edge
+    /// (each side has `clicks ≤ impressions`, so clicks can only saturate
+    /// after impressions has).
     pub fn merge(&mut self, other: &EdgeData) {
-        let total_impr = self.impressions + other.impressions;
+        let total_impr = self.impressions.saturating_add(other.impressions);
         if total_impr > 0 {
             self.expected_click_rate = (self.expected_click_rate * self.impressions as f64
                 + other.expected_click_rate * other.impressions as f64)
@@ -87,7 +114,7 @@ impl EdgeData {
                 (self.expected_click_rate + other.expected_click_rate).max(0.0) / 2.0;
         }
         self.impressions = total_impr;
-        self.clicks += other.clicks;
+        self.clicks = self.clicks.saturating_add(other.clicks);
     }
 }
 

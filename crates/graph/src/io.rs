@@ -46,7 +46,10 @@ pub fn write_tsv<W: Write>(g: &ClickGraph, out: W) -> io::Result<()> {
     w.flush()
 }
 
-fn check_tsv_name(field: &str, name: &str) -> io::Result<()> {
+/// The name check shared by every TSV writer of this crate (graph TSV, delta
+/// TSV, click log): a tab or newline inside a name would shift every
+/// following field on read.
+pub(crate) fn check_tsv_name(field: &str, name: &str) -> io::Result<()> {
     if name.contains(['\t', '\n', '\r']) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -89,27 +92,9 @@ pub fn read_tsv<R: Read>(input: R) -> io::Result<ClickGraph> {
                 "more than 5 tab-separated fields (embedded tab in a name?)",
             ));
         }
-        let impressions: u64 = impr
-            .parse()
-            .map_err(|_| bad_line(line_no, &format!("bad impressions field {impr:?}")))?;
-        let clicks: u64 = clicks
-            .parse()
-            .map_err(|_| bad_line(line_no, &format!("bad clicks field {clicks:?}")))?;
-        let ecr: f64 = ecr
-            .parse()
-            .map_err(|_| bad_line(line_no, &format!("bad ECR field {ecr:?}")))?;
-        if clicks > impressions || !ecr.is_finite() || ecr < 0.0 {
-            return Err(bad_line(line_no, "edge data violates invariants"));
-        }
-        b.add_named(
-            q,
-            a,
-            EdgeData {
-                impressions,
-                clicks,
-                expected_click_rate: ecr,
-            },
-        );
+        let data =
+            EdgeData::parse_tsv_fields(impr, clicks, ecr).map_err(|e| bad_line(line_no, &e))?;
+        b.add_named(q, a, data);
     }
     Ok(b.build())
 }

@@ -288,8 +288,10 @@ impl SlidingWindowGraph {
                     wnum: 0.0,
                     wden: 0.0,
                 });
-                e.impressions += data.impressions;
-                e.clicks += data.clicks;
+                // Saturating like `EdgeData::merge`: counters come from
+                // outside and `u64::MAX` parses.
+                e.impressions = e.impressions.saturating_add(data.impressions);
+                e.clicks = e.clicks.saturating_add(data.clicks);
                 e.num += weight * data.impressions as f64 * data.expected_click_rate;
                 e.den += weight * data.impressions as f64;
                 e.wnum += weight * data.expected_click_rate;
@@ -368,6 +370,31 @@ mod tests {
         let e = g.edge(q, a).unwrap();
         assert_eq!(e.impressions, 20);
         assert_eq!(e.clicks, 4);
+    }
+
+    #[test]
+    fn saturating_counters_keep_the_frozen_edge_valid() {
+        // Same defect as the builder's, through both freeze paths.
+        for decay in [1.0, 0.5] {
+            let mut w = SlidingWindowGraph::new(3).with_decay(decay);
+            w.observe("camera", "hp.com", EdgeData::new(u64::MAX, u64::MAX, 0.5));
+            w.advance();
+            w.observe("camera", "hp.com", EdgeData::new(u64::MAX, 0, 0.5));
+            let g = w.freeze();
+            g.validate().unwrap();
+            let e = g
+                .edge(
+                    g.query_by_name("camera").unwrap(),
+                    g.ad_by_name("hp.com").unwrap(),
+                )
+                .unwrap();
+            assert_eq!(
+                (e.impressions, e.clicks),
+                (u64::MAX, u64::MAX),
+                "decay {decay}"
+            );
+            assert!(e.expected_click_rate.is_finite() && e.expected_click_rate >= 0.0);
+        }
     }
 
     #[test]

@@ -66,10 +66,10 @@
 //! `--weight-kind` selects the edge weight behind transition
 //! probabilities. Every subcommand defaults to `clicks` except `ingest`,
 //! which defaults to `ecr` so the decay knob is visible in scores. The
-//! snapshot header records the engine kernel but not the weight kind, so
-//! a `serve update` of an index built with a non-default kind must be
-//! given the same flag — a mismatch would mix weight regimes between
-//! refreshed and copied rows undetected.
+//! snapshot header does not record the weight kind, so a `serve update` of
+//! an index built with a non-default kind must be given the same flag — a
+//! mismatch would mix weight regimes between refreshed and copied rows
+//! undetected.
 
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, ShardStrategy, SimrankConfig};
 use simrankpp_graph::delta::{apply_named, read_delta_tsv};
@@ -561,7 +561,7 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
                     max_rewrites: RewriterConfig::default().max_rewrites as u32,
                     bid_filtered: false,
                     approx_sharding: false,
-                    kernel: config.kernel,
+                    kernel: simrankpp_core::KernelKind::Pull,
                     segments: 0,
                 };
                 let t0 = Instant::now();
@@ -692,10 +692,7 @@ fn update(args: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let (new_graph, delta) = apply_named(&graph, &ops)?;
     let dirty = delta.dirty_components(&new_graph);
-    // Honor the snapshot's recorded engine kernel (like the method kind):
-    // a refresh must recompute dirty rows with the kernel that produced the
-    // clean rows it copies, or rebuild_incremental refuses the mix.
-    let config = serve_config(ShardStrategy::Components, weight).with_kernel(index.meta().kernel);
+    let config = serve_config(ShardStrategy::Components, weight);
     let (next, stats) = index.rebuild_incremental(
         &new_graph,
         &dirty,

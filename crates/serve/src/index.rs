@@ -33,13 +33,11 @@ pub struct IndexMeta {
     /// regimes with copied approximate rows, so
     /// [`RewriteIndex::rebuild_incremental`] refuses such indexes.
     pub approx_sharding: bool,
-    /// Which engine kernel computed the scores. Kernels agree only to f64
-    /// rounding, so an incremental refresh recomputing dirty rows with a
-    /// different kernel than the copied clean rows would silently mix
-    /// generations; [`RewriteIndex::rebuild_incremental`] refuses the
-    /// mismatch. An artifact without the field predates the pull kernel
-    /// and carries flat-kernel scores, so the snapshot version check
-    /// refuses it on load rather than mis-attribute it.
+    /// Always [`KernelKind::Pull`], the one engine kernel; the field and
+    /// its snapshot META word stay only because the frozen `benchmark/`
+    /// sources and existing snapshots spell them. Snapshots recording a
+    /// removed kernel are refused on load (`crate::snapshot`), so a loaded
+    /// index never carries rows that a refresh would mix with pull rows.
     pub kernel: KernelKind,
     /// How many segments of a [`simrankpp_graph::SegmentedStore`] the index
     /// was built from — `0` for a monolithic in-memory build. Provenance
@@ -192,7 +190,7 @@ impl RewriteIndex {
                 max_rewrites: rewriter.config().max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
                 approx_sharding: false,
-                kernel: rewriter.method().kernel(),
+                kernel: KernelKind::Pull,
                 segments: 0,
             },
             g.query_interner().cloned(),
@@ -225,12 +223,10 @@ impl RewriteIndex {
         let has_names = store.has_names();
         let mut rows: Vec<Option<Vec<(u32, f64)>>> = vec![None; n_total];
         let mut names: Vec<(u32, String)> = Vec::with_capacity(if has_names { n_total } else { 0 });
-        let mut kernel = None;
 
         for i in 0..store.n_segments() {
             let seg = store.load_segment(i)?;
             let method = Method::compute(kind, &seg.graph, config);
-            kernel = Some(method.kernel());
             let rewriter = Rewriter::new(&seg.graph, method, rewriter_config);
             let local_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
                 seg.queries
@@ -300,7 +296,7 @@ impl RewriteIndex {
                 max_rewrites: rewriter_config.max_rewrites as u32,
                 bid_filtered: bid_terms.is_some(),
                 approx_sharding: false,
-                kernel: kernel.unwrap_or(config.kernel),
+                kernel: KernelKind::Pull,
                 segments: store.n_segments() as u32,
             },
             interner,
@@ -326,8 +322,7 @@ impl RewriteIndex {
     /// `config`/`rewriter_config`/`bid_terms` must match what built `self`
     /// (checked against `meta` where recorded: method family via
     /// `meta.method`, row cap via `meta.max_rewrites`, bid filtering via
-    /// `meta.bid_filtered`, engine kernel via `meta.kernel`). Recursive
-    /// methods assume the default
+    /// `meta.bid_filtered`). Recursive methods assume the default
     /// (geometric) evidence formula, as [`RewriteIndex::build`] callers use.
     ///
     /// Returns the next index generation plus the refresh accounting.
@@ -354,15 +349,6 @@ impl RewriteIndex {
                  per-component refresh would mix regimes — rebuild with `components`"
                     .into(),
             );
-        }
-        if config.kernel != self.meta.kernel {
-            return Err(format!(
-                "index was built with the {:?} engine kernel but the refresh config \
-                 selects {:?}: recomputed dirty rows would mix kernels (they agree \
-                 only to rounding) with copied clean rows — pass a matching \
-                 config.kernel or rebuild the index from scratch",
-                self.meta.kernel, config.kernel
-            ));
         }
         let old_n = self.n_queries();
         let new_n = new_graph.n_queries();
@@ -841,20 +827,6 @@ mod tests {
             .rebuild_incremental(&g2, &dirty, &cfg, &RewriterConfig::default(), None)
             .unwrap_err();
         assert!(err.contains("approximate"), "{err}");
-        // Kernel mismatch: refreshing a flat-built index (e.g. a snapshot
-        // from before the pull kernel existed) with a pull config would mix
-        // kernels across copied and recomputed rows — refused, while the
-        // matching kernel succeeds.
-        let mut legacy = old.clone();
-        legacy.meta.kernel = simrankpp_core::KernelKind::Flat;
-        let err = legacy
-            .rebuild_incremental(&g2, &dirty, &cfg, &RewriterConfig::default(), None)
-            .unwrap_err();
-        assert!(err.contains("kernel"), "{err}");
-        let flat_cfg = cfg.with_kernel(simrankpp_core::KernelKind::Flat);
-        assert!(legacy
-            .rebuild_incremental(&g2, &dirty, &flat_cfg, &RewriterConfig::default(), None)
-            .is_ok());
     }
 
     #[test]

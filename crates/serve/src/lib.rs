@@ -57,6 +57,6 @@ pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};
 pub use server::{
     serve_session, serve_session_with, LiveContext, ServeState, SessionOptions, Transport,
-    UpdateContext,
+    UpdateContext, MAX_REQUEST_LINE_BYTES,
 };
 pub use swap::AtomicHandle;

@@ -101,7 +101,7 @@ use simrankpp_graph::delta::{apply_named, read_delta_tsv};
 use simrankpp_graph::{ClickGraph, QueryId};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -547,6 +547,10 @@ pub fn serve_session<R: BufRead, W: Write>(state: &ServeState, input: R, out: W)
     serve_session_with(state, input, out, &SessionOptions::stdin())
 }
 
+/// Longest request line a session reads, terminator excluded: a peer that
+/// never sends `\n` must not grow the line buffer without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
+
 /// Writes one `err` response line, counting it when metrics are wired.
 fn err_line<W: Write>(
     out: &mut W,
@@ -613,18 +617,26 @@ fn health_line(state: &ServeState, draining: bool) -> String {
 /// A read timeout (`ErrorKind::TimedOut`/`WouldBlock`, produced by a socket
 /// with `set_read_timeout`) is a *clean* exit: the peer stalled, gets a
 /// best-effort `err\tread timeout` line, and the session returns `Ok` — the
-/// connection thread is freed instead of pinned forever.
+/// connection thread is freed instead of pinned forever. A request line over
+/// [`MAX_REQUEST_LINE_BYTES`] gets `err\tline too long\t<limit>` and a close.
 pub fn serve_session_with<R: BufRead, W: Write>(
     state: &ServeState,
-    input: R,
+    mut input: R,
     out: W,
     opts: &SessionOptions,
 ) -> io::Result<()> {
     let mut out = BufWriter::new(out);
     let metrics = opts.metrics.as_deref();
-    for line in input.lines() {
-        let line = match line {
-            Ok(l) => l,
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // `take` bounds what one request can make `buf` hold, newline or not.
+        let read = (&mut input)
+            .take(MAX_REQUEST_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf);
+        match read {
+            Ok(0) => break,
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
@@ -647,6 +659,20 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                 out.flush()?;
                 return Err(e);
             }
+        }
+        if buf.len() > MAX_REQUEST_LINE_BYTES && buf.last() != Some(&b'\n') {
+            // The rest is unread and may never end: answer and close.
+            err_line(
+                &mut out,
+                metrics,
+                "line too long",
+                format_args!("{MAX_REQUEST_LINE_BYTES}"),
+            )?;
+            return out.flush();
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            out.flush()?;
+            return Err(io::ErrorKind::InvalidData.into());
         };
         let line = line.trim();
         if line.is_empty() {

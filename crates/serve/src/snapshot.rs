@@ -62,6 +62,9 @@ pub(crate) const META_WORDS: usize = 7;
 pub(crate) const FLAG_BID: u64 = 1;
 pub(crate) const FLAG_APPROX: u64 = 1 << 1;
 pub(crate) const FLAG_NAMES: u64 = 1 << 2;
+/// META word 3 for [`KernelKind::Pull`] — the only value written or loaded;
+/// 1 and 2 named the removed flat and hash-map kernels.
+const KERNEL_PULL: u64 = 0;
 
 impl RewriteIndex {
     /// Stages the index's sections into an [`ArenaWriter`] borrowing the
@@ -85,7 +88,7 @@ impl RewriteIndex {
             kind_to_u8(self.meta.method) as u64,
             self.meta.max_rewrites as u64,
             flags,
-            kernel_to_u8(self.meta.kernel) as u64,
+            KERNEL_PULL,
             self.n_queries as u64,
             self.targets.len() as u64,
             self.meta.segments as u64,
@@ -196,10 +199,13 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
         .ok_or_else(|| corrupt("unknown method kind in header"))?;
     let max_rewrites = u32::try_from(meta[1]).map_err(|_| corrupt("max_rewrites out of range"))?;
     let flags = meta[2];
-    let kernel = u8::try_from(meta[3])
-        .ok()
-        .and_then(kernel_from_u8)
-        .ok_or_else(|| corrupt("unknown engine kernel in header"))?;
+    if meta[3] != KERNEL_PULL {
+        return Err(corrupt(&format!(
+            "snapshot records engine kernel {} but only the pull kernel (0) exists — flat (1) \
+             and hash-map (2) were removed; rebuild the snapshot with `serve build`",
+            meta[3]
+        )));
+    }
     let n_queries = meta[4];
     let n_entries = meta[5];
     let segments = u32::try_from(meta[6]).map_err(|_| corrupt("segment count out of range"))?;
@@ -212,7 +218,7 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
             max_rewrites,
             bid_filtered: flags & FLAG_BID != 0,
             approx_sharding: flags & FLAG_APPROX != 0,
-            kernel,
+            kernel: KernelKind::Pull,
             segments,
         },
         flags & FLAG_NAMES != 0,
@@ -302,23 +308,6 @@ pub(crate) fn kind_from_u8(b: u8) -> Option<MethodKind> {
         2 => MethodKind::Simrank,
         3 => MethodKind::EvidenceSimrank,
         4 => MethodKind::WeightedSimrank,
-        _ => return None,
-    })
-}
-
-pub(crate) fn kernel_to_u8(kernel: KernelKind) -> u8 {
-    match kernel {
-        KernelKind::Pull => 0,
-        KernelKind::Flat => 1,
-        KernelKind::Hashmap => 2,
-    }
-}
-
-pub(crate) fn kernel_from_u8(b: u8) -> Option<KernelKind> {
-    Some(match b {
-        0 => KernelKind::Pull,
-        1 => KernelKind::Flat,
-        2 => KernelKind::Hashmap,
         _ => return None,
     })
 }
@@ -528,6 +517,32 @@ mod tests {
         reseal(&mut buf);
         let err = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("kernel"), "{err}");
+    }
+
+    #[test]
+    fn legacy_kernel_words_refused_with_rebuild_hint() {
+        // Words 1 (flat) and 2 (hash-map) were valid before those kernels
+        // were removed; both load paths must refuse them by name, not serve
+        // their rows as pull-built.
+        let clean = snapshot_bytes(&fig3_index(MethodKind::Simrank));
+        let meta_off = table_end(&clean);
+        for word in [1u64, 2] {
+            let mut buf = clean.clone();
+            buf[meta_off + 24..meta_off + 32].copy_from_slice(&word.to_ne_bytes());
+            reseal(&mut buf);
+            let path = std::env::temp_dir().join(format!("simrankpp_legacy_kernel_{word}.idx"));
+            std::fs::write(&path, &buf).unwrap();
+            let heap = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
+            let mapped = crate::mapped::MappedIndex::open(&path).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            for msg in [heap.to_string(), mapped.to_string()] {
+                assert!(msg.contains(&format!("engine kernel {word}")), "{msg}");
+                assert!(
+                    msg.contains("rebuild the snapshot with `serve build`"),
+                    "{msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use simrankpp_graph::fixtures::figure3_graph;
 use simrankpp_graph::WeightKind;
 use simrankpp_serve::{
     serve_session, IngestMetrics, NetConfig, NetServer, RewriteIndex, ServeState, ServerMetrics,
-    ShutdownSignal, UpdateContext,
+    ShutdownSignal, UpdateContext, MAX_REQUEST_LINE_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -341,6 +341,36 @@ fn read_timeout_frees_a_stalled_connection() {
     reader.read_to_string(&mut out).unwrap();
     assert_eq!(out, "err\tread timeout\tclosing stalled connection\n");
     assert_eq!(ts.metrics.timeouts.load(Ordering::Relaxed), 1);
+    ts.stop();
+}
+
+#[test]
+fn overlong_request_line_is_refused_and_the_connection_closed() {
+    let ts = TestServer::start(fig3_state(), NetConfig::default());
+
+    // 1 MiB and never a newline. The server stops reading at its limit,
+    // answers and closes, so the tail of the write may fail — and the close
+    // may surface as a reset after the answer instead of a clean EOF.
+    let stream = TcpStream::connect(ts.addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+    });
+    let mut out = Vec::new();
+    let _ = BufReader::new(&stream).read_to_end(&mut out);
+    sender.join().unwrap();
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        format!("err\tline too long\t{MAX_REQUEST_LINE_BYTES}\n")
+    );
+    assert_eq!(ts.metrics.errors.load(Ordering::Relaxed), 1);
+
+    // A line of exactly the limit is still a request, and other clients
+    // are unaffected.
+    let at_limit = format!("rewrite {}\n", "a".repeat(MAX_REQUEST_LINE_BYTES - 8));
+    assert!(roundtrip(ts.addr, &at_limit).starts_with("err\tunknown query\taaa"));
+    let out = roundtrip(ts.addr, "rewrite camera\n");
+    assert!(out.starts_with("ok\tcamera\t"), "{out}");
     ts.stop();
 }
 

@@ -75,30 +75,30 @@ fn weighted_with_uniform_weights_equals_plain_engine() {
 }
 
 #[test]
-fn flat_accumulation_matches_hashmap_reference_path() {
-    // The historical hash-map path and the flat sorted-pair path must agree
-    // to rounding for both transitions on every fixture.
+fn engine_matches_hashmap_reference_on_all_fixtures() {
+    // The engine (pull kernel) and the independent hash-map reference must
+    // agree to rounding for both transitions on every fixture.
     for (name, g) in fixtures() {
         let c = cfg(5);
-        let flat_u = engine::run(&g, &c, &UniformTransition);
+        let engine_u = engine::run(&g, &c, &UniformTransition);
         let hash_u = reference::run_hashmap(&g, &c, &UniformTransition);
         assert!(
-            flat_u.queries.max_abs_diff(&hash_u.queries) < 1e-12,
+            engine_u.queries.max_abs_diff(&hash_u.queries) < 1e-12,
             "{name}: uniform drift {}",
-            flat_u.queries.max_abs_diff(&hash_u.queries)
+            engine_u.queries.max_abs_diff(&hash_u.queries)
         );
         let t = WeightedTransition {
             kind: WeightKind::Clicks,
             spread: SpreadMode::Exponential,
         };
-        let flat_w = engine::run(&g, &c, &t);
+        let engine_w = engine::run(&g, &c, &t);
         let hash_w = reference::run_hashmap(&g, &c, &t);
         assert!(
-            flat_w.queries.max_abs_diff(&hash_w.queries) < 1e-12,
+            engine_w.queries.max_abs_diff(&hash_w.queries) < 1e-12,
             "{name}: weighted drift {}",
-            flat_w.queries.max_abs_diff(&hash_w.queries)
+            engine_w.queries.max_abs_diff(&hash_w.queries)
         );
-        assert!(flat_w.ads.max_abs_diff(&hash_w.ads) < 1e-12);
+        assert!(engine_w.ads.max_abs_diff(&hash_w.ads) < 1e-12);
     }
 }
 

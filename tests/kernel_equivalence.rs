@@ -1,31 +1,31 @@
-//! Differential harness for the engine's accumulation kernels.
+//! Differential harness for the engine's one propagation kernel.
 //!
-//! The unified engine runs one Jacobi loop behind three interchangeable
-//! kernels (`SimrankConfig::kernel`): the production **pull** kernel
-//! (row-parallel Gustavson SpGEMM, ISSUE 5), the **flat** scatter–sort–merge
-//! path it replaced, and the historical **hashmap** path. This suite pins
-//! the contracts between them:
+//! The engine runs the pull kernel (row-parallel Gustavson SpGEMM,
+//! `engine::pull`). This suite pins its contracts:
 //!
-//! * all three kernels agree on every fixture — identical stored pair sets
-//!   and scores to rounding at `prune_threshold = 0` (summation *orders*
-//!   differ, so cross-kernel equality is to f64 rounding, not bits), for
-//!   uniform and weighted transitions;
-//! * with pruning the kernels agree on every co-stored pair, and any pair
-//!   set difference is confined to knife-edge values at the threshold
-//!   (a per-value `v > t` decision on values that differ only in rounding);
+//! * pull agrees with the independent sparse reference
+//!   `engine::reference::run_hashmap` (push into a hash map — no code shared
+//!   with pull beyond the transition factors) on every generated graph:
+//!   identical stored pair sets and scores to rounding at
+//!   `prune_threshold = 0` (summation *orders* differ, so equality is to f64
+//!   rounding, not bits), for uniform and weighted transitions;
+//! * with pruning the two agree on every co-stored pair, and any pair-set
+//!   difference is confined to knife-edge values at the threshold (a
+//!   per-value `v > t` decision on values that differ only in rounding);
 //! * the pull kernel is **bit-deterministic across thread counts** — worker
 //!   chunk boundaries never touch a row's accumulation order;
 //! * pull == pull under sharding and incremental recompute, **bit for bit,
-//!   above the flat path's 2²⁰-contribution flush threshold** — the scale
-//!   where `engine::accum` documented that the flat path's sharded
-//!   guarantee degraded to "equal modulo rounding" because run boundaries
-//!   could reassociate partial sums. The pull kernel has no flush; this is
-//!   the regression test that the divergence is gone.
+//!   including above 2²⁰ scatter contributions per half-step** — the scale
+//!   at which a buffer-sort-merge kernel has to flush partial runs and so
+//!   reassociates a pair's partial sums differently per chunking. The pull
+//!   kernel materializes no contributions; this is the regression test that
+//!   chunking and sharding change nothing at that scale either.
 
 use proptest::prelude::*;
+use simrankpp::core::engine::reference::run_hashmap;
 use simrankpp::core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
-use simrankpp::core::{KernelKind, ScoreMatrix};
+use simrankpp::core::ScoreMatrix;
 use simrankpp::graph::delta::GraphDelta;
 use simrankpp::graph::Sharding;
 use simrankpp::prelude::*;
@@ -41,11 +41,10 @@ fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> Cli
     generate(&gen).graph
 }
 
-fn cfg(k: usize, kernel: KernelKind) -> SimrankConfig {
+fn cfg(k: usize) -> SimrankConfig {
     SimrankConfig::paper()
         .with_iterations(k)
         .with_weight_kind(WeightKind::Clicks)
-        .with_kernel(kernel)
 }
 
 fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
@@ -60,7 +59,7 @@ fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
     }
 }
 
-/// Same pair set, scores equal to `tol` — the cross-kernel contract at
+/// Same pair set, scores equal to `tol` — the pull-vs-reference contract at
 /// `prune_threshold = 0`, where no knife-edge drops are possible.
 fn assert_same_support_close(a: &ScoreMatrix, b: &ScoreMatrix, tol: f64, what: &str) {
     assert_eq!(a.n_pairs(), b.n_pairs(), "{what}: pair count");
@@ -74,7 +73,7 @@ fn assert_same_support_close(a: &ScoreMatrix, b: &ScoreMatrix, tol: f64, what: &
     }
 }
 
-/// With pruning, kernels may disagree only on knife-edge pairs: co-stored
+/// With pruning, pull and the reference may disagree only on knife-edge pairs: co-stored
 /// pairs match to `tol`, union-only pairs sit within rounding of the
 /// threshold itself.
 fn assert_close_modulo_prune(a: &ScoreMatrix, b: &ScoreMatrix, prune: f64, tol: f64, what: &str) {
@@ -103,7 +102,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn all_three_kernels_agree_unpruned(
+    fn pull_matches_hashmap_reference_unpruned(
         n_topics in 1usize..5,
         n_queries in 30usize..110,
         seed in 0u64..1_000_000,
@@ -111,25 +110,13 @@ proptest! {
     ) {
         let g = synth_graph(n_topics, n_queries, seed, dense_sel == 1);
         let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
-        let runs: Vec<_> = [KernelKind::Pull, KernelKind::Flat, KernelKind::Hashmap]
-            .into_iter()
-            .map(|k| {
-                (
-                    engine::run(&g, &cfg(5, k), &UniformTransition),
-                    engine::run(&g, &cfg(5, k), &t),
-                )
-            })
-            .collect();
-        for (name, other) in [("flat", &runs[1]), ("hashmap", &runs[2])] {
-            assert_same_support_close(&runs[0].0.queries, &other.0.queries, 1e-12,
-                &format!("uniform queries vs {name}"));
-            assert_same_support_close(&runs[0].0.ads, &other.0.ads, 1e-12,
-                &format!("uniform ads vs {name}"));
-            assert_same_support_close(&runs[0].1.queries, &other.1.queries, 1e-12,
-                &format!("weighted queries vs {name}"));
-            prop_assert_eq!(&runs[0].0.pair_counts, &other.0.pair_counts);
-            prop_assert_eq!(runs[0].0.iterations_run, other.0.iterations_run);
-        }
+        let c = cfg(5);
+        let (pull_u, ref_u) = (engine::run(&g, &c, &UniformTransition), run_hashmap(&g, &c, &UniformTransition));
+        assert_same_support_close(&pull_u.queries, &ref_u.queries, 1e-12, "uniform queries");
+        assert_same_support_close(&pull_u.ads, &ref_u.ads, 1e-12, "uniform ads");
+        let (pull_w, ref_w) = (engine::run(&g, &c, &t), run_hashmap(&g, &c, &t));
+        assert_same_support_close(&pull_w.queries, &ref_w.queries, 1e-12, "weighted queries");
+        assert_same_support_close(&pull_w.ads, &ref_w.ads, 1e-12, "weighted ads");
     }
 
     #[test]
@@ -137,14 +124,14 @@ proptest! {
         n_queries in 40usize..120,
         seed in 0u64..1_000_000,
     ) {
+        // "Kernels": the pull kernel and the reference's hash-map half-step.
         let g = synth_graph(3, n_queries, seed, true);
         let prune = 1e-4;
-        let pull = engine::run(
-            &g, &cfg(6, KernelKind::Pull).with_prune_threshold(prune), &UniformTransition);
-        let flat = engine::run(
-            &g, &cfg(6, KernelKind::Flat).with_prune_threshold(prune), &UniformTransition);
-        assert_close_modulo_prune(&pull.queries, &flat.queries, prune, 1e-12, "pruned queries");
-        assert_close_modulo_prune(&pull.ads, &flat.ads, prune, 1e-12, "pruned ads");
+        let c = cfg(6).with_prune_threshold(prune);
+        let pull = engine::run(&g, &c, &UniformTransition);
+        let reference = run_hashmap(&g, &c, &UniformTransition);
+        assert_close_modulo_prune(&pull.queries, &reference.queries, prune, 1e-12, "pruned queries");
+        assert_close_modulo_prune(&pull.ads, &reference.ads, prune, 1e-12, "pruned ads");
     }
 
     #[test]
@@ -155,7 +142,7 @@ proptest! {
     ) {
         let g = synth_graph(3, n_queries, seed, true);
         let prune = if pruned_sel == 1 { 1e-5 } else { 0.0 };
-        let base = cfg(5, KernelKind::Pull).with_prune_threshold(prune);
+        let base = cfg(5).with_prune_threshold(prune);
         let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
         let serial_u = engine::run(&g, &base, &UniformTransition);
         let serial_w = engine::run(&g, &base, &t);
@@ -175,13 +162,12 @@ proptest! {
         n_queries in 40usize..100,
         seed in 0u64..1_000_000,
     ) {
-        // The PR 3/4 guarantees restated explicitly for the pull kernel:
-        // sharded == monolithic and incremental index refresh ==
-        // from-scratch build, bit for bit (the dedicated suites exercise
-        // these paths in depth; this case pins them to KernelKind::Pull by
-        // construction).
+        // Sharded == monolithic and incremental index refresh ==
+        // from-scratch build, bit for bit, on the same generated graphs the
+        // cases above use (the dedicated suites exercise these paths in
+        // depth).
         let g = synth_graph(n_topics, n_queries, seed, false);
-        let c = cfg(5, KernelKind::Pull);
+        let c = cfg(5);
         let mono = engine::run(&g, &c, &UniformTransition);
         let sharding = Sharding::from_components(&g);
         let shard = engine::run_sharded(&g, &c, &UniformTransition, &sharding);
@@ -211,8 +197,7 @@ proptest! {
 }
 
 /// Seeded multi-blob bipartite graph dense enough that one Jacobi half-step
-/// generates more scatter contributions than the flat accumulator's 2²⁰
-/// flush threshold.
+/// generates more than 2²⁰ scatter contributions.
 fn dense_blobs(blocks: u32, q_per: u32, a_per: u32, deg: u32, seed: u64) -> ClickGraph {
     let mut b = ClickGraphBuilder::new();
     let mut x = seed | 1;
@@ -235,7 +220,7 @@ fn dense_blobs(blocks: u32, q_per: u32, a_per: u32, deg: u32, seed: u64) -> Clic
 }
 
 /// Exact scatter-contribution count of the next query-side half-step:
-/// `Σ_{(i,j) stored ad pairs} N(i)·N(j) + Σ_i C(N(i), 2)` — what the flat
+/// `Σ_{(i,j) stored ad pairs} N(i)·N(j) + Σ_i C(N(i), 2)` — what a scatter
 /// kernel would have to buffer, sort, and merge.
 fn query_side_contributions(g: &ClickGraph, ads: &ScoreMatrix) -> usize {
     let stored: usize = ads
@@ -254,20 +239,17 @@ fn query_side_contributions(g: &ClickGraph, ads: &ScoreMatrix) -> usize {
 #[test]
 fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
     // Two components, each alone pushing a half-step past 2^20
-    // contributions — the regime where `engine::accum` documents that the
-    // flat path's run boundaries (which move with thread count and with
-    // shard extents) could reassociate a pair's partial sums, degrading
-    // sharded == monolithic to "equal modulo rounding". The pull kernel
-    // never materializes contributions, so chunking must change nothing:
+    // contributions — the regime where a buffer-sort-merge kernel flushes
+    // partial runs whose boundaries move with thread count and shard
+    // extents, reassociating a pair's partial sums. The pull kernel never
+    // materializes contributions, so chunking must change nothing:
     // bit-identical across thread counts AND across the component stitch.
     let g = dense_blobs(2, 220, 70, 12, 0xC0FFEE);
-    let c = SimrankConfig::paper()
-        .with_iterations(3)
-        .with_kernel(KernelKind::Pull);
+    let c = SimrankConfig::paper().with_iterations(3);
     let serial = engine::run(&g, &c, &UniformTransition);
     assert!(
         query_side_contributions(&g, &serial.ads) > 1 << 20,
-        "fixture must exceed the old FLUSH_AT scale, got {}",
+        "fixture must exceed 2^20 contributions, got {}",
         query_side_contributions(&g, &serial.ads)
     );
 
@@ -282,24 +264,4 @@ fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
     let sharded = engine::run_sharded(&g, &c.with_threads(2), &UniformTransition, &sharding);
     assert_bit_identical(&serial.queries, &sharded.queries, "sharded queries");
     assert_bit_identical(&serial.ads, &sharded.ads, "sharded ads");
-}
-
-#[test]
-fn hashmap_kernel_runs_the_full_engine_surface() {
-    // The hashmap oracle is a real kernel, not a side path: diagnostics,
-    // early exit, and the sharded stitch all work through it.
-    let g = synth_graph(2, 50, 7, false);
-    let c = cfg(4, KernelKind::Hashmap);
-    let r = engine::run(&g, &c, &UniformTransition);
-    assert_eq!(r.pair_counts.len(), 4);
-    assert_eq!(r.max_deltas.len(), 4);
-    let sharding = Sharding::from_components(&g);
-    let s = engine::run_sharded(&g, &c, &UniformTransition, &sharding);
-    assert_bit_identical(&r.queries, &s.queries, "hashmap sharded queries");
-    let tol = engine::run(
-        &g,
-        &cfg(200, KernelKind::Hashmap).with_tolerance(1e-8),
-        &UniformTransition,
-    );
-    assert!(tol.converged);
 }
