@@ -42,7 +42,7 @@ fn main() {
     }
 
     // The same diagnostics come from the shared engine for the weighted walk.
-    let weighted = weighted_simrank(&dataset.graph, &exact_cfg, EvidenceKind::Geometric);
+    let weighted = weighted_simrank(&dataset.graph, &exact_cfg, EvidenceKind::Geometric).raw;
     println!("\n--- per-iteration engine diagnostics (exact, weighted SimRank) ---");
     println!(
         "{:<6} {:>14} {:>12} {:>14}",

@@ -41,8 +41,8 @@ fn main() {
                 EvidenceKind::Geometric,
                 mode,
             );
-            let r2 = r.raw_queries.get(t.q1.0, t.q2.0);
-            let r3 = r.raw_queries.get(t.q1.0, t.q3.0);
+            let r2 = r.raw.queries.get(t.q1.0, t.q2.0);
+            let r3 = r.raw.queries.get(t.q1.0, t.q3.0);
             let pred = if r2 > r3 {
                 Some(t.q2)
             } else if r3 > r2 {

@@ -61,8 +61,7 @@ use simrankpp_core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp_core::montecarlo::{mc_topk_into, McConfig};
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
-    Method, MethodKind, Rewriter, RewriterConfig, RowWorkspace, ShardStrategy, SimrankConfig,
-    SingleSourceEngine,
+    Method, MethodKind, Rewriter, RewriterConfig, RowWorkspace, SimrankConfig, SingleSourceEngine,
 };
 use simrankpp_eval::{run_windowed_spam_experiment, SpamTimeline};
 use simrankpp_graph::components::connected_components;
@@ -91,12 +90,10 @@ struct Options {
 }
 
 /// Engine series whose absolute time is gated against the committed
-/// baseline. The pull kernel is the path every workload funnels through;
-/// the sharded series covers stitch throughput.
-const GATED_ENGINE_KEYS: [&str; 5] = [
+/// baseline. The pull kernel is the path every workload funnels through.
+const GATED_ENGINE_KEYS: [&str; 4] = [
     "engine_10k/pull_uniform",
     "engine_10k/pull_weighted",
-    "engine_10k_sharded/components/federated8",
     "single_source/linearized_topk_x100_ms",
     "single_source/montecarlo_topk_x100_ms",
 ];
@@ -347,7 +344,7 @@ fn ten_k_graph() -> ClickGraph {
 
 /// 10k queries as a disjoint union of `k` independently generated worlds —
 /// the multi-market regime where component structure (and incrementality)
-/// is real. Mirrors `benches/bench_engine.rs`.
+/// is real.
 fn federated_graph(k: usize) -> ClickGraph {
     let per_q = 10_000 / k;
     let per_a = 7_000 / k;
@@ -449,32 +446,7 @@ fn engine_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) 
     drop(ss_engine);
     drop(standard);
 
-    eprintln!("engine: sharded series (10k federated8 graph)");
-    let federated = federated_graph(8);
-    let cfg_sharded = cfg.with_sharding(ShardStrategy::Components);
-    r.insert(
-        "engine_10k_sharded/monolithic/federated8".to_owned(),
-        median_ms(reps, || engine::run(&federated, &cfg, &UniformTransition)),
-    );
-    r.insert(
-        "engine_10k_sharded/components/federated8".to_owned(),
-        median_ms(reps, || {
-            engine::run_with_strategy(&federated, &cfg_sharded, &UniformTransition)
-        }),
-    );
-
-    drop(federated);
-
     let mut speedups = BTreeMap::new();
-    let ratio = |num: &str, den: &str, r: &BTreeMap<String, f64>| r[num] / r[den];
-    speedups.insert(
-        "sharded_vs_monolithic_federated8".to_owned(),
-        ratio(
-            "engine_10k_sharded/monolithic/federated8",
-            "engine_10k_sharded/components/federated8",
-            &r,
-        ),
-    );
     // Per-query single-source latency vs one full all-pairs run: both sides
     // measured in this process, so the ratio is machine-relative.
     speedups.insert(
@@ -701,9 +673,8 @@ fn serve_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
 
     eprintln!("serve: incremental rebuild series (10k federated8 graph)");
     let federated = federated_graph(8);
-    let cfg_sharded = cfg.with_sharding(ShardStrategy::Components);
     let build_full = |g: &ClickGraph| {
-        let method = Method::compute(MethodKind::WeightedSimrank, g, &cfg_sharded);
+        let method = Method::compute(MethodKind::WeightedSimrank, g, &cfg);
         let rewriter = Rewriter::new(g, method, RewriterConfig::default());
         RewriteIndex::build(&rewriter, None, 1)
     };
@@ -719,7 +690,7 @@ fn serve_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
         "serve_10k_incremental/incremental_update_ms".to_owned(),
         median_ms(reps, || {
             old_index
-                .rebuild_incremental(&g1, &dirty, &cfg_sharded, &RewriterConfig::default(), None)
+                .rebuild_incremental(&g1, &dirty, &cfg, &RewriterConfig::default(), None)
                 .expect("incremental rebuild")
         }),
     );
@@ -754,8 +725,7 @@ fn scale_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMap
     let mut derived = BTreeMap::new();
     let cfg = SimrankConfig::default()
         .with_iterations(5)
-        .with_prune_threshold(1e-4)
-        .with_sharding(ShardStrategy::Components);
+        .with_prune_threshold(1e-4);
     let world = GeneratorConfig::small();
     let tmp = std::env::temp_dir();
     let scales: [(u64, &str); 3] = [
@@ -905,8 +875,7 @@ fn stream_series(opts: &Options, reps: usize) -> (BTreeMap<String, f64>, BTreeMa
     let mut derived = BTreeMap::new();
     let cfg = SimrankConfig::default()
         .with_iterations(5)
-        .with_prune_threshold(1e-4)
-        .with_sharding(ShardStrategy::Components);
+        .with_prune_threshold(1e-4);
     let world = generate(&GeneratorConfig::small()).graph;
     let labels = connected_components(&world);
 
@@ -1366,9 +1335,8 @@ fn render_engine_json(
         .join(", ");
     format!(
         "{{\n  \"bench\": \"bench_ci (engine)\",\n  \"description\": \"Wall-clock medians for \
-         the engine's headline series on 10k-query synth graphs: the pull kernel under both \
-         transitions (standard graph) and component-sharded vs monolithic propagation \
-         (federated8 = disjoint union of 8 worlds). 5 iterations, prune_threshold 1e-4. The \
+         the engine's headline series on a 10k-query synth graph: the pull kernel under both \
+         transitions. 5 iterations, prune_threshold 1e-4. The \
          single_source series times the on-demand engine on the standard graph: one-off \
          precompute (factors + estimated diagonal correction), then 100 linearized and 100 \
          Monte-Carlo (512 walks) top-10 queries per rep.\",\n\
@@ -1435,7 +1403,7 @@ fn render_stream_json(
          serving-ready index, vs scratch_reingest re-reading a deliberately long log from byte \
          zero; the machine-relative speedup is gated so restart time stays bounded by the \
          window, not process uptime. Weighted \
-         SimRank, 5 iterations, prune_threshold 1e-4, component sharding.\",\n{},\n  \
+         SimRank, 5 iterations, prune_threshold 1e-4.\",\n{},\n  \
          \"results_ms\": {{\n{}\n  }},\n  \"derived\": {{\n{}\n  }},\n  \"gate\": {{\n    \
          \"keys\": [{gate_keys}],\n    \"tolerance_pct\": {},\n    \
          \"min_stream_incremental_speedup\": {MIN_STREAM_INCREMENTAL_SPEEDUP},\n    \

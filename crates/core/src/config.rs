@@ -3,24 +3,21 @@
 use serde::{Deserialize, Serialize};
 use simrankpp_graph::WeightKind;
 
-/// How the engine decomposes the click graph before propagating
-/// (see `engine::sharded`).
+/// Formerly how the engine decomposed the click graph before propagating.
+/// The engine now always runs monolithic (component decomposition lives in
+/// the index build), so this type **selects nothing**: both variants run
+/// the same code and produce the same bits. It keeps its name, like
+/// [`SimrankConfig::sharding`] and [`SimrankConfig::with_sharding`], only
+/// because the frozen `benchmark/` sources spell it (benchmark-pinned). A
+/// persisted config naming the removed approximate `Extracted` strategy
+/// fails to load instead of silently running exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardStrategy {
-    /// One monolithic run over the whole graph (the historical behavior).
+    /// The default.
     #[default]
     Off,
-    /// One engine run per connected component, stitched back into global
-    /// ids. Exact: cross-component SimRank scores are provably zero, so the
-    /// score matrix is block-diagonal over components and the decomposition
-    /// changes no value (bit-identical for serial runs; see
-    /// `engine::sharded` for the fine print).
+    /// Once "one engine run per connected component"; identical to `Off`.
     Components,
-    /// Component sharding plus ACL extraction of up to the given number of
-    /// low-conductance blocks out of the giant component
-    /// (`simrankpp_partition::extraction_sharding`). **Approximate**: edges
-    /// crossing an extraction cut are dropped, shrinking boundary scores.
-    Extracted(usize),
 }
 
 /// The engine's propagation kernel. There is one — the row-parallel pull
@@ -60,10 +57,8 @@ pub struct SimrankConfig {
     /// Worker threads for the sparse engines. `1` = serial (deterministic
     /// to the last bit), `0` = use all available cores.
     pub threads: usize,
-    /// Graph decomposition the unified engine applies before propagating:
-    /// per-component runs (exact) or ACL-extracted blocks (approximate).
-    /// Defaults on deserialize so configs saved before this field existed
-    /// still load.
+    /// Read by nothing; selects nothing (see [`ShardStrategy`]). Defaults
+    /// on deserialize so configs saved before this field existed still load.
     #[serde(default)]
     pub sharding: ShardStrategy,
     /// Always [`KernelKind::Pull`]; selects nothing (see [`KernelKind`]).
@@ -131,7 +126,8 @@ impl SimrankConfig {
         self
     }
 
-    /// Builder-style: set the shard strategy.
+    /// Builder-style: set the shard strategy — a no-op kept for the callers
+    /// that spell it (see [`ShardStrategy`]).
     pub fn with_sharding(mut self, sharding: ShardStrategy) -> Self {
         self.sharding = sharding;
         self
@@ -157,9 +153,6 @@ impl SimrankConfig {
         }
         if !self.tolerance.is_finite() || self.tolerance < 0.0 {
             return Err("tolerance must be finite and non-negative".into());
-        }
-        if self.sharding == ShardStrategy::Extracted(0) {
-            return Err("ShardStrategy::Extracted needs at least one block".into());
         }
         Ok(())
     }
@@ -240,20 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn sharding_builder_and_validation() {
+    fn sharding_builder_sets_the_unread_field() {
         let c = SimrankConfig::default();
         assert_eq!(c.sharding, ShardStrategy::Off);
         let c = c.with_sharding(ShardStrategy::Components);
         assert_eq!(c.sharding, ShardStrategy::Components);
         assert!(c.validate().is_ok());
-        assert!(SimrankConfig::default()
-            .with_sharding(ShardStrategy::Extracted(5))
-            .validate()
-            .is_ok());
-        assert!(SimrankConfig::default()
-            .with_sharding(ShardStrategy::Extracted(0))
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -299,19 +284,47 @@ mod tests {
     fn legacy_kernel_values_are_refused() {
         // A config saved while the flat and hash-map kernels were selectable
         // must not load as if it had asked for pull: its scores would differ
-        // at rounding level from what the file claims.
+        // at rounding level from what the file claims. Likewise the removed
+        // approximate `Extracted` sharding must not load as an exact run.
         let json = serde_json::to_string(&SimrankConfig::default()).unwrap();
-        for removed in ["Flat", "Hashmap"] {
-            let legacy = json.replace("\"kernel\":\"Pull\"", &format!("\"kernel\":\"{removed}\""));
-            assert_ne!(legacy, json);
-            let err = serde_json::from_str::<SimrankConfig>(&legacy)
+        for (current, legacy, needles) in [
+            (
+                "\"kernel\":\"Pull\"",
+                "\"kernel\":\"Flat\"",
+                ["Flat", "KernelKind"],
+            ),
+            (
+                "\"kernel\":\"Pull\"",
+                "\"kernel\":\"Hashmap\"",
+                ["Hashmap", "KernelKind"],
+            ),
+            (
+                "\"sharding\":\"Off\"",
+                "\"sharding\":{\"Extracted\":5}",
+                ["object", "ShardStrategy"],
+            ),
+        ] {
+            let legacy_json = json.replace(current, legacy);
+            assert_ne!(legacy_json, json);
+            let err = serde_json::from_str::<SimrankConfig>(&legacy_json)
                 .unwrap_err()
                 .to_string();
-            assert!(
-                err.contains(removed) && err.contains("KernelKind"),
-                "{removed}: {err}"
-            );
+            assert!(needles.iter().all(|n| err.contains(n)), "{legacy}: {err}");
         }
+        // `Components` still loads, and selects nothing: same bits as `Off`.
+        let components = json.replace("\"sharding\":\"Off\"", "\"sharding\":\"Components\"");
+        let on: SimrankConfig = serde_json::from_str(&components).unwrap();
+        assert_eq!(on.sharding, ShardStrategy::Components);
+        let g = simrankpp_graph::fixtures::figure3_graph();
+        let (off, on) = (
+            crate::simrank(&g, &SimrankConfig::default()),
+            crate::simrank(&g, &on),
+        );
+        let bits = |m: &crate::ScoreMatrix| -> Vec<(u32, u32, u64)> {
+            m.iter().map(|(a, b, v)| (a, b, v.to_bits())).collect()
+        };
+        assert_eq!(bits(&off.queries), bits(&on.queries));
+        assert_eq!(bits(&off.ads), bits(&on.ads));
     }
 
     #[test]

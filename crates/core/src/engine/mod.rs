@@ -21,19 +21,19 @@
 //!   sorting, no cross-worker merging, and bit-deterministic for any thread
 //!   count.
 //! * [`parallel::run_chunked`] supplies chunked scoped-thread parallelism for
-//!   every variant, and the `_stateful` variants thread a reusable per-worker
-//!   workspace pool through it, so scratch survives across Jacobi half-steps
-//!   and — in the sharded engine — across shards.
+//!   every variant, and [`parallel::run_chunked_stateful`] threads a reusable
+//!   per-worker workspace pool through it, so scratch survives across Jacobi
+//!   half-steps.
 //! * Per-iteration diagnostics — stored pair counts and the max score delta —
 //!   are recorded for *all* variants, and [`crate::SimrankConfig::tolerance`]
 //!   enables early exit once the iteration becomes stationary.
 //!
-//! * [`sharded::run_sharded`] exploits the block-diagonal structure of the
-//!   score matrix over connected components (§9.2's "one huge connected
-//!   component and several smaller subgraphs"): one engine run per shard,
-//!   scheduled largest-first across scoped threads, stitched back into
-//!   global ids — exact for component sharding. [`run_with_strategy`]
-//!   dispatches on [`crate::config::ShardStrategy`].
+//! * The run is monolithic: one pass over the whole graph. The score matrix
+//!   is block-diagonal over connected components (§9.2's "one huge connected
+//!   component and several smaller subgraphs"), and the layer that exploits
+//!   it is the index build (`simrankpp_serve`'s incremental refresh and
+//!   segmented build call [`run`] once per component block) — the engine
+//!   itself never decomposes.
 //!
 //! * [`single_source::SingleSourceEngine`] escapes the all-pairs matrix
 //!   entirely: one query's score row on demand via the linearized series
@@ -49,15 +49,13 @@ pub mod accum;
 pub mod parallel;
 pub mod pull;
 pub mod reference;
-pub mod sharded;
 pub mod single_source;
 pub mod transition;
 
-pub use sharded::run_sharded;
 pub use single_source::{DiagonalCorrection, RowWorkspace, SingleSourceEngine};
 pub use transition::{Transition, TransitionFactors, UniformTransition, WeightedTransition};
 
-use crate::config::{ShardStrategy, SimrankConfig};
+use crate::config::SimrankConfig;
 use crate::scores::ScoreMatrix;
 use accum::{max_delta, PairVec};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
@@ -101,21 +99,6 @@ impl NodeId for AdId {
     }
 }
 
-/// [`run`] output before freezing into [`ScoreMatrix`] form: key-sorted
-/// pair lists plus diagnostics. The sharded stitch consumes this directly —
-/// remapping and merging sorted vectors — so per-shard runs skip the
-/// per-shard `by_node` construction that [`EngineRun`] would pay, and the
-/// stitched result is frozen exactly once.
-#[derive(Debug)]
-pub(crate) struct RawRun {
-    pub(crate) q_pairs: PairVec,
-    pub(crate) a_pairs: PairVec,
-    pub(crate) pair_counts: Vec<(usize, usize)>,
-    pub(crate) max_deltas: Vec<f64>,
-    pub(crate) iterations_run: usize,
-    pub(crate) converged: bool,
-}
-
 /// Runs the unified Jacobi propagation loop for `transition` on `g`.
 ///
 /// Exact (bar floating-point rounding) when `config.prune_threshold == 0`;
@@ -123,59 +106,16 @@ pub(crate) struct RawRun {
 /// dropped after each iteration. When `config.tolerance > 0`, iteration stops
 /// as soon as the largest per-pair change on either side is at or below it.
 pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> EngineRun {
-    let raw = run_raw(g, config, transition);
-    EngineRun {
-        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), raw.q_pairs),
-        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), raw.a_pairs),
-        pair_counts: raw.pair_counts,
-        max_deltas: raw.max_deltas,
-        iterations_run: raw.iterations_run,
-        converged: raw.converged,
-    }
-}
-
-/// Reusable per-run kernel scratch: one pull workspace per worker plus the
-/// shared iterate-CSR buffers. Created once per engine run and threaded
-/// through every Jacobi half-step, so the kernel allocates no per-iteration
-/// scratch; the sharded engine goes further and reuses one scratch per queue
-/// worker across *all* its shards.
-#[derive(Debug)]
-pub(crate) struct EngineScratch {
-    pull: Vec<pull::PullWorkspace>,
-    csr: pull::CsrScratch,
-}
-
-impl EngineScratch {
-    pub(crate) fn new(threads: usize) -> Self {
-        EngineScratch {
-            pull: (0..threads.max(1))
-                .map(|_| pull::PullWorkspace::default())
-                .collect(),
-            csr: pull::CsrScratch::default(),
-        }
-    }
-}
-
-/// [`run`] without the final freeze — the sharded engine's per-shard entry.
-pub(crate) fn run_raw<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-) -> RawRun {
-    let mut scratch = EngineScratch::new(config.effective_threads());
-    run_raw_with(g, config, transition, &mut scratch)
-}
-
-/// [`run_raw`] against caller-owned [`EngineScratch`], so a worker draining
-/// a shard queue reuses its workspaces across every shard it claims.
-pub(crate) fn run_raw_with<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-    scratch: &mut EngineScratch,
-) -> RawRun {
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
+
+    // Kernel scratch — one pull workspace per worker plus the shared
+    // iterate-CSR buffers — lives for the whole run, so no half-step
+    // allocates.
+    let mut workspaces: Vec<pull::PullWorkspace> = (0..config.effective_threads().max(1))
+        .map(|_| pull::PullWorkspace::default())
+        .collect();
+    let mut csr = pull::CsrScratch::default();
 
     let mut q_pairs: PairVec = Vec::new();
     let mut a_pairs: PairVec = Vec::new();
@@ -216,8 +156,8 @@ pub(crate) fn run_raw_with<T: Transition>(
             &a_pairs,
             config.c1,
             config.prune_threshold,
-            &mut scratch.csr,
-            &mut scratch.pull,
+            &mut csr,
+            &mut workspaces,
         );
         let next_a = pull::propagate_pull(
             g.n_ads(),
@@ -227,8 +167,8 @@ pub(crate) fn run_raw_with<T: Transition>(
             &q_pairs,
             config.c2,
             config.prune_threshold,
-            &mut scratch.csr,
-            &mut scratch.pull,
+            &mut csr,
+            &mut workspaces,
         );
 
         let delta = max_delta(&q_pairs, &next_q).max(max_delta(&a_pairs, &next_a));
@@ -243,38 +183,29 @@ pub(crate) fn run_raw_with<T: Transition>(
         }
     }
 
-    let iterations_run = pair_counts.len();
-    RawRun {
-        q_pairs,
-        a_pairs,
+    // Free the kernel scratch and the factor tables before the freeze builds
+    // the matrices' row index: peak memory is the larger of the two phases,
+    // not their sum.
+    drop((factors, workspaces, csr));
+    EngineRun {
+        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), q_pairs),
+        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), a_pairs),
+        iterations_run: pair_counts.len(),
         pair_counts,
         max_deltas,
-        iterations_run,
         converged,
     }
 }
 
-/// Runs the engine under `config.sharding`: monolithic ([`run`]) when `Off`,
-/// per-connected-component ([`run_sharded`], exact) for `Components`, and
-/// ACL-extracted blocks (approximate) for `Extracted`. This is the entry
-/// point the `simrank`/`weighted` front-ends use, so the strategy knob
-/// reaches every recursive variant and the serving index build.
+/// [`run`] under its former name: `config.sharding` used to pick a
+/// per-component run here, which was bit-identical to the monolithic one.
+/// Kept only because the frozen `benchmark/` sources call it.
 pub fn run_with_strategy<T: Transition>(
     g: &ClickGraph,
     config: &SimrankConfig,
     transition: &T,
 ) -> EngineRun {
-    match config.sharding {
-        ShardStrategy::Off => run(g, config, transition),
-        ShardStrategy::Components => {
-            let sharding = simrankpp_graph::Sharding::from_components(g);
-            sharded::run_sharded(g, config, transition, &sharding)
-        }
-        ShardStrategy::Extracted(k) => {
-            let sharding = simrankpp_partition::extraction_sharding(g, k);
-            sharded::run_sharded(g, config, transition, &sharding)
-        }
-    }
+    run(g, config, transition)
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
-//! Chunked scoped-thread parallelism shared by every engine variant.
-//!
-//! The seed code carried one `parallel_chunks` copy per engine, each welded
-//! to `ScoreMatrixBuilder` and crossbeam. This version is generic over the
-//! per-chunk result and uses `std::thread::scope`, dropping the external
-//! dependency.
+//! Scoped-thread parallelism shared by the engine and the serving layer:
+//! contiguous chunks ([`run_chunked`], with per-worker state in
+//! [`run_chunked_stateful`] — the pull kernel's rows) and an index queue
+//! ([`run_indexed`] — the incremental rebuild's component blocks). Generic
+//! over the per-item result, `std::thread::scope` only.
 
 use std::ops::Range;
 
@@ -69,42 +68,24 @@ where
 
 /// Runs `work(i)` for every `i in 0..n_items` with `workers` scoped threads
 /// pulling indices off an atomic queue, returning the results **in index
-/// order** — the greedy work-stealing schedule the sharded engine uses
-/// (items sorted largest-first amortize best), shared with the serving
-/// layer's incremental rebuild. Serial when `workers <= 1` or there is at
-/// most one item. Deterministic output for deterministic `work` regardless
-/// of the worker count.
+/// order** — the greedy schedule the serving layer's incremental rebuild
+/// runs its dirty component blocks on (items sorted largest-first amortize
+/// best). Serial when `workers <= 1` or there is at most one item.
+/// Deterministic output for deterministic `work` regardless of the worker
+/// count.
 pub fn run_indexed<T, F>(n_items: usize, workers: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut states = vec![(); workers.max(1)];
-    run_indexed_stateful(n_items, &mut states, |_, i| work(i))
-}
-
-/// [`run_indexed`] with one reusable per-worker state: each queue worker
-/// owns one slot of `states` for its whole drain, so scratch built for the
-/// first item it claims is reused for every later item (the sharded engine
-/// threads its kernel workspaces through here). `states.len()` fixes the
-/// worker count; results still come back in index order.
-pub fn run_indexed_stateful<S, T, F>(n_items: usize, states: &mut [S], work: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = states.len();
     if workers <= 1 || n_items <= 1 {
-        let state = states.first_mut().expect("at least one worker state");
-        return (0..n_items).map(|i| work(state, i)).collect();
+        return (0..n_items).map(work).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
     let finished: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers.min(n_items)]
-            .iter_mut()
-            .map(|state| {
+        let handles: Vec<_> = (0..workers.min(n_items))
+            .map(|_| {
                 let next = &next;
                 let work = &work;
                 scope.spawn(move || {
@@ -114,7 +95,7 @@ where
                         if i >= n_items {
                             break;
                         }
-                        out.push((i, work(state, i)));
+                        out.push((i, work(i)));
                     }
                     out
                 })
@@ -172,20 +153,5 @@ mod tests {
             assert_eq!(out.iter().sum::<usize>(), 6000);
             assert_eq!(states.iter().sum::<usize>(), 6000 * round);
         }
-    }
-
-    #[test]
-    fn stateful_indexed_orders_results_and_persists_state() {
-        for workers in [1usize, 2, 5] {
-            let mut states = vec![0usize; workers];
-            let out = run_indexed_stateful(17, &mut states, |s, i| {
-                *s += 1;
-                i * 2
-            });
-            assert_eq!(out, (0..17).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(states.iter().sum::<usize>(), 17, "workers={workers}");
-        }
-        let mut states = vec![(); 4];
-        assert!(run_indexed_stateful(0, &mut states, |_, i| i).is_empty());
     }
 }

@@ -6,63 +6,62 @@ use simrankpp_graph::{ClickGraph, WeightKind};
 
 /// Precomputed per-edge factors in both CSR orders.
 ///
-/// The scatter kernels walk *source* rows: when ad-pair scores propagate to
-/// query pairs they iterate each ad's query list, so the factor attached to
-/// edge `(q, a)` must be addressable per ad row — and symmetrically for the
-/// other direction. The pull kernel additionally needs each table in the
-/// *transposed* layout: its first SpGEMM pass walks the output node's own
-/// neighbor list (e.g. `F(q, a)` for `a ∈ E(q)`, query-major), its second
-/// pass scatters through the inner node's list (`F(q', a)` for
-/// `q' ∈ E(a)`, ad-major). [`TransitionFactors::from_primary`] derives the
-/// transposed copies with a counting transpose, so each variant still only
-/// supplies the two primary tables.
+/// The pull kernel's first SpGEMM pass walks the output node's own neighbor
+/// list (e.g. `F(q, a)` for `a ∈ E(q)`, query-major); its second pass
+/// scatters through the inner node's list (`F(q', a)` for `q' ∈ E(a)`,
+/// ad-major). So each of the two factor families is needed in both layouts.
+/// A variant supplies each family **node-major** — every node's own row, the
+/// layout it is computed in — and [`TransitionFactors::from_node_major`]
+/// derives the other two with one counting transpose.
 #[derive(Debug, Clone)]
 pub struct TransitionFactors {
     /// `F(q, a)` per (ad → query) CSR edge, ad-major: the weight with which
-    /// ad-side scores flow into query `q` through ad `a`.
+    /// ad-side scores flow into query `q` through ad `a` (pass 2, query side).
     pub ad_to_query: Vec<f64>,
-    /// `F(a, q)` per (query → ad) CSR edge, query-major.
+    /// `F(a, q)` per (query → ad) CSR edge, query-major (pass 2, ad side).
     pub query_to_ad: Vec<f64>,
-    /// `F(q, a)` re-laid-out query-major (same values as `ad_to_query`,
-    /// addressable per query row) — the pull kernel's query-side pass 1.
+    /// `F(q, a)` query-major (same values as `ad_to_query`, addressable per
+    /// query row) — the pull kernel's query-side pass 1.
     pub ad_to_query_by_query: Vec<f64>,
-    /// `F(a, q)` re-laid-out ad-major (same values as `query_to_ad`,
-    /// addressable per ad row) — the pull kernel's ad-side pass 1.
+    /// `F(a, q)` ad-major (same values as `query_to_ad`, addressable per ad
+    /// row) — the pull kernel's ad-side pass 1.
     pub query_to_ad_by_ad: Vec<f64>,
 }
 
 impl TransitionFactors {
-    /// Completes the factor set from the two primary tables, deriving the
-    /// transposed layouts. The transpose scans the source-major table in CSR
-    /// order and writes through a per-target-row cursor; because both CSR
-    /// directions keep neighbor lists ascending, each target row fills in
-    /// exactly its own CSR order — a counting transpose, no sorting.
-    pub fn from_primary(g: &ClickGraph, ad_to_query: Vec<f64>, query_to_ad: Vec<f64>) -> Self {
-        let mut ad_to_query_by_query = vec![0.0; ad_to_query.len()];
-        let mut cur: Vec<usize> = g.queries().map(|q| g.query_csr_offset(q)).collect();
-        for a in g.ads() {
-            let (qs, _) = g.queries_of(a);
-            let lo = g.ad_csr_offset(a);
-            for (x, &q) in qs.iter().enumerate() {
-                ad_to_query_by_query[cur[q.index()]] = ad_to_query[lo + x];
-                cur[q.index()] += 1;
-            }
-        }
-        let mut query_to_ad_by_ad = vec![0.0; query_to_ad.len()];
+    /// Completes the factor set from the two node-major tables — `by_query`
+    /// holds `F(q, a)` in query-CSR order, `by_ad` holds `F(a, q)` in ad-CSR
+    /// order — deriving the transposed layouts. The transpose scans the
+    /// source-major table in CSR order and writes through a per-target-row
+    /// cursor; because both CSR directions keep neighbor lists ascending,
+    /// each target row fills in exactly its own CSR order — a counting
+    /// transpose, no sorting.
+    pub fn from_node_major(g: &ClickGraph, by_query: Vec<f64>, by_ad: Vec<f64>) -> Self {
+        let mut ad_to_query = vec![0.0; by_query.len()];
         let mut cur: Vec<usize> = g.ads().map(|a| g.ad_csr_offset(a)).collect();
         for q in g.queries() {
             let (ads, _) = g.ads_of(q);
             let lo = g.query_csr_offset(q);
             for (x, &a) in ads.iter().enumerate() {
-                query_to_ad_by_ad[cur[a.index()]] = query_to_ad[lo + x];
+                ad_to_query[cur[a.index()]] = by_query[lo + x];
                 cur[a.index()] += 1;
+            }
+        }
+        let mut query_to_ad = vec![0.0; by_ad.len()];
+        let mut cur: Vec<usize> = g.queries().map(|q| g.query_csr_offset(q)).collect();
+        for a in g.ads() {
+            let (qs, _) = g.queries_of(a);
+            let lo = g.ad_csr_offset(a);
+            for (x, &q) in qs.iter().enumerate() {
+                query_to_ad[cur[q.index()]] = by_ad[lo + x];
+                cur[q.index()] += 1;
             }
         }
         TransitionFactors {
             ad_to_query,
             query_to_ad,
-            ad_to_query_by_query,
-            query_to_ad_by_ad,
+            ad_to_query_by_query: by_query,
+            query_to_ad_by_ad: by_ad,
         }
     }
 }
@@ -87,23 +86,17 @@ impl Transition for UniformTransition {
     }
 
     fn factors(&self, g: &ClickGraph) -> TransitionFactors {
-        let inv_q: Vec<f64> = g
-            .queries()
-            .map(|q| 1.0 / g.query_degree(q) as f64)
-            .collect();
-        let inv_a: Vec<f64> = g.ads().map(|a| 1.0 / g.ad_degree(a) as f64).collect();
-
-        let mut ad_to_query = Vec::with_capacity(g.n_edges());
-        for a in g.ads() {
-            let (qs, _) = g.queries_of(a);
-            ad_to_query.extend(qs.iter().map(|q| inv_q[q.index()]));
-        }
-        let mut query_to_ad = Vec::with_capacity(g.n_edges());
+        let mut by_query = Vec::with_capacity(g.n_edges());
         for q in g.queries() {
-            let (ads, _) = g.ads_of(q);
-            query_to_ad.extend(ads.iter().map(|a| inv_a[a.index()]));
+            let n = g.query_degree(q);
+            by_query.resize(by_query.len() + n, 1.0 / n as f64);
         }
-        TransitionFactors::from_primary(g, ad_to_query, query_to_ad)
+        let mut by_ad = Vec::with_capacity(g.n_edges());
+        for a in g.ads() {
+            let n = g.ad_degree(a);
+            by_ad.resize(by_ad.len() + n, 1.0 / n as f64);
+        }
+        TransitionFactors::from_node_major(g, by_query, by_ad)
     }
 }
 
@@ -124,44 +117,8 @@ impl Transition for WeightedTransition {
 
     fn factors(&self, g: &ClickGraph) -> TransitionFactors {
         let tw = TransitionWeights::compute_with_spread(g, self.kind, self.spread);
-        TransitionFactors::from_primary(
-            g,
-            ad_csr_aligned_query_factors(g, &tw),
-            query_csr_aligned_ad_factors(g, &tw),
-        )
+        TransitionFactors::from_node_major(g, tw.w_query_to_ad, tw.w_ad_to_query)
     }
-}
-
-/// `W(q, a)` values re-laid-out in ad-CSR order (entry per (a ← q) edge).
-fn ad_csr_aligned_query_factors(g: &ClickGraph, tw: &TransitionWeights) -> Vec<f64> {
-    let mut out = vec![0.0; g.n_edges()];
-    let mut q_edge_idx = 0usize;
-    for q in g.queries() {
-        let (ads, _) = g.ads_of(q);
-        for &a in ads {
-            let (qs, _) = g.queries_of(a);
-            let pos = qs.binary_search(&q).expect("edge present in transpose");
-            out[g.ad_csr_offset(a) + pos] = tw.w_query_to_ad[q_edge_idx];
-            q_edge_idx += 1;
-        }
-    }
-    out
-}
-
-/// `W(a, q)` values re-laid-out in query-CSR order (entry per (q ← a) edge).
-fn query_csr_aligned_ad_factors(g: &ClickGraph, tw: &TransitionWeights) -> Vec<f64> {
-    let mut out = vec![0.0; g.n_edges()];
-    let mut a_edge_idx = 0usize;
-    for a in g.ads() {
-        let (qs, _) = g.queries_of(a);
-        for &q in qs {
-            let (ads, _) = g.ads_of(q);
-            let pos = ads.binary_search(&a).expect("edge present in transpose");
-            out[g.query_csr_offset(q) + pos] = tw.w_ad_to_query[a_edge_idx];
-            a_edge_idx += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -192,32 +149,53 @@ mod tests {
     }
 
     #[test]
-    fn transposed_layouts_agree_with_primary_tables() {
+    fn transposed_layouts_agree_with_node_major_tables() {
         // Every edge's factor must be identical through both layouts, for
-        // both the uniform and a genuinely non-uniform weighted transition.
-        let g = figure3_graph();
+        // both the uniform and a genuinely non-uniform weighted transition,
+        // on the paper fixture and on a scattered graph with isolated nodes.
+        let mut b = simrankpp_graph::ClickGraphBuilder::new();
+        let mut x: u64 = 99;
+        for _ in 0..600 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            b.add_edge(
+                QueryId(((x >> 33) % 90) as u32),
+                AdId(((x >> 13) % 70) as u32),
+                simrankpp_graph::EdgeData::from_clicks(1 + x % 7),
+            );
+        }
+        b.reserve_queries(93);
+        b.reserve_ads(72);
         let weighted = WeightedTransition {
             kind: simrankpp_graph::WeightKind::Clicks,
             spread: crate::weighted::SpreadMode::Exponential,
         };
-        for f in [UniformTransition.factors(&g), weighted.factors(&g)] {
-            for q in g.queries() {
-                let (ads, _) = g.ads_of(q);
-                let qlo = g.query_csr_offset(q);
-                for (x, &a) in ads.iter().enumerate() {
-                    let (qs, _) = g.queries_of(a);
-                    let pos = qs.binary_search(&q).unwrap();
-                    let alo = g.ad_csr_offset(a);
-                    // F(q, a): ad-major primary vs query-major transpose.
-                    assert_eq!(
-                        f.ad_to_query[alo + pos].to_bits(),
-                        f.ad_to_query_by_query[qlo + x].to_bits()
-                    );
-                    // F(a, q): query-major primary vs ad-major transpose.
-                    assert_eq!(
-                        f.query_to_ad[qlo + x].to_bits(),
-                        f.query_to_ad_by_ad[alo + pos].to_bits()
-                    );
+        for g in [figure3_graph(), b.build()] {
+            // The weighted node-major tables are `TransitionWeights`' own.
+            let tw = TransitionWeights::compute_with_spread(&g, weighted.kind, weighted.spread);
+            let w = weighted.factors(&g);
+            assert_eq!(w.ad_to_query_by_query, tw.w_query_to_ad);
+            assert_eq!(w.query_to_ad_by_ad, tw.w_ad_to_query);
+            for f in [UniformTransition.factors(&g), w] {
+                for q in g.queries() {
+                    let (ads, _) = g.ads_of(q);
+                    let qlo = g.query_csr_offset(q);
+                    for (x, &a) in ads.iter().enumerate() {
+                        let (qs, _) = g.queries_of(a);
+                        let pos = qs.binary_search(&q).unwrap();
+                        let alo = g.ad_csr_offset(a);
+                        // F(q, a): query-major own row vs ad-major transpose.
+                        assert_eq!(
+                            f.ad_to_query[alo + pos].to_bits(),
+                            f.ad_to_query_by_query[qlo + x].to_bits()
+                        );
+                        // F(a, q): ad-major own row vs query-major transpose.
+                        assert_eq!(
+                            f.query_to_ad[qlo + x].to_bits(),
+                            f.query_to_ad_by_ad[alo + pos].to_bits()
+                        );
+                    }
                 }
             }
         }

@@ -78,11 +78,13 @@ pub fn evidence_exponential(n: usize) -> f64 {
     }
 }
 
-/// Result of evidence-based SimRank: both the raw SimRank scores and the
+/// Result of a walk with the evidence read-out — evidence-based SimRank (§7)
+/// and weighted SimRank (§8): both the raw walk scores and the
 /// evidence-multiplied scores.
 #[derive(Debug, Clone)]
 pub struct EvidenceSimrankResult {
-    /// The underlying plain SimRank result.
+    /// The underlying walk's result (uniform for §7, weighted for §8), no
+    /// evidence factor applied.
     pub raw: SimrankResult,
     /// Evidence-multiplied query-side scores (Eq. 7.5).
     pub queries: ScoreMatrix,

@@ -53,4 +53,4 @@ pub use method::{Method, MethodKind};
 pub use rewriter::{Rewrite, Rewriter, RewriterConfig};
 pub use scores::{ScoreMatrix, ScoreMatrixBuilder};
 pub use simrank::{simrank, SimrankResult};
-pub use weighted::{weighted_simrank, WeightedSimrankResult};
+pub use weighted::weighted_simrank;

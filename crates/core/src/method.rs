@@ -98,20 +98,16 @@ impl Method {
                 scores: simrank(g, config).queries,
                 raw: None,
             },
-            MethodKind::EvidenceSimrank => {
-                let r = evidence_simrank(g, config, evidence);
+            MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank => {
+                let r = if kind == MethodKind::EvidenceSimrank {
+                    evidence_simrank(g, config, evidence)
+                } else {
+                    weighted_simrank(g, config, evidence)
+                };
                 Method {
                     kind,
                     scores: r.queries,
                     raw: Some(r.raw.queries),
-                }
-            }
-            MethodKind::WeightedSimrank => {
-                let r = weighted_simrank(g, config, evidence);
-                Method {
-                    kind,
-                    scores: r.queries,
-                    raw: Some(r.raw_queries),
                 }
             }
         }

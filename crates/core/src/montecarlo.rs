@@ -425,7 +425,7 @@ mod tests {
         let g = figure4_k22();
         let exact = crate::weighted::weighted_simrank(&g, &cfg(), EvidenceKind::Geometric);
         let est = mc_weighted_pair(&g, QueryId(0), QueryId(1), &cfg(), &mc(60_000));
-        let raw = exact.raw_queries.get(0, 1);
+        let raw = exact.raw.queries.get(0, 1);
         assert!(
             (est - raw).abs() < 0.02,
             "estimate {est} too far from raw weighted {raw}"

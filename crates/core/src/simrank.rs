@@ -65,13 +65,9 @@ impl SimrankResult {
     }
 }
 
-/// Runs sparse bipartite SimRank through the unified engine, honoring
-/// `config.sharding` (per-component runs are exact; see `engine::sharded`).
+/// Runs sparse bipartite SimRank through the unified engine.
 pub fn simrank(g: &ClickGraph, config: &SimrankConfig) -> SimrankResult {
-    SimrankResult::from_engine(
-        engine::run_with_strategy(g, config, &UniformTransition),
-        config,
-    )
+    SimrankResult::from_engine(engine::run(g, config, &UniformTransition), config)
 }
 
 /// Dense reference implementation (O((|Q|² + |A|²)·d²) per iteration).

@@ -32,8 +32,9 @@
 
 use crate::config::SimrankConfig;
 use crate::engine::{self, WeightedTransition};
-use crate::evidence::{evidence_multiply, EvidenceKind};
+use crate::evidence::{apply_evidence, EvidenceKind, EvidenceSimrankResult};
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
+use crate::simrank::SimrankResult;
 use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
 use simrankpp_util::population_variance;
 
@@ -143,40 +144,16 @@ impl TransitionWeights {
     }
 }
 
-/// Output of weighted SimRank.
-#[derive(Debug, Clone)]
-pub struct WeightedSimrankResult {
-    /// Evidence-multiplied query-side scores (§8.2 equations).
-    pub queries: ScoreMatrix,
-    /// Evidence-multiplied ad-side scores.
-    pub ads: ScoreMatrix,
-    /// Raw weighted-walk scores (no evidence factor): used for tie-breaking
-    /// and the desirability experiment.
-    pub raw_queries: ScoreMatrix,
-    /// Raw ad-side walk scores.
-    pub raw_ads: ScoreMatrix,
-    /// Configuration used.
-    pub config: SimrankConfig,
-    /// Evidence formula used.
-    pub evidence: EvidenceKind,
-    /// Stored (query-pairs, ad-pairs) counts per executed iteration — the
-    /// same diagnostics plain SimRank reports, from the shared engine.
-    pub pair_counts: Vec<(usize, usize)>,
-    /// Largest per-pair score change at each executed iteration.
-    pub max_deltas: Vec<f64>,
-    /// Iterations actually executed.
-    pub iterations_run: usize,
-    /// Whether the `config.tolerance` early exit fired.
-    pub converged: bool,
-}
-
 /// Runs weighted SimRank: evidence × weighted-walk scores after
-/// `config.iterations` Jacobi iterations.
+/// `config.iterations` Jacobi iterations. The result has the shape
+/// [`evidence_simrank`](crate::evidence::evidence_simrank) returns: `raw`
+/// holds the weighted-walk scores without the evidence factor (used for
+/// tie-breaking and the desirability experiment) and the engine diagnostics.
 pub fn weighted_simrank(
     g: &ClickGraph,
     config: &SimrankConfig,
     evidence: EvidenceKind,
-) -> WeightedSimrankResult {
+) -> EvidenceSimrankResult {
     weighted_simrank_with_spread(g, config, evidence, SpreadMode::Exponential)
 }
 
@@ -186,25 +163,13 @@ pub fn weighted_simrank_with_spread(
     config: &SimrankConfig,
     evidence: EvidenceKind,
     spread: SpreadMode,
-) -> WeightedSimrankResult {
+) -> EvidenceSimrankResult {
     let transition = WeightedTransition {
         kind: config.weight_kind,
         spread,
     };
-    let run = engine::run_with_strategy(g, config, &transition);
-    let (queries, ads) = evidence_multiply(g, &run.queries, &run.ads, evidence);
-    WeightedSimrankResult {
-        queries,
-        ads,
-        raw_queries: run.queries,
-        raw_ads: run.ads,
-        config: *config,
-        evidence,
-        pair_counts: run.pair_counts,
-        max_deltas: run.max_deltas,
-        iterations_run: run.iterations_run,
-        converged: run.converged,
-    }
+    let raw = SimrankResult::from_engine(engine::run(g, config, &transition), config);
+    apply_evidence(g, raw, evidence)
 }
 
 /// Dense O(n²·d²) reference for the weighted walk (no evidence factor):
@@ -403,7 +368,7 @@ mod tests {
         let r = weighted_simrank(&g, &cfg(3), EvidenceKind::Geometric);
         // Uniform K2,2: weighted walk == plain SimRank; evidence = 3/4.
         let plain = crate::simrank::simrank(&g, &cfg(3));
-        assert!((r.raw_queries.get(0, 1) - plain.queries.get(0, 1)).abs() < 1e-12);
+        assert!((r.raw.queries.get(0, 1) - plain.queries.get(0, 1)).abs() < 1e-12);
         assert!((r.queries.get(0, 1) - 0.75 * plain.queries.get(0, 1)).abs() < 1e-12);
     }
 
@@ -415,11 +380,11 @@ mod tests {
         let plain = crate::simrank::simrank(&g, &cfg(6));
         let weighted = weighted_simrank(&g, &cfg(6), EvidenceKind::Geometric);
         assert!(
-            plain.queries.max_abs_diff(&weighted.raw_queries) < 1e-12,
+            plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-12,
             "diff = {}",
-            plain.queries.max_abs_diff(&weighted.raw_queries)
+            plain.queries.max_abs_diff(&weighted.raw.queries)
         );
-        assert!(plain.ads.max_abs_diff(&weighted.raw_ads) < 1e-12);
+        assert!(plain.ads.max_abs_diff(&weighted.raw.ads) < 1e-12);
     }
 
     #[test]
@@ -439,11 +404,11 @@ mod tests {
                 weighted_simrank_with_spread(&left, &cfg(5), EvidenceKind::Geometric, spread);
             let (dense_q, dense_a) = weighted_simrank_dense(&left, &cfg(5), spread);
             assert!(
-                sparse.raw_queries.max_abs_diff(&dense_q) < 1e-12,
+                sparse.raw.queries.max_abs_diff(&dense_q) < 1e-12,
                 "spread {spread:?}: drift {}",
-                sparse.raw_queries.max_abs_diff(&dense_q)
+                sparse.raw.queries.max_abs_diff(&dense_q)
             );
-            assert!(sparse.raw_ads.max_abs_diff(&dense_a) < 1e-12);
+            assert!(sparse.raw.ads.max_abs_diff(&dense_a) < 1e-12);
         }
     }
 
@@ -451,11 +416,11 @@ mod tests {
     fn diagnostics_reported_for_weighted_variant() {
         let g = figure3_graph();
         let r = weighted_simrank(&g, &cfg(5), EvidenceKind::Geometric);
-        assert_eq!(r.pair_counts.len(), 5);
-        assert_eq!(r.max_deltas.len(), 5);
-        assert_eq!(r.iterations_run, 5);
-        assert!(r.pair_counts[4].0 >= r.pair_counts[0].0);
-        assert!(r.max_deltas.iter().all(|&d| d >= 0.0));
+        assert_eq!(r.raw.pair_counts.len(), 5);
+        assert_eq!(r.raw.max_deltas.len(), 5);
+        assert_eq!(r.raw.iterations_run, 5);
+        assert!(r.raw.pair_counts[4].0 >= r.raw.pair_counts[0].0);
+        assert!(r.raw.max_deltas.iter().all(|&d| d >= 0.0));
     }
 
     #[test]

@@ -51,6 +51,32 @@ impl Components {
             .map(|(i, _)| i as u32)
     }
 
+    /// Buckets nodes by component label in one pass: entry `id` lists the
+    /// members of component `id`, queries then ads, each side ascending by
+    /// id (the monotone order [`crate::subgraph::induced_subgraph`] needs to
+    /// keep CSR neighbor lists in the parent's relative order). `keep`
+    /// sees each component's id and `(query, ad)` counts; components it
+    /// rejects get an empty, unallocated list.
+    pub fn group_members(&self, keep: impl Fn(u32, (usize, usize)) -> bool) -> Vec<Vec<NodeRef>> {
+        let mut groups: Vec<Option<Vec<NodeRef>>> = self
+            .sizes()
+            .into_iter()
+            .enumerate()
+            .map(|(id, (q, a))| keep(id as u32, (q, a)).then(|| Vec::with_capacity(q + a)))
+            .collect();
+        for (i, &l) in self.query_label.iter().enumerate() {
+            if let Some(group) = &mut groups[l as usize] {
+                group.push(NodeRef::Query(QueryId(i as u32)));
+            }
+        }
+        for (i, &l) in self.ad_label.iter().enumerate() {
+            if let Some(group) = &mut groups[l as usize] {
+                group.push(NodeRef::Ad(AdId(i as u32)));
+            }
+        }
+        groups.into_iter().map(Option::unwrap_or_default).collect()
+    }
+
     /// The member nodes of component `id`.
     pub fn members(&self, id: u32) -> Vec<NodeRef> {
         let mut out = Vec::new();
@@ -201,6 +227,22 @@ mod tests {
         let label = c.label(NodeRef::Query(flower));
         let members = c.members(label);
         assert_eq!(members.len(), 3); // flower + 2 ads
+    }
+
+    #[test]
+    fn group_members_buckets_kept_components_only() {
+        let g = figure3_graph();
+        let c = connected_components(&g);
+        let all = c.group_members(|_, _| true);
+        assert_eq!(all.len(), c.count);
+        for (id, group) in all.iter().enumerate() {
+            assert_eq!(group, &c.members(id as u32));
+        }
+        let big = c.largest().unwrap();
+        let only_big = c.group_members(|_, (q, a)| q + a > 3);
+        for (id, group) in only_big.iter().enumerate() {
+            assert_eq!(group.is_empty(), id as u32 != big);
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * an accumulating [`builder::ClickGraphBuilder`];
 //! * the immutable CSR [`ClickGraph`] with adjacency in both directions;
 //! * string interning for query/ad display names ([`interner::Interner`]);
-//! * connected components, induced subgraphs, component [`sharding`],
-//!   degree statistics;
+//! * connected components, induced subgraphs, dirty-component blocks
+//!   ([`sharding`]), degree statistics;
 //! * incremental updates ([`delta::GraphDelta`]): batched edge
 //!   upserts/removals with dirty-component analysis for exact
 //!   component-local recompute;
@@ -52,6 +52,6 @@ pub use interner::Interner;
 pub use segments::{
     component_segments, write_segmented, Segment, SegmentInfo, SegmentWriter, SegmentedStore,
 };
-pub use sharding::{Shard, Sharding};
+pub use sharding::Shard;
 pub use stats::{DegreeHistogram, GraphStats};
 pub use window::SlidingWindowGraph;

@@ -117,15 +117,9 @@ pub fn component_segments(g: &ClickGraph, target_nodes: usize) -> Vec<Segment> {
     if comps.count == 0 {
         return Vec::new();
     }
-    // Bucket nodes by component in one pass (Components::members is a full
-    // scan per call — quadratic over 1M singleton components).
-    let mut buckets: Vec<Vec<NodeRef>> = vec![Vec::new(); comps.count];
-    for (i, &l) in comps.query_label.iter().enumerate() {
-        buckets[l as usize].push(NodeRef::Query(QueryId(i as u32)));
-    }
-    for (i, &l) in comps.ad_label.iter().enumerate() {
-        buckets[l as usize].push(NodeRef::Ad(AdId(i as u32)));
-    }
+    // One-pass grouping (Components::members is a full scan per call —
+    // quadratic over 1M singleton components).
+    let buckets = comps.group_members(|_, _| true);
 
     let target = target_nodes.max(1);
     let mut segments = Vec::new();
@@ -358,8 +352,8 @@ pub struct SegmentedStore {
 }
 
 impl SegmentedStore {
-    /// Opens a store, validating header, trailer, and manifest — O(#segments)
-    /// work regardless of graph size.
+    /// Opens a store, validating header, trailer, and manifest (payload
+    /// checksums included) — O(#segments) work regardless of graph size.
     pub fn open(path: &Path) -> io::Result<SegmentedStore> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -406,6 +400,7 @@ impl SegmentedStore {
         file.seek(SeekFrom::Start(manifest_off))?;
         file.read_exact(buf.as_mut_slice())?;
         let arena = Arena::parse(buf.as_slice(), MANIFEST_MAGIC).map_err(bad)?;
+        arena.verify_deep().map_err(bad)?;
         let meta = arena.slice::<u64>(MF_META).map_err(bad)?;
         if meta.len() != 5 {
             return Err(bad("manifest meta has wrong length"));
@@ -419,17 +414,39 @@ impl SegmentedStore {
         if [offs.len(), lens.len(), nqs.len(), nas.len(), nes.len()] != [n; 5] {
             return Err(bad("manifest segment arrays disagree on length"));
         }
+        // The checksums above catch corruption; the checks below face a
+        // forged, re-sealed manifest. Readers size allocations from these
+        // counts (`load_all`'s edge buffer, `build_segmented`'s row table),
+        // so every count must be backed by file bytes: blobs ascend without
+        // overlap inside the segment region, each blob is long enough for
+        // the counts it claims — 4 bytes per node (its id map) and 32 per
+        // edge (the five edge arrays) — and the totals are the blobs' sums.
         let mut segments = Vec::with_capacity(n);
+        let mut region_end = STORE_HEADER_BYTES as u64;
+        let (mut sum_q, mut sum_a, mut sum_e) = (0u64, 0u64, 0u64);
         for i in 0..n {
             let end = offs[i]
                 .checked_add(lens[i])
                 .ok_or_else(|| bad(format!("segment {i} extent overflows")))?;
-            if offs[i] < STORE_HEADER_BYTES as u64 || end > manifest_off {
+            if offs[i] < region_end || end > manifest_off {
                 return Err(bad(format!(
                     "segment {i} claims bytes {}..{end} outside the segment region",
                     offs[i]
                 )));
             }
+            region_end = end;
+            let need = (nqs[i] as u128 + nas[i] as u128) * 4 + nes[i] as u128 * 32;
+            if need > lens[i] as u128 {
+                return Err(bad(format!(
+                    "segment {i} claims more nodes and edges than its {} bytes can hold",
+                    lens[i]
+                )));
+            }
+            // No overflow: each count is below its blob's length, and the
+            // blobs are disjoint spans of one file.
+            sum_q += nqs[i];
+            sum_a += nas[i];
+            sum_e += nes[i];
             segments.push(SegmentInfo {
                 offset: offs[i],
                 len: lens[i],
@@ -437,6 +454,9 @@ impl SegmentedStore {
                 n_ads: nas[i],
                 n_edges: nes[i],
             });
+        }
+        if [sum_q, sum_a, sum_e] != meta[1..4] {
+            return Err(bad("manifest totals disagree with the per-segment sums"));
         }
         Ok(SegmentedStore {
             file,
@@ -484,8 +504,8 @@ impl SegmentedStore {
         self.file_len
     }
 
-    /// Reads and reconstructs exactly one segment — peak memory is that
-    /// segment's blob plus its rebuilt graph.
+    /// Reads, checksum-verifies and reconstructs exactly one segment — peak
+    /// memory is that segment's blob plus its rebuilt graph.
     pub fn load_segment(&mut self, i: usize) -> io::Result<Segment> {
         let info = self
             .segments
@@ -603,6 +623,7 @@ fn pack_names(interner: &crate::interner::Interner, n: usize) -> (Vec<u64>, Vec<
 /// Decodes one segment blob back into a [`Segment`].
 fn parse_segment(bytes: &[u8]) -> io::Result<Segment> {
     let arena = Arena::parse(bytes, SEGMENT_MAGIC).map_err(bad)?;
+    arena.verify_deep().map_err(bad)?;
     if arena.version() != STORE_VERSION {
         return Err(bad(format!(
             "unsupported segment version {} (expected {STORE_VERSION})",
@@ -738,6 +759,18 @@ mod tests {
             b.reserve_ads(na + 2);
         }
         b.build()
+    }
+
+    /// `blob` re-serialized with section `tag` replaced, so every checksum
+    /// holds and only the reader's own checks face the forged section.
+    fn resealed(blob: &[u8], magic: [u8; 8], tag: u64, replacement: &[u8]) -> AlignedBytes {
+        let arena = Arena::parse(blob, magic).unwrap();
+        let mut w = ArenaWriter::new(magic, STORE_VERSION);
+        for e in arena.entries() {
+            let own = arena.section(e.tag).unwrap();
+            w.section(e.tag, if e.tag == tag { replacement } else { own });
+        }
+        w.to_aligned_bytes()
     }
 
     fn roundtrip(g: &ClickGraph, target_nodes: usize, name: &str) -> (ClickGraph, usize) {
@@ -891,17 +924,92 @@ mod tests {
     }
 
     #[test]
-    fn load_segment_refuses_hostile_name_tables() {
-        // Re-serialized with one section replaced, so every checksum holds
-        // and only `parse_segment`'s own checks face the forged table.
-        fn forged(seg: &[u8], tag: u64, replacement: &[u8]) -> AlignedBytes {
-            let arena = Arena::parse(seg, SEGMENT_MAGIC).unwrap();
-            let mut w = ArenaWriter::new(SEGMENT_MAGIC, STORE_VERSION);
-            for e in arena.entries() {
-                let own = arena.section(e.tag).unwrap();
-                w.section(e.tag, if e.tag == tag { replacement } else { own });
+    fn every_single_bit_flip_is_refused_or_harmless() {
+        // Header to trailer: a mutant either fails to open/load, or (the
+        // bit sat in a reserved word or in padding) loads the clean graph.
+        // None may load as a different graph, and none may abort.
+        use std::io::{Seek, SeekFrom, Write};
+        let g = scattered(6, 5, 20, true);
+        let path = tmp("bit_sweep.seg");
+        write_segmented(&g, &path, usize::MAX).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let want = g.fingerprint();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut poke = |at: usize, byte: u8| {
+            file.seek(SeekFrom::Start(at as u64)).unwrap();
+            file.write_all(&[byte]).unwrap();
+        };
+        let (mut refused, mut harmless) = (0usize, 0usize);
+        for (at, &byte) in clean.iter().enumerate() {
+            for bit in 0..8 {
+                poke(at, byte ^ (1 << bit));
+                match SegmentedStore::open(&path).and_then(|mut s| s.load_all()) {
+                    Err(_) => refused += 1,
+                    Ok(back) => {
+                        assert_eq!(
+                            back.fingerprint(),
+                            want,
+                            "byte {at} bit {bit} loaded as a different graph"
+                        );
+                        harmless += 1;
+                    }
+                }
             }
-            w.to_aligned_bytes()
+            poke(at, byte);
+        }
+        std::fs::remove_file(&path).ok();
+        assert_eq!(refused + harmless, clean.len() * 8);
+        assert!(
+            refused > harmless * 10,
+            "{refused} refused, {harmless} harmless"
+        );
+    }
+
+    #[test]
+    fn open_refuses_forged_totals_without_allocating() {
+        // A manifest whose META block or per-segment counts were rewritten
+        // and every checksum re-sealed: only `open`'s own arithmetic stands
+        // between these counts and `with_capacity` / `vec![None; n]`.
+        let g = scattered(20, 15, 60, false);
+        let path = tmp("forged_totals.seg");
+        write_segmented(&g, &path, 8).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let n = good.len();
+        let moff = u64::from_ne_bytes(good[n - 24..n - 16].try_into().unwrap()) as usize;
+        let manifest = AlignedBytes::copy_from(&good[moff..n - STORE_TRAILER_BYTES]);
+        let forge = |tag: u64, index: usize, value: u64| {
+            let arena = Arena::parse(manifest.as_slice(), MANIFEST_MAGIC).unwrap();
+            let mut words = arena.slice::<u64>(tag).unwrap().to_vec();
+            words[index] = value;
+            let forged = simrankpp_util::bytes_of(&words);
+            let mut file = good[..moff].to_vec();
+            file.extend_from_slice(
+                resealed(manifest.as_slice(), MANIFEST_MAGIC, tag, forged).as_slice(),
+            );
+            file.extend_from_slice(&good[n - STORE_TRAILER_BYTES..]);
+            assert_eq!(file.len(), n, "same-size forgery keeps the trailer valid");
+            std::fs::write(&path, &file).unwrap();
+            SegmentedStore::open(&path).unwrap_err().to_string()
+        };
+        let total_q = g.n_queries() as u64;
+        for (tag, index, value, needle) in [
+            (MF_META, 3, u64::MAX / 2, "totals disagree"), // total_edges
+            (MF_META, 1, total_q * 1000, "totals disagree"), // total_queries
+            (MF_SEG_NE, 0, u64::MAX / 2, "can hold"),
+            (MF_SEG_NQ, 0, 1 << 40, "can hold"),
+        ] {
+            let err = forge(tag, index, value);
+            assert!(err.contains(needle), "tag {tag:#x}[{index}]: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_segment_refuses_hostile_name_tables() {
+        // Re-sealed forgeries: every checksum holds and only
+        // `parse_segment`'s own checks face the forged table.
+        fn forged(seg: &[u8], tag: u64, replacement: &[u8]) -> AlignedBytes {
+            resealed(seg, SEGMENT_MAGIC, tag, replacement)
         }
         let g = scattered(6, 5, 14, true);
         let path = tmp("hostile_names.seg");

@@ -1,4 +1,4 @@
-//! Component sharding: carving the click graph into independent score blocks.
+//! Component blocks: carving the click graph into independent score blocks.
 //!
 //! §9.2 observes the click graph "consists of one huge connected component
 //! and several smaller subgraphs". SimRank similarity (uniform *and*
@@ -6,12 +6,14 @@
 //! different connected components have score exactly 0 at every iteration —
 //! the only nonzero base-case entries are the diagonal `s(x,x) = 1`, and a
 //! propagation step only mixes scores of nodes with a common neighbor.
-//! Consequently the score matrix is block-diagonal over components, and the
-//! engine can run **independently per component** and stitch the blocks back
-//! together without changing a single value. That is what a [`Sharding`]
-//! describes: a list of [`Shard`]s — induced subgraphs with old↔new id
-//! remaps — that the engine layer (`simrankpp-core::engine::sharded`)
-//! schedules across threads, largest shard first.
+//! Consequently the score matrix is block-diagonal over components, and a
+//! run over one component's induced subgraph reproduces that component's
+//! block of the whole-graph run without changing a single value. A [`Shard`]
+//! is one such block — induced subgraph plus old↔new id remap — and
+//! [`Shard::from_dirty`] carves the blocks an incremental index refresh
+//! recomputes (`simrankpp_serve`'s `rebuild_incremental`; the segmented
+//! store in [`crate::segments`] groups whole components the same way). The
+//! engine itself runs monolithic: decomposition lives in the index build.
 //!
 //! Why decomposition is *exact* for SimRank, in detail:
 //!
@@ -24,17 +26,11 @@
 //!    `a` and `b`, which lie in the same component;
 //! 3. the remap is monotone (ids are assigned in ascending parent order), so
 //!    sorted CSR neighbor lists stay in the same relative order and the
-//!    shard-local iteration replays the global one contribution for
+//!    block-local iteration replays the global one contribution for
 //!    contribution.
-//!
-//! [`Sharding::from_components`] is the exact decomposition. The partition
-//! crate adds an *approximate* extraction-based sharding that further carves
-//! the giant component (`simrankpp_partition::extraction_sharding`); it cuts
-//! edges and is opt-in.
 
-use crate::components::{connected_components, Components};
+use crate::delta::DirtyComponents;
 use crate::graph::ClickGraph;
-use crate::ids::{AdId, NodeRef, QueryId};
 use crate::subgraph::{induced_subgraph, SubgraphMapping};
 
 /// One independent score block: an induced subgraph plus its id remap.
@@ -42,176 +38,33 @@ use crate::subgraph::{induced_subgraph, SubgraphMapping};
 pub struct Shard {
     /// The induced subgraph with re-densified ids.
     pub graph: ClickGraph,
-    /// Parent↔shard id correspondence.
+    /// Parent↔shard id correspondence (monotone on each side).
     pub mapping: SubgraphMapping,
-    /// The component id this shard was carved from, when component-derived.
-    pub component: Option<u32>,
 }
 
 impl Shard {
-    /// Total node count (queries + ads) — the largest-first scheduling key.
-    pub fn n_nodes(&self) -> usize {
-        self.graph.n_nodes()
-    }
-}
-
-/// A decomposition of one click graph into independent score blocks.
-#[derive(Debug)]
-pub struct Sharding {
-    /// The shards, ordered largest-first (by node count) so a greedy
-    /// scheduler starts the long poles early.
-    pub shards: Vec<Shard>,
-    /// Whether per-shard SimRank provably equals whole-graph SimRank
-    /// (`true` for component sharding, `false` for extraction sharding,
-    /// which cuts edges).
-    pub exact: bool,
-    /// Components that were skipped because they cannot hold an off-diagonal
-    /// same-side pair (at most one query and at most one ad).
-    pub n_trivial: usize,
-    n_queries: usize,
-    n_ads: usize,
-}
-
-impl Sharding {
-    /// The exact decomposition: one shard per connected component that can
-    /// hold at least one same-side pair (≥ 2 queries or ≥ 2 ads). Components
-    /// with at most one node per side are skipped — they cannot contribute
-    /// any off-diagonal score, so the stitched result is unaffected.
-    pub fn from_components(g: &ClickGraph) -> Sharding {
-        let components = connected_components(g);
-        Self::from_labels(g, &components)
-    }
-
-    /// As [`Sharding::from_components`] with a precomputed labeling (the
-    /// caller may already have run `connected_components`).
-    pub fn from_labels(g: &ClickGraph, components: &Components) -> Sharding {
-        Self::from_labels_filtered(g, components, |_| true)
-    }
-
     /// The incremental-update decomposition: one shard per **dirty**
-    /// non-trivial component of the updated graph (see
-    /// [`crate::delta::GraphDelta::dirty_components`]). Clean components get
-    /// no shard — the engine reuses their score blocks from the previous
-    /// run — and `n_trivial` counts only trivial *dirty* components.
-    pub fn from_dirty(g: &ClickGraph, dirty: &crate::delta::DirtyComponents) -> Sharding {
-        Self::from_labels_filtered(g, &dirty.components, |id| dirty.is_dirty(id))
-    }
-
-    fn from_labels_filtered(
-        g: &ClickGraph,
-        components: &Components,
-        keep: impl Fn(u32) -> bool,
-    ) -> Sharding {
-        let sizes = components.sizes();
-        let mut shards = Vec::new();
-        let mut n_trivial = 0usize;
-        // Collect members per component in one pass (ascending parent id on
-        // each side — the monotone order `induced_subgraph` needs to keep
-        // CSR neighbor lists in the same relative order as the parent's).
-        let mut members: Vec<Vec<NodeRef>> = sizes
+    /// component of the updated graph (see
+    /// [`crate::delta::GraphDelta::dirty_components`]) that can hold a
+    /// same-side pair (≥ 2 queries or ≥ 2 ads), largest first (by node
+    /// count) so a greedy scheduler starts the long poles early. Clean
+    /// components get no shard — their rows are reused from the previous
+    /// generation — and neither do trivial ones, which cannot contribute an
+    /// off-diagonal score.
+    pub fn from_dirty(g: &ClickGraph, dirty: &DirtyComponents) -> Vec<Shard> {
+        let groups = dirty
+            .components
+            .group_members(|id, (q, a)| dirty.is_dirty(id) && (q >= 2 || a >= 2));
+        let mut shards: Vec<Shard> = groups
             .iter()
-            .map(|&(q, a)| Vec::with_capacity(q + a))
+            .filter(|nodes| !nodes.is_empty())
+            .map(|nodes| {
+                let (graph, mapping) = induced_subgraph(g, nodes);
+                Shard { graph, mapping }
+            })
             .collect();
-        for (i, &l) in components.query_label.iter().enumerate() {
-            members[l as usize].push(NodeRef::Query(QueryId(i as u32)));
-        }
-        for (i, &l) in components.ad_label.iter().enumerate() {
-            members[l as usize].push(NodeRef::Ad(AdId(i as u32)));
-        }
-        for (id, nodes) in members.into_iter().enumerate() {
-            if !keep(id as u32) {
-                continue;
-            }
-            let (q, a) = sizes[id];
-            if q < 2 && a < 2 {
-                n_trivial += 1;
-                continue;
-            }
-            let (graph, mapping) = induced_subgraph(g, &nodes);
-            shards.push(Shard {
-                graph,
-                mapping,
-                component: Some(id as u32),
-            });
-        }
-        let mut sharding = Sharding {
-            shards,
-            exact: true,
-            n_trivial,
-            n_queries: g.n_queries(),
-            n_ads: g.n_ads(),
-        };
-        sharding.sort_largest_first();
-        sharding
-    }
-
-    /// Assembles a sharding from externally carved shards (the partition
-    /// crate's extraction path). `exact` must describe whether the shards
-    /// preserve every edge incident to their members.
-    pub fn from_shards(g: &ClickGraph, shards: Vec<Shard>, exact: bool) -> Sharding {
-        debug_assert!(
-            shards.iter().all(|s| {
-                s.mapping.queries.windows(2).all(|w| w[0] < w[1])
-                    && s.mapping.ads.windows(2).all(|w| w[0] < w[1])
-            }),
-            "shard id remaps must be monotone (ascending parent ids): the \
-             engine's sorted stitch relies on remapped pair lists staying \
-             key-sorted"
-        );
-        let mut sharding = Sharding {
-            shards,
-            exact,
-            n_trivial: 0,
-            n_queries: g.n_queries(),
-            n_ads: g.n_ads(),
-        };
-        sharding.sort_largest_first();
-        sharding
-    }
-
-    fn sort_largest_first(&mut self) {
-        self.shards.sort_by_key(|s| std::cmp::Reverse(s.n_nodes()));
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Query count of the parent graph (the stitched matrix dimension).
-    pub fn parent_n_queries(&self) -> usize {
-        self.n_queries
-    }
-
-    /// Ad count of the parent graph.
-    pub fn parent_n_ads(&self) -> usize {
-        self.n_ads
-    }
-
-    /// Checks that no parent node appears in two shards (the precondition
-    /// for the engine's duplicate-rejecting stitch). O(nodes).
-    pub fn validate_disjoint(&self) -> Result<(), String> {
-        let mut q_seen = vec![false; self.n_queries];
-        let mut a_seen = vec![false; self.n_ads];
-        for (i, shard) in self.shards.iter().enumerate() {
-            for &pq in &shard.mapping.queries {
-                if pq.index() >= self.n_queries {
-                    return Err(format!("shard {i}: query {pq} out of parent range"));
-                }
-                if std::mem::replace(&mut q_seen[pq.index()], true) {
-                    return Err(format!("query {pq} appears in two shards"));
-                }
-            }
-            for &pa in &shard.mapping.ads {
-                if pa.index() >= self.n_ads {
-                    return Err(format!("shard {i}: ad {pa} out of parent range"));
-                }
-                if std::mem::replace(&mut a_seen[pa.index()], true) {
-                    return Err(format!("ad {pa} appears in two shards"));
-                }
-            }
-        }
-        Ok(())
+        shards.sort_by_key(|s| std::cmp::Reverse(s.graph.n_nodes()));
+        shards
     }
 }
 
@@ -219,27 +72,54 @@ impl Sharding {
 mod tests {
     use super::*;
     use crate::builder::ClickGraphBuilder;
+    use crate::components::connected_components;
+    use crate::delta::{dirty_for_endpoints, GraphDelta};
     use crate::edge::EdgeData;
     use crate::fixtures::figure3_graph;
+    use crate::ids::{AdId, QueryId};
+
+    /// Every component with an edge marked dirty: the full decomposition.
+    fn all_dirty(g: &ClickGraph) -> Vec<Shard> {
+        Shard::from_dirty(
+            g,
+            &dirty_for_endpoints(g, g.edges().map(|(q, a, _)| (q, a))),
+        )
+    }
+
+    /// Seeded multi-component graph: `blocks` disjoint bipartite blobs of
+    /// different sizes, interleaved ids, plus isolated nodes.
+    fn blobs(blocks: u32, seed: u64) -> ClickGraph {
+        let mut b = ClickGraphBuilder::new();
+        let mut x = seed | 1;
+        for blk in 0..blocks {
+            for _ in 0..(10 + 6 * blk) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let q = blk + blocks * ((x >> 33) % (4 + blk as u64)) as u32;
+                let a = blk + blocks * ((x >> 13) % (3 + blk as u64)) as u32;
+                b.add_edge(QueryId(q), AdId(a), EdgeData::from_clicks(1 + x % 4));
+            }
+        }
+        b.reserve_queries(blocks * (4 + blocks) + 2);
+        b.reserve_ads(blocks * (3 + blocks) + 1);
+        b.build()
+    }
 
     #[test]
-    fn figure3_sharding_splits_the_two_components() {
+    fn figure3_splits_into_its_two_components_largest_first() {
         let g = figure3_graph();
-        let s = Sharding::from_components(&g);
-        assert!(s.exact);
-        assert_eq!(s.n_shards(), 2);
-        assert_eq!(s.n_trivial, 0);
+        let s = all_dirty(&g);
+        assert_eq!(s.len(), 2);
         // Largest-first: {pc, camera, digital camera, tv} × {hp, bestbuy}.
-        assert_eq!(s.shards[0].graph.n_queries(), 4);
-        assert_eq!(s.shards[0].graph.n_ads(), 2);
-        assert_eq!(s.shards[1].graph.n_queries(), 1);
-        assert_eq!(s.shards[1].graph.n_ads(), 2);
-        s.validate_disjoint().unwrap();
+        assert_eq!(s[0].graph.n_queries(), 4);
+        assert_eq!(s[0].graph.n_ads(), 2);
+        assert_eq!(s[1].graph.n_queries(), 1);
+        assert_eq!(s[1].graph.n_ads(), 2);
     }
 
     #[test]
     fn from_dirty_shards_only_dirty_components() {
-        use crate::delta::GraphDelta;
         // Touch only the big component: the flower component stays clean and
         // gets no shard.
         let g = figure3_graph();
@@ -250,33 +130,70 @@ mod tests {
             EdgeData::from_clicks(1),
         );
         let g2 = d.apply(&g);
-        let dirty = d.dirty_components(&g2);
-        let s = Sharding::from_dirty(&g2, &dirty);
-        assert!(s.exact);
-        assert_eq!(s.n_shards(), 1);
-        assert_eq!(s.n_trivial, 0);
-        assert_eq!(s.shards[0].graph.n_queries(), 4);
-        s.validate_disjoint().unwrap();
+        let s = Shard::from_dirty(&g2, &d.dirty_components(&g2));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].graph.n_queries(), 4);
         // An empty delta shards nothing.
-        let none = GraphDelta::new();
-        let clean = none.dirty_components(&g2);
-        assert_eq!(Sharding::from_dirty(&g2, &clean).n_shards(), 0);
+        let clean = GraphDelta::new().dirty_components(&g2);
+        assert!(Shard::from_dirty(&g2, &clean).is_empty());
     }
 
     #[test]
-    fn remap_round_trips_shard_local_to_global_and_back() {
-        let g = figure3_graph();
-        let s = Sharding::from_components(&g);
-        for shard in &s.shards {
-            for q in shard.graph.queries() {
-                let parent = shard.mapping.to_parent_query(q);
-                assert_eq!(shard.mapping.to_sub_query(parent), Some(q));
-                // Names travel with the remap.
-                assert_eq!(shard.graph.query_name(q), g.query_name(parent));
+    fn sharding_component_sizes_total_node_counts() {
+        // The labeling partitions the nodes, and the all-dirty decomposition
+        // is exactly its non-trivial components: disjoint, largest first,
+        // every edge kept.
+        for seed in [1u64, 7, 42, 0xC0FFEE] {
+            let g = blobs(2 + (seed % 4) as u32, seed);
+            let c = connected_components(&g);
+            let sizes = c.sizes();
+            assert_eq!(sizes.len(), c.count);
+            assert_eq!(sizes.iter().map(|s| s.0).sum::<usize>(), g.n_queries());
+            assert_eq!(sizes.iter().map(|s| s.1).sum::<usize>(), g.n_ads());
+
+            let shards = all_dirty(&g);
+            let non_trivial = sizes.iter().filter(|&&(q, a)| q >= 2 || a >= 2).count();
+            assert_eq!(shards.len(), non_trivial);
+            assert!(shards
+                .windows(2)
+                .all(|w| w[0].graph.n_nodes() >= w[1].graph.n_nodes()));
+            let mut seen_q = vec![false; g.n_queries()];
+            let mut seen_a = vec![false; g.n_ads()];
+            for shard in &shards {
+                for &pq in &shard.mapping.queries {
+                    assert!(!std::mem::replace(&mut seen_q[pq.index()], true));
+                }
+                for &pa in &shard.mapping.ads {
+                    assert!(!std::mem::replace(&mut seen_a[pa.index()], true));
+                }
             }
-            for a in shard.graph.ads() {
-                let parent = shard.mapping.to_parent_ad(a);
-                assert_eq!(shard.mapping.to_sub_ad(parent), Some(a));
+            let edges: usize = shards.iter().map(|s| s.graph.n_edges()).sum();
+            assert_eq!(edges, g.n_edges(), "component shards keep all edges");
+        }
+    }
+
+    #[test]
+    fn sharding_remap_round_trip_is_identity() {
+        // shard-local → global → shard-local over every node of every shard;
+        // names and edge data travel with the remap.
+        for g in [figure3_graph(), blobs(4, 7)] {
+            let shards = all_dirty(&g);
+            assert!(!shards.is_empty());
+            for shard in &shards {
+                for q in shard.graph.queries() {
+                    let parent = shard.mapping.to_parent_query(q);
+                    assert_eq!(shard.mapping.to_sub_query(parent), Some(q));
+                    assert_eq!(shard.graph.query_name(q), g.query_name(parent));
+                }
+                for a in shard.graph.ads() {
+                    let parent = shard.mapping.to_parent_ad(a);
+                    assert_eq!(shard.mapping.to_sub_ad(parent), Some(a));
+                }
+                for (q, a, e) in shard.graph.edges() {
+                    let pq = shard.mapping.to_parent_query(q);
+                    let pa = shard.mapping.to_parent_ad(a);
+                    assert_eq!(g.edge(pq, pa), Some(e));
+                }
             }
         }
     }
@@ -284,79 +201,31 @@ mod tests {
     #[test]
     fn remap_is_monotone_per_shard() {
         // Monotone remaps preserve sorted CSR order — the property the
-        // bit-exactness of sharded propagation rests on.
-        let g = figure3_graph();
-        let s = Sharding::from_components(&g);
-        for shard in &s.shards {
+        // bit-exactness of per-block propagation rests on.
+        for shard in all_dirty(&blobs(5, 3)) {
             assert!(shard.mapping.queries.windows(2).all(|w| w[0] < w[1]));
             assert!(shard.mapping.ads.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
     #[test]
-    fn trivial_components_are_skipped() {
-        // q0-a0 pair component plus isolated q1, q2, a1: the isolated nodes
-        // are trivial, and the 1×1 edge component holds no same-side pair.
+    fn trivial_components_are_skipped_and_ad_pairs_kept() {
+        // q0-a0 is a 1×1 edge component (no same-side pair) beside isolated
+        // q1, q2, a1: nothing to shard.
         let mut b = ClickGraphBuilder::new();
         b.reserve_queries(3);
         b.reserve_ads(2);
         b.add_edge(QueryId(0), AdId(0), EdgeData::from_clicks(1));
-        let g = b.build();
-        let s = Sharding::from_components(&g);
-        assert_eq!(s.n_shards(), 0);
-        assert_eq!(s.n_trivial, 4);
-        assert_eq!(s.parent_n_queries(), 3);
-        assert_eq!(s.parent_n_ads(), 2);
-    }
+        assert!(all_dirty(&b.build()).is_empty());
+        assert!(all_dirty(&ClickGraphBuilder::new().build()).is_empty());
 
-    #[test]
-    fn singleton_query_with_ad_pair_is_kept() {
         // One query clicking two ads: no query pair, but an ad pair exists,
         // so the component must become a shard.
         let mut b = ClickGraphBuilder::new();
         b.add_edge(QueryId(0), AdId(0), EdgeData::from_clicks(1));
         b.add_edge(QueryId(0), AdId(1), EdgeData::from_clicks(1));
-        let g = b.build();
-        let s = Sharding::from_components(&g);
-        assert_eq!(s.n_shards(), 1);
-        assert_eq!(s.shards[0].graph.n_ads(), 2);
-    }
-
-    #[test]
-    fn empty_graph_has_no_shards() {
-        let g = ClickGraphBuilder::new().build();
-        let s = Sharding::from_components(&g);
-        assert_eq!(s.n_shards(), 0);
-        assert_eq!(s.n_trivial, 0);
-        s.validate_disjoint().unwrap();
-    }
-
-    #[test]
-    fn validate_disjoint_catches_overlap() {
-        let g = figure3_graph();
-        let mut s = Sharding::from_components(&g);
-        // Duplicate the first shard: every node now appears twice.
-        let dup = Shard {
-            graph: s.shards[0].graph.clone(),
-            mapping: s.shards[0].mapping.clone(),
-            component: s.shards[0].component,
-        };
-        s.shards.push(dup);
-        assert!(s.validate_disjoint().is_err());
-    }
-
-    #[test]
-    fn shard_edges_match_parent_component_edges() {
-        let g = figure3_graph();
-        let s = Sharding::from_components(&g);
-        let total_edges: usize = s.shards.iter().map(|sh| sh.graph.n_edges()).sum();
-        assert_eq!(total_edges, g.n_edges(), "component shards keep all edges");
-        for shard in &s.shards {
-            for (q, a, e) in shard.graph.edges() {
-                let pq = shard.mapping.to_parent_query(q);
-                let pa = shard.mapping.to_parent_ad(a);
-                assert_eq!(g.edge(pq, pa), Some(e));
-            }
-        }
+        let s = all_dirty(&b.build());
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].graph.n_ads(), 2);
     }
 }

@@ -20,7 +20,7 @@
 //! an fp division per step, so the merge is not associative at the bit
 //! level — folding per-bucket partials would produce graphs that differ in
 //! the last ulp from a from-scratch build of the same events, and every
-//! downstream bit-identity harness (sharded == monolithic, incremental ==
+//! downstream bit-identity harness (segmented == monolithic, incremental ==
 //! full) would see phantom diffs. Replaying raw events in arrival order
 //! makes `freeze()` bit-identical to a scratch [`ClickGraphBuilder`] fed
 //! the surviving events, by construction.

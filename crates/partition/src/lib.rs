@@ -11,20 +11,20 @@
 //! * [`mod@pagerank`] — global PageRank by power iteration (seed selection);
 //! * [`ppr`] — approximate personalized PageRank via the ACL push algorithm;
 //! * [`sweep`] — conductance and the sweep-cut search;
-//! * [`extract`] — the iterative driver that carves k disjoint subgraphs;
-//! * [`shard`] — extraction-based sharding: ACL blocks + per-component
-//!   remainders as an overlap-free (approximate) score decomposition.
+//! * [`extract`] — the iterative driver that carves k disjoint subgraphs.
+//!
+//! Its one consumer is that dataset preparation (`eval`, `bench`, the
+//! facade): nothing in the similarity engine or the serving layer cuts
+//! edges.
 
 pub mod extract;
 pub mod flat;
 pub mod pagerank;
 pub mod ppr;
-pub mod shard;
 pub mod sweep;
 
 pub use extract::{extract_subgraphs, ExtractConfig};
 pub use flat::FlatView;
 pub use pagerank::{pagerank, PagerankConfig};
 pub use ppr::{approximate_ppr, PprConfig};
-pub use shard::{extraction_sharding, extraction_sharding_with};
 pub use sweep::{conductance, sweep_cut, SweepResult};

@@ -1,15 +1,15 @@
 //! Build, inspect, update, and serve rewrite indexes from the command line.
 //!
 //! ```text
-//! serve build <graph.tsv> <out.idx> [method] [shard]   offline: TSV graph → snapshot
+//! serve build <graph.tsv> <out.idx> [method]   offline: TSV graph → snapshot
 //! serve build <store.seg> <out.idx> [method]   segment-at-a-time build: peak memory
 //!                                              bounded by the largest segment
-//! serve build --fixture fig3 <out.idx> [method] [shard]   (the paper's Figure 3 graph)
+//! serve build --fixture fig3 <out.idx> [method]   (the paper's Figure 3 graph)
 //! serve segment <graph.tsv> <out.seg> [target-nodes]   TSV graph → segmented store
 //! serve run <index.idx>                        online: line protocol on stdin/stdout;
 //!                                              the snapshot is mmap-ed and served
 //!                                              zero-copy (O(ms) startup at any size)
-//! serve run --graph <graph.tsv> [method] [shard]   build in memory, then serve
+//! serve run --graph <graph.tsv> [method]      build in memory, then serve
 //!                                              (enables the `update` protocol verb)
 //! serve run --graph <graph.tsv> --mode single-source   skip the offline build: every
 //!                                              query is computed live on demand and
@@ -31,11 +31,10 @@
 //! ```
 //!
 //! `method` is one of `naive | pearson | simrank | evidence | weighted`
-//! (default `weighted`, the paper's best). `shard` selects the engine
-//! decomposition for the recursive methods: `components` (default; exact —
-//! one engine run per click-graph component, so the index is identical to a
-//! monolithic build), `off`, or `extracted:K` (approximate ACL carving of
-//! the giant component into K blocks). Diagnostics go to stderr; stdout
+//! (default `weighted`, the paper's best). Every full build is one
+//! monolithic engine run; component decomposition (exact) happens where it
+//! pays — `update`/`ingest` refresh only dirty components, and a `.seg`
+//! build runs one segment at a time. Diagnostics go to stderr; stdout
 //! carries only the line protocol, so `serve run` pipes cleanly.
 //!
 //! With `--graph` and a recursive method the server also holds a live
@@ -71,7 +70,7 @@
 //! mismatch would mix weight regimes between refreshed and copied rows
 //! undetected.
 
-use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, ShardStrategy, SimrankConfig};
+use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::delta::{apply_named, read_delta_tsv};
 use simrankpp_graph::fixtures::figure3_graph;
 use simrankpp_graph::{
@@ -87,10 +86,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage:
-  serve build <graph.tsv>|<store.seg>|--fixture fig3 <out.idx> [method] [shard]
+  serve build <graph.tsv>|<store.seg>|--fixture fig3 <out.idx> [method]
   serve segment <graph.tsv> <out.seg> [target-nodes-per-segment]
   serve run <index.idx>
-  serve run --graph <graph.tsv> [method] [shard] [--mode all-pairs|single-source] [--cache-capacity N]
+  serve run --graph <graph.tsv> [method] [--mode all-pairs|single-source] [--cache-capacity N]
   serve listen [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S] <same sources as run>
   serve update <index.idx> <delta.tsv> --graph <graph.tsv>|--fixture fig3 [out.idx] [--write-graph <path>]
   serve info <index.idx>
@@ -98,7 +97,6 @@ const USAGE: &str = "usage:
                [--checkpoint <path>] [--resume]
                [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S]
 method: naive | pearson | simrank | evidence | weighted (default weighted)
-shard:  components | off | extracted:K (default components; exact)
 mode:   all-pairs (default; precompute every row offline) | single-source
         (no offline build: rows computed per query on demand, LRU-cached)
 weight: --weight-kind impressions|clicks|ecr — edge weight behind transition
@@ -207,39 +205,21 @@ fn peel_weight_kind(args: &[String]) -> Result<(Option<WeightKind>, Vec<String>)
     Ok((kind, rest))
 }
 
-fn shard_strategy(name: &str) -> Result<ShardStrategy, String> {
-    Ok(match name {
-        "off" => ShardStrategy::Off,
-        "components" => ShardStrategy::Components,
-        other => match other.strip_prefix("extracted:").map(str::parse::<usize>) {
-            Some(Ok(k)) if k > 0 => ShardStrategy::Extracted(k),
-            _ => return Err(format!("unknown shard strategy {other:?}\n{USAGE}")),
-        },
-    })
-}
-
 /// The one serving configuration: every `serve` code path — `build`, `run
 /// --graph`, `update`, and the protocol `update` verb — must compute with
 /// identical parameters, or an incremental rebuild would mix generations.
 /// The weight kind is the operator-chosen part (`--weight-kind`); it must
 /// match across a build and its later updates.
-fn serve_config(sharding: ShardStrategy, weight: WeightKind) -> SimrankConfig {
-    SimrankConfig::default()
-        .with_weight_kind(weight)
-        .with_sharding(sharding)
+fn serve_config(weight: WeightKind) -> SimrankConfig {
+    SimrankConfig::default().with_weight_kind(weight)
 }
 
-fn build_index(
-    graph: &ClickGraph,
-    kind: MethodKind,
-    sharding: ShardStrategy,
-    weight: WeightKind,
-) -> RewriteIndex {
+fn build_index(graph: &ClickGraph, kind: MethodKind, weight: WeightKind) -> RewriteIndex {
     let t0 = Instant::now();
-    let config = serve_config(sharding, weight);
+    let config = serve_config(weight);
     let method = Method::compute(kind, graph, &config);
     eprintln!(
-        "computed {} over {} queries / {} ads ({sharding:?} sharding) in {:.1?}",
+        "computed {} over {} queries / {} ads in {:.1?}",
         kind.name(),
         graph.n_queries(),
         graph.n_ads(),
@@ -247,12 +227,7 @@ fn build_index(
     );
     let t1 = Instant::now();
     let rewriter = Rewriter::new(graph, method, RewriterConfig::default());
-    let mut index = RewriteIndex::build(&rewriter, None, 0);
-    if let ShardStrategy::Extracted(_) = sharding {
-        // Extraction sharding cuts edges; record the approximation so
-        // snapshots of this index refuse exact incremental refresh later.
-        index.set_approx_sharding(true);
-    }
+    let index = RewriteIndex::build(&rewriter, None, 0);
     eprintln!(
         "indexed {} rewrites for {} queries in {:.1?}",
         index.n_entries(),
@@ -272,7 +247,7 @@ fn build(args: &[String]) -> Result<(), String> {
         let kind = method_kind(args.get(2).map(String::as_str).unwrap_or("weighted"))?;
         let mut store = SegmentedStore::open(path.as_ref()).map_err(|e| open_failure(path, e))?;
         let t0 = Instant::now();
-        let config = serve_config(ShardStrategy::Components, weight);
+        let config = serve_config(weight);
         let index = RewriteIndex::build_segmented(
             &mut store,
             kind,
@@ -304,11 +279,13 @@ fn build(args: &[String]) -> Result<(), String> {
         Some(path) => (load_graph(path, false)?, &args[1..]),
         None => return Err(USAGE.to_owned()),
     };
+    if rest.len() > 2 {
+        return Err(USAGE.to_owned());
+    }
     let out = rest.first().ok_or(USAGE.to_owned())?;
     let kind = method_kind(rest.get(1).map(String::as_str).unwrap_or("weighted"))?;
-    let sharding = shard_strategy(rest.get(2).map(String::as_str).unwrap_or("components"))?;
 
-    let index = build_index(&graph, kind, sharding, weight);
+    let index = build_index(&graph, kind, weight);
     index
         .save(out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -346,25 +323,22 @@ fn segment(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the offline index over `graph` and assembles the serve state.
-/// Updatable servers of a recursive method also get the live single-source
-/// fallback, so queries the index misses (possible once deltas land) are
-/// computed on demand instead of refused.
+/// Builds the offline index over `graph` and assembles the updatable serve
+/// state. A recursive method also gets the live single-source fallback, so
+/// queries the index misses (possible once deltas land) are computed on
+/// demand instead of refused.
 fn build_state(
     graph: ClickGraph,
     kind: MethodKind,
-    sharding: ShardStrategy,
     weight: WeightKind,
     cache_capacity: usize,
-    updatable: bool,
 ) -> Result<ServeState, String> {
-    let index = build_index(&graph, kind, sharding, weight);
-    let config = serve_config(sharding, weight);
-    let live = if updatable
-        && matches!(
-            kind,
-            MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank
-        ) {
+    let index = build_index(&graph, kind, weight);
+    let config = serve_config(weight);
+    let live = if matches!(
+        kind,
+        MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank
+    ) {
         let t0 = Instant::now();
         let live = LiveContext::new(graph.clone(), kind, config, RewriterConfig::default())?;
         eprintln!(
@@ -375,18 +349,14 @@ fn build_state(
     } else {
         None
     };
-    let state = if updatable {
-        ServeState::updatable(
-            index,
-            UpdateContext {
-                graph,
-                config,
-                rewriter: RewriterConfig::default(),
-            },
-        )
-    } else {
-        ServeState::fixed(index)
-    };
+    let state = ServeState::updatable(
+        index,
+        UpdateContext {
+            graph,
+            config,
+            rewriter: RewriterConfig::default(),
+        },
+    );
     Ok(match live {
         Some(l) => state.with_live(l, cache_capacity),
         None => state,
@@ -418,7 +388,7 @@ fn parse_serve_options(
     ingest: bool,
 ) -> Result<ServeOptions, String> {
     // Peel the flagged options off; what remains keeps the historical
-    // positional shape (`--graph <path> [method] [shard]` or `<index.idx>`).
+    // positional shape (`--graph <path> [method]` or `<index.idx>`).
     let mut opts = ServeOptions {
         mode: "all-pairs".to_owned(),
         cache_capacity: 4096,
@@ -547,15 +517,17 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
     let positional: Vec<&str> = opts.positional.iter().map(String::as_str).collect();
     let state = match positional.first().copied() {
         Some("--graph") => {
+            if positional.len() > 3 {
+                return Err(USAGE.to_owned());
+            }
             let path = positional.get(1).ok_or(USAGE.to_owned())?;
             let kind = method_kind(positional.get(2).copied().unwrap_or("weighted"))?;
-            let sharding = shard_strategy(positional.get(3).copied().unwrap_or("components"))?;
             let graph = load_graph(path, false)?;
             if mode == "single-source" {
                 // No offline build at all: an empty index (every lookup
                 // misses) over a live engine, so each query's row is
                 // computed on first demand and LRU-cached.
-                let config = serve_config(sharding, weight);
+                let config = serve_config(weight);
                 let meta = simrankpp_serve::IndexMeta {
                     method: kind,
                     max_rewrites: RewriterConfig::default().max_rewrites as u32,
@@ -572,19 +544,9 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
                     t0.elapsed()
                 );
                 ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, cache_capacity)
-            } else if let ShardStrategy::Extracted(_) = sharding {
-                // Extraction sharding cuts edges (approximate); an exact
-                // per-component incremental refresh would silently mix
-                // regimes with the approximate rows it copies. Serve
-                // frozen instead of producing a hybrid index.
-                eprintln!(
-                    "extracted sharding is approximate: `update` disabled \
-                     (rebuild with `components` to enable incremental updates)"
-                );
-                build_state(graph, kind, sharding, weight, cache_capacity, false)?
             } else {
                 eprintln!("live graph held: `update <delta.tsv>` hot-swaps the index in place");
-                build_state(graph, kind, sharding, weight, cache_capacity, true)?
+                build_state(graph, kind, weight, cache_capacity)?
             }
         }
         Some(path) => {
@@ -692,7 +654,7 @@ fn update(args: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let (new_graph, delta) = apply_named(&graph, &ops)?;
     let dirty = delta.dirty_components(&new_graph);
-    let config = serve_config(ShardStrategy::Components, weight);
+    let config = serve_config(weight);
     let (next, stats) = index.rebuild_incremental(
         &new_graph,
         &dirty,
@@ -744,7 +706,6 @@ fn info(args: &[String]) -> Result<(), String> {
     println!("method          {}", index.meta().method.name());
     println!("max rewrites    {}", index.meta().max_rewrites);
     println!("bid filtered    {}", index.meta().bid_filtered);
-    println!("approx sharding {}", index.meta().approx_sharding);
     println!("engine kernel   {:?}", index.meta().kernel);
     println!("backing         {}", index.backing_kind());
     println!("file bytes      {}", index.file_len());
@@ -801,7 +762,7 @@ fn ingest(args: &[String]) -> Result<(), String> {
         window: opts.window,
         decay: opts.decay,
         method: kind,
-        config: serve_config(ShardStrategy::Components, weight),
+        config: serve_config(weight),
         rewriter: RewriterConfig::default(),
         threads: 0,
     };

@@ -14,7 +14,7 @@
 //! cloned name interner answers `lookup("camera")` for the line protocol.
 
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
-use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Sharding};
+use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Shard};
 use simrankpp_util::FxHashSet;
 
 /// Provenance carried by an index (and through snapshots): what produced the
@@ -27,11 +27,11 @@ pub struct IndexMeta {
     pub max_rewrites: u32,
     /// Whether the §9.3 bid-term filter was applied at build time.
     pub bid_filtered: bool,
-    /// Whether the scores were computed under an **approximate** (edge
-    /// cutting) sharding regime such as `ShardStrategy::Extracted`.
-    /// Incremental refresh is exact-per-component and would silently mix
-    /// regimes with copied approximate rows, so
-    /// [`RewriteIndex::rebuild_incremental`] refuses such indexes.
+    /// Selects nothing: the approximate (edge-cutting) `Extracted` sharding
+    /// it recorded is gone, no build sets it, snapshots never write it, and
+    /// a snapshot carrying the flag is refused on load (`crate::snapshot`).
+    /// The field stays only because the frozen `benchmark/` sources spell
+    /// it (benchmark-pinned).
     pub approx_sharding: bool,
     /// Always [`KernelKind::Pull`], the one engine kernel; the field and
     /// its snapshot META word stay only because the frozen `benchmark/`
@@ -42,14 +42,52 @@ pub struct IndexMeta {
     /// How many segments of a [`simrankpp_graph::SegmentedStore`] the index
     /// was built from — `0` for a monolithic in-memory build. Provenance
     /// only: segmented and monolithic builds over the same graph are
-    /// bit-identical (both decompose exactly by component), so nothing
-    /// refuses on a mismatch; the count surfaces in `serve info`.
+    /// bit-identical (segments hold whole components, and component
+    /// decomposition is exact), so nothing refuses on a mismatch; the
+    /// count surfaces in `serve info`.
     pub segments: u32,
 }
 
-/// One recomputed row during an incremental rebuild: the global query index
-/// plus its refreshed `(target, score)` entries.
-type FreshRow = (usize, Vec<(u32, f64)>);
+/// One row computed on a component block: the global query id plus its
+/// `(global target id, score)` entries in ranking order.
+type BlockRow = (u32, Vec<(u32, f64)>);
+
+/// The rows of one component block — a store [`simrankpp_graph::Segment`]'s
+/// graph or a dirty [`Shard`]'s — computed on the block alone: the method
+/// runs on `block`, the §9.3 funnel per local query, and `queries` (global
+/// query id per local id, monotone) carries ids back out. `bid_terms` are
+/// global ids and are remapped into the block. Blocks hold whole connected
+/// components and monotone ids keep equal-score tie-breaks, so the rows are
+/// bit-identical to a whole-graph build's.
+fn block_rows(
+    kind: MethodKind,
+    block: &ClickGraph,
+    queries: &[u32],
+    config: &SimrankConfig,
+    rewriter_config: RewriterConfig,
+    bid_terms: Option<&FxHashSet<QueryId>>,
+) -> Vec<BlockRow> {
+    let method = Method::compute(kind, block, config);
+    let rewriter = Rewriter::new(block, method, rewriter_config);
+    let local_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
+        queries
+            .iter()
+            .enumerate()
+            .filter(|(_, &global)| bids.contains(&QueryId(global)))
+            .map(|(local, _)| QueryId(local as u32))
+            .collect()
+    });
+    let mut row = Vec::new();
+    queries
+        .iter()
+        .enumerate()
+        .map(|(local, &global)| {
+            rewriter.rewrite_ids_into(QueryId(local as u32), local_bids.as_ref(), &mut row);
+            let global_row = row.iter().map(|&(t, s)| (queries[t.index()], s)).collect();
+            (global, global_row)
+        })
+        .collect()
+}
 
 /// The arena offset of a row ending at `total` entries — the one place the
 /// `u32` offset width is enforced.
@@ -226,34 +264,28 @@ impl RewriteIndex {
 
         for i in 0..store.n_segments() {
             let seg = store.load_segment(i)?;
-            let method = Method::compute(kind, &seg.graph, config);
-            let rewriter = Rewriter::new(&seg.graph, method, rewriter_config);
-            let local_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
-                seg.queries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &global)| bids.contains(&QueryId(global)))
-                    .map(|(local, _)| QueryId(local as u32))
-                    .collect()
-            });
-            let mut row = Vec::new();
-            for (local, &global) in seg.queries.iter().enumerate() {
-                rewriter.rewrite_ids_into(QueryId(local as u32), local_bids.as_ref(), &mut row);
-                let global_row: Vec<(u32, f64)> = row
-                    .iter()
-                    .map(|&(t, s)| (seg.queries[t.index()], s))
-                    .collect();
+            let seg_rows = block_rows(
+                kind,
+                &seg.graph,
+                &seg.queries,
+                config,
+                rewriter_config,
+                bid_terms,
+            );
+            for (global, row) in seg_rows {
                 let slot = rows.get_mut(global as usize).ok_or_else(|| {
                     bad(format!(
                         "segment {i}: global query id {global} out of range"
                     ))
                 })?;
-                if slot.replace(global_row).is_some() {
+                if slot.replace(row).is_some() {
                     return Err(bad(format!(
                         "global query id {global} appears in more than one segment"
                     )));
                 }
-                if has_names {
+            }
+            if has_names {
+                for (local, &global) in seg.queries.iter().enumerate() {
                     let name = seg
                         .graph
                         .query_name(QueryId(local as u32))
@@ -311,13 +343,12 @@ impl RewriteIndex {
     /// [`simrankpp_graph::GraphDelta::dirty_components`] over it. For each
     /// dirty non-trivial component the similarity method named by
     /// `self.meta.method` is recomputed **on the induced component subgraph
-    /// alone** (serial, unsharded — the regime where component decomposition
-    /// is bit-exact, see `simrankpp_core::engine::sharded`) and the §9.3
-    /// pipeline re-runs for its queries; shard-local ids remap monotonically
-    /// to global ones, so candidate ordering ties break identically to a
-    /// full rebuild. Queries in clean components keep their exact rows: the
-    /// result is bit-identical to `RewriteIndex::build` over the new graph
-    /// at test scale.
+    /// alone** (component decomposition is bit-exact, see
+    /// `simrankpp_graph::sharding`) and the §9.3 pipeline re-runs for its
+    /// queries; shard-local ids remap monotonically to global ones, so
+    /// candidate ordering ties break identically to a full rebuild. Queries
+    /// in clean components keep their exact rows: the result is
+    /// bit-identical to `RewriteIndex::build` over the new graph.
     ///
     /// `config`/`rewriter_config`/`bid_terms` must match what built `self`
     /// (checked against `meta` where recorded: method family via
@@ -343,13 +374,6 @@ impl RewriteIndex {
         if bid_terms.is_some() != self.meta.bid_filtered {
             return Err("bid filtering must match the original build".into());
         }
-        if self.meta.approx_sharding {
-            return Err(
-                "index was built under approximate (extracted) sharding: an exact \
-                 per-component refresh would mix regimes — rebuild with `components`"
-                    .into(),
-            );
-        }
         let old_n = self.n_queries();
         let new_n = new_graph.n_queries();
         if new_n < old_n {
@@ -369,48 +393,32 @@ impl RewriteIndex {
             }
         }
 
-        // Recompute the method per dirty component, on the induced subgraph,
-        // in the serial unsharded regime (bit-exact decomposition). Like the
-        // engine's sharded runner, parallelism lives at the shard level:
-        // `config.threads` scoped workers pull shards off an atomic queue
-        // (each shard stays serial inside, and shards write disjoint query
-        // rows, so the result is identical for any worker count).
-        let local_cfg = SimrankConfig {
-            threads: 1,
-            sharding: simrankpp_core::ShardStrategy::Off,
-            ..*config
-        };
-        let sharding = Sharding::from_dirty(new_graph, dirty);
-        let rebuild_shard = |shard: &simrankpp_graph::Shard| -> Vec<FreshRow> {
-            let method = Method::compute(self.meta.method, &shard.graph, &local_cfg);
-            let rewriter = Rewriter::new(&shard.graph, method, *rewriter_config);
-            let shard_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
-                bids.iter()
-                    .filter_map(|&b| shard.mapping.to_sub_query(b))
-                    .collect()
-            });
-            let mut row = Vec::new();
-            let mut out = Vec::with_capacity(shard.graph.n_queries());
-            for sq in shard.graph.queries() {
-                rewriter.rewrite_ids_into(sq, shard_bids.as_ref(), &mut row);
-                let global: Vec<(u32, f64)> = row
-                    .iter()
-                    .map(|&(t, s)| (shard.mapping.to_parent_query(t).0, s))
-                    .collect();
-                out.push((shard.mapping.to_parent_query(sq).index(), global));
-            }
-            out
-        };
-        let workers = config.effective_threads().min(sharding.n_shards()).max(1);
-        let shard_rows: Vec<Vec<FreshRow>> =
-            simrankpp_core::engine::parallel::run_indexed(sharding.n_shards(), workers, |i| {
-                rebuild_shard(&sharding.shards[i])
+        // Recompute the method per dirty component, on the induced subgraph
+        // alone. Parallelism lives at the block level: `config.threads`
+        // scoped workers pull shards (largest first) off an atomic queue,
+        // each shard stays serial inside, and shards write disjoint query
+        // rows, so the result is identical for any worker count.
+        let local_cfg = config.with_threads(1);
+        let shards = Shard::from_dirty(new_graph, dirty);
+        let workers = config.effective_threads().min(shards.len()).max(1);
+        let shard_rows: Vec<Vec<BlockRow>> =
+            simrankpp_core::engine::parallel::run_indexed(shards.len(), workers, |i| {
+                let shard = &shards[i];
+                let queries: Vec<u32> = shard.mapping.queries.iter().map(|q| q.0).collect();
+                block_rows(
+                    self.meta.method,
+                    &shard.graph,
+                    &queries,
+                    &local_cfg,
+                    *rewriter_config,
+                    bid_terms,
+                )
             });
         let mut fresh: Vec<Option<Vec<(u32, f64)>>> = vec![None; new_n];
         let mut refreshed_entries = 0usize;
-        for (q, global) in shard_rows.into_iter().flatten() {
-            refreshed_entries += global.len();
-            fresh[q] = Some(global);
+        for (q, row) in shard_rows.into_iter().flatten() {
+            refreshed_entries += row.len();
+            fresh[q as usize] = Some(row);
         }
 
         // Assemble the next arena generation: fresh rows for dirty queries
@@ -458,15 +466,6 @@ impl RewriteIndex {
             scores: Vec::new(),
             names: None,
         }
-    }
-
-    /// Marks the index as built under an approximate (edge-cutting) sharding
-    /// regime. `RewriteIndex::build` cannot see the engine strategy (it only
-    /// receives precomputed scores), so the caller that chose
-    /// `ShardStrategy::Extracted` must record it; the flag travels through
-    /// snapshots and blocks incremental refresh.
-    pub fn set_approx_sharding(&mut self, approx: bool) {
-        self.meta.approx_sharding = approx;
     }
 
     /// Build provenance.
@@ -820,13 +819,6 @@ mod tests {
         assert!(old
             .rebuild_incremental(&g2, &other_dirty, &cfg, &RewriterConfig::default(), None)
             .is_err());
-        // Approximate-sharding builds refuse exact incremental refresh.
-        let mut approx = old.clone();
-        approx.set_approx_sharding(true);
-        let err = approx
-            .rebuild_incremental(&g2, &dirty, &cfg, &RewriterConfig::default(), None)
-            .unwrap_err();
-        assert!(err.contains("approximate"), "{err}");
     }
 
     #[test]

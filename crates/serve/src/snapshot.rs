@@ -15,9 +15,9 @@
 //! ```text
 //! tag   section         payload
 //! 0x01  META            u64 × 7: method, max_rewrites,
-//!                       flags (bid_filtered | approx_sharding << 1 |
-//!                       has_names << 2), kernel, n_queries, n_entries,
-//!                       segments
+//!                       flags (bid_filtered | has_names << 2; bit 1 is
+//!                       never written, see below), kernel, n_queries,
+//!                       n_entries, segments
 //! 0x02  OFFSETS         u32 × (n_queries + 1), row extents
 //! 0x03  TARGETS         u32 × n_entries, rewrite ids
 //! 0x04  SCORES          f64 × n_entries
@@ -32,11 +32,15 @@
 //! without materialising a hash map at load (which would be O(n) startup).
 //!
 //! Version history: v4 this arena layout; v3 added the engine `kernel`
-//! byte; v2 added the `approx_sharding` flag. Older versions are refused
-//! with a rebuild hint — snapshots are cheap build artifacts, not
-//! long-lived data. The v1–v3 header began `magic | version u32`, which
-//! coincides with the arena header's magic/version slots, so the version
-//! check below reads old files' true version and refuses them cleanly.
+//! byte; v2 added the `approx_sharding` flag (flags bit 1), which marked
+//! rows built under the since-removed edge-cutting `Extracted` sharding: no
+//! build writes it any more, and a v4 file carrying it is refused like a
+//! removed kernel word, so such rows can never be refreshed with exact
+//! ones. Older versions are refused with a rebuild hint — snapshots are
+//! cheap build artifacts, not long-lived data. The v1–v3 header began
+//! `magic | version u32`, which coincides with the arena header's
+//! magic/version slots, so the version check below reads old files' true
+//! version and refuses them cleanly.
 
 use crate::index::{IndexMeta, RewriteIndex};
 use simrankpp_core::{KernelKind, MethodKind};
@@ -60,6 +64,7 @@ pub(crate) const SEC_NAME_IDS: u64 = 0x08;
 
 pub(crate) const META_WORDS: usize = 7;
 pub(crate) const FLAG_BID: u64 = 1;
+/// Refused on load, never written (see the version history above).
 pub(crate) const FLAG_APPROX: u64 = 1 << 1;
 pub(crate) const FLAG_NAMES: u64 = 1 << 2;
 /// META word 3 for [`KernelKind::Pull`] — the only value written or loaded;
@@ -77,9 +82,6 @@ impl RewriteIndex {
         let mut flags = 0u64;
         if self.meta.bid_filtered {
             flags |= FLAG_BID;
-        }
-        if self.meta.approx_sharding {
-            flags |= FLAG_APPROX;
         }
         if self.names.is_some() {
             flags |= FLAG_NAMES;
@@ -206,6 +208,12 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
             meta[3]
         )));
     }
+    if flags & FLAG_APPROX != 0 {
+        return Err(corrupt(
+            "snapshot was built under approximate (extracted) sharding, which was removed — \
+             its rows cannot be mixed with exact ones; rebuild the snapshot with `serve build`",
+        ));
+    }
     let n_queries = meta[4];
     let n_entries = meta[5];
     let segments = u32::try_from(meta[6]).map_err(|_| corrupt("segment count out of range"))?;
@@ -217,7 +225,7 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
             method,
             max_rewrites,
             bid_filtered: flags & FLAG_BID != 0,
-            approx_sharding: flags & FLAG_APPROX != 0,
+            approx_sharding: false,
             kernel: KernelKind::Pull,
             segments,
         },
@@ -369,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_sharding_flag_survives_roundtrip() {
-        let mut index = fig3_index(MethodKind::Simrank);
-        index.set_approx_sharding(true);
-        let loaded = roundtrip(&index);
-        assert!(loaded.meta().approx_sharding);
-        assert_eq!(loaded.meta(), index.meta());
-    }
-
-    #[test]
     fn binary_roundtrip_is_identical() {
         for kind in MethodKind::EVALUATED {
             let index = fig3_index(kind);
@@ -521,22 +520,29 @@ mod tests {
 
     #[test]
     fn legacy_kernel_words_refused_with_rebuild_hint() {
-        // Words 1 (flat) and 2 (hash-map) were valid before those kernels
-        // were removed; both load paths must refuse them by name, not serve
-        // their rows as pull-built.
+        // Kernel words 1 (flat) and 2 (hash-map) were valid before those
+        // kernels were removed, and flags bit 1 marked rows built under the
+        // removed approximate sharding; both load paths must refuse them by
+        // name, not serve their rows as exact pull-built ones.
         let clean = snapshot_bytes(&fig3_index(MethodKind::Simrank));
         let meta_off = table_end(&clean);
-        for word in [1u64, 2] {
+        let flags = u64::from_ne_bytes(clean[meta_off + 16..meta_off + 24].try_into().unwrap());
+        for (word_at, word, needle) in [
+            (24, 1u64, "engine kernel 1"),
+            (24, 2, "engine kernel 2"),
+            (16, flags | FLAG_APPROX, "approximate (extracted) sharding"),
+        ] {
             let mut buf = clean.clone();
-            buf[meta_off + 24..meta_off + 32].copy_from_slice(&word.to_ne_bytes());
+            buf[meta_off + word_at..meta_off + word_at + 8].copy_from_slice(&word.to_ne_bytes());
             reseal(&mut buf);
-            let path = std::env::temp_dir().join(format!("simrankpp_legacy_kernel_{word}.idx"));
+            let path =
+                std::env::temp_dir().join(format!("simrankpp_legacy_meta_{word_at}_{word}.idx"));
             std::fs::write(&path, &buf).unwrap();
             let heap = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
             let mapped = crate::mapped::MappedIndex::open(&path).unwrap_err();
             std::fs::remove_file(&path).ok();
             for msg in [heap.to_string(), mapped.to_string()] {
-                assert!(msg.contains(&format!("engine kernel {word}")), "{msg}");
+                assert!(msg.contains(needle), "{msg}");
                 assert!(
                     msg.contains("rebuild the snapshot with `serve build`"),
                     "{msg}"

@@ -49,8 +49,8 @@ fn weighted_sparse_matches_dense_spread_on_and_off() {
             for k in [1, 4] {
                 let s = weighted_simrank_with_spread(&g, &cfg(k), EvidenceKind::Geometric, spread);
                 let (dq_mat, da_mat) = weighted_simrank_dense(&g, &cfg(k), spread);
-                let dq = s.raw_queries.max_abs_diff(&dq_mat);
-                let da = s.raw_ads.max_abs_diff(&da_mat);
+                let dq = s.raw.queries.max_abs_diff(&dq_mat);
+                let da = s.raw.ads.max_abs_diff(&da_mat);
                 assert!(dq < 1e-10, "{name} {spread:?} k={k}: query drift {dq}");
                 assert!(da < 1e-10, "{name} {spread:?} k={k}: ad drift {da}");
             }
@@ -70,8 +70,8 @@ fn weighted_with_uniform_weights_equals_plain_engine() {
         EvidenceKind::Geometric,
         SpreadMode::Exponential,
     );
-    assert!(plain.queries.max_abs_diff(&weighted.raw_queries) < 1e-14);
-    assert!(plain.ads.max_abs_diff(&weighted.raw_ads) < 1e-14);
+    assert!(plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-14);
+    assert!(plain.ads.max_abs_diff(&weighted.raw.ads) < 1e-14);
 }
 
 #[test]
@@ -113,19 +113,16 @@ fn diagnostics_shape_is_uniform_across_variants() {
         &cfg(6),
         EvidenceKind::Geometric,
         SpreadMode::Exponential,
-    );
-    for (pc, md, it) in [
-        (&plain.pair_counts, &plain.max_deltas, plain.iterations_run),
-        (
-            &weighted.pair_counts,
-            &weighted.max_deltas,
-            weighted.iterations_run,
-        ),
-    ] {
-        assert_eq!(pc.len(), 6);
-        assert_eq!(md.len(), 6);
-        assert_eq!(it, 6);
-        assert!(md.windows(2).all(|w| w[1] <= w[0] + 1e-12), "deltas grow");
+    )
+    .raw;
+    for r in [&plain, &weighted] {
+        assert_eq!(r.pair_counts.len(), 6);
+        assert_eq!(r.max_deltas.len(), 6);
+        assert_eq!(r.iterations_run, 6);
+        assert!(
+            r.max_deltas.windows(2).all(|w| w[1] <= w[0] + 1e-12),
+            "deltas grow"
+        );
     }
     // Uniform weights on Figure 3: the two variants see identical pair
     // support, so the stored-pair trajectories coincide.

@@ -1,11 +1,16 @@
 //! Differential harness: incremental recompute == from-scratch recompute.
 //!
-//! PR 3's sharding harness proved the score matrix block-diagonal over
-//! connected components; this suite pins the *temporal* consequence: after a
-//! [`GraphDelta`], recomputing only the dirty components and copying every
-//! clean query's row ([`RewriteIndex::rebuild_incremental`], the one refresh
-//! path production runs) reproduces a from-scratch index build over the
-//! updated graph **bit for bit** at test scale — for insert-only deltas,
+//! The score matrix is block-diagonal over connected components (see
+//! `simrankpp::graph::sharding`), and component decomposition lives in one
+//! layer, the index build. This suite first pins the theorem that layer
+//! rests on at **score level**: an engine run on each component block alone
+//! reproduces that block of the monolithic run bit for bit (uniform and
+//! weighted, pruned and unpruned), and the monolithic run never stores a
+//! pair straddling two components. Then it pins the *temporal* consequence:
+//! after a [`GraphDelta`], recomputing only the dirty components and copying
+//! every clean query's row ([`RewriteIndex::rebuild_incremental`], the one
+//! refresh path production runs) reproduces a from-scratch index build over
+//! the updated graph **bit for bit** at test scale — for insert-only deltas,
 //! component-merging inserts, removals (splits), and mixed batches.
 //! Alongside the equivalence, the suite proves the accounting ISSUE 4
 //! demands:
@@ -25,12 +30,16 @@
 //! bit-identical stitching must survive optimized codegen.
 
 use proptest::prelude::*;
-use simrankpp::core::engine::{self, UniformTransition};
+use simrankpp::core::engine::{self, Transition, UniformTransition, WeightedTransition};
+use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{RewriterConfig, ScoreMatrix};
-use simrankpp::graph::delta::GraphDelta;
+use simrankpp::graph::components::connected_components;
+use simrankpp::graph::delta::{dirty_for_endpoints, GraphDelta};
+use simrankpp::graph::Shard;
 use simrankpp::prelude::*;
 use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::generate;
+use simrankpp::synth::spam::{inject_click_spam, SpamConfig};
 
 fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
     let mut gen = GeneratorConfig::tiny().with_seed(seed);
@@ -92,6 +101,46 @@ fn mixed_delta(
     d
 }
 
+/// Runs the engine on every component block of `g` alone and checks the
+/// blocks, remapped to global ids, are exactly the monolithic run: same pair
+/// set, bit-identical f64s, same per-iteration stored-pair totals.
+fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConfig, t: &T) {
+    let mono = engine::run(g, c, t);
+    let all_dirty = dirty_for_endpoints(g, g.edges().map(|(q, a, _)| (q, a)));
+    let mut block_pairs = (0usize, 0usize);
+    let mut pair_counts = vec![(0usize, 0usize); c.iterations];
+    for shard in Shard::from_dirty(g, &all_dirty) {
+        let block = engine::run(&shard.graph, c, t);
+        assert_eq!(block.iterations_run, mono.iterations_run);
+        for (sum, part) in pair_counts.iter_mut().zip(&block.pair_counts) {
+            *sum = (sum.0 + part.0, sum.1 + part.1);
+        }
+        let (qmap, amap) = (&shard.mapping.queries, &shard.mapping.ads);
+        for (a, b, v) in block.queries.iter() {
+            let (ga, gb) = (qmap[a as usize].0, qmap[b as usize].0);
+            assert_eq!(
+                v.to_bits(),
+                mono.queries.get(ga, gb).to_bits(),
+                "query pair ({ga}, {gb}) drifted"
+            );
+        }
+        for (a, b, v) in block.ads.iter() {
+            let (ga, gb) = (amap[a as usize].0, amap[b as usize].0);
+            assert_eq!(
+                v.to_bits(),
+                mono.ads.get(ga, gb).to_bits(),
+                "ad pair ({ga}, {gb}) drifted"
+            );
+        }
+        block_pairs.0 += block.queries.n_pairs();
+        block_pairs.1 += block.ads.n_pairs();
+    }
+    // Distinct blocks remap to distinct global pairs, so equal totals mean
+    // the monolithic run holds no pair outside the blocks either.
+    assert_eq!(block_pairs, (mono.queries.n_pairs(), mono.ads.n_pairs()));
+    assert_eq!(pair_counts, mono.pair_counts);
+}
+
 fn build_index(g: &ClickGraph, kind: MethodKind, c: &SimrankConfig) -> RewriteIndex {
     let rewriter = Rewriter::new(g, Method::compute(kind, g, c), RewriterConfig::default());
     RewriteIndex::build(&rewriter, None, 1)
@@ -114,6 +163,62 @@ fn assert_same_rows(a: &RewriteIndex, b: &RewriteIndex, what: &str) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn incremental_component_blocks_bit_identical_to_monolithic(
+        n_topics in 1usize..6,
+        n_queries in 30usize..120,
+        seed in 0u64..1_000_000,
+        variant in 0u8..8,
+    ) {
+        // The theorem `rebuild_incremental` and `build_segmented` rest on,
+        // at score level: per-component engine runs == the monolithic run.
+        let g = synth_graph(n_topics, n_queries, seed, variant & 2 == 2);
+        let g = if variant & 1 == 1 {
+            let spam = SpamConfig { n_spam_ads: 1, queries_per_ad: 8, clicks_per_edge: 25, seed };
+            inject_click_spam(&g, &spam).0
+        } else {
+            g
+        };
+        let c = cfg(5).with_prune_threshold(if variant & 4 == 4 { 1e-4 } else { 0.0 });
+        assert_blocks_equal_monolithic(&g, &c, &UniformTransition);
+        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        assert_blocks_equal_monolithic(&g, &c, &t);
+    }
+
+    #[test]
+    fn incremental_invariant_no_cross_component_scores(
+        n_topics in 1usize..7,
+        n_queries in 20usize..140,
+        seed in 0u64..1_000_000,
+    ) {
+        // The invariant that makes decomposition exact: the monolithic
+        // engine never stores a pair straddling two components, i.e. queries
+        // (and ads) in different components have score exactly 0.0.
+        let g = synth_graph(n_topics, n_queries, seed, true);
+        let labels = connected_components(&g);
+        let r = simrankpp::core::simrank(&g, &cfg(8));
+        for (a, b, v) in r.queries.iter() {
+            prop_assert!(v > 0.0);
+            prop_assert_eq!(
+                labels.query_label[a as usize], labels.query_label[b as usize],
+                "cross-component query pair ({}, {}) scored {}", a, b, v
+            );
+        }
+        for (a, b, _) in r.ads.iter() {
+            prop_assert_eq!(labels.ad_label[a as usize], labels.ad_label[b as usize]);
+        }
+        // Spot-check the contrapositive read-out: a pair from different
+        // components reads exactly 0.0 through the matrix API.
+        let cross = g.queries().find_map(|q1| {
+            g.queries()
+                .find(|q2| labels.query_label[q1.index()] != labels.query_label[q2.index()])
+                .map(|q2| (q1, q2))
+        });
+        if let Some((q1, q2)) = cross {
+            prop_assert_eq!(r.queries.get(q1.0, q2.0), 0.0);
+        }
+    }
 
     #[test]
     fn incremental_delta_apply_equals_concatenated_rebuild(
@@ -252,7 +357,7 @@ fn incremental_insert_only_merge_and_removal_cases() {
     let g0 = synth_graph(5, 80, 42, false);
     let c = cfg(6);
     let prev = build_index(&g0, MethodKind::Simrank, &c);
-    let components = simrankpp::graph::components::connected_components(&g0);
+    let components = connected_components(&g0);
     assert!(components.count >= 2, "fixture must be multi-component");
 
     // (a) insert-only, component-local.

@@ -14,12 +14,13 @@
 //!   per-value `v > t` decision on values that differ only in rounding);
 //! * the pull kernel is **bit-deterministic across thread counts** — worker
 //!   chunk boundaries never touch a row's accumulation order;
-//! * pull == pull under sharding and incremental recompute, **bit for bit,
-//!   including above 2²⁰ scatter contributions per half-step** — the scale
-//!   at which a buffer-sort-merge kernel has to flush partial runs and so
+//! * the incremental index refresh (per-dirty-component pull runs) equals a
+//!   from-scratch build bit for bit, and thread-count invariance holds
+//!   **above 2²⁰ scatter contributions per half-step** — the scale at which
+//!   a buffer-sort-merge kernel has to flush partial runs and so
 //!   reassociates a pair's partial sums differently per chunking. The pull
 //!   kernel materializes no contributions; this is the regression test that
-//!   chunking and sharding change nothing at that scale either.
+//!   chunking changes nothing at that scale either.
 
 use proptest::prelude::*;
 use simrankpp::core::engine::reference::run_hashmap;
@@ -27,7 +28,6 @@ use simrankpp::core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::ScoreMatrix;
 use simrankpp::graph::delta::GraphDelta;
-use simrankpp::graph::Sharding;
 use simrankpp::prelude::*;
 use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::{generate, GeneratorConfig};
@@ -157,24 +157,16 @@ proptest! {
     }
 
     #[test]
-    fn pull_sharded_and_incremental_stay_bitwise(
+    fn pull_incremental_refresh_stays_bitwise(
         n_topics in 2usize..5,
         n_queries in 40usize..100,
         seed in 0u64..1_000_000,
     ) {
-        // Sharded == monolithic and incremental index refresh ==
-        // from-scratch build, bit for bit, on the same generated graphs the
-        // cases above use (the dedicated suites exercise these paths in
-        // depth).
+        // Incremental index refresh == from-scratch build, bit for bit, on
+        // the same generated graphs the cases above use (the dedicated
+        // suite, `incremental_equivalence`, exercises this path in depth).
         let g = synth_graph(n_topics, n_queries, seed, false);
         let c = cfg(5);
-        let mono = engine::run(&g, &c, &UniformTransition);
-        let sharding = Sharding::from_components(&g);
-        let shard = engine::run_sharded(&g, &c, &UniformTransition, &sharding);
-        assert_bit_identical(&mono.queries, &shard.queries, "sharded queries");
-        assert_bit_identical(&mono.ads, &shard.ads, "sharded ads");
-
-        // Incremental, on the one refresh path production runs.
         let mut d = GraphDelta::new();
         d.upsert(QueryId(0), AdId(1), EdgeData::from_clicks(3));
         let g1 = d.apply(&g);
@@ -237,13 +229,12 @@ fn query_side_contributions(g: &ClickGraph, ads: &ScoreMatrix) -> usize {
 }
 
 #[test]
-fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
+fn pull_kernel_is_thread_count_free_above_the_old_flush_threshold() {
     // Two components, each alone pushing a half-step past 2^20
     // contributions — the regime where a buffer-sort-merge kernel flushes
-    // partial runs whose boundaries move with thread count and shard
-    // extents, reassociating a pair's partial sums. The pull kernel never
-    // materializes contributions, so chunking must change nothing:
-    // bit-identical across thread counts AND across the component stitch.
+    // partial runs whose boundaries move with thread count, reassociating a
+    // pair's partial sums. The pull kernel never materializes contributions,
+    // so chunking must change nothing: bit-identical across thread counts.
     let g = dense_blobs(2, 220, 70, 12, 0xC0FFEE);
     let c = SimrankConfig::paper().with_iterations(3);
     let serial = engine::run(&g, &c, &UniformTransition);
@@ -258,10 +249,4 @@ fn pull_kernel_is_flush_order_free_above_the_old_flush_threshold() {
         assert_bit_identical(&serial.queries, &par.queries, "threads queries");
         assert_bit_identical(&serial.ads, &par.ads, "threads ads");
     }
-
-    let sharding = Sharding::from_components(&g);
-    assert!(sharding.n_shards() >= 2, "fixture must be multi-component");
-    let sharded = engine::run_sharded(&g, &c.with_threads(2), &UniformTransition, &sharding);
-    assert_bit_identical(&serial.queries, &sharded.queries, "sharded queries");
-    assert_bit_identical(&serial.ads, &sharded.ads, "sharded ads");
 }

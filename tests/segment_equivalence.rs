@@ -14,7 +14,6 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simrankpp::core::ShardStrategy;
 use simrankpp::graph::segments::{write_segmented, SegmentedStore};
 use simrankpp::prelude::*;
 use simrankpp::serve::{MappedIndex, RewriteIndex};
@@ -48,7 +47,6 @@ fn cfg() -> SimrankConfig {
     SimrankConfig::default()
         .with_iterations(5)
         .with_prune_threshold(1e-4)
-        .with_sharding(ShardStrategy::Components)
 }
 
 fn monolithic_index(g: &ClickGraph) -> RewriteIndex {

@@ -114,7 +114,7 @@ proptest! {
             .with_weight_kind(WeightKind::Clicks);
         let plain = simrank(&g, &cfg);
         let weighted = weighted_simrank(&g, &cfg, EvidenceKind::Geometric);
-        prop_assert!(plain.queries.max_abs_diff(&weighted.raw_queries) < 1e-12);
+        prop_assert!(plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-12);
     }
 
     // ---------- Theorems 6.1 / 6.2 / 7.1 on random parameters ------------
