@@ -35,10 +35,12 @@
 //!   segmented build call [`run`] once per component block) — the engine
 //!   itself never decomposes.
 //!
-//! * [`single_source::SingleSourceEngine`] escapes the all-pairs matrix
-//!   entirely: one query's score row on demand via the linearized series
-//!   (precomputed diagonal correction + per-query sparse forward/backward
-//!   passes), with the all-pairs engine as the differential oracle.
+//! * [`single_source::SingleSourceEngine`] serves without keeping the
+//!   all-pairs matrix: one query's score row on demand via the linearized
+//!   series (per-query sparse forward/backward passes over a diagonal
+//!   correction read off one [`run`] per component block, each block's
+//!   matrices dropped as soon as its diagonal is read), with the all-pairs
+//!   engine as the differential oracle.
 //!
 //! [`reference::run_hashmap`] is not part of the engine: it is an independent
 //! sparse implementation of the same recurrence (scatter into a hash map)

@@ -250,6 +250,18 @@ pub struct DirtyComponents {
 }
 
 impl DirtyComponents {
+    /// Every component of `g` dirty — isolated nodes included, which no
+    /// endpoint stream can name: the analysis of a first build, where there
+    /// is no previous generation to copy anything from.
+    pub fn all(g: &ClickGraph) -> DirtyComponents {
+        let components = connected_components(g);
+        DirtyComponents {
+            dirty: vec![true; components.count],
+            n_dirty: components.count,
+            components,
+        }
+    }
+
     /// Total number of components in the new graph.
     pub fn n_components(&self) -> usize {
         self.components.count

@@ -40,7 +40,10 @@
 //! With `--graph` and a recursive method the server also holds a live
 //! single-source engine: queries the index misses (always, under `--mode
 //! single-source`) are computed on demand and cached; the protocol's `info`
-//! verb reports the cache's hit/miss counters.
+//! verb reports the cache's hit/miss counters. Its one-off precompute is one
+//! engine run per connected component (about one all-pairs run in time, the
+//! largest component's run in memory); the `update` verb re-runs only the
+//! dirty components, with requests still being answered meanwhile.
 //!
 //! `serve update` applies a delta TSV (`+\tquery\tad\timpr\tclicks\tecr`
 //! per upsert, `-\tquery\tad` per removal) to the graph the snapshot was

@@ -25,7 +25,9 @@
 //!   `update <delta.tsv>`, `info`) spoken by the `serve` binary over stdin
 //!   or TCP. A server built with a [`LiveContext`] additionally answers
 //!   queries the index does not cover by computing their row on demand with
-//!   the single-source engine (`simrankpp_core::SingleSourceEngine`).
+//!   the single-source engine (`simrankpp_core::SingleSourceEngine`); an
+//!   `update` refreshes that engine per dirty component, off the request
+//!   path.
 //! * [`net`] — the threaded TCP front-end ([`NetServer`]): bounded
 //!   thread-per-connection pool, split data/admin planes, read timeouts,
 //!   graceful drain, and shared [`ServerMetrics`] counters — all driving

@@ -29,8 +29,12 @@
 //! ([`crate::rowcache::RowCache`]) keyed by query id, so a repeat of a cold
 //! query is a hash probe — and a cache hit is byte-identical to the miss
 //! that populated it, because the cache stores the rendered line suffix
-//! itself. Every `update` invalidates the cache (generation bump) and
-//! rebuilds the live engine on the post-delta graph.
+//! itself. Every `update` refreshes the live engine for the post-delta
+//! graph — the diagonal correction of the dirty components recomputed, the
+//! clean components' copied — with the context lock released, so requests
+//! are answered by the previous generation for as long as that takes; the
+//! commit swaps graph and engine in and invalidates the cache (generation
+//! bump) under one momentary lock.
 //!
 //! The miss taxonomy is structured accordingly:
 //!
@@ -53,8 +57,9 @@
 //! * `done\t<count>` — closes a `batch` response block (always emitted, even
 //!   when the batch file fails mid-read);
 //! * `updated\t<queries>\t<refreshed>\t<copied>\t<dirty>\t<clean>` —
-//!   acknowledges a hot-swapped `update` (totals, refreshed vs copied rows,
-//!   dirty vs clean components);
+//!   acknowledges a hot-swapped `update` (totals, refreshed vs copied rows —
+//!   on a live-only server, queries whose correction was recomputed vs
+//!   copied — and dirty vs clean components);
 //! * `bye` — acknowledges `quit`.
 //!
 //! Framing guarantee: responses are line-buffered and explicitly flushed
@@ -94,11 +99,11 @@ use crate::swap::AtomicHandle;
 use simrankpp_core::rewriter::funnel;
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
-    evidence_geometric, MethodKind, RewriterConfig, RowWorkspace, SimrankConfig,
-    SingleSourceEngine, UniformTransition, WeightedTransition,
+    evidence_geometric, DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace,
+    SimrankConfig, SingleSourceEngine, UniformTransition, WeightedTransition,
 };
 use simrankpp_graph::delta::{apply_named, read_delta_tsv};
-use simrankpp_graph::{ClickGraph, QueryId};
+use simrankpp_graph::{ClickGraph, DirtyComponents, QueryId};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -197,51 +202,78 @@ pub struct UpdateContext {
 /// Everything the live single-source fallback needs to answer a cold query:
 /// the click graph, the per-query engine over it, and the pipeline knobs
 /// that make its answers rank like the offline build's.
+///
+/// The graph and the engine are immutable and shared (`Arc`): an `update`
+/// reads them under a momentary lock, builds the next engine from them with
+/// the lock released — requests keep being served — and takes the lock
+/// again only to swap the pair in. The workspace is the one piece of
+/// per-request mutable state.
 pub struct LiveContext {
-    graph: ClickGraph,
+    graph: Arc<ClickGraph>,
     method: MethodKind,
     config: SimrankConfig,
     rewriter: RewriterConfig,
-    engine: SingleSourceEngine,
+    engine: Arc<SingleSourceEngine>,
     ws: RowWorkspace,
 }
 
+/// The single-source engine of `method` over the post-delta `graph`:
+/// `dirty` components re-run at `config`, clean ones copied from `previous`
+/// (`SingleSourceEngine::refreshed`). Only the recursive SimRank methods run
+/// on the propagation engine; `Naive`/`Pearson` have no single-source
+/// formulation here and are refused.
+fn live_engine(
+    previous: &DiagonalCorrection,
+    graph: &ClickGraph,
+    dirty: &DirtyComponents,
+    method: MethodKind,
+    config: &SimrankConfig,
+) -> Result<SingleSourceEngine, String> {
+    match method {
+        MethodKind::Simrank | MethodKind::EvidenceSimrank => {
+            SingleSourceEngine::refreshed(previous, graph, dirty, config, &UniformTransition)
+        }
+        MethodKind::WeightedSimrank => SingleSourceEngine::refreshed(
+            previous,
+            graph,
+            dirty,
+            config,
+            &WeightedTransition {
+                kind: config.weight_kind,
+                spread: SpreadMode::Exponential,
+            },
+        ),
+        other => Err(format!(
+            "live single-source serving needs a recursive SimRank method, not {}",
+            other.name()
+        )),
+    }
+}
+
 impl LiveContext {
-    /// Builds the live engine for `graph`. Only the recursive SimRank
-    /// methods run on the propagation engine; `Naive`/`Pearson` have no
-    /// single-source formulation here and are refused.
+    /// Builds the live engine for `graph`: the refresh every `update` runs,
+    /// from the empty graph with every component dirty — one engine run per
+    /// connected component at `config`.
     pub fn new(
         graph: ClickGraph,
         method: MethodKind,
         config: SimrankConfig,
         rewriter: RewriterConfig,
     ) -> Result<LiveContext, String> {
-        let engine = match method {
-            MethodKind::Simrank | MethodKind::EvidenceSimrank => {
-                SingleSourceEngine::new(&graph, &config, &UniformTransition)
-            }
-            MethodKind::WeightedSimrank => SingleSourceEngine::new(
-                &graph,
-                &config,
-                &WeightedTransition {
-                    kind: config.weight_kind,
-                    spread: SpreadMode::Exponential,
-                },
-            ),
-            other => {
-                return Err(format!(
-                    "live single-source serving needs a recursive SimRank method, not {}",
-                    other.name()
-                ))
-            }
-        };
+        let engine = live_engine(
+            &DiagonalCorrection::default(),
+            &graph,
+            &DirtyComponents::all(&graph),
+            method,
+            &config,
+        )?;
         let ws = RowWorkspace::new(graph.n_queries(), graph.n_ads());
         Ok(LiveContext {
-            graph,
+            graph: Arc::new(graph),
             method,
             config,
             rewriter,
-            engine,
+            engine: Arc::new(engine),
             ws,
         })
     }
@@ -332,15 +364,37 @@ impl LiveState {
         Some(suffix)
     }
 
-    /// Replaces the context with one built over `graph` and drops every
-    /// cached row (they priced the previous generation's scores). Recovers
-    /// a poisoned lock: the replacement is a whole-value assignment of a
-    /// fully-constructed context, consistent no matter what state the
-    /// previous holder left behind.
-    fn rebuild(&self, graph: ClickGraph) -> Result<(), String> {
+    /// The current graph generation.
+    fn graph(&self) -> Arc<ClickGraph> {
+        let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&ctx.graph)
+    }
+
+    /// Moves the context to the post-delta `graph` — `dirty` components'
+    /// corrections recomputed, clean ones copied — and drops every cached
+    /// row (they priced the previous generation's scores).
+    ///
+    /// The engine is built with the context lock **released**: requests,
+    /// cache hits and misses alike, are answered from the previous
+    /// generation for as long as the precompute runs. The lock is taken
+    /// twice, momentarily — to read the previous engine, and to swap the
+    /// finished pair in. `ServeState::apply_update`'s updater lock keeps a
+    /// second rebuild from interleaving between the two. Poisoning is
+    /// recovered: the commit assigns fully-constructed values, consistent no
+    /// matter what state a previous holder left behind. On error nothing
+    /// was touched.
+    fn rebuild(&self, graph: ClickGraph, dirty: &DirtyComponents) -> Result<(), String> {
+        let (previous, method, config) = {
+            let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
+            (Arc::clone(&ctx.engine), ctx.method, ctx.config)
+        };
+        let engine = live_engine(previous.correction(), &graph, dirty, method, &config)?;
+        simrankpp_util::fail_point!("live-rebuild-built", |msg: String| msg);
         let mut ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-        let (method, config, rewriter) = (ctx.method, ctx.config, ctx.rewriter);
-        *ctx = LiveContext::new(graph, method, config, rewriter)?;
+        // An update may add queries, ads, or both.
+        ctx.ws.resize(graph.n_queries(), graph.n_ads());
+        ctx.graph = Arc::new(graph);
+        ctx.engine = Arc::new(engine);
         self.cache.invalidate();
         Ok(())
     }
@@ -463,13 +517,14 @@ impl ServeState {
     ///
     /// A server with *only* a live context (`--mode single-source`: the
     /// index is empty) still supports `update`: the delta applies to the
-    /// live graph alone, with every query counted as refreshed.
+    /// live graph alone, and the stats count the queries in dirty
+    /// components (correction recomputed) as refreshed, the rest as copied.
     pub fn apply_update(&self, path: &str) -> Result<crate::index::RebuildStats, String> {
         // One updater at a time, for the whole read–apply–rebuild–commit
         // sequence: concurrent updates would otherwise clone the same base
         // graph and the second commit would silently drop the first delta.
-        // (The live-only path below is where the race used to live — its
-        // graph read and rebuild were two separately-locked regions.)
+        // (The live-only path below reads the graph and commits its
+        // successor in two separately-locked regions.)
         // Poisoning recovered: the guarded token carries no data.
         if self.ingest.is_some() {
             return Err(
@@ -512,26 +567,26 @@ impl ServeState {
             // Rebuild the live side first: if it fails, the old index
             // generation and old live context both keep serving.
             if let Some(live) = self.live.as_ref() {
-                live.rebuild(new_graph.clone())?;
+                live.rebuild(new_graph.clone(), &dirty)?;
             }
             self.index.swap(ServingIndex::Heap(next));
             ctx.graph = new_graph;
             Ok(stats)
         } else if let Some(live) = self.live.as_ref() {
-            let (new_graph, delta) = {
-                let ctx = live.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-                apply_named(&ctx.graph, &ops)?
-            };
+            let (new_graph, delta) = apply_named(&live.graph(), &ops)?;
             let dirty = delta.dirty_components(&new_graph);
+            // No rows are stored in this mode: "refreshed" counts the
+            // queries whose correction was recomputed, "copied" the rest.
+            let refreshed_queries = dirty.dirty_query_count();
             let stats = crate::index::RebuildStats {
-                refreshed_queries: new_graph.n_queries(),
-                copied_queries: 0,
+                refreshed_queries,
+                copied_queries: new_graph.n_queries() - refreshed_queries,
                 refreshed_entries: 0,
                 copied_entries: 0,
                 n_dirty_components: dirty.n_dirty(),
                 n_clean_components: dirty.n_clean(),
             };
-            live.rebuild(new_graph)?;
+            live.rebuild(new_graph, &dirty)?;
             Ok(stats)
         } else {
             Err("server was started without a live graph (snapshot mode)".into())
@@ -1279,23 +1334,43 @@ mod tests {
         let out = run_on(
             &state,
             &format!(
-                "rewrite pc\nupdate {}\nrewrite pc\ninfo\n",
+                "rewrite pc\nrewrite flower\nupdate {}\nrewrite pc\nrewrite flower\ninfo\n",
+                delta_path.display()
+            ),
+        );
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("ok\tpc\t"), "{out}");
+        // Live-only update: the `updated` line counts what was recomputed.
+        // Figure 3 has one dirty component (pc's, 4 queries) and one clean
+        // (flower's, 1 query, its correction copied).
+        assert_eq!(
+            lines[2].split('\t').collect::<Vec<_>>(),
+            vec!["updated", "5", "4", "1", "1", "1"]
+        );
+        assert!(lines[3].starts_with("ok\tpc\t"), "{out}");
+        assert_ne!(lines[3], lines[0], "boosted edge must change pc's answer");
+        assert_eq!(lines[4], lines[1], "flower's component was not touched");
+        assert!(lines[5].contains("cache_generation=1"), "{out}");
+        assert!(lines[5].contains("cache_entries=2"), "{out}");
+
+        // A delta that adds an ad but no query: the workspace must grow on
+        // the ad side too, or the next cold row indexes out of bounds.
+        std::fs::write(&delta_path, "+\tcamera\tnewad.com\t100\t80\t0.8\n").unwrap();
+        let out = run_on(
+            &state,
+            &format!(
+                "update {}\nrewrite camera\nrewrite flower\n",
                 delta_path.display()
             ),
         );
         std::fs::remove_file(&delta_path).ok();
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[0].starts_with("ok\tpc\t"), "{out}");
-        // Live-only update: every query counts as refreshed, none copied;
-        // figure 3 has one dirty (pc's) and one clean (flower's) component.
+        let grown: Vec<&str> = out.lines().collect();
         assert_eq!(
-            lines[1].split('\t').collect::<Vec<_>>(),
-            vec!["updated", "5", "5", "0", "1", "1"]
+            grown[0].split('\t').collect::<Vec<_>>(),
+            vec!["updated", "5", "4", "1", "1", "1"]
         );
-        assert!(lines[2].starts_with("ok\tpc\t"), "{out}");
-        assert_ne!(lines[2], lines[0], "boosted edge must change pc's answer");
-        assert!(lines[3].contains("cache_generation=1"), "{out}");
-        assert!(lines[3].contains("cache_entries=1"), "{out}");
+        assert!(grown[1].starts_with("ok\tcamera\t"), "{out}");
+        assert_eq!(grown[2], lines[1], "flower's component was not touched");
     }
 
     #[test]

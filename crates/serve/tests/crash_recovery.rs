@@ -400,3 +400,103 @@ fn corrupt_checkpoint_is_refused_and_quarantined() {
         "corrupt checkpoint left in place would crash-loop a supervisor"
     );
 }
+
+/// The in-process member of the suite: an `update` of a live single-source
+/// server stopped at `live-rebuild-built` — the next engine is built, nothing
+/// is committed. (The only test here that arms this process's own registry;
+/// every other one arms a child's through its environment.)
+mod live_update {
+    use simrankpp_core::{MethodKind, RewriterConfig, SimrankConfig};
+    use simrankpp_graph::fixtures::figure3_graph;
+    use simrankpp_graph::WeightKind;
+    use simrankpp_serve::{serve_session, IndexMeta, LiveContext, RewriteIndex, ServeState};
+    use simrankpp_util::failpoint::{self, Action};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
+
+    const SITE: &str = "live-rebuild-built";
+
+    fn session(state: &ServeState, input: &str) -> String {
+        let mut out = Vec::new();
+        serve_session(state, input.as_bytes(), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn update_stopped_after_the_build_never_blocked_or_changed_an_answer() {
+        let config = SimrankConfig::default().with_weight_kind(WeightKind::Clicks);
+        let live = LiveContext::new(
+            figure3_graph(),
+            MethodKind::WeightedSimrank,
+            config,
+            RewriterConfig::default(),
+        )
+        .unwrap();
+        let meta = IndexMeta {
+            method: MethodKind::WeightedSimrank,
+            max_rewrites: 5,
+            bid_filtered: false,
+            approx_sharding: false,
+            kernel: config.kernel,
+            segments: 0,
+        };
+        let state = Arc::new(ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, 64));
+        let delta = super::fresh_dir("live_update").join("delta.tsv");
+        std::fs::write(&delta, "+\tpc\thp.com\t100\t80\t0.8\n").unwrap();
+        let update = format!("update {}\n", delta.display());
+
+        // Both rows are cached from here on.
+        let before = session(&state, "rewrite camera\nrewrite flower\n");
+        assert_eq!(before.matches("ok\t").count(), 2, "{before}");
+
+        // At the site the update is in flight: the engine over the new graph
+        // exists, the commit has not happened. A reader on another thread
+        // must be answered — from the cache, by the old generation — while
+        // the updater waits here for it; were the context lock held across
+        // the precompute, the reader would block and the wait time out.
+        let mid_flight = Arc::new(Mutex::new(None));
+        failpoint::set_hook(SITE, {
+            let (state, mid_flight) = (Arc::clone(&state), Arc::clone(&mid_flight));
+            move || {
+                let (tx, rx) = mpsc::channel();
+                let reader = std::thread::spawn({
+                    let state = Arc::clone(&state);
+                    move || {
+                        let hits = state.cache_stats().unwrap().hits;
+                        let line = session(&state, "rewrite camera\n");
+                        tx.send((line, state.cache_stats().unwrap().hits - hits))
+                    }
+                });
+                let answer = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a cached query blocked behind an in-flight update");
+                reader.join().unwrap().unwrap();
+                *mid_flight.lock().unwrap() = Some(answer);
+            }
+        });
+        failpoint::set(SITE, Action::ReturnError, 1);
+        let refused = session(&state, &update);
+        failpoint::clear(SITE);
+        failpoint::clear_hook(SITE);
+
+        assert!(refused.starts_with("err\t"), "{refused}");
+        assert!(refused.contains(SITE), "{refused}");
+        let (line, cache_hits) = mid_flight
+            .lock()
+            .unwrap()
+            .take()
+            .expect("site never reached");
+        assert_eq!(line, before.lines().next().unwrap().to_owned() + "\n");
+        assert_eq!(cache_hits, 1, "the mid-flight answer must be a cache hit");
+        // Nothing was committed: same bytes, and still from the cache.
+        assert_eq!(session(&state, "rewrite camera\nrewrite flower\n"), before);
+        assert_eq!(state.cache_stats().unwrap().generation, 0);
+
+        // Disarmed, the same update goes through and moves the dirty answer.
+        let applied = session(&state, &update);
+        assert!(applied.starts_with("updated\t"), "{applied}");
+        let after = session(&state, "rewrite camera\nrewrite flower\n");
+        assert_ne!(after.lines().next(), before.lines().next());
+        assert_eq!(after.lines().nth(1), before.lines().nth(1));
+    }
+}

@@ -22,6 +22,11 @@
 //! which is how the chaos harness reaches *mid-stream* crash points rather
 //! than only the first write.
 //!
+//! A test can also attach a *hook* to a site ([`set_hook`]): a closure run
+//! on the evaluating thread each time the site is reached, before the site's
+//! action — the deterministic way to observe the program *at* the site
+//! (what is locked, who is still being served) without sleeping.
+//!
 //! ## Zero cost when disabled
 //!
 //! The registry below always compiles (it is a few hundred bytes), but the
@@ -32,7 +37,7 @@
 //! `failpoints` feature, unified by the facade crate's `failpoints`.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a configured site does when evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +57,11 @@ struct Arm {
     countdown: u64,
 }
 
+type Hook = Arc<dyn Fn() + Send + Sync>;
+
 struct Registry {
     sites: Mutex<HashMap<String, Arm>>,
+    hooks: Mutex<HashMap<String, Hook>>,
 }
 
 fn registry() -> &'static Registry {
@@ -61,6 +69,7 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| {
         let reg = Registry {
             sites: Mutex::new(HashMap::new()),
+            hooks: Mutex::new(HashMap::new()),
         };
         if let Ok(spec) = std::env::var("SIMRANKPP_FAILPOINTS") {
             if let Err(err) = apply_spec(&reg, &spec) {
@@ -138,11 +147,25 @@ pub fn clear(site: &str) {
     sites.remove(site);
 }
 
-/// Removes every configured site (test isolation).
+/// Attaches `hook` to `site`: it runs on the evaluating thread at every
+/// evaluation of the site, before the site's action (and whether or not one
+/// is configured), with no registry lock held.
+pub fn set_hook(site: &str, hook: impl Fn() + Send + Sync + 'static) {
+    let mut hooks = registry().hooks.lock().unwrap_or_else(|e| e.into_inner());
+    hooks.insert(site.to_string(), Arc::new(hook));
+}
+
+/// Detaches `site`'s hook.
+pub fn clear_hook(site: &str) {
+    let mut hooks = registry().hooks.lock().unwrap_or_else(|e| e.into_inner());
+    hooks.remove(site);
+}
+
+/// Removes every configured site and hook (test isolation).
 pub fn clear_all() {
     let reg = registry();
-    let mut sites = reg.sites.lock().unwrap_or_else(|e| e.into_inner());
-    sites.clear();
+    reg.sites.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    reg.hooks.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 /// Evaluates the failpoint `site`.
@@ -156,6 +179,15 @@ pub fn clear_all() {
 /// compiled out without the `failpoints` feature; it is not itself hot.
 pub fn eval(site: &str) -> Option<String> {
     let reg = registry();
+    let hook = reg
+        .hooks
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(site)
+        .cloned();
+    if let Some(hook) = hook {
+        hook();
+    }
     let mut sites = reg.sites.lock().unwrap_or_else(|e| e.into_inner());
     let arm = sites.get_mut(site)?;
     if arm.countdown > 0 {
@@ -231,6 +263,24 @@ mod tests {
         assert!(eval("fp-test-return").is_some());
         clear("fp-test-return");
         assert_eq!(eval("fp-test-return"), None);
+    }
+
+    #[test]
+    fn hook_runs_at_every_evaluation_before_the_action() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let seen = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&seen);
+        set_hook("fp-test-hook", move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(eval("fp-test-hook"), None);
+        set("fp-test-hook", Action::ReturnError, 1);
+        assert!(eval("fp-test-hook").is_some());
+        assert_eq!(seen.load(Ordering::SeqCst), 2);
+        clear_hook("fp-test-hook");
+        clear("fp-test-hook");
+        assert_eq!(eval("fp-test-hook"), None);
+        assert_eq!(seen.load(Ordering::SeqCst), 2);
     }
 
     #[test]

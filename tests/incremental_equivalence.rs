@@ -6,7 +6,11 @@
 //! rests on at **score level**: an engine run on each component block alone
 //! reproduces that block of the monolithic run bit for bit (uniform and
 //! weighted, pruned and unpruned), and the monolithic run never stores a
-//! pair straddling two components. Then it pins the *temporal* consequence:
+//! pair straddling two components — and so does the live single-source
+//! engine's diagonal correction, which is read off those block runs
+//! (`incremental_live_correction_*`: block-local == one whole-graph run,
+//! component-local refresh == scratch precompute, both on `to_bits()`).
+//! Then it pins the *temporal* consequence:
 //! after a [`GraphDelta`], recomputing only the dirty components and copying
 //! every clean query's row ([`RewriteIndex::rebuild_incremental`], the one
 //! refresh path production runs) reproduces a from-scratch index build over
@@ -32,7 +36,7 @@
 use proptest::prelude::*;
 use simrankpp::core::engine::{self, Transition, UniformTransition, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
-use simrankpp::core::{RewriterConfig, ScoreMatrix};
+use simrankpp::core::{DiagonalCorrection, RewriterConfig, ScoreMatrix, SingleSourceEngine};
 use simrankpp::graph::components::connected_components;
 use simrankpp::graph::delta::{dirty_for_endpoints, GraphDelta};
 use simrankpp::graph::Shard;
@@ -141,6 +145,90 @@ fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConf
     assert_eq!(pair_counts, mono.pair_counts);
 }
 
+/// `g` plus what no component block covers: a 1×1 edge component and
+/// isolated nodes on both sides.
+fn with_trivial_components(g: &ClickGraph) -> ClickGraph {
+    let (nq, na) = (g.n_queries() as u32, g.n_ads() as u32);
+    let mut b = ClickGraphBuilder::new();
+    for (q, a, e) in g.edges() {
+        b.add_edge(q, a, *e);
+    }
+    b.add_edge(QueryId(nq), AdId(na), EdgeData::from_clicks(3));
+    b.reserve_queries(nq + 3);
+    b.reserve_ads(na + 2);
+    b.build()
+}
+
+fn assert_same_correction(a: &DiagonalCorrection, b: &DiagonalCorrection, what: &str) {
+    let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.d_query), bits(&b.d_query), "{what}: d_Q differs");
+    assert_eq!(bits(&a.d_ad), bits(&b.d_ad), "{what}: d_A differs");
+}
+
+/// The live engine's block-local correction is `from_scores` over one
+/// whole-graph run, bit for bit.
+fn assert_live_correction_equals_monolithic<T: Transition>(
+    g: &ClickGraph,
+    c: &SimrankConfig,
+    t: &T,
+) {
+    let mono = engine::run(g, c, t);
+    let want =
+        DiagonalCorrection::from_scores(g, &t.factors(g), c.c1, c.c2, &mono.queries, &mono.ads);
+    let live = SingleSourceEngine::new(g, c, t);
+    assert_same_correction(live.correction(), &want, t.name());
+    // Block-level workers change nothing either.
+    let parallel = SingleSourceEngine::new(g, &c.with_threads(3), t);
+    assert_same_correction(parallel.correction(), &want, "3 workers");
+}
+
+/// Walks a chain of mixed deltas (edge upserts, removals, new queries, a
+/// new ad every other step), refreshing the live engine component-locally
+/// at each step: every generation equals a scratch precompute over its
+/// graph bitwise, and a clean component's row does not move a bit.
+fn assert_live_refresh_chain_equals_scratch<T: Transition>(
+    g0: &ClickGraph,
+    c: &SimrankConfig,
+    t: &T,
+    seed: u64,
+) {
+    let mut g = g0.clone();
+    let mut live = SingleSourceEngine::new(&g, c, t);
+    for step in 0..4u64 {
+        let mut d = mixed_delta(&g, seed ^ (step + 1), 4, 2, true);
+        if step % 2 == 1 {
+            let q = QueryId((seed.wrapping_add(step) % g.n_queries() as u64) as u32);
+            d.upsert(q, AdId(g.n_ads() as u32), EdgeData::from_clicks(2));
+        }
+        let g1 = d.apply(&g);
+        let dirty = d.dirty_components(&g1);
+        let next = SingleSourceEngine::refreshed(live.correction(), &g1, &dirty, c, t).unwrap();
+        let scratch = SingleSourceEngine::new(&g1, c, t);
+        assert_same_correction(
+            next.correction(),
+            scratch.correction(),
+            "refresh vs scratch",
+        );
+        let clean = g1
+            .queries()
+            .filter(|&q| !dirty.query_dirty(q) && g1.query_degree(q) > 0);
+        for q in clean.take(3) {
+            let bits = |row: Vec<(QueryId, f64)>| {
+                row.into_iter()
+                    .map(|(w, s)| (w, s.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(live.row(&g, q)),
+                bits(next.row(&g1, q)),
+                "clean row of {q}"
+            );
+        }
+        g = g1;
+        live = next;
+    }
+}
+
 fn build_index(g: &ClickGraph, kind: MethodKind, c: &SimrankConfig) -> RewriteIndex {
     let rewriter = Rewriter::new(g, Method::compute(kind, g, c), RewriterConfig::default());
     RewriteIndex::build(&rewriter, None, 1)
@@ -184,6 +272,39 @@ proptest! {
         assert_blocks_equal_monolithic(&g, &c, &UniformTransition);
         let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
         assert_blocks_equal_monolithic(&g, &c, &t);
+    }
+
+    #[test]
+    fn incremental_live_correction_blocks_bit_identical_to_monolithic(
+        n_topics in 1usize..6,
+        n_queries in 30usize..120,
+        seed in 0u64..1_000_000,
+        variant in 0u8..4,
+    ) {
+        // The same theorem one level up: the live engine reads `D` off the
+        // block runs, trivial components and isolated nodes in closed form.
+        let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, variant & 2 == 2));
+        let c = cfg(5).with_prune_threshold(if variant & 1 == 1 { 1e-4 } else { 0.0 });
+        assert_live_correction_equals_monolithic(&g, &c, &UniformTransition);
+        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        assert_live_correction_equals_monolithic(&g, &c, &t);
+    }
+
+    #[test]
+    fn incremental_live_correction_refresh_bit_identical_to_scratch(
+        n_topics in 2usize..6,
+        n_queries in 30usize..100,
+        seed in 0u64..1_000_000,
+        variant in 0u8..4,
+    ) {
+        let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, variant & 2 == 2));
+        let c = cfg(5).with_prune_threshold(1e-4);
+        if variant & 1 == 1 {
+            let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+            assert_live_refresh_chain_equals_scratch(&g, &c, &t, seed);
+        } else {
+            assert_live_refresh_chain_equals_scratch(&g, &c, &UniformTransition, seed);
+        }
     }
 
     #[test]
