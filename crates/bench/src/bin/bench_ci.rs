@@ -14,10 +14,10 @@
 //!   single-world delta at least 5× faster than a full index rebuild on the
 //!   multi-component 10k-query federated graph — the number the
 //!   dirty-component refresh exists to deliver (machine-relative);
-//! * the single-source engine must answer one linearized top-k query at
-//!   least 50× faster than a full all-pairs run over the same graph — the
-//!   ratio the on-demand mode exists to deliver (measured in-process, so
-//!   machine-relative);
+//! * the single-source engine must answer one top-k query (a row of the
+//!   same `S^(k)` the run stores) at least 3 000× faster than a full
+//!   all-pairs run over the same graph — the ratio the on-demand mode exists
+//!   to deliver (measured in-process, so machine-relative);
 //! * building that engine (`single_source/precompute_ms`) must cost at most
 //!   2× one all-pairs run over the same graph in the same process — the live
 //!   mode may not cost more than the run it avoids;
@@ -104,12 +104,14 @@ const GATED_ENGINE_KEYS: [&str; 4] = [
 /// Floor on the incremental-vs-full index rebuild speedup (see module docs).
 const MIN_INCREMENTAL_SPEEDUP: f64 = 5.0;
 
-/// Floor on the per-query single-source win: one linearized top-k query must
-/// be at least this many times faster than a full all-pairs engine run on
-/// the same 10k graph, measured in the same process. This is the headline
+/// Floor on the per-query single-source win: one top-k query must be at
+/// least this many times faster than a full all-pairs engine run on the
+/// same 10k graph, measured in the same process. This is the headline
 /// number of the on-demand mode — a cold serve-path query costs one row,
-/// not the whole matrix.
-const MIN_SINGLE_SOURCE_SPEEDUP: f64 = 50.0;
+/// not the whole matrix. The row is `⌊k/2⌋+1` sparse series levels (3 at
+/// this tier's `k = 5`): ≈ 15 600× when recorded, so the floor keeps ≥ 5×
+/// headroom.
+const MIN_SINGLE_SOURCE_SPEEDUP: f64 = 3000.0;
 
 /// Ceiling on the live engine's precompute, in all-pairs runs: building the
 /// single-source engine (one engine run per component block + reading the
@@ -411,9 +413,10 @@ fn engine_series(reps: usize) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) 
         median_ms(reps, || engine::run(&standard, &cfg, &weighted)),
     );
     eprintln!("engine: single-source series (10k standard graph, 100 queries/rep)");
-    // Precompute = transition factors + the block-local diagonal correction
-    // (one engine run per component at `cfg`): the one-off cost a live
-    // server pays before answering its first query. Not in
+    // Precompute = transition factors + the block-local per-iteration
+    // diagonals (one engine run per component at `cfg`, recording them):
+    // the one-off cost a live server pays before answering its first query.
+    // Not in
     // GATED_ENGINE_KEYS; gated as a same-run ratio to `pull_uniform` instead
     // (`single_source_precompute_vs_full_run`).
     let mut ss_engine = None;
@@ -1255,7 +1258,7 @@ fn check(
     let ss = engine_speedups["single_source_linearized_query_vs_full_run"];
     if ss < MIN_SINGLE_SOURCE_SPEEDUP {
         failures.push(format!(
-            "one linearized single-source query is only {ss:.1}x faster than a full \
+            "one single-source query is only {ss:.1}x faster than a full \
              all-pairs run (floor: {MIN_SINGLE_SOURCE_SPEEDUP}x, machine-relative)"
         ));
     }
@@ -1365,8 +1368,9 @@ fn render_engine_json(
          the engine's headline series on a 10k-query synth graph: the pull kernel under both \
          transitions. 5 iterations, prune_threshold 1e-4. The \
          single_source series times the on-demand engine on the standard graph: one-off \
-         precompute (factors + the diagonal correction read off one engine run per component \
-         block), then 100 linearized and 100 Monte-Carlo (512 walks) top-10 queries per rep; \
+         precompute (factors + the per-iteration diagonals one engine run per component block \
+         records), then 100 single-source (unrolled series, floor(k/2)+1 levels) and 100 \
+         Monte-Carlo (512 walks) top-10 queries per rep; \
          single_source_precompute_vs_full_run is a cost ratio (precompute / pull_uniform, lower \
          is better).\",\n\
          {},\n  \"results_ms\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"gate\": {{\n    \

@@ -36,11 +36,12 @@
 //!   itself never decomposes.
 //!
 //! * [`single_source::SingleSourceEngine`] serves without keeping the
-//!   all-pairs matrix: one query's score row on demand via the linearized
-//!   series (per-query sparse forward/backward passes over a diagonal
-//!   correction read off one [`run`] per component block, each block's
-//!   matrices dropped as soon as its diagonal is read), with the all-pairs
-//!   engine as the differential oracle.
+//!   all-pairs matrix: one query's row of `S^(k)` on demand, as the
+//!   `⌊k/2⌋+1`-level series the `k` Jacobi iterations unroll into
+//!   (per-query sparse forward/backward passes over the per-iteration
+//!   diagonals one [`run`] per component block records, each block's
+//!   matrices dropped as soon as the run returns) — the same row [`run`]
+//!   stores, which the differential suites pin.
 //!
 //! [`reference::run_hashmap`] is not part of the engine: it is an independent
 //! sparse implementation of the same recurrence (scatter into a hash map)
@@ -54,7 +55,7 @@ pub mod reference;
 pub mod single_source;
 pub mod transition;
 
-pub use single_source::{DiagonalCorrection, RowWorkspace, SingleSourceEngine};
+pub use single_source::{CorrectionLevel, DiagonalCorrection, RowWorkspace, SingleSourceEngine};
 pub use transition::{Transition, TransitionFactors, UniformTransition, WeightedTransition};
 
 use crate::config::SimrankConfig;
@@ -101,6 +102,11 @@ impl NodeId for AdId {
     }
 }
 
+/// What the unit pin replaced on each side's diagonal at every executed
+/// iteration: entry `t − 1` holds `(D_Q^(t), D_A^(t))`, the diagonals of
+/// `S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))` and its ad-side mirror.
+pub(crate) type DiagonalHistory = Vec<(Vec<f64>, Vec<f64>)>;
+
 /// Runs the unified Jacobi propagation loop for `transition` on `g`.
 ///
 /// Exact (bar floating-point rounding) when `config.prune_threshold == 0`;
@@ -108,6 +114,18 @@ impl NodeId for AdId {
 /// dropped after each iteration. When `config.tolerance > 0`, iteration stops
 /// as soon as the largest per-pair change on either side is at or below it.
 pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> EngineRun {
+    run_recording(g, config, transition, None)
+}
+
+/// [`run`], appending each executed iteration's pinned-away diagonals to
+/// `diagonals` when it is set — the single-source engine's precompute reads
+/// them; the scores are the same bits either way.
+pub(crate) fn run_recording<T: Transition>(
+    g: &ClickGraph,
+    config: &SimrankConfig,
+    transition: &T,
+    mut diagonals: Option<&mut DiagonalHistory>,
+) -> EngineRun {
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
 
@@ -149,6 +167,7 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
     };
 
     for _ in 0..config.iterations {
+        let (mut d_q, mut d_a) = (Vec::new(), Vec::new());
         // Jacobi: both sides advance from the *previous* iterate.
         let next_q = pull::propagate_pull(
             g.n_queries(),
@@ -160,6 +179,7 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
             config.prune_threshold,
             &mut csr,
             &mut workspaces,
+            diagonals.is_some().then_some(&mut d_q),
         );
         let next_a = pull::propagate_pull(
             g.n_ads(),
@@ -171,7 +191,11 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
             config.prune_threshold,
             &mut csr,
             &mut workspaces,
+            diagonals.is_some().then_some(&mut d_a),
         );
+        if let Some(history) = diagonals.as_deref_mut() {
+            history.push((d_q, d_a));
+        }
 
         let delta = max_delta(&q_pairs, &next_q).max(max_delta(&a_pairs, &next_a));
         q_pairs = next_q;
@@ -257,6 +281,87 @@ mod tests {
         assert!(tol.iterations_run < full.iterations_run);
         // Early exit at tolerance t bounds the per-pair error by t·C/(1−C).
         assert!(full.queries.max_abs_diff(&tol.queries) < 1e-5);
+    }
+
+    #[test]
+    fn recorded_diagonals_are_what_the_pin_replaces() {
+        // D_Q^(t)[q] = 1 − C1·Σ_{a,a'} F(q,a)·F(q,a')·S_A^(t−1)(a,a') against
+        // the previous iterate's own matrix (and the ad-side mirror), for a
+        // run that also exits early; recording leaves every score bit alone.
+        let g = figure3_graph();
+        let f = UniformTransition.factors(&g);
+        let config = cfg(9).with_tolerance(1e-2);
+        let mut history = DiagonalHistory::new();
+        let recorded = run_recording(&g, &config, &UniformTransition, Some(&mut history));
+        let plain = run(&g, &config, &UniformTransition);
+        assert!(recorded.converged && recorded.iterations_run < 9);
+        assert_eq!(history.len(), recorded.iterations_run);
+        let bits = |m: &ScoreMatrix| -> Vec<(u64, u64)> {
+            m.sorted_pairs()
+                .map(|(k, v)| (k.raw(), v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&recorded.queries), bits(&plain.queries));
+        assert_eq!(bits(&recorded.ads), bits(&plain.ads));
+        // Σ_{i,j} f_i·f_j·S(i,j) over one node's neighbor ids and factors.
+        let dense = |ids: Vec<u32>, f: &[f64], s: &ScoreMatrix| -> f64 {
+            let mut sum = 0.0;
+            for (x, &i) in ids.iter().enumerate() {
+                for (y, &j) in ids.iter().enumerate() {
+                    sum += f[x] * f[y] * s.get(i, j);
+                }
+            }
+            sum
+        };
+        for (t, (d_q, d_a)) in history.iter().enumerate() {
+            let prev = run(&g, &cfg(t), &UniformTransition);
+            for q in g.queries() {
+                let ads: Vec<u32> = g.ads_of(q).0.iter().map(|a| a.0).collect();
+                let fac = &f.ad_to_query_by_query[g.query_csr_offset(q)..][..ads.len()];
+                let want = 1.0 - config.c1 * dense(ads, fac, &prev.ads);
+                assert!((d_q[q.index()] - want).abs() < 1e-12);
+            }
+            for a in g.ads() {
+                let qs: Vec<u32> = g.queries_of(a).0.iter().map(|q| q.0).collect();
+                let fac = &f.query_to_ad_by_ad[g.ad_csr_offset(a)..][..qs.len()];
+                let want = 1.0 - config.c2 * dense(qs, fac, &prev.queries);
+                assert!((d_a[a.index()] - want).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_diagonals_do_not_depend_on_the_worker_count() {
+        // Enough rows on both sides for `run_chunked_stateful` to split them:
+        // each worker's chunk lands in row order.
+        use simrankpp_graph::{ClickGraphBuilder, EdgeData};
+        let mut b = ClickGraphBuilder::new();
+        let mut x: u64 = 29;
+        for _ in 0..5000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            b.add_edge(
+                QueryId(((x >> 33) % 1500) as u32),
+                AdId(((x >> 13) % 1200) as u32),
+                EdgeData::from_clicks(1 + (x % 5)),
+            );
+        }
+        let g = b.build();
+        let record = |threads| {
+            let mut history = DiagonalHistory::new();
+            let config = cfg(3).with_threads(threads);
+            run_recording(&g, &config, &UniformTransition, Some(&mut history));
+            history
+        };
+        let (serial, parallel) = (record(1), record(3));
+        assert_eq!(serial.len(), 3);
+        assert_eq!(serial[2].0.len(), g.n_queries());
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(bits(&s.0), bits(&p.0));
+            assert_eq!(bits(&s.1), bits(&p.1));
+        }
     }
 
     #[test]

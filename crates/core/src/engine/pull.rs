@@ -101,6 +101,9 @@ pub struct PullWorkspace {
     o_touched: Vec<u32>,
     /// Largest per-chunk output seen — the next round's capacity hint.
     out_hint: usize,
+    /// The pinned-away diagonal values of this worker's rows, in row order,
+    /// when the half-step records them (empty otherwise).
+    diag: Vec<f64>,
 }
 
 impl PullWorkspace {
@@ -135,6 +138,11 @@ fn spa_add(vals: &mut [f64], flag: &mut [bool], touched: &mut Vec<u32>, id: u32,
 /// `prev` is the inner side's iterate. Output rows are partitioned into one
 /// contiguous block per workspace; each block concatenates, in row order,
 /// into the returned key-sorted, pruned, `c`-scaled pair list.
+///
+/// With `diagonal` set, the half-step also records — one entry per output
+/// row, in row order — the value the unit pin replaces on the diagonal:
+/// `1 − c·Σ_{a ∈ E(q)} F(q, a)·T[q, a]`, read off the pass-1 scratch
+/// (`deg(q)` multiply-adds a row; no emitted pair changes).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_pull<'g, I, J, OutRow, InnerRow>(
     n_out: usize,
@@ -146,6 +154,7 @@ pub(crate) fn propagate_pull<'g, I, J, OutRow, InnerRow>(
     prune_threshold: f64,
     csr: &mut CsrScratch,
     workspaces: &mut [PullWorkspace],
+    diagonal: Option<&mut Vec<f64>>,
 ) -> PairVec
 where
     I: NodeId + 'g,
@@ -155,6 +164,7 @@ where
 {
     csr.rebuild(n_inner, prev);
     let csr = &*csr;
+    let record = diagonal.is_some();
     let mut pieces = parallel::run_chunked_stateful(n_out, workspaces, |ws, range| {
         ws.ensure(n_out, n_inner);
         let mut out: PairVec = Vec::with_capacity(ws.out_hint);
@@ -168,11 +178,19 @@ where
                 prune_threshold,
                 ws,
                 &mut out,
+                record,
             );
         }
         ws.out_hint = ws.out_hint.max(out.len());
         out
     });
+    if let Some(diagonal) = diagonal {
+        // Chunk `t` ran on workspace `t`: draining them in order is row order.
+        diagonal.clear();
+        for ws in workspaces.iter_mut() {
+            diagonal.append(&mut ws.diag);
+        }
+    }
     if pieces.len() == 1 {
         return pieces.pop().expect("one piece");
     }
@@ -184,7 +202,9 @@ where
 }
 
 /// Computes one output row (both fused passes) and appends its surviving
-/// entries — `(PairKey(q, q'), score)` for `q' > q`, ascending — to `out`.
+/// entries — `(PairKey(q, q'), score)` for `q' > q`, ascending — to `out`,
+/// and, when `record` is set, the row's pinned-away diagonal value to
+/// `ws.diag`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_row<'g, I, J, OutRow, InnerRow>(
@@ -196,6 +216,7 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     prune_threshold: f64,
     ws: &mut PullWorkspace,
     out: &mut PairVec,
+    record: bool,
 ) where
     I: NodeId + 'g,
     J: NodeId + 'g,
@@ -204,6 +225,10 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
 {
     let (inner, f_out) = out_row(q);
     if inner.is_empty() {
+        // Nothing propagates into an isolated node: the pin replaces 1.
+        if record {
+            ws.diag.push(1.0);
+        }
         return;
     }
     let PullWorkspace {
@@ -213,6 +238,7 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
         o_vals,
         o_flag,
         o_touched,
+        diag,
         ..
     } = ws;
 
@@ -226,6 +252,16 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
         for (i, &col) in cols.iter().enumerate() {
             spa_add(t_vals, t_flag, t_touched, col, f * vals[i]);
         }
+    }
+
+    // The diagonal cell pass 2 never emits: S'[q, q] = c·Σ_a F(q, a)·T[q, a],
+    // summed in CSR order like every other cell.
+    if record {
+        let mut pinned = 0.0;
+        for (x, a) in inner.iter().enumerate() {
+            pinned += f_out[x] * t_vals[a.raw() as usize];
+        }
+        diag.push(1.0 - c * pinned);
     }
 
     // Pass 2: drain T in first-touch order, scattering through each inner
@@ -316,6 +352,7 @@ mod tests {
                 0.0,
                 &mut csr,
                 &mut ws,
+                None,
             );
             assert!(ws[0].t_vals.iter().all(|&v| v == 0.0));
             assert!(ws[0].o_vals.iter().all(|&v| v == 0.0));

@@ -1,154 +1,162 @@
-//! Single-source SimRank: one query's score row without the all-pairs matrix.
+//! Single-source SimRank: one query's row of `S^(k)` without the all-pairs
+//! matrix.
 //!
 //! Every other path in this crate materializes the full O(n²) pair matrix
 //! before a single score can be read. This module answers "scores of query
-//! `q` against everyone" on demand, following the linearization idea of
-//! Maehara et al., *Efficient SimRank Computation via Linearization*
-//! (adapted here to the paper's bipartite click graph with two decay
-//! factors and a pinned diagonal).
+//! `q` against everyone" on demand — and answers what the matrix would: the
+//! row [`crate::engine::run`] stores for `q` at the same [`SimrankConfig`].
+//! The forward/backward sweeps are those of Maehara et al., *Efficient
+//! SimRank Computation via Linearization*; the series they sum is not the
+//! fixed point's but the finite one the engine's `k` iterations unroll into.
 //!
-//! # The linearized series
+//! # The unrolled series
 //!
 //! Let `A[q,a] = F(q,a)` and `B[a,q] = F(a,q)` be the transition-factor
-//! matrices (PR 5's CSR [`TransitionFactors`], both orders). At the fixed
-//! point the paper's recurrences (Eq. 4.1/4.2 with the diagonal pinned to 1)
-//! read, *including* the diagonal:
+//! matrices (the CSR [`TransitionFactors`], both orders). The engine starts
+//! from `S^(0) = I` and iteration `t` computes, diagonal included,
 //!
 //! ```text
-//! S_Q = C1·A·S_A·Aᵀ + diag(d_Q)      S_A = C2·B·S_Q·Bᵀ + diag(d_A)
+//! S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))
+//! S_A^(t) = C2·B·S_Q^(t−1)·Bᵀ + diag(D_A^(t))
 //! ```
 //!
-//! where `d_Q`/`d_A` are exactly the corrections that lift each diagonal
-//! entry back to 1. Substituting one into the other gives a discrete
-//! Lyapunov equation in `S_Q` alone:
+//! where `D^(t)` is whatever the unit pin puts on the diagonal that
+//! iteration: `D_Q^(t)[q] = 1 − C1·(A·S_A^(t−1)·Aᵀ)[q,q]`, and the mirror.
+//! Substituting one line into the other removes the ad side,
 //!
 //! ```text
-//! S_Q = c·T·S_Q·Tᵀ + E       c = C1·C2,  T = A·B,
-//!                            E = C1·A·diag(d_A)·Aᵀ + diag(d_Q)
+//! S_Q^(t) = c·T·S_Q^(t−2)·Tᵀ + E_t        c = C1·C2,  T = A·B,
+//!           E_t = C1·A·diag(D_A^(t−1))·Aᵀ + diag(D_Q^(t))
 //! ```
 //!
-//! whose solution is the geometric series `S_Q = Σ_j c^j T^j E (Tᵀ)^j`.
-//! One *row* of that series needs only sparse vector products:
+//! (`D_A^(0) = I`, and `E_0 = S_Q^(0) = I`), and unrolling down to
+//! `t ∈ {0, 1}` gives the row's series — finite and exact:
 //!
-//! * forward: `u_j = (Tᵀ)^j e_q` for `j = 0..J` (two CSR scatters per
+//! ```text
+//! S_Q^(k) = Σ_{j=0..⌊k/2⌋} c^j · T^j · E_{k−2j} · (Tᵀ)^j
+//! ```
+//!
+//! `⌊k/2⌋+1` levels (4 at the paper's `k = 7`), level `j` carrying the
+//! diagonals of iteration `k−2j`. One *row* of it needs only sparse vector
+//! products:
+//!
+//! * forward: `u_j = (Tᵀ)^j e_q` for `j = 0..=⌊k/2⌋` (two CSR scatters per
 //!   level, caching `y_j = Aᵀu_j`);
-//! * backward (Horner): `v ← A(c·B·v + C1·d_A⊙y_j) + d_Q⊙u_j` for
-//!   `j = J..0`, starting from `v = 0`.
+//! * backward (Horner): `v ← A(c·B·v + C1·D_A^(k−2j−1)⊙y_j) + D_Q^(k−2j)⊙u_j`
+//!   for `j = ⌊k/2⌋..0`, starting from `v = 0`.
 //!
-//! The result `v` is `S_Q[q, ·]` up to the `c^{J+1}/(1−c)` series tail and
-//! whatever the pruning threshold discards. The four scatters consume all
-//! four factor layouts of [`TransitionFactors`]:
+//! The result `v` is `S_Q^(k)[q, ·]`, self entry included. The four scatters
+//! consume all four factor layouts of [`TransitionFactors`]:
 //! `Aᵀ` = `ad_to_query_by_query`, `Bᵀ` = `query_to_ad_by_ad`,
 //! `B` = `query_to_ad`, `A` = `ad_to_query`.
 //!
-//! # The diagonal correction
+//! With `prune_threshold = 0` the row equals the engine's to rounding
+//! (≤ 1e-12 over `k ∈ 1..=8`, both transitions —
+//! `tests/single_source_equivalence.rs`). With a threshold the engine drops
+//! small *pairs* after each half-step and the sweeps drop small *vector
+//! entries* after each scatter — two truncations of the same sum, within
+//! `1e-3` of each other at the production `1e-4` (measured `2.2e-4`).
 //!
-//! `d_Q`/`d_A` do not depend on the queried row, so they are precomputed
-//! once per graph (the "index build" of this mode) and reused by every
-//! query. There is one way to get them: read them off all-pairs score
-//! matrices with [`DiagonalCorrection::from_scores`]
-//! (`d_Q[q] = 1 − C1·(A·S_A·Aᵀ)[q,q]`, and the mirror on the ad side).
+//! # The per-iteration diagonals
+//!
+//! `D^(t)` does not depend on the queried row, so it is recorded once per
+//! graph (the "index build" of this mode) and reused by every query. The
+//! pull kernel already has `T[q,·] = Σ_a F(q,a)·S_A[a,·]` in scratch when it
+//! pins row `q`, so the value it pins away is `deg(q)` multiply-adds more;
+//! [`DiagonalCorrection::whole_graph`] runs the engine once with that
+//! recording on and keeps the `⌊k/2⌋+1` pairs the series reads.
 //!
 //! [`SingleSourceEngine::new`] does that **block-locally**: §9.2's click
 //! graph is "one huge connected component and several smaller subgraphs",
 //! the score matrix is block-diagonal over them
-//! (`simrankpp_graph::sharding`), so the one engine ([`crate::engine::run`],
-//! at the caller's own [`SimrankConfig`]) runs once per component on its
-//! induced subgraph, `from_scores` reads the block's `d`, the values scatter
-//! through the shard's monotone id map and the block's matrices are dropped
-//! before the next block runs. Peak memory is the largest block's run, the
-//! steady state `O(n)`, and the result is bit-identical to `from_scores`
-//! over one whole-graph run. After a graph delta
+//! (`simrankpp_graph::sharding`), so the engine runs once per component on
+//! its induced subgraph at the caller's own [`SimrankConfig`], the block's
+//! levels scatter through the shard's monotone id map and the block's
+//! matrices are dropped before the next block runs. Peak memory is the
+//! largest block's run, the steady state `O(k·n)`, and the result is
+//! bit-identical to one whole-graph run. After a graph delta
 //! [`SingleSourceEngine::refreshed`] re-runs only the dirty components and
-//! copies every clean node's entry — the first build is that same refresh
-//! with every component dirty.
+//! copies every clean node's entries, level by level — the first build is
+//! that same refresh with every component dirty.
 //!
-//! The run is the configured `k`-iteration one, not a converged one, so the
-//! correction is `D^(k)`, not the fixed point's `D`. The iterates are
-//! monotone (§4: `S^(k) ≤ S^(k+1) ≤ S`), hence `D^(k) ≥ D` entrywise, and
-//! the series is linear in `d` with non-negative coefficients: a live row
-//! errs **high**, where the `S^(k)` row the same config puts in the offline
-//! index errs low. `tests/single_source_equivalence.rs` pins both over 36
-//! synthetic graph × transition cases pruned at `1e-4`: for `k ∈ {5, 7}`,
-//! `max |live − S^(60)| ≤ max |S^(k) − S^(60)|` against the 60-iteration
-//! unpruned oracle (in practice 2–4× closer), and at `k = 7` the live row
-//! stays inside the `0.02` envelope (worst case there: `1.53e-2`).
+//! With `tolerance > 0` each block stops at its own `iterations_run`; its
+//! levels align from the top (level `j` is always iteration `k_b − 2j` of
+//! *that block's* `k_b`) and are zero below its own depth, so every query's
+//! row is its own block's `engine::run` row. Components too small to hold a
+//! same-side pair get no run: their diagonals are the same at every
+//! iteration (`1 − c·Σ F²` over at most one edge), taken at the configured
+//! depth.
 
 use crate::config::SimrankConfig;
 use crate::engine::parallel::run_indexed;
 use crate::engine::transition::{Transition, TransitionFactors};
-use crate::engine::NodeId;
-use crate::scores::ScoreMatrix;
+use crate::engine::DiagonalHistory;
 use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId, Shard};
 use simrankpp_util::TopK;
 
-/// Truncation target for the series tail when the config's `tolerance` is 0
-/// (its "run everything" convention does not bound a series).
-const DEFAULT_SERIES_TARGET: f64 = 1e-8;
-
-/// Smallest `J` with `c^(J+1)/(1−c) ≤ target`: the series tail beyond level
-/// `J` cannot move any score by more than `target`.
-fn levels_for(c: f64, target: f64) -> usize {
-    if c <= 0.0 {
-        return 0;
-    }
-    if c >= 1.0 {
-        return 64;
-    }
-    let need = (target * (1.0 - c)).ln() / c.ln() - 1.0;
-    (need.ceil().max(1.0) as usize).min(64)
-}
-
-/// The precomputed diagonal-correction vectors `d_Q` / `d_A`. The default
-/// (both empty) is the correction of the empty graph — what a first build
-/// refreshes from.
+/// Series level `j`'s diagonals: what the unit pin replaced at iteration
+/// `k − 2j` on the query side and `k − 2j − 1` on the ad side.
 #[derive(Debug, Clone, Default)]
-pub struct DiagonalCorrection {
-    /// Query-side correction: `d_Q[q] = 1 − C1·(A·S_A·Aᵀ)[q,q]`.
+pub struct CorrectionLevel {
+    /// `D_Q^(k−2j)`: `d_query[q] = 1 − C1·(A·S_A^(k−2j−1)·Aᵀ)[q,q]`.
     pub d_query: Vec<f64>,
-    /// Ad-side correction: `d_A[a] = 1 − C2·(B·S_Q·Bᵀ)[a,a]`.
+    /// `D_A^(k−2j−1)`: `d_ad[a] = 1 − C2·(B·S_Q^(k−2j−2)·Bᵀ)[a,a]`.
     pub d_ad: Vec<f64>,
 }
 
-/// `1 − c·Σ_{i,j} f_i·f_j·S(i,j)` over one node's CSR neighbor row `neigh`
-/// with its per-edge `factors`, summed in row order; `score` supplies the
-/// other side's `S` with its unit diagonal. With the query's ad row, `C1` and
-/// `S_A` this is `d_Q[q]`; the mirror is `d_A[a]`.
-fn correction<N: NodeId>(
-    (neigh, factors): (&[N], &[f64]),
-    c: f64,
-    score: impl Fn(u32, u32) -> f64,
-) -> f64 {
-    let mut acc = 0.0;
-    for (&i, &fi) in neigh.iter().zip(factors) {
-        for (&j, &fj) in neigh.iter().zip(factors) {
-            acc += fi * fj * score(i.raw(), j.raw());
-        }
+/// The precomputed per-iteration diagonals, one [`CorrectionLevel`] per
+/// series level, top (`j = 0`, iteration `k`) first. The default (no levels)
+/// is the correction of the empty graph — what a first build refreshes from.
+#[derive(Debug, Clone, Default)]
+pub struct DiagonalCorrection {
+    /// Levels `0..=⌊k/2⌋` for the configured `k`.
+    pub levels: Vec<CorrectionLevel>,
+}
+
+/// The iterations whose diagonals series level `j` of a `k`-iteration run
+/// reads: `(k − 2j, k − 2j − 1)` for the query and the ad side.
+fn level_iterations(k: usize, j: usize) -> (isize, isize) {
+    let t = k as isize - 2 * j as isize;
+    (t, t - 1)
+}
+
+/// `D^(t)[i]` for any signed `t`: the recorded value of an executed
+/// iteration, `1` at `t = 0` (`S^(0) = I`), `0` below — where the series has
+/// no term.
+fn diagonal_at(t: isize, recorded: impl FnOnce(usize) -> f64) -> f64 {
+    match t {
+        1.. => recorded(t as usize - 1),
+        0 => 1.0,
+        _ => 0.0,
     }
-    1.0 - c * acc
 }
 
-/// Query `q`'s ad row with `F(q, ·)`.
-fn query_row<'a>(
-    g: &'a ClickGraph,
-    f: &'a TransitionFactors,
-    q: QueryId,
-) -> (&'a [AdId], &'a [f64]) {
-    let (ads, _) = g.ads_of(q);
+/// `F(q, ·)` over query `q`'s ad row.
+fn query_factors<'a>(g: &ClickGraph, f: &'a TransitionFactors, q: QueryId) -> &'a [f64] {
     let lo = g.query_csr_offset(q);
-    (ads, &f.ad_to_query_by_query[lo..lo + ads.len()])
+    &f.ad_to_query_by_query[lo..lo + g.query_degree(q)]
 }
 
-/// Ad `a`'s query row with `F(a, ·)`.
-fn ad_row<'a>(g: &'a ClickGraph, f: &'a TransitionFactors, a: AdId) -> (&'a [QueryId], &'a [f64]) {
-    let (qs, _) = g.queries_of(a);
+/// `F(a, ·)` over ad `a`'s query row.
+fn ad_factors<'a>(g: &ClickGraph, f: &'a TransitionFactors, a: AdId) -> &'a [f64] {
     let lo = g.ad_csr_offset(a);
-    (qs, &f.query_to_ad_by_ad[lo..lo + qs.len()])
+    &f.query_to_ad_by_ad[lo..lo + g.ad_degree(a)]
 }
 
-/// One side of [`DiagonalCorrection::block_local`]: a node keeps its block's
-/// entry where a block covers it, takes `closed` when it is dirty but in no
-/// block, and its entry of `previous` when it is clean.
+/// The diagonal of a node no same-side pair can reach: with `S = I` on the
+/// other side at every iteration the pin replaces `c·Σ F²` — the value the
+/// kernel records for such a row, bit for bit.
+fn pairless_diagonal(factors: &[f64], c: f64) -> f64 {
+    let mut pinned = 0.0;
+    for f in factors {
+        pinned += f * f;
+    }
+    1.0 - c * pinned
+}
+
+/// One side of one level of [`DiagonalCorrection::block_local`]: a node
+/// keeps its block's entry where a block covers it, takes `closed` when it is
+/// dirty but in no block, and its entry of `previous` when it is clean.
 fn merge_side(
     blocks: Vec<Option<f64>>,
     dirty: impl Fn(usize) -> bool,
@@ -166,24 +174,31 @@ fn merge_side(
 }
 
 impl DiagonalCorrection {
-    /// Reads the correction off all-pairs score matrices. `queries`/`ads`
-    /// must come from a run of the same transition on the same graph; the
-    /// correction is exact for the fixed point when that run is converged
-    /// (the differential-test oracle) and the over-estimate `D^(k)` the
-    /// module docs describe when it is the configured `k`-iteration run.
-    pub fn from_scores(
+    /// The correction of one monolithic engine run over `g` at `config`: the
+    /// diagonals the run records, picked per series level. `block_local`
+    /// calls this per component block; over a whole graph it is the
+    /// reference the block-local form is bit-identical to (when `tolerance`
+    /// is 0 — otherwise each block stops on its own).
+    pub fn whole_graph<T: Transition>(
         g: &ClickGraph,
-        factors: &TransitionFactors,
-        c1: f64,
-        c2: f64,
-        queries: &ScoreMatrix,
-        ads: &ScoreMatrix,
+        config: &SimrankConfig,
+        transition: &T,
     ) -> Self {
-        let d_q = |q| correction(query_row(g, factors, q), c1, |i, j| ads.get(i, j));
-        let d_a = |a| correction(ad_row(g, factors, a), c2, |i, j| queries.get(i, j));
+        let mut history = DiagonalHistory::new();
+        crate::engine::run_recording(g, config, transition, Some(&mut history));
+        let level = |j| {
+            let (t_q, t_a) = level_iterations(history.len(), j);
+            CorrectionLevel {
+                d_query: (0..g.n_queries())
+                    .map(|q| diagonal_at(t_q, |t| history[t].0[q]))
+                    .collect(),
+                d_ad: (0..g.n_ads())
+                    .map(|a| diagonal_at(t_a, |t| history[t].1[a]))
+                    .collect(),
+            }
+        };
         DiagonalCorrection {
-            d_query: g.queries().map(d_q).collect(),
-            d_ad: g.ads().map(d_a).collect(),
+            levels: (0..=config.iterations / 2).map(level).collect(),
         }
     }
 
@@ -192,10 +207,9 @@ impl DiagonalCorrection {
     /// same-side pair is re-run on its induced subgraph alone
     /// ([`Shard::from_dirty`], `config.threads` workers over the blocks,
     /// each block serial inside), dirty components too small for that take
-    /// [`DiagonalCorrection::from_scores`]' closed form at `S = I`, and every
-    /// clean node keeps its entry of `previous` — ids are stable across
-    /// deltas, so a node without one must be dirty. `factors` are
-    /// `transition`'s over the whole of `g`.
+    /// the closed form, and every clean node keeps its entries of
+    /// `previous` — ids are stable across deltas, so a node without them
+    /// must be dirty. `factors` are `transition`'s over the whole of `g`.
     fn block_local<T: Transition>(
         previous: &DiagonalCorrection,
         g: &ClickGraph,
@@ -211,42 +225,52 @@ impl DiagonalCorrection {
         let shards = Shard::from_dirty(g, dirty);
         let local = config.with_threads(1);
         let workers = config.effective_threads().min(shards.len()).max(1);
-        // Each worker returns only the block's two vectors: the block's
-        // score matrices die inside the closure.
+        // Each worker returns only the block's levels: the block's score
+        // matrices die inside the closure.
         let blocks = run_indexed(shards.len(), workers, |i| {
-            let block = &shards[i].graph;
-            let run = crate::engine::run(block, &local, transition);
-            let f = transition.factors(block);
-            Self::from_scores(block, &f, config.c1, config.c2, &run.queries, &run.ads)
+            Self::whole_graph(&shards[i].graph, &local, transition)
         });
-        let mut d_query = vec![None; g.n_queries()];
-        let mut d_ad = vec![None; g.n_ads()];
-        for (shard, block) in shards.iter().zip(blocks) {
-            for (&q, d) in shard.mapping.queries.iter().zip(block.d_query) {
-                d_query[q.index()] = Some(d);
-            }
-            for (&a, d) in shard.mapping.ads.iter().zip(block.d_ad) {
-                d_ad[a.index()] = Some(d);
-            }
-        }
-        let identity = |i: u32, j: u32| if i == j { 1.0 } else { 0.0 };
         let (qid, aid) = (|q: usize| QueryId(q as u32), |a: usize| AdId(a as u32));
-        Ok(DiagonalCorrection {
-            d_query: merge_side(
-                d_query,
-                |q| dirty.query_dirty(qid(q)),
-                |q| correction(query_row(g, factors, qid(q)), config.c1, identity),
-                &previous.d_query,
-                "query",
-            )?,
-            d_ad: merge_side(
-                d_ad,
-                |a| dirty.ad_dirty(aid(a)),
-                |a| correction(ad_row(g, factors, aid(a)), config.c2, identity),
-                &previous.d_ad,
-                "ad",
-            )?,
-        })
+        let level = |j: usize| {
+            let mut d_query = vec![None; g.n_queries()];
+            let mut d_ad = vec![None; g.n_ads()];
+            for (shard, block) in shards.iter().zip(&blocks) {
+                for (&q, &d) in shard.mapping.queries.iter().zip(&block.levels[j].d_query) {
+                    d_query[q.index()] = Some(d);
+                }
+                for (&a, &d) in shard.mapping.ads.iter().zip(&block.levels[j].d_ad) {
+                    d_ad[a.index()] = Some(d);
+                }
+            }
+            let old = previous.levels.get(j);
+            let (t_q, t_a) = level_iterations(config.iterations, j);
+            Ok(CorrectionLevel {
+                d_query: merge_side(
+                    d_query,
+                    |q| dirty.query_dirty(qid(q)),
+                    |q| {
+                        let f = query_factors(g, factors, qid(q));
+                        diagonal_at(t_q, |_| pairless_diagonal(f, config.c1))
+                    },
+                    old.map_or(&[], |l| &l.d_query),
+                    "query",
+                )?,
+                d_ad: merge_side(
+                    d_ad,
+                    |a| dirty.ad_dirty(aid(a)),
+                    |a| {
+                        let f = ad_factors(g, factors, aid(a));
+                        diagonal_at(t_a, |_| pairless_diagonal(f, config.c2))
+                    },
+                    old.map_or(&[], |l| &l.d_ad),
+                    "ad",
+                )?,
+            })
+        };
+        let levels = (0..=config.iterations / 2)
+            .map(level)
+            .collect::<Result<_, String>>()?;
+        Ok(DiagonalCorrection { levels })
     }
 }
 
@@ -336,9 +360,9 @@ impl RowWorkspace {
     /// Computes and stores `u_j = (Tᵀ)^j u_0` and `y_j = Aᵀu_j` for
     /// `j = 0..=levels`, pruning each level at `prune`.
     ///
-    /// Kept out of line: with `row_into` its only caller the compiler inlines
-    /// it there, and the fused body runs the row ≈ 6 % slower (153.5 vs
-    /// 144.2 ms per 100 top-10 queries on the 10k `bench_ci` graph).
+    /// Kept out of line: with `sweep` its only caller the compiler inlines
+    /// it there, and the fused body runs the row ≈ 2 % slower (51.5 vs
+    /// 50.5 µs a row at `k = 7`, prune 1e-4 on a 3 000-query synth graph).
     #[inline(never)]
     fn forward(
         &mut self,
@@ -380,8 +404,8 @@ impl RowWorkspace {
     }
 }
 
-/// The on-demand engine: precomputed factors + diagonal correction, ready to
-/// answer per-query rows and top-k requests.
+/// The on-demand engine: precomputed factors + per-iteration diagonals,
+/// ready to answer per-query rows and top-k requests.
 ///
 /// Holds no reference to the graph; pass the *same* graph to every method
 /// (checked only by side cardinality).
@@ -391,13 +415,12 @@ pub struct SingleSourceEngine {
     correction: DiagonalCorrection,
     c1: f64,
     c: f64,
-    levels: usize,
     prune: f64,
 }
 
 impl SingleSourceEngine {
-    /// Builds the engine for `g`: the block-local diagonal correction of the
-    /// module docs, one engine run per connected component at `config` (the
+    /// Builds the engine for `g`: the block-local diagonals of the module
+    /// docs, one engine run per connected component at `config` (the
     /// one-off precompute of this mode — everything per-query afterwards).
     /// This is [`SingleSourceEngine::refreshed`] from the empty graph, with
     /// every component dirty.
@@ -426,56 +449,32 @@ impl SingleSourceEngine {
         config: &SimrankConfig,
         transition: &T,
     ) -> Result<Self, String> {
+        config.validate().expect("invalid SimRank configuration");
         let factors = transition.factors(g);
         let correction =
             DiagonalCorrection::block_local(previous, g, &factors, dirty, config, transition)?;
-        Ok(Self::with_correction(config, factors, correction))
-    }
-
-    /// Builds the engine from an already-computed correction (e.g.
-    /// [`DiagonalCorrection::from_scores`] over a converged run, the
-    /// differential suites' oracle).
-    pub fn with_correction(
-        config: &SimrankConfig,
-        factors: TransitionFactors,
-        correction: DiagonalCorrection,
-    ) -> Self {
-        config.validate().expect("invalid SimRank configuration");
-        let c = config.c1 * config.c2;
-        let target = if config.tolerance > 0.0 {
-            config.tolerance
-        } else {
-            DEFAULT_SERIES_TARGET
-        };
-        SingleSourceEngine {
+        Ok(SingleSourceEngine {
             factors,
             correction,
             c1: config.c1,
-            c,
-            levels: levels_for(c, target),
+            c: config.c1 * config.c2,
             prune: config.prune_threshold,
-        }
+        })
     }
 
-    /// The diagonal correction in use.
+    /// The per-iteration diagonals in use.
     pub fn correction(&self) -> &DiagonalCorrection {
         &self.correction
     }
 
-    /// Series truncation depth `J` (levels `0..=J` are accumulated).
+    /// Series levels a row sums: `⌊k/2⌋ + 1` for the configured `k`.
     pub fn levels(&self) -> usize {
-        self.levels
+        self.correction.levels.len()
     }
 
-    /// Computes `S_Q[q, ·]` into `out` as ascending-id `(query, score)`
-    /// pairs (the self entry included, ≈ 1), reusing `ws` across calls.
-    pub fn row_into(
-        &self,
-        g: &ClickGraph,
-        q: QueryId,
-        ws: &mut RowWorkspace,
-        out: &mut Vec<(QueryId, f64)>,
-    ) {
+    /// Runs the forward and Horner sweeps for `q`, leaving `S_Q^(k)[q, ·]`
+    /// in `ws.v` as ascending-id `(query, score)` pairs.
+    fn sweep(&self, g: &ClickGraph, q: QueryId, ws: &mut RowWorkspace) {
         assert_eq!(
             (ws.acc_q.val.len(), ws.acc_a.val.len()),
             (g.n_queries(), g.n_ads()),
@@ -487,10 +486,18 @@ impl SingleSourceEngine {
         // dirty; resetting at entry makes every call self-contained.
         ws.acc_q.reset();
         ws.acc_a.reset();
-        ws.forward(g, &self.factors, &[(q.0, 1.0)], self.levels, self.prune);
-        // Backward Horner: v ← A(c·B·v + C1·d_A⊙y_j) + d_Q⊙u_j, j = J..0.
+        let levels = &self.correction.levels;
+        ws.forward(
+            g,
+            &self.factors,
+            &[(q.0, 1.0)],
+            levels.len() - 1,
+            self.prune,
+        );
+        // Backward Horner: v ← A(c·B·v + C1·d_A⊙y_j) + d_Q⊙u_j, j = J..0,
+        // with level j's own d_Q / d_A.
         ws.v.clear();
-        for j in (0..=self.levels).rev() {
+        for (j, level) in levels.iter().enumerate().rev() {
             // m = c·(B v) + C1·(d_A ⊙ y_j), assembled in the ad accumulator.
             for &(qi, x) in &ws.v {
                 let qq = QueryId(qi);
@@ -503,8 +510,7 @@ impl SingleSourceEngine {
                 }
             }
             for &(ai, x) in &ws.levels_y[j] {
-                ws.acc_a
-                    .add(ai, self.c1 * self.correction.d_ad[ai as usize] * x);
+                ws.acc_a.add(ai, self.c1 * level.d_ad[ai as usize] * x);
             }
             ws.acc_a.drain_into(self.prune, &mut ws.m);
             // v = A m + d_Q ⊙ u_j.
@@ -518,10 +524,23 @@ impl SingleSourceEngine {
                 }
             }
             for &(qi, x) in &ws.levels_u[j] {
-                ws.acc_q.add(qi, self.correction.d_query[qi as usize] * x);
+                ws.acc_q.add(qi, level.d_query[qi as usize] * x);
             }
             ws.acc_q.drain_into(self.prune, &mut ws.v);
         }
+    }
+
+    /// Computes `S_Q^(k)[q, ·]` into `out` as ascending-id `(query, score)`
+    /// pairs (the self entry included, = 1 to rounding), reusing `ws` across
+    /// calls.
+    pub fn row_into(
+        &self,
+        g: &ClickGraph,
+        q: QueryId,
+        ws: &mut RowWorkspace,
+        out: &mut Vec<(QueryId, f64)>,
+    ) {
+        self.sweep(g, q, ws);
         out.clear();
         out.extend(ws.v.iter().map(|&(qi, s)| (QueryId(qi), s)));
     }
@@ -535,8 +554,8 @@ impl SingleSourceEngine {
     }
 
     /// The `k` highest-scoring *other* queries for `q` (descending score,
-    /// ties by ascending id — [`ScoreMatrix::top_k`]'s order), written into
-    /// `out`.
+    /// ties by ascending id — [`crate::ScoreMatrix::top_k`]'s order), written
+    /// into `out`.
     pub fn top_k_into(
         &self,
         g: &ClickGraph,
@@ -545,12 +564,11 @@ impl SingleSourceEngine {
         ws: &mut RowWorkspace,
         out: &mut Vec<(QueryId, f64)>,
     ) {
-        let mut row = Vec::new();
-        self.row_into(g, q, ws, &mut row);
+        self.sweep(g, q, ws);
         let mut top = TopK::new(k);
-        for (other, score) in row {
-            if other != q && score > 0.0 {
-                top.push(other.0, score);
+        for &(other, score) in &ws.v {
+            if other != q.0 && score > 0.0 {
+                top.push(other, score);
             }
         }
         out.clear();
@@ -573,54 +591,91 @@ impl SingleSourceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, UniformTransition};
+    use crate::engine::{self, EngineRun, UniformTransition};
     use simrankpp_graph::fixtures::{figure3_graph, figure4_k22};
+    use simrankpp_graph::{ClickGraphBuilder, EdgeData, GraphDelta};
 
-    /// Converged-run settings: the linearized series approximates the fixed
-    /// point, so the oracle must actually be at the fixed point.
-    fn converged() -> SimrankConfig {
-        SimrankConfig::default().with_iterations(60)
+    fn cfg(k: usize) -> SimrankConfig {
+        SimrankConfig::default().with_iterations(k)
     }
 
-    fn exact_engine(
-        g: &ClickGraph,
-        config: &SimrankConfig,
-    ) -> (engine::EngineRun, SingleSourceEngine) {
-        let run = engine::run(g, config, &UniformTransition);
-        let factors = UniformTransition.factors(g);
-        let d = DiagonalCorrection::from_scores(
-            g,
-            &factors,
-            config.c1,
-            config.c2,
-            &run.queries,
-            &run.ads,
-        );
-        let ss = SingleSourceEngine::with_correction(config, factors, d);
-        (run, ss)
+    /// `base` plus `extra` edges and `spare` unclicked ids per side.
+    fn extended(base: &ClickGraph, extra: &[(u32, u32)], spare: u32) -> ClickGraph {
+        let mut b = ClickGraphBuilder::new();
+        for (q, a, e) in base.edges() {
+            b.add_edge(q, a, *e);
+        }
+        for &(q, a) in extra {
+            b.add_edge(QueryId(q), AdId(a), EdgeData::from_clicks(3));
+        }
+        let sizes = (base.n_queries() as u32, base.n_ads() as u32);
+        let (nq, na) = extra
+            .iter()
+            .fold(sizes, |(nq, na), &(q, a)| (nq.max(q + 1), na.max(a + 1)));
+        b.reserve_queries(nq + spare);
+        b.reserve_ads(na + spare);
+        b.build()
+    }
+
+    /// Figure 3 plus what no block covers: a 1×1 edge component and an
+    /// isolated node per side.
+    fn figure3_with_pairless_components() -> ClickGraph {
+        extended(&figure3_graph(), &[(5, 4)], 1)
+    }
+
+    /// Largest `|live row − engine row|` over every query, in both
+    /// directions (spurious entries and missing ones alike).
+    fn max_row_error(g: &ClickGraph, run: &EngineRun, ss: &SingleSourceEngine) -> f64 {
+        let mut worst = 0.0f64;
+        for q in g.queries() {
+            let row = ss.row(g, q);
+            for &(other, got) in &row {
+                worst = worst.max((got - run.queries.get(q.0, other.0)).abs());
+            }
+            for other in g.queries() {
+                if !row.iter().any(|&(w, _)| w == other) {
+                    worst = worst.max(run.queries.get(q.0, other.0));
+                }
+            }
+        }
+        worst
+    }
+
+    fn bits(d: &[f64]) -> Vec<u64> {
+        d.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Overwrites `q`'s entry at every level with a per-level marker no run
+    /// produces.
+    fn poison(d: &mut DiagonalCorrection, q: QueryId, marker: f64) {
+        for (j, level) in d.levels.iter_mut().enumerate() {
+            level.d_query[q.index()] = marker + j as f64;
+        }
+    }
+
+    fn assert_same_levels(a: &DiagonalCorrection, b: &DiagonalCorrection) {
+        assert_eq!(a.levels.len(), b.levels.len());
+        for (j, (la, lb)) in a.levels.iter().zip(&b.levels).enumerate() {
+            assert_eq!(bits(&la.d_query), bits(&lb.d_query), "level {j} d_Q");
+            assert_eq!(bits(&la.d_ad), bits(&lb.d_ad), "level {j} d_A");
+        }
     }
 
     #[test]
-    fn exact_correction_reproduces_engine_rows() {
-        for g in [figure3_graph(), figure4_k22()] {
-            let config = converged();
-            let (run, ss) = exact_engine(&g, &config);
-            for q in g.queries() {
-                let row = ss.row(&g, q);
-                for other in g.queries() {
-                    let got = row
-                        .iter()
-                        .find(|&&(w, _)| w == other)
-                        .map(|&(_, s)| s)
-                        .unwrap_or(0.0);
-                    let want = run.queries.get(q.0, other.0);
-                    assert!(
-                        (got - want).abs() < 1e-6,
-                        "row({:?})[{:?}] = {got}, engine {want}",
-                        q,
-                        other
-                    );
-                }
+    fn rows_are_the_engine_rows_at_every_iteration_count() {
+        // Both parities: an even k ends the series on E_0 = I, an odd one on
+        // E_1 with D_A^(0) = I; k = 0 is the identity alone.
+        for g in [
+            figure3_graph(),
+            figure4_k22(),
+            figure3_with_pairless_components(),
+        ] {
+            for k in 0..=8 {
+                let run = engine::run(&g, &cfg(k), &UniformTransition);
+                let ss = SingleSourceEngine::new(&g, &cfg(k), &UniformTransition);
+                assert_eq!(ss.levels(), k / 2 + 1);
+                let err = max_row_error(&g, &run, &ss);
+                assert!(err < 1e-12, "k = {k}: live rows off by {err:e}");
             }
         }
     }
@@ -628,38 +683,25 @@ mod tests {
     #[test]
     fn new_reads_the_whole_graph_correction_block_by_block() {
         // Figure 3's two components are both blocks (flower's one query
-        // still has an ad pair); the third graph adds what no block covers —
-        // a 1×1 edge component and an isolated node per side, which take
-        // the S = I closed form.
-        let mut b = simrankpp_graph::ClickGraphBuilder::new();
-        for (q, a, e) in figure3_graph().edges() {
-            b.add_edge(q, a, *e);
-        }
-        b.add_edge(
-            QueryId(5),
-            AdId(4),
-            simrankpp_graph::EdgeData::from_clicks(3),
-        );
-        b.reserve_queries(7);
-        b.reserve_ads(6);
-        for g in [figure3_graph(), figure4_k22(), b.build()] {
-            let config = converged();
-            let (_, exact) = exact_engine(&g, &config);
-            let ss = SingleSourceEngine::new(&g, &config, &UniformTransition);
-            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&ss.correction().d_query),
-                bits(&exact.correction().d_query)
-            );
-            assert_eq!(bits(&ss.correction().d_ad), bits(&exact.correction().d_ad));
+        // still has an ad pair); the third graph adds what no block covers,
+        // which takes the closed form at every level.
+        for g in [
+            figure3_graph(),
+            figure4_k22(),
+            figure3_with_pairless_components(),
+        ] {
+            for k in [4, 7] {
+                let whole = DiagonalCorrection::whole_graph(&g, &cfg(k), &UniformTransition);
+                let ss = SingleSourceEngine::new(&g, &cfg(k), &UniformTransition);
+                assert_same_levels(ss.correction(), &whole);
+            }
         }
     }
 
     #[test]
     fn refreshed_copies_clean_entries_and_refuses_a_stale_analysis() {
-        use simrankpp_graph::{EdgeData, GraphDelta};
         let g = figure3_graph();
-        let config = converged();
+        let config = cfg(7);
         let old = SingleSourceEngine::new(&g, &config, &UniformTransition);
         let mut d = GraphDelta::new();
         d.upsert(
@@ -669,22 +711,18 @@ mod tests {
         );
         let g2 = d.apply(&g);
         let dirty = d.dirty_components(&g2);
-        // A poisoned clean entry must come through verbatim: it was copied,
-        // not recomputed.
+        // A poisoned clean entry must come through verbatim at every level:
+        // it was copied, not recomputed.
         let flower = g.query_by_name("flower").unwrap();
         let mut previous = old.correction().clone();
-        previous.d_query[flower.index()] = 0.123;
+        poison(&mut previous, flower, 0.123);
         let next =
             SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &UniformTransition)
                 .unwrap();
-        assert_eq!(next.correction().d_query[flower.index()], 0.123);
         let scratch = SingleSourceEngine::new(&g2, &config, &UniformTransition);
-        for q in g2.queries().filter(|&q| q != flower) {
-            assert_eq!(
-                next.correction().d_query[q.index()].to_bits(),
-                scratch.correction().d_query[q.index()].to_bits()
-            );
-        }
+        let mut poisoned = scratch.correction().clone();
+        poison(&mut poisoned, flower, 0.123);
+        assert_same_levels(next.correction(), &poisoned);
 
         // Nothing dirty and nothing to copy from: every node is "new".
         let clean = GraphDelta::new().dirty_components(&g2);
@@ -699,63 +737,90 @@ mod tests {
         );
     }
 
-    #[test]
-    fn engine_rows_track_all_pairs() {
-        let g = figure3_graph();
-        let config = converged();
-        let run = engine::run(&g, &config, &UniformTransition);
-        let ss = SingleSourceEngine::new(&g, &config, &UniformTransition);
-        for q in g.queries() {
-            for (other, got) in ss.row(&g, q) {
-                let want = run.queries.get(q.0, other.0);
-                assert!(
-                    (got - want).abs() < 0.02,
-                    "row({:?})[{:?}] = {got}, engine {want}",
-                    q,
-                    other
-                );
-            }
-        }
+    /// Each block's own `engine::run` at `config`, with its shard.
+    fn block_runs(g: &ClickGraph, config: &SimrankConfig) -> Vec<(Shard, EngineRun)> {
+        Shard::from_dirty(g, &DirtyComponents::all(g))
+            .into_iter()
+            .map(|shard| {
+                let run = engine::run(&shard.graph, config, &UniformTransition);
+                (shard, run)
+            })
+            .collect()
     }
 
     #[test]
-    fn self_score_is_one() {
-        let g = figure3_graph();
-        let config = converged();
-        let (_, ss) = exact_engine(&g, &config);
-        for q in g.queries() {
-            let row = ss.row(&g, q);
-            let own = row.iter().find(|&&(w, _)| w == q).map(|&(_, s)| s);
-            assert!(
-                (own.unwrap_or(0.0) - 1.0).abs() < 1e-6,
-                "self score of {:?}: {:?}",
-                q,
-                own
-            );
+    fn blocks_that_stop_early_keep_their_own_rows() {
+        // Under a tolerance the camera component takes a dozen iterations
+        // and the q5,q6 → a4 star two (its one query pair is C1 from the
+        // first iteration on): levels align from the top, zeros below.
+        let g = extended(&figure3_graph(), &[(5, 4), (6, 4)], 0);
+        let config = cfg(30).with_tolerance(1e-3);
+        let blocks = block_runs(&g, &config);
+        let depths: Vec<usize> = blocks.iter().map(|(_, run)| run.iterations_run).collect();
+        assert!(depths.iter().any(|&d| d != depths[0]), "depths {depths:?}");
+        let ss = SingleSourceEngine::new(&g, &config, &UniformTransition);
+        assert_eq!(ss.levels(), 16);
+        for (shard, run) in &blocks {
+            for lq in shard.graph.queries() {
+                let q = shard.mapping.to_parent_query(lq);
+                for (other, got) in ss.row(&g, q) {
+                    let want = shard
+                        .mapping
+                        .to_sub_query(other)
+                        .map_or(0.0, |lo| run.queries.get(lq.0, lo.0));
+                    assert!(
+                        (got - want).abs() < 1e-12,
+                        "S({q}, {other}) = {got}, block {want}"
+                    );
+                }
+            }
         }
+
+        // A delta that deepens the star (a second ad gives it an ad pair
+        // that converges geometrically) leaves the other components clean:
+        // their levels are copied verbatim, whatever depth the dirty one
+        // now has.
+        let mut d = GraphDelta::new();
+        d.upsert(QueryId(6), AdId(5), EdgeData::from_clicks(2));
+        let g2 = d.apply(&g);
+        let star_depth = |g: &ClickGraph| {
+            let runs = block_runs(g, &config);
+            let star = runs
+                .iter()
+                .find(|(shard, _)| shard.mapping.to_sub_query(QueryId(6)).is_some());
+            star.expect("the star is a block").1.iterations_run
+        };
+        assert_ne!(star_depth(&g), star_depth(&g2));
+        let mut previous = ss.correction().clone();
+        let camera = figure3_graph().query_by_name("camera").unwrap();
+        poison(&mut previous, camera, 0.5);
+        let dirty = d.dirty_components(&g2);
+        let next =
+            SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &UniformTransition)
+                .unwrap();
+        let mut want = SingleSourceEngine::new(&g2, &config, &UniformTransition)
+            .correction()
+            .clone();
+        poison(&mut want, camera, 0.5);
+        assert_same_levels(next.correction(), &want);
     }
 
     #[test]
     fn top_k_matches_matrix_top_k() {
         let g = figure3_graph();
-        let config = converged();
-        let (run, ss) = exact_engine(&g, &config);
+        let run = engine::run(&g, &cfg(7), &UniformTransition);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
         for q in g.queries() {
             let got = ss.top_k(&g, q, 3);
-            let want: Vec<(QueryId, f64)> = run
-                .queries
-                .top_k(q.0, 3)
-                .into_iter()
-                .map(|(i, s)| (QueryId(i), s))
-                .collect();
+            let want = run.queries.top_k(q.0, 3);
             assert_eq!(
-                got.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                got.iter().map(|&(i, _)| i.0).collect::<Vec<_>>(),
                 want.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
                 "top-k ids for {:?}",
                 q
             );
             for (a, b) in got.iter().zip(&want) {
-                assert!((a.1 - b.1).abs() < 1e-6);
+                assert!((a.1 - b.1).abs() < 1e-12);
             }
         }
     }
@@ -764,8 +829,7 @@ mod tests {
     fn disconnected_query_row_is_its_own_unit() {
         // "flower" shares no component with "camera"/"pc"/"tv" in Figure 3.
         let g = figure3_graph();
-        let config = converged();
-        let (_, ss) = exact_engine(&g, &config);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
         let flower = g.query_by_name("flower").unwrap();
         let pc = g.query_by_name("pc").unwrap();
         let row = ss.row(&g, flower);
@@ -774,21 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn levels_for_bounds_the_tail() {
-        let j = levels_for(0.64, 1e-8);
-        assert!(0.64f64.powi(j as i32 + 1) / 0.36 <= 1e-8);
-        assert!(0.64f64.powi(j as i32) / 0.36 > 1e-8);
-        assert_eq!(levels_for(0.0, 1e-8), 0);
-    }
-
-    #[test]
     fn dirty_workspace_is_reset_at_entry() {
         // A computation that panicked mid-sweep leaves garbage in the dense
         // accumulators (drain_into never ran). The next row_into on the same
         // workspace must not inherit it.
         let g = figure3_graph();
-        let config = converged();
-        let (_, ss) = exact_engine(&g, &config);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
         let camera = g.query_by_name("camera").unwrap();
         let clean = ss.row(&g, camera);
 
@@ -806,7 +861,7 @@ mod tests {
     #[test]
     fn row_into_refuses_a_workspace_missized_on_either_side() {
         let g = figure3_graph();
-        let (_, ss) = exact_engine(&g, &converged());
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
         let camera = g.query_by_name("camera").unwrap();
         for (nq, na) in [
             (g.n_queries() - 1, g.n_ads()),

@@ -206,8 +206,9 @@ pub struct UpdateContext {
 /// The graph and the engine are immutable and shared (`Arc`): an `update`
 /// reads them under a momentary lock, builds the next engine from them with
 /// the lock released — requests keep being served — and takes the lock
-/// again only to swap the pair in. The workspace is the one piece of
-/// per-request mutable state.
+/// again only to swap the pair in. The workspace and the three miss-path
+/// buffers beside it are the only per-request mutable state: scratch, each
+/// cleared by the call that fills it.
 pub struct LiveContext {
     graph: Arc<ClickGraph>,
     method: MethodKind,
@@ -215,6 +216,9 @@ pub struct LiveContext {
     rewriter: RewriterConfig,
     engine: Arc<SingleSourceEngine>,
     ws: RowWorkspace,
+    row: Vec<(QueryId, f64)>,
+    candidates: Vec<(QueryId, f64, f64)>,
+    picked: Vec<(QueryId, f64)>,
 }
 
 /// The single-source engine of `method` over the post-delta `graph`:
@@ -275,6 +279,9 @@ impl LiveContext {
             rewriter,
             engine: Arc::new(engine),
             ws,
+            row: Vec::new(),
+            candidates: Vec::new(),
+            picked: Vec::new(),
         })
     }
 
@@ -283,15 +290,15 @@ impl LiveContext {
     /// shared §9.3 [`funnel`] — without a bid filter, which needs a bid-term
     /// list the live path does not carry.
     fn compute_suffix(&mut self, q: QueryId) -> String {
-        let mut row = Vec::new();
-        self.engine.row_into(&self.graph, q, &mut self.ws, &mut row);
+        self.engine
+            .row_into(&self.graph, q, &mut self.ws, &mut self.row);
 
         // (id, final, raw): final applies the geometric evidence factor for
         // the evidence-carrying methods; plain SimRank ranks by raw alone.
         // Evidence-zeroed candidates stay in with final = 0 so the raw
         // score tie-breaks, as `Method::ranked_candidates` does.
-        let mut candidates: Vec<(QueryId, f64, f64)> = Vec::new();
-        for &(other, raw) in &row {
+        self.candidates.clear();
+        for &(other, raw) in &self.row {
             if other == q || raw <= 0.0 {
                 continue;
             }
@@ -299,24 +306,24 @@ impl LiveContext {
                 MethodKind::Simrank => raw,
                 _ => evidence_geometric(self.graph.common_ads(q, other)) * raw,
             };
-            candidates.push((other, final_score, raw));
+            self.candidates.push((other, final_score, raw));
         }
-        let mut picked = Vec::new();
         funnel(
             &self.graph,
             &self.rewriter,
             q,
-            &mut candidates,
+            &mut self.candidates,
             None,
-            &mut picked,
+            &mut self.picked,
         );
 
-        let mut suffix = format!("\t{}", picked.len());
-        for (id, score) in picked {
-            match self.graph.query_name(id) {
-                Some(n) => suffix.push_str(&format!("\t{}\t{score:.6}", clean(n))),
-                None => suffix.push_str(&format!("\t#{}\t{score:.6}", id.0)),
-            }
+        use std::fmt::Write as _;
+        let mut suffix = format!("\t{}", self.picked.len());
+        for &(id, score) in &self.picked {
+            let _ = match self.graph.query_name(id) {
+                Some(n) => write!(suffix, "\t{}\t{score:.6}", clean(n)),
+                None => write!(suffix, "\t#{}\t{score:.6}", id.0),
+            };
         }
         suffix
     }

@@ -1,17 +1,14 @@
 //! Integration properties for the serving layer: a snapshotted index must be
 //! indistinguishable from the live pipeline — build → save → load → identical
 //! rewrites for every query, on randomized graphs — and the compute-on-miss
-//! path must rank exactly like an index built over the same scores.
+//! path must answer with the lines of an index built offline over the same
+//! graph and config.
 
 // The vendored proptest! macro expands recursively per doc-commented test.
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;
-use simrankpp_core::weighted::SpreadMode;
-use simrankpp_core::{
-    evidence_geometric, Method, MethodKind, Rewriter, RewriterConfig, ScoreMatrixBuilder,
-    SimrankConfig, SingleSourceEngine, UniformTransition, WeightedTransition,
-};
+use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, ClickGraphBuilder, EdgeData, QueryId, WeightKind};
 use simrankpp_serve::{serve_session, LiveContext, RewriteIndex, ServeState};
 use simrankpp_util::FxHashSet;
@@ -79,54 +76,22 @@ fn assert_index_matches_live(
     }
 }
 
-/// The all-pairs [`Method`] holding exactly the scores the live path ranks
-/// by: every row of the single-source engine [`LiveContext::new`] builds for
-/// `kind`, frozen into the symmetric matrices (pair `(a, b)`, `a < b`, read
-/// off row `a`) with the live path's geometric evidence factor on top. The
-/// linearized series is symmetric, so a row read from the other endpoint
-/// differs by rounding only.
-fn method_from_live_rows(g: &ClickGraph, kind: MethodKind, cfg: &SimrankConfig) -> Method {
-    let engine = match kind {
-        MethodKind::WeightedSimrank => SingleSourceEngine::new(
-            g,
-            cfg,
-            &WeightedTransition {
-                kind: cfg.weight_kind,
-                spread: SpreadMode::Exponential,
-            },
-        ),
-        _ => SingleSourceEngine::new(g, cfg, &UniformTransition),
-    };
-    let mut raw = ScoreMatrixBuilder::new(g.n_queries());
-    let mut fin = ScoreMatrixBuilder::new(g.n_queries());
-    for a in g.queries() {
-        for (b, score) in engine.row(g, a) {
-            if b > a && score > 0.0 {
-                raw.set(a.0, b.0, score);
-                fin.set(a.0, b.0, evidence_geometric(g.common_ads(a, b)) * score);
-            }
-        }
-    }
-    match kind {
-        MethodKind::Simrank => Method::from_scores(kind, raw.build(), None),
-        _ => Method::from_scores(kind, fin.build(), Some(raw.build())),
-    }
-}
-
-/// The rewrite targets of a one-request session, in served order; unnamed
-/// targets render as `#<id>`.
-fn served_targets(state: &ServeState, g: &ClickGraph, name: &str) -> Vec<QueryId> {
+/// The `(target, rendered score)` pairs of a one-request session, in served
+/// order; unnamed targets render as `#<id>`.
+fn served_rewrites(state: &ServeState, g: &ClickGraph, name: &str) -> Vec<(QueryId, String)> {
     let mut out = Vec::new();
     serve_session(state, format!("rewrite {name}\n").as_bytes(), &mut out).unwrap();
     let line = String::from_utf8(out).unwrap();
     let fields: Vec<&str> = line.trim_end().split('\t').collect();
     assert_eq!(fields[..2], ["ok", name], "{line}");
     fields[3..]
-        .iter()
-        .step_by(2)
-        .map(|t| match t.strip_prefix('#') {
-            Some(id) => QueryId(id.parse().unwrap()),
-            None => g.query_by_name(t).unwrap(),
+        .chunks(2)
+        .map(|pair| {
+            let target = match pair[0].strip_prefix('#') {
+                Some(id) => QueryId(id.parse().unwrap()),
+                None => g.query_by_name(pair[0]).unwrap(),
+            };
+            (target, pair[1].to_owned())
         })
         .collect()
 }
@@ -134,22 +99,24 @@ fn served_targets(state: &ServeState, g: &ClickGraph, name: &str) -> Vec<QueryId
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The live single-source miss path and an index built over the same
-    // scores run the same §9.3 funnel: for every named query they serve the
-    // same targets in the same order — through evidence-zeroed candidates
-    // (final 0, ranked by raw), stem-duplicates and unnamed `#id` targets.
-    // Two candidates may trade places only when both their scores tie to
-    // rounding (structurally symmetric nodes).
+    // Precomputed row == live row, on the wire: a single-source server and
+    // a server over `RewriteIndex::build` of the same graph and config answer
+    // every named query with the same line — the live row is the engine's
+    // `S^(k)` row and both run the one §9.3 funnel, through evidence-zeroed
+    // candidates (final 0, ranked by raw), stem-duplicates and unnamed `#id`
+    // targets. Every rendered score is equal; two targets may trade places
+    // only when their scores tie to rounding (structurally symmetric nodes,
+    // which the index orders by id and the live row by its last bit).
     #[test]
-    fn live_miss_path_ranks_like_the_index(g in arb_named_graph()) {
+    fn live_lines_equal_precomputed_lines(g in arb_named_graph()) {
         let cfg = SimrankConfig::default().with_weight_kind(WeightKind::Clicks);
         for kind in [
             MethodKind::Simrank,
             MethodKind::EvidenceSimrank,
             MethodKind::WeightedSimrank,
         ] {
-            let method = method_from_live_rows(&g, kind, &cfg);
-            let rewriter = Rewriter::new(&g, method, RewriterConfig::default());
+            let rewriter =
+                Rewriter::new(&g, Method::compute(kind, &g, &cfg), RewriterConfig::default());
             let index = RewriteIndex::build(&rewriter, None, 2);
             let meta = *index.meta();
             let indexed = ServeState::fixed(index);
@@ -157,12 +124,13 @@ proptest! {
             let live = ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, 4);
             for q in g.queries() {
                 let Some(name) = g.query_name(q) else { continue };
-                let want = served_targets(&indexed, &g, name);
-                let got = served_targets(&live, &g, name);
+                let want = served_rewrites(&indexed, &g, name);
+                let got = served_rewrites(&live, &g, name);
                 prop_assert_eq!(got.len(), want.len(), "{:?} depth for {:?}", kind, name);
-                for (&l, &i) in got.iter().zip(&want) {
-                    let (lf, lr) = rewriter.method().score_with_tiebreak(q, l);
-                    let (wf, wr) = rewriter.method().score_with_tiebreak(q, i);
+                for ((l, l_score), (i, i_score)) in got.iter().zip(&want) {
+                    prop_assert_eq!(l_score, i_score, "{:?} {:?}", kind, name);
+                    let (lf, lr) = rewriter.method().score_with_tiebreak(q, *l);
+                    let (wf, wr) = rewriter.method().score_with_tiebreak(q, *i);
                     prop_assert!(
                         l == i || ((lf - wf).abs() < 1e-9 && (lr - wr).abs() < 1e-9),
                         "{:?} {:?}: live serves {:?}, index {:?}", kind, name, got, want

@@ -6,10 +6,11 @@
 //! rests on at **score level**: an engine run on each component block alone
 //! reproduces that block of the monolithic run bit for bit (uniform and
 //! weighted, pruned and unpruned), and the monolithic run never stores a
-//! pair straddling two components — and so does the live single-source
-//! engine's diagonal correction, which is read off those block runs
+//! pair straddling two components — and so do the live single-source
+//! engine's per-iteration diagonals, which those block runs record
 //! (`incremental_live_correction_*`: block-local == one whole-graph run,
-//! component-local refresh == scratch precompute, both on `to_bits()`).
+//! component-local refresh == scratch precompute, both on `to_bits()` at
+//! every series level).
 //! Then it pins the *temporal* consequence:
 //! after a [`GraphDelta`], recomputing only the dirty components and copying
 //! every clean query's row ([`RewriteIndex::rebuild_incremental`], the one
@@ -161,20 +162,25 @@ fn with_trivial_components(g: &ClickGraph) -> ClickGraph {
 
 fn assert_same_correction(a: &DiagonalCorrection, b: &DiagonalCorrection, what: &str) {
     let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&a.d_query), bits(&b.d_query), "{what}: d_Q differs");
-    assert_eq!(bits(&a.d_ad), bits(&b.d_ad), "{what}: d_A differs");
+    assert_eq!(a.levels.len(), b.levels.len(), "{what}: level count");
+    for (j, (la, lb)) in a.levels.iter().zip(&b.levels).enumerate() {
+        assert_eq!(
+            bits(&la.d_query),
+            bits(&lb.d_query),
+            "{what}: level {j} d_Q"
+        );
+        assert_eq!(bits(&la.d_ad), bits(&lb.d_ad), "{what}: level {j} d_A");
+    }
 }
 
-/// The live engine's block-local correction is `from_scores` over one
-/// whole-graph run, bit for bit.
+/// The live engine's block-local correction is the one a single whole-graph
+/// run records, bit for bit at every level.
 fn assert_live_correction_equals_monolithic<T: Transition>(
     g: &ClickGraph,
     c: &SimrankConfig,
     t: &T,
 ) {
-    let mono = engine::run(g, c, t);
-    let want =
-        DiagonalCorrection::from_scores(g, &t.factors(g), c.c1, c.c2, &mono.queries, &mono.ads);
+    let want = DiagonalCorrection::whole_graph(g, c, t);
     let live = SingleSourceEngine::new(g, c, t);
     assert_same_correction(live.correction(), &want, t.name());
     // Block-level workers change nothing either.
@@ -281,8 +287,9 @@ proptest! {
         seed in 0u64..1_000_000,
         variant in 0u8..4,
     ) {
-        // The same theorem one level up: the live engine reads `D` off the
-        // block runs, trivial components and isolated nodes in closed form.
+        // The same theorem one level up: the live engine's per-iteration
+        // diagonals are the block runs' own, trivial components and isolated
+        // nodes in closed form.
         let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, variant & 2 == 2));
         let c = cfg(5).with_prune_threshold(if variant & 1 == 1 { 1e-4 } else { 0.0 });
         assert_live_correction_equals_monolithic(&g, &c, &UniformTransition);
