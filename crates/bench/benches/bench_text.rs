@@ -1,8 +1,8 @@
 //! Criterion benches for the text substrate (stemmer throughput matters:
-//! dedup runs over every candidate of every query).
+//! every query name of a graph is stemmed once, into its stem-class table).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simrankpp_text::{normalize_query, stem, stem_signature, StemDeduper};
+use simrankpp_text::{normalize_query, stem, stem_signature, StemClasses};
 
 const WORDS: &[&str] = &[
     "cameras",
@@ -36,14 +36,11 @@ fn text(c: &mut Criterion) {
         b.iter(|| stem_signature("cheap digital cameras online"))
     });
 
-    c.bench_function("dedup_100_candidates", |b| {
-        let candidates: Vec<String> = (0..100)
+    c.bench_function("stem_classes_100_names", |b| {
+        let names: Vec<String> = (0..100)
             .map(|i| format!("candidate query number {} variant{}", i % 40, i % 3))
             .collect();
-        b.iter(|| {
-            let mut d = StemDeduper::new();
-            candidates.iter().filter(|c| d.admit(c)).count()
-        })
+        b.iter(|| StemClasses::from_names(names.iter().map(|n| Some(n.as_str()))))
     });
 }
 

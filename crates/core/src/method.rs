@@ -12,12 +12,13 @@ use crate::config::SimrankConfig;
 use crate::evidence::{evidence_simrank, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
-use crate::rewriter::rank_candidates;
+use crate::rewriter::{rank_candidates, Candidate};
 use crate::scores::ScoreMatrix;
 use crate::simrank::simrank;
 use crate::weighted::weighted_simrank;
 use serde::{Deserialize, Serialize};
 use simrankpp_graph::{ClickGraph, QueryId};
+use std::cmp::Ordering;
 
 /// The similarity schemes compared in the paper's evaluation (§9) plus the
 /// §3 naive counter.
@@ -148,25 +149,47 @@ impl Method {
 
     /// Collects `q`'s rewrite candidates into `out` (cleared first), unranked:
     /// every query with a positive final or raw score, as
-    /// `(id, final, raw)` with raw falling back to final.
-    pub(crate) fn candidates_into(&self, q: QueryId, out: &mut Vec<(QueryId, f64, f64)>) {
+    /// `(id, final, raw)` with raw falling back to final when the method has
+    /// no raw matrix. One merge over the two id-sorted rows; a pair only the
+    /// raw matrix stores (evidence zeroed it) carries final `0.0`.
+    pub(crate) fn candidates_into(&self, q: QueryId, out: &mut Vec<Candidate>) {
         out.clear();
-        for (other, score) in self.scores.partners(q.0) {
-            let raw = self
-                .raw
-                .as_ref()
-                .map(|m| m.get(q.0, other))
-                .unwrap_or(score);
-            out.push((QueryId(other), score, raw));
-        }
-        // Pairs visible only through the raw matrix (evidence zeroed them).
-        if let Some(raw) = &self.raw {
-            for (other, r) in raw.partners(q.0) {
-                if self.scores.get(q.0, other) == 0.0 {
-                    out.push((QueryId(other), 0.0, r));
+        let (ids, finals) = self.scores.row(q.0);
+        let Some(raw) = &self.raw else {
+            out.extend(ids.iter().zip(finals).map(|(&id, &s)| (QueryId(id), s, s)));
+            return;
+        };
+        let (raw_ids, raws) = raw.row(q.0);
+        let (mut i, mut j) = (0, 0);
+        while i < ids.len() && j < raw_ids.len() {
+            match ids[i].cmp(&raw_ids[j]) {
+                Ordering::Less => {
+                    out.push((QueryId(ids[i]), finals[i], 0.0));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push((QueryId(raw_ids[j]), 0.0, raws[j]));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((QueryId(ids[i]), finals[i], raws[j]));
+                    i += 1;
+                    j += 1;
                 }
             }
         }
+        out.extend(
+            ids[i..]
+                .iter()
+                .zip(&finals[i..])
+                .map(|(&id, &s)| (QueryId(id), s, 0.0)),
+        );
+        out.extend(
+            raw_ids[j..]
+                .iter()
+                .zip(&raws[j..])
+                .map(|(&id, &r)| (QueryId(id), 0.0, r)),
+        );
     }
 
     /// Ranks candidate rewrites for `q`: all queries with positive final or
@@ -271,6 +294,73 @@ mod tests {
                 "{} gave flower a rewrite",
                 kind.name()
             );
+        }
+    }
+
+    /// `candidates_into` spelled the way it was before it was a merge: one
+    /// `score_with_tiebreak` lookup per possible partner.
+    fn candidates_by_lookup(m: &Method, q: QueryId, n: u32) -> Vec<(u32, u64, u64)> {
+        (0..n)
+            .filter(|&other| other != q.0)
+            .map(|other| (other, m.score_with_tiebreak(q, QueryId(other))))
+            .filter(|&(_, (f, r))| f > 0.0 || r > 0.0)
+            .map(|(other, (f, r))| (other, f.to_bits(), r.to_bits()))
+            .collect()
+    }
+
+    fn candidates_by_merge(m: &Method, q: QueryId) -> Vec<(u32, u64, u64)> {
+        let mut out = vec![(QueryId(0), 0.0, 0.0)];
+        m.candidates_into(q, &mut out);
+        out.iter()
+            .map(|&(id, f, r)| (id.0, f.to_bits(), r.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn merged_candidates_equal_pairwise_lookups_on_figure3() {
+        // Pearson and SimRank have no raw matrix; the evidence-carrying
+        // kinds do, and evidence zeroes pc–tv out of their final one.
+        let g = figure3_graph();
+        for kind in MethodKind::EVALUATED {
+            let m = Method::compute(kind, &g, &cfg());
+            for q in g.queries() {
+                assert_eq!(
+                    candidates_by_merge(&m, q),
+                    candidates_by_lookup(&m, q, g.n_queries() as u32),
+                    "{} {q:?}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merged_candidates_equal_pairwise_lookups(
+            n in 2u32..24,
+            finals in proptest::collection::vec((0u32..24, 0u32..24, 0.0f64..1.0), 0..80),
+            // `None` below 1 draw in 4; otherwise pairs the final matrix may
+            // lack (evidence zeroed them) or hold without a raw partner.
+            raws in proptest::collection::vec((0u32..24, 0u32..24, 0.0f64..1.0), 0..80),
+            with_raw in 0u8..4,
+        ) {
+            let matrix = |pairs: &[(u32, u32, f64)]| {
+                let mut b = crate::scores::ScoreMatrixBuilder::new(n as usize);
+                for &(x, y, v) in pairs {
+                    if x % n != y % n {
+                        b.set(x % n, y % n, v);
+                    }
+                }
+                b.build()
+            };
+            let raw = (with_raw > 0).then(|| matrix(&raws));
+            let m = Method::from_scores(MethodKind::EvidenceSimrank, matrix(&finals), raw);
+            for q in 0..n {
+                proptest::prop_assert_eq!(
+                    candidates_by_merge(&m, QueryId(q)),
+                    candidates_by_lookup(&m, QueryId(q), n)
+                );
+            }
         }
     }
 }

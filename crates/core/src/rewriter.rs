@@ -2,9 +2,12 @@
 //!
 //! §9.3's pipeline, reproduced stage by stage:
 //!
-//! 1. score candidates with the chosen method and keep the **top 100**;
+//! 1. score candidates with the chosen method and keep the **top 100** (a
+//!    selection, not a sort of the whole row);
 //! 2. **stem-dedup**: drop candidates whose stemmed token multiset duplicates
-//!    the original query or an earlier candidate;
+//!    the original query or an earlier candidate — compared as one signature
+//!    id per query, interned once per graph ([`stem_classes`]), so no name is
+//!    stemmed while a row is being served;
 //! 3. **bid-term filter**: drop candidates not in the list of queries that
 //!    saw at least one bid during the collection window;
 //! 4. keep at most **5** rewrites. The number that survive is the method's
@@ -12,8 +15,11 @@
 
 use crate::method::Method;
 use simrankpp_graph::{ClickGraph, QueryId};
-use simrankpp_text::StemDeduper;
 use simrankpp_util::FxHashSet;
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
+pub use simrankpp_text::StemClasses;
 
 /// Pipeline parameters (§9.3 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,62 +42,107 @@ impl Default for RewriterConfig {
     }
 }
 
-/// Orders `(id, final score, raw walk score)` candidates by
-/// `(final desc, raw desc, id asc)` and keeps the first `limit`. The raw
-/// walk score only matters when final scores tie — in particular when the
+/// One `(id, final score, raw walk score)` rewrite candidate.
+pub type Candidate = (QueryId, f64, f64);
+
+/// `(final desc, raw desc, id asc)`. Candidate ids are distinct, so this is
+/// a total order: any selection or sort under it has exactly one result.
+/// `total_cmp` agrees with the numeric order on the non-negative finite
+/// scores every producer emits, and stays an order if anything else arrives.
+fn rank_order(a: &Candidate, b: &Candidate) -> Ordering {
+    b.1.total_cmp(&a.1)
+        .then_with(|| b.2.total_cmp(&a.2))
+        .then_with(|| a.0.cmp(&b.0))
+}
+
+/// Orders candidates by `(final desc, raw desc, id asc)` and keeps the first
+/// `limit` — selected, then sorted, so a long row costs what it keeps. The
+/// raw walk score only matters when final scores tie — in particular when the
 /// evidence factor zeroes both candidates (no common ad), where the paper's
 /// Figure 12 behaviour shows the underlying SimRank ordering taking over
 /// (evidence-based predicts exactly as plain SimRank there).
-pub(crate) fn rank_candidates(candidates: &mut Vec<(QueryId, f64, f64)>, limit: usize) {
-    candidates.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    candidates.truncate(limit);
+pub(crate) fn rank_candidates(candidates: &mut Vec<Candidate>, limit: usize) {
+    if limit == 0 {
+        candidates.clear();
+        return;
+    }
+    if candidates.len() > limit {
+        candidates.select_nth_unstable_by(limit - 1, rank_order);
+        candidates.truncate(limit);
+    }
+    candidates.sort_unstable_by(rank_order);
+}
+
+/// The stem-class table [`funnel`] dedups `graph`'s queries with under
+/// `config`: one signature id per query, each name stemmed once. Empty —
+/// nothing is stemmed — when `config.stem_dedup` is off and the funnel will
+/// not read it.
+pub fn stem_classes(graph: &ClickGraph, config: &RewriterConfig) -> StemClasses {
+    if !config.stem_dedup {
+        return StemClasses::default();
+    }
+    StemClasses::from_names((0..graph.n_queries()).map(|q| graph.query_name(QueryId(q as u32))))
+}
+
+/// The buffers one [`funnel`] call works in, reusable across calls: whoever
+/// drives the funnel over many rows (an index-build worker, the live miss
+/// path) owns one and drops it with the job.
+#[derive(Debug, Default)]
+pub struct FunnelScratch {
+    /// In: the row's unranked candidates. Out: ranked and capped at
+    /// `max_candidates`, non-finite scores dropped.
+    pub candidates: Vec<Candidate>,
+    /// Stem classes admitted so far in the row being filtered.
+    seen: Vec<u32>,
 }
 
 /// The §9.3 funnel — the one implementation every producer of served rows
 /// runs, whether its candidates come from an all-pairs matrix
 /// ([`Rewriter::rewrite_ids_into`]) or a single-source row (the serving
-/// layer's live miss path): rank by `(final desc, raw desc, id asc)` and cap at
-/// `max_candidates` → drop `q` itself → stem-dedup seeded with `q`'s name →
-/// bid filter → cap at `max_rewrites`. Writes the surviving
-/// `(target, final score)` pairs into `out` (cleared first); `candidates` is
-/// left ranked and capped.
+/// layer's live miss path): drop non-finite scores → rank by
+/// `(final desc, raw desc, id asc)` and cap at `max_candidates` → drop `q`
+/// itself → stem-dedup seeded with `q`'s class → bid filter → cap at
+/// `max_rewrites`. `classes` is [`stem_classes`] of the graph the ids belong
+/// to. Writes the surviving `(target, final score)` pairs into `out` (cleared
+/// first).
 pub fn funnel(
-    graph: &ClickGraph,
+    classes: &StemClasses,
     config: &RewriterConfig,
     q: QueryId,
-    candidates: &mut Vec<(QueryId, f64, f64)>,
+    scratch: &mut FunnelScratch,
     bid_terms: Option<&FxHashSet<QueryId>>,
     out: &mut Vec<(QueryId, f64)>,
 ) {
     out.clear();
+    let FunnelScratch { candidates, seen } = scratch;
+    candidates.retain(|c| c.1.is_finite() && c.2.is_finite());
     rank_candidates(candidates, config.max_candidates);
 
-    // An unnamed source query has no signature to seed, but named
-    // candidates must still be deduplicated against each other —
-    // skipping the deduper entirely let duplicates reach the top-5.
-    let mut deduper = if config.stem_dedup {
-        Some(match graph.query_name(q) {
-            Some(name) => StemDeduper::seeded_with(name),
-            None => StemDeduper::new(),
-        })
-    } else {
-        None
-    };
+    // An unnamed source query has no class to seed, but named candidates
+    // are still deduplicated against each other.
+    seen.clear();
+    let source_class = classes.class(q.0);
+    if config.stem_dedup && source_class != StemClasses::UNNAMED {
+        seen.push(source_class);
+    }
 
     for &(candidate, score, _raw) in candidates.iter() {
+        // Tested before the push, so `max_rewrites: 0` serves nothing.
+        if out.len() >= config.max_rewrites {
+            break;
+        }
         if candidate == q {
             continue;
         }
-        if let Some(d) = deduper.as_mut() {
-            if let Some(name) = graph.query_name(candidate) {
-                if !d.admit(name) {
+        // A class is admitted before the bid filter looks at its candidate:
+        // a duplicate of an unbidden candidate is still a duplicate.
+        if config.stem_dedup {
+            let class = classes.class(candidate.0);
+            if class != StemClasses::UNNAMED {
+                if seen.contains(&class) {
                     continue;
                 }
+                seen.push(class);
             }
         }
         if let Some(bids) = bid_terms {
@@ -100,9 +151,6 @@ pub fn funnel(
             }
         }
         out.push((candidate, score));
-        if out.len() >= config.max_rewrites {
-            break;
-        }
     }
 }
 
@@ -123,6 +171,8 @@ pub struct Rewriter<'g> {
     graph: &'g ClickGraph,
     method: Method,
     config: RewriterConfig,
+    /// [`stem_classes`] of `graph`, built by the first row that is served.
+    classes: OnceLock<StemClasses>,
 }
 
 impl<'g> Rewriter<'g> {
@@ -132,6 +182,7 @@ impl<'g> Rewriter<'g> {
             graph,
             method,
             config,
+            classes: OnceLock::new(),
         }
     }
 
@@ -167,17 +218,31 @@ impl<'g> Rewriter<'g> {
     /// The pipeline core: writes `q`'s surviving `(target, score)` pairs into
     /// `out` (cleared first), without materializing display names.
     /// [`Rewriter::rewrites`] and the serving-index build share this single
-    /// implementation; reusing `out` across calls keeps the batched offline
-    /// build allocation-lean.
+    /// implementation; a caller serving many rows keeps one `scratch` across
+    /// them and the batched offline build allocates nothing per row.
+    pub fn rewrite_ids_with(
+        &self,
+        q: QueryId,
+        bid_terms: Option<&FxHashSet<QueryId>>,
+        scratch: &mut FunnelScratch,
+        out: &mut Vec<(QueryId, f64)>,
+    ) {
+        let classes = self
+            .classes
+            .get_or_init(|| stem_classes(self.graph, &self.config));
+        self.method.candidates_into(q, &mut scratch.candidates);
+        funnel(classes, &self.config, q, scratch, bid_terms, out);
+    }
+
+    /// [`Rewriter::rewrite_ids_with`] on scratch of its own — for the caller
+    /// with one row to serve.
     pub fn rewrite_ids_into(
         &self,
         q: QueryId,
         bid_terms: Option<&FxHashSet<QueryId>>,
         out: &mut Vec<(QueryId, f64)>,
     ) {
-        let mut candidates = Vec::new();
-        self.method.candidates_into(q, &mut candidates);
-        funnel(self.graph, &self.config, q, &mut candidates, bid_terms, out);
+        self.rewrite_ids_with(q, bid_terms, &mut FunnelScratch::default(), out);
     }
 
     /// The §9.4 *depth* of the method for `q`: how many rewrites survive
@@ -349,5 +414,200 @@ mod tests {
         let rewrites = r.rewrites(boots, None);
         let names: Vec<_> = rewrites.iter().filter_map(|r| r.name.clone()).collect();
         assert_eq!(names.len(), 1, "dedup must collapse shoe/shoes: {names:?}");
+    }
+
+    #[test]
+    fn zero_caps_serve_nothing() {
+        // `max_rewrites: 0` used to serve one rewrite (push, then test the
+        // cap), and an index built that way failed its own `validate`.
+        let g = figure3_graph();
+        let camera = g.query_by_name("camera").unwrap();
+        let method = Method::compute(MethodKind::Simrank, &g, &SimrankConfig::default());
+        for cfg in [
+            RewriterConfig {
+                max_rewrites: 0,
+                ..RewriterConfig::default()
+            },
+            RewriterConfig {
+                max_candidates: 0,
+                ..RewriterConfig::default()
+            },
+        ] {
+            let r = Rewriter::new(&g, method.clone(), cfg);
+            assert!(r.rewrites(camera, None).is_empty(), "{cfg:?}");
+            assert_eq!(r.depth(camera, None), 0);
+        }
+        assert!(method.ranked_candidates(camera, 0).is_empty());
+    }
+
+    #[test]
+    fn non_finite_candidates_are_dropped_not_ranked() {
+        // The live path's `raw <= 0.0` filter lets a NaN through; under
+        // `partial_cmp(..).unwrap_or(Equal)` its rank depended on input
+        // order and the sort was entitled to panic.
+        let classes = StemClasses::default();
+        let cfg = RewriterConfig::default();
+        let finite = [
+            (QueryId(1), 0.5, 0.5),
+            (QueryId(2), 0.7, 0.7),
+            (QueryId(3), 0.5, 0.6),
+        ];
+        let poison = [
+            (QueryId(4), f64::NAN, 0.9),
+            (QueryId(5), 0.9, f64::NAN),
+            (QueryId(6), f64::INFINITY, 1.0),
+        ];
+        let mut expected = Vec::new();
+        let mut scratch = FunnelScratch::default();
+        scratch.candidates.extend(finite);
+        funnel(
+            &classes,
+            &cfg,
+            QueryId(0),
+            &mut scratch,
+            None,
+            &mut expected,
+        );
+        assert_eq!(
+            expected,
+            [(QueryId(2), 0.7), (QueryId(3), 0.5), (QueryId(1), 0.5)]
+        );
+        // Every interleaving of the poisoned entries serves the same row.
+        for rotate in 0..6 {
+            let mut mixed: Vec<Candidate> = finite.iter().chain(&poison).copied().collect();
+            mixed.rotate_left(rotate);
+            scratch.candidates = mixed;
+            let mut out = Vec::new();
+            funnel(&classes, &cfg, QueryId(0), &mut scratch, None, &mut out);
+            assert_eq!(out, expected);
+            assert_eq!(scratch.candidates.len(), finite.len());
+        }
+    }
+
+    /// The string-based funnel this module shipped before stem classes were
+    /// interned — full sort under `partial_cmp`, a `stem_signature` and a
+    /// `String` per candidate — kept, the way `engine::reference::run_hashmap`
+    /// is, as the independent oracle the funnel is compared against.
+    fn funnel_by_strings(
+        names: &[Option<&str>],
+        config: &RewriterConfig,
+        q: QueryId,
+        candidates: &mut Vec<Candidate>,
+        bid_terms: Option<&FxHashSet<QueryId>>,
+        out: &mut Vec<(QueryId, f64)>,
+    ) {
+        use simrankpp_text::stem_signature;
+        out.clear();
+        candidates.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        candidates.truncate(config.max_candidates);
+        let mut seen: Option<FxHashSet<String>> = config
+            .stem_dedup
+            .then(|| names[q.index()].iter().map(|n| stem_signature(n)).collect());
+        for &(candidate, score, _raw) in candidates.iter() {
+            if candidate == q {
+                continue;
+            }
+            if let (Some(seen), Some(name)) = (seen.as_mut(), names[candidate.index()]) {
+                if !seen.insert(stem_signature(name)) {
+                    continue;
+                }
+            }
+            if let Some(bids) = bid_terms {
+                if !bids.contains(&candidate) {
+                    continue;
+                }
+            }
+            out.push((candidate, score));
+            if out.len() >= config.max_rewrites {
+                break;
+            }
+        }
+    }
+
+    /// Inflected, reordered and re-punctuated spellings of a few intents,
+    /// so random draws collide on stem signature often.
+    const NAME_POOL: [&str; 14] = [
+        "camera",
+        "cameras",
+        "digital camera",
+        "digital cameras",
+        "camera digital",
+        "Digital, CAMERAS!",
+        "shoe",
+        "shoes",
+        "running shoes",
+        "shoe running",
+        "flower",
+        "flowers",
+        "pc",
+        "tv",
+    ];
+    /// Few distinct values, so final and raw scores tie often.
+    const SCORE_POOL: [f64; 6] = [0.0, 1e-4, 0.25, 0.250_000_000_000_000_06, 0.5, 1.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn funnel_equals_the_string_oracle(
+            // Per query: a name (index ≥ pool size: unnamed) and a bid bit.
+            queries in proptest::collection::vec((0usize..18, 0u8..2), 2..40),
+            draws in proptest::collection::vec((0u32..40, 0usize..6, 0usize..6), 0..60),
+            // source query, max_candidates regime, max_rewrites, dedup × bids
+            knobs in (0u32..40, 0u8..3, 1usize..7, 0u8..4),
+        ) {
+            let n = queries.len() as u32;
+            let names: Vec<Option<&str>> =
+                queries.iter().map(|&(i, _)| NAME_POOL.get(i).copied()).collect();
+            let mut candidates: Vec<Candidate> = Vec::new();
+            for &(id, f, r) in &draws {
+                let id = QueryId(id % n);
+                if candidates.iter().all(|c| c.0 != id) {
+                    candidates.push((id, SCORE_POOL[f], SCORE_POOL[r]));
+                }
+            }
+            let (q, cap, max_rewrites, switches) = knobs;
+            let config = RewriterConfig {
+                max_candidates: match cap {
+                    0 => 1,
+                    1 => (candidates.len() / 2).max(1),
+                    _ => candidates.len() + 3,
+                },
+                max_rewrites,
+                stem_dedup: switches & 1 == 1,
+            };
+            let bids: Option<FxHashSet<QueryId>> = (switches & 2 == 2).then(|| {
+                (0..n).filter(|&i| queries[i as usize].1 == 1).map(QueryId).collect()
+            });
+            let q = QueryId(q % n);
+
+            let mut old_candidates = candidates.clone();
+            let mut old = Vec::new();
+            funnel_by_strings(&names, &config, q, &mut old_candidates, bids.as_ref(), &mut old);
+
+            // An empty table when dedup is off, as `stem_classes` hands out.
+            let classes = if config.stem_dedup {
+                StemClasses::from_names(names.iter().copied())
+            } else {
+                StemClasses::default()
+            };
+            let mut scratch = FunnelScratch { candidates, seen: vec![7; 3] };
+            let mut new = vec![(QueryId(9), 9.0)];
+            funnel(&classes, &config, q, &mut scratch, bids.as_ref(), &mut new);
+
+            let bits = |row: &[(QueryId, f64)]| -> Vec<(u32, u64)> {
+                row.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&new), bits(&old), "{:?} q={:?}", config, q);
+            let ranked = |c: &[Candidate]| -> Vec<(u32, u64, u64)> {
+                c.iter().map(|&(id, f, r)| (id.0, f.to_bits(), r.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(ranked(&scratch.candidates), ranked(&old_candidates));
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! Lookups slice the arena — no per-request allocation — and an optional
 //! cloned name interner answers `lookup("camera")` for the line protocol.
 
+use simrankpp_core::rewriter::FunnelScratch;
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Shard};
 use simrankpp_util::FxHashSet;
@@ -77,12 +78,18 @@ fn block_rows(
             .map(|(local, _)| QueryId(local as u32))
             .collect()
     });
+    let mut scratch = FunnelScratch::default();
     let mut row = Vec::new();
     queries
         .iter()
         .enumerate()
         .map(|(local, &global)| {
-            rewriter.rewrite_ids_into(QueryId(local as u32), local_bids.as_ref(), &mut row);
+            rewriter.rewrite_ids_with(
+                QueryId(local as u32),
+                local_bids.as_ref(),
+                &mut scratch,
+                &mut row,
+            );
             let global_row = row.iter().map(|&(t, s)| (queries[t.index()], s)).collect();
             (global, global_row)
         })
@@ -197,9 +204,10 @@ impl RewriteIndex {
     /// Runs the offline pipeline for every query of `rewriter`'s graph with
     /// `threads` chunked workers (`0` = all cores) and freezes the results.
     ///
-    /// Each worker drives the name-free [`Rewriter::rewrite_ids_into`] with
-    /// one reused buffer and emits a chunk-local arena; stitching the chunks
-    /// in order keeps the result deterministic for any thread count.
+    /// Each worker drives the name-free [`Rewriter::rewrite_ids_with`] with
+    /// scratch of its own, freed with the build, and emits a chunk-local
+    /// arena; stitching the chunks in order keeps the result deterministic
+    /// for any thread count.
     pub fn build(
         rewriter: &Rewriter,
         bid_terms: Option<&FxHashSet<QueryId>>,
@@ -207,10 +215,11 @@ impl RewriteIndex {
     ) -> RewriteIndex {
         let g = rewriter.graph();
         let chunks = simrankpp_core::engine::parallel::run_chunked(g.n_queries(), threads, |r| {
+            let mut scratch = FunnelScratch::default();
             let mut row = Vec::new();
             let mut rows = RowAssembler::with_capacity(r.len());
             for q in r {
-                rewriter.rewrite_ids_into(QueryId(q as u32), bid_terms, &mut row);
+                rewriter.rewrite_ids_with(QueryId(q as u32), bid_terms, &mut scratch, &mut row);
                 rows.push_row(row.iter().map(|&(t, s)| (t.0, s)))?;
             }
             Ok(rows)

@@ -96,7 +96,7 @@ use crate::mapped::{MappedIndex, ServingIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::RowCache;
 use crate::swap::AtomicHandle;
-use simrankpp_core::rewriter::funnel;
+use simrankpp_core::rewriter::{funnel, stem_classes, FunnelScratch, StemClasses};
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
     evidence_geometric, DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace,
@@ -204,20 +204,23 @@ pub struct UpdateContext {
 /// that make its answers rank like the offline build's.
 ///
 /// The graph and the engine are immutable and shared (`Arc`): an `update`
-/// reads them under a momentary lock, builds the next engine from them with
-/// the lock released — requests keep being served — and takes the lock
-/// again only to swap the pair in. The workspace and the three miss-path
-/// buffers beside it are the only per-request mutable state: scratch, each
-/// cleared by the call that fills it.
+/// reads them under a momentary lock, builds the next engine and the next
+/// stem-class table with the lock released — requests keep being served —
+/// and takes the lock again only to swap graph, engine and table in
+/// together. The workspace and the three miss-path buffers beside it are the
+/// only per-request mutable state: scratch, each cleared by the call that
+/// fills it.
 pub struct LiveContext {
     graph: Arc<ClickGraph>,
     method: MethodKind,
     config: SimrankConfig,
     rewriter: RewriterConfig,
     engine: Arc<SingleSourceEngine>,
+    /// `stem_classes` of `graph` — ids mean nothing against another graph's.
+    classes: StemClasses,
     ws: RowWorkspace,
     row: Vec<(QueryId, f64)>,
-    candidates: Vec<(QueryId, f64, f64)>,
+    funnel: FunnelScratch,
     picked: Vec<(QueryId, f64)>,
 }
 
@@ -271,6 +274,7 @@ impl LiveContext {
             method,
             &config,
         )?;
+        let classes = stem_classes(&graph, &rewriter);
         let ws = RowWorkspace::new(graph.n_queries(), graph.n_ads());
         Ok(LiveContext {
             graph: Arc::new(graph),
@@ -278,9 +282,10 @@ impl LiveContext {
             config,
             rewriter,
             engine: Arc::new(engine),
+            classes,
             ws,
             row: Vec::new(),
-            candidates: Vec::new(),
+            funnel: FunnelScratch::default(),
             picked: Vec::new(),
         })
     }
@@ -297,7 +302,8 @@ impl LiveContext {
         // the evidence-carrying methods; plain SimRank ranks by raw alone.
         // Evidence-zeroed candidates stay in with final = 0 so the raw
         // score tie-breaks, as `Method::ranked_candidates` does.
-        self.candidates.clear();
+        let candidates = &mut self.funnel.candidates;
+        candidates.clear();
         for &(other, raw) in &self.row {
             if other == q || raw <= 0.0 {
                 continue;
@@ -306,13 +312,13 @@ impl LiveContext {
                 MethodKind::Simrank => raw,
                 _ => evidence_geometric(self.graph.common_ads(q, other)) * raw,
             };
-            self.candidates.push((other, final_score, raw));
+            candidates.push((other, final_score, raw));
         }
         funnel(
-            &self.graph,
+            &self.classes,
             &self.rewriter,
             q,
-            &mut self.candidates,
+            &mut self.funnel,
             None,
             &mut self.picked,
         );
@@ -381,27 +387,34 @@ impl LiveState {
     /// corrections recomputed, clean ones copied — and drops every cached
     /// row (they priced the previous generation's scores).
     ///
-    /// The engine is built with the context lock **released**: requests,
-    /// cache hits and misses alike, are answered from the previous
-    /// generation for as long as the precompute runs. The lock is taken
-    /// twice, momentarily — to read the previous engine, and to swap the
-    /// finished pair in. `ServeState::apply_update`'s updater lock keeps a
-    /// second rebuild from interleaving between the two. Poisoning is
-    /// recovered: the commit assigns fully-constructed values, consistent no
-    /// matter what state a previous holder left behind. On error nothing
-    /// was touched.
+    /// The engine and the stem-class table are built with the context lock
+    /// **released**: requests, cache hits and misses alike, are answered
+    /// from the previous generation for as long as the precompute runs. The
+    /// lock is taken twice, momentarily — to read the previous engine, and
+    /// to swap the finished graph, engine and table in as one.
+    /// `ServeState::apply_update`'s updater lock keeps a second rebuild from
+    /// interleaving between the two. Poisoning is recovered: the commit
+    /// assigns fully-constructed values, consistent no matter what state a
+    /// previous holder left behind. On error nothing was touched.
     fn rebuild(&self, graph: ClickGraph, dirty: &DirtyComponents) -> Result<(), String> {
-        let (previous, method, config) = {
+        let (previous, method, config, rewriter) = {
             let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-            (Arc::clone(&ctx.engine), ctx.method, ctx.config)
+            (
+                Arc::clone(&ctx.engine),
+                ctx.method,
+                ctx.config,
+                ctx.rewriter,
+            )
         };
         let engine = live_engine(previous.correction(), &graph, dirty, method, &config)?;
+        let classes = stem_classes(&graph, &rewriter);
         simrankpp_util::fail_point!("live-rebuild-built", |msg: String| msg);
         let mut ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
         // An update may add queries, ads, or both.
         ctx.ws.resize(graph.n_queries(), graph.n_ads());
         ctx.graph = Arc::new(graph);
         ctx.engine = Arc::new(engine);
+        ctx.classes = classes;
         self.cache.invalidate();
         Ok(())
     }

@@ -393,6 +393,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_rewrites_index_loads() {
+        // The funnel used to serve one rewrite under `max_rewrites: 0`, so
+        // the index failed its own `validate` ("row exceeds max_rewrites")
+        // as soon as its snapshot was read back.
+        let g = figure3_graph();
+        let method = Method::compute(MethodKind::Simrank, &g, &SimrankConfig::default());
+        let config = RewriterConfig {
+            max_rewrites: 0,
+            ..RewriterConfig::default()
+        };
+        let index = RewriteIndex::build(&Rewriter::new(&g, method, config), None, 1);
+        let loaded = roundtrip(&index);
+        assert_eq!(loaded.meta().max_rewrites, 0);
+        assert!(loaded.targets.is_empty());
+    }
+
+    #[test]
     fn snapshot_is_arena_with_aligned_sections() {
         let buf = snapshot_bytes(&fig3_index(MethodKind::Simrank));
         assert_eq!(buf.len() % 8, 0);

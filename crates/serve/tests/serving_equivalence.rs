@@ -10,7 +10,9 @@
 use proptest::prelude::*;
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, ClickGraphBuilder, EdgeData, QueryId, WeightKind};
-use simrankpp_serve::{serve_session, LiveContext, RewriteIndex, ServeState};
+use simrankpp_serve::{
+    serve_session, IndexMeta, LiveContext, RewriteIndex, ServeState, UpdateContext,
+};
 use simrankpp_util::FxHashSet;
 
 /// A random small *named* click graph; names include stem-duplicates
@@ -76,12 +78,16 @@ fn assert_index_matches_live(
     }
 }
 
+fn session(state: &ServeState, input: &str) -> String {
+    let mut out = Vec::new();
+    serve_session(state, input.as_bytes(), &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
 /// The `(target, rendered score)` pairs of a one-request session, in served
 /// order; unnamed targets render as `#<id>`.
 fn served_rewrites(state: &ServeState, g: &ClickGraph, name: &str) -> Vec<(QueryId, String)> {
-    let mut out = Vec::new();
-    serve_session(state, format!("rewrite {name}\n").as_bytes(), &mut out).unwrap();
-    let line = String::from_utf8(out).unwrap();
+    let line = session(state, &format!("rewrite {name}\n"));
     let fields: Vec<&str> = line.trim_end().split('\t').collect();
     assert_eq!(fields[..2], ["ok", name], "{line}");
     fields[3..]
@@ -181,4 +187,165 @@ proptest! {
         assert!(loaded.meta().bid_filtered);
         assert_index_matches_live(&loaded, &rewriter, Some(&bids));
     }
+}
+
+/// One component of four named queries over two ads, weights all distinct
+/// (no score ties), and a delta that adds a *new* named query to it —
+/// "shoes", a stem-duplicate of the existing "shoe".
+fn shoe_graph_and_delta(test: &str) -> (ClickGraph, std::path::PathBuf) {
+    let mut b = ClickGraphBuilder::new();
+    for (q, ad, clicks) in [
+        ("boots", "store", 9),
+        ("boots", "mall", 3),
+        ("shoe", "store", 7),
+        ("shoe", "mall", 2),
+        ("hat", "store", 4),
+        ("sandals", "mall", 5),
+        ("sandals", "store", 1),
+    ] {
+        b.add_named(q, ad, EdgeData::from_clicks(clicks));
+    }
+    let delta = std::env::temp_dir().join(format!("simrankpp_serving_eq_{test}.tsv"));
+    std::fs::write(
+        &delta,
+        "+\tshoes\tstore\t100\t5\t0.05\n+\tshoes\tmall\t100\t6\t0.06\n",
+    )
+    .unwrap();
+    (b.build(), delta)
+}
+
+fn live_only(g: &ClickGraph, kind: MethodKind, cfg: SimrankConfig, cache: usize) -> ServeState {
+    let meta = IndexMeta {
+        method: kind,
+        max_rewrites: RewriterConfig::default().max_rewrites as u32,
+        bid_filtered: false,
+        approx_sharding: false,
+        kernel: cfg.kernel,
+        segments: 0,
+    };
+    let live = LiveContext::new(g.clone(), kind, cfg, RewriterConfig::default()).unwrap();
+    ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, cache)
+}
+
+// `live_lines_equal_precomputed_lines`, after an `update`: the stem-class
+// table belongs to one graph generation, so it has to be swapped with the
+// graph. A live server that kept the old table has no class for the new id,
+// serves "shoe" and "shoes" side by side, and differs from the precomputed
+// server — whose rebuilt rows come from a fresh `Rewriter` over the new graph.
+#[test]
+fn live_update_adding_a_stem_duplicate_still_equals_the_precomputed_lines() {
+    let kind = MethodKind::WeightedSimrank;
+    let cfg = SimrankConfig::default().with_weight_kind(WeightKind::Clicks);
+    let (g, delta) = shoe_graph_and_delta("update");
+    let rewriter = Rewriter::new(
+        &g,
+        Method::compute(kind, &g, &cfg),
+        RewriterConfig::default(),
+    );
+    let indexed = ServeState::updatable(
+        RewriteIndex::build(&rewriter, None, 1),
+        UpdateContext {
+            graph: g.clone(),
+            config: cfg,
+            rewriter: RewriterConfig::default(),
+        },
+    );
+    let live = live_only(&g, kind, cfg, 4);
+
+    let queries = "rewrite boots\nrewrite shoe\nrewrite hat\nrewrite sandals\nrewrite shoes\n";
+    let script = format!("{queries}update {}\n{queries}", delta.display());
+    let want = session(&indexed, &script);
+    let got = session(&live, &script);
+    std::fs::remove_file(&delta).ok();
+
+    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    assert_eq!(want.len(), 11, "{want:?}");
+    assert!(want[4].starts_with("err\tunknown query\tshoes"), "{want:?}");
+    assert!(want[5].starts_with("updated\t"), "{want:?}");
+    assert!(got[5].starts_with("updated\t"), "{got:?}");
+    // Every answer, before and after (the `updated` line counts differ:
+    // rows rebuilt against corrections refreshed).
+    assert_eq!(got[..5], want[..5]);
+    assert_eq!(got[6..], want[6..]);
+    // And the rows say what the table is for: "boots" is offered one
+    // spelling of the shoe intent, and each spelling never the other.
+    let names = |line: &str| -> Vec<String> {
+        let fields: Vec<&str> = line.split('\t').collect();
+        fields[3..].chunks(2).map(|p| p[0].to_owned()).collect()
+    };
+    let boots = names(got[6]);
+    assert_eq!(
+        boots.iter().filter(|n| n.starts_with("shoe")).count(),
+        1,
+        "{boots:?}"
+    );
+    assert!(!names(got[7]).contains(&"shoes".to_owned()), "{got:?}");
+    assert!(!names(got[10]).contains(&"shoe".to_owned()), "{got:?}");
+    assert!(!names(got[10]).is_empty(), "{got:?}");
+}
+
+// An `update` stopped at `live-rebuild-built` has built the next engine and
+// the next table and committed neither: a cold query answered there — a
+// cache miss, computed on another thread while the updater waits — is the
+// old graph's row under the old graph's table.
+#[cfg(feature = "failpoints")]
+#[test]
+fn reader_during_a_live_rebuild_sees_the_old_graph_and_table_together() {
+    use simrankpp_util::failpoint::{self, Action};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
+    const SITE: &str = "live-rebuild-built";
+
+    let kind = MethodKind::WeightedSimrank;
+    let cfg = SimrankConfig::default().with_weight_kind(WeightKind::Clicks);
+    let (g, delta) = shoe_graph_and_delta("failpoint");
+    // A one-row cache: asking for "hat" evicts "boots", so the mid-flight
+    // "boots" below has to be computed.
+    let state = Arc::new(live_only(&g, kind, cfg, 1));
+    let before = session(&state, "rewrite boots\nrewrite hat\n");
+    let boots_before = before.lines().next().unwrap().to_owned();
+
+    let mid_flight = Arc::new(Mutex::new(None));
+    failpoint::set_hook(SITE, {
+        let (state, mid_flight) = (Arc::clone(&state), Arc::clone(&mid_flight));
+        move || {
+            let (tx, rx) = mpsc::channel();
+            let reader = std::thread::spawn({
+                let state = Arc::clone(&state);
+                move || {
+                    let misses = state.cache_stats().unwrap().misses;
+                    let lines = session(&state, "rewrite boots\nrewrite shoes\n");
+                    tx.send((lines, state.cache_stats().unwrap().misses - misses))
+                }
+            });
+            let answer = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a cold query blocked behind an in-flight update");
+            reader.join().unwrap().unwrap();
+            *mid_flight.lock().unwrap() = Some(answer);
+        }
+    });
+    failpoint::set(SITE, Action::ReturnError, 1);
+    let refused = session(&state, &format!("update {}\n", delta.display()));
+    failpoint::clear(SITE);
+    failpoint::clear_hook(SITE);
+    std::fs::remove_file(&delta).ok();
+
+    assert!(
+        refused.starts_with("err\t") && refused.contains(SITE),
+        "{refused}"
+    );
+    let (lines, misses) = mid_flight
+        .lock()
+        .unwrap()
+        .take()
+        .expect("site never reached");
+    let lines: Vec<&str> = lines.lines().collect();
+    assert_eq!(lines[0], boots_before);
+    assert_eq!(misses, 1, "the mid-flight row must be computed, not cached");
+    // The new name is not served by anything until the commit.
+    assert!(
+        lines[1].starts_with("err\tunknown query\tshoes"),
+        "{lines:?}"
+    );
 }

@@ -3,11 +3,14 @@
 //! Two queries are considered duplicates when their stemmed token multisets
 //! are equal — "digital cameras" duplicates "digital camera", and
 //! "camera digital" duplicates both (word order does not change ad intent
-//! for bid matching). The [`StemDeduper`] keeps the first occurrence.
+//! for bid matching). [`stem_signature`] is that equivalence as a string;
+//! [`StemClasses`] is the same equivalence as one signature id per query,
+//! interned once per graph, so the funnel that dedups the candidates of every
+//! row compares integers and never stems a name twice.
 
 use crate::normalize::normalize_query;
 use crate::tokenize::stemmed_tokens;
-use simrankpp_util::FxHashSet;
+use simrankpp_util::FxHashMap;
 
 /// Canonical signature of a query: sorted, stemmed tokens joined by spaces.
 ///
@@ -19,40 +22,45 @@ pub fn stem_signature(query: &str) -> String {
     stems.join(" ")
 }
 
-/// Streaming duplicate filter over rewrite candidates.
-#[derive(Debug, Default)]
-pub struct StemDeduper {
-    seen: FxHashSet<String>,
+/// One stem-signature class per query id: two named ids carry the same
+/// class exactly when their [`stem_signature`]s are equal. Built by stemming
+/// each name once; only the class column outlives the build.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StemClasses {
+    classes: Vec<u32>,
 }
 
-impl StemDeduper {
-    /// Creates an empty deduper.
-    pub fn new() -> Self {
-        Self::default()
+impl StemClasses {
+    /// The class of an id that has no name (or lies outside the table): it
+    /// has no signature, so it duplicates nothing — not even another unnamed
+    /// id.
+    pub const UNNAMED: u32 = u32::MAX;
+
+    /// Interns the signature of every name, in id order; `None` marks an
+    /// unnamed id. Classes are numbered by first appearance.
+    pub fn from_names<'a>(names: impl IntoIterator<Item = Option<&'a str>>) -> StemClasses {
+        let mut interned: FxHashMap<String, u32> = FxHashMap::default();
+        let classes = names
+            .into_iter()
+            .map(|name| match name {
+                None => Self::UNNAMED,
+                Some(name) => {
+                    let next = interned.len() as u32;
+                    *interned.entry(stem_signature(name)).or_insert(next)
+                }
+            })
+            .collect();
+        StemClasses { classes }
     }
 
-    /// Creates a deduper with `query`'s own signature pre-seeded, so the
-    /// original query never survives as its own rewrite.
-    pub fn seeded_with(query: &str) -> Self {
-        let mut d = Self::new();
-        d.seen.insert(stem_signature(query));
-        d
-    }
-
-    /// Returns `true` (and records the signature) if `candidate` is new;
-    /// `false` if it duplicates anything seen before.
-    pub fn admit(&mut self, candidate: &str) -> bool {
-        self.seen.insert(stem_signature(candidate))
-    }
-
-    /// Number of distinct signatures seen.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// `true` if nothing has been admitted or seeded.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+    /// The class of `id`; [`StemClasses::UNNAMED`] for an unnamed or
+    /// out-of-table id, so an empty table dedups nothing.
+    #[inline]
+    pub fn class(&self, id: u32) -> u32 {
+        self.classes
+            .get(id as usize)
+            .copied()
+            .unwrap_or(Self::UNNAMED)
     }
 }
 
@@ -87,20 +95,39 @@ mod tests {
     }
 
     #[test]
-    fn deduper_admits_first_only() {
-        let mut d = StemDeduper::new();
-        assert!(d.admit("digital camera"));
-        assert!(!d.admit("digital cameras"));
-        assert!(!d.admit("cameras digital"));
-        assert!(d.admit("camera"));
-        assert_eq!(d.len(), 2);
+    fn classes_are_equal_exactly_when_signatures_are() {
+        let names = [
+            Some("digital camera"),
+            Some("digital cameras"),
+            None,
+            Some("cameras digital"),
+            Some("camera"),
+            None,
+            Some("Digital, CAMERAS!"),
+        ];
+        let table = StemClasses::from_names(names);
+        for (i, a) in names.iter().enumerate() {
+            for (j, b) in names.iter().enumerate() {
+                let same_class = table.class(i as u32) == table.class(j as u32);
+                match (a, b) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(same_class, stem_signature(a) == stem_signature(b))
+                    }
+                    (None, None) => assert!(same_class),
+                    _ => assert!(!same_class, "{a:?} vs {b:?}"),
+                }
+            }
+        }
     }
 
     #[test]
-    fn seeded_blocks_the_original_query() {
-        let mut d = StemDeduper::seeded_with("flowers");
-        assert!(!d.admit("flower"));
-        assert!(d.admit("orchids"));
+    fn unnamed_and_out_of_table_ids_share_the_sentinel() {
+        let table = StemClasses::from_names([Some("flowers"), None]);
+        assert_ne!(table.class(0), StemClasses::UNNAMED);
+        assert_eq!(table.class(1), StemClasses::UNNAMED);
+        assert_eq!(table.class(2), StemClasses::UNNAMED);
+        assert_eq!(table.class(u32::MAX), StemClasses::UNNAMED);
+        assert_eq!(StemClasses::default().class(0), StemClasses::UNNAMED);
     }
 
     #[test]

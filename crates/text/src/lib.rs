@@ -11,14 +11,15 @@
 //!   original paper's step tables;
 //! * [`dedup`] — stem-multiset equivalence of whole queries, used to drop
 //!   rewrite candidates that only differ by inflection ("running shoe" vs
-//!   "running shoes") or word order.
+//!   "running shoes") or word order: a signature id per query, interned
+//!   once per graph.
 
 pub mod dedup;
 pub mod normalize;
 pub mod porter;
 pub mod tokenize;
 
-pub use dedup::{stem_signature, StemDeduper};
+pub use dedup::{stem_signature, StemClasses};
 pub use normalize::normalize_query;
 pub use porter::stem;
 pub use tokenize::tokenize;
