@@ -1,6 +1,10 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for `repro_all` (the paper's tables and figures, all or by
+//! section id) and the `ablation_*` read-outs. `bench_ci`, the third kind of
+//! binary here, is self-contained: the same-run ratio gates and 1M-scale
+//! ceilings that `benchmark/` cannot carry.
 //!
-//! Every binary honors the `SIMRANKPP_SCALE` environment variable:
+//! `repro_all` and the ablations honor the `SIMRANKPP_SCALE` environment
+//! variable:
 //!
 //! * `tiny` — seconds; smoke-testing the harness;
 //! * `small` (default) — tens of seconds; the example scale (~2k queries);

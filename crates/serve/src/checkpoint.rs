@@ -415,6 +415,44 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_refused_or_harmless() {
+        // The sweep `graph::segments` runs over its store, over a
+        // checkpoint: a mutant either fails to decode or (reserved word,
+        // padding) decodes equal to the clean checkpoint — never to other
+        // replay offsets, epochs, fingerprints or names — and none aborts.
+        let dir = tmp_dir("bit-sweep");
+        let log = write_log(&dir, &demo_log());
+        let (_, ck) = run_to_end(&log, &cfg(2));
+        let path = dir.join("ingest.ckpt");
+        write_checkpoint(&path, &ck).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let mut mutant = clean.clone();
+        let (mut refused, mut harmless) = (0usize, 0usize);
+        for at in 0..clean.len() {
+            for bit in 0..8 {
+                mutant[at] = clean[at] ^ (1 << bit);
+                match decode_checkpoint(&mutant) {
+                    Err(_) => refused += 1,
+                    Ok(back) => {
+                        assert_eq!(
+                            back, ck,
+                            "byte {at} bit {bit} decoded as a different checkpoint"
+                        );
+                        harmless += 1;
+                    }
+                }
+            }
+            mutant[at] = clean[at];
+        }
+        assert_eq!(refused + harmless, clean.len() * 8);
+        assert!(
+            refused > harmless * 10,
+            "{refused} refused, {harmless} harmless"
+        );
+    }
+
+    #[test]
     fn resume_rebuilds_the_window_bit_identically() {
         let dir = tmp_dir("resume");
         let recs = demo_log();

@@ -413,6 +413,59 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_fails_open_serves_clean_rows_or_fails_verify_deep() {
+        // `open` validates the section table only and defers payload
+        // hashing to `verify_deep` by design, so the contract is weaker
+        // than the heap decoder's refused-or-harmless: a mutant that opens
+        // and serves anything but the clean index must fail `verify_deep`.
+        // None may abort.
+        use std::io::{Seek, SeekFrom, Write};
+        let (index, path) = saved("simrankpp_mapped_bit_sweep.idx");
+        let clean = std::fs::read(&path).unwrap();
+        let serves_clean = |m: &MappedIndex| {
+            m.meta() == index.meta()
+                && m.n_queries() == index.n_queries()
+                && m.n_entries() == index.n_entries()
+                && (0..index.n_queries() as u32).map(QueryId).all(|q| {
+                    let (targets, scores) = m.row(q);
+                    let set = index.rewrites_of(q);
+                    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let name = index.query_name(q);
+                    targets == set.ids()
+                        && bits(scores) == bits(set.scores())
+                        && m.query_name(q) == name
+                        && name.map_or(true, |name| m.lookup(name) == Some(q))
+                })
+        };
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut poke = |at: usize, byte: u8| {
+            file.seek(SeekFrom::Start(at as u64)).unwrap();
+            file.write_all(&[byte]).unwrap();
+        };
+        let (mut refused, mut harmless, mut caught) = (0usize, 0usize, 0usize);
+        for (at, &byte) in clean.iter().enumerate() {
+            for bit in 0..8 {
+                poke(at, byte ^ (1 << bit));
+                match MappedIndex::open(&path) {
+                    Err(_) => refused += 1,
+                    Ok(m) if serves_clean(&m) => harmless += 1,
+                    Ok(m) => {
+                        assert!(
+                            m.verify_deep().is_err(),
+                            "byte {at} bit {bit} serves a different index and passes verify_deep"
+                        );
+                        caught += 1;
+                    }
+                }
+            }
+            poke(at, byte);
+        }
+        std::fs::remove_file(&path).ok();
+        assert_eq!(refused + harmless + caught, clean.len() * 8);
+        assert!(caught > 0, "no payload mutant reached verify_deep");
+    }
+
+    #[test]
     fn out_of_range_row_is_empty_not_panic() {
         let (_, path) = saved("simrankpp_mapped_oob.idx");
         let mapped = MappedIndex::open(&path).unwrap();

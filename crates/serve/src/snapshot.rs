@@ -393,6 +393,51 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_refused_or_harmless() {
+        // Header to last payload byte (the sweep `graph::segments` runs over
+        // its store): a mutant either fails to decode or — the bit sat in a
+        // reserved word or in padding — decodes to the clean index. None
+        // may decode as a different index, and none may abort.
+        let index = fig3_index(MethodKind::WeightedSimrank);
+        let clean = snapshot_bytes(&index);
+        let n = index.n_queries() as u32;
+        let same = |back: &RewriteIndex| {
+            back.meta() == index.meta()
+                && back.offsets == index.offsets
+                && back.targets == index.targets
+                && back
+                    .scores
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .eq(index.scores.iter().map(|s| s.to_bits()))
+                && (0..n).all(|q| back.query_name(QueryId(q)) == index.query_name(QueryId(q)))
+        };
+        let mut mutant = clean.clone();
+        let (mut refused, mut harmless) = (0usize, 0usize);
+        for at in 0..clean.len() {
+            for bit in 0..8 {
+                mutant[at] = clean[at] ^ (1 << bit);
+                match RewriteIndex::read_snapshot(mutant.as_slice()) {
+                    Err(_) => refused += 1,
+                    Ok(back) => {
+                        assert!(
+                            same(&back),
+                            "byte {at} bit {bit} decoded as a different index"
+                        );
+                        harmless += 1;
+                    }
+                }
+            }
+            mutant[at] = clean[at];
+        }
+        assert_eq!(refused + harmless, clean.len() * 8);
+        assert!(
+            refused > harmless * 10,
+            "{refused} refused, {harmless} harmless"
+        );
+    }
+
+    #[test]
     fn zero_max_rewrites_index_loads() {
         // The funnel used to serve one rewrite under `max_rewrites: 0`, so
         // the index failed its own `validate` ("row exceeds max_rewrites")
