@@ -33,14 +33,13 @@ use simrankpp_graph::{
 };
 use simrankpp_serve::checkpoint::{capture, read_checkpoint, resume_ingestor, write_checkpoint};
 use simrankpp_serve::{
-    EpochIngestor, IngestConfig, IngestMetrics, LogTailer, MappedIndex, NetConfig, NetServer,
-    RewriteIndex, ServeState,
+    EpochIngestor, IngestConfig, IngestMetrics, LogTailer, NetConfig, NetServer, RewriteIndex,
+    ServeState,
 };
 use simrankpp_synth::federation::write_store;
 use simrankpp_synth::generator::{generate, GeneratorConfig};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
 use std::hint::black_box;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -156,7 +155,7 @@ const GATES: &[Gate] = &[
         tier: "scale",
         key: "serve_1m/mapped_open_1m_ms",
         bound: Bound::AtMost(50.0),
-        why: "MappedIndex::open is O(#sections) table validation plus one mmap",
+        why: "RewriteIndex::open is O(#sections) table validation plus one mmap",
     },
     Gate {
         tier: "scale",
@@ -225,8 +224,8 @@ static TIERS: [Tier; 4] = [
         name: "scale",
         description: "A federated synthetic store (independent ~2k-query worlds, one segment \
                       each, names stripped): streaming store write, segment-at-a-time index \
-                      build, snapshot write, MappedIndex open at 1x/10x/100x of target/100 \
-                      queries, and the full heap decode of the same snapshot for contrast.",
+                      build, snapshot write, RewriteIndex::open at 1x/10x/100x of target/100 \
+                      queries, and the deep-verified heap load of the same snapshot for contrast.",
         run: scale_series,
     },
 ];
@@ -591,15 +590,14 @@ fn scale_series(opts: &Options) -> Values {
             ("index_entries", index.n_entries() as f64),
             ("snapshot_mb", snap_meta.len() as f64 / 1e6),
         ]);
-        let open = || MappedIndex::open(&snap_path).expect("mapped open");
+        let open = || RewriteIndex::open(&snap_path).expect("mapped open");
         open_ms.push(median_ms(opts.reps, open));
     }
     if let Some(mb) = peak_rss_mb() {
         v.insert("peak_rss_mb", mb);
     }
-    let (heap_decode_ms, heap) =
-        timed(|| RewriteIndex::read_snapshot(File::open(&snap_path).expect("open snapshot")));
-    drop(heap.expect("heap decode"));
+    let (heap_decode_ms, heap) = timed(|| RewriteIndex::load(&snap_path));
+    drop(heap.expect("deep-verified heap load"));
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&snap_path).ok();
     v.extend([

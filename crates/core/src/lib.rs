@@ -19,8 +19,6 @@
 //!   experiment;
 //! * [`complete_bipartite`] — closed forms on `K_{m,2}` (Theorems 6.1–7.1,
 //!   Appendices A–B), used for paper-exactness tests and Tables 3–4;
-//! * [`montecarlo`] — §11-adjacent extension: Monte-Carlo single-pair
-//!   estimation of the SimRank random-surfer model;
 //! * [`rewriter`] — the Figure 2 front-end: score → rank → stem-dedup →
 //!   bid-filter → top-5 rewrites.
 //!
@@ -35,7 +33,6 @@ pub mod desirability;
 pub mod engine;
 pub mod evidence;
 pub mod method;
-pub mod montecarlo;
 pub mod naive;
 pub mod pearson;
 pub mod rewriter;

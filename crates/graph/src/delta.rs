@@ -894,4 +894,89 @@ mod tests {
         }];
         assert!(write_click_log(&records, Vec::new()).is_err());
     }
+
+    /// Seeded xorshift64: a deterministic fuzz source with no dependency.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// One fuzz input: valid click-log lines and fields, stray tabs and
+    /// newlines, numbers at and past their limits, over-long fields, NUL
+    /// bytes and invalid UTF-8, concatenated at random.
+    fn fuzzed_log(rng: &mut XorShift) -> Vec<u8> {
+        const PIECES: &[&[u8]] = &[
+            b"+\t3\tq\ta\t10\t4\t0.4\n",
+            b"@\t4\n",
+            b"# comment\n",
+            b"+",
+            b"@",
+            b"-",
+            b"\t",
+            b"\n",
+            b"\r\n",
+            b"0",
+            b"18446744073709551615",
+            b"18446744073709551616",
+            b"-1",
+            b"camera",
+            b"10",
+            b"0.4",
+            b"NaN",
+            b"inf",
+            b"1e308",
+            b" ",
+            b"\0",
+            b"\xff",
+            b"\xc3",
+            b"\xe2\x82",
+            "é".as_bytes(),
+        ];
+        let mut out = Vec::new();
+        for _ in 0..rng.below(14) {
+            match rng.below(40) {
+                0 => out.resize(out.len() + 1 + rng.below(70_000), b'x'),
+                _ => out.extend_from_slice(PIECES[rng.below(PIECES.len())]),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fuzzed_click_logs_parse_or_fail_structured() {
+        // Every input parses or is refused with `InvalidData` — the whole
+        // log through `read_click_log`, and each UTF-8 line through the
+        // tailer's `parse_click_log_line` — and none panics.
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let (mut parsed, mut refused) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            let log = fuzzed_log(&mut rng);
+            match read_click_log(log.as_slice()) {
+                Ok(_) => parsed += 1,
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    refused += 1;
+                }
+            }
+            for (i, line) in log.split(|&b| b == b'\n').enumerate() {
+                let Ok(line) = std::str::from_utf8(line) else {
+                    continue;
+                };
+                if let Err(e) = parse_click_log_line(line, i + 1) {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    assert!(e.to_string().contains(&format!("line {}", i + 1)), "{e}");
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && refused > 0,
+            "{parsed} parsed, {refused} refused"
+        );
+    }
 }

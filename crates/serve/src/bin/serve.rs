@@ -81,7 +81,7 @@ use simrankpp_graph::{
     write_segmented, ClickGraph, SegmentedStore, WeightKind,
 };
 use simrankpp_serve::{
-    serve_session, LiveContext, MappedIndex, NetServer, RewriteIndex, ServeState, UpdateContext,
+    serve_session, LiveContext, NetServer, RewriteIndex, ServeState, UpdateContext,
 };
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -556,7 +556,7 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
             // Zero-copy open: O(#sections) regardless of index size — the
             // row arrays are served straight out of the mapped file bytes.
             let t0 = Instant::now();
-            let index = MappedIndex::open(path).map_err(|e| open_failure(path, e))?;
+            let index = RewriteIndex::open(path).map_err(|e| open_failure(path, e))?;
             eprintln!(
                 "opened {}: {} queries, {} rewrites ({}) via {} ({} bytes) in {:.2?}; \
                  snapshot mode, `update` disabled (use `serve update` offline or `run --graph`)",
@@ -564,11 +564,11 @@ fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
                 index.n_queries(),
                 index.n_entries(),
                 index.meta().method.name(),
-                index.backing_kind(),
-                index.file_len(),
+                index.backing(),
+                index.as_bytes().len(),
                 t0.elapsed()
             );
-            ServeState::mapped(index)
+            ServeState::fixed(index)
         }
         None => return Err(USAGE.to_owned()),
     };
@@ -700,7 +700,7 @@ fn update(args: &[String]) -> Result<(), String> {
 
 fn info(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE.to_owned())?;
-    let index = MappedIndex::open(path).map_err(|e| open_failure(path, e))?;
+    let index = RewriteIndex::open(path).map_err(|e| open_failure(path, e))?;
     index.verify_deep().map_err(|e| open_failure(path, e))?;
     let covered = (0..index.n_queries())
         .filter(|&q| !index.row(simrankpp_graph::QueryId(q as u32)).0.is_empty())
@@ -710,8 +710,8 @@ fn info(args: &[String]) -> Result<(), String> {
     println!("max rewrites    {}", index.meta().max_rewrites);
     println!("bid filtered    {}", index.meta().bid_filtered);
     println!("engine kernel   {:?}", index.meta().kernel);
-    println!("backing         {}", index.backing_kind());
-    println!("file bytes      {}", index.file_len());
+    println!("backing         {}", index.backing());
+    println!("file bytes      {}", index.as_bytes().len());
     match index.meta().segments {
         0 => println!("segments        0 (monolithic build)"),
         n => println!("segments        {n}"),

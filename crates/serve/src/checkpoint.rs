@@ -36,9 +36,8 @@
 //! section FNVs.
 
 use crate::ingest::{EpochIngestor, IngestConfig, LogTailer, SpannedRecord};
-use crate::snapshot::decode_names;
 use simrankpp_graph::Interner;
-use simrankpp_util::{pack_names, Arena, ArenaWriter};
+use simrankpp_util::{pack_names, unpack_names, Arena, ArenaWriter};
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -100,8 +99,20 @@ fn rebuild_hint(msg: &str) -> io::Error {
     ))
 }
 
+/// Rebuilds an interner from a packed `(offsets, blob)` name table —
+/// [`unpack_names`] refuses every malformed shape — and refuses duplicates
+/// (a repeated name would silently shift every later id).
 fn unpack(offs: &[u64], blob: &[u8], what: &str) -> io::Result<Interner> {
-    decode_names(offs, blob).map_err(|e| corrupt(&format!("{what}: {e}")))
+    let mut interner = Interner::new();
+    let names = unpack_names(offs, blob).map_err(|e| corrupt(&format!("{what}: {e}")))?;
+    for (i, name) in names.into_iter().enumerate() {
+        if interner.intern(name) != i as u32 {
+            return Err(corrupt(&format!(
+                "{what}: duplicate name {name:?} in name table"
+            )));
+        }
+    }
+    Ok(interner)
 }
 
 /// Captures a checkpoint of `ing` (which must have refreshed at least
@@ -445,6 +456,7 @@ mod tests {
             }
             mutant[at] = clean[at];
         }
+        eprintln!("checkpoint bit flips: {refused} refused, {harmless} harmless");
         assert_eq!(refused + harmless, clean.len() * 8);
         assert!(
             refused > harmless * 10,
@@ -487,10 +499,12 @@ mod tests {
         // Served answers identical, including the retired query staying a
         // known (isolated) node.
         for (_, q) in oracle.window().query_names().iter() {
-            let a = oracle_index.lookup(q).expect("oracle knows q");
-            let b = rec_index
-                .lookup(q)
-                .expect("recovered index must know q too");
+            let a = oracle_index.rewrites_of(oracle_index.lookup(q).expect("oracle knows q"));
+            let b = rec_index.rewrites_of(
+                rec_index
+                    .lookup(q)
+                    .expect("recovered index must know q too"),
+            );
             assert_eq!(a.ids(), b.ids(), "{q}: ids");
             assert_eq!(
                 a.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -498,7 +512,8 @@ mod tests {
                 "{q}: score bits"
             );
         }
-        assert!(rec_index.lookup("retired-query").unwrap().ids().is_empty());
+        let retired = rec_index.lookup("retired-query").unwrap();
+        assert!(rec_index.row(retired).0.is_empty());
         assert_eq!(rec_ing.generation(), oracle.generation());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,8 +1,7 @@
-//! The immutable precomputed top-k rewrite index.
-//!
-//! `build` runs the full §9.3 pipeline — top-100 candidates → stem-dedup →
-//! bid filter → top-5 — for *every* query of the click graph, offline and in
-//! parallel, then freezes the results into one flat arena:
+//! The immutable precomputed top-k rewrite index. `build` runs the §9.3
+//! pipeline — top-100 candidates → stem-dedup → bid filter → top-5 — for
+//! *every* query of the click graph, offline and in parallel, lays the rows
+//! out flat
 //!
 //! ```text
 //! offsets: [0, 2, 5, 5, ...]          one entry per query + end sentinel
@@ -10,13 +9,21 @@
 //! scores:  [.61, .43, ...]            parallel to targets
 //! ```
 //!
-//! Lookups slice the arena — no per-request allocation — and an optional
-//! cloned name interner answers `lookup("camera")` for the line protocol.
+//! and encodes them with the names into one snapshot-v4 arena. The one index
+//! type, [`RewriteIndex`], is a view over such bytes (built, loaded or
+//! mapped): borrowed, bounds-checked slices, and a clone is an `Arc` bump.
 
+use crate::mmap::Backing;
+use crate::snapshot::{
+    invalid, SEC_NAME_BLOB, SEC_NAME_HASH, SEC_NAME_IDS, SEC_NAME_OFFS, SEC_OFFSETS, SEC_SCORES,
+    SEC_TARGETS,
+};
 use simrankpp_core::rewriter::FunnelScratch;
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Shard};
-use simrankpp_util::FxHashSet;
+use simrankpp_util::{cast_slice, fnv1a, unpack_names, FxHashSet, Pod};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Provenance carried by an index (and through snapshots): what produced the
 /// rows, so a server can refuse mismatched artifacts.
@@ -28,36 +35,26 @@ pub struct IndexMeta {
     pub max_rewrites: u32,
     /// Whether the §9.3 bid-term filter was applied at build time.
     pub bid_filtered: bool,
-    /// Selects nothing: the approximate (edge-cutting) `Extracted` sharding
-    /// it recorded is gone, no build sets it, snapshots never write it, and
-    /// a snapshot carrying the flag is refused on load (`crate::snapshot`).
-    /// The field stays only because the frozen `benchmark/` sources spell
-    /// it (benchmark-pinned).
+    /// Always `false`: the approximate `Extracted` sharding it recorded is
+    /// gone and snapshots carrying it are refused (`crate::snapshot`).
+    /// Benchmark-pinned: the frozen `benchmark/` sources spell it.
     pub approx_sharding: bool,
-    /// Always [`KernelKind::Pull`], the one engine kernel; the field and
-    /// its snapshot META word stay only because the frozen `benchmark/`
-    /// sources and existing snapshots spell them. Snapshots recording a
-    /// removed kernel are refused on load (`crate::snapshot`), so a loaded
-    /// index never carries rows that a refresh would mix with pull rows.
+    /// Always [`KernelKind::Pull`], the one engine kernel; snapshots
+    /// recording a removed kernel are refused, so a refresh never mixes
+    /// kernels. Benchmark-pinned like `approx_sharding`.
     pub kernel: KernelKind,
-    /// How many segments of a [`simrankpp_graph::SegmentedStore`] the index
-    /// was built from — `0` for a monolithic in-memory build. Provenance
-    /// only: segmented and monolithic builds over the same graph are
-    /// bit-identical (segments hold whole components, and component
-    /// decomposition is exact), so nothing refuses on a mismatch; the
-    /// count surfaces in `serve info`.
+    /// How many [`SegmentedStore`] segments the index was built from — `0`
+    /// for a monolithic build. Provenance only (the two builds are
+    /// bit-identical); surfaces in `serve info`.
     pub segments: u32,
 }
 
-/// One row computed on a component block: the global query id plus its
-/// `(global target id, score)` entries in ranking order.
+/// A global query id and its `(global target, score)` row, ranking order.
 type BlockRow = (u32, Vec<(u32, f64)>);
 
-/// The rows of one component block — a store [`simrankpp_graph::Segment`]'s
-/// graph or a dirty [`Shard`]'s — computed on the block alone: the method
-/// runs on `block`, the §9.3 funnel per local query, and `queries` (global
-/// query id per local id, monotone) carries ids back out. `bid_terms` are
-/// global ids and are remapped into the block. Blocks hold whole connected
+/// The rows of one component block — a store segment's graph or a dirty
+/// [`Shard`]'s — computed on the block alone; `queries` maps local ids to
+/// global ones (monotone) and `bid_terms` are global ids. Blocks hold whole
 /// components and monotone ids keep equal-score tie-breaks, so the rows are
 /// bit-identical to a whole-graph build's.
 fn block_rows(
@@ -96,8 +93,7 @@ fn block_rows(
         .collect()
 }
 
-/// The arena offset of a row ending at `total` entries — the one place the
-/// `u32` offset width is enforced.
+/// The offset of a row ending at `total` entries: the one `u32` width check.
 fn arena_offset(total: usize) -> Result<u32, String> {
     u32::try_from(total)
         .ok()
@@ -105,10 +101,9 @@ fn arena_offset(total: usize) -> Result<u32, String> {
         .ok_or_else(|| "index exceeds u32 arena offsets".to_string())
 }
 
-/// Assembles rows, pushed in query-id order, into the flat
-/// `offsets/targets/scores` arena of a [`RewriteIndex`]. Every build path —
-/// monolithic, segmented, incremental — lays its rows out through this one
-/// type, so the arena layout and its bound check live here only.
+/// Lays rows, pushed in query-id order, out flat and encodes them into a
+/// [`RewriteIndex`]: every build path (monolithic, segmented, incremental)
+/// goes through this one type, so the row layout lives here only.
 #[derive(Debug)]
 pub(crate) struct RowAssembler {
     offsets: Vec<u32>,
@@ -153,18 +148,12 @@ impl RowAssembler {
         Ok(())
     }
 
-    /// Freezes the pushed rows into an index over exactly those queries.
-    pub(crate) fn finish(mut self, meta: IndexMeta, names: Option<Interner>) -> RewriteIndex {
-        self.targets.shrink_to_fit();
-        self.scores.shrink_to_fit();
-        RewriteIndex {
-            meta,
-            n_queries: (self.offsets.len() - 1) as u32,
-            offsets: self.offsets,
-            targets: self.targets,
-            scores: self.scores,
-            names,
-        }
+    /// Encodes the rows and `names` into one arena and views it.
+    pub(crate) fn finish(self, meta: IndexMeta, names: Option<&Interner>) -> RewriteIndex {
+        let bytes =
+            crate::snapshot::encode(&meta, &self.offsets, &self.targets, &self.scores, names);
+        drop(self);
+        RewriteIndex::view(Backing::Heap(bytes), true).expect("a freshly encoded index parses")
     }
 }
 
@@ -185,29 +174,25 @@ pub struct RebuildStats {
     pub n_clean_components: usize,
 }
 
-/// An immutable query → top-k rewrites index over one click graph.
+/// An immutable query → top-k rewrites index over one click graph: a view
+/// over the bytes of one snapshot-v4 arena.
 #[derive(Debug, Clone)]
 pub struct RewriteIndex {
+    /// The arena: heap bytes (built or loaded) or a mapped file.
+    pub(crate) bytes: Arc<Backing>,
     pub(crate) meta: IndexMeta,
-    pub(crate) n_queries: u32,
-    /// `offsets[q]..offsets[q + 1]` is query `q`'s row in the arenas.
-    pub(crate) offsets: Vec<u32>,
-    /// Rewrite target ids, ranking order within each row.
-    pub(crate) targets: Vec<u32>,
-    /// Final method scores, parallel to `targets`.
-    pub(crate) scores: Vec<f64>,
-    /// Query display names, when the source graph had them.
-    pub(crate) names: Option<Interner>,
+    /// Payloads known good (encoded here or deep-loaded); an `open`ed view
+    /// is checked before a rebuild reads it.
+    pub(crate) checked: bool,
+    /// Each section's byte range within `bytes`, by tag − 1 (empty for the
+    /// name sections of an unnamed index).
+    pub(crate) sections: [Range<usize>; 8],
 }
 
 impl RewriteIndex {
-    /// Runs the offline pipeline for every query of `rewriter`'s graph with
-    /// `threads` chunked workers (`0` = all cores) and freezes the results.
-    ///
-    /// Each worker drives the name-free [`Rewriter::rewrite_ids_with`] with
-    /// scratch of its own, freed with the build, and emits a chunk-local
-    /// arena; stitching the chunks in order keeps the result deterministic
-    /// for any thread count.
+    /// Runs the offline pipeline for every query of `rewriter`'s graph on
+    /// `threads` chunked workers (`0` = all cores), each with scratch of its
+    /// own; stitching the chunks in order makes the result thread-count-free.
     pub fn build(
         rewriter: &Rewriter,
         bid_terms: Option<&FxHashSet<QueryId>>,
@@ -226,9 +211,9 @@ impl RewriteIndex {
         });
         let mut rows = RowAssembler::with_capacity(g.n_queries());
         for chunk in chunks {
-            chunk
-                .and_then(|c| rows.append(c))
-                .unwrap_or_else(|e: String| panic!("{e}"));
+            if let Err(e) = chunk.and_then(|c| rows.append(c)) {
+                panic!("{e}");
+            }
         }
 
         rows.finish(
@@ -240,20 +225,14 @@ impl RewriteIndex {
                 kernel: KernelKind::Pull,
                 segments: 0,
             },
-            g.query_interner().cloned(),
+            g.query_interner(),
         )
     }
 
-    /// Builds the index from a [`SegmentedStore`] **one segment at a time**:
-    /// peak memory is bounded by the largest segment plus the (flat,
-    /// row-cap-bounded) output arena, never the whole graph.
-    ///
-    /// Segments hold whole connected components and their local ids are
-    /// monotone in global ids, so per-segment method computation and the
-    /// §9.3 pipeline produce rows bit-identical to a monolithic
-    /// [`RewriteIndex::build`] over [`SegmentedStore::load_all`] — including
-    /// equal-score tie-breaks. `bid_terms` are global query ids and are
-    /// remapped into each segment.
+    /// Builds from a [`SegmentedStore`] **one segment at a time** (peak
+    /// memory: the largest segment plus the output rows), bit-identical to
+    /// [`RewriteIndex::build`] over [`SegmentedStore::load_all`].
+    /// `bid_terms` are global query ids.
     pub fn build_segmented(
         store: &mut SegmentedStore,
         kind: MethodKind,
@@ -269,8 +248,7 @@ impl RewriteIndex {
             .map_err(|_| bad("store query count overflows usize".into()))?;
         let has_names = store.has_names();
         let mut rows: Vec<Option<Vec<(u32, f64)>>> = vec![None; n_total];
-        let mut names: Vec<(u32, String)> = Vec::with_capacity(if has_names { n_total } else { 0 });
-
+        let mut names: Vec<Option<String>> = vec![None; if has_names { n_total } else { 0 }];
         for i in 0..store.n_segments() {
             let seg = store.load_segment(i)?;
             let seg_rows = block_rows(
@@ -281,25 +259,17 @@ impl RewriteIndex {
                 rewriter_config,
                 bid_terms,
             );
-            for (global, row) in seg_rows {
-                let slot = rows.get_mut(global as usize).ok_or_else(|| {
-                    bad(format!(
-                        "segment {i}: global query id {global} out of range"
-                    ))
-                })?;
+            for ((global, row), local) in seg_rows.into_iter().zip(0u32..) {
+                let slot = rows.get_mut(global as usize);
+                let slot =
+                    slot.ok_or_else(|| bad(format!("segment {i}: id {global} out of range")))?;
                 if slot.replace(row).is_some() {
                     return Err(bad(format!(
-                        "global query id {global} appears in more than one segment"
+                        "query id {global} is in more than one segment"
                     )));
                 }
-            }
-            if has_names {
-                for (local, &global) in seg.queries.iter().enumerate() {
-                    let name = seg
-                        .graph
-                        .query_name(QueryId(local as u32))
-                        .ok_or_else(|| bad(format!("segment {i}: query {local} has no name")))?;
-                    names.push((global, name.to_string()));
+                if has_names {
+                    names[global as usize] = seg.graph.query_name(QueryId(local)).map(Into::into);
                 }
             }
         }
@@ -310,25 +280,14 @@ impl RewriteIndex {
                 slot.ok_or_else(|| bad(format!("global query id {q} missing from every segment")))?;
             arena.push_row(row).map_err(bad)?;
         }
-
-        let interner = if has_names {
-            names.sort_unstable_by_key(|a| a.0);
-            let mut interner = Interner::new();
-            for (expect, (global, name)) in names.iter().enumerate() {
-                if *global != expect as u32 {
-                    return Err(bad(format!(
-                        "query id {expect} missing or duplicated across segment name maps"
-                    )));
-                }
-                if interner.intern(name) != *global {
-                    return Err(bad(format!(
-                        "duplicate query name {name:?} across segments"
-                    )));
-                }
+        let interner = match names.into_iter().collect::<Option<Interner>>() {
+            _ if !has_names => None,
+            Some(interner) if interner.len() == n_total => Some(interner),
+            _ => {
+                return Err(bad(
+                    "a query name is missing or duplicated across segments".into()
+                ))
             }
-            Some(interner)
-        } else {
-            None
         };
 
         Ok(arena.finish(
@@ -340,32 +299,17 @@ impl RewriteIndex {
                 kernel: KernelKind::Pull,
                 segments: store.n_segments() as u32,
             },
-            interner,
+            interner.as_ref(),
         ))
     }
 
-    /// Rebuilds only the **dirty** queries' rows after a graph delta,
-    /// copying every clean query's row from `self` verbatim — the serving
-    /// half of the incremental-update story.
-    ///
-    /// `new_graph` is the post-delta graph and `dirty` the analysis from
-    /// [`simrankpp_graph::GraphDelta::dirty_components`] over it. For each
-    /// dirty non-trivial component the similarity method named by
-    /// `self.meta.method` is recomputed **on the induced component subgraph
-    /// alone** (component decomposition is bit-exact, see
-    /// `simrankpp_graph::sharding`) and the §9.3 pipeline re-runs for its
-    /// queries; shard-local ids remap monotonically to global ones, so
-    /// candidate ordering ties break identically to a full rebuild. Queries
-    /// in clean components keep their exact rows: the result is
-    /// bit-identical to `RewriteIndex::build` over the new graph.
-    ///
-    /// `config`/`rewriter_config`/`bid_terms` must match what built `self`
-    /// (checked against `meta` where recorded: method family via
-    /// `meta.method`, row cap via `meta.max_rewrites`, bid filtering via
-    /// `meta.bid_filtered`). Recursive methods assume the default
-    /// (geometric) evidence formula, as [`RewriteIndex::build`] callers use.
-    ///
-    /// Returns the next index generation plus the refresh accounting.
+    /// Recomputes the **dirty** queries' rows after a graph delta (`dirty`:
+    /// [`simrankpp_graph::GraphDelta::dirty_components`] over `new_graph`),
+    /// each dirty component on its induced subgraph alone, and copies every
+    /// clean row verbatim — bit-identical to `build` over `new_graph`. The
+    /// configs and `bid_terms` must match what built `self` (row cap and bid
+    /// filtering are checked). Bytes never deep-checked (an `open`ed file)
+    /// are checked first: corrupt rows never reach the next generation.
     pub fn rebuild_incremental(
         &self,
         new_graph: &ClickGraph,
@@ -374,6 +318,12 @@ impl RewriteIndex {
         rewriter_config: &RewriterConfig,
         bid_terms: Option<&FxHashSet<QueryId>>,
     ) -> Result<(RewriteIndex, RebuildStats), String> {
+        if !self.checked {
+            let deep = self
+                .verify_deep()
+                .and_then(|()| self.validate().map_err(invalid));
+            deep.map_err(|e| format!("the generation failed its deep check: {e}"))?;
+        }
         if rewriter_config.max_rewrites as u32 != self.meta.max_rewrites {
             return Err(format!(
                 "rewriter max_rewrites {} does not match the index's {}",
@@ -394,19 +344,15 @@ impl RewriteIndex {
         if dirty.components.query_label.len() != new_n {
             return Err("dirty-component analysis was built for a different graph".into());
         }
-        for q in old_n..new_n {
-            if !dirty.query_dirty(QueryId(q as u32)) {
-                return Err(format!(
-                    "new query {q} is not marked dirty — stale delta analysis?"
-                ));
-            }
+        if let Some(q) = (old_n..new_n).find(|&q| !dirty.query_dirty(QueryId(q as u32))) {
+            return Err(format!(
+                "new query {q} is not marked dirty — stale delta analysis?"
+            ));
         }
 
-        // Recompute the method per dirty component, on the induced subgraph
-        // alone. Parallelism lives at the block level: `config.threads`
-        // scoped workers pull shards (largest first) off an atomic queue,
-        // each shard stays serial inside, and shards write disjoint query
-        // rows, so the result is identical for any worker count.
+        // Parallelism lives at the block level: `config.threads` workers pull
+        // shards (largest first) off a queue, each shard serial inside and
+        // writing disjoint rows, so any worker count gives the same result.
         let local_cfg = config.with_threads(1);
         let shards = Shard::from_dirty(new_graph, dirty);
         let workers = config.effective_threads().min(shards.len()).max(1);
@@ -424,57 +370,42 @@ impl RewriteIndex {
                 )
             });
         let mut fresh: Vec<Option<Vec<(u32, f64)>>> = vec![None; new_n];
-        let mut refreshed_entries = 0usize;
         for (q, row) in shard_rows.into_iter().flatten() {
-            refreshed_entries += row.len();
             fresh[q as usize] = Some(row);
         }
 
-        // Assemble the next arena generation: fresh rows for dirty queries
-        // (empty when their component holds no candidates), verbatim copies
-        // for clean ones.
+        // Fresh rows for dirty queries (empty when their component holds no
+        // candidates), verbatim copies for clean ones.
         let mut arena = RowAssembler::with_capacity(new_n);
-        let mut refreshed_queries = 0usize;
-        let mut copied_entries = 0usize;
-        for (q, slot) in fresh.iter_mut().enumerate() {
-            let qid = QueryId(q as u32);
-            if dirty.query_dirty(qid) {
-                refreshed_queries += 1;
-                arena.push_row(slot.take().unwrap_or_default())?;
+        let mut refreshed_entries = 0usize;
+        for (q, slot) in fresh.into_iter().enumerate() {
+            let q = QueryId(q as u32);
+            if dirty.query_dirty(q) {
+                let row = slot.unwrap_or_default();
+                refreshed_entries += row.len();
+                arena.push_row(row)?;
             } else {
-                let old = self.rewrites_of(qid);
-                copied_entries += old.len();
-                arena.push_row(old.ids().iter().copied().zip(old.scores().iter().copied()))?;
+                let (targets, scores) = self.row(q);
+                arena.push_row(targets.iter().copied().zip(scores.iter().copied()))?;
             }
         }
-
+        let next = arena.finish(self.meta, new_graph.query_interner());
+        let refreshed_queries = dirty.dirty_query_count();
         let stats = RebuildStats {
             refreshed_queries,
             copied_queries: new_n - refreshed_queries,
             refreshed_entries,
-            copied_entries,
+            copied_entries: next.n_entries() - refreshed_entries,
             n_dirty_components: dirty.n_dirty(),
             n_clean_components: dirty.n_clean(),
         };
-        Ok((
-            arena.finish(self.meta, new_graph.query_interner().cloned()),
-            stats,
-        ))
+        Ok((next, stats))
     }
 
-    /// An index covering **zero** queries: every lookup misses. The
-    /// single-source serving mode starts from this — the server skips the
-    /// offline all-pairs build entirely and answers each query live, so the
-    /// only thing an index contributes is the provenance in `meta`.
+    /// An index covering **zero** queries, for live single-source serving:
+    /// every lookup misses and only `meta` counts.
     pub fn empty(meta: IndexMeta) -> RewriteIndex {
-        RewriteIndex {
-            meta,
-            n_queries: 0,
-            offsets: vec![0],
-            targets: Vec::new(),
-            scores: Vec::new(),
-            names: None,
-        }
+        RowAssembler::with_capacity(0).finish(meta, None)
     }
 
     /// Build provenance.
@@ -484,105 +415,147 @@ impl RewriteIndex {
 
     /// Number of indexed queries.
     pub fn n_queries(&self) -> usize {
-        self.n_queries as usize
+        self.section::<u32>(SEC_OFFSETS).len() - 1
     }
 
     /// Total stored rewrites across all rows.
     pub fn n_entries(&self) -> usize {
-        self.targets.len()
+        self.section::<u32>(SEC_TARGETS).len()
+    }
+
+    /// The snapshot-v4 bytes of the index — exactly what `save` writes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.bytes.bytes()
+    }
+
+    /// `"mmap"` for an opened snapshot, `"heap"` for built, loaded and
+    /// updated generations (surfaced by `serve info`).
+    pub fn backing(&self) -> &'static str {
+        self.bytes.kind()
+    }
+
+    #[inline]
+    fn section<T: Pod>(&self, tag: u64) -> &[T] {
+        // Size- and alignment-checked by the parser; the bytes are immutable.
+        let range = self.sections[tag as usize - 1].clone();
+        cast_slice(&self.as_bytes()[range]).expect("section checked at open")
+    }
+
+    /// The row of `q`: `(targets, scores)` borrowed from the arena. An
+    /// unknown id, or a corrupt offset pair in an `open`ed file, answers an
+    /// empty row rather than panicking.
+    #[inline]
+    pub fn row(&self, q: QueryId) -> (&[u32], &[f64]) {
+        let offsets: &[u32] = self.section(SEC_OFFSETS);
+        let (Some(&lo), Some(&hi)) = (offsets.get(q.index()), offsets.get(q.index() + 1)) else {
+            return (&[], &[]);
+        };
+        let (targets, scores): (&[u32], &[f64]) =
+            (self.section(SEC_TARGETS), self.section(SEC_SCORES));
+        match targets.get(lo as usize..hi as usize) {
+            Some(t) => (t, &scores[lo as usize..hi as usize]), // |scores| = |targets|
+            None => (&[], &[]),
+        }
     }
 
     /// The precomputed rewrites of `q` — borrowed slices, no allocation.
     #[inline]
     pub fn rewrites_of(&self, q: QueryId) -> RewriteSet<'_> {
-        let lo = self.offsets[q.index()] as usize;
-        let hi = self.offsets[q.index() + 1] as usize;
+        let (targets, scores) = self.row(q);
         RewriteSet {
             index: self,
-            targets: &self.targets[lo..hi],
-            scores: &self.scores[lo..hi],
+            targets,
+            scores,
         }
     }
 
-    /// Name-keyed lookup for the serving front door.
-    #[inline]
-    pub fn lookup(&self, name: &str) -> Option<RewriteSet<'_>> {
-        Some(self.rewrites_of(self.lookup_id(name)?))
+    /// Resolves a display name to its id: binary search over the sorted
+    /// `NAME_HASH` table, equal hashes told apart by the stored name bytes.
+    pub fn lookup(&self, name: &str) -> Option<QueryId> {
+        let (hashes, ids): (&[u64], &[u32]) =
+            (self.section(SEC_NAME_HASH), self.section(SEC_NAME_IDS));
+        let h = fnv1a(name.as_bytes());
+        let i = hashes.partition_point(|&x| x < h);
+        hashes[i..]
+            .iter()
+            .zip(&ids[i..])
+            .take_while(|&(&x, _)| x == h)
+            .map(|(_, &id)| QueryId(id))
+            .find(|&id| self.name_bytes(id) == Some(name.as_bytes()))
     }
 
-    /// Resolves a query display name to its id.
-    #[inline]
+    /// [`RewriteIndex::lookup`] (benchmark-pinned; goes with ROADMAP 4(c)).
     pub fn lookup_id(&self, name: &str) -> Option<QueryId> {
-        Some(QueryId(self.names.as_ref()?.get(name)?))
+        self.lookup(name)
     }
 
-    /// The display name of an indexed query, when names were recorded.
-    #[inline]
+    /// The display name of query `q`, when names were recorded
+    /// (bounds- and UTF-8-checked: `None` on corruption).
     pub fn query_name(&self, q: QueryId) -> Option<&str> {
-        self.names.as_ref().and_then(|i| i.name(q.0))
+        std::str::from_utf8(self.name_bytes(q)?).ok()
     }
 
-    /// Checks every structural invariant; snapshot loading runs this, so a
-    /// corrupt or hand-edited artifact is rejected before it serves traffic.
-    ///
-    /// Verified: offset shape/monotonicity, arena lengths, target ids in
-    /// range and off the diagonal, finite scores in non-increasing ranking
-    /// order, row lengths within `meta.max_rewrites`, and that the name
-    /// table is a bijection (a duplicated name would route lookups to the
-    /// wrong query's row).
+    /// [`RewriteIndex::query_name`] as bytes to write: only an `open`ed view
+    /// re-checks UTF-8 (a check worth ≈ 10 % of the server's throughput).
+    pub(crate) fn name_to_write(&self, q: QueryId) -> Option<&[u8]> {
+        let name = self.name_bytes(q)?;
+        (self.checked || std::str::from_utf8(name).is_ok()).then_some(name)
+    }
+
+    fn name_bytes(&self, q: QueryId) -> Option<&[u8]> {
+        let offs: &[u64] = self.section(SEC_NAME_OFFS);
+        let (&lo, &hi) = (offs.get(q.index())?, offs.get(q.index() + 1)?);
+        self.section::<u8>(SEC_NAME_BLOB)
+            .get(lo as usize..hi as usize)
+    }
+
+    /// Checks what the O(1) parser leaves to a deep load: monotone offsets,
+    /// in-range targets off the diagonal, finite scores in ranking order,
+    /// rows within `meta.max_rewrites`, a well-formed name table, and every
+    /// named id resolving to itself through the lookup table (a duplicated
+    /// name or a wrong `NAME_IDS` entry would misroute lookups).
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.n_queries as usize;
-        if self.offsets.len() != n + 1 {
-            return Err(format!(
-                "offsets has {} entries for {} queries",
-                self.offsets.len(),
-                n
-            ));
-        }
-        if self.offsets[0] != 0 {
-            return Err("offsets must start at 0".into());
-        }
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
+        let n = self.n_queries();
+        let offsets: &[u32] = self.section(SEC_OFFSETS);
+        let (targets, scores): (&[u32], &[f64]) =
+            (self.section(SEC_TARGETS), self.section(SEC_SCORES));
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offsets not monotone".into());
         }
-        if *self.offsets.last().unwrap() as usize != self.targets.len() {
-            return Err("last offset != target count".into());
-        }
-        if self.targets.len() != self.scores.len() {
-            return Err("targets/scores arenas must be parallel".into());
-        }
-        for q in 0..n {
-            let (lo, hi) = (self.offsets[q] as usize, self.offsets[q + 1] as usize);
+        for (q, w) in offsets.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
             if hi - lo > self.meta.max_rewrites as usize {
                 return Err(format!("query {q}: row exceeds max_rewrites"));
             }
             for i in lo..hi {
-                if self.targets[i] as usize >= n {
+                if targets[i] as usize >= n {
                     return Err(format!("query {q}: target id out of range"));
                 }
-                if self.targets[i] as usize == q {
+                if targets[i] as usize == q {
                     return Err(format!("query {q}: listed as its own rewrite"));
                 }
-                if !self.scores[i].is_finite() {
+                if !scores[i].is_finite() {
                     return Err(format!("query {q}: non-finite score"));
                 }
-                if i > lo && self.scores[i] > self.scores[i - 1] {
+                if i > lo && scores[i] > scores[i - 1] {
                     return Err(format!("query {q}: scores not in ranking order"));
                 }
             }
         }
-        if let Some(names) = &self.names {
-            if names.len() > n {
+        let name_offs: &[u64] = self.section(SEC_NAME_OFFS);
+        if name_offs.is_empty() {
+            return Ok(());
+        }
+        let names = unpack_names(name_offs, self.section(SEC_NAME_BLOB))?;
+        if names.len() > n {
+            return Err(format!("{} names for {n} queries", names.len()));
+        }
+        for (id, name) in (0..).zip(names) {
+            if self.lookup(name) != Some(QueryId(id)) {
                 return Err(format!(
-                    "name table has {} entries for {} queries",
-                    names.len(),
-                    n
+                    "query {id} ({name:?}) does not resolve to itself: \
+                     duplicate name or corrupt lookup table"
                 ));
-            }
-            for (id, name) in names.iter() {
-                if names.get(name) != Some(id) {
-                    return Err(format!("duplicate query name {name:?} in name table"));
-                }
             }
         }
         Ok(())
@@ -599,25 +572,21 @@ pub struct RewriteSet<'i> {
 
 impl<'i> RewriteSet<'i> {
     /// Number of rewrites (the method's §9.4 *depth* for this query).
-    #[inline]
     pub fn len(&self) -> usize {
         self.targets.len()
     }
 
     /// `true` when the pipeline left this query uncovered.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
 
     /// Rewrite target ids in ranking order.
-    #[inline]
     pub fn ids(&self) -> &'i [u32] {
         self.targets
     }
 
     /// Final scores, parallel to [`RewriteSet::ids`].
-    #[inline]
     pub fn scores(&self) -> &'i [f64] {
         self.scores
     }
@@ -635,6 +604,7 @@ impl<'i> RewriteSet<'i> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::{reseal, same_index, section_range};
     use simrankpp_core::{Method, RewriterConfig, SimrankConfig};
     use simrankpp_graph::fixtures::figure3_graph;
     use simrankpp_graph::WeightKind;
@@ -647,18 +617,25 @@ mod tests {
         RewriteIndex::build(&rewriter, None, 1)
     }
 
+    /// The rewrites of the query named `name`.
+    fn named<'i>(index: &'i RewriteIndex, name: &str) -> RewriteSet<'i> {
+        index.rewrites_of(index.lookup(name).expect("indexed query"))
+    }
+
     #[test]
     fn figure3_index_serves_expected_rewrites() {
         let index = fig3_index();
         index.validate().unwrap();
         assert_eq!(index.n_queries(), 5);
-        let camera = index.lookup("camera").unwrap();
+        assert_eq!(index.backing(), "heap");
+        let camera = named(&index, "camera");
         assert!(!camera.is_empty());
         let (_, _, name) = camera.iter().next().unwrap();
         assert_eq!(name, Some("digital camera"));
         // flower is isolated from the rest of the graph.
-        assert!(index.lookup("flower").unwrap().is_empty());
+        assert!(named(&index, "flower").is_empty());
         assert!(index.lookup("no such query").is_none());
+        assert_eq!(index.lookup_id("camera"), index.lookup("camera"));
     }
 
     #[test]
@@ -677,6 +654,7 @@ mod tests {
                 assert_eq!(got.1, want.score);
                 assert_eq!(got.2, want.name.as_deref());
             }
+            assert_eq!(index.lookup(g.query_name(q).unwrap()), Some(q));
         }
     }
 
@@ -693,11 +671,10 @@ mod tests {
         assert!(index.meta().bid_filtered);
         // camera, pc and tv all reach "digital camera" (the only bid term);
         // everything else is filtered, and flower reaches nothing.
-        let camera = index.lookup("camera").unwrap();
-        assert_eq!(camera.len(), 1);
-        assert_eq!(index.lookup("tv").unwrap().len(), 1);
-        assert_eq!(index.lookup("pc").unwrap().len(), 1);
-        assert!(index.lookup("flower").unwrap().is_empty());
+        assert_eq!(named(&index, "camera").len(), 1);
+        assert_eq!(named(&index, "tv").len(), 1);
+        assert_eq!(named(&index, "pc").len(), 1);
+        assert!(named(&index, "flower").is_empty());
     }
 
     #[test]
@@ -720,9 +697,11 @@ mod tests {
         head.append(tail).unwrap();
         let index = head.finish(fig3_index().meta, None);
         index.validate().unwrap();
-        assert_eq!(index.offsets, [0, 2, 2, 3]);
-        assert_eq!(index.targets, [1, 2, 0]);
-        assert_eq!(index.scores, [0.5, 0.25, 0.125]);
+        assert_eq!(index.n_queries(), 3);
+        assert_eq!(index.row(QueryId(0)), (&[1, 2][..], &[0.5, 0.25][..]));
+        assert_eq!(index.row(QueryId(1)), (&[][..], &[][..]));
+        assert_eq!(index.row(QueryId(2)), (&[0][..], &[0.125][..]));
+        assert_eq!(index.row(QueryId(3)), (&[][..], &[][..]));
     }
 
     #[test]
@@ -756,11 +735,7 @@ mod tests {
         let method = Method::compute(MethodKind::WeightedSimrank, &g2, &cfg);
         let rewriter = Rewriter::new(&g2, method, RewriterConfig::default());
         let full = RewriteIndex::build(&rewriter, None, 1);
-        assert_eq!(inc.n_entries(), full.n_entries());
-        for q in g2.queries() {
-            assert_eq!(inc.rewrites_of(q).ids(), full.rewrites_of(q).ids());
-            assert_eq!(inc.rewrites_of(q).scores(), full.rewrites_of(q).scores());
-        }
+        assert_eq!(inc.as_bytes(), full.as_bytes());
     }
 
     #[test]
@@ -783,15 +758,12 @@ mod tests {
         inc.validate().unwrap();
         assert_eq!(inc.n_queries(), g.n_queries() + 1);
         assert_eq!(stats.copied_queries, 1); // flower only
-        assert!(!inc.lookup("laptop").unwrap().is_empty());
+        assert!(!named(&inc, "laptop").is_empty());
 
         let method = Method::compute(MethodKind::WeightedSimrank, &g2, &cfg);
         let rewriter = Rewriter::new(&g2, method, RewriterConfig::default());
         let full = RewriteIndex::build(&rewriter, None, 1);
-        for q in g2.queries() {
-            assert_eq!(inc.rewrites_of(q).ids(), full.rewrites_of(q).ids());
-            assert_eq!(inc.rewrites_of(q).scores(), full.rewrites_of(q).scores());
-        }
+        assert!(same_index(&inc, &full));
     }
 
     #[test]
@@ -860,36 +832,79 @@ mod tests {
             .rebuild_incremental(&g2, &dirty, &par_cfg, &RewriterConfig::default(), None)
             .unwrap();
         assert_eq!(s_stats, p_stats);
-        assert_eq!(serial.offsets, parallel.offsets);
-        assert_eq!(serial.targets, parallel.targets);
-        assert_eq!(serial.scores, parallel.scores);
+        assert_eq!(serial.as_bytes(), parallel.as_bytes());
     }
 
     #[test]
     fn validate_rejects_corruption() {
+        // Each case mutates one section of a built index's bytes and
+        // re-seals the checksums, so the deep load's `validate` is what
+        // must refuse it.
         let good = fig3_index();
+        let clean = good.as_bytes().to_vec();
+        let n = good.n_queries() as u32;
+        let at = |tag: u64| section_range(&clean, tag).start;
+        let (offsets, targets, scores) = (at(0x02), at(0x03), at(0x04));
+        let (name_blob, name_ids) = (at(0x06), at(0x08));
+        let word = |buf: &[u8], at: usize| u32::from_ne_bytes(buf[at..at + 4].try_into().unwrap());
+        let refused = |poke: &dyn Fn(&mut Vec<u8>), why: &str| {
+            let mut buf = clean.clone();
+            poke(&mut buf);
+            reseal(&mut buf);
+            let err = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        };
+        let mut resealed = clean.clone();
+        reseal(&mut resealed);
+        RewriteIndex::read_snapshot(resealed.as_slice()).unwrap();
 
-        let mut bad = good.clone();
-        bad.targets[0] = bad.n_queries; // out of range
-        assert!(bad.validate().is_err());
-
-        let mut bad = good.clone();
-        bad.scores[0] = f64::NAN;
-        assert!(bad.validate().is_err());
-
-        let mut bad = good.clone();
-        bad.offsets[1] = bad.offsets[2] + 1; // non-monotone
-        assert!(bad.validate().is_err());
-
-        let mut bad = good.clone();
-        if let Some(row_start) = bad.offsets.iter().position(|&o| o > 0) {
-            let q = row_start - 1;
-            bad.targets[0] = q as u32; // self rewrite
-            assert!(bad.validate().is_err());
-        }
-
-        let mut bad = good;
-        bad.scores.pop();
-        assert!(bad.validate().is_err());
+        refused(
+            &|b| b[targets..targets + 4].copy_from_slice(&n.to_ne_bytes()),
+            "out of range",
+        );
+        refused(
+            &|b| b[scores..scores + 8].copy_from_slice(&f64::NAN.to_ne_bytes()),
+            "non-finite",
+        );
+        refused(
+            &|b| {
+                let past = word(b, offsets + 8) + 1;
+                b[offsets + 4..offsets + 8].copy_from_slice(&past.to_ne_bytes());
+            },
+            "not monotone",
+        );
+        // The first target of the first non-empty row, pointed at its own
+        // query.
+        let q = (0..n)
+            .find(|&q| !good.row(QueryId(q)).0.is_empty())
+            .unwrap();
+        refused(
+            &|b| b[targets..targets + 4].copy_from_slice(&q.to_ne_bytes()),
+            "own rewrite",
+        );
+        // Two equal-length names; the second's bytes overwritten with the
+        // first's.
+        let name = |q: u32| good.query_name(QueryId(q)).unwrap();
+        let (a, b) = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| name(a).len() == name(b).len())
+            .expect("two names of equal length");
+        let start_of = |q: u32| (0..q).map(|p| name(p).len()).sum::<usize>();
+        refused(
+            &|buf| {
+                let (to, len) = (name_blob + start_of(b), name(b).len());
+                buf[to..to + len].copy_from_slice(name(a).as_bytes());
+            },
+            "does not resolve",
+        );
+        // A NAME_IDS entry pointing at the wrong name: swap the first two.
+        refused(
+            &|buf| {
+                let (x, y) = (word(buf, name_ids), word(buf, name_ids + 4));
+                buf[name_ids..name_ids + 4].copy_from_slice(&y.to_ne_bytes());
+                buf[name_ids + 4..name_ids + 8].copy_from_slice(&x.to_ne_bytes());
+            },
+            "does not resolve",
+        );
     }
 }

@@ -592,7 +592,7 @@ mod tests {
         let (index, stats, _) = ing.refresh().unwrap();
         assert_eq!(stats.refreshed_queries, 1, "the stale component refreshes");
         // The retired query survives as an isolated node with no rewrites.
-        assert!(index.lookup("stale").unwrap().ids().is_empty());
+        assert!(index.row(index.lookup("stale").unwrap()).0.is_empty());
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! Computation via Linearization", this crate precomputes the **entire**
 //! pipeline for every query of the click graph and freezes the result:
 //!
-//! * [`RewriteIndex`] — an immutable flat-arena index mapping every query to
-//!   its final top-5 rewrites, built in parallel with the engine's chunked
-//!   scoped-thread workers. Single and batched lookups return borrowed
-//!   slices: zero allocation on the hot path.
+//! * [`RewriteIndex`] — the one index type: an immutable view over the
+//!   bytes of a snapshot-v4 arena mapping every query to its final top-5
+//!   rewrites. A build (parallel, with the engine's chunked scoped-thread
+//!   workers) encodes its rows into heap bytes; [`RewriteIndex::open`] maps
+//!   a snapshot file in O(#sections) and [`RewriteIndex::load`] reads and
+//!   deep-checks one. Rows, names and the name lookup are borrowed slices
+//!   of the arena: zero allocation on the hot path.
 //!   [`RewriteIndex::rebuild_incremental`] refreshes only the dirty
 //!   queries' rows after a click-graph delta, copying clean rows verbatim.
-//! * [`snapshot`] — versioned, checksummed binary persistence, so an index
-//!   is built once and loaded by server processes. Format v4 is an 8-aligned
-//!   section arena written section-at-a-time.
-//! * [`mmap`]/[`mapped`] — zero-copy loading: [`MappedIndex`] serves rows
-//!   straight out of the snapshot file's bytes (`mmap` with a heap-read
-//!   fallback), so startup is O(#sections) regardless of index size;
-//!   [`ServingIndex`] unifies heap and mapped indexes behind one surface.
+//! * [`snapshot`] — the versioned, checksummed v4 format (an 8-aligned
+//!   section arena), its one parser, and persistence: `save` writes the
+//!   view's bytes verbatim.
+//! * [`mmap`] — the file mapping (`mmap` with a heap-read fallback) behind
+//!   `open`; [`mapped`] keeps two benchmark-pinned names for the view.
 //! * [`swap`] — a hand-rolled `ArcSwap`-style [`AtomicHandle`] so a new
 //!   index generation hot-swaps in while requests keep being answered.
 //! * [`server`] — the line protocol (`rewrite <query>`, `batch <file>`,
@@ -53,7 +54,7 @@ pub mod swap;
 pub use checkpoint::{read_checkpoint, resume_ingestor, write_checkpoint, Checkpoint};
 pub use index::{IndexMeta, RebuildStats, RewriteIndex, RewriteSet};
 pub use ingest::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer, SpannedRecord};
-pub use mapped::{MappedIndex, ServingIndex};
+pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 4(c))
 pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};

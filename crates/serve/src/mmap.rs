@@ -98,14 +98,15 @@ impl std::fmt::Debug for Mapping {
     }
 }
 
-/// Where a loaded snapshot's bytes live.
+/// Where an index's snapshot bytes live.
 #[derive(Debug)]
 pub enum Backing {
     /// The file is mapped into the address space: load cost is O(pages
     /// touched), not O(file size).
     #[cfg(unix)]
     Mapped(Mapping),
-    /// The whole file was read into an 8-aligned heap buffer.
+    /// 8-aligned heap bytes: a build's encoded arena, or a whole file read
+    /// in.
     Heap(AlignedBytes),
 }
 
@@ -121,16 +122,6 @@ impl Backing {
                 return Ok(Backing::Mapped(m));
             }
         }
-        let mut buf = AlignedBytes::zeroed(len);
-        file.read_exact(buf.as_mut_slice())?;
-        Ok(Backing::Heap(buf))
-    }
-
-    /// Opens `path` into the heap unconditionally (for differential tests
-    /// that compare the two paths byte for byte).
-    pub fn open_heap(path: &Path) -> io::Result<Backing> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len() as usize;
         let mut buf = AlignedBytes::zeroed(len);
         file.read_exact(buf.as_mut_slice())?;
         Ok(Backing::Heap(buf))
@@ -160,19 +151,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mmap_and_heap_read_identical_bytes() {
+    fn mapped_bytes_equal_the_file_and_are_aligned() {
         let path = std::env::temp_dir().join("simrankpp_mmap_test.bin");
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         std::fs::write(&path, &payload).unwrap();
         let mapped = Backing::open(&path).unwrap();
-        let heap = Backing::open_heap(&path).unwrap();
         assert_eq!(mapped.bytes(), payload.as_slice());
-        assert_eq!(heap.bytes(), payload.as_slice());
-        assert_eq!(heap.kind(), "heap");
         #[cfg(unix)]
         assert_eq!(mapped.kind(), "mmap");
         assert_eq!(mapped.bytes().as_ptr() as usize % 8, 0);
-        assert_eq!(heap.bytes().as_ptr() as usize % 8, 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,9 +11,11 @@
 //!   in — requests keep being answered throughout, each against one
 //!   consistent generation. Needs a server started with a live graph
 //!   ([`ServeState::updatable`], the binary's `run --graph` mode);
-//! * `info` — one line of index metadata plus, when live single-source
-//!   serving is on, the row-cache statistics (capacity, entries, hit/miss
-//!   counters, invalidation generation);
+//! * `info` — one line of index metadata (`backing=mmap` for an opened
+//!   snapshot, `heap` for a loaded, built or updated generation, and
+//!   `snapshot_bytes`, the size `save` would write) plus, when live
+//!   single-source serving is on, the row-cache statistics (capacity,
+//!   entries, hit/miss counters, invalidation generation);
 //! * `quit` — clean shutdown (EOF works too).
 //!
 //! ## Cold queries and live single-source serving
@@ -92,7 +94,6 @@
 //! open session with `bye\tdraining` and closes it.
 
 use crate::index::RewriteIndex;
-use crate::mapped::{MappedIndex, ServingIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::RowCache;
 use crate::swap::AtomicHandle;
@@ -118,6 +119,19 @@ fn clean(field: &str) -> Cow<'_, str> {
     } else {
         Cow::Borrowed(field)
     }
+}
+
+/// Writes `field` as [`clean`] would render it, straight from bytes.
+fn write_clean<W: Write>(out: &mut W, field: &[u8]) -> io::Result<()> {
+    let frame_breaking = |b: &u8| matches!(b, b'\t' | b'\n' | b'\r');
+    if !field.iter().any(frame_breaking) {
+        return out.write_all(field);
+    }
+    let spaced: Vec<u8> = field
+        .iter()
+        .map(|b| if frame_breaking(b) { b' ' } else { *b })
+        .collect();
+    out.write_all(&spaced)
 }
 
 /// Which transport a session speaks — the protocol's permission boundary
@@ -422,11 +436,17 @@ impl LiveState {
 
 /// A running server's shared state: the hot-swappable index handle plus the
 /// optional update context and the optional live single-source fallback.
-/// The handle holds a [`ServingIndex`], so a zero-copy mapped snapshot and
-/// a heap index are served (and hot-swapped) through the same machinery.
+/// Every generation is a [`RewriteIndex`] — a mapped snapshot, a loaded
+/// one, or a built or updated one — served and hot-swapped through the same
+/// handle. Three constructors name the modes — [`ServeState::fixed`]
+/// (snapshot or built index, `update` refused), [`ServeState::ingesting`]
+/// (generations published by a click-log ingest loop through
+/// [`ServeState::publish`]) and [`ServeState::updatable`] (the `update`
+/// verb rebuilds dirty rows over a live graph) — each optionally with the
+/// live fallback ([`ServeState::with_live`]).
 #[derive(Debug)]
 pub struct ServeState {
-    index: AtomicHandle<ServingIndex>,
+    index: AtomicHandle<RewriteIndex>,
     update: Option<Mutex<UpdateContext>>,
     live: Option<LiveState>,
     /// Streaming-ingest counters when this server is fed by a click-log
@@ -442,11 +462,11 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// A server over a frozen heap index (snapshot mode): `update` is
-    /// refused.
+    /// A server over a frozen index — an opened snapshot or a build
+    /// (snapshot mode): `update` is refused.
     pub fn fixed(index: RewriteIndex) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: None,
             live: None,
             ingest: None,
@@ -462,7 +482,7 @@ impl ServeState {
         metrics: Arc<crate::ingest::IngestMetrics>,
     ) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: None,
             live: None,
             ingest: Some(metrics),
@@ -470,22 +490,10 @@ impl ServeState {
         }
     }
 
-    /// A server over a zero-copy mapped snapshot — rows are served straight
-    /// out of the file's bytes.
-    pub fn mapped(index: MappedIndex) -> ServeState {
-        ServeState {
-            index: AtomicHandle::new(ServingIndex::Mapped(index)),
-            update: None,
-            live: None,
-            ingest: None,
-            updater: Mutex::new(()),
-        }
-    }
-
     /// A server that can apply deltas and hot-swap index generations.
     pub fn updatable(index: RewriteIndex, ctx: UpdateContext) -> ServeState {
         ServeState {
-            index: AtomicHandle::new(ServingIndex::Heap(index)),
+            index: AtomicHandle::new(index),
             update: Some(Mutex::new(ctx)),
             live: None,
             ingest: None,
@@ -510,7 +518,7 @@ impl ServeState {
     }
 
     /// The swappable index handle (for out-of-band readers and tests).
-    pub fn handle(&self) -> &AtomicHandle<ServingIndex> {
+    pub fn handle(&self) -> &AtomicHandle<RewriteIndex> {
         &self.index
     }
 
@@ -525,7 +533,7 @@ impl ServeState {
     /// [`ServeState::apply_update`] it carries no graph bookkeeping, since
     /// the [`crate::ingest::EpochIngestor`] owns the windowed graph.
     pub fn publish(&self, index: RewriteIndex) {
-        self.index.swap(ServingIndex::Heap(index));
+        self.index.swap(index);
     }
 
     /// Applies a named-op delta read from `path`: rebuilds the dirty rows,
@@ -562,22 +570,11 @@ impl ServeState {
             let mut ctx = ctx.lock().unwrap_or_else(PoisonError::into_inner);
             let (new_graph, delta) = apply_named(&ctx.graph, &ops)?;
             let dirty = delta.dirty_components(&new_graph);
-            let old = self.index.load();
-            // A mapped generation is decoded to the heap first (deep-verified
-            // in the process); the rebuilt generation always serves from the
-            // heap — the snapshot file on disk is a build artifact, not the
-            // live truth, once updates start landing.
-            let owned;
-            let old_index: &RewriteIndex = match &*old {
-                ServingIndex::Heap(i) => i,
-                ServingIndex::Mapped(m) => {
-                    owned = m
-                        .to_owned_index()
-                        .map_err(|e| format!("cannot decode mapped index: {e}"))?;
-                    &owned
-                }
-            };
-            let (next, stats) = old_index.rebuild_incremental(
+            // An opened (mapped) generation is deep-checked by the rebuild
+            // before its clean rows are copied; the rebuilt generation serves
+            // from the heap — the snapshot file on disk is a build artifact,
+            // not the live truth, once updates start landing.
+            let (next, stats) = self.index.load().rebuild_incremental(
                 &new_graph,
                 &dirty,
                 &ctx.config,
@@ -589,7 +586,7 @@ impl ServeState {
             if let Some(live) = self.live.as_ref() {
                 live.rebuild(new_graph.clone(), &dirty)?;
             }
-            self.index.swap(ServingIndex::Heap(next));
+            self.index.swap(next);
             ctx.graph = new_graph;
             Ok(stats)
         } else if let Some(live) = self.live.as_ref() {
@@ -854,16 +851,15 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                 let index = state.index.load();
                 write!(
                     out,
-                    "info\tmethod={}\tqueries={}\tentries={}\tkernel={:?}\tbacking={}",
+                    "info\tmethod={}\tqueries={}\tentries={}\tkernel={:?}\tbacking={}\
+                     \tsnapshot_bytes={}",
                     index.meta().method.name(),
                     index.n_queries(),
                     index.n_entries(),
                     index.meta().kernel,
-                    index.backing()
+                    index.backing(),
+                    index.as_bytes().len()
                 )?;
-                if let Some(len) = index.file_len() {
-                    write!(out, "\tfile_bytes={len}")?;
-                }
                 if index.meta().segments > 0 {
                     write!(out, "\tsegments={}", index.meta().segments)?;
                 }
@@ -929,7 +925,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
 
 fn respond<W: Write>(
     state: &ServeState,
-    index: &ServingIndex,
+    index: &RewriteIndex,
     query: &str,
     out: &mut W,
     opts: &SessionOptions,
@@ -944,8 +940,12 @@ fn respond<W: Write>(
         let (targets, scores) = index.row(q);
         write!(out, "ok\t{}\t{}", clean(query), targets.len())?;
         for (&id, &score) in targets.iter().zip(scores) {
-            match index.query_name(QueryId(id)) {
-                Some(n) => write!(out, "\t{}\t{score:.6}", clean(n))?,
+            match index.name_to_write(QueryId(id)) {
+                Some(name) => {
+                    out.write_all(b"\t")?;
+                    write_clean(out, name)?;
+                    write!(out, "\t{score:.6}")?;
+                }
                 None => write!(out, "\t#{id}\t{score:.6}")?,
             }
         }
@@ -1413,6 +1413,30 @@ mod tests {
         assert_eq!(fields.len(), 5);
     }
 
+    #[test]
+    fn non_utf8_name_in_an_opened_snapshot_renders_as_its_id() {
+        // `open` checks no payload, so a corrupt name reaches the renderer:
+        // it must answer `#<id>`, not write the invalid bytes.
+        let index = fig3_index();
+        let target = index.lookup("digital camera").unwrap();
+        let mut bytes = index.as_bytes().to_vec();
+        let blob = crate::snapshot::tests::section_range(&bytes, 0x06).start;
+        let name_at = (0..target.0)
+            .map(|q| index.query_name(QueryId(q)).unwrap().len())
+            .sum::<usize>();
+        bytes[blob + name_at] = 0xff;
+        let path = std::env::temp_dir().join("simrankpp_non_utf8_name.idx");
+        std::fs::write(&path, &bytes).unwrap();
+        let out = run_on(
+            &ServeState::fixed(RewriteIndex::open(&path).unwrap()),
+            "rewrite camera\n",
+        );
+        std::fs::remove_file(&path).ok();
+        let fields: Vec<&str> = out.trim_end().split('\t').collect();
+        assert_eq!(fields[..2], ["ok", "camera"]);
+        assert_eq!(fields[3], format!("#{}", target.0), "{out}");
+    }
+
     fn run_with(state: &ServeState, input: &str, opts: &SessionOptions) -> String {
         let mut out = Vec::new();
         serve_session_with(state, input.as_bytes(), &mut out, opts).unwrap();
@@ -1571,6 +1595,82 @@ mod tests {
         fn consume(&mut self, amt: usize) {
             self.pos += amt;
         }
+    }
+
+    #[test]
+    fn fuzzed_sessions_end_cleanly_with_tagged_counted_lines() {
+        // A seeded xorshift64 concatenates protocol fragments, stray tabs and
+        // newlines, an over-long line, NUL bytes and invalid UTF-8. Every
+        // session must end `Ok` or `InvalidData` (never by panic), every
+        // response line must carry a protocol tag, and the `errors` counter
+        // must equal the number of `err` lines. No fragment names a file, so
+        // `batch`/`update` only ever miss.
+        const PIECES: &[&[u8]] = &[
+            b"rewrite ",
+            b"rewrite camera\n",
+            b"camera",
+            b"digital camera",
+            b"flower",
+            b"zzz",
+            b"batch ",
+            b"update ",
+            b"info",
+            b"health",
+            b"shutdown",
+            b"debug-panic",
+            b"quit",
+            b" ",
+            b"\t",
+            b"\n",
+            b"\r\n",
+            b"\0",
+            b"\xff",
+            b"\xc3",
+            "é".as_bytes(),
+        ];
+        const TAGS: [&str; 8] = [
+            "ok", "err", "miss", "info", "health", "done", "bye", "updated",
+        ];
+        let state = ServeState::fixed(fig3_index());
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let (mut clean, mut invalid) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            let mut input = Vec::new();
+            for _ in 0..below(12) {
+                match below(60) {
+                    0 => input.resize(input.len() + MAX_REQUEST_LINE_BYTES + below(64), b'x'),
+                    _ => input.extend_from_slice(PIECES[below(PIECES.len())]),
+                }
+            }
+            let metrics = Arc::new(crate::net::ServerMetrics::default());
+            let opts = SessionOptions {
+                metrics: Some(Arc::clone(&metrics)),
+                ..SessionOptions::stdin()
+            };
+            let mut out = Vec::new();
+            match serve_session_with(&state, input.as_slice(), &mut out, &opts) {
+                Ok(()) => clean += 1,
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    invalid += 1;
+                }
+            }
+            let out = String::from_utf8(out).expect("responses are UTF-8");
+            let mut err_lines = 0u64;
+            for line in out.lines() {
+                let tag = line.split('\t').next().unwrap();
+                assert!(TAGS.contains(&tag), "untagged line {line:?}");
+                err_lines += u64::from(tag == "err");
+            }
+            assert_eq!(metrics.errors.load(Ordering::Relaxed), err_lines, "{out}");
+        }
+        assert!(clean > 0 && invalid > 0, "{clean} clean, {invalid} invalid");
     }
 
     #[test]

@@ -1,16 +1,8 @@
-//! Versioned binary snapshot persistence for [`RewriteIndex`] — format v4.
-//!
-//! v4 replaces the v3 hand-rolled streaming layout with the shared arena
-//! container (`simrankpp_util::arena`): a 32-byte header, a checksummed
-//! section table, and 8-byte-aligned zero-padded sections. Two properties
-//! fall out of that move:
-//!
-//! * **whole-section writes** — each array goes to the sink as a single
-//!   `write_all` of its native bytes instead of an element-at-a-time loop
-//!   (v3 issued one 4–8 byte write per offset/target/score);
-//! * **zero-copy loads** — the file can be `mmap`ed and consumed in place
-//!   (see [`crate::mapped::MappedIndex`]); parsing costs O(#sections), so
-//!   startup time is independent of index size.
+//! Snapshot format v4 — the bytes every [`RewriteIndex`] is a view over.
+//! One `simrankpp_util::arena` is both the file and the in-memory index: a
+//! build encodes its rows once ([`encode`]), `save` writes the bytes
+//! verbatim, and `open` (mapped) and `load` (heap, deep-checked) read them
+//! back through the one parser, [`RewriteIndex::view`].
 //!
 //! ```text
 //! tag   section         payload
@@ -27,28 +19,25 @@
 //! 0x08  NAME_IDS        u32 × n_names, query id per hash entry
 //! ```
 //!
-//! `NAME_HASH`/`NAME_IDS` are a pre-sorted lookup table written at build
-//! time so a mapped server resolves `lookup("camera")` by binary search
-//! without materialising a hash map at load (which would be O(n) startup).
+//! `NAME_HASH`/`NAME_IDS` are the only name lookup, so no index — built,
+//! loaded or mapped — materialises a hash map.
 //!
-//! Version history: v4 this arena layout; v3 added the engine `kernel`
-//! byte; v2 added the `approx_sharding` flag (flags bit 1), which marked
-//! rows built under the since-removed edge-cutting `Extracted` sharding: no
-//! build writes it any more, and a v4 file carrying it is refused like a
-//! removed kernel word, so such rows can never be refreshed with exact
-//! ones. Older versions are refused with a rebuild hint — snapshots are
-//! cheap build artifacts, not long-lived data. The v1–v3 header began
-//! `magic | version u32`, which coincides with the arena header's
-//! magic/version slots, so the version check below reads old files' true
-//! version and refuses them cleanly.
+//! v3 added the `kernel` word, v2 the `approx_sharding` flag (bit 1) of the
+//! removed `Extracted` sharding; a v4 file carrying either legacy value is
+//! refused, so such rows are never refreshed with exact ones. v1–v3 files
+//! (whose header also began `magic | version u32`) are refused with a
+//! rebuild hint: snapshots are cheap build artifacts.
 
 use crate::index::{IndexMeta, RewriteIndex};
+use crate::mmap::Backing;
 use simrankpp_core::{KernelKind, MethodKind};
 use simrankpp_graph::Interner;
-use simrankpp_util::{fnv1a, pack_names, unpack_names, AlignedBytes, Arena, ArenaWriter};
+use simrankpp_util::{fnv1a, pack_names, AlignedBytes, Arena, ArenaWriter};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 pub(crate) const MAGIC: [u8; 8] = *b"SRPPIDX\0";
 pub(crate) const VERSION: u32 = 4;
@@ -61,115 +50,182 @@ pub(crate) const SEC_NAME_OFFS: u64 = 0x05;
 pub(crate) const SEC_NAME_BLOB: u64 = 0x06;
 pub(crate) const SEC_NAME_HASH: u64 = 0x07;
 pub(crate) const SEC_NAME_IDS: u64 = 0x08;
+/// Element size of each section's payload, by tag − 1.
+const ELEMENT_BYTES: [usize; 8] = [8, 4, 4, 8, 8, 1, 8, 4];
 
-pub(crate) const META_WORDS: usize = 7;
-pub(crate) const FLAG_BID: u64 = 1;
+const META_WORDS: usize = 7;
+const FLAG_BID: u64 = 1;
 /// Refused on load, never written (see the version history above).
-pub(crate) const FLAG_APPROX: u64 = 1 << 1;
-pub(crate) const FLAG_NAMES: u64 = 1 << 2;
+const FLAG_APPROX: u64 = 1 << 1;
+const FLAG_NAMES: u64 = 1 << 2;
 /// META word 3 for [`KernelKind::Pull`] — the only value written or loaded;
 /// 1 and 2 named the removed flat and hash-map kernels.
 const KERNEL_PULL: u64 = 0;
+/// META word 0: a method's position in this table.
+const METHODS: [MethodKind; 5] = [
+    MethodKind::Naive,
+    MethodKind::Pearson,
+    MethodKind::Simrank,
+    MethodKind::EvidenceSimrank,
+    MethodKind::WeightedSimrank,
+];
+
+/// Encodes rows (as [`RewriteIndex::row`] serves them) and the optional
+/// query names into one v4 arena.
+pub(crate) fn encode(
+    meta: &IndexMeta,
+    offsets: &[u32],
+    targets: &[u32],
+    scores: &[f64],
+    names: Option<&Interner>,
+) -> AlignedBytes {
+    let method = METHODS.iter().position(|&k| k == meta.method);
+    let meta_words = [
+        method.expect("every method has a code") as u64,
+        meta.max_rewrites as u64,
+        (meta.bid_filtered as u64 * FLAG_BID) | (names.is_some() as u64 * FLAG_NAMES),
+        KERNEL_PULL,
+        (offsets.len() - 1) as u64,
+        targets.len() as u64,
+        meta.segments as u64,
+    ];
+    let name_sections = names.map(|names| {
+        let (offs, blob) = pack_names(names.iter().map(|(_, n)| n));
+        let mut hashed: Vec<(u64, u32)> = names
+            .iter()
+            .map(|(id, name)| (fnv1a(name.as_bytes()), id))
+            .collect();
+        hashed.sort_unstable();
+        let (hash, ids): (Vec<u64>, Vec<u32>) = hashed.into_iter().unzip();
+        (offs, blob, hash, ids)
+    });
+
+    let mut w = ArenaWriter::new(MAGIC, VERSION);
+    w.slice(SEC_META, &meta_words)
+        .slice(SEC_OFFSETS, offsets)
+        .slice(SEC_TARGETS, targets)
+        .slice(SEC_SCORES, scores);
+    if let Some((offs, blob, hash, ids)) = &name_sections {
+        w.slice(SEC_NAME_OFFS, offs)
+            .section(SEC_NAME_BLOB, blob)
+            .slice(SEC_NAME_HASH, hash)
+            .slice(SEC_NAME_IDS, ids);
+    }
+    w.to_aligned_bytes()
+}
 
 impl RewriteIndex {
-    /// Stages the index's sections into an [`ArenaWriter`] borrowing the
-    /// index's arrays. `scratch` receives the computed payloads (meta block,
-    /// name table) that must outlive the writer.
-    pub(crate) fn stage_snapshot<'a>(
-        &'a self,
-        scratch: &'a mut SnapshotScratch,
-    ) -> ArenaWriter<'a> {
-        let mut flags = 0u64;
-        if self.meta.bid_filtered {
-            flags |= FLAG_BID;
+    /// The one parser: version, arena table (section bounds, 8-alignment),
+    /// meta, and each section's byte range, with O(1) shape checks only —
+    /// element sizes, lengths against the header counts, the offsets'
+    /// endpoints. Interior offsets are left to the bounds-checked row
+    /// accessors. `checked` says whether the payloads are known good.
+    pub(crate) fn view(backing: Backing, checked: bool) -> io::Result<RewriteIndex> {
+        let bytes = backing.bytes();
+        check_version(bytes)?;
+        let arena = Arena::parse(bytes, MAGIC).map_err(|e| corrupt(&e))?;
+        let (meta, has_names, n_queries, n_entries) =
+            decode_meta(arena.slice(SEC_META).map_err(|e| corrupt(&e))?)?;
+        let mut sections: [Range<usize>; 8] = Default::default();
+        for tag in SEC_META..=if has_names { SEC_NAME_IDS } else { SEC_SCORES } {
+            let section = arena.require(tag).map_err(|e| corrupt(&e))?;
+            let size = ELEMENT_BYTES[tag as usize - 1];
+            if section.len() % size != 0 {
+                return Err(corrupt(&format!(
+                    "section {tag:#x}: length not a multiple of {size}"
+                )));
+            }
+            let start = section.as_ptr() as usize - bytes.as_ptr() as usize;
+            sections[tag as usize - 1] = start..start + section.len();
         }
-        if self.names.is_some() {
-            flags |= FLAG_NAMES;
+        let count =
+            |tag: u64| (sections[tag as usize - 1].len() / ELEMENT_BYTES[tag as usize - 1]) as u64;
+        if count(SEC_OFFSETS) != n_queries + 1
+            || count(SEC_TARGETS) != n_entries
+            || count(SEC_SCORES) != n_entries
+        {
+            return Err(corrupt("row sections disagree with the header counts"));
         }
-        scratch.meta = vec![
-            kind_to_u8(self.meta.method) as u64,
-            self.meta.max_rewrites as u64,
-            flags,
-            KERNEL_PULL,
-            self.n_queries as u64,
-            self.targets.len() as u64,
-            self.meta.segments as u64,
-        ];
-        if let Some(names) = &self.names {
-            (scratch.name_offs, scratch.name_blob) = pack_names(names.iter().map(|(_, n)| n));
-            let mut hashed: Vec<(u64, u32)> = names
-                .iter()
-                .map(|(id, name)| (fnv1a(name.as_bytes()), id))
-                .collect();
-            hashed.sort_unstable();
-            scratch.name_hash = hashed.iter().map(|&(h, _)| h).collect();
-            scratch.name_ids = hashed.iter().map(|&(_, id)| id).collect();
+        let offs: &[u32] = arena.slice(SEC_OFFSETS).map_err(|e| corrupt(&e))?;
+        if offs[0] != 0 || offs[offs.len() - 1] as u64 != n_entries {
+            return Err(corrupt("offsets do not run from 0 to the entry count"));
         }
-
-        let mut w = ArenaWriter::new(MAGIC, VERSION);
-        w.slice(SEC_META, &scratch.meta)
-            .slice(SEC_OFFSETS, &self.offsets)
-            .slice(SEC_TARGETS, &self.targets)
-            .slice(SEC_SCORES, &self.scores);
-        if self.names.is_some() {
-            w.slice(SEC_NAME_OFFS, &scratch.name_offs)
-                .section(SEC_NAME_BLOB, &scratch.name_blob)
-                .slice(SEC_NAME_HASH, &scratch.name_hash)
-                .slice(SEC_NAME_IDS, &scratch.name_ids);
+        if has_names {
+            let n_names = count(SEC_NAME_OFFS)
+                .checked_sub(1)
+                .ok_or_else(|| corrupt("empty name offsets section"))?;
+            if count(SEC_NAME_HASH) != n_names || count(SEC_NAME_IDS) != n_names {
+                return Err(corrupt("name lookup table disagrees with name count"));
+            }
         }
-        w
+        Ok(RewriteIndex {
+            bytes: Arc::new(backing),
+            meta,
+            checked,
+            sections,
+        })
     }
 
-    /// Writes the v4 arena snapshot to `out` — every section as one
-    /// `write_all` of its native bytes.
-    pub fn write_snapshot<W: Write>(&self, out: W) -> io::Result<()> {
-        let mut scratch = SnapshotScratch::default();
-        let writer = self.stage_snapshot(&mut scratch);
-        let mut sink = BufWriter::new(out);
-        writer.write_to(&mut sink)?;
-        sink.flush()
+    /// Maps `path` (heap-read fallback) and parses it in O(#sections), so
+    /// startup cost is independent of index size. Payloads are checked on
+    /// demand ([`RewriteIndex::verify_deep`]) and before a rebuild reads them.
+    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<RewriteIndex> {
+        Self::view(Backing::open(path.as_ref())?, false)
     }
 
-    /// Reads a v4 snapshot into an owned heap index, verifying the arena's
-    /// shallow invariants, every section checksum, and the full set of
-    /// [`RewriteIndex::validate`] structural invariants.
+    /// Reads `path` into aligned heap bytes and deep-checks them: section
+    /// checksums (first, so a flipped bit reports as corruption), the
+    /// parser, then every [`RewriteIndex::validate`] invariant.
+    pub fn load<P: AsRef<Path>>(path: P) -> io::Result<RewriteIndex> {
+        let mut file = File::open(path)?;
+        let mut buf = AlignedBytes::zeroed(file.metadata()?.len() as usize);
+        file.read_exact(buf.as_mut_slice())?;
+        Self::view_checked(Backing::Heap(buf))
+    }
+
+    /// [`RewriteIndex::load`] from any reader.
     pub fn read_snapshot<R: Read>(mut input: R) -> io::Result<RewriteIndex> {
         let mut raw = Vec::new();
         input.read_to_end(&mut raw)?;
-        let buf = AlignedBytes::copy_from(&raw);
-        decode_snapshot(buf.as_slice())
+        Self::view_checked(Backing::Heap(AlignedBytes::copy_from(&raw)))
     }
 
-    /// Writes the binary snapshot to `path` atomically and durably
-    /// (sibling temp + fsync + rename + directory fsync): a crash mid-save
-    /// leaves either the previous snapshot or the new one at `path`, never
-    /// a torn file that later fails checksum with a confusing error.
+    fn view_checked(backing: Backing) -> io::Result<RewriteIndex> {
+        verify_arena(backing.bytes())?;
+        let index = Self::view(backing, true)?;
+        index.validate().map_err(invalid)?;
+        Ok(index)
+    }
+
+    /// Writes the index's bytes to `out` with one `write_all`.
+    pub fn write_snapshot<W: Write>(&self, mut out: W) -> io::Result<()> {
+        out.write_all(self.as_bytes())?;
+        out.flush()
+    }
+
+    /// Writes the index's bytes to `path` atomically and durably (temp,
+    /// fsync, rename, directory fsync): never a torn file at `path`.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         simrankpp_util::fail_point!("snapshot-save");
-        simrankpp_util::durable::atomic_write(path.as_ref(), |w| self.write_snapshot(w))
+        simrankpp_util::durable::atomic_write_bytes(path.as_ref(), self.as_bytes())
     }
 
-    /// Loads a binary snapshot from `path`.
-    pub fn load<P: AsRef<Path>>(path: P) -> io::Result<RewriteIndex> {
-        Self::read_snapshot(File::open(path)?)
+    /// Re-hashes every section against its table checksum — O(size), run
+    /// on demand, never by `open`.
+    pub fn verify_deep(&self) -> io::Result<()> {
+        verify_arena(self.as_bytes())
     }
 }
 
-/// Owned payloads computed while staging a snapshot (the arena writer
-/// borrows them until the write finishes).
-#[derive(Default)]
-pub(crate) struct SnapshotScratch {
-    meta: Vec<u64>,
-    name_offs: Vec<u64>,
-    name_blob: Vec<u8>,
-    name_hash: Vec<u64>,
-    name_ids: Vec<u32>,
+fn verify_arena(bytes: &[u8]) -> io::Result<()> {
+    check_version(bytes)?;
+    let arena = Arena::parse(bytes, MAGIC).map_err(|e| corrupt(&e))?;
+    arena.verify_deep().map_err(|e| corrupt(&e))
 }
 
-/// Checks the version field **before** arena parsing so v1–v3 files (whose
-/// header also began `magic | version u32`) get the established refusal
-/// message rather than an opaque table-checksum error.
-pub(crate) fn check_version(bytes: &[u8]) -> io::Result<()> {
+/// Checks the version field **before** arena parsing so v1–v3 files get
+/// the established refusal message rather than an opaque checksum error.
+fn check_version(bytes: &[u8]) -> io::Result<()> {
     if bytes.len() < 12 {
         return Err(corrupt("not a rewrite-index snapshot (truncated header)"));
     }
@@ -186,18 +242,17 @@ pub(crate) fn check_version(bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Decodes the meta section into `(IndexMeta, has_names, n_queries,
-/// n_entries)`. Shared between the heap decoder and the mapped loader.
-pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64)> {
+/// The meta section as `(IndexMeta, has_names, n_queries, n_entries)`.
+fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64)> {
     if meta.len() != META_WORDS {
         return Err(corrupt(&format!(
             "meta section holds {} words (expected {META_WORDS})",
             meta.len()
         )));
     }
-    let method = u8::try_from(meta[0])
+    let method = usize::try_from(meta[0])
         .ok()
-        .and_then(kind_from_u8)
+        .and_then(|i| METHODS.get(i).copied())
         .ok_or_else(|| corrupt("unknown method kind in header"))?;
     let max_rewrites = u32::try_from(meta[1]).map_err(|_| corrupt("max_rewrites out of range"))?;
     let flags = meta[2];
@@ -214,118 +269,31 @@ pub(crate) fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64
              its rows cannot be mixed with exact ones; rebuild the snapshot with `serve build`",
         ));
     }
-    let n_queries = meta[4];
-    let n_entries = meta[5];
     let segments = u32::try_from(meta[6]).map_err(|_| corrupt("segment count out of range"))?;
-    if u32::try_from(n_queries).is_err() {
+    if u32::try_from(meta[4]).is_err() {
         return Err(corrupt("query count out of range"));
     }
-    Ok((
-        IndexMeta {
-            method,
-            max_rewrites,
-            bid_filtered: flags & FLAG_BID != 0,
-            approx_sharding: false,
-            kernel: KernelKind::Pull,
-            segments,
-        },
-        flags & FLAG_NAMES != 0,
-        n_queries,
-        n_entries,
-    ))
-}
-
-/// Rebuilds a name interner from a packed `(offsets, blob)` name table —
-/// [`unpack_names`] refuses every malformed shape — and refuses duplicates
-/// (a repeated name would silently shift every later id, serving the wrong
-/// query's rewrites).
-pub(crate) fn decode_names(offs: &[u64], blob: &[u8]) -> Result<Interner, String> {
-    let mut interner = Interner::new();
-    for (i, name) in unpack_names(offs, blob)?.into_iter().enumerate() {
-        if interner.intern(name) != i as u32 {
-            return Err(format!("duplicate name {name:?} in name table"));
-        }
-    }
-    Ok(interner)
-}
-
-/// Full heap decode: shallow parse + deep checksums + structural validate.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> io::Result<RewriteIndex> {
-    check_version(bytes)?;
-    let arena = Arena::parse(bytes, MAGIC).map_err(|e| corrupt(&e))?;
-    arena.verify_deep().map_err(|e| corrupt(&e))?;
-
-    let meta_words: &[u64] = arena.slice(SEC_META).map_err(|e| corrupt(&e))?;
-    let (meta, has_names, n_queries, n_entries) = decode_meta(meta_words)?;
-
-    let offsets: &[u32] = arena.slice(SEC_OFFSETS).map_err(|e| corrupt(&e))?;
-    let targets: &[u32] = arena.slice(SEC_TARGETS).map_err(|e| corrupt(&e))?;
-    let scores: &[f64] = arena.slice(SEC_SCORES).map_err(|e| corrupt(&e))?;
-    if offsets.len() as u64 != n_queries + 1 {
-        return Err(corrupt("offsets section disagrees with header query count"));
-    }
-    if targets.len() as u64 != n_entries || scores.len() as u64 != n_entries {
-        return Err(corrupt("entry sections disagree with header entry count"));
-    }
-
-    let names = if has_names {
-        let offs: &[u64] = arena.slice(SEC_NAME_OFFS).map_err(|e| corrupt(&e))?;
-        let blob = arena.require(SEC_NAME_BLOB).map_err(|e| corrupt(&e))?;
-        let hash: &[u64] = arena.slice(SEC_NAME_HASH).map_err(|e| corrupt(&e))?;
-        let ids: &[u32] = arena.slice(SEC_NAME_IDS).map_err(|e| corrupt(&e))?;
-        if offs.is_empty() {
-            return Err(corrupt("empty name offsets section"));
-        }
-        let n_names = offs.len() - 1;
-        if hash.len() != n_names || ids.len() != n_names {
-            return Err(corrupt("name lookup table disagrees with name count"));
-        }
-        Some(decode_names(offs, blob).map_err(|e| corrupt(&e))?)
-    } else {
-        None
+    let meta_out = IndexMeta {
+        method,
+        max_rewrites,
+        bid_filtered: flags & FLAG_BID != 0,
+        approx_sharding: false,
+        kernel: KernelKind::Pull,
+        segments,
     };
-
-    let index = RewriteIndex {
-        meta,
-        n_queries: n_queries as u32,
-        offsets: offsets.to_vec(),
-        targets: targets.to_vec(),
-        scores: scores.to_vec(),
-        names,
-    };
-    index
-        .validate()
-        .map_err(|e| corrupt(&format!("invalid index structure: {e}")))?;
-    Ok(index)
+    Ok((meta_out, flags & FLAG_NAMES != 0, meta[4], meta[5]))
 }
 
-pub(crate) fn kind_to_u8(kind: MethodKind) -> u8 {
-    match kind {
-        MethodKind::Naive => 0,
-        MethodKind::Pearson => 1,
-        MethodKind::Simrank => 2,
-        MethodKind::EvidenceSimrank => 3,
-        MethodKind::WeightedSimrank => 4,
-    }
-}
-
-pub(crate) fn kind_from_u8(b: u8) -> Option<MethodKind> {
-    Some(match b {
-        0 => MethodKind::Naive,
-        1 => MethodKind::Pearson,
-        2 => MethodKind::Simrank,
-        3 => MethodKind::EvidenceSimrank,
-        4 => MethodKind::WeightedSimrank,
-        _ => return None,
-    })
-}
-
-pub(crate) fn corrupt(msg: &str) -> io::Error {
+fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
 
+pub(crate) fn invalid(e: String) -> io::Error {
+    corrupt(&format!("invalid index structure: {e}"))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simrankpp_core::{Method, Rewriter, RewriterConfig, SimrankConfig};
     use simrankpp_graph::fixtures::figure3_graph;
@@ -341,9 +309,7 @@ mod tests {
     }
 
     fn roundtrip(index: &RewriteIndex) -> RewriteIndex {
-        let mut buf = Vec::new();
-        index.write_snapshot(&mut buf).unwrap();
-        RewriteIndex::read_snapshot(buf.as_slice()).unwrap()
+        RewriteIndex::read_snapshot(index.as_bytes()).unwrap()
     }
 
     fn snapshot_bytes(index: &RewriteIndex) -> Vec<u8> {
@@ -352,17 +318,47 @@ mod tests {
         buf
     }
 
+    /// Every observable of two indexes, compared exactly: meta, rows (score
+    /// bits), names, and name lookups.
+    pub(crate) fn same_index(a: &RewriteIndex, b: &RewriteIndex) -> bool {
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        a.meta() == b.meta()
+            && a.n_queries() == b.n_queries()
+            && a.n_entries() == b.n_entries()
+            && (0..a.n_queries() as u32).map(QueryId).all(|q| {
+                let ((ta, sa), (tb, sb)) = (a.row(q), b.row(q));
+                let name = a.query_name(q);
+                ta == tb
+                    && bits(sa) == bits(sb)
+                    && name == b.query_name(q)
+                    && name.map_or(true, |name| {
+                        a.lookup(name) == Some(q) && b.lookup(name) == Some(q)
+                    })
+            })
+    }
+
     /// Table extent of an encoded arena: `HEADER_BYTES .. table_end`.
     fn table_end(buf: &[u8]) -> usize {
         let n = u32::from_ne_bytes(buf[12..16].try_into().unwrap()) as usize;
         HEADER_BYTES + n * TABLE_ENTRY_BYTES
     }
 
+    /// The payload byte range of section `tag` in an encoded arena.
+    pub(crate) fn section_range(buf: &[u8], tag: u64) -> Range<usize> {
+        let word = |at: usize| u64::from_ne_bytes(buf[at..at + 8].try_into().unwrap());
+        let base = (HEADER_BYTES..table_end(buf))
+            .step_by(TABLE_ENTRY_BYTES)
+            .find(|&base| word(base) == tag)
+            .expect("section present");
+        let off = word(base + 8) as usize;
+        off..off + word(base + 16) as usize
+    }
+
     /// Re-seals a tampered arena: recomputes every section checksum from
     /// the (possibly corrupted) payload bytes and the table checksum from
     /// the (possibly corrupted) table, so tampering reaches the targeted
     /// validation layer instead of tripping an earlier checksum.
-    fn reseal(buf: &mut [u8]) {
+    pub(crate) fn reseal(buf: &mut [u8]) {
         let end = table_end(buf);
         for base in (HEADER_BYTES..end).step_by(TABLE_ENTRY_BYTES) {
             let off = u64::from_ne_bytes(buf[base + 8..base + 16].try_into().unwrap()) as usize;
@@ -377,17 +373,36 @@ mod tests {
     }
 
     #[test]
+    fn fig3_snapshot_bytes_are_pinned() {
+        // Length and FNV-1a of each method's Figure 3 snapshot, recorded
+        // before built indexes became views over their snapshot bytes: the
+        // format did not move.
+        let pinned = [
+            (MethodKind::Pearson, 512, 0xf916_7e03_c04b_ddfa_u64),
+            (MethodKind::Simrank, 656, 0xebb2_792b_d7fb_09e3),
+            (MethodKind::EvidenceSimrank, 656, 0x631d_f2fb_f576_d292),
+            (MethodKind::WeightedSimrank, 656, 0x6e4d_ee67_127d_115b),
+        ];
+        assert_eq!(pinned.map(|p| p.0), MethodKind::EVALUATED);
+        for (kind, len, hash) in pinned {
+            let index = fig3_index(kind);
+            assert_eq!(index.as_bytes().len(), len, "{kind:?}");
+            assert_eq!(fnv1a(index.as_bytes()), hash, "{kind:?}");
+            let path = std::env::temp_dir().join(format!("simrankpp_pin_{kind:?}.idx"));
+            index.save(&path).unwrap();
+            let saved = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(saved, index.as_bytes(), "{kind:?}: save writes as_bytes()");
+        }
+    }
+
+    #[test]
     fn binary_roundtrip_is_identical() {
         for kind in MethodKind::EVALUATED {
             let index = fig3_index(kind);
             let loaded = roundtrip(&index);
-            assert_eq!(loaded.meta(), index.meta());
-            assert_eq!(loaded.offsets, index.offsets);
-            assert_eq!(loaded.targets, index.targets);
-            // Scores roundtrip bit-exactly.
-            for (a, b) in loaded.scores.iter().zip(&index.scores) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_eq!(loaded.as_bytes(), index.as_bytes());
+            assert!(same_index(&loaded, &index));
             assert!(loaded.lookup("camera").is_some());
         }
     }
@@ -395,23 +410,11 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_refused_or_harmless() {
         // Header to last payload byte (the sweep `graph::segments` runs over
-        // its store): a mutant either fails to decode or — the bit sat in a
-        // reserved word or in padding — decodes to the clean index. None
-        // may decode as a different index, and none may abort.
+        // its store): a mutant either fails the deep load or — the bit sat
+        // in a reserved word or in padding — loads as the clean index. None
+        // may load as a different index, and none may abort.
         let index = fig3_index(MethodKind::WeightedSimrank);
         let clean = snapshot_bytes(&index);
-        let n = index.n_queries() as u32;
-        let same = |back: &RewriteIndex| {
-            back.meta() == index.meta()
-                && back.offsets == index.offsets
-                && back.targets == index.targets
-                && back
-                    .scores
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .eq(index.scores.iter().map(|s| s.to_bits()))
-                && (0..n).all(|q| back.query_name(QueryId(q)) == index.query_name(QueryId(q)))
-        };
         let mut mutant = clean.clone();
         let (mut refused, mut harmless) = (0usize, 0usize);
         for at in 0..clean.len() {
@@ -421,7 +424,7 @@ mod tests {
                     Err(_) => refused += 1,
                     Ok(back) => {
                         assert!(
-                            same(&back),
+                            same_index(&back, &index),
                             "byte {at} bit {bit} decoded as a different index"
                         );
                         harmless += 1;
@@ -430,6 +433,7 @@ mod tests {
             }
             mutant[at] = clean[at];
         }
+        eprintln!("heap snapshot bit flips: {refused} refused, {harmless} harmless");
         assert_eq!(refused + harmless, clean.len() * 8);
         assert!(
             refused > harmless * 10,
@@ -451,7 +455,7 @@ mod tests {
         let index = RewriteIndex::build(&Rewriter::new(&g, method, config), None, 1);
         let loaded = roundtrip(&index);
         assert_eq!(loaded.meta().max_rewrites, 0);
-        assert!(loaded.targets.is_empty());
+        assert_eq!(loaded.n_entries(), 0);
     }
 
     #[test]
@@ -601,7 +605,7 @@ mod tests {
                 std::env::temp_dir().join(format!("simrankpp_legacy_meta_{word_at}_{word}.idx"));
             std::fs::write(&path, &buf).unwrap();
             let heap = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();
-            let mapped = crate::mapped::MappedIndex::open(&path).unwrap_err();
+            let mapped = RewriteIndex::open(&path).unwrap_err();
             std::fs::remove_file(&path).ok();
             for msg in [heap.to_string(), mapped.to_string()] {
                 assert!(msg.contains(needle), "{msg}");
@@ -615,10 +619,13 @@ mod tests {
 
     #[test]
     fn segments_provenance_survives_roundtrip() {
-        let mut index = fig3_index(MethodKind::Simrank);
-        index.meta.segments = 17;
-        let loaded = roundtrip(&index);
-        assert_eq!(loaded.meta().segments, 17);
+        let meta = IndexMeta {
+            segments: 17,
+            ..*fig3_index(MethodKind::Simrank).meta()
+        };
+        let index = RewriteIndex::empty(meta);
+        assert_eq!(index.meta().segments, 17);
+        assert_eq!(roundtrip(&index).meta().segments, 17);
     }
 
     #[test]
@@ -635,9 +642,7 @@ mod tests {
         index.save(&path).unwrap();
         let loaded = RewriteIndex::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        for q in 0..index.n_queries() {
-            let q = QueryId(q as u32);
-            assert_eq!(loaded.rewrites_of(q).ids(), index.rewrites_of(q).ids());
-        }
+        assert_eq!(loaded.backing(), "heap");
+        assert!(same_index(&loaded, &index));
     }
 }

@@ -266,11 +266,15 @@ impl<'a> ArenaWriter<'a> {
         Ok(off)
     }
 
-    /// Encodes into a fresh 8-aligned buffer (for in-memory round-trips).
+    /// Encodes straight into a fresh 8-aligned buffer of exactly
+    /// [`ArenaWriter::encoded_len`] bytes — one copy of each section.
     pub fn to_aligned_bytes(&self) -> AlignedBytes {
-        let mut buf = Vec::with_capacity(self.encoded_len() as usize);
-        self.write_to(&mut buf).expect("Vec writes are infallible");
-        AlignedBytes::copy_from(&buf)
+        let mut buf = AlignedBytes::zeroed(self.encoded_len() as usize);
+        let written = self
+            .write_to(&mut buf.as_mut_slice())
+            .expect("the buffer holds encoded_len bytes");
+        debug_assert_eq!(written, buf.len() as u64);
+        buf
     }
 }
 
@@ -534,6 +538,26 @@ mod tests {
         let written = w.write_to(&mut out).unwrap();
         assert_eq!(written, out.len() as u64);
         assert_eq!(written, w.encoded_len());
+    }
+
+    #[test]
+    fn to_aligned_bytes_equals_write_to_for_odd_length_sections() {
+        let odd: Vec<u8> = (1..=13).collect();
+        let nums: Vec<u32> = vec![7, 8, 9];
+        let mut w = ArenaWriter::new(MAGIC, 3);
+        w.section(0x1, &odd[..1])
+            .slice(0x2, &nums)
+            .section(0x3, &odd)
+            .section(0x4, &[]);
+        let mut streamed = Vec::new();
+        w.write_to(&mut streamed).unwrap();
+        let aligned = w.to_aligned_bytes();
+        assert_eq!(aligned.as_slice(), streamed.as_slice());
+        assert_eq!(aligned.as_slice().as_ptr() as usize % 8, 0);
+        Arena::parse(aligned.as_slice(), MAGIC)
+            .unwrap()
+            .verify_deep()
+            .unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`graph`] | the §2 weighted bipartite click graph (CSR storage, builders, fixtures, I/O), plus incremental [`GraphDelta`](graph::GraphDelta) batches with dirty-component analysis |
-//! | [`core`] | SimRank (§4), evidence-based SimRank (§7), weighted SimRank (§8), Pearson baseline (§9.1), the rewriting front-end and its §9.3 funnel (Fig. 2), single-source rows, Monte-Carlo estimation |
+//! | [`core`] | SimRank (§4), evidence-based SimRank (§7), weighted SimRank (§8), Pearson baseline (§9.1), the rewriting front-end and its §9.3 funnel (Fig. 2), single-source rows |
 //! | [`core::engine`](simrankpp_core::engine) | the unified sparse propagation engine the recursive variants run on: a `Transition` trait for the per-edge walk factor (uniform §4 / weighted §8.2), one row-parallel pull kernel, threshold pruning, per-iteration `pair_counts`/max-delta diagnostics, and `SimrankConfig::tolerance` early exit |
 //! | [`partition`] | PageRank, Andersen–Chung–Lang push + sweep cuts, five-subgraph extraction (§9.2) |
 //! | [`text`] | Porter stemmer, query normalization, stem-dedup (§9.3) |

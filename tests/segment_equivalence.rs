@@ -5,8 +5,9 @@
 //! index built segment-at-a-time (`RewriteIndex::build_segmented`) equals
 //! the monolithic build bit-for-bit (same targets, same score bits, same
 //! names — the monotone local→global id maps preserve equal-score
-//! tie-breaks), and a snapshot served zero-copy through `MappedIndex`
-//! answers identically whether the bytes are mmapped or heap-read.
+//! tie-breaks), and a snapshot answers identically whether its bytes are
+//! mmapped (`RewriteIndex::open`) or read into the heap and deep-checked
+//! (`RewriteIndex::load`).
 //!
 //! Property tests drive all three over random bipartite click graphs and
 //! random segment targets; a fixed synth-world case covers a realistic
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simrankpp::graph::segments::{write_segmented, SegmentedStore};
 use simrankpp::prelude::*;
-use simrankpp::serve::{MappedIndex, RewriteIndex};
+use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::generate;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -128,28 +129,21 @@ proptest! {
         let path = tmp("snap.idx");
         index.write_snapshot(File::create(&path).unwrap()).unwrap();
 
-        let mapped = MappedIndex::open(&path).unwrap();
-        let heap = MappedIndex::open_heap(&path).unwrap();
-        prop_assert_eq!(mapped.n_queries(), index.n_queries());
-        prop_assert_eq!(heap.n_queries(), index.n_queries());
-        for q in 0..index.n_queries() as u32 {
-            let q = QueryId(q);
-            let want = index.rewrites_of(q);
-            let (mt, ms) = mapped.row(q);
-            let (ht, hs) = heap.row(q);
-            prop_assert_eq!(mt, want.ids());
-            prop_assert_eq!(ms, want.scores());
-            prop_assert_eq!(ht, want.ids());
-            prop_assert_eq!(hs, want.scores());
-            prop_assert_eq!(mapped.query_name(q), index.query_name(q));
-        }
+        let mapped = RewriteIndex::open(&path).unwrap();
+        let heap = RewriteIndex::load(&path).unwrap();
+        #[cfg(unix)]
+        prop_assert_eq!(mapped.backing(), "mmap");
+        prop_assert_eq!(heap.backing(), "heap");
+        prop_assert_eq!(mapped.as_bytes(), index.as_bytes());
+        prop_assert_eq!(heap.as_bytes(), index.as_bytes());
+        assert_indexes_identical(&index, &mapped)?;
+        assert_indexes_identical(&index, &heap)?;
         for q in 0..g.n_queries() as u32 {
             let name = g.query_name(QueryId(q)).unwrap();
-            prop_assert_eq!(mapped.lookup(name), index.lookup_id(name));
-            prop_assert_eq!(heap.lookup(name), index.lookup_id(name));
+            prop_assert_eq!(mapped.lookup(name), Some(QueryId(q)));
+            prop_assert_eq!(heap.lookup(name), Some(QueryId(q)));
         }
         prop_assert_eq!(mapped.lookup("no such query"), None);
-        assert_indexes_identical(&index, &mapped.to_owned_index().unwrap())?;
         std::fs::remove_file(&path).ok();
     }
 }
@@ -173,7 +167,7 @@ fn synth_world_survives_the_full_segmented_round_trip() {
     let snap_path = tmp("synth.idx");
     seg.write_snapshot(File::create(&snap_path).unwrap())
         .unwrap();
-    let mapped = MappedIndex::open(&snap_path).unwrap();
+    let mapped = RewriteIndex::open(&snap_path).unwrap();
     mapped.verify_deep().unwrap();
     for q in 0..g.n_queries() as u32 {
         let q = QueryId(q);
