@@ -39,21 +39,58 @@ use crate::edge::EdgeData;
 use crate::graph::ClickGraph;
 use crate::ids::{AdId, NodeRef, QueryId};
 use crate::subgraph::induced_subgraph;
-use simrankpp_util::{AlignedBytes, Arena, ArenaWriter, ENDIAN_MARK};
+use simrankpp_util::{AlignedBytes, Format, Section, ENDIAN_MARK};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Magic of the store file header.
-pub const STORE_MAGIC: [u8; 8] = *b"SRPPSEG\0";
-/// Magic of each per-segment arena blob.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"SRPPSGB\0";
-/// Magic of the trailing manifest arena blob.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"SRPPSGM\0";
+/// The store's file header: an arena header's first 24 bytes (magic,
+/// version, a reserved word, endian mark) with no table behind them.
+pub const STORE: Format = Format {
+    magic: *b"SRPPSEG\0",
+    version: 1,
+    artifact: "segmented store",
+    hint: None,
+    sections: &[],
+};
+/// Each per-segment arena blob.
+pub const SEGMENT: Format = Format {
+    magic: *b"SRPPSGB\0",
+    version: 1,
+    artifact: "segment",
+    hint: None,
+    sections: &[
+        Section::required("meta", 8),
+        Section::required("edge queries", 4),
+        Section::required("edge ads", 4),
+        Section::required("impressions", 8),
+        Section::required("clicks", 8),
+        Section::required("expected click rates", 8),
+        Section::required("query map", 4),
+        Section::required("ad map", 4),
+        Section::optional("query names", 8),
+        Section::optional("query name bytes", 1),
+        Section::optional("ad names", 8),
+        Section::optional("ad name bytes", 1),
+    ],
+};
+/// The trailing manifest arena blob.
+pub const MANIFEST: Format = Format {
+    magic: *b"SRPPSGM\0",
+    version: 1,
+    artifact: "segment manifest",
+    hint: None,
+    sections: &[
+        Section::required("meta", 8),
+        Section::required("segment offsets", 8),
+        Section::required("segment lengths", 8),
+        Section::required("segment queries", 8),
+        Section::required("segment ads", 8),
+        Section::required("segment edges", 8),
+    ],
+};
 /// Magic of the fixed-size trailer.
 pub const TRAILER_MAGIC: [u8; 8] = *b"SRPPSGT\0";
-/// Store format version.
-pub const STORE_VERSION: u32 = 1;
 
 /// Size of the fixed file header in bytes.
 pub const STORE_HEADER_BYTES: usize = 24;
@@ -81,10 +118,6 @@ const MF_SEG_LEN: u64 = 0x03; // u64 blob length per segment
 const MF_SEG_NQ: u64 = 0x04; // u64 query count per segment
 const MF_SEG_NA: u64 = 0x05; // u64 ad count per segment
 const MF_SEG_NE: u64 = 0x06; // u64 edge count per segment
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// One component group: a self-contained subgraph plus its local→global
 /// id maps. `queries[local.0] == global.0` for every local query id, and
@@ -181,8 +214,8 @@ pub struct SegmentWriter<W: Write> {
 impl<W: Write> SegmentWriter<W> {
     /// Writes the fixed file header and returns the writer.
     pub fn new(mut sink: W) -> io::Result<Self> {
-        sink.write_all(&STORE_MAGIC)?;
-        sink.write_all(&STORE_VERSION.to_ne_bytes())?;
+        sink.write_all(&STORE.magic)?;
+        sink.write_all(&STORE.version.to_ne_bytes())?;
         sink.write_all(&0u32.to_ne_bytes())?;
         sink.write_all(&ENDIAN_MARK.to_ne_bytes())?;
         Ok(SegmentWriter {
@@ -208,12 +241,12 @@ impl<W: Write> SegmentWriter<W> {
         match self.has_names {
             None => self.has_names = Some(named),
             Some(prev) if prev != named => {
-                return Err(bad("segments disagree on name presence"));
+                return Err(STORE.refuse("segments disagree on name presence"));
             }
             Some(_) => {}
         }
         if seg.queries.len() != g.n_queries() || seg.ads.len() != g.n_ads() {
-            return Err(bad("segment id maps do not match its graph"));
+            return Err(STORE.refuse("segment id maps do not match its graph"));
         }
 
         let ne = g.n_edges();
@@ -230,24 +263,13 @@ impl<W: Write> SegmentWriter<W> {
             ecr.push(e.expected_click_rate);
         }
 
-        let meta: Vec<u64> = vec![
+        let meta = [
             g.n_queries() as u64,
             g.n_ads() as u64,
             ne as u64,
             named as u64,
         ];
-        let (q_offs, q_blob) = if named {
-            pack_names(g.query_interner().unwrap(), g.n_queries())
-        } else {
-            Default::default()
-        };
-        let (a_offs, a_blob) = if named {
-            pack_names(g.ad_interner().unwrap(), g.n_ads())
-        } else {
-            Default::default()
-        };
-
-        let mut aw = ArenaWriter::new(SEGMENT_MAGIC, STORE_VERSION);
+        let mut aw = SEGMENT.writer();
         aw.slice(SEG_META, &meta)
             .slice(SEG_EDGE_Q, &eq)
             .slice(SEG_EDGE_A, &ea)
@@ -256,11 +278,12 @@ impl<W: Write> SegmentWriter<W> {
             .slice(SEG_EDGE_ECR, &ecr)
             .slice(SEG_QMAP, &seg.queries)
             .slice(SEG_AMAP, &seg.ads);
-        if named {
-            aw.slice(SEG_QNAME_OFFS, &q_offs)
-                .section(SEG_QNAME_BLOB, &q_blob)
-                .slice(SEG_ANAME_OFFS, &a_offs)
-                .section(SEG_ANAME_BLOB, &a_blob);
+        // Both or neither, like `named`; an id an interner lacks is "".
+        if let (Some(queries), Some(ads)) = (g.query_interner(), g.ad_interner()) {
+            let q_names = (0..g.n_queries() as u32).map(|id| queries.name(id).unwrap_or(""));
+            let a_names = (0..g.n_ads() as u32).map(|id| ads.name(id).unwrap_or(""));
+            aw.names(SEG_QNAME_OFFS, SEG_QNAME_BLOB, q_names);
+            aw.names(SEG_ANAME_OFFS, SEG_ANAME_BLOB, a_names);
         }
         let len = aw.write_to(&mut self.sink)?;
 
@@ -279,14 +302,14 @@ impl<W: Write> SegmentWriter<W> {
     /// Writes the manifest blob and trailer, returning the sink and the
     /// total file size in bytes.
     pub fn finish(mut self) -> io::Result<(W, u64)> {
-        let meta: Vec<u64> = vec![
+        let meta = [
             self.seg_off.len() as u64,
             self.total_q,
             self.total_a,
             self.total_e,
             self.has_names.unwrap_or(false) as u64,
         ];
-        let mut aw = ArenaWriter::new(MANIFEST_MAGIC, STORE_VERSION);
+        let mut aw = MANIFEST.writer();
         aw.slice(MF_META, &meta)
             .slice(MF_SEG_OFF, &self.seg_off)
             .slice(MF_SEG_LEN, &self.seg_len)
@@ -358,62 +381,42 @@ impl SegmentedStore {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < (STORE_HEADER_BYTES + STORE_TRAILER_BYTES) as u64 {
-            return Err(bad(format!("segmented store too short: {file_len} bytes")));
+            return Err(STORE.refuse(format_args!("too short: {file_len} bytes")));
         }
         let mut header = [0u8; STORE_HEADER_BYTES];
         file.read_exact(&mut header)?;
-        if header[..8] != STORE_MAGIC {
-            return Err(bad("bad segmented-store magic"));
-        }
-        let version = u32::from_ne_bytes(header[8..12].try_into().unwrap());
-        if version != STORE_VERSION {
-            return Err(bad(format!(
-                "unsupported segmented-store version {version} (expected {STORE_VERSION})"
-            )));
-        }
-        if u64::from_ne_bytes(header[16..24].try_into().unwrap()) != ENDIAN_MARK {
-            return Err(bad(
-                "endianness marker mismatch — store was written on a foreign-endian machine",
-            ));
-        }
+        STORE.check_header(&header)?;
 
         let mut trailer = [0u8; STORE_TRAILER_BYTES];
         file.seek(SeekFrom::End(-(STORE_TRAILER_BYTES as i64)))?;
         file.read_exact(&mut trailer)?;
         if trailer[16..24] != TRAILER_MAGIC {
-            return Err(bad("bad segmented-store trailer magic"));
+            return Err(STORE.refuse("bad trailer magic"));
         }
         let manifest_off = u64::from_ne_bytes(trailer[0..8].try_into().unwrap());
         let manifest_len = u64::from_ne_bytes(trailer[8..16].try_into().unwrap());
         let manifest_end = manifest_off
             .checked_add(manifest_len)
-            .ok_or_else(|| bad("manifest extent overflows"))?;
+            .ok_or_else(|| STORE.refuse("manifest extent overflows"))?;
         if manifest_off < STORE_HEADER_BYTES as u64
             || manifest_end > file_len - STORE_TRAILER_BYTES as u64
         {
-            return Err(bad(format!(
+            return Err(STORE.refuse(format_args!(
                 "manifest {manifest_off}..{manifest_end} out of file bounds"
             )));
         }
 
-        let mut buf = AlignedBytes::zeroed(manifest_len as usize);
         file.seek(SeekFrom::Start(manifest_off))?;
-        file.read_exact(buf.as_mut_slice())?;
-        let arena = Arena::parse(buf.as_slice(), MANIFEST_MAGIC).map_err(bad)?;
-        arena.verify_deep().map_err(bad)?;
-        let meta = arena.slice::<u64>(MF_META).map_err(bad)?;
-        if meta.len() != 5 {
-            return Err(bad("manifest meta has wrong length"));
-        }
-        let n = meta[0] as usize;
-        let offs = arena.slice::<u64>(MF_SEG_OFF).map_err(bad)?;
-        let lens = arena.slice::<u64>(MF_SEG_LEN).map_err(bad)?;
-        let nqs = arena.slice::<u64>(MF_SEG_NQ).map_err(bad)?;
-        let nas = arena.slice::<u64>(MF_SEG_NA).map_err(bad)?;
-        let nes = arena.slice::<u64>(MF_SEG_NE).map_err(bad)?;
-        if [offs.len(), lens.len(), nqs.len(), nas.len(), nes.len()] != [n; 5] {
-            return Err(bad("manifest segment arrays disagree on length"));
-        }
+        let buf = AlignedBytes::read_exact_from(&mut file, manifest_len as usize)?;
+        let bytes = buf.as_slice();
+        let manifest = MANIFEST.read_checked(bytes)?;
+        let meta = manifest.words::<5>(bytes, MF_META)?;
+        let n = meta[0];
+        let offs = manifest.slice_n::<u64>(bytes, MF_SEG_OFF, n)?;
+        let lens = manifest.slice_n::<u64>(bytes, MF_SEG_LEN, n)?;
+        let nqs = manifest.slice_n::<u64>(bytes, MF_SEG_NQ, n)?;
+        let nas = manifest.slice_n::<u64>(bytes, MF_SEG_NA, n)?;
+        let nes = manifest.slice_n::<u64>(bytes, MF_SEG_NE, n)?;
         // The checksums above catch corruption; the checks below face a
         // forged, re-sealed manifest. Readers size allocations from these
         // counts (`load_all`'s edge buffer, `build_segmented`'s row table),
@@ -421,15 +424,15 @@ impl SegmentedStore {
         // overlap inside the segment region, each blob is long enough for
         // the counts it claims — 4 bytes per node (its id map) and 32 per
         // edge (the five edge arrays) — and the totals are the blobs' sums.
-        let mut segments = Vec::with_capacity(n);
+        let mut segments = Vec::with_capacity(offs.len());
         let mut region_end = STORE_HEADER_BYTES as u64;
         let (mut sum_q, mut sum_a, mut sum_e) = (0u64, 0u64, 0u64);
-        for i in 0..n {
+        for i in 0..offs.len() {
             let end = offs[i]
                 .checked_add(lens[i])
-                .ok_or_else(|| bad(format!("segment {i} extent overflows")))?;
+                .ok_or_else(|| MANIFEST.refuse(format_args!("segment {i} extent overflows")))?;
             if offs[i] < region_end || end > manifest_off {
-                return Err(bad(format!(
+                return Err(MANIFEST.refuse(format_args!(
                     "segment {i} claims bytes {}..{end} outside the segment region",
                     offs[i]
                 )));
@@ -437,7 +440,7 @@ impl SegmentedStore {
             region_end = end;
             let need = (nqs[i] as u128 + nas[i] as u128) * 4 + nes[i] as u128 * 32;
             if need > lens[i] as u128 {
-                return Err(bad(format!(
+                return Err(MANIFEST.refuse(format_args!(
                     "segment {i} claims more nodes and edges than its {} bytes can hold",
                     lens[i]
                 )));
@@ -456,7 +459,7 @@ impl SegmentedStore {
             });
         }
         if [sum_q, sum_a, sum_e] != meta[1..4] {
-            return Err(bad("manifest totals disagree with the per-segment sums"));
+            return Err(MANIFEST.refuse("totals disagree with the per-segment sums"));
         }
         Ok(SegmentedStore {
             file,
@@ -511,16 +514,17 @@ impl SegmentedStore {
             .segments
             .get(i)
             .copied()
-            .ok_or_else(|| bad(format!("segment index {i} out of range")))?;
-        let mut buf = AlignedBytes::zeroed(info.len as usize);
+            .ok_or_else(|| STORE.refuse(format_args!("segment index {i} out of range")))?;
         self.file.seek(SeekFrom::Start(info.offset))?;
-        self.file.read_exact(buf.as_mut_slice())?;
+        let buf = AlignedBytes::read_exact_from(&mut self.file, info.len as usize)?;
         let seg = parse_segment(buf.as_slice())?;
         if seg.graph.n_queries() as u64 != info.n_queries
             || seg.graph.n_ads() as u64 != info.n_ads
             || seg.graph.n_edges() as u64 != info.n_edges
         {
-            return Err(bad(format!("segment {i} counts disagree with manifest")));
+            return Err(STORE.refuse(format_args!(
+                "segment {i} counts disagree with the manifest"
+            )));
         }
         Ok(seg)
     }
@@ -531,8 +535,10 @@ impl SegmentedStore {
     /// global id order, so partitioning and replay order leave no trace.
     pub fn load_all(&mut self) -> io::Result<ClickGraph> {
         let mut b = ClickGraphBuilder::with_capacity(self.total_edges as usize);
-        let total_q = u32::try_from(self.total_queries).map_err(|_| bad("query count overflow"))?;
-        let total_a = u32::try_from(self.total_ads).map_err(|_| bad("ad count overflow"))?;
+        let total_q =
+            u32::try_from(self.total_queries).map_err(|_| STORE.refuse("query count overflow"))?;
+        let total_a =
+            u32::try_from(self.total_ads).map_err(|_| STORE.refuse("ad count overflow"))?;
 
         let mut q_names: Vec<(u32, String)> = Vec::new();
         let mut a_names: Vec<(u32, String)> = Vec::new();
@@ -540,31 +546,27 @@ impl SegmentedStore {
             let seg = self.load_segment(i)?;
             if self.has_names {
                 for (local, &global) in seg.queries.iter().enumerate() {
-                    let name = seg
-                        .graph
-                        .query_name(QueryId(local as u32))
-                        .ok_or_else(|| bad(format!("segment {i}: query {local} has no name")))?;
+                    let name = seg.graph.query_name(QueryId(local as u32)).ok_or_else(|| {
+                        STORE.refuse(format_args!("segment {i}: query {local} has no name"))
+                    })?;
                     q_names.push((global, name.to_string()));
                 }
                 for (local, &global) in seg.ads.iter().enumerate() {
-                    let name = seg
-                        .graph
-                        .ad_name(AdId(local as u32))
-                        .ok_or_else(|| bad(format!("segment {i}: ad {local} has no name")))?;
+                    let name = seg.graph.ad_name(AdId(local as u32)).ok_or_else(|| {
+                        STORE.refuse(format_args!("segment {i}: ad {local} has no name"))
+                    })?;
                     a_names.push((global, name.to_string()));
                 }
             }
             for (q, a, e) in seg.graph.edges() {
-                let gq = *seg
-                    .queries
-                    .get(q.index())
-                    .ok_or_else(|| bad(format!("segment {i}: query id {q} outside its map")))?;
-                let ga = *seg
-                    .ads
-                    .get(a.index())
-                    .ok_or_else(|| bad(format!("segment {i}: ad id {a} outside its map")))?;
+                let gq = *seg.queries.get(q.index()).ok_or_else(|| {
+                    STORE.refuse(format_args!("segment {i}: query id {q} outside its map"))
+                })?;
+                let ga = *seg.ads.get(a.index()).ok_or_else(|| {
+                    STORE.refuse(format_args!("segment {i}: ad id {a} outside its map"))
+                })?;
                 if gq >= total_q || ga >= total_a {
-                    return Err(bad(format!(
+                    return Err(STORE.refuse(format_args!(
                         "segment {i}: global edge ({gq},{ga}) exceeds store totals"
                     )));
                 }
@@ -593,20 +595,20 @@ fn intern_in_order(
     mut intern: impl FnMut(&str) -> u32,
 ) -> io::Result<()> {
     if names.len() as u64 != total as u64 {
-        return Err(bad(format!(
+        return Err(STORE.refuse(format_args!(
             "{side} names cover {} ids, store claims {total}",
             names.len()
         )));
     }
     for (expect, (global, name)) in names.iter().enumerate() {
         if *global != expect as u32 {
-            return Err(bad(format!(
+            return Err(STORE.refuse(format_args!(
                 "{side} id {expect} missing or duplicated across segments"
             )));
         }
         let got = intern(name);
         if got != *global {
-            return Err(bad(format!(
+            return Err(STORE.refuse(format_args!(
                 "{side} name {name:?} maps to id {got}, expected {global} — duplicate name across segments"
             )));
         }
@@ -614,78 +616,47 @@ fn intern_in_order(
     Ok(())
 }
 
-/// Packs interner names `0..n` into (offsets, blob) sections; an id the
-/// interner does not name packs as the empty string.
-fn pack_names(interner: &crate::interner::Interner, n: usize) -> (Vec<u64>, Vec<u8>) {
-    simrankpp_util::pack_names((0..n as u32).map(|id| interner.name(id).unwrap_or("")))
-}
-
 /// Decodes one segment blob back into a [`Segment`].
 fn parse_segment(bytes: &[u8]) -> io::Result<Segment> {
-    let arena = Arena::parse(bytes, SEGMENT_MAGIC).map_err(bad)?;
-    arena.verify_deep().map_err(bad)?;
-    if arena.version() != STORE_VERSION {
-        return Err(bad(format!(
-            "unsupported segment version {} (expected {STORE_VERSION})",
-            arena.version()
-        )));
-    }
-    let meta = arena.slice::<u64>(SEG_META).map_err(bad)?;
-    if meta.len() != 4 {
-        return Err(bad("segment meta has wrong length"));
-    }
-    let nq = usize::try_from(meta[0]).map_err(|_| bad("segment query count overflow"))?;
-    let na = usize::try_from(meta[1]).map_err(|_| bad("segment ad count overflow"))?;
-    let ne = usize::try_from(meta[2]).map_err(|_| bad("segment edge count overflow"))?;
-    let named = meta[3] != 0;
-    if nq > u32::MAX as usize || na > u32::MAX as usize {
-        return Err(bad("segment node count exceeds u32 id space"));
+    let layout = SEGMENT.read_checked(bytes)?;
+    let &[nq, na, ne, named] = layout.words::<4>(bytes, SEG_META)?;
+    let eq = layout.slice_n::<u32>(bytes, SEG_EDGE_Q, ne)?;
+    let ea = layout.slice_n::<u32>(bytes, SEG_EDGE_A, ne)?;
+    let impr = layout.slice_n::<u64>(bytes, SEG_EDGE_IMPR, ne)?;
+    let clk = layout.slice_n::<u64>(bytes, SEG_EDGE_CLK, ne)?;
+    let ecr = layout.slice_n::<f64>(bytes, SEG_EDGE_ECR, ne)?;
+    let queries = layout.slice_n::<u32>(bytes, SEG_QMAP, nq)?;
+    let ads = layout.slice_n::<u32>(bytes, SEG_AMAP, na)?;
+    if nq > u32::MAX as u64 || na > u32::MAX as u64 {
+        return Err(SEGMENT.refuse("node count exceeds u32 id space"));
     }
 
-    let eq = arena.slice::<u32>(SEG_EDGE_Q).map_err(bad)?;
-    let ea = arena.slice::<u32>(SEG_EDGE_A).map_err(bad)?;
-    let impr = arena.slice::<u64>(SEG_EDGE_IMPR).map_err(bad)?;
-    let clk = arena.slice::<u64>(SEG_EDGE_CLK).map_err(bad)?;
-    let ecr = arena.slice::<f64>(SEG_EDGE_ECR).map_err(bad)?;
-    if [eq.len(), ea.len(), impr.len(), clk.len(), ecr.len()] != [ne; 5] {
-        return Err(bad("segment edge arrays disagree with meta edge count"));
-    }
-    let queries = arena.slice::<u32>(SEG_QMAP).map_err(bad)?;
-    let ads = arena.slice::<u32>(SEG_AMAP).map_err(bad)?;
-    if queries.len() != nq || ads.len() != na {
-        return Err(bad("segment id maps disagree with meta node counts"));
-    }
-
-    let mut b = ClickGraphBuilder::with_capacity(ne);
-    if named {
-        for (i, name) in unpack_names(&arena, SEG_QNAME_OFFS, SEG_QNAME_BLOB, nq)?
-            .into_iter()
-            .enumerate()
-        {
-            if b.intern_query(name).0 != i as u32 {
-                return Err(bad(format!("duplicate query name at local id {i}")));
+    let mut b = ClickGraphBuilder::with_capacity(eq.len());
+    if named != 0 {
+        layout.slice_n::<u64>(bytes, SEG_QNAME_OFFS, nq + 1)?;
+        layout.slice_n::<u64>(bytes, SEG_ANAME_OFFS, na + 1)?;
+        for (i, name) in (0..).zip(layout.names(bytes, SEG_QNAME_OFFS, SEG_QNAME_BLOB)?) {
+            if b.intern_query(name).0 != i {
+                return Err(SEGMENT.refuse(format_args!("duplicate query name at local id {i}")));
             }
         }
-        for (i, name) in unpack_names(&arena, SEG_ANAME_OFFS, SEG_ANAME_BLOB, na)?
-            .into_iter()
-            .enumerate()
-        {
-            if b.intern_ad(name).0 != i as u32 {
-                return Err(bad(format!("duplicate ad name at local id {i}")));
+        for (i, name) in (0..).zip(layout.names(bytes, SEG_ANAME_OFFS, SEG_ANAME_BLOB)?) {
+            if b.intern_ad(name).0 != i {
+                return Err(SEGMENT.refuse(format_args!("duplicate ad name at local id {i}")));
             }
         }
     }
     b.reserve_queries(nq as u32);
     b.reserve_ads(na as u32);
-    for i in 0..ne {
-        if eq[i] as usize >= nq || ea[i] as usize >= na {
-            return Err(bad(format!(
-                "segment edge {i} endpoint ({},{}) out of range",
+    for i in 0..eq.len() {
+        if eq[i] as u64 >= nq || ea[i] as u64 >= na {
+            return Err(SEGMENT.refuse(format_args!(
+                "edge {i} endpoint ({},{}) out of range",
                 eq[i], ea[i]
             )));
         }
         if clk[i] > impr[i] || !ecr[i].is_finite() || ecr[i] < 0.0 {
-            return Err(bad(format!("segment edge {i} has invalid weight data")));
+            return Err(SEGMENT.refuse(format_args!("edge {i} has invalid weight data")));
         }
         let data = EdgeData {
             impressions: impr[i],
@@ -695,33 +666,14 @@ fn parse_segment(bytes: &[u8]) -> io::Result<Segment> {
         b.add_edge(QueryId(eq[i]), AdId(ea[i]), data);
     }
     let graph = b.build();
-    if graph.n_edges() != ne {
-        return Err(bad("segment contains duplicate edges"));
+    if graph.n_edges() != eq.len() {
+        return Err(SEGMENT.refuse("duplicate edges"));
     }
     Ok(Segment {
         graph,
         queries: queries.to_vec(),
         ads: ads.to_vec(),
     })
-}
-
-/// Splits a (offsets, blob) name-section pair back into `n` UTF-8 names.
-fn unpack_names<'a>(
-    arena: &Arena<'a>,
-    offs_tag: u64,
-    blob_tag: u64,
-    n: usize,
-) -> io::Result<Vec<&'a str>> {
-    let offs = arena.slice::<u64>(offs_tag).map_err(bad)?;
-    let blob = arena.require(blob_tag).map_err(bad)?;
-    let names = simrankpp_util::unpack_names(offs, blob).map_err(bad)?;
-    if names.len() != n {
-        return Err(bad(format!(
-            "name table holds {} names, expected {n}",
-            names.len()
-        )));
-    }
-    Ok(names)
 }
 
 #[cfg(test)]
@@ -763,12 +715,17 @@ mod tests {
 
     /// `blob` re-serialized with section `tag` replaced, so every checksum
     /// holds and only the reader's own checks face the forged section.
-    fn resealed(blob: &[u8], magic: [u8; 8], tag: u64, replacement: &[u8]) -> AlignedBytes {
-        let arena = Arena::parse(blob, magic).unwrap();
-        let mut w = ArenaWriter::new(magic, STORE_VERSION);
-        for e in arena.entries() {
-            let own = arena.section(e.tag).unwrap();
-            w.section(e.tag, if e.tag == tag { replacement } else { own });
+    fn resealed(
+        format: &'static Format,
+        blob: &[u8],
+        tag: u64,
+        replacement: &[u8],
+    ) -> AlignedBytes {
+        let layout = format.read(blob).unwrap();
+        let mut w = format.writer();
+        for t in 1..=format.sections.len() as u64 {
+            let own = layout.slice::<u8>(blob, t);
+            w.section(t, if t == tag { replacement } else { own });
         }
         w.to_aligned_bytes()
     }
@@ -781,6 +738,32 @@ mod tests {
         let n = store.n_segments();
         std::fs::remove_file(&path).ok();
         (back, n)
+    }
+
+    #[test]
+    fn store_bytes_are_pinned() {
+        // Length and FNV-1a of three stores, recorded before the segment
+        // and manifest blobs moved onto `util::arena::Format`: the format
+        // did not move.
+        let stores = [
+            (figure3_graph(), 3),
+            (scattered(25, 20, 120, true), 8),
+            (scattered(40, 30, 200, false), 10),
+        ];
+        let got = stores.map(|(g, target)| {
+            let path = tmp(&format!("pinned_{target}.seg"));
+            let written = write_segmented(&g, &path, target).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(written, bytes.len() as u64);
+            (bytes.len(), simrankpp_util::fnv1a(&bytes))
+        });
+        let pinned = [
+            (1768, 0xa323_9133_7bd8_a102),
+            (4944, 0x24b0_de16_816e_2f34),
+            (7264, 0xc9c1_705f_8e72_0fe4),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]
@@ -958,6 +941,7 @@ mod tests {
             poke(at, byte);
         }
         std::fs::remove_file(&path).ok();
+        eprintln!("segment store bit flips: {refused} refused, {harmless} harmless");
         assert_eq!(refused + harmless, clean.len() * 8);
         assert!(
             refused > harmless * 10,
@@ -978,13 +962,13 @@ mod tests {
         let moff = u64::from_ne_bytes(good[n - 24..n - 16].try_into().unwrap()) as usize;
         let manifest = AlignedBytes::copy_from(&good[moff..n - STORE_TRAILER_BYTES]);
         let forge = |tag: u64, index: usize, value: u64| {
-            let arena = Arena::parse(manifest.as_slice(), MANIFEST_MAGIC).unwrap();
-            let mut words = arena.slice::<u64>(tag).unwrap().to_vec();
+            let layout = MANIFEST.read(manifest.as_slice()).unwrap();
+            let mut words = layout.slice::<u64>(manifest.as_slice(), tag).to_vec();
             words[index] = value;
             let forged = simrankpp_util::bytes_of(&words);
             let mut file = good[..moff].to_vec();
             file.extend_from_slice(
-                resealed(manifest.as_slice(), MANIFEST_MAGIC, tag, forged).as_slice(),
+                resealed(&MANIFEST, manifest.as_slice(), tag, forged).as_slice(),
             );
             file.extend_from_slice(&good[n - STORE_TRAILER_BYTES..]);
             assert_eq!(file.len(), n, "same-size forgery keeps the trailer valid");
@@ -1009,7 +993,7 @@ mod tests {
         // Re-sealed forgeries: every checksum holds and only
         // `parse_segment`'s own checks face the forged table.
         fn forged(seg: &[u8], tag: u64, replacement: &[u8]) -> AlignedBytes {
-            resealed(seg, SEGMENT_MAGIC, tag, replacement)
+            resealed(&SEGMENT, seg, tag, replacement)
         }
         let g = scattered(6, 5, 14, true);
         let path = tmp("hostile_names.seg");
@@ -1020,9 +1004,9 @@ mod tests {
         let seg =
             AlignedBytes::copy_from(&file[info.offset as usize..(info.offset + info.len) as usize]);
         parse_segment(seg.as_slice()).unwrap();
-        let arena = Arena::parse(seg.as_slice(), SEGMENT_MAGIC).unwrap();
-        let offs = arena.slice::<u64>(SEG_QNAME_OFFS).unwrap();
-        let blob = arena.section(SEG_QNAME_BLOB).unwrap();
+        let layout = SEGMENT.read(seg.as_slice()).unwrap();
+        let offs = layout.slice::<u64>(seg.as_slice(), SEG_QNAME_OFFS);
+        let blob = layout.slice::<u8>(seg.as_slice(), SEG_QNAME_BLOB);
 
         // Offsets that do not span the blob: short of it, and past it.
         for delta in [-1i64, 1] {

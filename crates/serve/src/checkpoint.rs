@@ -22,38 +22,44 @@
 //!   rename, directory fsync. A crash mid-commit leaves the previous
 //!   checkpoint; recovery just replays a longer tail.
 //! * [`read_checkpoint`] refuses hostile files — truncated, bad checksum,
-//!   future version — with a structured error carrying the established
-//!   rebuild-hint phrasing, never a panic and never a silent zero-offset
-//!   restart.
+//!   future version — with a structured error carrying the rebuild hint,
+//!   never a panic and never a silent zero-offset restart.
 //! * [`resume_ingestor`] rebuilds an [`EpochIngestor`] from checkpoint +
 //!   log tail and verifies the replayed window's fingerprint against the
 //!   checkpointed one, rejecting divergence (a truncated or rewritten
 //!   log) before anything is served.
 //!
-//! The payload is a checksummed [`simrankpp_util::Arena`] container, the
-//! same self-describing section format as snapshot v4 and the segmented
-//! store, so torn writes and bit flips are caught by the table and
-//! section FNVs.
+//! The file is one [`FORMAT`] arena, the section format of snapshot v4 and
+//! the segmented store, so torn writes and bit flips are caught by the
+//! table and section FNVs.
 
 use crate::ingest::{EpochIngestor, IngestConfig, LogTailer, SpannedRecord};
 use simrankpp_graph::Interner;
-use simrankpp_util::{pack_names, unpack_names, Arena, ArenaWriter};
-use std::io::{self, Read};
+use simrankpp_util::{AlignedBytes, Format, Section};
+use std::io;
 use std::path::Path;
 
-/// Checkpoint container magic.
-pub const MAGIC: [u8; 8] = *b"SRPPCKPT";
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// The checkpoint file.
+pub const FORMAT: Format = Format {
+    magic: *b"SRPPCKPT",
+    version: 1,
+    artifact: "checkpoint",
+    hint: Some("delete the checkpoint (or start without --resume) to rebuild from the click log"),
+    sections: &[
+        Section::required("meta", 8),
+        Section::required("query names", 8),
+        Section::required("query name bytes", 1),
+        Section::required("ad names", 8),
+        Section::required("ad name bytes", 1),
+    ],
+};
 
 // Section tags.
-const CK_META: u64 = 0x01; // u64[META_WORDS]
+const CK_META: u64 = 0x01; // u64 × 8, the `Checkpoint` words in field order
 const CK_QNAME_OFFS: u64 = 0x02; // u64[nq + 1] offsets into the query blob
 const CK_QNAME_BLOB: u64 = 0x03; // concatenated UTF-8 query names
 const CK_ANAME_OFFS: u64 = 0x04;
 const CK_ANAME_BLOB: u64 = 0x05;
-
-const META_WORDS: usize = 8;
 
 /// Everything a `serve ingest --resume` needs to rebuild the exact serving
 /// state from the click log.
@@ -89,27 +95,13 @@ pub struct Checkpoint {
     pub ad_names: Interner,
 }
 
-fn corrupt(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn rebuild_hint(msg: &str) -> io::Error {
-    corrupt(&format!(
-        "{msg}; delete the checkpoint (or start without --resume) to rebuild from the click log"
-    ))
-}
-
-/// Rebuilds an interner from a packed `(offsets, blob)` name table —
-/// [`unpack_names`] refuses every malformed shape — and refuses duplicates
-/// (a repeated name would silently shift every later id).
-fn unpack(offs: &[u64], blob: &[u8], what: &str) -> io::Result<Interner> {
+/// Interns a checkpoint's name table, refusing duplicates (a repeated name
+/// would silently shift every later id).
+fn interner(names: Vec<&str>) -> io::Result<Interner> {
     let mut interner = Interner::new();
-    let names = unpack_names(offs, blob).map_err(|e| corrupt(&format!("{what}: {e}")))?;
-    for (i, name) in names.into_iter().enumerate() {
-        if interner.intern(name) != i as u32 {
-            return Err(corrupt(&format!(
-                "{what}: duplicate name {name:?} in name table"
-            )));
+    for (i, name) in (0..).zip(names) {
+        if interner.intern(name) != i {
+            return Err(FORMAT.refuse(format_args!("duplicate name {name:?} in a name table")));
         }
     }
     Ok(interner)
@@ -136,7 +128,7 @@ pub fn capture(ing: &EpochIngestor) -> Checkpoint {
 /// Commits `ck` to `path` atomically and durably.
 pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
     simrankpp_util::fail_point!("checkpoint-commit");
-    let meta: [u64; META_WORDS] = [
+    let meta = [
         ck.replay_offset,
         ck.replay_epoch,
         ck.commit_offset,
@@ -146,14 +138,12 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
         ck.window,
         ck.decay_bits,
     ];
-    let (q_offs, q_blob) = pack_names(ck.query_names.iter().map(|(_, n)| n));
-    let (a_offs, a_blob) = pack_names(ck.ad_names.iter().map(|(_, n)| n));
-    let mut aw = ArenaWriter::new(MAGIC, VERSION);
+    let q_names = ck.query_names.iter().map(|(_, n)| n);
+    let a_names = ck.ad_names.iter().map(|(_, n)| n);
+    let mut aw = FORMAT.writer();
     aw.slice(CK_META, &meta)
-        .slice(CK_QNAME_OFFS, &q_offs)
-        .section(CK_QNAME_BLOB, &q_blob)
-        .slice(CK_ANAME_OFFS, &a_offs)
-        .section(CK_ANAME_BLOB, &a_blob);
+        .names(CK_QNAME_OFFS, CK_QNAME_BLOB, q_names)
+        .names(CK_ANAME_OFFS, CK_ANAME_BLOB, a_names);
     simrankpp_util::durable::atomic_write(path, |w| {
         aw.write_to(w)?;
         Ok(())
@@ -165,38 +155,14 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
 /// `InvalidData` error; none of them panic and none silently restart from
 /// offset zero.
 pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
-    let mut raw = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut raw)?;
-    decode_checkpoint(&raw)
+    let mut file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    decode_checkpoint(AlignedBytes::read_exact_from(&mut file, len)?.as_slice())
 }
 
-fn decode_checkpoint(raw: &[u8]) -> io::Result<Checkpoint> {
-    if raw.len() < 12 {
-        return Err(rebuild_hint("not an ingest checkpoint (truncated header)"));
-    }
-    if raw[..8] != MAGIC {
-        return Err(rebuild_hint("not an ingest checkpoint (bad magic)"));
-    }
-    let version = u32::from_ne_bytes(raw[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(rebuild_hint(&format!(
-            "unsupported checkpoint version {version} (expected {VERSION})"
-        )));
-    }
-    let buf = simrankpp_util::AlignedBytes::copy_from(raw);
-    let arena = Arena::parse(buf.as_slice(), MAGIC).map_err(|e| rebuild_hint(&e))?;
-    arena.verify_deep().map_err(|e| rebuild_hint(&e))?;
-    let meta: &[u64] = arena.slice(CK_META).map_err(|e| rebuild_hint(&e))?;
-    if meta.len() != META_WORDS {
-        return Err(rebuild_hint(&format!(
-            "checkpoint meta holds {} words (expected {META_WORDS})",
-            meta.len()
-        )));
-    }
-    let q_offs: &[u64] = arena.slice(CK_QNAME_OFFS).map_err(|e| rebuild_hint(&e))?;
-    let q_blob = arena.require(CK_QNAME_BLOB).map_err(|e| rebuild_hint(&e))?;
-    let a_offs: &[u64] = arena.slice(CK_ANAME_OFFS).map_err(|e| rebuild_hint(&e))?;
-    let a_blob = arena.require(CK_ANAME_BLOB).map_err(|e| rebuild_hint(&e))?;
+fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
+    let layout = FORMAT.read_checked(bytes)?;
+    let meta = layout.words::<8>(bytes, CK_META)?;
     let ck = Checkpoint {
         replay_offset: meta[0],
         replay_epoch: meta[1],
@@ -206,14 +172,14 @@ fn decode_checkpoint(raw: &[u8]) -> io::Result<Checkpoint> {
         fingerprint: meta[5],
         window: meta[6],
         decay_bits: meta[7],
-        query_names: unpack(q_offs, q_blob, "query names")?,
-        ad_names: unpack(a_offs, a_blob, "ad names")?,
+        query_names: interner(layout.names(bytes, CK_QNAME_OFFS, CK_QNAME_BLOB)?)?,
+        ad_names: interner(layout.names(bytes, CK_ANAME_OFFS, CK_ANAME_BLOB)?)?,
     };
     if ck.replay_offset > ck.commit_offset {
-        return Err(rebuild_hint("checkpoint offsets are inconsistent"));
+        return Err(FORMAT.refuse("replay and commit offsets are inconsistent"));
     }
     if ck.window == 0 {
-        return Err(rebuild_hint("checkpoint window length is zero"));
+        return Err(FORMAT.refuse("window length is zero"));
     }
     Ok(ck)
 }
@@ -250,14 +216,14 @@ pub fn resume_ingestor(
     ck: &Checkpoint,
 ) -> io::Result<Resumed> {
     if ck.window != cfg.window as u64 {
-        return Err(corrupt(&format!(
-            "checkpoint was written with --window {} but ingest is configured with --window {}",
+        return Err(FORMAT.refuse(format_args!(
+            "written with --window {} but ingest is configured with --window {}",
             ck.window, cfg.window
         )));
     }
     if ck.decay_bits != cfg.decay.to_bits() {
-        return Err(corrupt(&format!(
-            "checkpoint was written with --decay {} but ingest is configured with --decay {}",
+        return Err(FORMAT.refuse(format_args!(
+            "written with --decay {} but ingest is configured with --decay {}",
             f64::from_bits(ck.decay_bits),
             cfg.decay
         )));
@@ -278,10 +244,9 @@ pub fn resume_ingestor(
     let verify = |ing: &mut EpochIngestor| -> io::Result<()> {
         let got = ing.window().freeze().fingerprint();
         if got != ck.fingerprint {
-            return Err(corrupt(&format!(
-                "checkpoint fingerprint {:#018x} disagrees with the replayed window {:#018x} \
-                 (the click log was truncated or rewritten since the checkpoint); \
-                 delete the checkpoint (or start without --resume) to rebuild from the click log",
+            return Err(FORMAT.refuse(format_args!(
+                "fingerprint {:#018x} disagrees with the replayed window {:#018x} \
+                 (the click log was truncated or rewritten since the checkpoint)",
                 ck.fingerprint, got
             )));
         }
@@ -303,10 +268,9 @@ pub fn resume_ingestor(
     }
     if !verified {
         if ingestor.applied_offset() < ck.commit_offset {
-            return Err(corrupt(&format!(
+            return Err(FORMAT.refuse(format_args!(
                 "click log ends at byte {} but the checkpoint was committed at byte {} \
-                 (the log was truncated); delete the checkpoint (or start without --resume) \
-                 to rebuild from the click log",
+                 (the log was truncated)",
                 ingestor.applied_offset(),
                 ck.commit_offset
             )));
@@ -426,6 +390,22 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // Length and FNV-1a of the demo checkpoint, recorded before the
+        // checkpoint moved onto `util::arena::Format`: the format did not
+        // move.
+        let dir = tmp_dir("pinned");
+        let log = write_log(&dir, &demo_log());
+        let (_, ck) = run_to_end(&log, &cfg(2));
+        let path = dir.join("ingest.ckpt");
+        write_checkpoint(&path, &ck).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(bytes.len(), 392);
+        assert_eq!(simrankpp_util::fnv1a(&bytes), 0x52d7_8e43_4053_9bc9);
+    }
+
+    #[test]
     fn every_single_bit_flip_is_refused_or_harmless() {
         // The sweep `graph::segments` runs over its store, over a
         // checkpoint: a mutant either fails to decode or (reserved word,
@@ -443,7 +423,7 @@ mod tests {
         for at in 0..clean.len() {
             for bit in 0..8 {
                 mutant[at] = clean[at] ^ (1 << bit);
-                match decode_checkpoint(&mutant) {
+                match decode_checkpoint(AlignedBytes::copy_from(&mutant).as_slice()) {
                     Err(_) => refused += 1,
                     Ok(back) => {
                         assert_eq!(
@@ -574,21 +554,22 @@ mod tests {
         let (_, ck) = run_to_end(&log, &cfg(2));
         let path = dir.join("ingest.ckpt");
         write_checkpoint(&path, &ck).unwrap();
-        let good = simrankpp_util::AlignedBytes::copy_from(&std::fs::read(&path).unwrap());
-        let arena = Arena::parse(good.as_slice(), MAGIC).unwrap();
+        let good = AlignedBytes::copy_from(&std::fs::read(&path).unwrap());
+        let bytes = good.as_slice();
+        let layout = FORMAT.read(bytes).unwrap();
 
         // Offsets that do not span the blob, re-serialized so every
         // checksum holds and only the decoder's own checks face them.
-        let blob_len = arena.section(CK_QNAME_BLOB).unwrap().len() as u64;
+        let blob_len = layout.slice::<u8>(bytes, CK_QNAME_BLOB).len() as u64;
         for end in [blob_len - 1, blob_len + 1] {
-            let mut offs = arena.slice::<u64>(CK_QNAME_OFFS).unwrap().to_vec();
+            let mut offs = layout.slice::<u64>(bytes, CK_QNAME_OFFS).to_vec();
             *offs.last_mut().unwrap() = end;
-            let mut w = ArenaWriter::new(MAGIC, VERSION);
-            for e in arena.entries() {
-                if e.tag == CK_QNAME_OFFS {
-                    w.slice(e.tag, &offs);
+            let mut w = FORMAT.writer();
+            for tag in 1..=FORMAT.sections.len() as u64 {
+                if tag == CK_QNAME_OFFS {
+                    w.slice(tag, &offs);
                 } else {
-                    w.section(e.tag, arena.section(e.tag).unwrap());
+                    w.section(tag, layout.slice(bytes, tag));
                 }
             }
             let err = decode_checkpoint(w.to_aligned_bytes().as_slice()).unwrap_err();

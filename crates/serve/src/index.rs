@@ -21,8 +21,7 @@ use crate::snapshot::{
 use simrankpp_core::rewriter::FunnelScratch;
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Shard};
-use simrankpp_util::{cast_slice, fnv1a, unpack_names, FxHashSet, Pod};
-use std::ops::Range;
+use simrankpp_util::{fnv1a, unpack_names, FxHashSet, Layout, Pod};
 use std::sync::Arc;
 
 /// Provenance carried by an index (and through snapshots): what produced the
@@ -184,9 +183,9 @@ pub struct RewriteIndex {
     /// Payloads known good (encoded here or deep-loaded); an `open`ed view
     /// is checked before a rebuild reads it.
     pub(crate) checked: bool,
-    /// Each section's byte range within `bytes`, by tag − 1 (empty for the
-    /// name sections of an unnamed index).
-    pub(crate) sections: [Range<usize>; 8],
+    /// Where each section lies within `bytes` (the name sections of an
+    /// unnamed index are empty).
+    pub(crate) layout: Layout,
 }
 
 impl RewriteIndex {
@@ -436,9 +435,7 @@ impl RewriteIndex {
 
     #[inline]
     fn section<T: Pod>(&self, tag: u64) -> &[T] {
-        // Size- and alignment-checked by the parser; the bytes are immutable.
-        let range = self.sections[tag as usize - 1].clone();
-        cast_slice(&self.as_bytes()[range]).expect("section checked at open")
+        self.layout.slice(self.as_bytes(), tag)
     }
 
     /// The row of `q`: `(targets, scores)` borrowed from the arena. An

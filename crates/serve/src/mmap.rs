@@ -11,7 +11,7 @@
 
 use simrankpp_util::AlignedBytes;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 
 #[cfg(unix)]
@@ -122,8 +122,7 @@ impl Backing {
                 return Ok(Backing::Mapped(m));
             }
         }
-        let mut buf = AlignedBytes::zeroed(len);
-        file.read_exact(buf.as_mut_slice())?;
+        let buf = AlignedBytes::read_exact_from(&mut file, len)?;
         Ok(Backing::Heap(buf))
     }
 

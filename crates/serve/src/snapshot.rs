@@ -2,7 +2,7 @@
 //! One `simrankpp_util::arena` is both the file and the in-memory index: a
 //! build encodes its rows once ([`encode`]), `save` writes the bytes
 //! verbatim, and `open` (mapped) and `load` (heap, deep-checked) read them
-//! back through the one parser, [`RewriteIndex::view`].
+//! back through the one parser, [`RewriteIndex::view`], over `FORMAT`.
 //!
 //! ```text
 //! tag   section         payload
@@ -25,22 +25,18 @@
 //! v3 added the `kernel` word, v2 the `approx_sharding` flag (bit 1) of the
 //! removed `Extracted` sharding; a v4 file carrying either legacy value is
 //! refused, so such rows are never refreshed with exact ones. v1–v3 files
-//! (whose header also began `magic | version u32`) are refused with a
-//! rebuild hint: snapshots are cheap build artifacts.
+//! (whose header also began `magic | version u32`) get the version refusal
+//! and its rebuild hint: snapshots are cheap build artifacts.
 
 use crate::index::{IndexMeta, RewriteIndex};
 use crate::mmap::Backing;
 use simrankpp_core::{KernelKind, MethodKind};
 use simrankpp_graph::Interner;
-use simrankpp_util::{fnv1a, pack_names, AlignedBytes, Arena, ArenaWriter};
+use simrankpp_util::{fnv1a, AlignedBytes, Format, Section};
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
-
-pub(crate) const MAGIC: [u8; 8] = *b"SRPPIDX\0";
-pub(crate) const VERSION: u32 = 4;
 
 pub(crate) const SEC_META: u64 = 0x01;
 pub(crate) const SEC_OFFSETS: u64 = 0x02;
@@ -50,10 +46,34 @@ pub(crate) const SEC_NAME_OFFS: u64 = 0x05;
 pub(crate) const SEC_NAME_BLOB: u64 = 0x06;
 pub(crate) const SEC_NAME_HASH: u64 = 0x07;
 pub(crate) const SEC_NAME_IDS: u64 = 0x08;
-/// Element size of each section's payload, by tag − 1.
-const ELEMENT_BYTES: [usize; 8] = [8, 4, 4, 8, 8, 1, 8, 4];
 
-const META_WORDS: usize = 7;
+const SECTIONS: [Section; 8] = [
+    Section::required("meta", 8),
+    Section::required("row offsets", 4),
+    Section::required("targets", 4),
+    Section::required("scores", 8),
+    Section::required("name offsets", 8),
+    Section::required("name bytes", 1),
+    Section::required("name hashes", 8),
+    Section::required("name ids", 4),
+];
+
+/// Snapshot v4 of a named index.
+pub(crate) const FORMAT: Format = Format {
+    magic: *b"SRPPIDX\0",
+    version: 4,
+    artifact: "snapshot",
+    hint: Some("rebuild the snapshot with `serve build`"),
+    sections: &SECTIONS,
+};
+
+/// [`FORMAT`] without the name sections, which it therefore ignores: what
+/// META is read with, and all an unnamed index holds.
+const UNNAMED: Format = Format {
+    sections: SECTIONS.split_at(SEC_SCORES as usize).0,
+    ..FORMAT
+};
+
 const FLAG_BID: u64 = 1;
 /// Refused on load, never written (see the version history above).
 const FLAG_APPROX: u64 = 1 << 1;
@@ -89,25 +109,22 @@ pub(crate) fn encode(
         targets.len() as u64,
         meta.segments as u64,
     ];
-    let name_sections = names.map(|names| {
-        let (offs, blob) = pack_names(names.iter().map(|(_, n)| n));
+    let lookup = names.map(|names| {
         let mut hashed: Vec<(u64, u32)> = names
             .iter()
             .map(|(id, name)| (fnv1a(name.as_bytes()), id))
             .collect();
         hashed.sort_unstable();
-        let (hash, ids): (Vec<u64>, Vec<u32>) = hashed.into_iter().unzip();
-        (offs, blob, hash, ids)
+        hashed.into_iter().unzip::<_, _, Vec<u64>, Vec<u32>>()
     });
 
-    let mut w = ArenaWriter::new(MAGIC, VERSION);
+    let mut w = FORMAT.writer();
     w.slice(SEC_META, &meta_words)
         .slice(SEC_OFFSETS, offsets)
         .slice(SEC_TARGETS, targets)
         .slice(SEC_SCORES, scores);
-    if let Some((offs, blob, hash, ids)) = &name_sections {
-        w.slice(SEC_NAME_OFFS, offs)
-            .section(SEC_NAME_BLOB, blob)
+    if let (Some(names), Some((hash, ids))) = (names, &lookup) {
+        w.names(SEC_NAME_OFFS, SEC_NAME_BLOB, names.iter().map(|(_, n)| n))
             .slice(SEC_NAME_HASH, hash)
             .slice(SEC_NAME_IDS, ids);
     }
@@ -115,54 +132,34 @@ pub(crate) fn encode(
 }
 
 impl RewriteIndex {
-    /// The one parser: version, arena table (section bounds, 8-alignment),
-    /// meta, and each section's byte range, with O(1) shape checks only —
-    /// element sizes, lengths against the header counts, the offsets'
-    /// endpoints. Interior offsets are left to the bounds-checked row
-    /// accessors. `checked` says whether the payloads are known good.
+    /// The one parser: the arena's header and table ([`UNNAMED`], or
+    /// [`FORMAT`] once META says the index is named), META, and O(1) shape
+    /// checks — lengths against the header counts, the offsets' endpoints.
+    /// Interior offsets are left to the bounds-checked row accessors.
+    /// `checked` says whether the payloads are known good.
     pub(crate) fn view(backing: Backing, checked: bool) -> io::Result<RewriteIndex> {
         let bytes = backing.bytes();
-        check_version(bytes)?;
-        let arena = Arena::parse(bytes, MAGIC).map_err(|e| corrupt(&e))?;
-        let (meta, has_names, n_queries, n_entries) =
-            decode_meta(arena.slice(SEC_META).map_err(|e| corrupt(&e))?)?;
-        let mut sections: [Range<usize>; 8] = Default::default();
-        for tag in SEC_META..=if has_names { SEC_NAME_IDS } else { SEC_SCORES } {
-            let section = arena.require(tag).map_err(|e| corrupt(&e))?;
-            let size = ELEMENT_BYTES[tag as usize - 1];
-            if section.len() % size != 0 {
-                return Err(corrupt(&format!(
-                    "section {tag:#x}: length not a multiple of {size}"
-                )));
-            }
-            let start = section.as_ptr() as usize - bytes.as_ptr() as usize;
-            sections[tag as usize - 1] = start..start + section.len();
-        }
-        let count =
-            |tag: u64| (sections[tag as usize - 1].len() / ELEMENT_BYTES[tag as usize - 1]) as u64;
-        if count(SEC_OFFSETS) != n_queries + 1
-            || count(SEC_TARGETS) != n_entries
-            || count(SEC_SCORES) != n_entries
-        {
-            return Err(corrupt("row sections disagree with the header counts"));
-        }
-        let offs: &[u32] = arena.slice(SEC_OFFSETS).map_err(|e| corrupt(&e))?;
+        let rows = UNNAMED.read(bytes)?;
+        let (meta, has_names, n_queries, n_entries) = decode_meta(rows.words(bytes, SEC_META)?)?;
+        let layout = if has_names { FORMAT.read(bytes)? } else { rows };
+        let offs: &[u32] = layout.slice_n(bytes, SEC_OFFSETS, n_queries + 1)?;
+        layout.slice_n::<u32>(bytes, SEC_TARGETS, n_entries)?;
+        layout.slice_n::<f64>(bytes, SEC_SCORES, n_entries)?;
         if offs[0] != 0 || offs[offs.len() - 1] as u64 != n_entries {
-            return Err(corrupt("offsets do not run from 0 to the entry count"));
+            return Err(FORMAT.refuse("offsets do not run from 0 to the entry count"));
         }
         if has_names {
-            let n_names = count(SEC_NAME_OFFS)
-                .checked_sub(1)
-                .ok_or_else(|| corrupt("empty name offsets section"))?;
-            if count(SEC_NAME_HASH) != n_names || count(SEC_NAME_IDS) != n_names {
-                return Err(corrupt("name lookup table disagrees with name count"));
-            }
+            let name_offs = layout.slice::<u64>(bytes, SEC_NAME_OFFS);
+            let n_names = (name_offs.len() as u64).checked_sub(1);
+            let n_names = n_names.ok_or_else(|| FORMAT.refuse("empty name offsets section"))?;
+            layout.slice_n::<u64>(bytes, SEC_NAME_HASH, n_names)?;
+            layout.slice_n::<u32>(bytes, SEC_NAME_IDS, n_names)?;
         }
         Ok(RewriteIndex {
             bytes: Arc::new(backing),
             meta,
             checked,
-            sections,
+            layout,
         })
     }
 
@@ -178,8 +175,8 @@ impl RewriteIndex {
     /// parser, then every [`RewriteIndex::validate`] invariant.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<RewriteIndex> {
         let mut file = File::open(path)?;
-        let mut buf = AlignedBytes::zeroed(file.metadata()?.len() as usize);
-        file.read_exact(buf.as_mut_slice())?;
+        let len = file.metadata()?.len() as usize;
+        let buf = AlignedBytes::read_exact_from(&mut file, len)?;
         Self::view_checked(Backing::Heap(buf))
     }
 
@@ -191,7 +188,7 @@ impl RewriteIndex {
     }
 
     fn view_checked(backing: Backing) -> io::Result<RewriteIndex> {
-        verify_arena(backing.bytes())?;
+        UNNAMED.read_checked(backing.bytes())?;
         let index = Self::view(backing, true)?;
         index.validate().map_err(invalid)?;
         Ok(index)
@@ -211,67 +208,39 @@ impl RewriteIndex {
     }
 
     /// Re-hashes every section against its table checksum — O(size), run
-    /// on demand, never by `open`.
+    /// on demand, never by `open`. (`UNNAMED` declares less than a named
+    /// index holds, but every section is hashed, declared or not.)
     pub fn verify_deep(&self) -> io::Result<()> {
-        verify_arena(self.as_bytes())
+        UNNAMED.read_checked(self.as_bytes()).map(drop)
     }
-}
-
-fn verify_arena(bytes: &[u8]) -> io::Result<()> {
-    check_version(bytes)?;
-    let arena = Arena::parse(bytes, MAGIC).map_err(|e| corrupt(&e))?;
-    arena.verify_deep().map_err(|e| corrupt(&e))
-}
-
-/// Checks the version field **before** arena parsing so v1–v3 files get
-/// the established refusal message rather than an opaque checksum error.
-fn check_version(bytes: &[u8]) -> io::Result<()> {
-    if bytes.len() < 12 {
-        return Err(corrupt("not a rewrite-index snapshot (truncated header)"));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt("not a rewrite-index snapshot (bad magic)"));
-    }
-    let version = u32::from_ne_bytes(bytes[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(corrupt(&format!(
-            "unsupported snapshot version {version} (expected {VERSION}; \
-             rebuild the snapshot with `serve build`)"
-        )));
-    }
-    Ok(())
 }
 
 /// The meta section as `(IndexMeta, has_names, n_queries, n_entries)`.
-fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64)> {
-    if meta.len() != META_WORDS {
-        return Err(corrupt(&format!(
-            "meta section holds {} words (expected {META_WORDS})",
-            meta.len()
-        )));
-    }
+fn decode_meta(meta: &[u64; 7]) -> io::Result<(IndexMeta, bool, u64, u64)> {
     let method = usize::try_from(meta[0])
         .ok()
         .and_then(|i| METHODS.get(i).copied())
-        .ok_or_else(|| corrupt("unknown method kind in header"))?;
-    let max_rewrites = u32::try_from(meta[1]).map_err(|_| corrupt("max_rewrites out of range"))?;
+        .ok_or_else(|| FORMAT.refuse("unknown method kind in header"))?;
+    let max_rewrites =
+        u32::try_from(meta[1]).map_err(|_| FORMAT.refuse("max_rewrites out of range"))?;
     let flags = meta[2];
     if meta[3] != KERNEL_PULL {
-        return Err(corrupt(&format!(
+        return Err(FORMAT.refuse(format_args!(
             "snapshot records engine kernel {} but only the pull kernel (0) exists — flat (1) \
-             and hash-map (2) were removed; rebuild the snapshot with `serve build`",
+             and hash-map (2) were removed",
             meta[3]
         )));
     }
     if flags & FLAG_APPROX != 0 {
-        return Err(corrupt(
+        return Err(FORMAT.refuse(
             "snapshot was built under approximate (extracted) sharding, which was removed — \
-             its rows cannot be mixed with exact ones; rebuild the snapshot with `serve build`",
+             its rows cannot be mixed with exact ones",
         ));
     }
-    let segments = u32::try_from(meta[6]).map_err(|_| corrupt("segment count out of range"))?;
+    let segments =
+        u32::try_from(meta[6]).map_err(|_| FORMAT.refuse("segment count out of range"))?;
     if u32::try_from(meta[4]).is_err() {
-        return Err(corrupt("query count out of range"));
+        return Err(FORMAT.refuse("query count out of range"));
     }
     let meta_out = IndexMeta {
         method,
@@ -284,12 +253,8 @@ fn decode_meta(meta: &[u64]) -> io::Result<(IndexMeta, bool, u64, u64)> {
     Ok((meta_out, flags & FLAG_NAMES != 0, meta[4], meta[5]))
 }
 
-fn corrupt(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
-}
-
 pub(crate) fn invalid(e: String) -> io::Error {
-    corrupt(&format!("invalid index structure: {e}"))
+    FORMAT.refuse(format_args!("invalid index structure: {e}"))
 }
 
 #[cfg(test)]
@@ -299,6 +264,7 @@ pub(crate) mod tests {
     use simrankpp_graph::fixtures::figure3_graph;
     use simrankpp_graph::{QueryId, WeightKind};
     use simrankpp_util::{ENDIAN_MARK, HEADER_BYTES, TABLE_ENTRY_BYTES};
+    use std::ops::Range;
 
     fn fig3_index(kind: MethodKind) -> RewriteIndex {
         let g = figure3_graph();
@@ -462,7 +428,7 @@ pub(crate) mod tests {
     fn snapshot_is_arena_with_aligned_sections() {
         let buf = snapshot_bytes(&fig3_index(MethodKind::Simrank));
         assert_eq!(buf.len() % 8, 0);
-        assert_eq!(&buf[..8], &MAGIC);
+        assert_eq!(&buf[..8], &FORMAT.magic);
         assert_eq!(
             u64::from_ne_bytes(buf[16..24].try_into().unwrap()),
             ENDIAN_MARK
@@ -493,7 +459,7 @@ pub(crate) mod tests {
         // A v1–v3 file began `magic | version u32 | ...`; only those 12
         // bytes matter for the refusal path.
         let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT.magic);
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 64]);
         let err = RewriteIndex::read_snapshot(buf.as_slice()).unwrap_err();

@@ -1,38 +1,59 @@
 //! Zero-copy arena container format.
 //!
-//! One wire format shared by every serialized artifact in the workspace
-//! (snapshot v4 and ingest checkpoints in `serve`, the segmented graph
-//! store in `graph`): a fixed header, a front section
-//! table, then 8-byte-aligned sections of raw native-endian bytes. The
-//! format is designed so that a *mapped* file can be consumed in place —
-//! loading checks only the header and table (O(#sections)), and typed
-//! views are produced by alignment-checked slice casts, never by copying.
+//! One wire format shared by every serialized artifact in the workspace: a
+//! fixed header, a front section table, then 8-byte-aligned sections of raw
+//! native-endian bytes. The format is designed so that a *mapped* file can be
+//! consumed in place — reading checks only the header and table
+//! (O(#sections)), and typed views are produced by alignment-checked slice
+//! casts, never by copying.
 //!
 //! ```text
 //! offset 0   header   (32 bytes)
-//!            magic        [u8; 8]   caller-chosen
+//!            magic        [u8; 8]   the artifact's
 //!            version      u32
 //!            n_sections   u32
 //!            endian mark  u64       0x0102030405060708 (refuses foreign
 //!                                   byte order; we never byte-swap)
 //!            table fnv    u64       FNV-1a of the raw section table
 //! offset 32  table    (32 bytes per section)
-//!            tag          u64       caller-chosen section id
+//!            tag          u64       section id
 //!            offset       u64       absolute file offset, 8-aligned
 //!            len          u64       payload bytes (not padded)
 //!            fnv          u64       FNV-1a of the payload
 //! ...        sections, each zero-padded to the next 8-byte boundary
 //! ```
 //!
-//! Sections are written front-to-back through any `Write` sink: all
-//! lengths are known up front, so the table can precede the payloads
-//! without seeking. Integrity is two-tier: [`Arena::parse`] verifies the
-//! header, endianness, table checksum, bounds, and alignment only —
-//! startup stays O(table) no matter how large the file — while
-//! [`Arena::verify_deep`] re-hashes every payload on demand.
+//! Sections are written front-to-back through any `Write` sink: all lengths
+//! are known up front, so the table can precede the payloads without
+//! seeking.
+//!
+//! Each artifact is one [`Format`] const: magic, version, the name and
+//! recovery hint its refusals carry, and one [`Section`] (element size,
+//! required or not) per tag, tags numbered densely from `0x01`. Writers start
+//! from [`Format::writer`]. Readers call [`Format::read`] — header (length,
+//! magic, version, endian mark), table checksum, then every section's bounds
+//! and alignment and every declared section's presence and element size, in
+//! O(#sections) — or [`Format::read_checked`], which also re-hashes every
+//! payload, and index the [`Layout`] either returns. Tags a format does not
+//! declare are ignored. Every refusal is one `InvalidData` error reading
+//! `"<artifact>: <reason>[; <hint>]"`, and [`Format::refuse`] gives each
+//! format's own semantic checks the same shape.
+//!
+//! | artifact | const | magic | version | tag: section (element bytes) |
+//! |---|---|---|---|---|
+//! | snapshot | `serve::snapshot::FORMAT` | `SRPPIDX\0` | 4 | 1 meta (8), 2 row offsets (4), 3 targets (4), 4 scores (8), 5 name offsets (8), 6 name bytes (1), 7 name hashes (8), 8 name ids (4); 5–8 only when META's names flag is set |
+//! | checkpoint | `serve::checkpoint::FORMAT` | `SRPPCKPT` | 1 | 1 meta (8), 2 query names (8), 3 query name bytes (1), 4 ad names (8), 5 ad name bytes (1) |
+//! | segment | `graph::segments::SEGMENT` | `SRPPSGB\0` | 1 | 1 meta (8), 2 edge queries (4), 3 edge ads (4), 4 impressions (8), 5 clicks (8), 6 expected click rates (8), 7 query map (4), 8 ad map (4); optional: 9 query names (8), 10 query name bytes (1), 11 ad names (8), 12 ad name bytes (1) |
+//! | segment manifest | `graph::segments::MANIFEST` | `SRPPSGM\0` | 1 | 1 meta (8), 2 segment offsets (8), 3 segment lengths (8), 4 segment queries (8), 5 segment ads (8), 6 segment edges (8) |
+//!
+//! The segmented store's own 24-byte file header (`graph::segments::STORE`,
+//! `SRPPSEG\0`, version 1) is an arena header's first 24 bytes and is checked
+//! by [`Format::check_header`].
 
 use std::borrow::Cow;
-use std::io::{self, Write};
+use std::fmt::Display;
+use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Marker written after the version so a file produced on a foreign-endian
 /// machine is refused instead of misread. We always read and write native
@@ -45,6 +66,9 @@ pub const HEADER_BYTES: usize = 32;
 
 /// Size of one section-table entry in bytes.
 pub const TABLE_ENTRY_BYTES: usize = 32;
+
+/// The most sections a [`Format`] declares (the segment blob's twelve).
+const MAX_SECTIONS: usize = 12;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -94,7 +118,7 @@ pub fn bytes_of<T: Pod>(slice: &[T]) -> &[u8] {
 
 /// Reinterprets raw bytes as a typed slice, refusing misaligned or
 /// odd-length input instead of copying or panicking.
-pub fn cast_slice<T: Pod>(bytes: &[u8]) -> Result<&[T], String> {
+fn cast_slice<T: Pod>(bytes: &[u8]) -> Result<&[T], String> {
     let size = std::mem::size_of::<T>();
     if size == 0 || bytes.len() % size != 0 {
         return Err(format!(
@@ -116,8 +140,8 @@ pub fn cast_slice<T: Pod>(bytes: &[u8]) -> Result<&[T], String> {
     Ok(mid)
 }
 
-/// An owned byte buffer whose storage is guaranteed 8-byte aligned, so
-/// [`cast_slice`] works on it exactly as it does on mapped pages. This is
+/// An owned byte buffer whose storage is guaranteed 8-byte aligned, so a
+/// [`Layout`] slices it exactly as it does mapped pages. This is
 /// the heap fallback for platforms (or code paths) without `mmap`.
 #[derive(Debug, Clone, Default)]
 pub struct AlignedBytes {
@@ -128,24 +152,20 @@ pub struct AlignedBytes {
 impl AlignedBytes {
     /// Copies `bytes` into fresh 8-aligned storage.
     pub fn copy_from(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: u64 storage is valid as bytes; destination has at least
-        // `bytes.len()` bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                words.as_mut_ptr() as *mut u8,
-                bytes.len(),
-            )
-        };
-        AlignedBytes {
-            words,
-            len: bytes.len(),
-        }
+        let mut buf = Self::zeroed(bytes.len());
+        buf.as_mut_slice().copy_from_slice(bytes);
+        buf
     }
 
-    /// An 8-aligned zeroed buffer of `len` bytes (for read-into paths).
-    pub fn zeroed(len: usize) -> Self {
+    /// Reads exactly `len` bytes of `r` into fresh 8-aligned storage — how
+    /// a file becomes arena bytes on the heap, in one copy.
+    pub fn read_exact_from(r: &mut impl Read, len: usize) -> io::Result<Self> {
+        let mut buf = Self::zeroed(len);
+        r.read_exact(buf.as_mut_slice())?;
+        Ok(buf)
+    }
+
+    fn zeroed(len: usize) -> Self {
         AlignedBytes {
             words: vec![0u64; len.div_ceil(8)],
             len,
@@ -159,21 +179,9 @@ impl AlignedBytes {
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
     }
 
-    /// The buffer as a mutable byte slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+    fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: words owns at least `len` initialized bytes.
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.len) }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -184,8 +192,8 @@ struct Staged<'a> {
 }
 
 /// Builds an arena file section-at-a-time and streams it through any
-/// [`Write`] sink — whole sections go out as single `write_all` calls
-/// (this is what replaced the element-at-a-time loops of snapshot v3).
+/// [`Write`] sink — whole sections go out as single `write_all` calls.
+/// Start one with [`Format::writer`].
 pub struct ArenaWriter<'a> {
     magic: [u8; 8],
     version: u32,
@@ -193,22 +201,9 @@ pub struct ArenaWriter<'a> {
 }
 
 impl<'a> ArenaWriter<'a> {
-    /// Starts an arena with the caller's magic and version.
-    pub fn new(magic: [u8; 8], version: u32) -> Self {
-        ArenaWriter {
-            magic,
-            version,
-            sections: Vec::new(),
-        }
-    }
-
     /// Stages a section borrowing the caller's bytes (zero-copy path).
     pub fn section(&mut self, tag: u64, bytes: &'a [u8]) -> &mut Self {
-        self.sections.push(Staged {
-            tag,
-            bytes: Cow::Borrowed(bytes),
-        });
-        self
+        self.stage(tag, Cow::Borrowed(bytes))
     }
 
     /// Stages a section borrowing a typed slice as bytes.
@@ -216,13 +211,27 @@ impl<'a> ArenaWriter<'a> {
         self.section(tag, bytes_of(slice))
     }
 
-    /// Stages a section that owns its bytes (for small computed payloads
-    /// like fixed-size metadata blocks).
-    pub fn owned(&mut self, tag: u64, bytes: Vec<u8>) -> &mut Self {
-        self.sections.push(Staged {
-            tag,
-            bytes: Cow::Owned(bytes),
-        });
+    /// Stages a name table as the section pair [`Layout::names`] reads: the
+    /// names' UTF-8 bytes concatenated under `blob_tag`, and `n + 1` `u64`
+    /// byte offsets into them, starting at 0, under `offs_tag`.
+    pub fn names<'n>(
+        &mut self,
+        offs_tag: u64,
+        blob_tag: u64,
+        names: impl IntoIterator<Item = &'n str>,
+    ) -> &mut Self {
+        let mut offs = 0u64.to_ne_bytes().to_vec();
+        let mut blob = Vec::new();
+        for name in names {
+            blob.extend_from_slice(name.as_bytes());
+            offs.extend_from_slice(&(blob.len() as u64).to_ne_bytes());
+        }
+        self.stage(offs_tag, Cow::Owned(offs))
+            .stage(blob_tag, Cow::Owned(blob))
+    }
+
+    fn stage(&mut self, tag: u64, bytes: Cow<'a, [u8]>) -> &mut Self {
+        self.sections.push(Staged { tag, bytes });
         self
     }
 
@@ -273,7 +282,7 @@ impl<'a> ArenaWriter<'a> {
         let written = self
             .write_to(&mut buf.as_mut_slice())
             .expect("the buffer holds encoded_len bytes");
-        debug_assert_eq!(written, buf.len() as u64);
+        debug_assert_eq!(written, buf.len as u64);
         buf
     }
 }
@@ -283,176 +292,251 @@ fn pad8(len: u64) -> u64 {
     (len + 7) & !7
 }
 
-/// One parsed section-table entry.
+fn ne_u64(field: &[u8]) -> u64 {
+    u64::from_ne_bytes(field.try_into().expect("an 8-byte field"))
+}
+
+fn ne_u32(field: &[u8]) -> u32 {
+    u32::from_ne_bytes(field.try_into().expect("a 4-byte field"))
+}
+
+/// One section a [`Format`] declares.
 #[derive(Debug, Clone, Copy)]
-pub struct SectionEntry {
-    /// Caller-chosen section id.
-    pub tag: u64,
-    /// Absolute byte offset of the payload within the arena.
-    pub offset: u64,
-    /// Payload length in bytes (excluding padding).
-    pub len: u64,
-    /// FNV-1a checksum of the payload.
-    pub fnv: u64,
+pub struct Section {
+    /// What refusals call the section.
+    pub name: &'static str,
+    /// Bytes per element: the payload must hold a whole number of them.
+    pub elem: usize,
+    /// Whether a file without the section is refused.
+    pub required: bool,
 }
 
-/// A parsed, validated view over an arena's bytes. Holds only the borrowed
-/// buffer plus the decoded table — producing one costs O(#sections)
-/// regardless of payload size, which is what makes mapped startup O(ms).
+impl Section {
+    /// A section every file carries.
+    pub const fn required(name: &'static str, elem: usize) -> Section {
+        Section {
+            name,
+            elem,
+            required: true,
+        }
+    }
+
+    /// A section a file may leave out; absent, it reads as empty.
+    pub const fn optional(name: &'static str, elem: usize) -> Section {
+        Section {
+            name,
+            elem,
+            required: false,
+        }
+    }
+}
+
+/// One arena artifact: its header, the name and recovery hint its refusals
+/// carry, and its section table. Declared once per artifact as a `const`.
 #[derive(Debug)]
-pub struct Arena<'a> {
-    bytes: &'a [u8],
-    version: u32,
-    entries: Vec<SectionEntry>,
+pub struct Format {
+    /// Header magic.
+    pub magic: [u8; 8],
+    /// Header version; any other is refused before the table is read.
+    pub version: u32,
+    /// The artifact's name, leading every refusal.
+    pub artifact: &'static str,
+    /// How to recover, ending every refusal (`None`: no standard recovery).
+    pub hint: Option<&'static str>,
+    /// Section `tag` is `sections[tag − 1]`; other tags are ignored.
+    pub sections: &'static [Section],
 }
 
-impl<'a> Arena<'a> {
-    /// Parses and shallow-validates an arena: magic, endianness, table
-    /// checksum, and per-section bounds + 8-alignment. Does **not** hash
-    /// payloads — see [`Arena::verify_deep`].
-    pub fn parse(bytes: &'a [u8], magic: [u8; 8]) -> Result<Arena<'a>, String> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(format!(
-                "arena too short for header: {} bytes (need {HEADER_BYTES})",
-                bytes.len()
-            ));
+impl Format {
+    /// An empty arena of this format, ready for sections.
+    pub fn writer<'a>(&self) -> ArenaWriter<'a> {
+        ArenaWriter {
+            magic: self.magic,
+            version: self.version,
+            sections: Vec::new(),
         }
-        if bytes[..8] != magic {
-            return Err(format!(
-                "bad magic {:02x?} (expected {:02x?})",
-                &bytes[..8],
-                magic
-            ));
+    }
+
+    /// The `InvalidData` error `"<artifact>: <reason>[; <hint>]"`.
+    pub fn refuse(&self, reason: impl Display) -> io::Error {
+        let msg = match self.hint {
+            Some(hint) => format!("{}: {reason}; {hint}", self.artifact),
+            None => format!("{}: {reason}", self.artifact),
+        };
+        io::Error::new(io::ErrorKind::InvalidData, msg)
+    }
+
+    /// Checks a header's first 24 bytes — magic, then version, then endian
+    /// mark — so a file of another version gets the version refusal whatever
+    /// follows it.
+    pub fn check_header(&self, bytes: &[u8]) -> io::Result<()> {
+        if self.field(bytes, 0..8)? != self.magic {
+            return Err(self.refuse("bad magic"));
         }
-        let version = u32::from_ne_bytes(bytes[8..12].try_into().unwrap());
-        let n = u32::from_ne_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let endian = u64::from_ne_bytes(bytes[16..24].try_into().unwrap());
-        if endian != ENDIAN_MARK {
+        let version = ne_u32(self.field(bytes, 8..12)?);
+        if version != self.version {
+            return Err(self.refuse(format_args!(
+                "unsupported {} version {version} (expected {})",
+                self.artifact, self.version
+            )));
+        }
+        if ne_u64(self.field(bytes, 16..24)?) != ENDIAN_MARK {
             return Err(
-                "endianness marker mismatch — file was written on a foreign-endian machine"
-                    .to_string(),
+                self.refuse("endianness marker mismatch — written on a foreign-endian machine")
             );
         }
-        let table_fnv = u64::from_ne_bytes(bytes[24..32].try_into().unwrap());
-        let table_end = HEADER_BYTES
-            .checked_add(
-                n.checked_mul(TABLE_ENTRY_BYTES)
-                    .ok_or("section count overflow")?,
-            )
-            .ok_or("section table overflow")?;
-        if bytes.len() < table_end {
-            return Err(format!(
-                "truncated section table: {} sections need {} bytes, have {}",
-                n,
-                table_end,
-                bytes.len()
-            ));
-        }
-        let table = &bytes[HEADER_BYTES..table_end];
-        if fnv1a(table) != table_fnv {
-            return Err("section table checksum mismatch — file is corrupt".to_string());
-        }
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let e = &table[i * TABLE_ENTRY_BYTES..(i + 1) * TABLE_ENTRY_BYTES];
-            let entry = SectionEntry {
-                tag: u64::from_ne_bytes(e[0..8].try_into().unwrap()),
-                offset: u64::from_ne_bytes(e[8..16].try_into().unwrap()),
-                len: u64::from_ne_bytes(e[16..24].try_into().unwrap()),
-                fnv: u64::from_ne_bytes(e[24..32].try_into().unwrap()),
-            };
-            if entry.offset % 8 != 0 {
-                return Err(format!(
-                    "section {:#x} offset {} is not 8-byte aligned",
-                    entry.tag, entry.offset
-                ));
-            }
-            let end = entry
-                .offset
-                .checked_add(entry.len)
-                .ok_or_else(|| format!("section {:#x} length overflows", entry.tag))?;
-            if end > bytes.len() as u64 {
-                return Err(format!(
-                    "section {:#x} claims bytes {}..{} beyond arena end {}",
-                    entry.tag,
-                    entry.offset,
-                    end,
+        Ok(())
+    }
+
+    /// Reads the header and table of the 8-aligned `bytes`: every section
+    /// in bounds and 8-aligned, every required one present, every declared
+    /// one a whole number of elements. O(#sections): no payload is touched.
+    pub fn read(&'static self, bytes: &[u8]) -> io::Result<Layout> {
+        self.layout(bytes, false)
+    }
+
+    /// [`Format::read`], plus every payload's checksum (O(file size)).
+    pub fn read_checked(&'static self, bytes: &[u8]) -> io::Result<Layout> {
+        self.layout(bytes, true)
+    }
+
+    fn field<'b>(&self, bytes: &'b [u8], at: Range<usize>) -> io::Result<&'b [u8]> {
+        bytes
+            .get(at)
+            .ok_or_else(|| self.refuse(format_args!("truncated header ({} bytes)", bytes.len())))
+    }
+
+    fn layout(&'static self, bytes: &[u8], checked: bool) -> io::Result<Layout> {
+        assert!(self.sections.len() <= MAX_SECTIONS);
+        self.check_header(bytes)?;
+        let n = ne_u32(self.field(bytes, 12..16)?) as usize;
+        let table_fnv = ne_u64(self.field(bytes, 24..HEADER_BYTES)?);
+        assert!(bytes.as_ptr() as usize % 8 == 0, "unaligned arena");
+        let table = n
+            .checked_mul(TABLE_ENTRY_BYTES)
+            .and_then(|len| bytes.get(HEADER_BYTES..HEADER_BYTES.checked_add(len)?))
+            .ok_or_else(|| {
+                self.refuse(format_args!(
+                    "truncated section table ({n} sections, {} bytes)",
                     bytes.len()
-                ));
-            }
-            entries.push(entry);
+                ))
+            })?;
+        if fnv1a(table) != table_fnv {
+            return Err(self.refuse("section table checksum mismatch"));
         }
-        Ok(Arena {
-            bytes,
-            version,
-            entries,
+
+        let mut found: [Option<Range<usize>>; MAX_SECTIONS] = Default::default();
+        for entry in table.chunks_exact(TABLE_ENTRY_BYTES) {
+            let word = |i: usize| ne_u64(&entry[8 * i..8 * i + 8]);
+            let (tag, offset, len) = (word(0), word(1), word(2));
+            if offset % 8 != 0 {
+                return Err(self.refuse(format_args!(
+                    "section {tag:#x} offset {offset} is not 8-byte aligned"
+                )));
+            }
+            let end = offset
+                .checked_add(len)
+                .filter(|&end| end <= bytes.len() as u64)
+                .ok_or_else(|| {
+                    self.refuse(format_args!(
+                        "section {tag:#x} claims {len} bytes at {offset}, beyond the end at {}",
+                        bytes.len()
+                    ))
+                })?;
+            // In bounds, so both ends fit a `usize`.
+            let range = offset as usize..end as usize;
+            if checked && fnv1a(&bytes[range.clone()]) != word(3) {
+                return Err(self.refuse(format_args!(
+                    "section {tag:#x} checksum mismatch — the file is corrupt"
+                )));
+            }
+            if (1..=self.sections.len() as u64).contains(&tag) {
+                found[tag as usize - 1].get_or_insert(range);
+            }
+        }
+
+        let mut ranges: [Range<usize>; MAX_SECTIONS] = Default::default();
+        for (i, (section, found)) in self.sections.iter().zip(found).enumerate() {
+            let tag = i + 1;
+            match found {
+                None if section.required => {
+                    return Err(self.refuse(format_args!(
+                        "missing required section {tag:#x} ({})",
+                        section.name
+                    )))
+                }
+                Some(range) if range.len() % section.elem != 0 => {
+                    return Err(self.refuse(format_args!(
+                        "section {tag:#x} ({}) holds {} bytes, not a whole number of {}-byte elements",
+                        section.name,
+                        range.len(),
+                        section.elem
+                    )))
+                }
+                found => ranges[i] = found.unwrap_or_default(),
+            }
+        }
+        Ok(Layout {
+            format: self,
+            ranges,
         })
     }
+}
 
-    /// The format version from the header.
-    pub fn version(&self) -> u32 {
-        self.version
+/// Where each declared section of one arena lies, as [`Format::read`] or
+/// [`Format::read_checked`] found it. Every accessor takes the bytes that
+/// were read — the layout describes those bytes and no others.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    format: &'static Format,
+    /// Byte range of section `tag` at `tag − 1`; empty when absent.
+    ranges: [Range<usize>; MAX_SECTIONS],
+}
+
+impl Layout {
+    /// Section `tag` as `T`s, `T` of the declared element size: one indexed
+    /// range and one cast, nothing searched. An absent optional or an
+    /// undeclared section is empty.
+    #[inline]
+    pub fn slice<'b, T: Pod>(&self, bytes: &'b [u8], tag: u64) -> &'b [T] {
+        let range = self.ranges[tag as usize - 1].clone();
+        cast_slice(&bytes[range]).expect("the read checked bounds, alignment and element size")
     }
 
-    /// The decoded section table.
-    pub fn entries(&self) -> &[SectionEntry] {
-        &self.entries
-    }
-
-    /// The whole underlying buffer.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// Raw bytes of the section tagged `tag`, if present.
-    pub fn section(&self, tag: u64) -> Option<&'a [u8]> {
-        let e = self.entries.iter().find(|e| e.tag == tag)?;
-        Some(&self.bytes[e.offset as usize..(e.offset + e.len) as usize])
-    }
-
-    /// Raw bytes of a required section.
-    pub fn require(&self, tag: u64) -> Result<&'a [u8], String> {
-        self.section(tag)
-            .ok_or_else(|| format!("missing required section {tag:#x}"))
-    }
-
-    /// Typed view of a required section — alignment- and length-checked.
-    pub fn slice<T: Pod>(&self, tag: u64) -> Result<&'a [T], String> {
-        cast_slice(self.require(tag)?).map_err(|e| format!("section {tag:#x}: {e}"))
-    }
-
-    /// Re-hashes every payload against its table checksum (O(file size);
-    /// run on demand, not at load).
-    pub fn verify_deep(&self) -> Result<(), String> {
-        for e in &self.entries {
-            let payload = &self.bytes[e.offset as usize..(e.offset + e.len) as usize];
-            if fnv1a(payload) != e.fnv {
-                return Err(format!(
-                    "section {:#x} checksum mismatch — file is corrupt",
-                    e.tag
-                ));
-            }
+    /// [`Layout::slice`], refused unless it holds exactly `n` elements.
+    pub fn slice_n<'b, T: Pod>(&self, bytes: &'b [u8], tag: u64, n: u64) -> io::Result<&'b [T]> {
+        let slice = self.slice(bytes, tag);
+        if slice.len() as u64 != n {
+            return Err(self.format.refuse(format_args!(
+                "{} holds {} elements, expected {n}",
+                self.name(tag),
+                slice.len()
+            )));
         }
-        Ok(())
+        Ok(slice)
+    }
+
+    /// A block of exactly `N` `u64` words, such as a meta section.
+    pub fn words<'b, const N: usize>(&self, bytes: &'b [u8], tag: u64) -> io::Result<&'b [u64; N]> {
+        let words = self.slice_n::<u64>(bytes, tag, N as u64)?;
+        Ok(words.try_into().expect("slice_n checked the length"))
+    }
+
+    /// The name table an [`ArenaWriter::names`] pair holds, borrowed from
+    /// the blob and refused in any malformed shape ([`unpack_names`]).
+    pub fn names<'b>(&self, bytes: &'b [u8], offs: u64, blob: u64) -> io::Result<Vec<&'b str>> {
+        let refuse = |e: String| self.format.refuse(format_args!("{}: {e}", self.name(offs)));
+        unpack_names(self.slice(bytes, offs), self.slice(bytes, blob)).map_err(refuse)
+    }
+
+    fn name(&self, tag: u64) -> &'static str {
+        self.format.sections[tag as usize - 1].name
     }
 }
 
 /// Longest name a packed name table may carry. Far above any real query or
 /// ad string; it bounds what one forged offset pair can make a reader slice.
 pub const MAX_NAME_BYTES: u64 = 1 << 20;
-
-/// Packs names into the `(offsets, blob)` section pair every artifact stores
-/// its name tables as: the names' UTF-8 bytes concatenated, and `n + 1`
-/// byte offsets into that blob starting at 0.
-pub fn pack_names<'a>(names: impl IntoIterator<Item = &'a str>) -> (Vec<u64>, Vec<u8>) {
-    let mut offs = vec![0u64];
-    let mut blob = Vec::new();
-    for name in names {
-        blob.extend_from_slice(name.as_bytes());
-        offs.push(blob.len() as u64);
-    }
-    (offs, blob)
-}
 
 /// Splits an `(offsets, blob)` section pair back into its names, borrowing
 /// from `blob`. The sections come from a file, so every shape is checked:
@@ -481,59 +565,205 @@ pub fn unpack_names<'a>(offs: &[u64], blob: &'a [u8]) -> Result<Vec<&'a str>, St
 mod tests {
     use super::*;
 
-    const MAGIC: [u8; 8] = *b"ARENATST";
+    const TEST: Format = Format {
+        magic: *b"ARENATST",
+        version: 7,
+        artifact: "test arena",
+        hint: Some("regenerate it"),
+        sections: &[
+            Section::required("numbers", 4),
+            Section::required("values", 8),
+            Section::optional("bytes", 1),
+            Section::required("meta", 8),
+            Section::optional("name offsets", 8),
+            Section::optional("name bytes", 1),
+        ],
+    };
 
-    #[test]
-    fn name_table_roundtrips_and_refuses_hostile_shapes() {
-        let (offs, blob) = pack_names(["camera", "", "tv"]);
-        assert_eq!(offs, [0, 6, 6, 8]);
-        assert_eq!(unpack_names(&offs, &blob).unwrap(), ["camera", "", "tv"]);
-        let (offs0, blob0) = pack_names([]);
-        assert!(unpack_names(&offs0, &blob0).unwrap().is_empty());
+    const NUMBERS: [u32; 3] = [1, 2, 3];
+    const VALUES: [f64; 2] = [0.5, 0.25];
+    const META: [u64; 2] = [40, 2];
 
-        let refused = |offs: &[u64], blob: &[u8], why: &str| {
-            let err = unpack_names(offs, blob).unwrap_err();
-            assert!(err.contains(why), "{offs:?}: {err}");
-        };
-        refused(&[], &blob, "do not span");
-        refused(&[1, 6, 6, 8], &blob, "do not span");
-        refused(&[0, 6, 6, 7], &blob, "do not span");
-        refused(&[0, 6, 6, 9], &blob, "do not span");
-        refused(&[0, 7, 6, 8], &blob, "out of range");
-        refused(&[0, 100, 8], &blob, "out of bounds");
-        refused(&[0, 1 << 40, 6, 8], &blob, "out of range");
-        refused(&[0, 2], &[0xff, 0xfe], "UTF-8");
-        let long = vec![b'x'; MAX_NAME_BYTES as usize + 1];
-        refused(&[0, long.len() as u64], &long, "out of range");
+    /// Tags 1–4, then an undeclared tag.
+    fn sample() -> AlignedBytes {
+        let mut w = TEST.writer();
+        w.slice(0x1, &NUMBERS)
+            .slice(0x2, &VALUES)
+            .section(0x3, &[9u8; 5])
+            .slice(0x4, &META)
+            .section(0x99, b"ignored");
+        w.to_aligned_bytes()
     }
 
-    fn sample() -> AlignedBytes {
-        let nums: Vec<u32> = vec![1, 2, 3];
-        let vals: Vec<f64> = vec![0.5, 0.25];
-        let mut w = ArenaWriter::new(MAGIC, 7);
-        w.slice(0x10, &nums)
-            .slice(0x20, &vals)
-            .owned(0x30, vec![9u8; 5]);
-        w.to_aligned_bytes()
+    /// Recomputes every in-bounds payload checksum and the table checksum,
+    /// so an edited table reaches the checks behind them.
+    fn reseal(buf: &mut [u8]) {
+        let end = HEADER_BYTES + ne_u32(&buf[12..16]) as usize * TABLE_ENTRY_BYTES;
+        for at in (HEADER_BYTES..end).step_by(TABLE_ENTRY_BYTES) {
+            let (off, len) = (
+                ne_u64(&buf[at + 8..at + 16]),
+                ne_u64(&buf[at + 16..at + 24]),
+            );
+            if let Some(payload) = buf.get(off as usize..off.saturating_add(len) as usize) {
+                let h = fnv1a(payload);
+                buf[at + 24..at + 32].copy_from_slice(&h.to_ne_bytes());
+            }
+        }
+        let h = fnv1a(&buf[HEADER_BYTES..end]);
+        buf[24..32].copy_from_slice(&h.to_ne_bytes());
+    }
+
+    /// Sets word `word` of the first table entry (0 tag, 1 offset, 2 len).
+    fn set_entry(buf: &mut [u8], word: usize, value: u64) {
+        let at = HEADER_BYTES + 8 * word;
+        buf[at..at + 8].copy_from_slice(&value.to_ne_bytes());
+        reseal(buf);
     }
 
     #[test]
     fn roundtrip_typed_sections() {
         let buf = sample();
-        let a = Arena::parse(buf.as_slice(), MAGIC).unwrap();
-        assert_eq!(a.version(), 7);
-        assert_eq!(a.slice::<u32>(0x10).unwrap(), &[1, 2, 3]);
-        assert_eq!(a.slice::<f64>(0x20).unwrap(), &[0.5, 0.25]);
-        assert_eq!(a.section(0x30).unwrap(), &[9u8; 5]);
-        assert!(a.section(0x99).is_none());
-        a.verify_deep().unwrap();
+        let bytes = buf.as_slice();
+        let layout = TEST.read_checked(bytes).unwrap();
+        assert_eq!(layout.slice::<u32>(bytes, 0x1), NUMBERS);
+        assert_eq!(layout.slice::<f64>(bytes, 0x2), VALUES);
+        assert_eq!(layout.slice::<u8>(bytes, 0x3), [9u8; 5]);
+        assert_eq!(layout.words::<2>(bytes, 0x4).unwrap(), &META);
+        assert!(
+            layout.slice::<u64>(bytes, 0x5).is_empty(),
+            "absent optional"
+        );
+    }
+
+    #[test]
+    fn every_refusal_names_the_artifact_and_its_hint() {
+        const NUMBERS_AT: usize = HEADER_BYTES + 5 * TABLE_ENTRY_BYTES; // the first payload
+        let clean = sample();
+        type Row = (&'static str, fn(&mut Vec<u8>), &'static str);
+        let rows: [Row; 10] = [
+            (
+                "short header",
+                |b| b.truncate(20),
+                "truncated header (20 bytes)",
+            ),
+            ("bad magic", |b| b[0] ^= 1, "bad magic"),
+            (
+                "other version",
+                |b| b[8] += 1,
+                "unsupported test arena version 8 (expected 7)",
+            ),
+            (
+                "foreign endian mark",
+                |b| b[16..24].reverse(),
+                "endianness marker mismatch",
+            ),
+            (
+                "cut table",
+                |b| b.truncate(HEADER_BYTES + 3),
+                "truncated section table",
+            ),
+            (
+                "table checksum",
+                |b| b[HEADER_BYTES + 1] ^= 1,
+                "section table checksum mismatch",
+            ),
+            (
+                "misaligned section",
+                |b| set_entry(b, 1, NUMBERS_AT as u64 + 4),
+                "not 8-byte aligned",
+            ),
+            (
+                "section past the end",
+                |b| set_entry(b, 2, u64::MAX / 2),
+                "beyond the end",
+            ),
+            (
+                "missing required section",
+                |b| set_entry(b, 0, 0x77),
+                "missing required section 0x1 (numbers)",
+            ),
+            (
+                "element-size remainder",
+                |b| set_entry(b, 2, 11),
+                "not a whole number of 4-byte elements",
+            ),
+        ];
+        let check = |label: &str, err: io::Error, needle: &str| {
+            let msg = err.to_string();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{label}");
+            assert!(msg.starts_with("test arena: "), "{label}: {msg}");
+            assert!(msg.ends_with("; regenerate it"), "{label}: {msg}");
+            assert!(msg.contains(needle), "{label}: {msg}");
+        };
+        for (label, poke, needle) in rows {
+            let mut buf = clean.as_slice().to_vec();
+            poke(&mut buf);
+            let buf = AlignedBytes::copy_from(&buf);
+            check(label, TEST.read(buf.as_slice()).unwrap_err(), needle);
+            check(
+                label,
+                TEST.read_checked(buf.as_slice()).unwrap_err(),
+                needle,
+            );
+        }
+
+        // A flipped payload byte passes the shallow read only.
+        let mut buf = clean.as_slice().to_vec();
+        buf[NUMBERS_AT] ^= 1;
+        let buf = AlignedBytes::copy_from(&buf);
+        TEST.read(buf.as_slice()).unwrap();
+        let err = TEST.read_checked(buf.as_slice()).unwrap_err();
+        check("payload checksum", err, "section 0x1 checksum mismatch");
+
+        let bytes = clean.as_slice();
+        let layout = TEST.read(bytes).unwrap();
+        let err = layout.slice_n::<u32>(bytes, 0x1, 4).unwrap_err();
+        check("slice_n count", err, "numbers holds 3 elements, expected 4");
+        let err = layout.words::<3>(bytes, 0x4).unwrap_err();
+        check("words length", err, "meta holds 2 elements, expected 3");
+        assert_eq!(layout.slice_n::<f64>(bytes, 0x2, 2).unwrap(), VALUES);
+    }
+
+    #[test]
+    fn name_table_roundtrips_and_refuses_hostile_shapes() {
+        for names in [&["camera", "", "tv"][..], &[]] {
+            let mut w = TEST.writer();
+            w.slice(0x1, &NUMBERS)
+                .slice(0x2, &VALUES)
+                .slice(0x4, &META)
+                .names(0x5, 0x6, names.iter().copied());
+            let buf = w.to_aligned_bytes();
+            let bytes = buf.as_slice();
+            let layout = TEST.read(bytes).unwrap();
+            assert_eq!(layout.names(bytes, 0x5, 0x6).unwrap(), names);
+        }
+        let mut w = TEST.writer();
+        w.names(0x5, 0x6, ["camera", "", "tv"]);
+        let buf = w.to_aligned_bytes();
+        let offs = &buf.as_slice()[HEADER_BYTES + 2 * TABLE_ENTRY_BYTES..][..32];
+        assert_eq!(cast_slice::<u64>(offs).unwrap(), [0, 6, 6, 8]);
+
+        let blob = b"cameratv";
+        let refused = |offs: &[u64], blob: &[u8], why: &str| {
+            let err = unpack_names(offs, blob).unwrap_err();
+            assert!(err.contains(why), "{offs:?}: {err}");
+        };
+        refused(&[], blob, "do not span");
+        refused(&[1, 6, 6, 8], blob, "do not span");
+        refused(&[0, 6, 6, 7], blob, "do not span");
+        refused(&[0, 6, 6, 9], blob, "do not span");
+        refused(&[0, 7, 6, 8], blob, "out of range");
+        refused(&[0, 100, 8], blob, "out of bounds");
+        refused(&[0, 1 << 40, 6, 8], blob, "out of range");
+        refused(&[0, 2], &[0xff, 0xfe], "UTF-8");
+        let long = vec![b'x'; MAX_NAME_BYTES as usize + 1];
+        refused(&[0, long.len() as u64], &long, "out of range");
     }
 
     #[test]
     fn encoded_len_matches() {
-        let nums: Vec<u32> = vec![1, 2, 3];
-        let mut w = ArenaWriter::new(MAGIC, 1);
-        w.slice(1, &nums);
+        let mut w = TEST.writer();
+        w.slice(1, &NUMBERS);
         let mut out = Vec::new();
         let written = w.write_to(&mut out).unwrap();
         assert_eq!(written, out.len() as u64);
@@ -543,59 +773,18 @@ mod tests {
     #[test]
     fn to_aligned_bytes_equals_write_to_for_odd_length_sections() {
         let odd: Vec<u8> = (1..=13).collect();
-        let nums: Vec<u32> = vec![7, 8, 9];
-        let mut w = ArenaWriter::new(MAGIC, 3);
-        w.section(0x1, &odd[..1])
-            .slice(0x2, &nums)
-            .section(0x3, &odd)
-            .section(0x4, &[]);
+        let mut w = TEST.writer();
+        w.section(0x3, &odd[..1])
+            .slice(0x1, &NUMBERS)
+            .section(0x6, &odd)
+            .section(0x2, &[])
+            .slice(0x4, &META);
         let mut streamed = Vec::new();
         w.write_to(&mut streamed).unwrap();
         let aligned = w.to_aligned_bytes();
         assert_eq!(aligned.as_slice(), streamed.as_slice());
         assert_eq!(aligned.as_slice().as_ptr() as usize % 8, 0);
-        Arena::parse(aligned.as_slice(), MAGIC)
-            .unwrap()
-            .verify_deep()
-            .unwrap();
-    }
-
-    #[test]
-    fn refuses_bad_magic_and_truncation() {
-        let buf = sample();
-        let mut wrong = buf.as_slice().to_vec();
-        wrong[0] ^= 0xff;
-        assert!(Arena::parse(&wrong, MAGIC).unwrap_err().contains("magic"));
-        let err = Arena::parse(&buf.as_slice()[..HEADER_BYTES + 3], MAGIC).unwrap_err();
-        assert!(err.contains("truncated section table"), "{err}");
-        assert!(Arena::parse(&[], MAGIC).unwrap_err().contains("too short"));
-    }
-
-    #[test]
-    fn refuses_corrupt_table_and_payload() {
-        let buf = sample();
-        // Flip a byte inside the table: shallow parse catches it.
-        let mut t = buf.as_slice().to_vec();
-        t[HEADER_BYTES + 1] ^= 0x01;
-        assert!(Arena::parse(&t, MAGIC)
-            .unwrap_err()
-            .contains("section table checksum"));
-        // Flip a payload byte: shallow parse passes, deep verify refuses.
-        let mut p = buf.as_slice().to_vec();
-        let last = p.len() - 6;
-        p[last] ^= 0x01;
-        let p = AlignedBytes::copy_from(&p);
-        let a = Arena::parse(p.as_slice(), MAGIC).unwrap();
-        assert!(a.verify_deep().unwrap_err().contains("checksum"));
-    }
-
-    #[test]
-    fn refuses_foreign_endianness() {
-        let buf = sample();
-        let mut e = buf.as_slice().to_vec();
-        e[16..24].reverse(); // byte-swapped marker, as a foreign writer would emit
-        let err = Arena::parse(&e, MAGIC).unwrap_err();
-        assert!(err.contains("endianness"), "{err}");
+        TEST.read_checked(aligned.as_slice()).unwrap();
     }
 
     #[test]
@@ -612,10 +801,13 @@ mod tests {
 
     #[test]
     fn aligned_bytes_is_aligned() {
-        for n in [0usize, 1, 7, 8, 9, 4096] {
-            let b = AlignedBytes::zeroed(n);
+        let payload: Vec<u8> = (0..=255).collect();
+        for n in [0usize, 1, 7, 8, 9, 256] {
+            let b = AlignedBytes::read_exact_from(&mut &payload[..], n).unwrap();
             assert_eq!(b.as_slice().as_ptr() as usize % 8, 0);
-            assert_eq!(b.len(), n);
+            assert_eq!(b.as_slice(), &payload[..n]);
         }
+        let short = AlignedBytes::read_exact_from(&mut &payload[..], 257).unwrap_err();
+        assert_eq!(short.kind(), io::ErrorKind::UnexpectedEof);
     }
 }
