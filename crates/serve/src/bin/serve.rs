@@ -1,34 +1,28 @@
 //! Build, inspect, update, and serve rewrite indexes from the command line.
 //!
 //! ```text
-//! serve build <graph.tsv> <out.idx> [method]   offline: TSV graph → snapshot
-//! serve build <store.seg> <out.idx> [method]   segment-at-a-time build: peak memory
-//!                                              bounded by the largest segment
-//! serve build --fixture fig3 <out.idx> [method]   (the paper's Figure 3 graph)
-//! serve segment <graph.tsv> <out.seg> [target-nodes]   TSV graph → segmented store
-//! serve run <index.idx>                        online: line protocol on stdin/stdout;
-//!                                              the snapshot is mmap-ed and served
-//!                                              zero-copy (O(ms) startup at any size)
-//! serve run --graph <graph.tsv> [method]      build in memory, then serve
-//!                                              (enables the `update` protocol verb)
-//! serve run --graph <graph.tsv> --mode single-source   skip the offline build: every
-//!                                              query is computed live on demand and
-//!                                              cached (bounded LRU, see --cache-capacity)
-//! serve listen --addr 0.0.0.0:7878 --admin 127.0.0.1:7879 <index.idx>|--graph ...
-//!                                              threaded TCP server: same protocol and
-//!                                              sources as `run`; data plane serves
-//!                                              rewrite/quit, the admin plane adds
-//!                                              batch/update/info/shutdown
-//! serve update <index.idx> <delta.tsv> --graph <graph.tsv>|--fixture fig3
-//!              [out.idx] [--write-graph <path>]    incremental: refresh dirty rows only
-//! serve info <index.idx>                       print snapshot header + stats
-//! serve ingest <click.log> [method] [--window N] [--decay F] [--poll-ms N]
-//!              [--addr H:P] [--admin H:P] ...   streaming: tail an append-only click
-//!                                              log, batch events into epochs, and
-//!                                              refresh + hot-swap dirty rows at every
-//!                                              epoch boundary while the TCP planes
-//!                                              keep serving
+//! serve build <graph.tsv>|<store.seg>|--fixture fig3 <out.idx> [method]   graph → snapshot
+//! serve segment <graph.tsv> <out.seg> [target-nodes]       TSV graph → segmented store
+//! serve run <index.idx> | --graph <graph.tsv> [method]      line protocol on stdin/stdout
+//! serve listen <same sources as run>                        the same over TCP
+//! serve update <index.idx> <delta.tsv> [out.idx] --graph <graph.tsv>|--fixture fig3
+//!                                                           the `update` verb, offline
+//! serve info <index.idx>                                    snapshot header + stats
+//! serve ingest <click.log> [method]                         tail a click log, serve over TCP
 //! ```
+//!
+//! A snapshot is served mmap-ed (O(ms) startup at any size); `--graph`
+//! builds in memory and enables the `update` verb, or under `--mode
+//! single-source` skips the build and computes every row on demand. A
+//! `.seg` store builds one segment at a time (peak memory bounded by the
+//! largest segment). `USAGE` lists every flag.
+//!
+//! One parser reads every command line against one table ([`COMMANDS`])
+//! in which each subcommand names the flags it accepts. Flags may sit
+//! anywhere among the positional arguments; `--resume` is a switch and
+//! every other flag takes one value. A flag the subcommand does not take,
+//! or a positional argument more than it takes, is refused with the usage
+//! text.
 //!
 //! `method` is one of `naive | pearson | simrank | evidence | weighted`
 //! (default `weighted`, the paper's best). Every full build is one
@@ -38,17 +32,18 @@
 //! carries only the line protocol, so `serve run` pipes cleanly.
 //!
 //! With `--graph` and a recursive method the server also holds a live
-//! single-source engine: queries the index misses (always, under `--mode
-//! single-source`) are computed on demand and cached; the protocol's `info`
-//! verb reports the cache's hit/miss counters. Its one-off precompute is one
-//! engine run per connected component (about one all-pairs run in time, the
-//! largest component's run in memory); the `update` verb re-runs only the
-//! dirty components, with requests still being answered meanwhile.
+//! single-source engine over the same graph: queries the index misses
+//! (always, under `--mode single-source`) are computed on demand and
+//! cached; the protocol's `info` verb reports the cache's hit/miss
+//! counters. Its one-off precompute is one engine run per connected
+//! component; the `update` verb re-runs only the dirty components, with
+//! requests still being answered meanwhile.
 //!
-//! `serve update` applies a delta TSV (`+\tquery\tad\timpr\tclicks\tecr`
-//! per upsert, `-\tquery\tad` per removal) to the graph the snapshot was
-//! built from, recomputes only the dirty components' rows, and writes the
-//! next snapshot generation (in place unless `out.idx` is given). The
+//! `serve update` is that verb run once, offline: it loads the snapshot
+//! into an updatable server over the graph the snapshot was built from,
+//! applies the delta TSV (`+\tquery\tad\timpr\tclicks\tecr` per upsert,
+//! `-\tquery\tad` per removal) through `ServeState::apply_update`, and
+//! writes the next generation (in place unless `out.idx` is given). The
 //! snapshot's own metadata supplies the method — no method argument.
 //!
 //! `serve ingest` is the streaming counterpart: the click log is the delta
@@ -73,20 +68,23 @@
 //! mismatch would mix weight regimes between refreshed and copied rows
 //! undetected.
 
-use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
-use simrankpp_graph::delta::{apply_named, read_delta_tsv};
+use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
+use simrankpp_graph::delta::ClickLogRecord;
 use simrankpp_graph::fixtures::figure3_graph;
-use simrankpp_graph::{
-    io::{read_tsv, write_tsv},
-    write_segmented, ClickGraph, SegmentedStore, WeightKind,
-};
+use simrankpp_graph::io::{read_tsv, write_tsv};
+use simrankpp_graph::{write_segmented, ClickGraph, SegmentedStore, WeightKind};
+use simrankpp_serve::checkpoint::{self, read_checkpoint, resume_ingestor, write_checkpoint};
 use simrankpp_serve::{
-    serve_session, LiveContext, NetServer, RewriteIndex, ServeState, UpdateContext,
+    serve_session, EpochIngestor, IndexMeta, IngestConfig, IngestMetrics, LiveContext, LogTailer,
+    NetConfig, NetServer, RebuildStats, RewriteIndex, ServeState, SpannedRecord, UpdateContext,
 };
 use std::fs::File;
 use std::io::{self, BufReader};
+use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage:
   serve build <graph.tsv>|<store.seg>|--fixture fig3 <out.idx> [method]
@@ -99,6 +97,9 @@ const USAGE: &str = "usage:
   serve ingest <click.log> [method] [--window N] [--decay F] [--poll-ms N] [--weight-kind K]
                [--checkpoint <path>] [--resume]
                [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S]
+flags:  anywhere among the arguments; each subcommand takes the flags shown for it, plus
+        --weight-kind K (all but segment and info) and --failpoints SPEC (run, listen,
+        ingest); any other flag or an extra argument is refused
 method: naive | pearson | simrank | evidence | weighted (default weighted)
 mode:   all-pairs (default; precompute every row offline) | single-source
         (no offline build: rows computed per query on demand, LRU-cached)
@@ -115,21 +116,51 @@ ingest: tail an append-only click log (`+\t<epoch>\t<query>\t<ad>\t<impr>\t<clic
 a .seg input (see `serve segment`) builds the index one segment at a time:
 peak memory is bounded by the largest segment, not the whole graph";
 
+type Command = fn(&Args) -> Result<(), String>;
+
+/// The one flag table: every subcommand, the flags it accepts (separated
+/// by spaces), and its body.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("build", "--fixture --weight-kind", build),
+    ("segment", "", segment),
+    (
+        "run",
+        "--graph --mode --cache-capacity --weight-kind --failpoints",
+        run,
+    ),
+    (
+        "listen",
+        "--graph --mode --cache-capacity --weight-kind --failpoints \
+         --addr --admin --max-connections --read-timeout-secs",
+        listen,
+    ),
+    (
+        "update",
+        "--graph --fixture --write-graph --weight-kind",
+        update,
+    ),
+    ("info", "", info),
+    (
+        "ingest",
+        "--window --decay --poll-ms --checkpoint --resume --weight-kind --failpoints \
+         --addr --admin --max-connections --read-timeout-secs",
+        ingest,
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("build") => build(&args[1..]),
-        Some("segment") => segment(&args[1..]),
-        Some("run") => run(&args[1..]),
-        Some("listen") => listen(&args[1..]),
-        Some("update") => update(&args[1..]),
-        Some("info") => info(&args[1..]),
-        Some("ingest") => ingest(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(&(_, accepts, command)) = args
+        .first()
+        .and_then(|a| COMMANDS.iter().find(|c| c.0 == a.as_str()))
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
+    let result = Args::parse(&args[1..], accepts).and_then(|args| {
+        args.arm_failpoints()?;
+        command(&args)
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -139,13 +170,102 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand's command line as the one parser split it: the flags
+/// given, in order, and the positional arguments.
+struct Args {
+    flags: Vec<(&'static str, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `args` for a subcommand that takes the flags `accepts`.
+    fn parse(args: &[String], accepts: &'static str) -> Result<Args, String> {
+        let mut parsed = Args {
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                parsed.positional.push(arg.clone());
+                continue;
+            }
+            let flag = accepts
+                .split(' ')
+                .find(|&f| f == arg.as_str())
+                .ok_or_else(|| format!("unexpected argument {arg:?}\n{USAGE}"))?;
+            let value = match flag {
+                "--resume" => String::new(),
+                _ => args
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))?,
+            };
+            parsed.flags.push((flag, value));
+        }
+        Ok(parsed)
+    }
+
+    /// The value of `flag` (the last one given), if any.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().rev().find(|(f, _)| *f == flag)?;
+        Some(value)
+    }
+
+    /// The value of `flag` parsed as a `T`, if the flag was given.
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parse = |v: &str| v.parse().map_err(|e| format!("bad {flag}: {e}\n{USAGE}"));
+        self.value(flag).map(parse).transpose()
+    }
+
+    /// The positional arguments, refused unless there are `count` of them.
+    fn positional(&self, count: std::ops::RangeInclusive<usize>) -> Result<&[String], String> {
+        if count.contains(&self.positional.len()) {
+            Ok(&self.positional)
+        } else {
+            Err(USAGE.to_owned())
+        }
+    }
+
+    /// `--weight-kind`, or `default` without it.
+    fn weight_kind(&self, default: WeightKind) -> Result<WeightKind, String> {
+        Ok(match self.value("--weight-kind") {
+            None => default,
+            Some("impressions") => WeightKind::Impressions,
+            Some("clicks") => WeightKind::Clicks,
+            Some("ecr") => WeightKind::ExpectedClickRate,
+            Some(other) => return Err(format!("unknown weight kind {other:?}\n{USAGE}")),
+        })
+    }
+
+    /// `--failpoints`: the CLI twin of the SIMRANKPP_FAILPOINTS environment
+    /// variable (same grammar). The registry always parses; the sites only
+    /// exist in binaries built with `--features failpoints`.
+    fn arm_failpoints(&self) -> Result<(), String> {
+        let Some(spec) = self.value("--failpoints") else {
+            return Ok(());
+        };
+        simrankpp_util::failpoint::configure(spec).map_err(|e| format!("bad --failpoints: {e}"))?;
+        if cfg!(not(feature = "failpoints")) {
+            eprintln!(
+                "warning: --failpoints given, but this binary was built without \
+                 the `failpoints` feature; no site will fire"
+            );
+        }
+        Ok(())
+    }
+}
+
 /// Operator-facing message for a failed artifact open. A corrupt artifact
 /// (`InvalidData`: torn write, checksum mismatch, truncation) is
 /// additionally quarantined to `<path>.corrupt` so a supervised restart
 /// rebuilds from source instead of crash-looping on the same bytes.
 fn open_failure(path: &str, e: io::Error) -> String {
     if e.kind() == io::ErrorKind::InvalidData {
-        return match simrankpp_util::quarantine(std::path::Path::new(path)) {
+        return match simrankpp_util::quarantine(Path::new(path)) {
             Ok(q) => format!(
                 "{path} is corrupt: {e}; quarantined to {} — rebuild it from source",
                 q.display()
@@ -156,8 +276,9 @@ fn open_failure(path: &str, e: io::Error) -> String {
     format!("cannot load {path}: {e}")
 }
 
-fn method_kind(name: &str) -> Result<MethodKind, String> {
-    Ok(match name {
+/// The optional positional `method` argument (default `weighted`).
+fn method_kind(name: Option<&String>) -> Result<MethodKind, String> {
+    Ok(match name.map_or("weighted", String::as_str) {
         "naive" => MethodKind::Naive,
         "pearson" => MethodKind::Pearson,
         "simrank" => MethodKind::Simrank,
@@ -178,36 +299,6 @@ fn load_graph(source: &str, fixture: bool) -> Result<ClickGraph, String> {
     read_tsv(BufReader::new(file)).map_err(|e| format!("cannot parse {source}: {e}"))
 }
 
-fn weight_kind_arg(name: &str) -> Result<WeightKind, String> {
-    Ok(match name {
-        "impressions" => WeightKind::Impressions,
-        "clicks" => WeightKind::Clicks,
-        "ecr" => WeightKind::ExpectedClickRate,
-        other => return Err(format!("unknown weight kind {other:?}\n{USAGE}")),
-    })
-}
-
-/// Peels every `--weight-kind <v>` pair out of `args`, for the subcommands
-/// whose remaining arguments are positional (`build`, `update`).
-fn peel_weight_kind(args: &[String]) -> Result<(Option<WeightKind>, Vec<String>), String> {
-    let mut kind = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--weight-kind" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("--weight-kind needs a value\n{USAGE}"))?;
-            kind = Some(weight_kind_arg(v)?);
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((kind, rest))
-}
-
 /// The one serving configuration: every `serve` code path — `build`, `run
 /// --graph`, `update`, and the protocol `update` verb — must compute with
 /// identical parameters, or an incremental rebuild would mix generations.
@@ -215,6 +306,19 @@ fn peel_weight_kind(args: &[String]) -> Result<(Option<WeightKind>, Vec<String>)
 /// match across a build and its later updates.
 fn serve_config(weight: WeightKind) -> SimrankConfig {
     SimrankConfig::default().with_weight_kind(weight)
+}
+
+/// An index covering no query, for a server whose rows come from elsewhere:
+/// the live engine (`--mode single-source`) or the ingest loop's publishes.
+fn empty_index(method: MethodKind) -> RewriteIndex {
+    RewriteIndex::empty(IndexMeta {
+        method,
+        max_rewrites: RewriterConfig::default().max_rewrites as u32,
+        bid_filtered: false,
+        approx_sharding: false,
+        kernel: KernelKind::Pull,
+        segments: 0,
+    })
 }
 
 fn build_index(graph: &ClickGraph, kind: MethodKind, weight: WeightKind) -> RewriteIndex {
@@ -240,15 +344,23 @@ fn build_index(graph: &ClickGraph, kind: MethodKind, weight: WeightKind) -> Rewr
     index
 }
 
-fn build(args: &[String]) -> Result<(), String> {
-    let (weight, args) = peel_weight_kind(args)?;
-    let weight = weight.unwrap_or(WeightKind::Clicks);
-    let args = &args[..];
-    // A segmented store builds without ever holding the whole graph.
-    if let Some(path) = args.first().filter(|p| p.ends_with(".seg")) {
-        let out = args.get(1).ok_or(USAGE.to_owned())?;
-        let kind = method_kind(args.get(2).map(String::as_str).unwrap_or("weighted"))?;
-        let mut store = SegmentedStore::open(path.as_ref()).map_err(|e| open_failure(path, e))?;
+fn build(args: &Args) -> Result<(), String> {
+    let weight = args.weight_kind(WeightKind::Clicks)?;
+    // `--fixture <name>` stands in for the source argument.
+    let fixture = args.value("--fixture");
+    let (source, rest) = match fixture {
+        Some(name) => (name, args.positional(1..=2)?),
+        None => {
+            let positional = args.positional(2..=3)?;
+            (positional[0].as_str(), &positional[1..])
+        }
+    };
+    let out = &rest[0];
+    let kind = method_kind(rest.get(1))?;
+    let index = if fixture.is_none() && source.ends_with(".seg") {
+        // A segmented store builds without ever holding the whole graph.
+        let mut store =
+            SegmentedStore::open(source.as_ref()).map_err(|e| open_failure(source, e))?;
         let t0 = Instant::now();
         let config = serve_config(weight);
         let index = RewriteIndex::build_segmented(
@@ -269,26 +381,9 @@ fn build(args: &[String]) -> Result<(), String> {
             t0.elapsed()
         );
         index
-            .save(out)
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("snapshot written to {out}");
-        return Ok(());
-    }
-    let (graph, rest) = match args.first().map(String::as_str) {
-        Some("--fixture") => {
-            let name = args.get(1).ok_or(USAGE.to_owned())?;
-            (load_graph(name, true)?, &args[2..])
-        }
-        Some(path) => (load_graph(path, false)?, &args[1..]),
-        None => return Err(USAGE.to_owned()),
+    } else {
+        build_index(&load_graph(source, fixture.is_some())?, kind, weight)
     };
-    if rest.len() > 2 {
-        return Err(USAGE.to_owned());
-    }
-    let out = rest.first().ok_or(USAGE.to_owned())?;
-    let kind = method_kind(rest.get(1).map(String::as_str).unwrap_or("weighted"))?;
-
-    let index = build_index(&graph, kind, weight);
     index
         .save(out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -299,10 +394,10 @@ fn build(args: &[String]) -> Result<(), String> {
 /// Converts a TSV click graph into a segmented store: component-group
 /// segments of roughly `target` nodes each, every segment a self-contained
 /// sub-graph blob.
-fn segment(args: &[String]) -> Result<(), String> {
-    let src = args.first().ok_or(USAGE.to_owned())?;
-    let out = args.get(1).ok_or(USAGE.to_owned())?;
-    let target: usize = match args.get(2) {
+fn segment(args: &Args) -> Result<(), String> {
+    let positional = args.positional(2..=3)?;
+    let (src, out) = (&positional[0], &positional[1]);
+    let target: usize = match positional.get(2) {
         Some(t) => t
             .parse()
             .map_err(|e| format!("bad target-nodes-per-segment: {e}\n{USAGE}"))?,
@@ -326,349 +421,158 @@ fn segment(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the offline index over `graph` and assembles the updatable serve
-/// state. A recursive method also gets the live single-source fallback, so
-/// queries the index misses (possible once deltas land) are computed on
-/// demand instead of refused.
-fn build_state(
-    graph: ClickGraph,
-    kind: MethodKind,
-    weight: WeightKind,
-    cache_capacity: usize,
-) -> Result<ServeState, String> {
-    let index = build_index(&graph, kind, weight);
-    let config = serve_config(weight);
-    let live = if matches!(
-        kind,
-        MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank
-    ) {
+/// The state `run` and `listen` serve: an opened snapshot (`update`
+/// refused), or — with `--graph` — an index built over the graph
+/// (`update` enabled) or, under `--mode single-source`, a live engine
+/// alone. A recursive method also gets the live single-source fallback,
+/// sharing the one graph with the update context.
+fn serve_state(args: &Args) -> Result<ServeState, String> {
+    let weight = args.weight_kind(WeightKind::Clicks)?;
+    let cache_capacity = args.num("--cache-capacity")?.unwrap_or(4096);
+    let mode = args.value("--mode").unwrap_or("all-pairs");
+    if !matches!(mode, "all-pairs" | "single-source") {
+        return Err(format!("unknown mode {mode:?}\n{USAGE}"));
+    }
+    let Some(path) = args.value("--graph") else {
+        // Zero-copy open: O(#sections) regardless of index size — the row
+        // arrays are served straight out of the mapped file bytes.
+        let path = &args.positional(1..=1)?[0];
         let t0 = Instant::now();
-        let live = LiveContext::new(graph.clone(), kind, config, RewriterConfig::default())?;
+        let index = RewriteIndex::open(path).map_err(|e| open_failure(path, e))?;
         eprintln!(
-            "live single-source fallback ready in {:.1?} (row cache: {cache_capacity} entries)",
+            "opened {}: {} queries, {} rewrites ({}) via {} ({} bytes) in {:.2?}; \
+             snapshot mode, `update` disabled (use `serve update` offline or `run --graph`)",
+            path,
+            index.n_queries(),
+            index.n_entries(),
+            index.meta().method.name(),
+            index.backing(),
+            index.as_bytes().len(),
             t0.elapsed()
         );
-        Some(live)
-    } else {
-        None
+        return Ok(ServeState::fixed(index));
     };
-    let state = ServeState::updatable(
-        index,
-        UpdateContext {
-            graph,
+    let kind = method_kind(args.positional(0..=1)?.first())?;
+    let graph = Arc::new(load_graph(path, false)?);
+    let config = serve_config(weight);
+    let (state, ready) = if mode == "single-source" {
+        // No offline build at all: an empty index (every lookup misses)
+        // over a live engine, so each query's row is computed on first
+        // demand and LRU-cached.
+        let ready = "single-source mode: skipped the offline build; live engine ready";
+        (ServeState::fixed(empty_index(kind)), ready)
+    } else {
+        eprintln!("live graph held: `update <delta.tsv>` hot-swaps the index in place");
+        let index = build_index(&graph, kind, weight);
+        let ctx = UpdateContext {
+            graph: Arc::clone(&graph),
             config,
             rewriter: RewriterConfig::default(),
-        },
-    );
-    Ok(match live {
-        Some(l) => state.with_live(l, cache_capacity),
-        None => state,
-    })
-}
-
-/// Options shared by `run` (stdin/stdout) and `listen` (TCP): index source,
-/// serving mode, and — for `listen` — the listener shape.
-struct ServeOptions {
-    mode: String,
-    cache_capacity: usize,
-    weight_kind: Option<WeightKind>,
-    window: usize,
-    decay: f64,
-    poll_ms: u64,
-    /// Durable ingest checkpoint file (`--checkpoint`); None disables
-    /// checkpointing.
-    checkpoint: Option<String>,
-    /// Restart from the checkpoint + log tail instead of replaying the
-    /// whole log (`--resume`; requires `--checkpoint`).
-    resume: bool,
-    net: simrankpp_serve::NetConfig,
-    positional: Vec<String>,
-}
-
-fn parse_serve_options(
-    args: &[String],
-    listen: bool,
-    ingest: bool,
-) -> Result<ServeOptions, String> {
-    // Peel the flagged options off; what remains keeps the historical
-    // positional shape (`--graph <path> [method]` or `<index.idx>`).
-    let mut opts = ServeOptions {
-        mode: "all-pairs".to_owned(),
-        cache_capacity: 4096,
-        weight_kind: None,
-        window: 14,
-        decay: 1.0,
-        poll_ms: 50,
-        checkpoint: None,
-        resume: false,
-        net: simrankpp_serve::NetConfig {
-            addr: "127.0.0.1:7878".to_owned(),
-            ..simrankpp_serve::NetConfig::default()
-        },
-        positional: Vec::new(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |name: &str| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
         };
-        match args[i].as_str() {
-            "--mode" => {
-                opts.mode = flag_value("--mode")?;
-                i += 2;
-            }
-            "--cache-capacity" => {
-                opts.cache_capacity = flag_value("--cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-capacity: {e}\n{USAGE}"))?;
-                i += 2;
-            }
-            "--weight-kind" => {
-                opts.weight_kind = Some(weight_kind_arg(&flag_value("--weight-kind")?)?);
-                i += 2;
-            }
-            "--window" if ingest => {
-                opts.window = flag_value("--window")?
-                    .parse()
-                    .map_err(|e| format!("bad --window: {e}\n{USAGE}"))?;
-                if opts.window == 0 {
-                    return Err(format!("--window must be at least 1 epoch\n{USAGE}"));
-                }
-                i += 2;
-            }
-            "--decay" if ingest => {
-                opts.decay = flag_value("--decay")?
-                    .parse()
-                    .map_err(|e| format!("bad --decay: {e}\n{USAGE}"))?;
-                if !(opts.decay > 0.0 && opts.decay <= 1.0) {
-                    return Err(format!("--decay must be in (0, 1]\n{USAGE}"));
-                }
-                i += 2;
-            }
-            "--poll-ms" if ingest => {
-                opts.poll_ms = flag_value("--poll-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --poll-ms: {e}\n{USAGE}"))?;
-                i += 2;
-            }
-            "--checkpoint" if ingest => {
-                opts.checkpoint = Some(flag_value("--checkpoint")?);
-                i += 2;
-            }
-            "--resume" if ingest => {
-                opts.resume = true;
-                i += 1;
-            }
-            "--failpoints" => {
-                // CLI twin of the SIMRANKPP_FAILPOINTS environment variable
-                // (same grammar). The registry always parses; the sites
-                // only exist in binaries built with `--features failpoints`.
-                let spec = flag_value("--failpoints")?;
-                simrankpp_util::failpoint::configure(&spec)
-                    .map_err(|e| format!("bad --failpoints: {e}"))?;
-                if cfg!(not(feature = "failpoints")) {
-                    eprintln!(
-                        "warning: --failpoints given, but this binary was built without \
-                         the `failpoints` feature; no site will fire"
-                    );
-                }
-                i += 2;
-            }
-            "--addr" if listen => {
-                opts.net.addr = flag_value("--addr")?;
-                i += 2;
-            }
-            "--admin" if listen => {
-                opts.net.admin_addr = Some(flag_value("--admin")?);
-                i += 2;
-            }
-            "--max-connections" if listen => {
-                opts.net.max_connections = flag_value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-connections: {e}\n{USAGE}"))?;
-                i += 2;
-            }
-            "--read-timeout-secs" if listen => {
-                let secs: u64 = flag_value("--read-timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --read-timeout-secs: {e}\n{USAGE}"))?;
-                // 0 disables the timeout (a stalled peer then pins its
-                // handler thread — test/bench use only).
-                opts.net.read_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
-                i += 2;
-            }
-            other => {
-                opts.positional.push(other.to_owned());
-                i += 1;
-            }
+        let state = ServeState::updatable(index, ctx);
+        if matches!(kind, MethodKind::Naive | MethodKind::Pearson) {
+            return Ok(state); // no single-source formulation
         }
-    }
-    if !matches!(opts.mode.as_str(), "all-pairs" | "single-source") {
-        return Err(format!("unknown mode {:?}\n{USAGE}", opts.mode));
-    }
-    Ok(opts)
-}
-
-/// Assembles the serve state from the parsed positional source — shared by
-/// the stdin and TCP front-ends so both serve identical states.
-fn state_from_options(opts: &ServeOptions) -> Result<ServeState, String> {
-    let mode = opts.mode.as_str();
-    let cache_capacity = opts.cache_capacity;
-    let weight = opts.weight_kind.unwrap_or(WeightKind::Clicks);
-    let positional: Vec<&str> = opts.positional.iter().map(String::as_str).collect();
-    let state = match positional.first().copied() {
-        Some("--graph") => {
-            if positional.len() > 3 {
-                return Err(USAGE.to_owned());
-            }
-            let path = positional.get(1).ok_or(USAGE.to_owned())?;
-            let kind = method_kind(positional.get(2).copied().unwrap_or("weighted"))?;
-            let graph = load_graph(path, false)?;
-            if mode == "single-source" {
-                // No offline build at all: an empty index (every lookup
-                // misses) over a live engine, so each query's row is
-                // computed on first demand and LRU-cached.
-                let config = serve_config(weight);
-                let meta = simrankpp_serve::IndexMeta {
-                    method: kind,
-                    max_rewrites: RewriterConfig::default().max_rewrites as u32,
-                    bid_filtered: false,
-                    approx_sharding: false,
-                    kernel: simrankpp_core::KernelKind::Pull,
-                    segments: 0,
-                };
-                let t0 = Instant::now();
-                let live = LiveContext::new(graph, kind, config, RewriterConfig::default())?;
-                eprintln!(
-                    "single-source mode: skipped the offline build; live engine ready in \
-                     {:.1?} (row cache: {cache_capacity} entries)",
-                    t0.elapsed()
-                );
-                ServeState::fixed(RewriteIndex::empty(meta)).with_live(live, cache_capacity)
-            } else {
-                eprintln!("live graph held: `update <delta.tsv>` hot-swaps the index in place");
-                build_state(graph, kind, weight, cache_capacity)?
-            }
-        }
-        Some(path) => {
-            // Zero-copy open: O(#sections) regardless of index size — the
-            // row arrays are served straight out of the mapped file bytes.
-            let t0 = Instant::now();
-            let index = RewriteIndex::open(path).map_err(|e| open_failure(path, e))?;
-            eprintln!(
-                "opened {}: {} queries, {} rewrites ({}) via {} ({} bytes) in {:.2?}; \
-                 snapshot mode, `update` disabled (use `serve update` offline or `run --graph`)",
-                path,
-                index.n_queries(),
-                index.n_entries(),
-                index.meta().method.name(),
-                index.backing(),
-                index.as_bytes().len(),
-                t0.elapsed()
-            );
-            ServeState::fixed(index)
-        }
-        None => return Err(USAGE.to_owned()),
+        (state, "live single-source fallback ready")
     };
-    Ok(state)
+    let t0 = Instant::now();
+    let live = LiveContext::new(graph, kind, config, RewriterConfig::default())?;
+    eprintln!(
+        "{ready} in {:.1?} (row cache: {cache_capacity} entries)",
+        t0.elapsed()
+    );
+    Ok(state.with_live(live, cache_capacity))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let opts = parse_serve_options(args, false, false)?;
-    let state = state_from_options(&opts)?;
-    let stdin = io::stdin();
-    serve_session(&state, stdin.lock(), io::stdout()).map_err(|e| format!("protocol error: {e}"))
+fn run(args: &Args) -> Result<(), String> {
+    serve_session(&serve_state(args)?, io::stdin().lock(), io::stdout())
+        .map_err(|e| format!("protocol error: {e}"))
 }
 
-/// TCP front-end: same state assembly as `run`, served concurrently.
-fn listen(args: &[String]) -> Result<(), String> {
-    let opts = parse_serve_options(args, true, false)?;
-    let state = std::sync::Arc::new(state_from_options(&opts)?);
-    let net = opts.net.clone();
+/// TCP front-end: the state `run` would serve, served concurrently.
+fn listen(args: &Args) -> Result<(), String> {
+    let net = net_config(args)?;
+    let server = bind(Arc::new(serve_state(args)?), net)?;
+    server.serve().map_err(|e| format!("serve failed: {e}"))
+}
+
+/// The listener shape `listen` and `ingest` share.
+fn net_config(args: &Args) -> Result<NetConfig, String> {
+    let mut net = NetConfig {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:7878").to_owned(),
+        admin_addr: args.value("--admin").map(str::to_owned),
+        ..NetConfig::default()
+    };
+    if let Some(n) = args.num("--max-connections")? {
+        net.max_connections = n;
+    }
+    if let Some(secs) = args.num("--read-timeout-secs")? {
+        // 0 disables the timeout (a stalled peer then pins its handler
+        // thread — test/bench use only).
+        net.read_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+    }
+    Ok(net)
+}
+
+/// Binds the data plane (and, with `--admin`, the admin plane) over `state`
+/// and prints their banners. `data plane listening on <addr>` and `admin
+/// plane listening on <addr>` are what a supervisor parses for the bound
+/// addresses.
+fn bind(state: Arc<ServeState>, net: NetConfig) -> Result<NetServer, String> {
+    let (max_connections, read_timeout) = (net.max_connections, net.read_timeout);
+    let admin_verbs = match state.ingest_metrics() {
+        Some(_) => "batch/info/shutdown; `update` refused — the ingest loop owns index generations",
+        None => "batch/update/info/shutdown",
+    };
     let server = NetServer::bind(state, net).map_err(|e| format!("cannot bind: {e}"))?;
     let addr = server
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
     eprintln!(
-        "data plane listening on {addr} (rewrite/quit; max {} connections, read timeout {:?})",
-        opts.net.max_connections, opts.net.read_timeout
+        "data plane listening on {addr} (rewrite/quit; max {max_connections} connections, \
+         read timeout {read_timeout:?})"
     );
     match server.admin_addr() {
         Some(Ok(admin)) => eprintln!(
-            "admin plane listening on {admin} (batch/update/info/shutdown) — \
-             keep this address off untrusted networks"
+            "admin plane listening on {admin} ({admin_verbs}) — keep this address off \
+             untrusted networks"
         ),
         Some(Err(e)) => return Err(format!("cannot resolve admin address: {e}")),
         None => eprintln!(
-            "no --admin listener: update/info/shutdown are unreachable over the \
-             network (data plane serves rewrite/quit only)"
+            "no --admin listener: the admin verbs are unreachable over the network (data \
+             plane serves rewrite/quit only)"
         ),
     }
-    server.serve().map_err(|e| format!("serve failed: {e}"))
+    Ok(server)
 }
 
-fn update(args: &[String]) -> Result<(), String> {
-    let (weight, args) = peel_weight_kind(args)?;
-    let weight = weight.unwrap_or(WeightKind::Clicks);
-    let args = &args[..];
-    let idx_path = args.first().ok_or(USAGE.to_owned())?;
-    let delta_path = args.get(1).ok_or(USAGE.to_owned())?;
-    let mut graph_src: Option<(String, bool)> = None;
-    let mut out_path: Option<String> = None;
-    let mut write_graph: Option<String> = None;
-    let mut i = 2;
-    while i < args.len() {
-        let flag_value = |name: &str| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match args[i].as_str() {
-            "--graph" => {
-                graph_src = Some((flag_value("--graph")?, false));
-                i += 2;
-            }
-            "--fixture" => {
-                graph_src = Some((flag_value("--fixture")?, true));
-                i += 2;
-            }
-            "--write-graph" => {
-                write_graph = Some(flag_value("--write-graph")?);
-                i += 2;
-            }
-            other if !other.starts_with("--") && out_path.is_none() => {
-                out_path = Some(other.to_owned());
-                i += 1;
-            }
-            other => return Err(format!("unexpected argument {other:?}\n{USAGE}")),
-        }
-    }
-    let (src, fixture) =
-        graph_src.ok_or_else(|| format!("update needs --graph or --fixture\n{USAGE}"))?;
-    let graph = load_graph(&src, fixture)?;
-    let index = RewriteIndex::load(idx_path).map_err(|e| open_failure(idx_path, e))?;
-    let delta_file =
-        File::open(delta_path).map_err(|e| format!("cannot open {delta_path}: {e}"))?;
-    let ops = read_delta_tsv(BufReader::new(delta_file))
-        .map_err(|e| format!("cannot parse {delta_path}: {e}"))?;
+/// The protocol `update` verb, offline: the snapshot becomes the index of
+/// an updatable server over the graph it was built from, the delta goes
+/// through [`ServeState::apply_update`], and the new generation is saved.
+fn update(args: &Args) -> Result<(), String> {
+    let positional = args.positional(2..=3)?;
+    let (idx, delta) = (&positional[0], &positional[1]);
+    let out = positional.get(2).unwrap_or(idx);
+    let weight = args.weight_kind(WeightKind::Clicks)?;
+    let graph = match (args.value("--fixture"), args.value("--graph")) {
+        (Some(name), _) => load_graph(name, true)?,
+        (None, Some(path)) => load_graph(path, false)?,
+        (None, None) => return Err(format!("update needs --graph or --fixture\n{USAGE}")),
+    };
+    let index = RewriteIndex::load(idx).map_err(|e| open_failure(idx, e))?;
+    let ctx = UpdateContext {
+        graph: Arc::new(graph),
+        config: serve_config(weight),
+        rewriter: RewriterConfig::default(),
+    };
+    let state = ServeState::updatable(index, ctx);
 
     let t0 = Instant::now();
-    let (new_graph, delta) = apply_named(&graph, &ops)?;
-    let dirty = delta.dirty_components(&new_graph);
-    let config = serve_config(weight);
-    let (next, stats) = index.rebuild_incremental(
-        &new_graph,
-        &dirty,
-        &config,
-        &RewriterConfig::default(),
-        None,
-    )?;
+    let stats = state.apply_update(delta)?;
+    let next = state.handle().load();
     eprintln!(
-        "applied {} delta op(s): {} of {} queries refreshed, {} copied \
+        "applied {delta}: {} of {} queries refreshed, {} copied \
          ({} dirty / {} clean components) in {:.1?}",
-        ops.len(),
         stats.refreshed_queries,
         next.n_queries(),
         stats.copied_queries,
@@ -676,30 +580,29 @@ fn update(args: &[String]) -> Result<(), String> {
         stats.n_clean_components,
         t0.elapsed()
     );
-
-    let out = out_path.as_deref().unwrap_or(idx_path);
     next.save(out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("snapshot written to {out}");
-    match write_graph {
-        Some(gp) => {
-            // A crash mid-write must never leave a torn graph where the
-            // next `serve update` would read it: temp + fsync + rename.
-            simrankpp_util::atomic_write(std::path::Path::new(&gp), |w| write_tsv(&new_graph, w))
-                .map_err(|e| format!("cannot write {gp}: {e}"))?;
-            eprintln!("updated graph written to {gp}");
-        }
-        None => eprintln!(
+
+    let Some(path) = args.value("--write-graph") else {
+        eprintln!(
             "warning: the post-delta graph was NOT persisted (no --write-graph); a further \
              `serve update` against the original graph source would recompute dirty \
              components without this delta's edges and silently drop its effects"
-        ),
-    }
+        );
+        return Ok(());
+    };
+    let graph = state.graph().expect("an updatable server holds its graph");
+    // A crash mid-write must never leave a torn graph where the next
+    // `serve update` would read it: temp + fsync + rename.
+    simrankpp_util::atomic_write(Path::new(path), |w| write_tsv(&graph, w))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("updated graph written to {path}");
     Ok(())
 }
 
-fn info(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or(USAGE.to_owned())?;
+fn info(args: &Args) -> Result<(), String> {
+    let path = &args.positional(1..=1)?[0];
     let index = RewriteIndex::open(path).map_err(|e| open_failure(path, e))?;
     index.verify_deep().map_err(|e| open_failure(path, e))?;
     let covered = (0..index.n_queries())
@@ -728,6 +631,45 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Applies drained click-log records to `ingestor`, counting the events;
+/// `true` when one of them closed an epoch (a refresh is due).
+fn apply_records(
+    ingestor: &mut EpochIngestor,
+    records: &[SpannedRecord],
+    metrics: &IngestMetrics,
+) -> bool {
+    let mut refresh_due = false;
+    for sr in records {
+        if matches!(sr.rec, ClickLogRecord::Event { .. }) {
+            metrics.events.fetch_add(1, Ordering::Relaxed);
+        }
+        refresh_due |= ingestor.apply_record_at(&sr.rec, (sr.start, sr.end));
+    }
+    refresh_due
+}
+
+/// Publishes the ingestor's next generation into `state`, then commits a
+/// checkpoint of it (with `--checkpoint`). Publish-then-checkpoint: a crash
+/// between the two replays this epoch on resume, which is idempotent; the
+/// reverse order could lose acknowledged freshness.
+fn publish(
+    ingestor: &mut EpochIngestor,
+    state: &ServeState,
+    checkpoint_path: Option<&str>,
+) -> Result<RebuildStats, String> {
+    let stats = ingestor
+        .refresh_and_publish(state)
+        .map_err(|e| format!("epoch refresh failed: {e}"))?;
+    if let Some(ck) = checkpoint_path {
+        write_checkpoint(Path::new(ck), &checkpoint::capture(ingestor))
+            .map_err(|e| format!("cannot write checkpoint {ck}: {e}"))?;
+        if let Some(metrics) = state.ingest_metrics() {
+            metrics.mark_checkpoint();
+        }
+    }
+    Ok(stats)
+}
+
 /// Streaming mode: tail a click log, refresh + hot-swap at epoch
 /// boundaries, serve over TCP throughout.
 ///
@@ -739,22 +681,29 @@ fn info(args: &[String]) -> Result<(), String> {
 /// a background thread tails the log; a tailer failure (unparseable line,
 /// I/O error) drains the server and fails the process rather than serving
 /// an index that silently stopped following the log.
-fn ingest(args: &[String]) -> Result<(), String> {
-    use simrankpp_graph::delta::ClickLogRecord;
-    use simrankpp_serve::checkpoint::{self, read_checkpoint, resume_ingestor, write_checkpoint};
-    use simrankpp_serve::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer};
-    use std::path::Path;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let opts = parse_serve_options(args, true, true)?;
-    let positional: Vec<&str> = opts.positional.iter().map(String::as_str).collect();
-    let log_path = positional.first().copied().ok_or(USAGE.to_owned())?;
-    let kind = method_kind(positional.get(1).copied().unwrap_or("weighted"))?;
+fn ingest(args: &Args) -> Result<(), String> {
+    let positional = args.positional(1..=2)?;
+    let log_path = positional[0].as_str();
+    let kind = method_kind(positional.get(1))?;
     // Default to ECR weights in ingest mode: the decay knob rescales ECR,
     // so under click weights it would never reach a score.
-    let weight = opts.weight_kind.unwrap_or(WeightKind::ExpectedClickRate);
-    if opts.decay < 1.0 && weight != WeightKind::ExpectedClickRate {
+    let weight = args.weight_kind(WeightKind::ExpectedClickRate)?;
+    let window = args.num("--window")?.unwrap_or(14);
+    if window == 0 {
+        return Err(format!("--window must be at least 1 epoch\n{USAGE}"));
+    }
+    let decay = args.num("--decay")?.unwrap_or(1.0);
+    if !(decay > 0.0 && decay <= 1.0) {
+        return Err(format!("--decay must be in (0, 1]\n{USAGE}"));
+    }
+    let poll = Duration::from_millis(args.num("--poll-ms")?.unwrap_or(50));
+    let checkpoint_path = args.value("--checkpoint");
+    let resume_from = match (args.value("--resume"), checkpoint_path) {
+        (Some(_), None) => return Err(format!("--resume requires --checkpoint <path>\n{USAGE}")),
+        (resume, ck) => resume.and(ck),
+    };
+    let net = net_config(args)?;
+    if decay < 1.0 && weight != WeightKind::ExpectedClickRate {
         eprintln!(
             "warning: --decay rescales expected click rates, but --weight-kind is not ecr; \
              decay will not affect served scores"
@@ -762,24 +711,24 @@ fn ingest(args: &[String]) -> Result<(), String> {
     }
 
     let cfg = IngestConfig {
-        window: opts.window,
-        decay: opts.decay,
+        window,
+        decay,
         method: kind,
         config: serve_config(weight),
         rewriter: RewriterConfig::default(),
         threads: 0,
     };
     let metrics = Arc::new(IngestMetrics::default());
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(format!("--resume requires --checkpoint <path>\n{USAGE}"));
-    }
+    let state = Arc::new(ServeState::ingesting(
+        empty_index(kind),
+        Arc::clone(&metrics),
+    ));
 
     // Warm path: rebuild the window from the checkpoint's compact replay
     // span instead of the whole log, verifying the graph fingerprint at
     // the committed offset before anything is served.
     let mut resumed: Option<checkpoint::Resumed> = None;
-    if opts.resume {
-        let ck_path = opts.checkpoint.as_deref().expect("checked above");
+    if let Some(ck_path) = resume_from {
         match read_checkpoint(Path::new(ck_path)) {
             Ok(ck) => {
                 let t0 = Instant::now();
@@ -821,9 +770,9 @@ fn ingest(args: &[String]) -> Result<(), String> {
     }
 
     // Catch up on the backlog (cold path: the whole log; warm path: already
-    // replayed above), then one full build. Historical epoch marks only
-    // advance the window here — there is no audience for intermediate
-    // generations yet.
+    // replayed above), then one full build, published like every later
+    // generation. Historical epoch marks only advance the window here —
+    // there is no audience for intermediate generations yet.
     let t0 = Instant::now();
     let (mut ingestor, mut tailer, caught_up) = match resumed {
         Some(r) => (r.ingestor, r.tailer, r.replayed),
@@ -834,88 +783,39 @@ fn ingest(args: &[String]) -> Result<(), String> {
             let backlog = tailer
                 .drain_spanned()
                 .map_err(|e| format!("cannot read {log_path}: {e}"))?;
-            for sr in &backlog {
-                if matches!(sr.rec, ClickLogRecord::Event { .. }) {
-                    metrics.events.fetch_add(1, Ordering::Relaxed);
-                }
-                ingestor.apply_record_at(&sr.rec, (sr.start, sr.end));
-            }
-            let n = backlog.len();
-            (ingestor, tailer, n)
+            apply_records(&mut ingestor, &backlog, &metrics);
+            (ingestor, tailer, backlog.len())
         }
     };
-    let (index, stats, _) = ingestor.refresh()?;
-    metrics.epoch.store(ingestor.epoch(), Ordering::Relaxed);
-    metrics.refreshes.fetch_add(1, Ordering::Relaxed);
-    metrics
-        .refreshed_rows
-        .fetch_add(stats.refreshed_queries as u64, Ordering::Relaxed);
-    metrics
-        .last_refresh_us
-        .store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    publish(&mut ingestor, &state, checkpoint_path)?;
+    let index = state.handle().load();
     eprintln!(
-        "caught up {} record(s) from {log_path} (epoch {}, window {}, decay {}): \
+        "caught up {} record(s) from {log_path} (epoch {}, window {window}, decay {decay}): \
          {} queries / {} rewrites ({}, {:?} weights) in {:.1?}",
         caught_up,
         ingestor.epoch(),
-        opts.window,
-        opts.decay,
         index.n_queries(),
         index.n_entries(),
         kind.name(),
         weight,
         t0.elapsed()
     );
-    // Publish-then-checkpoint: the index above reflects every applied
-    // record, so committing now means a crash at any later point resumes
-    // at-or-before this state and replays forward deterministically.
-    if let Some(ck_path) = opts.checkpoint.as_deref() {
-        write_checkpoint(Path::new(ck_path), &checkpoint::capture(&ingestor))
-            .map_err(|e| format!("cannot write checkpoint {ck_path}: {e}"))?;
-        metrics.mark_checkpoint();
-    }
 
-    let state = Arc::new(ServeState::ingesting(index, Arc::clone(&metrics)));
-    let server = NetServer::bind(Arc::clone(&state), opts.net.clone())
-        .map_err(|e| format!("cannot bind: {e}"))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    eprintln!(
-        "data plane listening on {addr} (rewrite/quit; max {} connections, read timeout {:?})",
-        opts.net.max_connections, opts.net.read_timeout
-    );
-    match server.admin_addr() {
-        Some(Ok(admin)) => eprintln!(
-            "admin plane listening on {admin} (batch/info/shutdown; `update` refused — \
-             the ingest loop owns index generations)"
-        ),
-        Some(Err(e)) => return Err(format!("cannot resolve admin address: {e}")),
-        None => eprintln!(
-            "no --admin listener: info/shutdown are unreachable over the network \
-             (data plane serves rewrite/quit only)"
-        ),
-    }
-
+    let server = bind(Arc::clone(&state), net)?;
     let shutdown = server.shutdown_signal();
     let failed = Arc::new(AtomicBool::new(false));
     let tail_handle = {
         let state = Arc::clone(&state);
-        let metrics = Arc::clone(&metrics);
         let shutdown = Arc::clone(&shutdown);
         let failed = Arc::clone(&failed);
-        let poll = std::time::Duration::from_millis(opts.poll_ms);
-        let ck_path = opts.checkpoint.clone();
+        let checkpoint_path = checkpoint_path.map(str::to_owned);
         std::thread::spawn(move || {
             let fail = |msg: String| {
                 eprintln!("ingest: {msg}");
                 failed.store(true, Ordering::Relaxed);
                 shutdown.trigger();
             };
-            loop {
-                if shutdown.is_draining() {
-                    return;
-                }
+            while !shutdown.is_draining() {
                 let records = match tailer.drain_spanned() {
                     Ok(r) => r,
                     Err(e) => return fail(format!("cannot read the click log: {e}")),
@@ -924,40 +824,22 @@ fn ingest(args: &[String]) -> Result<(), String> {
                     std::thread::sleep(poll);
                     continue;
                 }
-                let mut refresh_due = false;
-                for sr in &records {
-                    if matches!(sr.rec, ClickLogRecord::Event { .. }) {
-                        metrics.events.fetch_add(1, Ordering::Relaxed);
-                    }
-                    refresh_due |= ingestor.apply_record_at(&sr.rec, (sr.start, sr.end));
+                if !apply_records(&mut ingestor, &records, &metrics) {
+                    continue;
                 }
-                if refresh_due {
-                    let t0 = Instant::now();
-                    match ingestor.refresh_and_publish(&state) {
-                        Ok(s) => eprintln!(
-                            "epoch {}: refreshed {} row(s), copied {} \
-                             ({} dirty / {} clean components) in {:.1?}",
-                            ingestor.epoch(),
-                            s.refreshed_queries,
-                            s.copied_queries,
-                            s.n_dirty_components,
-                            s.n_clean_components,
-                            t0.elapsed()
-                        ),
-                        Err(e) => return fail(format!("epoch refresh failed: {e}")),
-                    }
-                    // Commit only after the new generation is visible to
-                    // clients: a crash between publish and commit replays
-                    // this epoch on resume, which is idempotent; the
-                    // reverse order could lose acknowledged freshness.
-                    if let Some(ck) = ck_path.as_deref() {
-                        if let Err(e) =
-                            write_checkpoint(Path::new(ck), &checkpoint::capture(&ingestor))
-                        {
-                            return fail(format!("cannot write checkpoint {ck}: {e}"));
-                        }
-                        metrics.mark_checkpoint();
-                    }
+                let t0 = Instant::now();
+                match publish(&mut ingestor, &state, checkpoint_path.as_deref()) {
+                    Ok(s) => eprintln!(
+                        "epoch {}: refreshed {} row(s), copied {} \
+                         ({} dirty / {} clean components) in {:.1?}",
+                        ingestor.epoch(),
+                        s.refreshed_queries,
+                        s.copied_queries,
+                        s.n_dirty_components,
+                        s.n_clean_components,
+                        t0.elapsed()
+                    ),
+                    Err(e) => return fail(e),
                 }
             }
         })

@@ -173,6 +173,27 @@ pub struct RebuildStats {
     pub n_clean_components: usize,
 }
 
+impl RebuildStats {
+    /// The accounting of one delta over a graph of `n_queries` queries: the
+    /// queries of `dirty` components refreshed, every other one copied.
+    pub fn new(
+        dirty: &DirtyComponents,
+        n_queries: usize,
+        refreshed_entries: usize,
+        copied_entries: usize,
+    ) -> RebuildStats {
+        let refreshed_queries = dirty.dirty_query_count();
+        RebuildStats {
+            refreshed_queries,
+            copied_queries: n_queries - refreshed_queries,
+            refreshed_entries,
+            copied_entries,
+            n_dirty_components: dirty.n_dirty(),
+            n_clean_components: dirty.n_clean(),
+        }
+    }
+}
+
 /// An immutable query → top-k rewrites index over one click graph: a view
 /// over the bytes of one snapshot-v4 arena.
 #[derive(Debug, Clone)]
@@ -389,15 +410,8 @@ impl RewriteIndex {
             }
         }
         let next = arena.finish(self.meta, new_graph.query_interner());
-        let refreshed_queries = dirty.dirty_query_count();
-        let stats = RebuildStats {
-            refreshed_queries,
-            copied_queries: new_n - refreshed_queries,
-            refreshed_entries,
-            copied_entries: next.n_entries() - refreshed_entries,
-            n_dirty_components: dirty.n_dirty(),
-            n_clean_components: dirty.n_clean(),
-        };
+        let copied_entries = next.n_entries() - refreshed_entries;
+        let stats = RebuildStats::new(dirty, new_n, refreshed_entries, copied_entries);
         Ok((next, stats))
     }
 

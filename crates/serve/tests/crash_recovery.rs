@@ -348,6 +348,16 @@ fn kill_anywhere_recovery_is_bit_identical() {
             "[{site}] recovered answers diverge from the uninterrupted oracle"
         );
     }
+    // The catch-up build is published like every later generation, so
+    // `ingest-publish=abort` above dies before any checkpoint exists. Its
+    // second hit is the mid-tail publish, with a committed checkpoint.
+    let (transcript, resumed) =
+        crash_and_recover("ingest-publish-tail", Some("ingest-publish=2*abort"));
+    assert!(resumed, "[ingest-publish=2*abort] recovery cold-started");
+    assert_eq!(
+        transcript, oracle,
+        "[ingest-publish=2*abort] recovered answers diverge from the uninterrupted oracle"
+    );
     assert!(
         any_resumed,
         "no site run ever took the warm --resume path; the checkpoint machinery is dead code"

@@ -29,7 +29,7 @@ fn fig3_state() -> ServeState {
     ServeState::updatable(
         index,
         UpdateContext {
-            graph: g,
+            graph: Arc::new(g),
             config: cfg,
             rewriter: RewriterConfig::default(),
         },
