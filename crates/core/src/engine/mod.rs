@@ -25,23 +25,49 @@
 //!   per-worker workspace pool through it, so scratch survives across Jacobi
 //!   half-steps.
 //! * Per-iteration diagnostics — stored pair counts and the max score delta —
-//!   are recorded for *all* variants, and [`crate::SimrankConfig::tolerance`]
-//!   enables early exit once the iteration becomes stationary.
+//!   are recorded for *all* variants on the both-sides run, and
+//!   [`crate::SimrankConfig::tolerance`] enables early exit once the
+//!   iteration becomes stationary.
 //!
 //! * The run is monolithic: one pass over the whole graph. The score matrix
 //!   is block-diagonal over connected components (§9.2's "one huge connected
 //!   component and several smaller subgraphs"), and the layer that exploits
 //!   it is the index build (`simrankpp_serve`'s incremental refresh and
-//!   segmented build call [`run`] once per component block) — the engine
+//!   segmented build run the engine once per component block) — the engine
 //!   itself never decomposes.
 //!
 //! * [`single_source::SingleSourceEngine`] serves without keeping the
 //!   all-pairs matrix: one query's row of `S^(k)` on demand, as the
 //!   `⌊k/2⌋+1`-level series the `k` Jacobi iterations unroll into
 //!   (per-query sparse forward/backward passes over the per-iteration
-//!   diagonals one [`run`] per component block records, each block's
-//!   matrices dropped as soon as the run returns) — the same row [`run`]
-//!   stores, which the differential suites pin.
+//!   diagonals one query-chain run per component block records) — the same
+//!   row [`run`] stores, which the differential suites pin.
+//!
+//! # Two chains of half-steps
+//!
+//! Iteration `t` is two half-steps, `(Q,t)` computing `S_Q^(t)` from
+//! `S_A^(t−1)` and `(A,t)` the mirror, from `S^(0) = I`. They fall into two
+//! chains that never read each other: the **query chain**
+//! `(Q,k), (A,k−1), (Q,k−2), …` down to `I` — `(Q,t)` with `k − t` even and
+//! `(A,t)` with `k − t` odd — and the **ad chain**, every other half-step.
+//! `S_Q^(k)` depends on the query chain alone (the substitution
+//! [`single_source`] unrolls).
+//!
+//! * [`run`] — and the paper-table surface over it (`simrank`,
+//!   `evidence_simrank`, `weighted_simrank`) — runs both chains: `2k`
+//!   half-steps and both score matrices.
+//! * The crate's query-side callers run the query chain alone, `k`
+//!   half-steps, each iterate dropped once the next one is built:
+//!   [`crate::Method::compute`] (the offline build, per-block index rows,
+//!   ingest and the `serve` binary) and
+//!   [`single_source::DiagonalCorrection::whole_graph`] (the live engine's
+//!   per-block recording run, which freezes no matrix). With
+//!   `tolerance > 0` they run both chains too: the early exit compares
+//!   consecutive iterates of one side, and those lie on different chains.
+//!
+//! Either way the query scores are the same bits.
+//!
+//! # Reference
 //!
 //! [`reference::run_hashmap`] is not part of the engine: it is an independent
 //! sparse implementation of the same recurrence (scatter into a hash map)
@@ -104,8 +130,30 @@ impl NodeId for AdId {
 
 /// What the unit pin replaced on each side's diagonal at every executed
 /// iteration: entry `t − 1` holds `(D_Q^(t), D_A^(t))`, the diagonals of
-/// `S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))` and its ad-side mirror.
+/// `S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))` and its ad-side mirror. A
+/// query-chain run leaves the side it skipped at `t` empty.
 pub(crate) type DiagonalHistory = Vec<(Vec<f64>, Vec<f64>)>;
+
+/// Which Jacobi half-steps a run executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chains {
+    /// Both sides at every iteration.
+    Both,
+    /// Only the half-steps `S_Q^(k)` depends on: `(Q,k), (A,k−1), (Q,k−2), …`.
+    Query,
+}
+
+/// The iterates a run ends on, before any matrix is frozen.
+pub(crate) struct Iterates {
+    q_pairs: PairVec,
+    a_pairs: PairVec,
+    pair_counts: Vec<(usize, usize)>,
+    max_deltas: Vec<f64>,
+    converged: bool,
+    /// Half-steps executed: `2·iterations_run` for [`Chains::Both`],
+    /// `config.iterations` for [`Chains::Query`].
+    half_steps: usize,
+}
 
 /// Runs the unified Jacobi propagation loop for `transition` on `g`.
 ///
@@ -114,18 +162,61 @@ pub(crate) type DiagonalHistory = Vec<(Vec<f64>, Vec<f64>)>;
 /// dropped after each iteration. When `config.tolerance > 0`, iteration stops
 /// as soon as the largest per-pair change on either side is at or below it.
 pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> EngineRun {
-    run_recording(g, config, transition, None)
+    let it = iterate(g, config, transition, Chains::Both, None);
+    debug_assert_eq!(it.half_steps, 2 * it.pair_counts.len());
+    EngineRun {
+        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), it.q_pairs),
+        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), it.a_pairs),
+        iterations_run: it.pair_counts.len(),
+        pair_counts: it.pair_counts,
+        max_deltas: it.max_deltas,
+        converged: it.converged,
+    }
 }
 
-/// [`run`], appending each executed iteration's pinned-away diagonals to
-/// `diagonals` when it is set — the single-source engine's precompute reads
-/// them; the scores are the same bits either way.
-pub(crate) fn run_recording<T: Transition>(
+/// The query side of [`run`] alone, appending each executed iteration's
+/// pinned-away diagonals to `diagonals` when it is set: its query pairs are
+/// the bits of `run(..).queries` either way, and nothing is frozen.
+///
+/// At `tolerance == 0` only the query chain's `k` half-steps run, and the
+/// history holds `D_Q^(t)` where `k − t` is even and `D_A^(t)` where it is
+/// odd — every diagonal the single-source series reads. With a tolerance
+/// both chains run: the early exit compares consecutive iterates of one
+/// side, and those lie on different chains.
+pub(crate) fn run_query_side<T: Transition>(
     g: &ClickGraph,
     config: &SimrankConfig,
     transition: &T,
+    diagonals: Option<&mut DiagonalHistory>,
+) -> Iterates {
+    let chains = if config.tolerance > 0.0 {
+        Chains::Both
+    } else {
+        Chains::Query
+    };
+    iterate(g, config, transition, chains, diagonals)
+}
+
+/// `S_Q^(k)` through [`run_query_side`], frozen.
+pub(crate) fn query_scores<T: Transition>(
+    g: &ClickGraph,
+    config: &SimrankConfig,
+    transition: &T,
+) -> ScoreMatrix {
+    let Iterates { q_pairs, .. } = run_query_side(g, config, transition, None);
+    ScoreMatrix::from_sorted_pairs(g.n_queries(), q_pairs)
+}
+
+/// The Jacobi loop over `chains`. Returns before any freeze, so the kernel
+/// scratch and factor tables are freed before a caller builds a matrix's row
+/// index: peak memory is the larger of the two phases, not their sum.
+fn iterate<T: Transition>(
+    g: &ClickGraph,
+    config: &SimrankConfig,
+    transition: &T,
+    chains: Chains,
     mut diagonals: Option<&mut DiagonalHistory>,
-) -> EngineRun {
+) -> Iterates {
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
 
@@ -137,11 +228,15 @@ pub(crate) fn run_recording<T: Transition>(
         .collect();
     let mut csr = pull::CsrScratch::default();
 
-    let mut q_pairs: PairVec = Vec::new();
-    let mut a_pairs: PairVec = Vec::new();
-    let mut pair_counts = Vec::with_capacity(config.iterations);
-    let mut max_deltas = Vec::with_capacity(config.iterations);
-    let mut converged = false;
+    let k = config.iterations;
+    let mut it = Iterates {
+        q_pairs: PairVec::new(),
+        a_pairs: PairVec::new(),
+        pair_counts: Vec::new(),
+        max_deltas: Vec::new(),
+        converged: false,
+        half_steps: 0,
+    };
 
     // The four CSR row views the kernel walks: the *output* node's own row
     // in pass 1 (output-major factors), inner rows in pass 2 (inner-major).
@@ -166,61 +261,71 @@ pub(crate) fn run_recording<T: Transition>(
         (qs, &factors.query_to_ad_by_ad[lo..lo + qs.len()])
     };
 
-    for _ in 0..config.iterations {
+    // One half-step: the query side from the ad iterate `prev`, or the
+    // mirror.
+    let mut half_step = |query: bool, prev: &PairVec, diagonal: Option<&mut Vec<f64>>| {
+        it.half_steps += 1;
+        if query {
+            pull::propagate_pull(
+                g.n_queries(),
+                g.n_ads(),
+                query_row_qfac,
+                ad_row_qfac,
+                prev,
+                config.c1,
+                config.prune_threshold,
+                &mut csr,
+                &mut workspaces,
+                diagonal,
+            )
+        } else {
+            pull::propagate_pull(
+                g.n_ads(),
+                g.n_queries(),
+                ad_row_afac,
+                query_row_afac,
+                prev,
+                config.c2,
+                config.prune_threshold,
+                &mut csr,
+                &mut workspaces,
+                diagonal,
+            )
+        }
+    };
+
+    for t in 1..=k {
+        let record = diagonals.is_some();
         let (mut d_q, mut d_a) = (Vec::new(), Vec::new());
-        // Jacobi: both sides advance from the *previous* iterate.
-        let next_q = pull::propagate_pull(
-            g.n_queries(),
-            g.n_ads(),
-            query_row_qfac,
-            ad_row_qfac,
-            &a_pairs,
-            config.c1,
-            config.prune_threshold,
-            &mut csr,
-            &mut workspaces,
-            diagonals.is_some().then_some(&mut d_q),
-        );
-        let next_a = pull::propagate_pull(
-            g.n_ads(),
-            g.n_queries(),
-            ad_row_afac,
-            query_row_afac,
-            &q_pairs,
-            config.c2,
-            config.prune_threshold,
-            &mut csr,
-            &mut workspaces,
-            diagonals.is_some().then_some(&mut d_a),
-        );
+        if chains == Chains::Query {
+            // `(Q,t)` is on the chain iff `k − t` is even. The iterate it
+            // reads is read by nothing after it, so it is dropped as it goes.
+            if (k - t) % 2 == 0 {
+                let prev = std::mem::take(&mut it.a_pairs);
+                it.q_pairs = half_step(true, &prev, record.then_some(&mut d_q));
+            } else {
+                let prev = std::mem::take(&mut it.q_pairs);
+                it.a_pairs = half_step(false, &prev, record.then_some(&mut d_a));
+            }
+        } else {
+            // Jacobi: both sides advance from the *previous* iterate.
+            let next_q = half_step(true, &it.a_pairs, record.then_some(&mut d_q));
+            let next_a = half_step(false, &it.q_pairs, record.then_some(&mut d_a));
+            let delta = max_delta(&it.q_pairs, &next_q).max(max_delta(&it.a_pairs, &next_a));
+            it.q_pairs = next_q;
+            it.a_pairs = next_a;
+            it.pair_counts.push((it.q_pairs.len(), it.a_pairs.len()));
+            it.max_deltas.push(delta);
+            it.converged = config.tolerance > 0.0 && delta <= config.tolerance;
+        }
         if let Some(history) = diagonals.as_deref_mut() {
             history.push((d_q, d_a));
         }
-
-        let delta = max_delta(&q_pairs, &next_q).max(max_delta(&a_pairs, &next_a));
-        q_pairs = next_q;
-        a_pairs = next_a;
-        pair_counts.push((q_pairs.len(), a_pairs.len()));
-        max_deltas.push(delta);
-
-        if config.tolerance > 0.0 && delta <= config.tolerance {
-            converged = true;
+        if it.converged {
             break;
         }
     }
-
-    // Free the kernel scratch and the factor tables before the freeze builds
-    // the matrices' row index: peak memory is the larger of the two phases,
-    // not their sum.
-    drop((factors, workspaces, csr));
-    EngineRun {
-        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), q_pairs),
-        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), a_pairs),
-        iterations_run: pair_counts.len(),
-        pair_counts,
-        max_deltas,
-        converged,
-    }
+    it
 }
 
 /// [`run`] under its former name: `config.sharding` used to pick a
@@ -287,22 +392,23 @@ mod tests {
     fn recorded_diagonals_are_what_the_pin_replaces() {
         // D_Q^(t)[q] = 1 − C1·Σ_{a,a'} F(q,a)·F(q,a')·S_A^(t−1)(a,a') against
         // the previous iterate's own matrix (and the ad-side mirror), for a
-        // run that also exits early; recording leaves every score bit alone.
+        // run that also exits early (so both chains run); recording leaves
+        // every score bit alone.
         let g = figure3_graph();
         let f = UniformTransition.factors(&g);
         let config = cfg(9).with_tolerance(1e-2);
         let mut history = DiagonalHistory::new();
-        let recorded = run_recording(&g, &config, &UniformTransition, Some(&mut history));
+        let recorded = run_query_side(&g, &config, &UniformTransition, Some(&mut history));
         let plain = run(&g, &config, &UniformTransition);
-        assert!(recorded.converged && recorded.iterations_run < 9);
-        assert_eq!(history.len(), recorded.iterations_run);
-        let bits = |m: &ScoreMatrix| -> Vec<(u64, u64)> {
-            m.sorted_pairs()
-                .map(|(k, v)| (k.raw(), v.to_bits()))
-                .collect()
+        assert!(recorded.converged && plain.iterations_run < 9);
+        assert_eq!(history.len(), plain.iterations_run);
+        let bits = |pairs: &PairVec| -> Vec<(u64, u64)> {
+            pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
         };
-        assert_eq!(bits(&recorded.queries), bits(&plain.queries));
-        assert_eq!(bits(&recorded.ads), bits(&plain.ads));
+        let plain_q: PairVec = plain.queries.sorted_pairs().collect();
+        let plain_a: PairVec = plain.ads.sorted_pairs().collect();
+        assert_eq!(bits(&recorded.q_pairs), bits(&plain_q));
+        assert_eq!(bits(&recorded.a_pairs), bits(&plain_a));
         // Σ_{i,j} f_i·f_j·S(i,j) over one node's neighbor ids and factors.
         let dense = |ids: Vec<u32>, f: &[f64], s: &ScoreMatrix| -> f64 {
             let mut sum = 0.0;
@@ -351,7 +457,13 @@ mod tests {
         let record = |threads| {
             let mut history = DiagonalHistory::new();
             let config = cfg(3).with_threads(threads);
-            run_recording(&g, &config, &UniformTransition, Some(&mut history));
+            iterate(
+                &g,
+                &config,
+                &UniformTransition,
+                Chains::Both,
+                Some(&mut history),
+            );
             history
         };
         let (serial, parallel) = (record(1), record(3));
@@ -361,6 +473,54 @@ mod tests {
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(bits(&s.0), bits(&p.0));
             assert_eq!(bits(&s.1), bits(&p.1));
+        }
+    }
+
+    #[test]
+    fn the_query_chain_is_k_half_steps_with_the_full_runs_query_bits() {
+        // At tolerance 0 the query-side run executes k half-steps against
+        // run's 2k, ends on the same S_Q^(k) bits, and records at each t the
+        // full history's diagonal of the side on the chain, the other side
+        // empty. Under a tolerance it is the full run.
+        let g = figure3_graph();
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pair_bits = |pairs: &PairVec| -> Vec<(u64, u64)> {
+            pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
+        };
+        for k in 0..=8 {
+            let mut full_history = DiagonalHistory::new();
+            let full = iterate(
+                &g,
+                &cfg(k),
+                &UniformTransition,
+                Chains::Both,
+                Some(&mut full_history),
+            );
+            let mut history = DiagonalHistory::new();
+            let chain = run_query_side(&g, &cfg(k), &UniformTransition, Some(&mut history));
+            assert_eq!((chain.half_steps, full.half_steps), (k, 2 * k));
+            assert_eq!(
+                pair_bits(&chain.q_pairs),
+                pair_bits(&full.q_pairs),
+                "k = {k}"
+            );
+            assert_eq!(history.len(), k);
+            for (t, (got, want)) in (1..).zip(history.iter().zip(&full_history)) {
+                let (on, off, want) = if (k - t) % 2 == 0 {
+                    (&got.0, &got.1, &want.0)
+                } else {
+                    (&got.1, &got.0, &want.1)
+                };
+                assert_eq!(bits(on), bits(want), "k = {k}, t = {t}");
+                assert!(off.is_empty(), "k = {k}, t = {t}");
+            }
+
+            let tolerant = cfg(k).with_tolerance(1e-3);
+            let both = run(&g, &tolerant, &UniformTransition);
+            let chain = run_query_side(&g, &tolerant, &UniformTransition, None);
+            assert_eq!(chain.half_steps, 2 * both.iterations_run);
+            let want: PairVec = both.queries.sorted_pairs().collect();
+            assert_eq!(pair_bits(&chain.q_pairs), pair_bits(&want), "k = {k}");
         }
     }
 

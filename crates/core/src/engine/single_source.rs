@@ -62,9 +62,11 @@
 //! `D^(t)` does not depend on the queried row, so it is recorded once per
 //! graph (the "index build" of this mode) and reused by every query. The
 //! pull kernel already has `T[q,·] = Σ_a F(q,a)·S_A[a,·]` in scratch when it
-//! pins row `q`, so the value it pins away is `deg(q)` multiply-adds more;
-//! [`DiagonalCorrection::whole_graph`] runs the engine once with that
-//! recording on and keeps the `⌊k/2⌋+1` pairs the series reads.
+//! pins row `q`, so the value it pins away is `deg(q)` multiply-adds more.
+//! Level `j` reads `D_Q^(k−2j)` and `D_A^(k−2j−1)`, both on the engine's
+//! query chain, so [`DiagonalCorrection::whole_graph`]'s recording run is
+//! that chain alone — `k` half-steps, not `2k`, and no matrix frozen — and
+//! keeps the `⌊k/2⌋+1` pairs the series reads.
 //!
 //! [`SingleSourceEngine::new`] does that **block-locally**: §9.2's click
 //! graph is "one huge connected component and several smaller subgraphs",
@@ -178,14 +180,16 @@ impl DiagonalCorrection {
     /// diagonals the run records, picked per series level. `block_local`
     /// calls this per component block; over a whole graph it is the
     /// reference the block-local form is bit-identical to (when `tolerance`
-    /// is 0 — otherwise each block stops on its own).
+    /// is 0 — otherwise each block stops on its own). Every diagonal a level
+    /// reads lies on the query chain, so at `tolerance == 0` the run is that
+    /// chain's `k` half-steps, and no score matrix is frozen.
     pub fn whole_graph<T: Transition>(
         g: &ClickGraph,
         config: &SimrankConfig,
         transition: &T,
     ) -> Self {
         let mut history = DiagonalHistory::new();
-        crate::engine::run_recording(g, config, transition, Some(&mut history));
+        crate::engine::run_query_side(g, config, transition, Some(&mut history));
         let level = |j| {
             let (t_q, t_a) = level_iterations(history.len(), j);
             CorrectionLevel {

@@ -129,21 +129,41 @@ pub fn evidence_multiply(
     raw_ads: &ScoreMatrix,
     kind: EvidenceKind,
 ) -> (ScoreMatrix, ScoreMatrix) {
-    let mut qb = ScoreMatrixBuilder::new(g.n_queries());
-    for (a, b, v) in raw_queries.iter() {
-        let ev = kind.value(g.common_ads(QueryId(a), QueryId(b)));
+    let ads = evidence_side(g.n_ads(), raw_ads, kind, |a, b| {
+        g.common_queries(AdId(a), AdId(b))
+    });
+    (query_evidence(g, raw_queries, kind), ads)
+}
+
+/// The Eq. 7.5 read-out alone: the query side of [`evidence_multiply`], for
+/// callers that never read the ad side.
+pub(crate) fn query_evidence(
+    g: &ClickGraph,
+    raw_queries: &ScoreMatrix,
+    kind: EvidenceKind,
+) -> ScoreMatrix {
+    evidence_side(g.n_queries(), raw_queries, kind, |a, b| {
+        g.common_ads(QueryId(a), QueryId(b))
+    })
+}
+
+/// One side's read-out over its `n` nodes: every stored pair times the
+/// evidence of its `common(a, b)` shared neighbors, zero-evidence pairs
+/// dropped.
+fn evidence_side(
+    n: usize,
+    raw: &ScoreMatrix,
+    kind: EvidenceKind,
+    common: impl Fn(u32, u32) -> usize,
+) -> ScoreMatrix {
+    let mut builder = ScoreMatrixBuilder::new(n);
+    for (a, b, v) in raw.iter() {
+        let ev = kind.value(common(a, b));
         if ev > 0.0 {
-            qb.set(a, b, ev * v);
+            builder.set(a, b, ev * v);
         }
     }
-    let mut ab = ScoreMatrixBuilder::new(g.n_ads());
-    for (a, b, v) in raw_ads.iter() {
-        let ev = kind.value(g.common_queries(AdId(a), AdId(b)));
-        if ev > 0.0 {
-            ab.set(a, b, ev * v);
-        }
-    }
-    (qb.build(), ab.build())
+    builder.build()
 }
 
 #[cfg(test)]

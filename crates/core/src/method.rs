@@ -9,13 +9,13 @@
 //! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
 use crate::config::SimrankConfig;
-use crate::evidence::{evidence_simrank, EvidenceKind};
+use crate::engine::{self, UniformTransition, WeightedTransition};
+use crate::evidence::{query_evidence, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
 use crate::rewriter::{rank_candidates, Candidate};
 use crate::scores::ScoreMatrix;
-use crate::simrank::simrank;
-use crate::weighted::weighted_simrank;
+use crate::weighted::SpreadMode;
 use serde::{Deserialize, Serialize};
 use simrankpp_graph::{ClickGraph, QueryId};
 use std::cmp::Ordering;
@@ -70,7 +70,11 @@ pub struct Method {
 impl Method {
     /// Computes `kind` over `g`. `config` controls decay factors, iteration
     /// count, pruning, the edge-weight kind (weighted SimRank and Pearson),
-    /// and threading.
+    /// and threading. At `tolerance == 0` the SimRank kinds run only the
+    /// query chain of the engine's half-steps ([`crate::engine`]), half the
+    /// Jacobi work; either way the scores are the query-side bits of
+    /// [`crate::simrank::simrank`], [`crate::evidence::evidence_simrank`] and
+    /// [`crate::weighted::weighted_simrank`].
     pub fn compute(kind: MethodKind, g: &ClickGraph, config: &SimrankConfig) -> Method {
         Self::compute_with_evidence(kind, g, config, EvidenceKind::Geometric)
     }
@@ -96,19 +100,23 @@ impl Method {
             },
             MethodKind::Simrank => Method {
                 kind,
-                scores: simrank(g, config).queries,
+                scores: engine::query_scores(g, config, &UniformTransition),
                 raw: None,
             },
             MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank => {
-                let r = if kind == MethodKind::EvidenceSimrank {
-                    evidence_simrank(g, config, evidence)
+                let raw = if kind == MethodKind::EvidenceSimrank {
+                    engine::query_scores(g, config, &UniformTransition)
                 } else {
-                    weighted_simrank(g, config, evidence)
+                    let transition = WeightedTransition {
+                        kind: config.weight_kind,
+                        spread: SpreadMode::Exponential,
+                    };
+                    engine::query_scores(g, config, &transition)
                 };
                 Method {
                     kind,
-                    scores: r.queries,
-                    raw: Some(r.raw.queries),
+                    scores: query_evidence(g, &raw, evidence),
+                    raw: Some(raw),
                 }
             }
         }
