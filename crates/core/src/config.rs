@@ -49,8 +49,9 @@ pub struct SimrankConfig {
     /// iteration. `0.0` disables pruning.
     pub prune_threshold: f64,
     /// Early-exit tolerance: the unified engine stops iterating once the
-    /// largest per-pair score change (either side) falls to or below this.
-    /// `0.0` (default) disables early exit and runs all `iterations`.
+    /// largest per-pair score change on the end side, two half-steps apart,
+    /// falls to or below this (see [`crate::engine`]). `0.0` (default)
+    /// disables early exit and runs all `iterations`.
     pub tolerance: f64,
     /// Which §2 edge weight weighted SimRank and Pearson consume.
     pub weight_kind: WeightKind,

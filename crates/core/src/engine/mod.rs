@@ -1,7 +1,7 @@
 //! The unified sparse propagation engine.
 //!
 //! The paper's recursive similarity methods — plain SimRank (§4, Eq. 4.1/4.2)
-//! and weighted SimRank (§8.2) — are the *same* Jacobi pair-propagation loop
+//! and weighted SimRank (§8.2) — are the *same* pair-propagation recurrence
 //! with different per-edge transition factors:
 //!
 //! ```text
@@ -15,18 +15,18 @@
 //!
 //! * [`Transition`] abstracts the per-edge walk factor ([`UniformTransition`],
 //!   [`WeightedTransition`]); new variants only supply factor tables.
-//! * [`run`] drives the one propagation kernel, [`pull`]: each half-step is
-//!   two row-parallel Gustavson SpGEMM passes over CSR score rows
+//! * Every half-step is one call of the one propagation kernel, [`pull`]: two
+//!   row-parallel Gustavson SpGEMM passes over CSR score rows
 //!   (`S' = c·F·S·Fᵀ` with unit diagonal) — no contribution buffers, no
 //!   sorting, no cross-worker merging, and bit-deterministic for any thread
 //!   count.
 //! * [`parallel::run_chunked`] supplies chunked scoped-thread parallelism for
 //!   every variant, and [`parallel::run_chunked_stateful`] threads a reusable
-//!   per-worker workspace pool through it, so scratch survives across Jacobi
+//!   per-worker workspace pool through it, so scratch survives across
 //!   half-steps.
-//! * Per-iteration diagnostics — stored pair counts and the max score delta —
-//!   are recorded for *all* variants on the both-sides run, and
-//!   [`crate::SimrankConfig::tolerance`] enables early exit once the
+//! * Diagnostics — stored pairs after every half-step, and with a tolerance
+//!   the max score delta at every check — are recorded for every variant,
+//!   and [`crate::SimrankConfig::tolerance`] enables early exit once the
 //!   iteration becomes stationary.
 //!
 //! * The run is monolithic: one pass over the whole graph. The score matrix
@@ -38,34 +38,38 @@
 //!
 //! * [`single_source::SingleSourceEngine`] serves without keeping the
 //!   all-pairs matrix: one query's row of `S^(k)` on demand, as the
-//!   `⌊k/2⌋+1`-level series the `k` Jacobi iterations unroll into
-//!   (per-query sparse forward/backward passes over the per-iteration
-//!   diagonals one query-chain run per component block records) — the same
-//!   row [`run`] stores, which the differential suites pin.
+//!   `⌊k/2⌋+1`-level series the `k` iterations unroll into (per-query sparse
+//!   forward/backward passes over the per-iteration diagonals one query-chain
+//!   run per component block records) — the same row [`run`] stores, which
+//!   the differential suites pin.
 //!
-//! # Two chains of half-steps
+//! # One chain of half-steps
 //!
-//! Iteration `t` is two half-steps, `(Q,t)` computing `S_Q^(t)` from
-//! `S_A^(t−1)` and `(A,t)` the mirror, from `S^(0) = I`. They fall into two
-//! chains that never read each other: the **query chain**
-//! `(Q,k), (A,k−1), (Q,k−2), …` down to `I` — `(Q,t)` with `k − t` even and
-//! `(A,t)` with `k − t` odd — and the **ad chain**, every other half-step.
-//! `S_Q^(k)` depends on the query chain alone (the substitution
-//! [`single_source`] unrolls).
+//! Iteration `t` of Eq. 4.1/4.2 is two half-steps from `S^(0) = I`: `(Q,t)`
+//! computes `S_Q^(t)` from `S_A^(t−1)`, and `(A,t)` is the mirror. So
+//! `S_Q^(k)` reads only the chain `(Q,k), (A,k−1), (Q,k−2), …` down to `I`
+//! (the substitution [`single_source`] unrolls), and `S_A^(k)` only the
+//! mirror chain. The engine's one loop runs one such chain: `k` half-steps
+//! ending on the side asked for, the half-step at `t` on that *end* side when
+//! `k − t` is even and on the other side when it is odd, each iterate dropped
+//! once the next one is built.
 //!
-//! * [`run`] — and the paper-table surface over it (`simrank`,
-//!   `evidence_simrank`, `weighted_simrank`) — runs both chains: `2k`
-//!   half-steps and both score matrices.
-//! * The crate's query-side callers run the query chain alone, `k`
-//!   half-steps, each iterate dropped once the next one is built:
-//!   [`crate::Method::compute`] (the offline build, per-block index rows,
+//! * [`crate::Method::compute`] (the offline build, per-block index rows,
 //!   ingest and the `serve` binary) and
 //!   [`single_source::DiagonalCorrection::whole_graph`] (the live engine's
-//!   per-block recording run, which freezes no matrix). With
-//!   `tolerance > 0` they run both chains too: the early exit compares
-//!   consecutive iterates of one side, and those lie on different chains.
+//!   per-block recording run, which freezes no matrix) run the query chain.
+//! * [`run`] — and the paper-table surface over it (`simrank`,
+//!   `evidence_simrank`, `weighted_simrank`) — runs the query chain, then the
+//!   ad chain to the depth the first one reached. The two cover every
+//!   `(side, t)` between them, so `pair_counts` keeps one `(query, ad)`
+//!   entry per iteration.
 //!
-//! Either way the query scores are the same bits.
+//! **Early exit.** With a tolerance the chain checks at its end-side steps
+//! only, comparing `S_end^(t)` with `S_end^(t−2)` (the identity before the
+//! first has a predecessor): two iterates of the same chain. A run that
+//! stops at `t` has `t ≡ k (mod 2)`, and it *is* the chain of a
+//! `t`-iteration run — the same sides from the same inputs, so the same
+//! bits.
 //!
 //! # Reference
 //!
@@ -89,8 +93,8 @@ use crate::scores::ScoreMatrix;
 use accum::{max_delta, PairVec};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
 
-/// Output of one engine run: frozen score matrices plus the per-iteration
-/// diagnostics shared by every variant.
+/// Output of one engine run: frozen score matrices plus the diagnostics
+/// shared by every variant.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     /// Query-side similarity scores.
@@ -99,7 +103,9 @@ pub struct EngineRun {
     pub ads: ScoreMatrix,
     /// Stored (query-pairs, ad-pairs) after each executed iteration.
     pub pair_counts: Vec<(usize, usize)>,
-    /// Largest absolute per-pair score change (both sides) at each iteration.
+    /// With a tolerance, the largest absolute per-pair change between
+    /// query-side iterates two half-steps apart, one entry per query-side
+    /// step of the query chain; empty at `tolerance == 0`.
     pub max_deltas: Vec<f64>,
     /// Iterations actually executed (< `config.iterations` on early exit).
     pub iterations_run: usize,
@@ -128,95 +134,79 @@ impl NodeId for AdId {
     }
 }
 
-/// What the unit pin replaced on each side's diagonal at every executed
-/// iteration: entry `t − 1` holds `(D_Q^(t), D_A^(t))`, the diagonals of
-/// `S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))` and its ad-side mirror. A
-/// query-chain run leaves the side it skipped at `t` empty.
-pub(crate) type DiagonalHistory = Vec<(Vec<f64>, Vec<f64>)>;
-
-/// Which Jacobi half-steps a run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Chains {
-    /// Both sides at every iteration.
-    Both,
-    /// Only the half-steps `S_Q^(k)` depends on: `(Q,k), (A,k−1), (Q,k−2), …`.
+/// One side of the bipartite graph: the side a half-step computes, and the
+/// side a chain ends on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Side {
     Query,
+    Ad,
 }
 
-/// The iterates a run ends on, before any matrix is frozen.
-pub(crate) struct Iterates {
-    q_pairs: PairVec,
-    a_pairs: PairVec,
-    pair_counts: Vec<(usize, usize)>,
+/// What the unit pin replaced on the diagonal at every executed half-step:
+/// entry `t − 1` is `D^(t)` of the side the chain computed at `t` — the end
+/// side where `k − t` is even, the other side where it is odd. For the query
+/// chain that is `D_Q^(t)` of `S_Q^(t) = C1·A·S_A^(t−1)·Aᵀ + diag(D_Q^(t))`,
+/// or the ad-side mirror.
+pub(crate) type DiagonalHistory = Vec<Vec<f64>>;
+
+/// What one chain ends on, before any matrix is frozen.
+pub(crate) struct Chain {
+    /// `S_end^(t)` at the last executed half-step `t`.
+    pub(crate) pairs: PairVec,
+    /// Stored pairs after each executed half-step; its length is the
+    /// iterations run.
+    counts: Vec<usize>,
+    /// One entry per end-side check, and only with a tolerance.
     max_deltas: Vec<f64>,
     converged: bool,
-    /// Half-steps executed: `2·iterations_run` for [`Chains::Both`],
-    /// `config.iterations` for [`Chains::Query`].
-    half_steps: usize,
 }
 
-/// Runs the unified Jacobi propagation loop for `transition` on `g`.
+/// Runs `transition` on `g` and returns both sides' scores: the query chain,
+/// then the ad chain to the depth the query chain reached (so a tolerance
+/// decides the depth on the query side alone).
 ///
 /// Exact (bar floating-point rounding) when `config.prune_threshold == 0`;
 /// with a threshold, pairs whose scaled score falls at or below it are
-/// dropped after each iteration. When `config.tolerance > 0`, iteration stops
-/// as soon as the largest per-pair change on either side is at or below it.
+/// dropped after each half-step.
 pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> EngineRun {
-    let it = iterate(g, config, transition, Chains::Both, None);
-    debug_assert_eq!(it.half_steps, 2 * it.pair_counts.len());
+    let q = iterate(g, config, transition, Side::Query, None);
+    let k = q.counts.len();
+    let exact = config.with_iterations(k).with_tolerance(0.0);
+    let a = iterate(g, &exact, transition, Side::Ad, None);
+    // The query chain is on the query side at `t` iff `k − t` is even, and
+    // the ad chain then on the ad side.
+    let pair_counts = (1..=k)
+        .map(|t| {
+            let (on, off) = (q.counts[t - 1], a.counts[t - 1]);
+            if (k - t) % 2 == 0 {
+                (on, off)
+            } else {
+                (off, on)
+            }
+        })
+        .collect();
     EngineRun {
-        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), it.q_pairs),
-        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), it.a_pairs),
-        iterations_run: it.pair_counts.len(),
-        pair_counts: it.pair_counts,
-        max_deltas: it.max_deltas,
-        converged: it.converged,
+        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), q.pairs),
+        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), a.pairs),
+        pair_counts,
+        max_deltas: q.max_deltas,
+        iterations_run: k,
+        converged: q.converged,
     }
 }
 
-/// The query side of [`run`] alone, appending each executed iteration's
-/// pinned-away diagonals to `diagonals` when it is set: its query pairs are
-/// the bits of `run(..).queries` either way, and nothing is frozen.
-///
-/// At `tolerance == 0` only the query chain's `k` half-steps run, and the
-/// history holds `D_Q^(t)` where `k − t` is even and `D_A^(t)` where it is
-/// odd — every diagonal the single-source series reads. With a tolerance
-/// both chains run: the early exit compares consecutive iterates of one
-/// side, and those lie on different chains.
-pub(crate) fn run_query_side<T: Transition>(
+/// The one loop: the chain of `config.iterations` half-steps ending on `end`,
+/// appending each executed half-step's pinned-away diagonal to `diagonals`
+/// when it is set. Returns before any freeze, so the kernel scratch and
+/// factor tables are freed before a caller builds a matrix's row index: peak
+/// memory is the larger of the two phases, not their sum.
+pub(crate) fn iterate<T: Transition>(
     g: &ClickGraph,
     config: &SimrankConfig,
     transition: &T,
-    diagonals: Option<&mut DiagonalHistory>,
-) -> Iterates {
-    let chains = if config.tolerance > 0.0 {
-        Chains::Both
-    } else {
-        Chains::Query
-    };
-    iterate(g, config, transition, chains, diagonals)
-}
-
-/// `S_Q^(k)` through [`run_query_side`], frozen.
-pub(crate) fn query_scores<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-) -> ScoreMatrix {
-    let Iterates { q_pairs, .. } = run_query_side(g, config, transition, None);
-    ScoreMatrix::from_sorted_pairs(g.n_queries(), q_pairs)
-}
-
-/// The Jacobi loop over `chains`. Returns before any freeze, so the kernel
-/// scratch and factor tables are freed before a caller builds a matrix's row
-/// index: peak memory is the larger of the two phases, not their sum.
-fn iterate<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-    chains: Chains,
+    end: Side,
     mut diagonals: Option<&mut DiagonalHistory>,
-) -> Iterates {
+) -> Chain {
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
 
@@ -227,16 +217,6 @@ fn iterate<T: Transition>(
         .map(|_| pull::PullWorkspace::default())
         .collect();
     let mut csr = pull::CsrScratch::default();
-
-    let k = config.iterations;
-    let mut it = Iterates {
-        q_pairs: PairVec::new(),
-        a_pairs: PairVec::new(),
-        pair_counts: Vec::new(),
-        max_deltas: Vec::new(),
-        converged: false,
-        half_steps: 0,
-    };
 
     // The four CSR row views the kernel walks: the *output* node's own row
     // in pass 1 (output-major factors), inner rows in pass 2 (inner-major).
@@ -261,71 +241,73 @@ fn iterate<T: Transition>(
         (qs, &factors.query_to_ad_by_ad[lo..lo + qs.len()])
     };
 
-    // One half-step: the query side from the ad iterate `prev`, or the
-    // mirror.
-    let mut half_step = |query: bool, prev: &PairVec, diagonal: Option<&mut Vec<f64>>| {
-        it.half_steps += 1;
-        if query {
-            pull::propagate_pull(
-                g.n_queries(),
-                g.n_ads(),
-                query_row_qfac,
-                ad_row_qfac,
-                prev,
-                config.c1,
-                config.prune_threshold,
-                &mut csr,
-                &mut workspaces,
-                diagonal,
-            )
-        } else {
-            pull::propagate_pull(
-                g.n_ads(),
-                g.n_queries(),
-                ad_row_afac,
-                query_row_afac,
-                prev,
-                config.c2,
-                config.prune_threshold,
-                &mut csr,
-                &mut workspaces,
-                diagonal,
-            )
-        }
+    // One half-step: `side`'s iterate from the other side's `prev`.
+    let mut half_step = |side: Side, prev: &PairVec, diagonal: Option<&mut Vec<f64>>| match side {
+        Side::Query => pull::propagate_pull(
+            g.n_queries(),
+            g.n_ads(),
+            query_row_qfac,
+            ad_row_qfac,
+            prev,
+            config.c1,
+            config.prune_threshold,
+            &mut csr,
+            &mut workspaces,
+            diagonal,
+        ),
+        Side::Ad => pull::propagate_pull(
+            g.n_ads(),
+            g.n_queries(),
+            ad_row_afac,
+            query_row_afac,
+            prev,
+            config.c2,
+            config.prune_threshold,
+            &mut csr,
+            &mut workspaces,
+            diagonal,
+        ),
     };
 
+    let k = config.iterations;
+    let mut chain = Chain {
+        pairs: PairVec::new(),
+        counts: Vec::with_capacity(k),
+        max_deltas: Vec::new(),
+        converged: false,
+    };
+    // `S_end^(t−2)` for the early exit; the identity until an other-side
+    // step hands one over.
+    let mut two_back = PairVec::new();
     for t in 1..=k {
-        let record = diagonals.is_some();
-        let (mut d_q, mut d_a) = (Vec::new(), Vec::new());
-        if chains == Chains::Query {
-            // `(Q,t)` is on the chain iff `k − t` is even. The iterate it
-            // reads is read by nothing after it, so it is dropped as it goes.
-            if (k - t) % 2 == 0 {
-                let prev = std::mem::take(&mut it.a_pairs);
-                it.q_pairs = half_step(true, &prev, record.then_some(&mut d_q));
-            } else {
-                let prev = std::mem::take(&mut it.q_pairs);
-                it.a_pairs = half_step(false, &prev, record.then_some(&mut d_a));
-            }
-        } else {
-            // Jacobi: both sides advance from the *previous* iterate.
-            let next_q = half_step(true, &it.a_pairs, record.then_some(&mut d_q));
-            let next_a = half_step(false, &it.q_pairs, record.then_some(&mut d_a));
-            let delta = max_delta(&it.q_pairs, &next_q).max(max_delta(&it.a_pairs, &next_a));
-            it.q_pairs = next_q;
-            it.a_pairs = next_a;
-            it.pair_counts.push((it.q_pairs.len(), it.a_pairs.len()));
-            it.max_deltas.push(delta);
-            it.converged = config.tolerance > 0.0 && delta <= config.tolerance;
-        }
+        let on_end = (k - t) % 2 == 0;
+        let side = match (on_end, end) {
+            (true, side) => side,
+            (false, Side::Query) => Side::Ad,
+            (false, Side::Ad) => Side::Query,
+        };
+        let prev = std::mem::take(&mut chain.pairs);
+        let mut diagonal = Vec::new();
+        chain.pairs = half_step(side, &prev, diagonals.is_some().then_some(&mut diagonal));
+        chain.counts.push(chain.pairs.len());
         if let Some(history) = diagonals.as_deref_mut() {
-            history.push((d_q, d_a));
+            history.push(diagonal);
         }
-        if it.converged {
-            break;
+        if config.tolerance > 0.0 {
+            if !on_end {
+                // `prev` is `S_end^(t−1)`, the next step's `S_end^(t−2)`.
+                two_back = prev;
+                continue;
+            }
+            let delta = max_delta(&two_back, &chain.pairs);
+            chain.max_deltas.push(delta);
+            if delta <= config.tolerance {
+                chain.converged = true;
+                break;
+            }
         }
     }
-    it
+    chain
 }
 
 /// [`run`] under its former name: `config.sharding` used to pick a
@@ -350,6 +332,14 @@ mod tests {
         SimrankConfig::default().with_iterations(k)
     }
 
+    fn bits(d: &[f64]) -> Vec<u64> {
+        d.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn pair_bits(pairs: &PairVec) -> Vec<(u64, u64)> {
+        pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
+    }
+
     #[test]
     fn uniform_engine_reproduces_table3() {
         let g = figure4_k22();
@@ -366,14 +356,19 @@ mod tests {
 
     #[test]
     fn diagnostics_recorded_every_iteration() {
+        // Pair counts every iteration; deltas only under a tolerance, one per
+        // query-side step of the query chain (t = 1, 3, 5 of k = 5).
         let g = figure3_graph();
         let r = run(&g, &cfg(5), &UniformTransition);
         assert_eq!(r.pair_counts.len(), 5);
-        assert_eq!(r.max_deltas.len(), 5);
+        assert!(r.max_deltas.is_empty());
         assert_eq!(r.iterations_run, 5);
         assert!(!r.converged);
-        // First iteration jumps from the identity, so the delta is largest.
-        assert!(r.max_deltas[0] >= r.max_deltas[4]);
+        let r = run(&g, &cfg(5).with_tolerance(1e-12), &UniformTransition);
+        assert_eq!(r.max_deltas.len(), 3);
+        assert!(!r.converged);
+        // The first check compares S_Q^(1) with the identity: the largest.
+        assert!(r.max_deltas[0] >= r.max_deltas[2]);
         assert!(r.max_deltas.iter().all(|&d| d > 0.0));
     }
 
@@ -384,6 +379,8 @@ mod tests {
         let tol = run(&g, &cfg(100).with_tolerance(1e-6), &UniformTransition);
         assert!(tol.converged);
         assert!(tol.iterations_run < full.iterations_run);
+        assert_eq!(tol.iterations_run % 2, 0);
+        assert_eq!(tol.pair_counts.len(), tol.iterations_run);
         // Early exit at tolerance t bounds the per-pair error by t·C/(1−C).
         assert!(full.queries.max_abs_diff(&tol.queries) < 1e-5);
     }
@@ -392,23 +389,25 @@ mod tests {
     fn recorded_diagonals_are_what_the_pin_replaces() {
         // D_Q^(t)[q] = 1 − C1·Σ_{a,a'} F(q,a)·F(q,a')·S_A^(t−1)(a,a') against
         // the previous iterate's own matrix (and the ad-side mirror), for a
-        // run that also exits early (so both chains run); recording leaves
-        // every score bit alone.
+        // chain that also exits early; recording leaves every score bit
+        // alone.
         let g = figure3_graph();
         let f = UniformTransition.factors(&g);
-        let config = cfg(9).with_tolerance(1e-2);
+        let config = cfg(15).with_tolerance(1e-2);
         let mut history = DiagonalHistory::new();
-        let recorded = run_query_side(&g, &config, &UniformTransition, Some(&mut history));
+        let recorded = iterate(
+            &g,
+            &config,
+            &UniformTransition,
+            Side::Query,
+            Some(&mut history),
+        );
         let plain = run(&g, &config, &UniformTransition);
-        assert!(recorded.converged && plain.iterations_run < 9);
-        assert_eq!(history.len(), plain.iterations_run);
-        let bits = |pairs: &PairVec| -> Vec<(u64, u64)> {
-            pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
-        };
+        let k = plain.iterations_run;
+        assert!(recorded.converged && k < 15 && k % 2 == 1);
+        assert_eq!(history.len(), k);
         let plain_q: PairVec = plain.queries.sorted_pairs().collect();
-        let plain_a: PairVec = plain.ads.sorted_pairs().collect();
-        assert_eq!(bits(&recorded.q_pairs), bits(&plain_q));
-        assert_eq!(bits(&recorded.a_pairs), bits(&plain_a));
+        assert_eq!(pair_bits(&recorded.pairs), pair_bits(&plain_q));
         // Σ_{i,j} f_i·f_j·S(i,j) over one node's neighbor ids and factors.
         let dense = |ids: Vec<u32>, f: &[f64], s: &ScoreMatrix| -> f64 {
             let mut sum = 0.0;
@@ -419,19 +418,22 @@ mod tests {
             }
             sum
         };
-        for (t, (d_q, d_a)) in history.iter().enumerate() {
-            let prev = run(&g, &cfg(t), &UniformTransition);
-            for q in g.queries() {
-                let ads: Vec<u32> = g.ads_of(q).0.iter().map(|a| a.0).collect();
-                let fac = &f.ad_to_query_by_query[g.query_csr_offset(q)..][..ads.len()];
-                let want = 1.0 - config.c1 * dense(ads, fac, &prev.ads);
-                assert!((d_q[q.index()] - want).abs() < 1e-12);
-            }
-            for a in g.ads() {
-                let qs: Vec<u32> = g.queries_of(a).0.iter().map(|q| q.0).collect();
-                let fac = &f.query_to_ad_by_ad[g.ad_csr_offset(a)..][..qs.len()];
-                let want = 1.0 - config.c2 * dense(qs, fac, &prev.queries);
-                assert!((d_a[a.index()] - want).abs() < 1e-12);
+        for (t, d) in (1..).zip(&history) {
+            let prev = run(&g, &cfg(t - 1), &UniformTransition);
+            if (k - t) % 2 == 0 {
+                for q in g.queries() {
+                    let ads: Vec<u32> = g.ads_of(q).0.iter().map(|a| a.0).collect();
+                    let fac = &f.ad_to_query_by_query[g.query_csr_offset(q)..][..ads.len()];
+                    let want = 1.0 - config.c1 * dense(ads, fac, &prev.ads);
+                    assert!((d[q.index()] - want).abs() < 1e-12);
+                }
+            } else {
+                for a in g.ads() {
+                    let qs: Vec<u32> = g.queries_of(a).0.iter().map(|q| q.0).collect();
+                    let fac = &f.query_to_ad_by_ad[g.ad_csr_offset(a)..][..qs.len()];
+                    let want = 1.0 - config.c2 * dense(qs, fac, &prev.queries);
+                    assert!((d[a.index()] - want).abs() < 1e-12);
+                }
             }
         }
     }
@@ -454,74 +456,59 @@ mod tests {
             );
         }
         let g = b.build();
-        let record = |threads| {
-            let mut history = DiagonalHistory::new();
-            let config = cfg(3).with_threads(threads);
-            iterate(
-                &g,
-                &config,
-                &UniformTransition,
-                Chains::Both,
-                Some(&mut history),
-            );
-            history
-        };
-        let (serial, parallel) = (record(1), record(3));
-        assert_eq!(serial.len(), 3);
-        assert_eq!(serial[2].0.len(), g.n_queries());
-        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(bits(&s.0), bits(&p.0));
-            assert_eq!(bits(&s.1), bits(&p.1));
+        for end in [Side::Query, Side::Ad] {
+            let record = |threads| {
+                let mut history = DiagonalHistory::new();
+                let config = cfg(3).with_threads(threads);
+                iterate(&g, &config, &UniformTransition, end, Some(&mut history));
+                history
+            };
+            let (serial, parallel) = (record(1), record(3));
+            assert_eq!(serial.len(), 3);
+            let (n_end, n_other) = match end {
+                Side::Query => (g.n_queries(), g.n_ads()),
+                Side::Ad => (g.n_ads(), g.n_queries()),
+            };
+            assert_eq!((serial[2].len(), serial[1].len()), (n_end, n_other));
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(bits(s), bits(p));
+            }
         }
     }
 
     #[test]
-    fn the_query_chain_is_k_half_steps_with_the_full_runs_query_bits() {
-        // At tolerance 0 the query-side run executes k half-steps against
-        // run's 2k, ends on the same S_Q^(k) bits, and records at each t the
-        // full history's diagonal of the side on the chain, the other side
-        // empty. Under a tolerance it is the full run.
+    fn a_chain_is_the_other_sides_shorter_chain_plus_one_half_step() {
+        // The chain ending on one side at k runs, at every t < k, the
+        // half-step the chain ending on the other side at k − 1 runs: same
+        // side, same input, so the same pair counts and the same diagonals.
         let g = figure3_graph();
-        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let pair_bits = |pairs: &PairVec| -> Vec<(u64, u64)> {
-            pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
-        };
+        let mut histories = Vec::new();
         for k in 0..=8 {
-            let mut full_history = DiagonalHistory::new();
-            let full = iterate(
-                &g,
-                &cfg(k),
-                &UniformTransition,
-                Chains::Both,
-                Some(&mut full_history),
-            );
-            let mut history = DiagonalHistory::new();
-            let chain = run_query_side(&g, &cfg(k), &UniformTransition, Some(&mut history));
-            assert_eq!((chain.half_steps, full.half_steps), (k, 2 * k));
-            assert_eq!(
-                pair_bits(&chain.q_pairs),
-                pair_bits(&full.q_pairs),
-                "k = {k}"
-            );
-            assert_eq!(history.len(), k);
-            for (t, (got, want)) in (1..).zip(history.iter().zip(&full_history)) {
-                let (on, off, want) = if (k - t) % 2 == 0 {
-                    (&got.0, &got.1, &want.0)
-                } else {
-                    (&got.1, &got.0, &want.1)
-                };
-                assert_eq!(bits(on), bits(want), "k = {k}, t = {t}");
-                assert!(off.is_empty(), "k = {k}, t = {t}");
+            let chains = [Side::Query, Side::Ad].map(|end| {
+                let mut history = DiagonalHistory::new();
+                let chain = iterate(&g, &cfg(k), &UniformTransition, end, Some(&mut history));
+                assert_eq!((chain.counts.len(), history.len()), (k, k));
+                (chain, history)
+            });
+            if k > 0 {
+                let shorter: &[(Chain, DiagonalHistory); 2] = &histories[k - 1];
+                for (end, (chain, history)) in chains.iter().enumerate() {
+                    let (prefix, prefix_history) = &shorter[1 - end];
+                    assert_eq!(chain.counts[..k - 1], prefix.counts, "k = {k}");
+                    for (t, (got, want)) in (1..).zip(history.iter().zip(prefix_history)) {
+                        assert_eq!(bits(got), bits(want), "k = {k}, t = {t}");
+                    }
+                }
             }
-
-            let tolerant = cfg(k).with_tolerance(1e-3);
-            let both = run(&g, &tolerant, &UniformTransition);
-            let chain = run_query_side(&g, &tolerant, &UniformTransition, None);
-            assert_eq!(chain.half_steps, 2 * both.iterations_run);
-            let want: PairVec = both.queries.sorted_pairs().collect();
-            assert_eq!(pair_bits(&chain.q_pairs), pair_bits(&want), "k = {k}");
+            histories.push(chains);
         }
+        // And `run`'s query scores are the query chain's.
+        let chain = iterate(&g, &cfg(7), &UniformTransition, Side::Query, None);
+        let want: PairVec = run(&g, &cfg(7), &UniformTransition)
+            .queries
+            .sorted_pairs()
+            .collect();
+        assert_eq!(pair_bits(&chain.pairs), pair_bits(&want));
     }
 
     #[test]
@@ -533,8 +520,10 @@ mod tests {
         };
         let r = run(&g, &cfg(4), &t);
         assert_eq!(r.pair_counts.len(), 4);
-        assert_eq!(r.max_deltas.len(), 4);
+        assert!(r.max_deltas.is_empty());
         assert!(r.pair_counts[3].0 > 0);
+        let r = run(&g, &cfg(4).with_tolerance(1e-12), &t);
+        assert_eq!(r.max_deltas.len(), 2);
     }
 
     #[test]

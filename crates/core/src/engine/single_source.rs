@@ -65,7 +65,7 @@
 //! pins row `q`, so the value it pins away is `deg(q)` multiply-adds more.
 //! Level `j` reads `D_Q^(k−2j)` and `D_A^(k−2j−1)`, both on the engine's
 //! query chain, so [`DiagonalCorrection::whole_graph`]'s recording run is
-//! that chain alone — `k` half-steps, not `2k`, and no matrix frozen — and
+//! that chain — `k` half-steps, one diagonal each, and no matrix frozen — and
 //! keeps the `⌊k/2⌋+1` pairs the series reads.
 //!
 //! [`SingleSourceEngine::new`] does that **block-locally**: §9.2's click
@@ -81,10 +81,12 @@
 //! copies every clean node's entries, level by level — the first build is
 //! that same refresh with every component dirty.
 //!
-//! With `tolerance > 0` each block stops at its own `iterations_run`; its
-//! levels align from the top (level `j` is always iteration `k_b − 2j` of
-//! *that block's* `k_b`) and are zero below its own depth, so every query's
-//! row is its own block's `engine::run` row. Components too small to hold a
+//! With `tolerance > 0` each block's chain stops at its own query-side check
+//! (`S_Q^(t)` against `S_Q^(t−2)`), so its `k_b` has `k`'s parity and its
+//! run is exactly the `k_b`-iteration chain. Its levels align from the top
+//! (level `j` is always iteration `k_b − 2j` of *that block's* `k_b`) and are
+//! zero below its own depth, so every query's row is its own block's
+//! `engine::run` row. Components too small to hold a
 //! same-side pair get no run: their diagonals are the same at every
 //! iteration (`1 − c·Σ F²` over at most one edge), taken at the configured
 //! depth.
@@ -92,7 +94,7 @@
 use crate::config::SimrankConfig;
 use crate::engine::parallel::run_indexed;
 use crate::engine::transition::{Transition, TransitionFactors};
-use crate::engine::DiagonalHistory;
+use crate::engine::{self, DiagonalHistory, Side};
 use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId, Shard};
 use simrankpp_util::TopK;
 
@@ -181,23 +183,25 @@ impl DiagonalCorrection {
     /// calls this per component block; over a whole graph it is the
     /// reference the block-local form is bit-identical to (when `tolerance`
     /// is 0 — otherwise each block stops on its own). Every diagonal a level
-    /// reads lies on the query chain, so at `tolerance == 0` the run is that
-    /// chain's `k` half-steps, and no score matrix is frozen.
+    /// reads lies on the query chain, so the run is that chain's half-steps,
+    /// and no score matrix is frozen.
     pub fn whole_graph<T: Transition>(
         g: &ClickGraph,
         config: &SimrankConfig,
         transition: &T,
     ) -> Self {
         let mut history = DiagonalHistory::new();
-        crate::engine::run_query_side(g, config, transition, Some(&mut history));
+        engine::iterate(g, config, transition, Side::Query, Some(&mut history));
+        // Entry `t − 1` is `D_Q^(t)` where `k − t` is even and `D_A^(t)`
+        // where it is odd: exactly the iterations a level reads on each side.
         let level = |j| {
             let (t_q, t_a) = level_iterations(history.len(), j);
             CorrectionLevel {
                 d_query: (0..g.n_queries())
-                    .map(|q| diagonal_at(t_q, |t| history[t].0[q]))
+                    .map(|q| diagonal_at(t_q, |t| history[t][q]))
                     .collect(),
                 d_ad: (0..g.n_ads())
-                    .map(|a| diagonal_at(t_a, |t| history[t].1[a]))
+                    .map(|a| diagonal_at(t_a, |t| history[t][a]))
                     .collect(),
             }
         };

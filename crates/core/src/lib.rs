@@ -5,9 +5,9 @@
 //! * [`naive`] — §3's common-ad count (Table 1);
 //! * [`engine`] — the unified sparse propagation engine all recursive
 //!   variants run on: a [`engine::Transition`] abstracts the per-edge walk
-//!   factor, one row-parallel pull kernel ([`engine::pull`]) propagates
-//!   scores, with threshold pruning, per-iteration `pair_counts`/max-delta
-//!   diagnostics and tolerance-based early exit;
+//!   factor, one loop runs one chain of half-steps through one row-parallel
+//!   pull kernel ([`engine::pull`]), with threshold pruning, `pair_counts`
+//!   and a same-chain tolerance early exit;
 //! * [`mod@simrank`] — §4's bipartite SimRank (Eq. 4.1/4.2): a thin
 //!   front-end over [`engine`] with the uniform `1/N` transition, plus a
 //!   dense cross-validation oracle;

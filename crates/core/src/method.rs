@@ -9,7 +9,7 @@
 //! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
 use crate::config::SimrankConfig;
-use crate::engine::{self, UniformTransition, WeightedTransition};
+use crate::engine::{self, Side, UniformTransition, WeightedTransition};
 use crate::evidence::{query_evidence, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
@@ -70,11 +70,11 @@ pub struct Method {
 impl Method {
     /// Computes `kind` over `g`. `config` controls decay factors, iteration
     /// count, pruning, the edge-weight kind (weighted SimRank and Pearson),
-    /// and threading. At `tolerance == 0` the SimRank kinds run only the
-    /// query chain of the engine's half-steps ([`crate::engine`]), half the
-    /// Jacobi work; either way the scores are the query-side bits of
-    /// [`crate::simrank::simrank`], [`crate::evidence::evidence_simrank`] and
-    /// [`crate::weighted::weighted_simrank`].
+    /// and threading. The SimRank kinds run only the query chain of the
+    /// engine's half-steps ([`crate::engine`]), so the scores are the
+    /// query-side bits of [`crate::simrank::simrank`],
+    /// [`crate::evidence::evidence_simrank`] and
+    /// [`crate::weighted::weighted_simrank`] at half their work.
     pub fn compute(kind: MethodKind, g: &ClickGraph, config: &SimrankConfig) -> Method {
         Self::compute_with_evidence(kind, g, config, EvidenceKind::Geometric)
     }
@@ -98,26 +98,23 @@ impl Method {
                 scores: pearson_scores(g, config.weight_kind),
                 raw: None,
             },
-            MethodKind::Simrank => Method {
-                kind,
-                scores: engine::query_scores(g, config, &UniformTransition),
-                raw: None,
-            },
-            MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank => {
-                let raw = if kind == MethodKind::EvidenceSimrank {
-                    engine::query_scores(g, config, &UniformTransition)
-                } else {
+            MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank => {
+                let chain = if kind == MethodKind::WeightedSimrank {
                     let transition = WeightedTransition {
                         kind: config.weight_kind,
                         spread: SpreadMode::Exponential,
                     };
-                    engine::query_scores(g, config, &transition)
+                    engine::iterate(g, config, &transition, Side::Query, None)
+                } else {
+                    engine::iterate(g, config, &UniformTransition, Side::Query, None)
                 };
-                Method {
-                    kind,
-                    scores: query_evidence(g, &raw, evidence),
-                    raw: Some(raw),
-                }
+                let raw = ScoreMatrix::from_sorted_pairs(g.n_queries(), chain.pairs);
+                let (scores, raw) = if kind == MethodKind::Simrank {
+                    (raw, None)
+                } else {
+                    (query_evidence(g, &raw, evidence), Some(raw))
+                };
+                Method { kind, scores, raw }
             }
         }
     }

@@ -40,8 +40,9 @@ pub struct SimrankResult {
     /// Stored (query-pairs, ad-pairs) counts after each executed iteration —
     /// diagnostics for the pruning ablation.
     pub pair_counts: Vec<(usize, usize)>,
-    /// Largest per-pair score change (both sides) at each executed iteration
-    /// — the convergence trajectory.
+    /// With a tolerance, the largest per-pair change between query-side
+    /// iterates two half-steps apart at each check — the convergence
+    /// trajectory (see [`crate::engine`]); empty at `tolerance == 0`.
     pub max_deltas: Vec<f64>,
     /// Iterations actually executed (less than `config.iterations` when the
     /// `config.tolerance` early exit fires).
@@ -377,13 +378,17 @@ mod tests {
 
     #[test]
     fn convergence_diagnostics_recorded() {
+        // One delta per query-side check (t = 2, 4, 6, 8), and only under a
+        // tolerance.
         let g = figure3_graph();
         let r = simrank(&g, &cfg(8));
-        assert_eq!(r.max_deltas.len(), 8);
+        assert!(r.max_deltas.is_empty());
+        let r = simrank(&g, &cfg(8).with_tolerance(1e-15));
+        assert_eq!(r.max_deltas.len(), 4);
         assert_eq!(r.iterations_run, 8);
         assert!(!r.converged);
         // Geometric decay: late deltas are below early ones.
-        assert!(r.max_deltas[7] < r.max_deltas[0]);
+        assert!(r.max_deltas[3] < r.max_deltas[0]);
     }
 
     #[test]
@@ -393,9 +398,10 @@ mod tests {
         let tol = simrank(&g, &cfg(60).with_tolerance(1e-9));
         assert!(tol.converged);
         assert!(tol.iterations_run < 60);
+        assert_eq!(tol.iterations_run % 2, 0);
         assert!(full.queries.max_abs_diff(&tol.queries) < 1e-7);
         assert_eq!(tol.pair_counts.len(), tol.iterations_run);
-        assert_eq!(tol.max_deltas.len(), tol.iterations_run);
+        assert_eq!(tol.max_deltas.len(), tol.iterations_run / 2);
         assert!(*tol.max_deltas.last().unwrap() <= 1e-9);
     }
 }

@@ -10,7 +10,7 @@
 //! |--------|----------|
 //! | [`graph`] | the §2 weighted bipartite click graph (CSR storage, builders, fixtures, I/O), plus incremental [`GraphDelta`](graph::GraphDelta) batches with dirty-component analysis |
 //! | [`core`] | SimRank (§4), evidence-based SimRank (§7), weighted SimRank (§8), Pearson baseline (§9.1), the rewriting front-end and its §9.3 funnel (Fig. 2), single-source rows |
-//! | [`core::engine`](simrankpp_core::engine) | the unified sparse propagation engine the recursive variants run on: a `Transition` trait for the per-edge walk factor (uniform §4 / weighted §8.2), one row-parallel pull kernel, threshold pruning, per-iteration `pair_counts`/max-delta diagnostics, and `SimrankConfig::tolerance` early exit |
+//! | [`core::engine`](simrankpp_core::engine) | the unified sparse propagation engine the recursive variants run on: a `Transition` trait for the per-edge walk factor (uniform §4 / weighted §8.2), one loop over one chain of half-steps ending on the side asked for, one row-parallel pull kernel, threshold pruning, per-iteration `pair_counts`, and a `SimrankConfig::tolerance` early exit that compares same-chain iterates |
 //! | [`partition`] | PageRank, Andersen–Chung–Lang push + sweep cuts, five-subgraph extraction (§9.2) |
 //! | [`text`] | Porter stemmer, query normalization, stem-dedup (§9.3) |
 //! | [`synth`] | synthetic click-graph generator, position-bias click model, simulated editorial judge (Table 6), bids, traffic sampling, click-spam injection |
@@ -21,8 +21,10 @@
 //! Engine convergence knobs on [`SimrankConfig`](prelude::SimrankConfig):
 //! `iterations` (Jacobi budget), `prune_threshold` (sparsity/accuracy
 //! trade-off; `0.0` = exact), `tolerance` (early exit once the max per-pair
-//! delta falls to/below it; results report `iterations_run`, `converged`,
-//! `max_deltas`, `pair_counts`), and `threads` (chunked parallelism).
+//! change between query-side iterates two half-steps apart falls to/below
+//! it; results report `iterations_run`, `converged`, `pair_counts`, and
+//! `max_deltas` with one entry per check), and `threads` (chunked
+//! parallelism).
 //!
 //! ## Quickstart
 //!

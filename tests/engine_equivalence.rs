@@ -8,7 +8,7 @@ use simrankpp::core::engine::{
     self, reference, DiagonalCorrection, UniformTransition, WeightedTransition,
 };
 use simrankpp::core::evidence::evidence_simrank;
-use simrankpp::core::simrank::{simrank, simrank_dense};
+use simrankpp::core::simrank::{simrank, simrank_dense, SimrankResult};
 use simrankpp::core::weighted::{
     weighted_simrank, weighted_simrank_dense, weighted_simrank_with_spread, SpreadMode,
 };
@@ -16,6 +16,7 @@ use simrankpp::core::{EvidenceKind, ScoreMatrix};
 use simrankpp::graph::fixtures::{figure3_graph, figure4_k22};
 use simrankpp::prelude::*;
 use simrankpp::synth::generator::{generate, GeneratorConfig};
+use simrankpp::util::arena::{fnv1a, fnv1a_seeded};
 
 fn fixtures() -> Vec<(&'static str, ClickGraph)> {
     let synth = generate(&GeneratorConfig::tiny()).graph;
@@ -110,25 +111,28 @@ fn engine_matches_hashmap_reference_on_all_fixtures() {
 #[test]
 fn diagnostics_shape_is_uniform_across_variants() {
     // Both variants run the same engine, so their diagnostics have the same
-    // shape: one (pair_counts, max_delta) entry per executed iteration.
+    // shape: one pair_counts entry per executed iteration, and under a
+    // tolerance one max_delta per query-side check (t = 2, 4, 6).
     let g = figure3_graph();
-    let plain = simrank(&g, &cfg(6));
+    let config = cfg(6).with_tolerance(1e-15);
+    let plain = simrank(&g, &config);
     let weighted = weighted_simrank_with_spread(
         &g,
-        &cfg(6),
+        &config,
         EvidenceKind::Geometric,
         SpreadMode::Exponential,
     )
     .raw;
     for r in [&plain, &weighted] {
         assert_eq!(r.pair_counts.len(), 6);
-        assert_eq!(r.max_deltas.len(), 6);
+        assert_eq!(r.max_deltas.len(), 3);
         assert_eq!(r.iterations_run, 6);
         assert!(
             r.max_deltas.windows(2).all(|w| w[1] <= w[0] + 1e-12),
             "deltas grow"
         );
     }
+    assert!(simrank(&g, &cfg(6)).max_deltas.is_empty());
     // Uniform weights on Figure 3: the two variants see identical pair
     // support, so the stored-pair trajectories coincide.
     assert_eq!(plain.pair_counts, weighted.pair_counts);
@@ -170,39 +174,35 @@ fn level_bits(d: &DiagonalCorrection) -> Vec<(Vec<u64>, Vec<u64>)> {
         .collect()
 }
 
-/// `k ∈ 0..=8` × prune `{0, 1e-4}` × threads `{1, 3}` × tolerance
-/// `{0, 1e-3}`.
+/// `k ∈ 0..=8` × prune `{0, 1e-4}` × threads `{1, 3}`.
 fn query_side_grid() -> Vec<SimrankConfig> {
     let mut grid = Vec::new();
     for k in 0..=8 {
         for (prune, threads) in [(0.0, 1), (0.0, 3), (1e-4, 1), (1e-4, 3)] {
-            for tolerance in [0.0, 1e-3] {
-                let c = cfg(k).with_prune_threshold(prune).with_threads(threads);
-                grid.push(c.with_tolerance(tolerance));
-            }
+            grid.push(cfg(k).with_prune_threshold(prune).with_threads(threads));
         }
     }
     grid
 }
 
+fn cell(name: &str, c: &SimrankConfig) -> String {
+    format!(
+        "{name} k={} prune={} threads={} tol={}",
+        c.iterations, c.prune_threshold, c.threads, c.tolerance
+    )
+}
+
 #[test]
 fn query_side_callers_equal_the_both_sides_run_bit_for_bit() {
-    // `Method::compute` and `DiagonalCorrection::whole_graph` run only the
-    // query chain of half-steps at tolerance 0 (both chains under a
-    // tolerance); what they return must be the bits the both-sides run gives.
-    // `simrank(..).queries` is `engine::run(.., &UniformTransition).queries`
-    // and `weighted_simrank(..).raw.queries` the weighted run's, so these are
+    // `Method::compute` runs only the query chain of half-steps; what it
+    // returns must be the query-side bits of the paper-table functions, which
+    // return both sides. `simrank(..).queries` is
+    // `engine::run(.., &UniformTransition).queries` and
+    // `weighted_simrank(..).raw.queries` the weighted run's, so these are
     // also the query-side scores against `engine::run`, both transitions.
-    let weighted = WeightedTransition {
-        kind: WeightKind::Clicks,
-        spread: SpreadMode::Exponential,
-    };
     for (name, g) in [("figure3", figure3_graph()), ("banded", banded_graph())] {
         for c in query_side_grid() {
-            let cell = format!(
-                "{name} k={} prune={} threads={} tol={}",
-                c.iterations, c.prune_threshold, c.threads, c.tolerance
-            );
+            let cell = cell(name, &c);
             let m = Method::compute(MethodKind::Simrank, &g, &c);
             assert_eq!(bits(m.scores()), bits(&simrank(&g, &c).queries), "{cell}");
             assert!(m.raw_scores().is_none(), "{cell}");
@@ -221,19 +221,177 @@ fn query_side_callers_equal_the_both_sides_run_bit_for_bit() {
                 assert_eq!(bits(m.scores()), bits(&both.queries), "{cell} {kind:?}");
                 assert_eq!(bits(raw), bits(&both.raw.queries), "{cell} {kind:?}");
             }
+        }
+    }
+}
 
-            // Under a tolerance `whole_graph` records the both-sides run's
-            // history; one below every nonzero delta never stops the run
-            // early, so its levels are the full history's at this `k`.
-            if c.tolerance == 0.0 {
-                let full = c.with_tolerance(f64::MIN_POSITIVE);
-                let uniform = DiagonalCorrection::whole_graph(&g, &c, &UniformTransition);
-                let uniform_full = DiagonalCorrection::whole_graph(&g, &full, &UniformTransition);
-                assert_eq!(level_bits(&uniform), level_bits(&uniform_full), "{cell}");
-                let w = DiagonalCorrection::whole_graph(&g, &c, &weighted);
-                let w_full = DiagonalCorrection::whole_graph(&g, &full, &weighted);
-                assert_eq!(level_bits(&w), level_bits(&w_full), "{cell} weighted");
+#[test]
+fn early_exit_compares_same_chain_iterates() {
+    // Under a tolerance the query chain checks only at its query-side steps,
+    // against the query-side iterate two half-steps back. A run that stops at
+    // `t` therefore has `t ≡ k (mod 2)`, and every query-side path over the
+    // same transition returns the tolerance-0 run's bits at `k = t`.
+    let weighted = WeightedTransition {
+        kind: WeightKind::Clicks,
+        spread: SpreadMode::Exponential,
+    };
+    let mut stopped_early = 0;
+    for (name, g) in [("figure3", figure3_graph()), ("banded", banded_graph())] {
+        // Per transition: the `Method` kinds it serves, and its run and
+        // correction at a config.
+        let uniform_at = |c: &SimrankConfig| {
+            let run = simrank(&g, c);
+            (
+                run,
+                DiagonalCorrection::whole_graph(&g, c, &UniformTransition),
+            )
+        };
+        let weighted_at = |c: &SimrankConfig| {
+            let run = weighted_simrank(&g, c, EvidenceKind::Geometric).raw;
+            (run, DiagonalCorrection::whole_graph(&g, c, &weighted))
+        };
+        type At<'a> = &'a dyn Fn(&SimrankConfig) -> (SimrankResult, DiagonalCorrection);
+        let transitions: [(&str, &[MethodKind], At); 2] = [
+            (
+                "uniform",
+                &[MethodKind::Simrank, MethodKind::EvidenceSimrank],
+                &uniform_at,
+            ),
+            ("weighted", &[MethodKind::WeightedSimrank], &weighted_at),
+        ];
+        for base in query_side_grid() {
+            for tolerance in [1e-1, 1e-2, 1e-3] {
+                let c = base.with_tolerance(tolerance);
+                for (transition, kinds, at) in transitions {
+                    let cell = format!("{} {transition}", cell(name, &c));
+                    let (run, correction) = at(&c);
+                    let t = run.iterations_run;
+                    assert!(t <= c.iterations, "{cell}");
+                    assert_eq!(t % 2, c.iterations % 2, "{cell}");
+                    stopped_early += usize::from(t < c.iterations);
+
+                    let exact = c.with_iterations(t).with_tolerance(0.0);
+                    let (want, want_correction) = at(&exact);
+                    assert_eq!(bits(&run.queries), bits(&want.queries), "{cell}");
+                    for &kind in kinds {
+                        let m = Method::compute(kind, &g, &c);
+                        let want = Method::compute(kind, &g, &exact);
+                        assert_eq!(bits(m.scores()), bits(want.scores()), "{cell} {kind:?}");
+                        let raw = |m: &Method| m.raw_scores().map(bits);
+                        assert_eq!(raw(&m), raw(&want), "{cell} {kind:?}");
+                    }
+
+                    // Levels align from the top and are zero below the depth
+                    // run.
+                    let (got, want) = (level_bits(&correction), level_bits(&want_correction));
+                    assert_eq!(got[..want.len()], want, "{cell}");
+                    let zero = |side: &Vec<u64>| side.iter().all(|&b| b == 0);
+                    assert!(got[want.len()..].iter().all(|(q, a)| zero(q) && zero(a)));
+
+                    // One delta per query-side check; the last is at or below
+                    // the tolerance exactly when the run converged.
+                    assert_eq!(run.max_deltas.len(), t.div_ceil(2), "{cell}");
+                    let last = run.max_deltas.last().copied();
+                    assert_eq!(
+                        run.converged,
+                        last.is_some_and(|d| d <= tolerance),
+                        "{cell}"
+                    );
+                }
             }
+        }
+    }
+    assert!(
+        stopped_early > 0,
+        "no cell exits early: the grid is vacuous"
+    );
+}
+
+/// FNV-1a over both frozen matrices' `(pair key, score bits)`, queries first,
+/// each side prefixed by its pair count.
+fn run_digest(run: &engine::EngineRun) -> u64 {
+    let mut h = fnv1a(&[]);
+    for m in [&run.queries, &run.ads] {
+        h = fnv1a_seeded(h, &(m.n_pairs() as u64).to_le_bytes());
+        for (k, v) in m.sorted_pairs() {
+            h = fnv1a_seeded(h, &k.raw().to_le_bytes());
+            h = fnv1a_seeded(h, &v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A recorded `engine::run` cell: graph, uniform (else weighted) transition,
+/// `k`, prune, [`run_digest`], `pair_counts` and `iterations_run`.
+type Pin = (
+    &'static str,
+    bool,
+    usize,
+    f64,
+    u64,
+    &'static [(usize, usize)],
+    usize,
+);
+
+/// Values recorded from the Jacobi both-sides loop, before it became two
+/// chains of half-steps. Figure 3's clicks are uniform, so its weighted
+/// cells equal the uniform ones.
+#[rustfmt::skip]
+const PINNED: [Pin; 32] = [
+    ("figure3", true, 0, 0.0, 0x88201fb960ff6465, &[], 0),
+    ("figure3", true, 0, 1e-4, 0x88201fb960ff6465, &[], 0),
+    ("figure3", true, 1, 0.0, 0x61e2737192859411, &[(5, 2)], 1),
+    ("figure3", true, 1, 1e-4, 0x61e2737192859411, &[(5, 2)], 1),
+    ("figure3", true, 2, 0.0, 0xbbf078f2c5efef5e, &[(5, 2), (6, 2)], 2),
+    ("figure3", true, 2, 1e-4, 0xbbf078f2c5efef5e, &[(5, 2), (6, 2)], 2),
+    ("figure3", true, 7, 0.0, 0xc2e6396967701d8c, &[(5, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2)], 7),
+    ("figure3", true, 7, 1e-4, 0xc2e6396967701d8c, &[(5, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2)], 7),
+    ("figure3", false, 0, 0.0, 0x88201fb960ff6465, &[], 0),
+    ("figure3", false, 0, 1e-4, 0x88201fb960ff6465, &[], 0),
+    ("figure3", false, 1, 0.0, 0x61e2737192859411, &[(5, 2)], 1),
+    ("figure3", false, 1, 1e-4, 0x61e2737192859411, &[(5, 2)], 1),
+    ("figure3", false, 2, 0.0, 0xbbf078f2c5efef5e, &[(5, 2), (6, 2)], 2),
+    ("figure3", false, 2, 1e-4, 0xbbf078f2c5efef5e, &[(5, 2), (6, 2)], 2),
+    ("figure3", false, 7, 0.0, 0xc2e6396967701d8c, &[(5, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2)], 7),
+    ("figure3", false, 7, 1e-4, 0xc2e6396967701d8c, &[(5, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2), (6, 2)], 7),
+    ("banded", true, 0, 0.0, 0x88201fb960ff6465, &[], 0),
+    ("banded", true, 0, 1e-4, 0x88201fb960ff6465, &[], 0),
+    ("banded", true, 1, 0.0, 0xbac718050e8a3dfd, &[(1189, 725)], 1),
+    ("banded", true, 1, 1e-4, 0xbac718050e8a3dfd, &[(1189, 725)], 1),
+    ("banded", true, 2, 0.0, 0xb41493e97cb1f702, &[(1189, 725), (1968, 1262)], 2),
+    ("banded", true, 2, 1e-4, 0xb41493e97cb1f702, &[(1189, 725), (1968, 1262)], 2),
+    ("banded", true, 7, 0.0, 0x35f008bba245debf, &[(1189, 725), (1968, 1262), (2440, 1604), (2711, 1807), (2867, 1913), (2940, 1970), (2975, 1998)], 7),
+    ("banded", true, 7, 1e-4, 0x3c674714f70f2381, &[(1189, 725), (1968, 1262), (2440, 1604), (2711, 1807), (2863, 1899), (2872, 1919), (2914, 1948)], 7),
+    ("banded", false, 0, 0.0, 0x88201fb960ff6465, &[], 0),
+    ("banded", false, 0, 1e-4, 0x88201fb960ff6465, &[], 0),
+    ("banded", false, 1, 0.0, 0xec1b4744edae5f64, &[(1189, 725)], 1),
+    ("banded", false, 1, 1e-4, 0x0cc85c1feca42731, &[(1074, 725)], 1),
+    ("banded", false, 2, 0.0, 0x1c3b84bf8d4507f7, &[(1189, 725), (1968, 1262)], 2),
+    ("banded", false, 2, 1e-4, 0xcdfc6a2d9396963e, &[(1074, 725), (1709, 1204)], 2),
+    ("banded", false, 7, 0.0, 0x6119f3a1e3f22d1e, &[(1189, 725), (1968, 1262), (2440, 1604), (2711, 1807), (2867, 1913), (2940, 1970), (2975, 1998)], 7),
+    ("banded", false, 7, 1e-4, 0x3d5a0d7f4f2791ff, &[(1074, 725), (1709, 1204), (1893, 1378), (1948, 1424), (1969, 1434), (1977, 1440), (1984, 1445)], 7),
+];
+
+#[test]
+fn both_sides_bits_and_pair_counts_are_pinned() {
+    let weighted = WeightedTransition {
+        kind: WeightKind::Clicks,
+        spread: SpreadMode::Exponential,
+    };
+    let (figure3, banded) = (figure3_graph(), banded_graph());
+    for (name, uniform, k, prune, digest, pair_counts, iterations_run) in PINNED {
+        let g = if name == "figure3" { &figure3 } else { &banded };
+        for threads in [1, 3] {
+            let c = cfg(k).with_prune_threshold(prune).with_threads(threads);
+            let run = if uniform {
+                engine::run(g, &c, &UniformTransition)
+            } else {
+                engine::run(g, &c, &weighted)
+            };
+            let cell = format!("{name} uniform={uniform} k={k} prune={prune} threads={threads}");
+            assert_eq!(run_digest(&run), digest, "{cell}");
+            assert_eq!(run.pair_counts, pair_counts, "{cell}");
+            assert_eq!(run.iterations_run, iterations_run, "{cell}");
         }
     }
 }

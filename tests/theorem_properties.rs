@@ -56,6 +56,9 @@ proptest! {
         for (a, b, v) in next.queries.iter() {
             prop_assert!(v + 1e-12 >= prev.queries.get(a, b));
         }
+        for (a, b, v) in next.ads.iter() {
+            prop_assert!(v + 1e-12 >= prev.ads.get(a, b));
+        }
     }
 
     #[test]
