@@ -124,8 +124,9 @@ const GATES: &[Gate] = &[
     Gate {
         tier: "stream",
         key: "epoch_speedup_incremental_vs_scratch",
-        bound: Bound::AtLeast(5.0),
-        why: "the median epoch dirties 1 slice of 8; refreshing it must beat a scratch rebuild",
+        bound: Bound::AtLeast(50.0),
+        why: "the median epoch dirties 1 slice of 8; refreshing it must pay for what it touched, \
+              not for the whole window, to beat a scratch rebuild this far",
     },
     Gate {
         tier: "stream",
@@ -666,7 +667,7 @@ fn stream_series(opts: &Options) -> Values {
     let mut refresh_ms = Vec::new();
     for e in warm..warm + epochs {
         observe_epoch(&mut ingestor, e);
-        // Freeze + dirty-component rebuild + swap, as the ingestor times it.
+        // Refreeze + dirty-component rebuild + swap, as the ingestor times it.
         ingestor.refresh_and_publish(&state).expect("epoch refresh");
         refresh_ms.push(metrics.last_refresh_us.load(Ordering::Relaxed) as f64 / 1e3);
         black_box(state.handle().load());

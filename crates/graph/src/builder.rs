@@ -10,6 +10,7 @@ use crate::graph::ClickGraph;
 use crate::ids::{AdId, QueryId};
 use crate::interner::Interner;
 use simrankpp_util::FxHashMap;
+use std::sync::Arc;
 
 /// Mutable accumulator for click-graph edges.
 #[derive(Debug, Default, Clone)]
@@ -17,8 +18,8 @@ pub struct ClickGraphBuilder {
     edges: FxHashMap<(u32, u32), EdgeData>,
     n_queries: u32,
     n_ads: u32,
-    query_names: Option<Interner>,
-    ad_names: Option<Interner>,
+    query_names: Option<Arc<Interner>>,
+    ad_names: Option<Arc<Interner>>,
 }
 
 impl ClickGraphBuilder {
@@ -34,6 +35,19 @@ impl ClickGraphBuilder {
         b
     }
 
+    /// A builder over an existing name universe: one node per name, in id
+    /// order, with the tables shared rather than copied (interning a new
+    /// name copies them first).
+    pub(crate) fn with_names(query_names: Arc<Interner>, ad_names: Arc<Interner>) -> Self {
+        ClickGraphBuilder {
+            n_queries: query_names.len() as u32,
+            n_ads: ad_names.len() as u32,
+            query_names: Some(query_names),
+            ad_names: Some(ad_names),
+            ..Self::default()
+        }
+    }
+
     /// Thaws an immutable graph back into a builder: same node counts, names
     /// and edges, ready for further mutation. This is the substrate of
     /// [`crate::delta::GraphDelta::apply`] — a delta replays on top of the
@@ -43,8 +57,8 @@ impl ClickGraphBuilder {
         let mut b = ClickGraphBuilder::with_capacity(g.n_edges());
         b.n_queries = g.n_queries() as u32;
         b.n_ads = g.n_ads() as u32;
-        b.query_names = g.query_interner().cloned();
-        b.ad_names = g.ad_interner().cloned();
+        b.query_names = g.query_names.clone();
+        b.ad_names = g.ad_names.clone();
         for (q, a, e) in g.edges() {
             b.edges.insert((q.0, a.0), *e);
         }
@@ -91,17 +105,15 @@ impl ClickGraphBuilder {
 
     /// Interns a query name (creating an isolated node if no edge follows).
     pub fn intern_query(&mut self, name: &str) -> QueryId {
-        let id = self
-            .query_names
-            .get_or_insert_with(Interner::new)
-            .intern(name);
+        let id =
+            Interner::intern_shared(self.query_names.get_or_insert_with(Default::default), name);
         self.n_queries = self.n_queries.max(id + 1);
         QueryId(id)
     }
 
     /// Interns an ad name (creating an isolated node if no edge follows).
     pub fn intern_ad(&mut self, name: &str) -> AdId {
-        let id = self.ad_names.get_or_insert_with(Interner::new).intern(name);
+        let id = Interner::intern_shared(self.ad_names.get_or_insert_with(Default::default), name);
         self.n_ads = self.n_ads.max(id + 1);
         AdId(id)
     }
@@ -123,52 +135,67 @@ impl ClickGraphBuilder {
 
     /// Freezes into the immutable CSR graph.
     pub fn build(self) -> ClickGraph {
-        let nq = self.n_queries as usize;
-        let na = self.n_ads as usize;
-
         // Sort edges query-major then ad for the forward CSR.
         let mut fwd: Vec<((u32, u32), EdgeData)> = self.edges.into_iter().collect();
-        fwd.sort_unstable_by_key(|&((q, a), _)| (q, a));
+        fwd.sort_unstable_by_key(|&(key, _)| key);
+        lay_out(
+            self.n_queries as usize,
+            self.n_ads as usize,
+            &fwd,
+            self.query_names,
+            self.ad_names,
+        )
+    }
+}
 
-        let mut q_offsets = vec![0u32; nq + 1];
-        for &((q, _), _) in &fwd {
-            q_offsets[q as usize + 1] += 1;
-        }
-        for i in 0..nq {
-            q_offsets[i + 1] += q_offsets[i];
-        }
-        let q_nbrs: Vec<AdId> = fwd.iter().map(|&((_, a), _)| AdId(a)).collect();
-        let q_edges: Vec<EdgeData> = fwd.iter().map(|&(_, e)| e).collect();
+/// Lays out both CSR directions over `nq` queries and `na` ads from edges
+/// sorted by `(query, ad)` without duplicates: the one place a
+/// [`ClickGraph`]'s arrays are built.
+pub(crate) fn lay_out(
+    nq: usize,
+    na: usize,
+    fwd: &[((u32, u32), EdgeData)],
+    query_names: Option<Arc<Interner>>,
+    ad_names: Option<Arc<Interner>>,
+) -> ClickGraph {
+    let mut q_offsets = vec![0u32; nq + 1];
+    for &((q, _), _) in fwd {
+        q_offsets[q as usize + 1] += 1;
+    }
+    for i in 0..nq {
+        q_offsets[i + 1] += q_offsets[i];
+    }
+    let q_nbrs: Vec<AdId> = fwd.iter().map(|&((_, a), _)| AdId(a)).collect();
+    let q_edges: Vec<EdgeData> = fwd.iter().map(|&(_, e)| e).collect();
 
-        // Transpose for the backward CSR (counting sort by ad id keeps the
-        // query-major order stable, so neighbor lists stay sorted).
-        let mut a_offsets = vec![0u32; na + 1];
-        for &((_, a), _) in &fwd {
-            a_offsets[a as usize + 1] += 1;
-        }
-        for i in 0..na {
-            a_offsets[i + 1] += a_offsets[i];
-        }
-        let mut cursor = a_offsets.clone();
-        let mut a_nbrs = vec![QueryId(0); fwd.len()];
-        let mut a_edges = vec![EdgeData::default(); fwd.len()];
-        for &((q, a), e) in &fwd {
-            let slot = cursor[a as usize] as usize;
-            a_nbrs[slot] = QueryId(q);
-            a_edges[slot] = e;
-            cursor[a as usize] += 1;
-        }
+    // Transpose for the backward CSR (counting sort by ad id keeps the
+    // query-major order stable, so neighbor lists stay sorted).
+    let mut a_offsets = vec![0u32; na + 1];
+    for &((_, a), _) in fwd {
+        a_offsets[a as usize + 1] += 1;
+    }
+    for i in 0..na {
+        a_offsets[i + 1] += a_offsets[i];
+    }
+    let mut cursor = a_offsets.clone();
+    let mut a_nbrs = vec![QueryId(0); fwd.len()];
+    let mut a_edges = vec![EdgeData::default(); fwd.len()];
+    for &((q, a), e) in fwd {
+        let slot = cursor[a as usize] as usize;
+        a_nbrs[slot] = QueryId(q);
+        a_edges[slot] = e;
+        cursor[a as usize] += 1;
+    }
 
-        ClickGraph {
-            q_offsets,
-            q_nbrs,
-            q_edges,
-            a_offsets,
-            a_nbrs,
-            a_edges,
-            query_names: self.query_names,
-            ad_names: self.ad_names,
-        }
+    ClickGraph {
+        q_offsets,
+        q_nbrs,
+        q_edges,
+        a_offsets,
+        a_nbrs,
+        a_edges,
+        query_names,
+        ad_names,
     }
 }
 

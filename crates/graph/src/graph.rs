@@ -10,6 +10,7 @@ use crate::edge::{EdgeData, WeightKind};
 use crate::ids::{AdId, NodeRef, QueryId};
 use crate::interner::Interner;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An immutable weighted bipartite click graph in CSR form.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -22,9 +23,10 @@ pub struct ClickGraph {
     pub(crate) a_offsets: Vec<u32>,
     pub(crate) a_nbrs: Vec<QueryId>,
     pub(crate) a_edges: Vec<EdgeData>,
-    // Optional display names.
-    pub(crate) query_names: Option<Interner>,
-    pub(crate) ad_names: Option<Interner>,
+    // Optional display names, shared with the builder or window they came
+    // from (a new name copies the table on the writer's side only).
+    pub(crate) query_names: Option<Arc<Interner>>,
+    pub(crate) ad_names: Option<Arc<Interner>>,
 }
 
 impl ClickGraph {
@@ -197,12 +199,12 @@ impl ClickGraph {
 
     /// The query-name interner, if present.
     pub fn query_interner(&self) -> Option<&Interner> {
-        self.query_names.as_ref()
+        self.query_names.as_deref()
     }
 
     /// The ad-name interner, if present.
     pub fn ad_interner(&self) -> Option<&Interner> {
-        self.ad_names.as_ref()
+        self.ad_names.as_deref()
     }
 
     /// Start offset of `q`'s row in the query→ad CSR edge arrays, exposed so
@@ -224,11 +226,10 @@ impl ClickGraph {
     /// Rebuilds the interners' reverse indices. Call after deserializing a
     /// graph (serde skips the redundant name→id maps).
     pub fn rebuild_name_indices(&mut self) {
-        if let Some(i) = self.query_names.as_mut() {
-            i.rebuild_index();
-        }
-        if let Some(i) = self.ad_names.as_mut() {
-            i.rebuild_index();
+        for names in [&mut self.query_names, &mut self.ad_names] {
+            if let Some(i) = names.as_mut() {
+                Arc::make_mut(i).rebuild_index();
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use simrankpp_util::FxHashMap;
+use std::sync::Arc;
 
 /// A bidirectional string ↔ dense-id map.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -30,6 +31,16 @@ impl Interner {
         self.names.push(name.to_owned());
         self.index.insert(name.to_owned(), id);
         id
+    }
+
+    /// [`Interner::intern`] into a table shared with frozen graphs: a known
+    /// name only looks up, and a new one copies the table first if anyone
+    /// else still holds it.
+    pub(crate) fn intern_shared(names: &mut Arc<Interner>, name: &str) -> u32 {
+        match names.get(name) {
+            Some(id) => id,
+            None => Arc::make_mut(names).intern(name),
+        }
     }
 
     /// Looks up the id for `name` without inserting.

@@ -231,12 +231,7 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let mut g2: ClickGraph = serde_json::from_str(&json).unwrap();
         // Interner reverse indices are skipped by serde; rebuild to use them.
-        if let Some(i) = g2.query_names.as_mut() {
-            i.rebuild_index();
-        }
-        if let Some(i) = g2.ad_names.as_mut() {
-            i.rebuild_index();
-        }
+        g2.rebuild_name_indices();
         assert_eq!(g2.n_edges(), g.n_edges());
         assert!(g2.query_by_name("camera").is_some());
         g2.validate().unwrap();

@@ -50,45 +50,113 @@
 //! back to a λ-weighted mean of their ECRs. `λ = 1` dispatches to the
 //! exact replay path so the undecayed configuration stays bit-identical
 //! to a scratch build.
+//!
+//! **Two freezes.** [`SlidingWindowGraph::freeze`] is the reference: it
+//! replays every surviving event into a fresh builder, so it costs the
+//! whole window each call. A streaming refresh admits a few dozen events
+//! into a window of thousands of edges, so it calls
+//! [`SlidingWindowGraph::refreeze`] instead. That re-folds only the edges
+//! observed or retired since the last refreeze, each from its own
+//! surviving events with the same per-edge, arrival-order fold, and keeps
+//! every other edge's data from the last refreeze. Because an edge's
+//! frozen data depends on its own surviving events alone (the per-edge
+//! anchoring above), the two agree bit for bit; the tests hold
+//! `refreeze() == freeze()` over random observe, advance and resume
+//! sequences. Both share the window's name tables with the graph they
+//! return, so neither copies a name.
 
-use crate::builder::ClickGraphBuilder;
+use crate::builder::{lay_out, ClickGraphBuilder};
 use crate::edge::EdgeData;
 use crate::graph::ClickGraph;
 use crate::ids::{AdId, QueryId};
 use crate::interner::Interner;
 use simrankpp_util::FxHashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A rolling multi-bucket click-graph accumulator.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowGraph {
     /// Window length in buckets (e.g. 14 for two weeks of daily buckets).
     window: usize,
-    /// Oldest → newest per-bucket raw events, each in arrival order.
+    /// Oldest → newest per-bucket raw events, each in arrival order. The
+    /// newest bucket is epoch `epoch`, and the buckets' epochs run
+    /// contiguously.
     buckets: VecDeque<Vec<(u32, u32, EdgeData)>>,
-    query_names: Interner,
-    ad_names: Interner,
+    query_names: Arc<Interner>,
+    ad_names: Arc<Interner>,
     /// Number of `advance()` calls so far (the current bucket's index).
     epoch: u64,
     /// Per-epoch ECR decay factor in `(0, 1]`; 1 = no decay.
     decay: f64,
+    /// The surviving events of every edge that has some, or had some at the
+    /// last [`Self::refreeze`]: one lookup per observed or retired event.
+    events: FxHashMap<(u32, u32), EdgeEvents>,
+    /// Edges observed or retired since the last [`Self::refreeze`], each
+    /// once.
+    touched: Vec<(u32, u32)>,
+    /// The last refreeze's edges, sorted by `(query, ad)`.
+    frozen: Vec<((u32, u32), EdgeData)>,
+}
+
+/// One edge's surviving events, and whether it changed since the last
+/// refreeze.
+#[derive(Debug, Clone, Default)]
+struct EdgeEvents {
+    /// `(epoch, index in that epoch's bucket)` per event, in arrival order:
+    /// what [`SlidingWindowGraph::refreeze`] folds.
+    at: VecDeque<(u64, usize)>,
+    /// Listed in `SlidingWindowGraph::touched`.
+    touched: bool,
+}
+
+/// The decayed fold of one edge's events, oldest → newest (see the module
+/// docs): undecayed impression/click sums plus the recency-weighted ECR.
+#[derive(Default)]
+struct DecayedFold {
+    impressions: u64,
+    clicks: u64,
+    /// Σ λ^gap · impressions · ecr
+    num: f64,
+    /// Σ λ^gap · impressions
+    den: f64,
+    /// Σ λ^gap · ecr (zero-impression fallback numerator)
+    wnum: f64,
+    /// Σ λ^gap (zero-impression fallback denominator)
+    wden: f64,
+}
+
+impl DecayedFold {
+    fn add(&mut self, weight: f64, data: &EdgeData) {
+        // Saturating like `EdgeData::merge`: counters come from outside
+        // and `u64::MAX` parses.
+        self.impressions = self.impressions.saturating_add(data.impressions);
+        self.clicks = self.clicks.saturating_add(data.clicks);
+        self.num += weight * data.impressions as f64 * data.expected_click_rate;
+        self.den += weight * data.impressions as f64;
+        self.wnum += weight * data.expected_click_rate;
+        self.wden += weight;
+    }
+
+    fn edge(&self) -> EdgeData {
+        let ecr = if self.den > 0.0 {
+            self.num / self.den
+        } else {
+            self.wnum / self.wden
+        };
+        EdgeData {
+            impressions: self.impressions,
+            clicks: self.clicks,
+            expected_click_rate: ecr,
+        }
+    }
 }
 
 impl SlidingWindowGraph {
     /// Creates a window of `window` buckets (≥ 1), starting with one empty
     /// current bucket and no decay.
     pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "window must hold at least one bucket");
-        let mut buckets = VecDeque::with_capacity(window);
-        buckets.push_back(Vec::new());
-        SlidingWindowGraph {
-            window,
-            buckets,
-            query_names: Interner::new(),
-            ad_names: Interner::new(),
-            epoch: 0,
-            decay: 1.0,
-        }
+        Self::resume(window, 0, Arc::default(), Arc::default())
     }
 
     /// Sets the per-epoch ECR decay factor (see the module docs). `1.0`
@@ -126,13 +194,15 @@ impl SlidingWindowGraph {
         self.buckets.len()
     }
 
-    /// The query-name interner (stable ids across the window's lifetime).
-    pub fn query_names(&self) -> &Interner {
+    /// The query-name interner (stable ids across the window's lifetime),
+    /// shared with every graph frozen since its last new name.
+    pub fn query_names(&self) -> &Arc<Interner> {
         &self.query_names
     }
 
-    /// The ad-name interner (stable ids across the window's lifetime).
-    pub fn ad_names(&self) -> &Interner {
+    /// The ad-name interner (stable ids across the window's lifetime),
+    /// shared like [`Self::query_names`].
+    pub fn ad_names(&self) -> &Arc<Interner> {
         &self.ad_names
     }
 
@@ -144,7 +214,12 @@ impl SlidingWindowGraph {
     /// first record of bucket `epoch`; because bucket assignment is purely
     /// position-relative to epoch marks, the replay rebuilds the surviving
     /// buckets bit-identically.
-    pub fn resume(window: usize, epoch: u64, query_names: Interner, ad_names: Interner) -> Self {
+    pub fn resume(
+        window: usize,
+        epoch: u64,
+        query_names: Arc<Interner>,
+        ad_names: Arc<Interner>,
+    ) -> Self {
         assert!(window >= 1, "window must hold at least one bucket");
         let mut buckets = VecDeque::with_capacity(window);
         buckets.push_back(Vec::new());
@@ -155,6 +230,9 @@ impl SlidingWindowGraph {
             ad_names,
             epoch,
             decay: 1.0,
+            events: FxHashMap::default(),
+            touched: Vec::new(),
+            frozen: Vec::new(),
         }
     }
 
@@ -166,8 +244,8 @@ impl SlidingWindowGraph {
     /// Records an observation of `(query, ad)` in the current bucket.
     /// Returns the stable ids.
     pub fn observe(&mut self, query: &str, ad: &str, data: EdgeData) -> (QueryId, AdId) {
-        let q = QueryId(self.query_names.intern(query));
-        let a = AdId(self.ad_names.intern(ad));
+        let q = QueryId(Interner::intern_shared(&mut self.query_names, query));
+        let a = AdId(Interner::intern_shared(&mut self.ad_names, ad));
         self.push_event(q, a, data);
         (q, a)
     }
@@ -182,10 +260,15 @@ impl SlidingWindowGraph {
     }
 
     fn push_event(&mut self, q: QueryId, a: AdId, data: EdgeData) {
-        self.buckets
-            .back_mut()
-            .expect("always at least one bucket")
-            .push((q.0, a.0, data));
+        let bucket = self.buckets.back_mut().expect("always at least one bucket");
+        let key = (q.0, a.0);
+        let at = (self.epoch, bucket.len());
+        bucket.push((q.0, a.0, data));
+        let edge = self.events.entry(key).or_default();
+        edge.at.push_back(at);
+        if !std::mem::replace(&mut edge.touched, true) {
+            self.touched.push(key);
+        }
     }
 
     /// Closes the current bucket and opens a new one; the oldest bucket
@@ -201,25 +284,50 @@ impl SlidingWindowGraph {
         let mut retired = Vec::new();
         while self.buckets.len() > self.window {
             let bucket = self.buckets.pop_front().expect("len > window ≥ 1");
-            retired.extend(bucket.iter().map(|&(q, a, _)| (QueryId(q), AdId(a))));
+            self.retire(&bucket, &mut retired);
         }
-        retired.sort_unstable_by_key(|&(q, a)| (q.0, a.0));
-        retired.dedup();
-        retired
+        sorted_unique(retired)
     }
 
     /// Advances until the current bucket is `epoch`, accumulating retired
     /// endpoints across all the rotations. A no-op (empty result) when
     /// `epoch` is not ahead of the current one — a click log can repeat or
     /// reorder epoch marks without corrupting the window.
+    ///
+    /// A jump of at least `window` epochs retires every held bucket in one
+    /// step, so its cost is the events held, never the epochs skipped: an
+    /// epoch mark of `u64::MAX` returns at once. The one empty current
+    /// bucket it leaves stands for the empty ones stepping would leave, as
+    /// after [`Self::resume`].
     pub fn advance_to(&mut self, epoch: u64) -> Vec<(QueryId, AdId)> {
-        let mut retired = Vec::new();
-        while self.epoch < epoch {
-            retired.extend(self.advance());
+        if epoch.saturating_sub(self.epoch) < self.window as u64 {
+            let mut retired = Vec::new();
+            while self.epoch < epoch {
+                retired.extend(self.advance());
+            }
+            return sorted_unique(retired);
         }
-        retired.sort_unstable_by_key(|&(q, a)| (q.0, a.0));
-        retired.dedup();
-        retired
+        let mut retired = Vec::new();
+        for bucket in std::mem::take(&mut self.buckets) {
+            self.retire(&bucket, &mut retired);
+        }
+        self.buckets.push_back(Vec::new());
+        self.epoch = epoch;
+        sorted_unique(retired)
+    }
+
+    /// Drops a retired bucket's events from the per-edge event lists (they
+    /// are each edge's oldest) and marks their edges touched.
+    fn retire(&mut self, bucket: &[(u32, u32, EdgeData)], retired: &mut Vec<(QueryId, AdId)>) {
+        for &(q, a, _) in bucket {
+            let key = (q, a);
+            let edge = self.events.get_mut(&key).expect("a held event is indexed");
+            edge.at.pop_front();
+            if !std::mem::replace(&mut edge.touched, true) {
+                self.touched.push(key);
+            }
+            retired.push((QueryId(q), AdId(a)));
+        }
     }
 
     /// Freezes the current window into an immutable [`ClickGraph`].
@@ -255,18 +363,6 @@ impl SlidingWindowGraph {
     /// with ages anchored to each edge's own newest surviving event (see
     /// the module docs for why the anchoring matters).
     fn freeze_decayed(&self) -> ClickGraph {
-        struct Acc {
-            impressions: u64,
-            clicks: u64,
-            /// Σ λ^gap · impressions · ecr
-            num: f64,
-            /// Σ λ^gap · impressions
-            den: f64,
-            /// Σ λ^gap · ecr (zero-impression fallback numerator)
-            wnum: f64,
-            /// Σ λ^gap (zero-impression fallback denominator)
-            wden: f64,
-        }
         // Pass 1: each edge's newest bucket index — the decay anchor.
         let mut newest: FxHashMap<(u32, u32), usize> = FxHashMap::default();
         for (i, bucket) in self.buckets.iter().enumerate() {
@@ -275,62 +371,97 @@ impl SlidingWindowGraph {
             }
         }
         // Pass 2: fold in arrival order with per-edge-anchored weights.
-        let mut acc: FxHashMap<(u32, u32), Acc> = FxHashMap::default();
+        let mut acc: FxHashMap<(u32, u32), DecayedFold> = FxHashMap::default();
         for (i, bucket) in self.buckets.iter().enumerate() {
             for &(q, a, data) in bucket {
                 let gap = (newest[&(q, a)] - i) as i32;
-                let weight = self.decay.powi(gap);
-                let e = acc.entry((q, a)).or_insert(Acc {
-                    impressions: 0,
-                    clicks: 0,
-                    num: 0.0,
-                    den: 0.0,
-                    wnum: 0.0,
-                    wden: 0.0,
-                });
-                // Saturating like `EdgeData::merge`: counters come from
-                // outside and `u64::MAX` parses.
-                e.impressions = e.impressions.saturating_add(data.impressions);
-                e.clicks = e.clicks.saturating_add(data.clicks);
-                e.num += weight * data.impressions as f64 * data.expected_click_rate;
-                e.den += weight * data.impressions as f64;
-                e.wnum += weight * data.expected_click_rate;
-                e.wden += weight;
+                acc.entry((q, a))
+                    .or_default()
+                    .add(self.decay.powi(gap), &data);
             }
         }
-        let mut edges: Vec<((u32, u32), Acc)> = acc.into_iter().collect();
+        let mut edges: Vec<((u32, u32), DecayedFold)> = acc.into_iter().collect();
         edges.sort_unstable_by_key(|&(key, _)| key);
         let mut b = self.universe_builder();
         for ((q, a), e) in edges {
-            let ecr = if e.den > 0.0 {
-                e.num / e.den
-            } else {
-                e.wnum / e.wden
-            };
-            b.add_edge(
-                QueryId(q),
-                AdId(a),
-                EdgeData {
-                    impressions: e.impressions,
-                    clicks: e.clicks,
-                    expected_click_rate: ecr,
-                },
-            );
+            b.add_edge(QueryId(q), AdId(a), e.edge());
         }
         b.build()
     }
 
-    /// A fresh builder with the window's full name universe pre-interned in
-    /// id order, so scratch builds share the window's stable id space.
+    /// [`Self::freeze`] at the cost of what changed: re-folds only the edges
+    /// observed or retired since the last refreeze, each from its own
+    /// surviving events in arrival order (the fold `freeze` applies, decayed
+    /// or not), splices them into the last refreeze's id-sorted edge list,
+    /// and lays the CSR out from that list without hashing or sorting it.
+    /// The result equals `freeze()` bit for bit (see the module docs).
+    pub fn refreeze(&mut self) -> ClickGraph {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        let mut frozen = Vec::with_capacity(self.frozen.len() + touched.len());
+        let mut kept = self.frozen.iter().copied().peekable();
+        for key in touched {
+            while let Some(edge) = kept.next_if(|&(k, _)| k < key) {
+                frozen.push(edge);
+            }
+            kept.next_if(|&(k, _)| k == key);
+            if let Some(data) = self.fold(key) {
+                frozen.push((key, data));
+            }
+            // Clean again; an edge whose events all retired leaves the index.
+            let edge = self
+                .events
+                .get_mut(&key)
+                .expect("a touched edge is indexed");
+            if edge.at.is_empty() {
+                self.events.remove(&key);
+            } else {
+                edge.touched = false;
+            }
+        }
+        frozen.extend(kept);
+        self.frozen = frozen;
+        let g = lay_out(
+            self.query_names.len(),
+            self.ad_names.len(),
+            &self.frozen,
+            Some(Arc::clone(&self.query_names)),
+            Some(Arc::clone(&self.ad_names)),
+        );
+        debug_assert!(g.validate().is_ok());
+        g
+    }
+
+    /// One edge's frozen data from its surviving events, `None` once they
+    /// have all retired.
+    fn fold(&self, key: (u32, u32)) -> Option<EdgeData> {
+        let at = &self.events.get(&key)?.at;
+        // The buckets' epochs run contiguously up to the current one (which
+        // may be `u64::MAX`).
+        let oldest = self.epoch - (self.buckets.len() as u64 - 1);
+        let data = |&(epoch, i): &(u64, usize)| self.buckets[(epoch - oldest) as usize][i].2;
+        if self.decay >= 1.0 {
+            let mut events = at.iter().map(data);
+            let mut e = events.next()?;
+            for d in events {
+                e.merge(&d);
+            }
+            Some(e)
+        } else {
+            let newest = at.back()?.0;
+            let mut acc = DecayedFold::default();
+            for p in at {
+                acc.add(self.decay.powi((newest - p.0) as i32), &data(p));
+            }
+            Some(acc.edge())
+        }
+    }
+
+    /// A fresh builder over the window's full name universe in id order,
+    /// so scratch builds share the window's stable id space (and its name
+    /// tables, until the builder interns a name of its own).
     pub fn universe_builder(&self) -> ClickGraphBuilder {
-        let mut b = ClickGraphBuilder::new();
-        for (_, name) in self.query_names.iter() {
-            b.intern_query(name);
-        }
-        for (_, name) in self.ad_names.iter() {
-            b.intern_ad(name);
-        }
-        b
+        ClickGraphBuilder::with_names(Arc::clone(&self.query_names), Arc::clone(&self.ad_names))
     }
 
     /// Looks up a query's stable id without inserting.
@@ -342,6 +473,13 @@ impl SlidingWindowGraph {
     pub fn ad_id(&self, name: &str) -> Option<AdId> {
         self.ad_names.get(name).map(AdId)
     }
+}
+
+/// Retired endpoints sorted by id, each once.
+fn sorted_unique(mut retired: Vec<(QueryId, AdId)>) -> Vec<(QueryId, AdId)> {
+    retired.sort_unstable_by_key(|&(q, a)| (q.0, a.0));
+    retired.dedup();
+    retired
 }
 
 #[cfg(test)]
@@ -670,5 +808,123 @@ mod tests {
         // The newest day's ad is connected.
         let ad19 = g.ad_by_name("ad-day19").unwrap();
         assert_eq!(g.ad_degree(ad19), 1);
+    }
+
+    #[test]
+    fn a_mark_at_u64_max_retires_everything_at_once() {
+        let mut w = SlidingWindowGraph::new(14);
+        let (q, a) = w.observe("q", "ad", click());
+        w.advance();
+        w.observe("q2", "ad", click());
+        let _ = w.refreeze();
+        let started = std::time::Instant::now();
+        let retired = w.advance_to(u64::MAX);
+        assert!(started.elapsed() < std::time::Duration::from_millis(50));
+        assert_eq!(w.epoch(), u64::MAX);
+        assert_eq!(w.events_held(), 0);
+        assert_eq!(retired, vec![(q, a), (w.query_id("q2").unwrap(), a)]);
+        let g = w.refreeze();
+        assert_eq!(g.n_edges(), 0);
+        assert_eq!(g.fingerprint(), w.freeze().fingerprint());
+        assert!(w.advance_to(7).is_empty(), "stale epoch mark is a no-op");
+        // The last epoch still takes events.
+        w.observe("q", "ad", click());
+        assert_eq!(w.refreeze().fingerprint(), w.freeze().fingerprint());
+    }
+
+    #[test]
+    fn shared_name_tables_are_copied_only_for_a_new_name() {
+        let mut w = SlidingWindowGraph::new(2);
+        w.observe("q", "ad", click());
+        let g = w.refreeze();
+        let shared = Arc::as_ptr(w.query_names());
+        assert_eq!(g.query_interner().map(|i| i as *const _), Some(shared));
+        w.observe("q", "ad", click());
+        assert_eq!(Arc::as_ptr(w.query_names()), shared, "known name: no copy");
+        w.observe("new", "ad", click());
+        assert_ne!(Arc::as_ptr(w.query_names()), shared, "new name: copy");
+        assert_eq!(g.n_queries(), 1, "the frozen graph keeps its names");
+        assert_eq!(w.query_names().len(), 2);
+    }
+
+    /// Asserts two graphs equal in every array, edge bit, name and count.
+    fn assert_same_graph(inc: &ClickGraph, scratch: &ClickGraph) {
+        let bits = |edges: &[EdgeData]| -> Vec<(u64, u64, u64)> {
+            edges
+                .iter()
+                .map(|e| (e.impressions, e.clicks, e.expected_click_rate.to_bits()))
+                .collect()
+        };
+        assert_eq!(inc.n_queries(), scratch.n_queries());
+        assert_eq!(inc.n_ads(), scratch.n_ads());
+        assert_eq!(inc.q_offsets, scratch.q_offsets);
+        assert_eq!(inc.q_nbrs, scratch.q_nbrs);
+        assert_eq!(bits(&inc.q_edges), bits(&scratch.q_edges));
+        assert_eq!(inc.a_offsets, scratch.a_offsets);
+        assert_eq!(inc.a_nbrs, scratch.a_nbrs);
+        assert_eq!(bits(&inc.a_edges), bits(&scratch.a_edges));
+        assert_eq!(inc.query_interner(), scratch.query_interner());
+        assert_eq!(inc.ad_interner(), scratch.ad_interner());
+        assert_eq!(inc.fingerprint(), scratch.fingerprint());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // `refreeze` is `freeze` at the cost of what changed: after every
+        // call, over random observe / late-event / advance / resume
+        // sequences, it equals the scratch reference in every array, edge
+        // bit, name table and fingerprint, decayed or not. (0.5 scales every
+        // weight of an edge exactly, so 0.7 is what catches a wrong age
+        // anchor.)
+        #[test]
+        fn refreeze_equals_freeze(
+            window in 1usize..5,
+            ops in proptest::collection::vec(
+                (0u32..12, 0u32..35, 0u64..30, 0.0f64..1.0),
+                1..60,
+            ),
+        ) {
+            for decay in [1.0, 0.5, 0.7] {
+                let mut w = SlidingWindowGraph::new(window).with_decay(decay);
+                let check = |w: &mut SlidingWindowGraph| {
+                    let inc = w.refreeze();
+                    assert_same_graph(&inc, &w.freeze());
+                };
+                // An edge whose events all retire while it is frozen.
+                w.observe("gone", "gone-ad", click());
+                check(&mut w);
+                w.advance_to(w.epoch() + window as u64);
+                check(&mut w);
+                for (i, &(kind, qa, impressions, ecr)) in ops.iter().enumerate() {
+                    let (q, a) = (qa / 5, qa % 5);
+                    let data = EdgeData::new(impressions, impressions / 3, ecr);
+                    match kind {
+                        // Observations into the current bucket: on time or
+                        // late, the window folds them the same way.
+                        0..=4 => {
+                            w.observe(&format!("q{q}"), &format!("ad{a}"), data);
+                        }
+                        // A name first seen mid-stream.
+                        5 => {
+                            w.observe(&format!("new{i}"), &format!("ad{a}"), data);
+                        }
+                        // Advance by 0 to window + 2 epochs: steps and jumps.
+                        6 | 7 => {
+                            w.advance_to(w.epoch() + (q as u64 % (window as u64 + 3)));
+                        }
+                        8 => {
+                            let names = (Arc::clone(w.query_names()), Arc::clone(w.ad_names()));
+                            w = SlidingWindowGraph::resume(window, w.epoch(), names.0, names.1)
+                                .with_decay(decay);
+                        }
+                        _ => check(&mut w),
+                    }
+                }
+                check(&mut w);
+            }
+        }
     }
 }

@@ -38,6 +38,7 @@ use simrankpp_graph::Interner;
 use simrankpp_util::{AlignedBytes, Format, Section};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The checkpoint file.
 pub const FORMAT: Format = Format {
@@ -89,26 +90,28 @@ pub struct Checkpoint {
     pub window: u64,
     /// Bit pattern of the ECR decay factor, for the same reason.
     pub decay_bits: u64,
-    /// Every query name ever interned, in id order.
-    pub query_names: Interner,
+    /// Every query name ever interned, in id order (shared with the window
+    /// it was captured from).
+    pub query_names: Arc<Interner>,
     /// Every ad name ever interned, in id order.
-    pub ad_names: Interner,
+    pub ad_names: Arc<Interner>,
 }
 
 /// Interns a checkpoint's name table, refusing duplicates (a repeated name
 /// would silently shift every later id).
-fn interner(names: Vec<&str>) -> io::Result<Interner> {
+fn interner(names: Vec<&str>) -> io::Result<Arc<Interner>> {
     let mut interner = Interner::new();
     for (i, name) in (0..).zip(names) {
         if interner.intern(name) != i {
             return Err(FORMAT.refuse(format_args!("duplicate name {name:?} in a name table")));
         }
     }
-    Ok(interner)
+    Ok(Arc::new(interner))
 }
 
 /// Captures a checkpoint of `ing` (which must have refreshed at least
-/// once, so its fingerprint is meaningful).
+/// once, so its fingerprint is meaningful). The name tables are shared
+/// with the window, not copied.
 pub fn capture(ing: &EpochIngestor) -> Checkpoint {
     let (replay_epoch, replay_offset) = ing.replay_start();
     Checkpoint {
@@ -120,8 +123,8 @@ pub fn capture(ing: &EpochIngestor) -> Checkpoint {
         fingerprint: ing.last_fingerprint(),
         window: ing.window().window() as u64,
         decay_bits: ing.window().decay().to_bits(),
-        query_names: ing.window().query_names().clone(),
-        ad_names: ing.window().ad_names().clone(),
+        query_names: Arc::clone(ing.window().query_names()),
+        ad_names: Arc::clone(ing.window().ad_names()),
     }
 }
 
@@ -233,8 +236,8 @@ pub fn resume_ingestor(
         cfg.clone(),
         ck.replay_epoch,
         ck.replay_offset,
-        ck.query_names.clone(),
-        ck.ad_names.clone(),
+        Arc::clone(&ck.query_names),
+        Arc::clone(&ck.ad_names),
         ck.generation,
     );
     let backlog = tailer.drain_spanned()?;
@@ -583,8 +586,7 @@ mod tests {
 
         // One name longer than any real query or ad string.
         let mut oversized = ck.clone();
-        oversized
-            .ad_names
+        Arc::make_mut(&mut oversized.ad_names)
             .intern(&"x".repeat(simrankpp_util::MAX_NAME_BYTES as usize + 1));
         write_checkpoint(&path, &oversized).unwrap();
         let err = read_checkpoint(&path).unwrap_err();

@@ -147,10 +147,22 @@ impl RowAssembler {
         Ok(())
     }
 
-    /// Encodes the rows and `names` into one arena and views it.
-    pub(crate) fn finish(self, meta: IndexMeta, names: Option<&Interner>) -> RewriteIndex {
-        let bytes =
-            crate::snapshot::encode(&meta, &self.offsets, &self.targets, &self.scores, names);
+    /// Encodes the rows and `names` into one arena and views it, reusing
+    /// `previous`'s name sections when its names are `names`.
+    pub(crate) fn finish(
+        self,
+        meta: IndexMeta,
+        names: Option<&Interner>,
+        previous: Option<&RewriteIndex>,
+    ) -> RewriteIndex {
+        let bytes = crate::snapshot::encode(
+            &meta,
+            &self.offsets,
+            &self.targets,
+            &self.scores,
+            names,
+            previous,
+        );
         drop(self);
         RewriteIndex::view(Backing::Heap(bytes), true).expect("a freshly encoded index parses")
     }
@@ -246,6 +258,7 @@ impl RewriteIndex {
                 segments: 0,
             },
             g.query_interner(),
+            None,
         )
     }
 
@@ -320,13 +333,16 @@ impl RewriteIndex {
                 segments: store.n_segments() as u32,
             },
             interner.as_ref(),
+            None,
         ))
     }
 
     /// Recomputes the **dirty** queries' rows after a graph delta (`dirty`:
     /// [`simrankpp_graph::GraphDelta::dirty_components`] over `new_graph`),
     /// each dirty component on its induced subgraph alone, and copies every
-    /// clean row verbatim — bit-identical to `build` over `new_graph`. The
+    /// clean row verbatim — bit-identical to `build` over `new_graph`. When
+    /// `new_graph` names exactly the queries `self` names, the name sections
+    /// are copied too, so only the rows are encoded afresh. The
     /// configs and `bid_terms` must match what built `self` (row cap and bid
     /// filtering are checked). Bytes never deep-checked (an `open`ed file)
     /// are checked first: corrupt rows never reach the next generation.
@@ -409,7 +425,7 @@ impl RewriteIndex {
                 arena.push_row(targets.iter().copied().zip(scores.iter().copied()))?;
             }
         }
-        let next = arena.finish(self.meta, new_graph.query_interner());
+        let next = arena.finish(self.meta, new_graph.query_interner(), Some(self));
         let copied_entries = next.n_entries() - refreshed_entries;
         let stats = RebuildStats::new(dirty, new_n, refreshed_entries, copied_entries);
         Ok((next, stats))
@@ -418,7 +434,7 @@ impl RewriteIndex {
     /// An index covering **zero** queries, for live single-source serving:
     /// every lookup misses and only `meta` counts.
     pub fn empty(meta: IndexMeta) -> RewriteIndex {
-        RowAssembler::with_capacity(0).finish(meta, None)
+        RowAssembler::with_capacity(0).finish(meta, None, None)
     }
 
     /// Build provenance.
@@ -511,6 +527,19 @@ impl RewriteIndex {
     pub(crate) fn name_to_write(&self, q: QueryId) -> Option<&[u8]> {
         let name = self.name_bytes(q)?;
         (self.checked || std::str::from_utf8(name).is_ok()).then_some(name)
+    }
+
+    /// Whether the name sections hold exactly `names`, in id order, byte
+    /// for byte: one pass over the name bytes, no hashing.
+    pub(crate) fn has_name_table(&self, names: &Interner) -> bool {
+        let offs: &[u64] = self.section(SEC_NAME_OFFS);
+        let blob: &[u8] = self.section(SEC_NAME_BLOB);
+        offs.len() == names.len() + 1
+            && offs.first() == Some(&0)
+            && offs.last() == Some(&(blob.len() as u64))
+            && names.iter().zip(offs.windows(2)).all(|((_, name), w)| {
+                blob.get(w[0] as usize..w[1] as usize) == Some(name.as_bytes())
+            })
     }
 
     fn name_bytes(&self, q: QueryId) -> Option<&[u8]> {
@@ -706,7 +735,7 @@ mod tests {
         let mut tail = RowAssembler::with_capacity(1);
         tail.push_row([(0, 0.125)]).unwrap();
         head.append(tail).unwrap();
-        let index = head.finish(fig3_index().meta, None);
+        let index = head.finish(fig3_index().meta, None, None);
         index.validate().unwrap();
         assert_eq!(index.n_queries(), 3);
         assert_eq!(index.row(QueryId(0)), (&[1, 2][..], &[0.5, 0.25][..]));
@@ -747,6 +776,39 @@ mod tests {
         let rewriter = Rewriter::new(&g2, method, RewriterConfig::default());
         let full = RewriteIndex::build(&rewriter, None, 1);
         assert_eq!(inc.as_bytes(), full.as_bytes());
+    }
+
+    #[test]
+    fn name_sections_are_reused_only_for_the_same_name_table() {
+        let index = fig3_index();
+        let g = figure3_graph();
+        let names = g.query_interner().unwrap();
+        assert!(index.has_name_table(names));
+        let mut grown = names.clone();
+        grown.intern("laptop");
+        assert!(!index.has_name_table(&grown));
+        // Same count and lengths, one byte different.
+        let renamed: Interner = names
+            .iter()
+            .map(|(_, n)| n.replace("camera", "camerb"))
+            .collect();
+        assert!(!index.has_name_table(&renamed));
+        assert!(!RewriteIndex::empty(index.meta).has_name_table(names));
+
+        // A reused encode is the fresh encode, byte for byte.
+        let rows = || {
+            let mut rows = RowAssembler::with_capacity(index.n_queries());
+            for q in 0..index.n_queries() as u32 {
+                let (t, s) = index.row(QueryId(q));
+                rows.push_row(t.iter().copied().zip(s.iter().copied()))
+                    .unwrap();
+            }
+            rows
+        };
+        let reused = rows().finish(index.meta, Some(names), Some(&index));
+        assert_eq!(reused.as_bytes(), index.as_bytes());
+        let fresh = rows().finish(index.meta, Some(&renamed), Some(&index));
+        assert_eq!(fresh.lookup("camerb"), index.lookup("camera"));
     }
 
     #[test]

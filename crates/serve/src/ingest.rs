@@ -13,13 +13,16 @@
 //! * events accumulate into the current epoch bucket of a
 //!   [`SlidingWindowGraph`]; `@ <epoch>` marker lines close epochs,
 //!   retiring buckets older than the window and triggering a refresh;
-//! * each refresh freezes the surviving window, marks dirty exactly the
-//!   components holding an endpoint of an event **observed or retired**
-//!   since the last refresh (sound because a frozen edge's data — decayed
-//!   ECR included, see the window docs on per-edge age anchoring — depends
-//!   only on its own surviving events), rebuilds those rows, and
-//!   hot-swaps the new generation in while the TCP data plane keeps
-//!   serving.
+//! * each refresh refreezes the window — re-folding only the edges an
+//!   event **observed or retired** since the last refresh touched
+//!   ([`SlidingWindowGraph::refreeze`]), so a small epoch never pays for
+//!   the whole window — marks dirty exactly the components holding an
+//!   endpoint of those events (sound because a frozen edge's data —
+//!   decayed ECR included, see the window docs on per-edge age anchoring
+//!   — depends only on its own surviving events), rebuilds those rows,
+//!   and hot-swaps the new generation in while the TCP data plane keeps
+//!   serving. The refreshed graph's fingerprint, which only a checkpoint
+//!   reads, is hashed when a checkpoint first asks for it.
 //!
 //! The first refresh has no previous generation and runs a full build;
 //! every later one is incremental, and is bit-identical to a from-scratch
@@ -37,11 +40,12 @@ use crate::index::{RebuildStats, RewriteIndex};
 use crate::server::ServeState;
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::delta::{dirty_for_endpoints, parse_click_log_line, ClickLogRecord};
-use simrankpp_graph::{AdId, EdgeData, QueryId, SlidingWindowGraph};
+use simrankpp_graph::{AdId, ClickGraph, EdgeData, Interner, QueryId, SlidingWindowGraph};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Parameters of one streaming ingest pipeline. The similarity and
@@ -147,8 +151,10 @@ pub struct EpochIngestor {
     /// Index generations produced so far (survives resume: restored from
     /// the checkpoint so generation numbers stay monotonic across crashes).
     generation: u64,
-    /// Fingerprint of the window frozen by the last [`Self::refresh`].
-    last_fingerprint: u64,
+    /// The window frozen by the last [`Self::refresh`].
+    last_graph: Option<ClickGraph>,
+    /// Its fingerprint, hashed the first time it is asked for.
+    last_fingerprint: OnceLock<u64>,
 }
 
 impl EpochIngestor {
@@ -166,8 +172,8 @@ impl EpochIngestor {
         cfg: IngestConfig,
         epoch: u64,
         replay_offset: u64,
-        query_names: simrankpp_graph::Interner,
-        ad_names: simrankpp_graph::Interner,
+        query_names: Arc<Interner>,
+        ad_names: Arc<Interner>,
         generation: u64,
     ) -> EpochIngestor {
         let window = SlidingWindowGraph::resume(cfg.window, epoch, query_names, ad_names)
@@ -195,7 +201,8 @@ impl EpochIngestor {
             advances: std::collections::VecDeque::new(),
             applied_offset: 0,
             generation,
-            last_fingerprint: 0,
+            last_graph: None,
+            last_fingerprint: OnceLock::new(),
         }
     }
 
@@ -215,9 +222,12 @@ impl EpochIngestor {
     }
 
     /// Fingerprint of the window frozen by the last refresh (0 before the
-    /// first one).
+    /// first one), hashed on the first call after each refresh: an ingest
+    /// that never checkpoints never pays for it.
     pub fn last_fingerprint(&self) -> u64 {
-        self.last_fingerprint
+        self.last_graph.as_ref().map_or(0, |g| {
+            *self.last_fingerprint.get_or_init(|| g.fingerprint())
+        })
     }
 
     /// End offset of the last record applied with [`Self::apply_record_at`].
@@ -307,12 +317,15 @@ impl EpochIngestor {
         let before = self.window.epoch();
         let refresh_due = self.apply_record(rec);
         let after = self.window.epoch();
-        for epoch in (before + 1)..=after {
-            self.advances.push_back((epoch, span.0));
-        }
-        // Prune entries no future checkpoint can need: a boundary at epoch
-        // E replays from bucket E − window + 1, and E only grows.
+        // Keep only entries a future checkpoint can need: a boundary at
+        // epoch E replays from bucket E − window + 1, and E only grows. So a
+        // jump pushes at most `window` entries, however many epochs it skips.
         let keep_from = after.saturating_sub(self.window.window() as u64 - 1);
+        if after > before {
+            for epoch in (before + 1).max(keep_from)..=after {
+                self.advances.push_back((epoch, span.0));
+            }
+        }
         while matches!(self.advances.front(), Some(&(e, _)) if e < keep_from) {
             self.advances.pop_front();
         }
@@ -320,7 +333,7 @@ impl EpochIngestor {
         refresh_due
     }
 
-    /// Freezes the surviving window and produces the next index
+    /// Refreezes the surviving window and produces the next index
     /// generation: a full parallel build the first time, an incremental
     /// rebuild of exactly the dirty components' rows afterwards. Returns
     /// the generation to publish, its rebuild stats (for a full build:
@@ -332,12 +345,12 @@ impl EpochIngestor {
         // freshness ([`Self::refresh_and_publish`]) take the start first.
         self.batch_started = None;
         simrankpp_util::fail_point!("ingest-epoch-apply", |msg: String| msg);
-        let graph = self.window.freeze();
-        self.last_fingerprint = graph.fingerprint();
+        self.last_fingerprint = OnceLock::new();
+        let graph = &*self.last_graph.insert(self.window.refreeze());
         match self.index.as_ref() {
             None => {
-                let method = Method::compute(self.cfg.method, &graph, &self.cfg.config);
-                let rewriter = Rewriter::new(&graph, method, self.cfg.rewriter);
+                let method = Method::compute(self.cfg.method, graph, &self.cfg.config);
+                let rewriter = Rewriter::new(graph, method, self.cfg.rewriter);
                 let index = RewriteIndex::build(&rewriter, None, self.cfg.threads);
                 let stats = RebuildStats {
                     refreshed_queries: index.n_queries(),
@@ -353,9 +366,9 @@ impl EpochIngestor {
                 Ok((index, stats, true))
             }
             Some(old) => {
-                let dirty = dirty_for_endpoints(&graph, self.pending.iter().copied());
+                let dirty = dirty_for_endpoints(graph, self.pending.iter().copied());
                 let (next, stats) = old.rebuild_incremental(
-                    &graph,
+                    graph,
                     &dirty,
                     &self.cfg.config,
                     &self.cfg.rewriter,
@@ -727,6 +740,60 @@ mod tests {
         // event's own start offset.
         ing.apply_record_at(&ClickLogRecord::EpochMark { epoch: 5 }, (60, 70));
         assert_eq!(ing.replay_start(), (3, 40));
+    }
+
+    #[test]
+    fn a_mark_at_u64_max_is_one_step_with_bounded_bookkeeping() {
+        let mut ing = EpochIngestor::new(cfg()); // window 3
+        ing.apply_record_at(&ev(0, "q", "a"), (0, 10));
+        ing.apply_record_at(&ClickLogRecord::EpochMark { epoch: 1 }, (10, 20));
+        let started = Instant::now();
+        assert!(ing.apply_record_at(&ClickLogRecord::EpochMark { epoch: u64::MAX }, (20, 30)));
+        assert!(started.elapsed() < std::time::Duration::from_millis(50));
+        assert_eq!(ing.epoch(), u64::MAX);
+        assert_eq!(ing.window().events_held(), 0, "the window is empty");
+        assert!(ing.advances.len() <= ing.window().window());
+        assert_eq!(ing.replay_start(), (u64::MAX - 2, 20));
+        let (index, _, _) = ing.refresh().unwrap();
+        assert!(index.row(index.lookup("q").unwrap()).0.is_empty());
+        assert_eq!(ing.last_fingerprint(), ing.window().freeze().fingerprint());
+    }
+
+    #[test]
+    fn a_jump_past_the_window_equals_stepping_one_epoch_at_a_time() {
+        // Both see the same records; the stepping one is told each epoch
+        // of the jump by a mark with the jump's own byte span, so the two
+        // differ only in how the window gets there.
+        let prefix = [
+            (ev(0, "q0", "a0"), (0, 10)),
+            (ClickLogRecord::EpochMark { epoch: 1 }, (10, 20)),
+            (ev(1, "q1", "a0"), (20, 30)),
+            (ev(1, "q0", "a1"), (30, 40)),
+        ];
+        let (mut jump, mut step) = (EpochIngestor::new(cfg()), EpochIngestor::new(cfg()));
+        for (rec, span) in &prefix {
+            jump.apply_record_at(rec, *span);
+            step.apply_record_at(rec, *span);
+        }
+        jump.refresh().unwrap();
+        step.refresh().unwrap();
+        let to = 1 + cfg().window as u64 + 3;
+        jump.apply_record_at(&ClickLogRecord::EpochMark { epoch: to }, (40, 50));
+        for epoch in 2..=to {
+            step.apply_record_at(&ClickLogRecord::EpochMark { epoch }, (40, 50));
+        }
+        for ing in [&mut jump, &mut step] {
+            ing.apply_record_at(&ev(to, "q2", "a1"), (50, 60));
+            ing.refresh().unwrap();
+        }
+        assert_eq!(jump.last_fingerprint(), step.last_fingerprint());
+        assert_eq!(
+            jump.window().freeze().fingerprint(),
+            step.window().freeze().fingerprint()
+        );
+        assert_eq!(jump.replay_start(), step.replay_start());
+        assert_eq!(jump.replay_start(), (to - 2, 40));
+        assert_eq!(jump.advances, step.advances);
     }
 
     #[test]

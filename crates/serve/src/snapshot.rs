@@ -90,14 +90,21 @@ const METHODS: [MethodKind; 5] = [
     MethodKind::WeightedSimrank,
 ];
 
+/// The name sections, in table order.
+const NAME_SECTIONS: [u64; 4] = [SEC_NAME_OFFS, SEC_NAME_BLOB, SEC_NAME_HASH, SEC_NAME_IDS];
+
 /// Encodes rows (as [`RewriteIndex::row`] serves them) and the optional
-/// query names into one v4 arena.
+/// query names into one v4 arena. When `previous`'s name table equals
+/// `names` byte for byte, its four name sections are copied with their
+/// checksums instead of being rebuilt: the bytes are the same either way,
+/// and only the row sections are hashed.
 pub(crate) fn encode(
     meta: &IndexMeta,
     offsets: &[u32],
     targets: &[u32],
     scores: &[f64],
     names: Option<&Interner>,
+    previous: Option<&RewriteIndex>,
 ) -> AlignedBytes {
     let method = METHODS.iter().position(|&k| k == meta.method);
     let meta_words = [
@@ -109,7 +116,8 @@ pub(crate) fn encode(
         targets.len() as u64,
         meta.segments as u64,
     ];
-    let lookup = names.map(|names| {
+    let reused = previous.filter(|p| names.is_some_and(|n| p.has_name_table(n)));
+    let lookup = names.filter(|_| reused.is_none()).map(|names| {
         let mut hashed: Vec<(u64, u32)> = names
             .iter()
             .map(|(id, name)| (fnv1a(name.as_bytes()), id))
@@ -123,7 +131,11 @@ pub(crate) fn encode(
         .slice(SEC_OFFSETS, offsets)
         .slice(SEC_TARGETS, targets)
         .slice(SEC_SCORES, scores);
-    if let (Some(names), Some((hash, ids))) = (names, &lookup) {
+    if let Some(previous) = reused {
+        for tag in NAME_SECTIONS {
+            w.reuse(tag, &previous.layout, previous.as_bytes());
+        }
+    } else if let (Some(names), Some((hash, ids))) = (names, &lookup) {
         w.names(SEC_NAME_OFFS, SEC_NAME_BLOB, names.iter().map(|(_, n)| n))
             .slice(SEC_NAME_HASH, hash)
             .slice(SEC_NAME_IDS, ids);

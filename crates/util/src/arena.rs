@@ -185,10 +185,12 @@ impl AlignedBytes {
     }
 }
 
-/// A section staged for writing: a tag plus its payload bytes.
+/// A section staged for writing: a tag, its payload bytes, and their
+/// checksum when it is already known.
 struct Staged<'a> {
     tag: u64,
     bytes: Cow<'a, [u8]>,
+    fnv: Option<u64>,
 }
 
 /// Builds an arena file section-at-a-time and streams it through any
@@ -230,8 +232,26 @@ impl<'a> ArenaWriter<'a> {
             .stage(blob_tag, Cow::Owned(blob))
     }
 
+    /// Stages section `tag` of an arena `layout` has read, borrowing its
+    /// payload and reusing the checksum its table records instead of
+    /// hashing it again. A payload whose bytes were never checked against
+    /// that checksum keeps failing it in the new arena too.
+    pub fn reuse(&mut self, tag: u64, layout: &Layout, bytes: &'a [u8]) -> &mut Self {
+        let i = tag as usize - 1;
+        self.sections.push(Staged {
+            tag,
+            bytes: Cow::Borrowed(&bytes[layout.ranges[i].clone()]),
+            fnv: Some(layout.sums[i]),
+        });
+        self
+    }
+
     fn stage(&mut self, tag: u64, bytes: Cow<'a, [u8]>) -> &mut Self {
-        self.sections.push(Staged { tag, bytes });
+        self.sections.push(Staged {
+            tag,
+            bytes,
+            fnv: None,
+        });
         self
     }
 
@@ -255,7 +275,8 @@ impl<'a> ArenaWriter<'a> {
             table.extend_from_slice(&s.tag.to_ne_bytes());
             table.extend_from_slice(&off.to_ne_bytes());
             table.extend_from_slice(&(s.bytes.len() as u64).to_ne_bytes());
-            table.extend_from_slice(&fnv1a(&s.bytes).to_ne_bytes());
+            let fnv = s.fnv.unwrap_or_else(|| fnv1a(&s.bytes));
+            table.extend_from_slice(&fnv.to_ne_bytes());
             off += pad8(s.bytes.len() as u64);
         }
         w.write_all(&self.magic)?;
@@ -425,7 +446,7 @@ impl Format {
             return Err(self.refuse("section table checksum mismatch"));
         }
 
-        let mut found: [Option<Range<usize>>; MAX_SECTIONS] = Default::default();
+        let mut found: [Option<(Range<usize>, u64)>; MAX_SECTIONS] = Default::default();
         for entry in table.chunks_exact(TABLE_ENTRY_BYTES) {
             let word = |i: usize| ne_u64(&entry[8 * i..8 * i + 8]);
             let (tag, offset, len) = (word(0), word(1), word(2));
@@ -451,11 +472,12 @@ impl Format {
                 )));
             }
             if (1..=self.sections.len() as u64).contains(&tag) {
-                found[tag as usize - 1].get_or_insert(range);
+                found[tag as usize - 1].get_or_insert((range, word(3)));
             }
         }
 
         let mut ranges: [Range<usize>; MAX_SECTIONS] = Default::default();
+        let mut sums = [0u64; MAX_SECTIONS];
         for (i, (section, found)) in self.sections.iter().zip(found).enumerate() {
             let tag = i + 1;
             match found {
@@ -465,7 +487,7 @@ impl Format {
                         section.name
                     )))
                 }
-                Some(range) if range.len() % section.elem != 0 => {
+                Some((range, _)) if range.len() % section.elem != 0 => {
                     return Err(self.refuse(format_args!(
                         "section {tag:#x} ({}) holds {} bytes, not a whole number of {}-byte elements",
                         section.name,
@@ -473,12 +495,14 @@ impl Format {
                         section.elem
                     )))
                 }
-                found => ranges[i] = found.unwrap_or_default(),
+                Some((range, sum)) => (ranges[i], sums[i]) = (range, sum),
+                None => {}
             }
         }
         Ok(Layout {
             format: self,
             ranges,
+            sums,
         })
     }
 }
@@ -491,6 +515,8 @@ pub struct Layout {
     format: &'static Format,
     /// Byte range of section `tag` at `tag − 1`; empty when absent.
     ranges: [Range<usize>; MAX_SECTIONS],
+    /// The checksum the table records for section `tag`, at `tag − 1`.
+    sums: [u64; MAX_SECTIONS],
 }
 
 impl Layout {

@@ -89,24 +89,28 @@ fn synth_click_log(seed: u64, n_epochs: u64, events_per_epoch: usize) -> Vec<Cli
 
 /// Mirrors [`EpochIngestor::apply_record`] onto a bare window: the
 /// reference model the ingestor is checked against.
-fn replay_into_window(window: &mut SlidingWindowGraph, log: &[ClickLogRecord]) {
-    for rec in log {
-        match rec {
-            ClickLogRecord::Event {
-                epoch,
-                query,
-                ad,
-                data,
-            } => {
-                if *epoch > window.epoch() {
-                    window.advance_to(*epoch);
-                }
-                window.observe(query, ad, *data);
-            }
-            ClickLogRecord::EpochMark { epoch } => {
+fn apply_to_window(window: &mut SlidingWindowGraph, rec: &ClickLogRecord) {
+    match rec {
+        ClickLogRecord::Event {
+            epoch,
+            query,
+            ad,
+            data,
+        } => {
+            if *epoch > window.epoch() {
                 window.advance_to(*epoch);
             }
+            window.observe(query, ad, *data);
         }
+        ClickLogRecord::EpochMark { epoch } => {
+            window.advance_to(*epoch);
+        }
+    }
+}
+
+fn replay_into_window(window: &mut SlidingWindowGraph, log: &[ClickLogRecord]) {
+    for rec in log {
+        apply_to_window(window, rec);
     }
 }
 
@@ -149,14 +153,18 @@ proptest! {
 
     // The tentpole equivalence: a log replayed through the ingestor's
     // incremental refresh chain == a scratch rebuild of the surviving
-    // window. Both the frozen graph (fingerprint) and every served row
-    // (ids + f64 score bits) must agree, through the wire format.
+    // window, decayed or not. After every refresh the published
+    // generation's bytes — rows, score bits and the name sections a
+    // refresh reuses — equal a full build over the mirror window's
+    // reference `freeze()`; at the end the frozen graph (fingerprint) and
+    // every served row agree too, through the wire format.
     #[test]
     fn log_replay_through_refresh_chain_equals_scratch_rebuild(
         seed in 0u64..1_000_000,
         n_epochs in 3u64..8,
         events_per_epoch in 2usize..12,
         window in 1usize..5,
+        decay in (0u8..2).prop_map(|half| if half == 1 { 0.5 } else { 1.0 }),
     ) {
         let log = synth_click_log(seed, n_epochs, events_per_epoch);
 
@@ -167,42 +175,45 @@ proptest! {
         let log = read_click_log(wire.as_slice()).unwrap();
 
         // The system under test: refresh at every advancing epoch mark,
-        // exactly like the `serve ingest` loop.
-        let mut ingestor = EpochIngestor::new(ingest_config(window, 1.0));
+        // exactly like the `serve ingest` loop. The reference model: the
+        // same records into a bare window, one scratch freeze + full build
+        // per refresh.
+        let mut ingestor = EpochIngestor::new(ingest_config(window, decay));
+        let mut mirror = SlidingWindowGraph::new(window).with_decay(decay);
         let mut last = None;
         for rec in &log {
+            apply_to_window(&mut mirror, rec);
             if ingestor.apply_record(rec) {
                 let (index, _, _) = ingestor.refresh().unwrap();
+                let scratch = scratch_index(&mirror.freeze());
+                prop_assert!(index.as_bytes() == scratch.as_bytes(), "decay {}", decay);
                 last = Some(index);
             }
         }
         let chained = last.expect("every log ends with an advancing mark");
-
-        // The reference model: the same records into a bare window, then
-        // one scratch freeze + full build.
-        let mut mirror = SlidingWindowGraph::new(window);
-        replay_into_window(&mut mirror, &log);
         let frozen = mirror.freeze();
+        prop_assert_eq!(ingestor.last_fingerprint(), frozen.fingerprint());
+        assert_served_bit_identical(&chained, &scratch_index(&frozen));
 
         // Window bit-identity at integration scale: replaying only the
         // surviving events through a fresh builder over the same
-        // universe reproduces the freeze exactly.
-        let mut b = mirror.universe_builder();
-        for rec in &log {
-            if let ClickLogRecord::Event { epoch, query, ad, data } = rec {
-                // Survivors: the half-open window of the final epoch.
-                if epoch + (window as u64) > mirror.epoch() {
-                    b.add_edge(
-                        mirror.query_id(query).unwrap(),
-                        mirror.ad_id(ad).unwrap(),
-                        *data,
-                    );
+        // universe reproduces the undecayed freeze exactly.
+        if decay == 1.0 {
+            let mut b = mirror.universe_builder();
+            for rec in &log {
+                if let ClickLogRecord::Event { epoch, query, ad, data } = rec {
+                    // Survivors: the half-open window of the final epoch.
+                    if epoch + (window as u64) > mirror.epoch() {
+                        b.add_edge(
+                            mirror.query_id(query).unwrap(),
+                            mirror.ad_id(ad).unwrap(),
+                            *data,
+                        );
+                    }
                 }
             }
+            prop_assert_eq!(b.build().fingerprint(), frozen.fingerprint());
         }
-        prop_assert_eq!(b.build().fingerprint(), frozen.fingerprint());
-
-        assert_served_bit_identical(&chained, &scratch_index(&frozen));
     }
 
     // Decay is newest-anchored: for an edge observed in an old and a new
