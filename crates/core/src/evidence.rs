@@ -9,6 +9,9 @@
 //!
 //! Evidence-based scores multiply the `k`-iteration SimRank scores at
 //! read-out (Eq. 7.5/7.6): `s_ev(q,q') = evidence(q,q') · s(q,q')`.
+//! [`evidence_multiply`] materialises it for the paper-table functions below;
+//! serving never does: [`crate::rewriter::candidates`] applies the factor per
+//! candidate when a row is read, index row or live row alike.
 //!
 //! Note a consequence the evaluation depends on: pairs with **no** common
 //! neighbor have evidence 0, so their evidence-based score collapses to 0
@@ -38,12 +41,15 @@ pub enum EvidenceKind {
 }
 
 impl EvidenceKind {
-    /// Evidence value for `n` common neighbors.
+    /// Evidence value for `n` common neighbors: 0 without one, else Eq. 7.3's
+    /// `Σ_{i=1..n} 2⁻ⁱ = 1 − 2⁻ⁿ` or Eq. 7.4's `1 − e⁻ⁿ`.
     #[inline]
     pub fn value(self, n: usize) -> f64 {
         match self {
-            EvidenceKind::Geometric => evidence_geometric(n),
-            EvidenceKind::Exponential => evidence_exponential(n),
+            _ if n == 0 => 0.0,
+            EvidenceKind::Geometric if n >= 64 => 1.0,
+            EvidenceKind::Geometric => 1.0 - 0.5f64.powi(n as i32),
+            EvidenceKind::Exponential => 1.0 - (-(n as f64)).exp(),
         }
     }
 
@@ -53,28 +59,6 @@ impl EvidenceKind {
             EvidenceKind::Geometric => "geometric",
             EvidenceKind::Exponential => "exponential",
         }
-    }
-}
-
-/// Eq. 7.3: `Σ_{i=1..n} 2⁻ⁱ = 1 − 2⁻ⁿ`.
-#[inline]
-pub fn evidence_geometric(n: usize) -> f64 {
-    if n == 0 {
-        0.0
-    } else if n >= 64 {
-        1.0
-    } else {
-        1.0 - 0.5f64.powi(n as i32)
-    }
-}
-
-/// Eq. 7.4: `1 − e⁻ⁿ`.
-#[inline]
-pub fn evidence_exponential(n: usize) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        1.0 - (-(n as f64)).exp()
     }
 }
 
@@ -135,8 +119,8 @@ pub fn evidence_multiply(
     (query_evidence(g, raw_queries, kind), ads)
 }
 
-/// The Eq. 7.5 read-out alone: the query side of [`evidence_multiply`], for
-/// callers that never read the ad side.
+/// The Eq. 7.5 read-out alone: the query side of [`evidence_multiply`],
+/// materialised for [`crate::Method::final_scores`] (tests and paper tables).
 pub(crate) fn query_evidence(
     g: &ClickGraph,
     raw_queries: &ScoreMatrix,
@@ -177,18 +161,18 @@ mod tests {
 
     #[test]
     fn geometric_values() {
-        assert_eq!(evidence_geometric(0), 0.0);
-        assert_eq!(evidence_geometric(1), 0.5);
-        assert_eq!(evidence_geometric(2), 0.75);
-        assert_eq!(evidence_geometric(3), 0.875);
-        assert_eq!(evidence_geometric(100), 1.0);
+        assert_eq!(EvidenceKind::Geometric.value(0), 0.0);
+        assert_eq!(EvidenceKind::Geometric.value(1), 0.5);
+        assert_eq!(EvidenceKind::Geometric.value(2), 0.75);
+        assert_eq!(EvidenceKind::Geometric.value(3), 0.875);
+        assert_eq!(EvidenceKind::Geometric.value(100), 1.0);
     }
 
     #[test]
     fn exponential_values() {
-        assert_eq!(evidence_exponential(0), 0.0);
-        assert!((evidence_exponential(1) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert!(evidence_exponential(50) > 0.999999);
+        assert_eq!(EvidenceKind::Exponential.value(0), 0.0);
+        assert!((EvidenceKind::Exponential.value(1) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
+        assert!(EvidenceKind::Exponential.value(50) > 0.999999);
     }
 
     #[test]
@@ -210,8 +194,8 @@ mod tests {
         // numbers in Table 4 use Eq. 7.3's geometric sum 1/2 + 1/4 = 3/4.
         // This invariant pins the implementation to Eq. 7.3 / Table 4 so the
         // documented typo-handling cannot silently regress.
-        assert_eq!(evidence_geometric(2), 0.75);
-        assert_ne!(evidence_geometric(2), 0.5 + 1.0 / 3.0);
+        assert_eq!(EvidenceKind::Geometric.value(2), 0.75);
+        assert_ne!(EvidenceKind::Geometric.value(2), 0.5 + 1.0 / 3.0);
         // The factor actually applied on K2,2 (two common ads) is 3/4: the
         // evidence-based score is exactly 0.75 × the plain SimRank score.
         let g = figure4_k22();

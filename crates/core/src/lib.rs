@@ -45,7 +45,7 @@ pub use engine::{
     DiagonalCorrection, RowWorkspace, SingleSourceEngine, Transition, TransitionFactors,
     UniformTransition, WeightedTransition,
 };
-pub use evidence::{evidence_exponential, evidence_geometric, EvidenceKind};
+pub use evidence::EvidenceKind;
 pub use method::{Method, MethodKind};
 pub use rewriter::{Rewrite, Rewriter, RewriterConfig};
 pub use scores::{ScoreMatrix, ScoreMatrixBuilder};

@@ -13,6 +13,7 @@
 //! 4. keep at most **5** rewrites. The number that survive is the method's
 //!    *depth* for that query.
 
+use crate::evidence::EvidenceKind;
 use crate::method::Method;
 use simrankpp_graph::{ClickGraph, QueryId};
 use simrankpp_util::FxHashSet;
@@ -96,8 +97,38 @@ pub struct FunnelScratch {
     seen: Vec<u32>,
 }
 
+/// Fills `out` (cleared first) with `q`'s unranked candidates from a row of
+/// walk scores (a stored [`Method`] row or a single-source row) as
+/// `(id, evidence(common_ads(q, id)) · raw, raw)` (Eq. 7.5), or
+/// `(id, raw, raw)` without evidence, skipping `q` and `raw ≤ 0`. The one
+/// place a served row's final score is formed, precomputed or live.
+pub fn candidates(
+    g: &ClickGraph,
+    q: QueryId,
+    row: impl IntoIterator<Item = (QueryId, f64)>,
+    evidence: Option<EvidenceKind>,
+    out: &mut Vec<Candidate>,
+) {
+    out.clear();
+    let row = row.into_iter().filter(|&(id, raw)| id != q && raw > 0.0);
+    let Some(kind) = evidence else {
+        out.extend(row.map(|(id, raw)| (id, raw, raw)));
+        return;
+    };
+    // `common_ads(q, id)` counted from `q`'s side, whose few ads' query lists
+    // stay in cache across the row (a merge would fetch each candidate's).
+    let (ads, _) = g.ads_of(q);
+    out.extend(row.map(|(id, raw)| {
+        let common = ads
+            .iter()
+            .filter(|&&a| g.queries_of(a).0.binary_search(&id).is_ok())
+            .count();
+        (id, kind.value(common) * raw, raw)
+    }));
+}
+
 /// The §9.3 funnel — the one implementation every producer of served rows
-/// runs, whether its candidates come from an all-pairs matrix
+/// runs, whether its [`candidates`] come from an all-pairs matrix
 /// ([`Rewriter::rewrite_ids_into`]) or a single-source row (the serving
 /// layer's live miss path): drop non-finite scores → rank by
 /// `(final desc, raw desc, id asc)` and cap at `max_candidates` → drop `q`
@@ -230,7 +261,8 @@ impl<'g> Rewriter<'g> {
         let classes = self
             .classes
             .get_or_init(|| stem_classes(self.graph, &self.config));
-        self.method.candidates_into(q, &mut scratch.candidates);
+        let (method, list) = (&self.method, &mut scratch.candidates);
+        candidates(self.graph, q, method.row(q), method.evidence(), list);
         funnel(classes, &self.config, q, scratch, bid_terms, out);
     }
 
@@ -437,14 +469,14 @@ mod tests {
             assert!(r.rewrites(camera, None).is_empty(), "{cfg:?}");
             assert_eq!(r.depth(camera, None), 0);
         }
-        assert!(method.ranked_candidates(camera, 0).is_empty());
+        assert!(method.ranked_candidates(&g, camera, 0).is_empty());
     }
 
     #[test]
     fn non_finite_candidates_are_dropped_not_ranked() {
-        // The live path's `raw <= 0.0` filter lets a NaN through; under
-        // `partial_cmp(..).unwrap_or(Equal)` its rank depended on input
-        // order and the sort was entitled to panic.
+        // `candidates` passes an infinite raw score, and any producer may
+        // hand the funnel a NaN; under `partial_cmp(..).unwrap_or(Equal)` its
+        // rank depended on input order and the sort was entitled to panic.
         let classes = StemClasses::default();
         let cfg = RewriterConfig::default();
         let finite = [

@@ -176,8 +176,8 @@ pub fn run_desirability_experiment(
         );
         for (mi, &kind) in methods.iter().enumerate() {
             let method = Method::compute(kind, &ball, config);
-            let (s2, r2) = method.score_with_tiebreak(q1, q2);
-            let (s3, r3) = method.score_with_tiebreak(q1, q3);
+            let (s2, r2) = method.score_with_tiebreak(&ball, q1, q2);
+            let (s3, r3) = method.score_with_tiebreak(&ball, q1, q3);
             let predicted = if (s2, r2) > (s3, r3) {
                 Some(trial.q2)
             } else if (s3, r3) > (s2, r2) {
@@ -376,15 +376,15 @@ mod tests {
             ] {
                 let full = Method::compute(kind, &pruned, &cfg);
                 let local = Method::compute(kind, &ball, &cfg);
-                let (fs2, fr2) = full.score_with_tiebreak(t.q1, t.q2);
-                let (ls2, lr2) = local.score_with_tiebreak(q1, q2);
+                let (fs2, fr2) = full.score_with_tiebreak(&pruned, t.q1, t.q2);
+                let (ls2, lr2) = local.score_with_tiebreak(&ball, q1, q2);
                 assert!(
                     (fs2 - ls2).abs() < 1e-9 && (fr2 - lr2).abs() < 1e-9,
                     "{}: ball score differs beyond FP reassociation tolerance: ({fs2},{fr2}) vs ({ls2},{lr2})",
                     kind.name()
                 );
-                let (fs3, fr3) = full.score_with_tiebreak(t.q1, t.q3);
-                let (ls3, lr3) = local.score_with_tiebreak(q1, q3);
+                let (fs3, fr3) = full.score_with_tiebreak(&pruned, t.q1, t.q3);
+                let (ls3, lr3) = local.score_with_tiebreak(&ball, q1, q3);
                 assert!((fs3 - ls3).abs() < 1e-9 && (fr3 - lr3).abs() < 1e-9);
             }
         }

@@ -94,11 +94,11 @@ use crate::index::{RebuildStats, RewriteIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::RowCache;
 use crate::swap::AtomicHandle;
-use simrankpp_core::rewriter::{funnel, stem_classes, FunnelScratch, StemClasses};
+use simrankpp_core::rewriter::{candidates, funnel, stem_classes, FunnelScratch, StemClasses};
 use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
-    evidence_geometric, DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace,
-    SimrankConfig, SingleSourceEngine, UniformTransition, WeightedTransition,
+    DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace, SimrankConfig,
+    SingleSourceEngine, UniformTransition, WeightedTransition,
 };
 use simrankpp_graph::delta::read_delta_tsv;
 use simrankpp_graph::{ClickGraph, DirtyComponents, QueryId};
@@ -305,29 +305,15 @@ impl LiveContext {
     }
 
     /// Computes the rendered response suffix (`\t<k>[\t<name>\t<score>]...`)
-    /// of one cold query: single-source raw row → evidence factor → the
-    /// shared §9.3 [`funnel`] — without a bid filter, which needs a bid-term
-    /// list the live path does not carry.
+    /// of one cold query: single-source raw row → [`candidates`] with the
+    /// method's [`MethodKind::evidence`], as index rows are formed → the
+    /// shared §9.3 [`funnel`], without a bid filter (the live path carries no
+    /// bid-term list).
     fn compute_suffix(&mut self, q: QueryId) -> String {
         self.engine
             .row_into(&self.graph, q, &mut self.ws, &mut self.row);
-
-        // (id, final, raw): final applies the geometric evidence factor for
-        // the evidence-carrying methods; plain SimRank ranks by raw alone.
-        // Evidence-zeroed candidates stay in with final = 0 so the raw
-        // score tie-breaks, as `Method::ranked_candidates` does.
-        let candidates = &mut self.funnel.candidates;
-        candidates.clear();
-        for &(other, raw) in &self.row {
-            if other == q || raw <= 0.0 {
-                continue;
-            }
-            let final_score = match self.method {
-                MethodKind::Simrank => raw,
-                _ => evidence_geometric(self.graph.common_ads(q, other)) * raw,
-            };
-            candidates.push((other, final_score, raw));
-        }
+        let (row, evidence) = (self.row.iter().copied(), self.method.evidence());
+        candidates(&self.graph, q, row, evidence, &mut self.funnel.candidates);
         funnel(
             &self.classes,
             &self.rewriter,

@@ -135,8 +135,8 @@ proptest! {
                 prop_assert_eq!(got.len(), want.len(), "{:?} depth for {:?}", kind, name);
                 for ((l, l_score), (i, i_score)) in got.iter().zip(&want) {
                     prop_assert_eq!(l_score, i_score, "{:?} {:?}", kind, name);
-                    let (lf, lr) = rewriter.method().score_with_tiebreak(q, *l);
-                    let (wf, wr) = rewriter.method().score_with_tiebreak(q, *i);
+                    let (lf, lr) = rewriter.method().score_with_tiebreak(&g, q, *l);
+                    let (wf, wr) = rewriter.method().score_with_tiebreak(&g, q, *i);
                     prop_assert!(
                         l == i || ((lf - wf).abs() < 1e-9 && (lr - wr).abs() < 1e-9),
                         "{:?} {:?}: live serves {:?}, index {:?}", kind, name, got, want
@@ -150,7 +150,7 @@ proptest! {
     // and every evaluated method.
     #[test]
     fn index_equals_live_pipeline(g in arb_named_graph()) {
-        for kind in [MethodKind::Simrank, MethodKind::WeightedSimrank] {
+        for kind in MethodKind::EVALUATED {
             let rewriter = rewriter_for(&g, kind);
             let index = RewriteIndex::build(&rewriter, None, 2);
             index.validate().unwrap();

@@ -62,7 +62,7 @@ fn main() {
     // User-user similarities.
     println!("Most similar users (weighted SimRank):");
     for user in graph.queries() {
-        let similar = method.ranked_candidates(user, 3);
+        let similar = method.ranked_candidates(&graph, user, 3);
         let list: Vec<String> = similar
             .iter()
             .map(|&(u, s)| format!("{} ({s:.3})", graph.query_name(u).unwrap_or("?")))
@@ -80,7 +80,7 @@ fn main() {
     for user in graph.queries() {
         let (seen, _) = graph.ads_of(user);
         let mut scores: Vec<(AdId, f64)> = Vec::new();
-        for (other, sim) in method.ranked_candidates(user, 5) {
+        for (other, sim) in method.ranked_candidates(&graph, user, 5) {
             let (movies, edges) = graph.ads_of(other);
             for (&movie, edge) in movies.iter().zip(edges) {
                 if seen.contains(&movie) {
@@ -115,7 +115,7 @@ fn main() {
     let dave = graph.query_by_name("dave").unwrap();
     let top = |q| {
         method
-            .ranked_candidates(q, 1)
+            .ranked_candidates(&graph, q, 1)
             .first()
             .map(|&(u, _)| graph.query_name(u).unwrap().to_owned())
     };

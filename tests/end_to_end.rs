@@ -140,7 +140,7 @@ fn tsv_roundtrip_preserves_method_scores() {
     let b = Method::compute(MethodKind::Simrank, &reloaded, &config);
     // Compare through names (ids may permute across the roundtrip).
     for q1 in dataset.graph.queries() {
-        for (q2, score) in a.ranked_candidates(q1, 3) {
+        for (q2, score) in a.ranked_candidates(&dataset.graph, q1, 3) {
             let r1 = reloaded
                 .query_by_name(dataset.graph.query_name(q1).unwrap())
                 .unwrap();
@@ -148,7 +148,7 @@ fn tsv_roundtrip_preserves_method_scores() {
                 .query_by_name(dataset.graph.query_name(q2).unwrap())
                 .unwrap();
             assert!(
-                (b.score(r1, r2) - score).abs() < 1e-9,
+                (b.score(&reloaded, r1, r2) - score).abs() < 1e-9,
                 "score mismatch after TSV roundtrip"
             );
         }

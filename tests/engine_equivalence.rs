@@ -204,8 +204,12 @@ fn query_side_callers_equal_the_both_sides_run_bit_for_bit() {
         for c in query_side_grid() {
             let cell = cell(name, &c);
             let m = Method::compute(MethodKind::Simrank, &g, &c);
-            assert_eq!(bits(m.scores()), bits(&simrank(&g, &c).queries), "{cell}");
-            assert!(m.raw_scores().is_none(), "{cell}");
+            assert_eq!(
+                bits(m.stored_scores()),
+                bits(&simrank(&g, &c).queries),
+                "{cell}"
+            );
+            assert_eq!(m.evidence(), None, "{cell}");
             for (kind, both) in [
                 (
                     MethodKind::EvidenceSimrank,
@@ -217,9 +221,13 @@ fn query_side_callers_equal_the_both_sides_run_bit_for_bit() {
                 ),
             ] {
                 let m = Method::compute(kind, &g, &c);
-                let raw = m.raw_scores().expect("evidence kinds keep raw scores");
-                assert_eq!(bits(m.scores()), bits(&both.queries), "{cell} {kind:?}");
-                assert_eq!(bits(raw), bits(&both.raw.queries), "{cell} {kind:?}");
+                let finals = m.final_scores(&g);
+                assert_eq!(bits(&finals), bits(&both.queries), "{cell} {kind:?}");
+                assert_eq!(
+                    bits(m.stored_scores()),
+                    bits(&both.raw.queries),
+                    "{cell} {kind:?}"
+                );
             }
         }
     }
@@ -276,9 +284,8 @@ fn early_exit_compares_same_chain_iterates() {
                     for &kind in kinds {
                         let m = Method::compute(kind, &g, &c);
                         let want = Method::compute(kind, &g, &exact);
-                        assert_eq!(bits(m.scores()), bits(want.scores()), "{cell} {kind:?}");
-                        let raw = |m: &Method| m.raw_scores().map(bits);
-                        assert_eq!(raw(&m), raw(&want), "{cell} {kind:?}");
+                        let stored = |m: &Method| bits(m.stored_scores());
+                        assert_eq!(stored(&m), stored(&want), "{cell} {kind:?}");
                     }
 
                     // Levels align from the top and are zero below the depth

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use simrankpp::core::complete_bipartite::{
     km2_evidence_pair_iterates, km2_pair_iterates, km2_pair_limit,
 };
-use simrankpp::core::evidence::{evidence_exponential, evidence_geometric, EvidenceKind};
+use simrankpp::core::evidence::EvidenceKind;
 use simrankpp::core::pearson::pearson_similarity;
 use simrankpp::core::simrank::{simrank, simrank_dense};
 use simrankpp::core::weighted::weighted_simrank;
@@ -75,13 +75,13 @@ proptest! {
 
     #[test]
     fn evidence_bounded_and_monotone(n in 0usize..200) {
-        let g = evidence_geometric(n);
-        let e = evidence_exponential(n);
+        let g = EvidenceKind::Geometric.value(n);
+        let e = EvidenceKind::Exponential.value(n);
         prop_assert!((0.0..=1.0).contains(&g));
         prop_assert!((0.0..=1.0).contains(&e));
         if n > 0 {
-            prop_assert!(evidence_geometric(n + 1) >= g);
-            prop_assert!(evidence_exponential(n + 1) >= e);
+            prop_assert!(EvidenceKind::Geometric.value(n + 1) >= g);
+            prop_assert!(EvidenceKind::Exponential.value(n + 1) >= e);
         }
     }
 
