@@ -200,7 +200,7 @@ impl ScoreMatrix {
     /// engine's iterate format) without the hash-map detour of
     /// [`ScoreMatrixBuilder`]. Non-positive scores are dropped. The CSR
     /// arena is built with a counting pass — no per-node pushes, no per-row
-    /// sorts (see [`fill_sym_csr`]).
+    /// sorts (see `fill_sym_csr`).
     ///
     /// # Panics
     /// Debug builds panic if `pairs` is not strictly sorted by packed key.

@@ -29,11 +29,11 @@
 //! recomputes only the dirty components and copies every clean query's index
 //! row from the previous generation verbatim.
 //!
-//! Deltas travel as TSV ([`read_delta_tsv`] / [`write_delta_tsv`]): one op
-//! per line, `+ \t query \t ad \t impressions \t clicks \t ecr` for upserts
-//! and `- \t query \t ad` for removals, `#` comments and blank lines
-//! skipped. Named ops resolve against a named graph via [`apply_named`],
-//! interning unseen names as fresh dense ids.
+//! Deltas travel as TSV, read by [`read_delta_tsv`]: one op per line,
+//! `+ \t query \t ad \t impressions \t clicks \t ecr` for upserts and
+//! `- \t query \t ad` for removals, `#` comments and blank lines skipped.
+//! Named ops resolve against a named graph via [`apply_named`], interning
+//! unseen names as fresh dense ids.
 //!
 //! Streaming ingestion extends the same wire format with a timestamp: a
 //! **click log** ([`read_click_log`] / [`write_click_log`]) is an
@@ -407,31 +407,6 @@ pub fn read_delta_tsv<R: BufRead>(input: R) -> io::Result<Vec<NamedOp>> {
     Ok(ops)
 }
 
-/// Writes named ops in the [`read_delta_tsv`] format. Names containing a
-/// tab or newline are rejected — they would shift every following field.
-pub fn write_delta_tsv<W: Write>(ops: &[NamedOp], out: W) -> io::Result<()> {
-    let mut w = BufWriter::new(out);
-    for op in ops {
-        match op {
-            NamedOp::Upsert { query, ad, data } => {
-                check_tsv_name("query", query)?;
-                check_tsv_name("ad", ad)?;
-                writeln!(
-                    w,
-                    "+\t{query}\t{ad}\t{}\t{}\t{}",
-                    data.impressions, data.clicks, data.expected_click_rate
-                )?;
-            }
-            NamedOp::Remove { query, ad } => {
-                check_tsv_name("query", query)?;
-                check_tsv_name("ad", ad)?;
-                writeln!(w, "-\t{query}\t{ad}")?;
-            }
-        }
-    }
-    w.flush()
-}
-
 fn bad_line(line_no: usize, msg: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -737,28 +712,22 @@ mod tests {
     }
 
     #[test]
-    fn delta_tsv_round_trips() {
-        let ops = vec![
-            NamedOp::Upsert {
-                query: "camera".into(),
-                ad: "hp.com".into(),
-                data: EdgeData::new(10, 4, 0.25),
-            },
-            NamedOp::Remove {
-                query: "flower".into(),
-                ad: "teleflora.com".into(),
-            },
-        ];
-        let mut buf = Vec::new();
-        write_delta_tsv(&ops, &mut buf).unwrap();
-        let parsed = read_delta_tsv(buf.as_slice()).unwrap();
-        assert_eq!(parsed, ops);
-    }
-
-    #[test]
     fn delta_tsv_skips_comments_and_rejects_garbage() {
         let ok = "# comment\n\n+\tq\ta\t5\t2\t0.4\n-\tq\ta\n";
-        assert_eq!(read_delta_tsv(ok.as_bytes()).unwrap().len(), 2);
+        assert_eq!(
+            read_delta_tsv(ok.as_bytes()).unwrap(),
+            vec![
+                NamedOp::Upsert {
+                    query: "q".into(),
+                    ad: "a".into(),
+                    data: EdgeData::new(5, 2, 0.4),
+                },
+                NamedOp::Remove {
+                    query: "q".into(),
+                    ad: "a".into(),
+                },
+            ]
+        );
         for bad in [
             "*\tq\ta\n",              // unknown op
             "+\tq\ta\t5\n",           // wrong field count
@@ -769,15 +738,6 @@ mod tests {
         ] {
             assert!(read_delta_tsv(bad.as_bytes()).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn write_delta_tsv_rejects_tab_names() {
-        let ops = vec![NamedOp::Remove {
-            query: "a\tb".into(),
-            ad: "x".into(),
-        }];
-        assert!(write_delta_tsv(&ops, Vec::new()).is_err());
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   graceful drain, and shared [`ServerMetrics`] counters — all driving
 //!   the same session loop as the pipe.
 //! * [`rowcache`] — the bounded, generation-aware LRU of live-computed
-//!   rows backing that fallback; invalidated on every `update` hot-swap.
+//!   rows backing that fallback, held as scored ids and rendered by the same
+//!   row writer as index rows; invalidated on every `update` hot-swap.
 //! * [`ingest`] — streaming ingestion: a click-log tailer feeding a
 //!   sliding epoch window ([`EpochIngestor`]), with automatic
 //!   dirty-component refresh and hot-swap at every epoch boundary and

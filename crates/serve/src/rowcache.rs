@@ -1,11 +1,12 @@
-//! A bounded, generation-aware LRU cache of rendered rewrite rows.
+//! A bounded, generation-aware LRU cache of live rewrite rows.
 //!
 //! The live single-source path (see [`crate::server`]) computes a query's
 //! rewrites on demand — milliseconds, not microseconds. The cache keeps the
-//! **rendered response suffix** (everything after the `ok\t<query>` prefix)
-//! behind an `Arc<String>`, so a warm repeat of a cold query is a hash probe
-//! plus a pointer clone, and a cache hit is byte-identical to the miss that
-//! populated it by construction.
+//! row the §9.3 funnel picked, as scored ids (`(QueryId, f64)` in ranking
+//! order) behind an `Arc`, so a warm repeat of a cold query is a hash probe
+//! plus a pointer clone. The server renders a hit through the same row
+//! writer as the miss that populated it (and as every index row), so the
+//! two lines are byte-identical.
 //!
 //! Generations make hot-swaps safe: `invalidate` (called by the server's
 //! `update` path after an index swap) bumps the generation counter and drops
@@ -14,8 +15,8 @@
 //! makes that insert a no-op instead of poisoning the new graph's cache.
 //!
 //! All internal links are index-based (`usize::MAX` as the null sentinel)
-//! over one slot arena with a free list, so `get`/`insert`/evict are O(1)
-//! and eviction recycles slots without reallocating.
+//! over one slot arena, so `get`/`insert`/evict are O(1) and eviction
+//! recycles slots without reallocating.
 //!
 //! ## Poisoning
 //!
@@ -35,6 +36,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use simrankpp_graph::QueryId;
 use simrankpp_util::FxHashMap;
+
+/// One live rewrite row: the funnel's picked `(target, score)` pairs in
+/// ranking order.
+pub type Row = Arc<[(QueryId, f64)]>;
 
 /// Null link sentinel for the intrusive LRU list.
 const NIL: usize = usize::MAX;
@@ -57,7 +62,7 @@ pub struct CacheStats {
 
 struct Slot {
     qid: u32,
-    val: Arc<String>,
+    val: Row,
     prev: usize,
     next: usize,
 }
@@ -68,7 +73,6 @@ struct Lru {
     /// qid → slot index, current generation only (invalidate clears it).
     map: FxHashMap<u32, usize>,
     slots: Vec<Slot>,
-    free: Vec<usize>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot — the eviction candidate.
@@ -101,7 +105,7 @@ impl Lru {
     }
 }
 
-/// A thread-safe bounded LRU of rendered rewrite rows keyed by query id.
+/// A thread-safe bounded LRU of live rewrite rows keyed by query id.
 ///
 /// See the module docs for the design; the public surface is
 /// [`get`](RowCache::get) / [`insert`](RowCache::insert) /
@@ -121,7 +125,6 @@ impl RowCache {
                 generation: 0,
                 map: FxHashMap::default(),
                 slots: Vec::new(),
-                free: Vec::new(),
                 head: NIL,
                 tail: NIL,
             }),
@@ -146,7 +149,7 @@ impl RowCache {
 
     /// Looks up the cached row of `q`, marking it most recently used.
     /// Counts a hit or a miss either way.
-    pub fn get(&self, q: QueryId) -> Option<Arc<String>> {
+    pub fn get(&self, q: QueryId) -> Option<Row> {
         let mut lru = self.lock();
         match lru.map.get(&q.0).copied() {
             Some(i) => {
@@ -165,7 +168,7 @@ impl RowCache {
     /// Caches `val` as the row of `q`, evicting the least recently used row
     /// when full. A `generation` older than the current epoch (the cache was
     /// invalidated after the caller started computing) drops the insert.
-    pub fn insert(&self, generation: u64, q: QueryId, val: Arc<String>) {
+    pub fn insert(&self, generation: u64, q: QueryId, val: Row) {
         let mut lru = self.lock();
         if generation != lru.generation {
             return;
@@ -182,10 +185,6 @@ impl RowCache {
             lru.unlink(i);
             let evicted = lru.slots[i].qid;
             lru.map.remove(&evicted);
-            lru.slots[i].qid = q.0;
-            lru.slots[i].val = val;
-            i
-        } else if let Some(i) = lru.free.pop() {
             lru.slots[i].qid = q.0;
             lru.slots[i].val = val;
             i
@@ -209,15 +208,9 @@ impl RowCache {
         let mut lru = self.lock();
         lru.generation += 1;
         lru.map.clear();
-        lru.free.clear();
-        let n_slots = lru.slots.len();
-        lru.free.extend(0..n_slots);
+        lru.slots.clear();
         lru.head = NIL;
         lru.tail = NIL;
-        // Drop the cached strings now rather than on slot reuse.
-        for i in 0..lru.slots.len() {
-            lru.slots[i].val = Arc::new(String::new());
-        }
     }
 
     /// Occupancy and traffic counters for the `info` verb.
@@ -248,16 +241,21 @@ impl std::fmt::Debug for RowCache {
 mod tests {
     use super::*;
 
-    fn row(s: &str) -> Arc<String> {
-        Arc::new(s.to_string())
+    /// A one-target row whose score tells rows apart.
+    fn row(score: f64) -> Row {
+        vec![(QueryId(0), score)].into()
+    }
+
+    fn score(row: Option<Row>) -> Option<f64> {
+        row.map(|r| r[0].1)
     }
 
     #[test]
     fn hit_after_insert_and_counters() {
         let c = RowCache::new(4);
         assert!(c.get(QueryId(1)).is_none());
-        c.insert(c.generation(), QueryId(1), row("a"));
-        assert_eq!(c.get(QueryId(1)).as_deref().map(String::as_str), Some("a"));
+        c.insert(c.generation(), QueryId(1), row(1.0));
+        assert_eq!(score(c.get(QueryId(1))), Some(1.0));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.capacity), (1, 1, 1, 4));
     }
@@ -265,11 +263,11 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let c = RowCache::new(2);
-        c.insert(0, QueryId(1), row("a"));
-        c.insert(0, QueryId(2), row("b"));
+        c.insert(0, QueryId(1), row(1.0));
+        c.insert(0, QueryId(2), row(2.0));
         // Touch 1 so 2 becomes the eviction candidate.
         assert!(c.get(QueryId(1)).is_some());
-        c.insert(0, QueryId(3), row("c"));
+        c.insert(0, QueryId(3), row(3.0));
         assert!(c.get(QueryId(2)).is_none(), "LRU entry must be evicted");
         assert!(c.get(QueryId(1)).is_some());
         assert!(c.get(QueryId(3)).is_some());
@@ -279,25 +277,25 @@ mod tests {
     #[test]
     fn reinsert_updates_value_and_recency() {
         let c = RowCache::new(2);
-        c.insert(0, QueryId(1), row("a"));
-        c.insert(0, QueryId(2), row("b"));
-        c.insert(0, QueryId(1), row("a2"));
-        c.insert(0, QueryId(3), row("c"));
+        c.insert(0, QueryId(1), row(1.0));
+        c.insert(0, QueryId(2), row(2.0));
+        c.insert(0, QueryId(1), row(1.5));
+        c.insert(0, QueryId(3), row(3.0));
         assert!(c.get(QueryId(2)).is_none(), "2 was LRU after 1's reinsert");
-        assert_eq!(c.get(QueryId(1)).as_deref().map(String::as_str), Some("a2"));
+        assert_eq!(score(c.get(QueryId(1))), Some(1.5));
     }
 
     #[test]
     fn invalidate_hides_old_generation() {
         let c = RowCache::new(4);
-        c.insert(0, QueryId(1), row("a"));
+        c.insert(0, QueryId(1), row(1.0));
         c.invalidate();
         assert_eq!(c.generation(), 1);
         assert!(c.get(QueryId(1)).is_none(), "old-generation row must miss");
         assert_eq!(c.stats().entries, 0);
-        // A slot from the old generation is recycled cleanly.
-        c.insert(1, QueryId(1), row("a'"));
-        assert_eq!(c.get(QueryId(1)).as_deref().map(String::as_str), Some("a'"));
+        // The key is cached afresh under the new generation.
+        c.insert(1, QueryId(1), row(1.25));
+        assert_eq!(score(c.get(QueryId(1))), Some(1.25));
     }
 
     #[test]
@@ -305,7 +303,7 @@ mod tests {
         let c = RowCache::new(4);
         let gen_before = c.generation();
         c.invalidate();
-        c.insert(gen_before, QueryId(7), row("stale"));
+        c.insert(gen_before, QueryId(7), row(9.0));
         assert!(c.get(QueryId(7)).is_none(), "stale insert must be a no-op");
         assert_eq!(c.stats().entries, 0);
     }
@@ -313,8 +311,8 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let c = RowCache::new(0);
-        c.insert(0, QueryId(1), row("a"));
-        c.insert(0, QueryId(2), row("b"));
+        c.insert(0, QueryId(1), row(1.0));
+        c.insert(0, QueryId(2), row(2.0));
         assert!(c.get(QueryId(1)).is_none());
         assert!(c.get(QueryId(2)).is_some());
         assert_eq!(c.stats().capacity, 1);
@@ -325,7 +323,7 @@ mod tests {
         let c = RowCache::new(8);
         for round in 0u32..50 {
             for q in 0u32..20 {
-                c.insert(0, QueryId((q * 7 + round) % 32), row("x"));
+                c.insert(0, QueryId((q * 7 + round) % 32), row(0.5));
                 c.get(QueryId((q * 13 + round) % 32));
             }
         }
@@ -353,7 +351,7 @@ mod tests {
         // into_inner recovery every later lookup() on every other connection
         // panicked on the poisoned mutex instead of serving.
         let c = Arc::new(RowCache::new(4));
-        c.insert(0, QueryId(1), row("a"));
+        c.insert(0, QueryId(1), row(1.0));
         let c2 = Arc::clone(&c);
         let _ = std::thread::spawn(move || {
             let _guard = c2.inner.lock().unwrap();
@@ -362,11 +360,11 @@ mod tests {
         .join();
         assert!(c.inner.is_poisoned(), "the panic must actually poison");
         assert_eq!(
-            c.get(QueryId(1)).as_deref().map(String::as_str),
-            Some("a"),
+            score(c.get(QueryId(1))),
+            Some(1.0),
             "get() must survive a poisoned cache"
         );
-        c.insert(c.generation(), QueryId(2), row("b"));
+        c.insert(c.generation(), QueryId(2), row(2.0));
         assert!(c.get(QueryId(2)).is_some(), "insert() must survive too");
         c.invalidate();
         assert_eq!(c.stats().entries, 0);

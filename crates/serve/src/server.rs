@@ -27,16 +27,16 @@
 //! on demand with `simrankpp_core::SingleSourceEngine`, replays the §9.3
 //! pipeline (rank → stem-dedup → top-5; the live path carries no bid-term
 //! list, so the bid filter does not apply), and answers `ok` exactly like
-//! an indexed hit. Rendered answers land in a bounded LRU
-//! ([`crate::rowcache::RowCache`]) keyed by query id, so a repeat of a cold
-//! query is a hash probe — and a cache hit is byte-identical to the miss
-//! that populated it, because the cache stores the rendered line suffix
-//! itself. Every `update` refreshes the live engine for the post-delta
-//! graph — the diagonal correction of the dirty components recomputed, the
-//! clean components' copied — with the context lock released, so requests
-//! are answered by the previous generation for as long as that takes; the
-//! commit swaps graph and engine in and invalidates the cache (generation
-//! bump) under one momentary lock.
+//! an indexed hit. The picked rows land in a bounded LRU
+//! ([`crate::rowcache::RowCache`]) of scored ids keyed by query id, so a
+//! repeat of a cold query is a hash probe. One row writer renders index
+//! rows, live misses and cache hits alike, so a hit is byte-identical to
+//! the miss that populated it. Every `update` refreshes the live engine for
+//! the post-delta graph — the diagonal correction of the dirty components
+//! recomputed, the clean components' copied — with the context lock
+//! released, so requests are answered by the previous generation for as
+//! long as that takes; the commit swaps graph and engine in and invalidates
+//! the cache (generation bump) under one momentary lock.
 //!
 //! The miss taxonomy is structured accordingly:
 //!
@@ -92,7 +92,7 @@
 
 use crate::index::{RebuildStats, RewriteIndex};
 use crate::net::{ServerMetrics, ShutdownSignal};
-use crate::rowcache::RowCache;
+use crate::rowcache::{Row, RowCache};
 use crate::swap::AtomicHandle;
 use simrankpp_core::rewriter::{candidates, funnel, stem_classes, FunnelScratch, StemClasses};
 use simrankpp_core::weighted::SpreadMode;
@@ -102,23 +102,14 @@ use simrankpp_core::{
 };
 use simrankpp_graph::delta::read_delta_tsv;
 use simrankpp_graph::{ClickGraph, DirtyComponents, QueryId};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Replaces frame-breaking characters in an echoed field; borrows (no
-/// allocation) in the normal tab-free case.
-fn clean(field: &str) -> Cow<'_, str> {
-    if field.contains(['\t', '\n', '\r']) {
-        Cow::Owned(field.replace(['\t', '\n', '\r'], " "))
-    } else {
-        Cow::Borrowed(field)
-    }
-}
-
-/// Writes `field` as [`clean`] would render it, straight from bytes.
+/// Writes an echoed field with each frame-breaking byte (tab, newline,
+/// carriage return) replaced by a space, so a response stays one line with
+/// intact framing.
 fn write_clean<W: Write>(out: &mut W, field: &[u8]) -> io::Result<()> {
     let frame_breaking = |b: &u8| matches!(b, b'\t' | b'\n' | b'\r');
     if !field.iter().any(frame_breaking) {
@@ -304,12 +295,12 @@ impl LiveContext {
         })
     }
 
-    /// Computes the rendered response suffix (`\t<k>[\t<name>\t<score>]...`)
-    /// of one cold query: single-source raw row → [`candidates`] with the
+    /// Computes the rewrite row of one cold query, `(target, score)` in
+    /// ranking order: single-source raw row → [`candidates`] with the
     /// method's [`MethodKind::evidence`], as index rows are formed → the
     /// shared §9.3 [`funnel`], without a bid filter (the live path carries no
     /// bid-term list).
-    fn compute_suffix(&mut self, q: QueryId) -> String {
+    fn compute_row(&mut self, q: QueryId) -> &[(QueryId, f64)] {
         self.engine
             .row_into(&self.graph, q, &mut self.ws, &mut self.row);
         let (row, evidence) = (self.row.iter().copied(), self.method.evidence());
@@ -322,16 +313,7 @@ impl LiveContext {
             None,
             &mut self.picked,
         );
-
-        use std::fmt::Write as _;
-        let mut suffix = format!("\t{}", self.picked.len());
-        for &(id, score) in &self.picked {
-            let _ = match self.graph.query_name(id) {
-                Some(n) => write!(suffix, "\t{}\t{score:.6}", clean(n)),
-                None => write!(suffix, "\t#{}\t{score:.6}", id.0),
-            };
-        }
-        suffix
+        &self.picked
     }
 }
 
@@ -354,8 +336,11 @@ struct LiveState {
 }
 
 impl LiveState {
-    /// Answers `query` from the cache or by live computation; `None` means
-    /// the query is not in the graph at all.
+    /// Answers `query` from the cache or by live computation, with the graph
+    /// that names the row's targets; `None` means the query is not in the
+    /// graph at all. The caller renders the row after the context lock is
+    /// released. A later graph names the same ids the same way (deltas only
+    /// append names), and `update` empties the cache.
     ///
     /// Poisoning is recovered ([`PoisonError::into_inner`]): the context's
     /// only mutable state across requests is the engine workspace, which
@@ -363,18 +348,21 @@ impl LiveState {
     /// leaves nothing a later request can observe, and propagating its
     /// poison would turn every other connection's next cold query into a
     /// panic.
-    fn serve(&self, query: &str) -> Option<Arc<String>> {
+    fn serve(&self, query: &str) -> Option<(Row, Arc<ClickGraph>)> {
         let mut ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
         let q = ctx.graph.query_by_name(query)?;
         // Capture the generation before computing: an invalidation landing
         // mid-computation turns the insert below into a no-op.
         let generation = self.cache.generation();
-        if let Some(hit) = self.cache.get(q) {
-            return Some(hit);
-        }
-        let suffix = Arc::new(ctx.compute_suffix(q));
-        self.cache.insert(generation, q, Arc::clone(&suffix));
-        Some(suffix)
+        let row = match self.cache.get(q) {
+            Some(hit) => hit,
+            None => {
+                let row: Row = Arc::from(ctx.compute_row(q));
+                self.cache.insert(generation, q, Arc::clone(&row));
+                row
+            }
+        };
+        Some((row, Arc::clone(&ctx.graph)))
     }
 
     /// The current graph generation.
@@ -489,7 +477,7 @@ impl ServeState {
 
     /// Turns on the live single-source fallback: queries the index misses
     /// are computed on demand through `live` and cached in an LRU of
-    /// `cache_capacity` rendered rows.
+    /// `cache_capacity` rows.
     pub fn with_live(mut self, live: LiveContext, cache_capacity: usize) -> ServeState {
         self.live = Some(LiveState {
             ctx: Mutex::new(live),
@@ -611,17 +599,20 @@ pub fn serve_session<R: BufRead, W: Write>(state: &ServeState, input: R, out: W)
 /// never sends `\n` must not grow the line buffer without bound.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 
-/// Writes one `err` response line, counting it when metrics are wired.
+/// Writes one `err` response line, its detail sanitized, counting it when
+/// metrics are wired.
 fn err_line<W: Write>(
     out: &mut W,
     metrics: Option<&ServerMetrics>,
     reason: &str,
-    detail: std::fmt::Arguments<'_>,
+    detail: &str,
 ) -> io::Result<()> {
     if let Some(m) = metrics {
         m.errors.fetch_add(1, Ordering::Relaxed);
     }
-    writeln!(out, "err\t{reason}\t{detail}")
+    write!(out, "err\t{reason}\t")?;
+    write_clean(out, detail.as_bytes())?;
+    writeln!(out)
 }
 
 /// Renders the `health` response: liveness state plus, in ingest mode, the
@@ -726,7 +717,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                 &mut out,
                 metrics,
                 "line too long",
-                format_args!("{MAX_REQUEST_LINE_BYTES}"),
+                &MAX_REQUEST_LINE_BYTES.to_string(),
             )?;
             return out.flush();
         }
@@ -769,12 +760,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
             } else {
                 "admin or stdin transport only"
             };
-            err_line(
-                &mut out,
-                metrics,
-                &format!("{cmd} not permitted"),
-                format_args!("{scope}"),
-            )?;
+            err_line(&mut out, metrics, &format!("{cmd} not permitted"), scope)?;
             out.flush()?;
             continue;
         }
@@ -785,7 +771,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                     &mut out,
                     metrics,
                     "cannot read batch file",
-                    format_args!("{}: {e}", clean(arg)),
+                    &format!("{arg}: {e}"),
                 )?,
                 Ok(f) => {
                     // One generation serves the whole batch: a mid-batch
@@ -803,7 +789,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                                     &mut out,
                                     metrics,
                                     "batch read failed",
-                                    format_args!("{}: {e}", clean(arg)),
+                                    &format!("{arg}: {e}"),
                                 )?;
                                 break;
                             }
@@ -828,12 +814,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                     s.n_dirty_components,
                     s.n_clean_components
                 )?,
-                Err(e) => err_line(
-                    &mut out,
-                    metrics,
-                    "update failed",
-                    format_args!("{}", clean(&e)),
-                )?,
+                Err(e) => err_line(&mut out, metrics, "update failed", &e)?,
             },
             "info" => {
                 let index = state.index.load();
@@ -880,7 +861,7 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                     &mut out,
                     metrics,
                     "shutdown not available",
-                    format_args!("no network listener on this session"),
+                    "no network listener on this session",
                 )?,
             },
             "health" => {
@@ -899,18 +880,15 @@ pub fn serve_session_with<R: BufRead, W: Write>(
                 out.flush()?;
                 panic!("debug-panic verb");
             }
-            _ => err_line(
-                &mut out,
-                metrics,
-                "unknown command",
-                format_args!("{}", clean(cmd)),
-            )?,
+            _ => err_line(&mut out, metrics, "unknown command", cmd)?,
         }
         out.flush()?;
     }
     out.flush()
 }
 
+/// Answers one query: its index row when indexed, else its live row, else
+/// `err\tunknown query`.
 fn respond<W: Write>(
     state: &ServeState,
     index: &RewriteIndex,
@@ -920,29 +898,42 @@ fn respond<W: Write>(
 ) -> io::Result<()> {
     if let Some(q) = index.lookup(query) {
         let (targets, scores) = index.row(q);
-        write!(out, "ok\t{}\t{}", clean(query), targets.len())?;
-        for (&id, &score) in targets.iter().zip(scores) {
-            match index.name_to_write(QueryId(id)) {
-                Some(name) => {
-                    out.write_all(b"\t")?;
-                    write_clean(out, name)?;
-                    write!(out, "\t{score:.6}")?;
-                }
-                None => write!(out, "\t#{id}\t{score:.6}")?,
-            }
-        }
-        return writeln!(out);
+        let row = targets
+            .iter()
+            .map(|&id| QueryId(id))
+            .zip(scores.iter().copied());
+        return write_row(out, query, row, |id| index.name_to_write(id));
     }
     // Not indexed: the live fallback computes the row on demand.
     match state.live.as_ref().and_then(|live| live.serve(query)) {
-        Some(suffix) => writeln!(out, "ok\t{}{}", clean(query), suffix),
-        None => err_line(
-            out,
-            opts.metrics.as_deref(),
-            "unknown query",
-            format_args!("{}", clean(query)),
-        ),
+        Some((row, graph)) => write_row(out, query, row.iter().copied(), |id| {
+            graph.query_name(id).map(str::as_bytes)
+        }),
+        None => err_line(out, opts.metrics.as_deref(), "unknown query", query),
     }
+}
+
+/// Writes one `ok` line — `ok\t<query>\t<k>[\t<name>\t<score>]...` — for
+/// every row kind: `row` is `(target, score)` in ranking order, and a
+/// target `name` cannot spell prints as `#<id>`.
+fn write_row<'a, W: Write>(
+    out: &mut W,
+    query: &str,
+    row: impl ExactSizeIterator<Item = (QueryId, f64)>,
+    name: impl Fn(QueryId) -> Option<&'a [u8]>,
+) -> io::Result<()> {
+    out.write_all(b"ok\t")?;
+    write_clean(out, query.as_bytes())?;
+    write!(out, "\t{}", row.len())?;
+    for (id, score) in row {
+        out.write_all(b"\t")?;
+        match name(id) {
+            Some(name) => write_clean(out, name)?,
+            None => write!(out, "#{}", id.0)?,
+        }
+        write!(out, "\t{score:.6}")?;
+    }
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -1242,8 +1233,8 @@ mod tests {
         assert_eq!(fields[0], "ok");
         assert_eq!(fields[1], "camera");
         assert_eq!(fields[3], "digital camera", "{out}");
-        // The warm answer is byte-identical to the cold one: the cache
-        // stores the rendered suffix itself.
+        // The warm answer is byte-identical to the cold one: the cached row
+        // goes through the same writer.
         assert_eq!(lines[1], lines[0]);
         // A query absent from the graph is an error.
         assert!(lines[2].starts_with("err\tunknown query\tzzz"));
@@ -1360,6 +1351,23 @@ mod tests {
         assert_eq!(fields[..3], ["ok", "z", "1"]);
         assert_eq!(fields[3], "x y");
         assert_eq!(fields.len(), 5);
+
+        // The same graph served live: the miss frames the same way, and the
+        // cache hit that follows is the miss byte for byte.
+        let live = LiveContext::new(g, MethodKind::Simrank, cfg, RewriterConfig::default());
+        let state =
+            ServeState::fixed(RewriteIndex::empty(empty_meta())).with_live(live.unwrap(), 4);
+        let out = run_on(&state, "rewrite z\nrewrite z\n");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out:?}");
+        let fields: Vec<&str> = lines[0].split('\t').collect();
+        assert_eq!(fields[..4], ["ok", "z", "1", "x y"], "{out:?}");
+        assert_eq!(fields.len(), 5);
+        assert_eq!(lines[1], lines[0]);
+        assert_eq!(
+            state.cache_stats().map(|s| (s.hits, s.misses)),
+            Some((1, 1))
+        );
     }
 
     #[test]

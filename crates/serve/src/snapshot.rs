@@ -1,8 +1,8 @@
 //! Snapshot format v4 — the bytes every [`RewriteIndex`] is a view over.
 //! One `simrankpp_util::arena` is both the file and the in-memory index: a
-//! build encodes its rows once ([`encode`]), `save` writes the bytes
+//! build encodes its rows once (`encode`), `save` writes the bytes
 //! verbatim, and `open` (mapped) and `load` (heap, deep-checked) read them
-//! back through the one parser, [`RewriteIndex::view`], over `FORMAT`.
+//! back through the one parser, `RewriteIndex::view`, over `FORMAT`.
 //!
 //! ```text
 //! tag   section         payload

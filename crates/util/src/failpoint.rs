@@ -35,6 +35,8 @@
 //! feature contain no trace of the sites — no branch, no string, nothing.
 //! Crates that declare sites (`util`, `graph`, `serve`) each have a
 //! `failpoints` feature, unified by the facade crate's `failpoints`.
+//!
+//! [`fail_point!`]: crate::fail_point
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -177,6 +179,8 @@ pub fn clear_all() {
 ///
 /// This function is called only from `fail_point!` expansions, which are
 /// compiled out without the `failpoints` feature; it is not itself hot.
+///
+/// [`fail_point!`]: crate::fail_point
 pub fn eval(site: &str) -> Option<String> {
     let reg = registry();
     let hook = reg
