@@ -31,13 +31,12 @@
 //! build runs one segment at a time. Diagnostics go to stderr; stdout
 //! carries only the line protocol, so `serve run` pipes cleanly.
 //!
-//! With `--graph` and a recursive method the server also holds a live
-//! single-source engine over the same graph: queries the index misses
-//! (always, under `--mode single-source`) are computed on demand and
-//! cached; the protocol's `info` verb reports the cache's hit/miss
-//! counters. Its one-off precompute is one engine run per connected
-//! component; the `update` verb re-runs only the dirty components, with
-//! requests still being answered meanwhile.
+//! A server has one source of rows: with `--graph`, the index built over
+//! the graph, or under `--mode single-source` a live engine that computes
+//! every query on demand and LRU-caches it (`info` reports the cache's
+//! counters). The engine's one-off precompute is one engine run per
+//! connected component; the `update` verb re-runs only the dirty
+//! components, with requests still being answered meanwhile.
 //!
 //! `serve update` is that verb run once, offline: it loads the snapshot
 //! into an updatable server over the graph the snapshot was built from,
@@ -90,7 +89,8 @@ const USAGE: &str = "usage:
   serve build <graph.tsv>|<store.seg>|--fixture fig3 <out.idx> [method]
   serve segment <graph.tsv> <out.seg> [target-nodes-per-segment]
   serve run <index.idx>
-  serve run --graph <graph.tsv> [method] [--mode all-pairs|single-source] [--cache-capacity N]
+  serve run --graph <graph.tsv> [method] [--mode all-pairs]
+  serve run --graph <graph.tsv> [method] --mode single-source [--cache-capacity N]
   serve listen [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S] <same sources as run>
   serve update <index.idx> <delta.tsv> --graph <graph.tsv>|--fixture fig3 [out.idx] [--write-graph <path>]
   serve info <index.idx>
@@ -98,11 +98,13 @@ const USAGE: &str = "usage:
                [--checkpoint <path>] [--resume]
                [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S]
 flags:  anywhere among the arguments; each subcommand takes the flags shown for it, plus
-        --weight-kind K (all but segment and info) and --failpoints SPEC (run, listen,
-        ingest); any other flag or an extra argument is refused
+        --weight-kind K (all but segment and info; run and listen only with --graph) and
+        --failpoints SPEC (run, listen, ingest); any other flag or an extra argument is
+        refused
 method: naive | pearson | simrank | evidence | weighted (default weighted)
 mode:   all-pairs (default; precompute every row offline) | single-source
-        (no offline build: rows computed per query on demand, LRU-cached)
+        (no offline build: rows computed per query on demand, LRU-cached in
+        --cache-capacity rows, default 4096)
 weight: --weight-kind impressions|clicks|ecr — edge weight behind transition
         probabilities (default clicks; ingest defaults to ecr so --decay shows)
 ingest: tail an append-only click log (`+\t<epoch>\t<query>\t<ad>\t<impr>\t<clicks>\t<ecr>`
@@ -421,19 +423,18 @@ fn segment(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The state `run` and `listen` serve: an opened snapshot (`update`
-/// refused), or — with `--graph` — an index built over the graph
-/// (`update` enabled) or, under `--mode single-source`, a live engine
-/// alone. A recursive method also gets the live single-source fallback,
-/// sharing the one graph with the update context.
+/// The state `run` and `listen` serve, from one row source: an opened
+/// snapshot (`update` refused); with `--graph`, an index built over the
+/// graph (`update` rebuilds its dirty rows) or, under `--mode
+/// single-source`, a live engine that computes every row on demand. A flag
+/// the chosen source would ignore is refused.
 fn serve_state(args: &Args) -> Result<ServeState, String> {
-    let weight = args.weight_kind(WeightKind::Clicks)?;
-    let cache_capacity = args.num("--cache-capacity")?.unwrap_or(4096);
-    let mode = args.value("--mode").unwrap_or("all-pairs");
-    if !matches!(mode, "all-pairs" | "single-source") {
-        return Err(format!("unknown mode {mode:?}\n{USAGE}"));
-    }
+    let cache_capacity = args.num("--cache-capacity")?;
     let Some(path) = args.value("--graph") else {
+        let ignored = ["--mode", "--cache-capacity", "--weight-kind"];
+        if let Some((flag, _)) = args.flags.iter().find(|(f, _)| ignored.contains(f)) {
+            return Err(format!("{flag:?} needs --graph\n{USAGE}"));
+        }
         // Zero-copy open: O(#sections) regardless of index size — the row
         // arrays are served straight out of the mapped file bytes.
         let path = &args.positional(1..=1)?[0];
@@ -452,36 +453,41 @@ fn serve_state(args: &Args) -> Result<ServeState, String> {
         );
         return Ok(ServeState::fixed(index));
     };
+    let single_source = match args.value("--mode") {
+        None | Some("all-pairs") => false,
+        Some("single-source") => true,
+        Some(other) => return Err(format!("unknown mode {other:?}\n{USAGE}")),
+    };
+    if cache_capacity.is_some() && !single_source {
+        return Err(format!(
+            "\"--cache-capacity\" needs --mode single-source\n{USAGE}"
+        ));
+    }
+    let weight = args.weight_kind(WeightKind::Clicks)?;
     let kind = method_kind(args.positional(0..=1)?.first())?;
-    let graph = Arc::new(load_graph(path, false)?);
+    let graph = load_graph(path, false)?;
     let config = serve_config(weight);
-    let (state, ready) = if mode == "single-source" {
-        // No offline build at all: an empty index (every lookup misses)
-        // over a live engine, so each query's row is computed on first
-        // demand and LRU-cached.
-        let ready = "single-source mode: skipped the offline build; live engine ready";
-        (ServeState::fixed(empty_index(kind)), ready)
-    } else {
+    if !single_source {
         eprintln!("live graph held: `update <delta.tsv>` hot-swaps the index in place");
         let index = build_index(&graph, kind, weight);
         let ctx = UpdateContext {
-            graph: Arc::clone(&graph),
+            graph: Arc::new(graph),
             config,
             rewriter: RewriterConfig::default(),
         };
-        let state = ServeState::updatable(index, ctx);
-        if matches!(kind, MethodKind::Naive | MethodKind::Pearson) {
-            return Ok(state); // no single-source formulation
-        }
-        (state, "live single-source fallback ready")
-    };
+        return Ok(ServeState::updatable(index, ctx));
+    }
+    // No offline build at all: each query's row is computed on first
+    // demand and LRU-cached.
+    let cache_capacity = cache_capacity.unwrap_or(4096);
     let t0 = Instant::now();
     let live = LiveContext::new(graph, kind, config, RewriterConfig::default())?;
     eprintln!(
-        "{ready} in {:.1?} (row cache: {cache_capacity} entries)",
+        "single-source mode: skipped the offline build; live engine ready in {:.1?} \
+         (row cache: {cache_capacity} entries)",
         t0.elapsed()
     );
-    Ok(state.with_live(live, cache_capacity))
+    Ok(ServeState::fixed(empty_index(kind)).with_live(live, cache_capacity))
 }
 
 fn run(args: &Args) -> Result<(), String> {

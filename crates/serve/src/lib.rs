@@ -24,17 +24,17 @@
 //!   index generation hot-swaps in while requests keep being answered.
 //! * [`server`] — the line protocol (`rewrite <query>`, `batch <file>`,
 //!   `update <delta.tsv>`, `info`) spoken by the `serve` binary over stdin
-//!   or TCP. A server built with a [`LiveContext`] additionally answers
-//!   queries the index does not cover by computing their row on demand with
-//!   the single-source engine (`simrankpp_core::SingleSourceEngine`); an
-//!   `update` refreshes that engine per dirty component, off the request
-//!   path.
+//!   or TCP. A server has one row source: its index, or — built with a
+//!   [`LiveContext`], the binary's `--mode single-source` — the
+//!   single-source engine (`simrankpp_core::SingleSourceEngine`), which
+//!   computes every row on demand; an `update` refreshes that engine per
+//!   dirty component, off the request path.
 //! * [`net`] — the threaded TCP front-end ([`NetServer`]): bounded
 //!   thread-per-connection pool, split data/admin planes, read timeouts,
 //!   graceful drain, and shared [`ServerMetrics`] counters — all driving
 //!   the same session loop as the pipe.
 //! * [`rowcache`] — the bounded, generation-aware LRU of live-computed
-//!   rows backing that fallback, held as scored ids and rendered by the same
+//!   rows of a live server, held as scored ids and rendered by the same
 //!   row writer as index rows; invalidated on every `update` hot-swap.
 //! * [`ingest`] — streaming ingestion: a click-log tailer feeding a
 //!   sliding epoch window ([`EpochIngestor`]), with automatic
@@ -55,7 +55,7 @@ pub mod swap;
 pub use checkpoint::{read_checkpoint, resume_ingestor, write_checkpoint, Checkpoint};
 pub use index::{IndexMeta, RebuildStats, RewriteIndex, RewriteSet};
 pub use ingest::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer, SpannedRecord};
-pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 4(c))
+pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 7(c))
 pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};

@@ -8,9 +8,9 @@
 //! writer as the miss that populated it (and as every index row), so the
 //! two lines are byte-identical.
 //!
-//! Generations make hot-swaps safe: `invalidate` (called by the server's
-//! `update` path after an index swap) bumps the generation counter and drops
-//! every cached row. A computation that began under an older generation may
+//! Generations make hot-swaps safe: `invalidate` (called when a live
+//! server's `update` commits the next graph) bumps the generation counter
+//! and drops every cached row. A computation that began under an older generation may
 //! still call [`RowCache::insert`] afterwards — the stale generation tag
 //! makes that insert a no-op instead of poisoning the new graph's cache.
 //!

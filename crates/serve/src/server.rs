@@ -6,43 +6,40 @@
 //! * `batch <path>` — serve every query listed in `<path>` (one per line,
 //!   blank lines and `#` comments skipped), then a `done` summary;
 //! * `update <delta.tsv>` — apply a click-graph delta
-//!   (`simrankpp_graph::delta::read_delta_tsv` format), rebuild only the
-//!   dirty queries' rows, and atomically hot-swap the new index generation
-//!   in — requests keep being answered throughout, each against one
-//!   consistent generation. Needs a server started with a live graph
-//!   ([`ServeState::updatable`], the binary's `run --graph` mode);
+//!   (`simrankpp_graph::delta::read_delta_tsv` format) to the server's
+//!   graph and atomically swap the next generation in — requests keep being
+//!   answered throughout, each against one consistent generation. Needs a
+//!   server that holds a graph ([`ServeState::updatable`] or
+//!   [`ServeState::with_live`]); a snapshot or ingest server refuses it
+//!   before opening the file;
 //! * `info` — one line of index metadata (`backing=mmap` for an opened
 //!   snapshot, `heap` for a loaded, built or updated generation, and
-//!   `snapshot_bytes`, the size `save` would write) plus, when live
-//!   single-source serving is on, the row-cache statistics (capacity,
-//!   entries, hit/miss counters, invalidation generation);
+//!   `snapshot_bytes`, the size `save` would write) plus, on a live
+//!   single-source server, the row-cache statistics (capacity, entries,
+//!   hit/miss counters, invalidation generation);
 //! * `quit` — clean shutdown (EOF works too).
 //!
-//! ## Cold queries and live single-source serving
+//! ## Row sources
 //!
-//! A server built with a [`LiveContext`] (the binary's `--mode
-//! single-source`, or any `run --graph` start with a recursive method) no
-//! longer refuses queries the precomputed index misses: it resolves the
-//! query against the live click graph and, when present, computes its row
-//! on demand with `simrankpp_core::SingleSourceEngine`, replays the §9.3
-//! pipeline (rank → stem-dedup → top-5; the live path carries no bid-term
-//! list, so the bid filter does not apply), and answers `ok` exactly like
-//! an indexed hit. The picked rows land in a bounded LRU
+//! A server has exactly one source of rows. An indexed server — a
+//! snapshot, a build, an updatable build or an ingest loop's publishes —
+//! answers from its [`RewriteIndex`] and nothing else: a query the index
+//! does not hold is `err\tunknown query`. A live single-source server (the
+//! binary's `--mode single-source`, built with a [`LiveContext`]) holds no
+//! rows at all: it resolves each query against its click graph, computes
+//! the row on demand with `simrankpp_core::SingleSourceEngine`, replays the
+//! §9.3 pipeline (rank → stem-dedup → top-5; the live path carries no
+//! bid-term list, so the bid filter does not apply), and answers `ok`
+//! exactly like an indexed hit. The picked rows land in a bounded LRU
 //! ([`crate::rowcache::RowCache`]) of scored ids keyed by query id, so a
 //! repeat of a cold query is a hash probe. One row writer renders index
 //! rows, live misses and cache hits alike, so a hit is byte-identical to
-//! the miss that populated it. Every `update` refreshes the live engine for
-//! the post-delta graph — the diagonal correction of the dirty components
-//! recomputed, the clean components' copied — with the context lock
-//! released, so requests are answered by the previous generation for as
-//! long as that takes; the commit swaps graph and engine in and invalidates
-//! the cache (generation bump) under one momentary lock.
-//!
-//! The miss taxonomy is structured accordingly:
-//!
-//! * indexed → `ok` (precomputed);
-//! * not indexed, in the graph, live engine on → `ok` (computed, cached);
-//! * anything else → `err\tunknown query\t<query>`.
+//! the miss that populated it. A live server's `update` refreshes its
+//! engine for the post-delta graph — the diagonal correction of the dirty
+//! components recomputed, the clean components' copied — with the context
+//! lock released, so requests are answered by the previous generation for
+//! as long as that takes; the commit swaps graph and engine in and
+//! invalidates the cache (generation bump) under one momentary lock.
 //!
 //! Responses are single tab-separated lines. TSV-loaded graphs cannot carry
 //! tabs in names (`write_tsv` rejects them), but programmatically built
@@ -57,7 +54,7 @@
 //!   when the batch file fails mid-read);
 //! * `updated\t<queries>\t<refreshed>\t<copied>\t<dirty>\t<clean>` —
 //!   acknowledges a hot-swapped `update` (totals, refreshed vs copied rows —
-//!   on a live-only server, queries whose correction was recomputed vs
+//!   on a live server, queries whose correction was recomputed vs
 //!   copied — and dirty vs clean components);
 //! * `bye` — acknowledges `quit`.
 //!
@@ -91,6 +88,7 @@
 //! open session with `bye\tdraining` and closes it.
 
 use crate::index::{RebuildStats, RewriteIndex};
+use crate::ingest::IngestMetrics;
 use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::{Row, RowCache};
 use crate::swap::AtomicHandle;
@@ -188,13 +186,12 @@ impl SessionOptions {
     }
 }
 
-/// The graph-and-config context needed to serve `update` requests: the live
-/// click graph the index was built from, plus the build parameters an
-/// incremental rebuild must replay with.
+/// The graph-and-config context an updatable indexed server rebuilds rows
+/// with: the click graph the index was built from, plus the build
+/// parameters an incremental rebuild must replay with.
 #[derive(Debug)]
 pub struct UpdateContext {
-    /// The current click-graph generation (replaced on each update; the
-    /// live fallback, when on, shares the same allocation).
+    /// The current click-graph generation (replaced on each update).
     pub graph: Arc<ClickGraph>,
     /// The similarity configuration the index was built with.
     pub config: SimrankConfig,
@@ -202,9 +199,9 @@ pub struct UpdateContext {
     pub rewriter: RewriterConfig,
 }
 
-/// Everything the live single-source fallback needs to answer a cold query:
-/// the click graph, the per-query engine over it, and the pipeline knobs
-/// that make its answers rank like the offline build's.
+/// Everything a live single-source server needs to answer a query: the
+/// click graph, the per-query engine over it, and the pipeline knobs that
+/// make its answers rank like the offline build's.
 ///
 /// The graph and the engine are immutable and shared (`Arc`): an `update`
 /// reads them under a momentary lock, builds the next engine and the next
@@ -263,15 +260,13 @@ fn live_engine(
 impl LiveContext {
     /// Builds the live engine for `graph`: the refresh every `update` runs,
     /// from the empty graph with every component dirty — one engine run per
-    /// connected component at `config`. An `Arc` graph is shared, not
-    /// copied, with whoever else holds it (the [`UpdateContext`]).
+    /// connected component at `config`.
     pub fn new(
-        graph: impl Into<Arc<ClickGraph>>,
+        graph: ClickGraph,
         method: MethodKind,
         config: SimrankConfig,
         rewriter: RewriterConfig,
     ) -> Result<LiveContext, String> {
-        let graph = graph.into();
         let engine = live_engine(
             &DiagonalCorrection::default(),
             &graph,
@@ -282,7 +277,7 @@ impl LiveContext {
         let classes = stem_classes(&graph, &rewriter);
         let ws = RowWorkspace::new(graph.n_queries(), graph.n_ads());
         Ok(LiveContext {
-            graph,
+            graph: Arc::new(graph),
             method,
             config,
             rewriter,
@@ -327,12 +322,18 @@ impl std::fmt::Debug for LiveContext {
     }
 }
 
-/// The live fallback of one server: the swappable context plus the row
-/// cache that survives across requests (but not across graph generations).
+/// The row source of a live server: the swappable context, the row cache
+/// that survives across requests (but not across graph generations), and
+/// the lock that serializes updates.
 #[derive(Debug)]
 struct LiveState {
     ctx: Mutex<LiveContext>,
     cache: RowCache,
+    /// Held for the whole of [`LiveState::update`]. Without it two
+    /// concurrent updates can both read the same base graph before either
+    /// commits, and the later commit silently drops the earlier delta (a
+    /// lost update). Requests never take it.
+    updating: Mutex<()>,
 }
 
 impl LiveState {
@@ -365,130 +366,129 @@ impl LiveState {
         Some((row, Arc::clone(&ctx.graph)))
     }
 
-    /// The current graph generation.
-    fn graph(&self) -> Arc<ClickGraph> {
-        let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&ctx.graph)
-    }
-
-    /// Moves the context to the post-delta `graph` — `dirty` components'
-    /// corrections recomputed, clean ones copied — and drops every cached
-    /// row (they priced the previous generation's scores).
+    /// Applies the delta at `path`: the context moves to the post-delta
+    /// graph — dirty components' corrections recomputed, clean ones copied
+    /// — and every cached row is dropped (they priced the previous
+    /// generation's scores). The stats count the dirty components' queries
+    /// as refreshed; a live server stores no rows, so its entry counts are
+    /// zero.
     ///
     /// The engine and the stem-class table are built with the context lock
     /// **released**: requests, cache hits and misses alike, are answered
     /// from the previous generation for as long as the precompute runs. The
-    /// lock is taken twice, momentarily — to read the previous engine, and
-    /// to swap the finished graph, engine and table in as one.
-    /// `ServeState::apply_update`'s one lock keeps a second rebuild from
-    /// interleaving between the two. Poisoning is recovered: the commit
-    /// assigns fully-constructed values, consistent no matter what state a
-    /// previous holder left behind. On error nothing was touched.
-    fn rebuild(&self, graph: Arc<ClickGraph>, dirty: &DirtyComponents) -> Result<(), String> {
-        let (previous, method, config, rewriter) = {
-            let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
-            (
-                Arc::clone(&ctx.engine),
-                ctx.method,
-                ctx.config,
-                ctx.rewriter,
-            )
-        };
-        let engine = live_engine(previous.correction(), &graph, dirty, method, &config)?;
+    /// lock is taken twice, momentarily — to read the previous generation,
+    /// and to swap the finished graph, engine and table in as one. Poisoning
+    /// is recovered: the commit assigns fully-constructed values, consistent
+    /// no matter what state a previous holder left behind. On error nothing
+    /// was touched.
+    fn update(&self, path: &str) -> Result<RebuildStats, String> {
+        let _updating = self.updating.lock().unwrap_or_else(PoisonError::into_inner);
+        let ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
+        let (graph, previous) = (Arc::clone(&ctx.graph), Arc::clone(&ctx.engine));
+        let (method, config, rewriter) = (ctx.method, ctx.config, ctx.rewriter);
+        drop(ctx);
+        let (graph, dirty) = read_delta(&graph, path)?;
+        let engine = live_engine(previous.correction(), &graph, &dirty, method, &config)?;
         let classes = stem_classes(&graph, &rewriter);
         simrankpp_util::fail_point!("live-rebuild-built", |msg: String| msg);
+        let stats = RebuildStats::new(&dirty, graph.n_queries(), 0, 0);
         let mut ctx = self.ctx.lock().unwrap_or_else(PoisonError::into_inner);
         // An update may add queries, ads, or both.
         ctx.ws.resize(graph.n_queries(), graph.n_ads());
-        ctx.graph = graph;
+        ctx.graph = Arc::new(graph);
         ctx.engine = Arc::new(engine);
         ctx.classes = classes;
         self.cache.invalidate();
-        Ok(())
+        Ok(stats)
     }
 }
 
-/// A running server's shared state: the hot-swappable index handle plus the
-/// optional update context and the optional live single-source fallback.
-/// Every generation is a [`RewriteIndex`] — a mapped snapshot, a loaded
-/// one, or a built or updated one — served and hot-swapped through the same
-/// handle. Three constructors name the modes — [`ServeState::fixed`]
-/// (snapshot or built index, `update` refused), [`ServeState::ingesting`]
-/// (generations published by a click-log ingest loop through
-/// [`ServeState::publish`]) and [`ServeState::updatable`] (the `update`
-/// verb rebuilds dirty rows over a live graph) — each optionally with the
-/// live fallback ([`ServeState::with_live`]).
-///
-/// Every mode that takes deltas runs the one sequence of
-/// [`ServeState::apply_update`], and its post-delta graph is built once and
-/// shared by `Arc` between the update context and the live engine.
+/// Reads the named-op delta at `path` and applies it to `graph`: the
+/// post-delta graph and the components the delta touched.
+fn read_delta(graph: &ClickGraph, path: &str) -> Result<(ClickGraph, DirtyComponents), String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let ops =
+        read_delta_tsv(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let (graph, delta) = simrankpp_graph::delta::apply_named(graph, &ops)?;
+    let dirty = delta.dirty_components(&graph);
+    Ok((graph, dirty))
+}
+
+/// Where a server's rows come from, and what its `update` verb does.
+#[derive(Debug)]
+enum Source {
+    /// A snapshot or a build; `update` is refused.
+    Fixed,
+    /// A click-log ingest loop publishes every generation; `update` is
+    /// refused.
+    Ingest(Arc<IngestMetrics>),
+    /// `update` rebuilds the dirty rows of the index over the held graph.
+    /// The lock serializes the whole read–apply–rebuild–swap sequence, so
+    /// no delta is lost to a concurrent update; requests never take it.
+    Rows(Mutex<UpdateContext>),
+    /// Every row is computed on demand; the index is metadata only.
+    Live(Box<LiveState>),
+}
+
+/// A running server's shared state: the hot-swappable index handle and the
+/// one source of its rows, which the constructor names. Every generation
+/// is a [`RewriteIndex`] — a mapped snapshot, a loaded one, or a built or
+/// updated one — served and hot-swapped through the same handle.
 #[derive(Debug)]
 pub struct ServeState {
     index: AtomicHandle<RewriteIndex>,
-    /// The rows-mode update context, behind the one lock that serializes
-    /// [`ServeState::apply_update`]'s whole read–apply–rebuild–swap
-    /// sequence in every mode (`None` for a live-only server, which takes
-    /// it all the same). Without it two concurrent updates can both read
-    /// the same base graph before either commits, and the later commit
-    /// silently drops the earlier delta (a lost update). Requests never
-    /// take this lock — they stay on the [`AtomicHandle`] fast path.
-    update: Mutex<Option<UpdateContext>>,
-    live: Option<LiveState>,
-    /// Streaming-ingest counters when this server is fed by a click-log
-    /// tailer (`serve ingest`). Also the mode flag: when set, the manual
-    /// `update` verb is refused — the ingest loop owns index generations.
-    ingest: Option<Arc<crate::ingest::IngestMetrics>>,
+    source: Source,
 }
 
 impl ServeState {
-    fn new(
-        index: RewriteIndex,
-        update: Option<UpdateContext>,
-        ingest: Option<Arc<crate::ingest::IngestMetrics>>,
-    ) -> ServeState {
-        ServeState {
-            index: AtomicHandle::new(index),
-            update: Mutex::new(update),
-            live: None,
-            ingest,
-        }
-    }
-
     /// A server over a frozen index — an opened snapshot or a build
     /// (snapshot mode): `update` is refused.
     pub fn fixed(index: RewriteIndex) -> ServeState {
-        ServeState::new(index, None, None)
+        ServeState {
+            index: AtomicHandle::new(index),
+            source: Source::Fixed,
+        }
     }
 
     /// A server whose index generations are published by a streaming
     /// ingest loop ([`crate::ingest::EpochIngestor`]): the manual `update`
     /// verb is refused, and `info` reports the shared ingest counters.
-    pub fn ingesting(
-        index: RewriteIndex,
-        metrics: Arc<crate::ingest::IngestMetrics>,
-    ) -> ServeState {
-        ServeState::new(index, None, Some(metrics))
+    pub fn ingesting(index: RewriteIndex, metrics: Arc<IngestMetrics>) -> ServeState {
+        ServeState {
+            source: Source::Ingest(metrics),
+            ..ServeState::fixed(index)
+        }
     }
 
     /// A server that can apply deltas and hot-swap index generations.
     pub fn updatable(index: RewriteIndex, ctx: UpdateContext) -> ServeState {
-        ServeState::new(index, Some(ctx), None)
+        ServeState {
+            source: Source::Rows(Mutex::new(ctx)),
+            ..ServeState::fixed(index)
+        }
     }
 
-    /// Turns on the live single-source fallback: queries the index misses
-    /// are computed on demand through `live` and cached in an LRU of
-    /// `cache_capacity` rows.
-    pub fn with_live(mut self, live: LiveContext, cache_capacity: usize) -> ServeState {
-        self.live = Some(LiveState {
-            ctx: Mutex::new(live),
-            cache: RowCache::new(cache_capacity),
-        });
-        self
+    /// Makes a [`ServeState::fixed`] server live: every query is computed
+    /// on demand through `live` and cached in an LRU of `cache_capacity`
+    /// rows, and `update` refreshes the engine. The index serves no row; it
+    /// names the method `info` reports (typically [`RewriteIndex::empty`]).
+    pub fn with_live(self, live: LiveContext, cache_capacity: usize) -> ServeState {
+        ServeState {
+            source: Source::Live(Box::new(LiveState {
+                ctx: Mutex::new(live),
+                cache: RowCache::new(cache_capacity),
+                updating: Mutex::new(()),
+            })),
+            ..self
+        }
     }
 
-    /// The live row cache's statistics, when the fallback is on.
+    /// The live row cache's statistics, on a live server.
     pub fn cache_stats(&self) -> Option<crate::rowcache::CacheStats> {
-        self.live.as_ref().map(|l| l.cache.stats())
+        match &self.source {
+            Source::Live(live) => Some(live.cache.stats()),
+            _ => None,
+        }
     }
 
     /// The swappable index handle (for out-of-band readers and tests).
@@ -497,22 +497,22 @@ impl ServeState {
     }
 
     /// The shared ingest counters, when this server is in ingest mode.
-    pub fn ingest_metrics(&self) -> Option<&Arc<crate::ingest::IngestMetrics>> {
-        self.ingest.as_ref()
+    pub fn ingest_metrics(&self) -> Option<&Arc<IngestMetrics>> {
+        match &self.source {
+            Source::Ingest(metrics) => Some(metrics),
+            _ => None,
+        }
     }
 
-    /// The click graph the current generation was built over — the one the
-    /// next `update` applies its delta to. `None` when the server holds no
-    /// graph (snapshot and ingest modes).
+    /// The click graph an updatable server's next `update` applies its
+    /// delta to; `None` on every other server.
     pub fn graph(&self) -> Option<Arc<ClickGraph>> {
-        let update = self.update.lock().unwrap_or_else(PoisonError::into_inner);
-        self.current_graph(update.as_ref())
-    }
-
-    fn current_graph(&self, update: Option<&UpdateContext>) -> Option<Arc<ClickGraph>> {
-        match update {
-            Some(ctx) => Some(Arc::clone(&ctx.graph)),
-            None => self.live.as_ref().map(LiveState::graph),
+        match &self.source {
+            Source::Rows(ctx) => {
+                let ctx = ctx.lock().unwrap_or_else(PoisonError::into_inner);
+                Some(Arc::clone(&ctx.graph))
+            }
+            _ => None,
         }
     }
 
@@ -525,42 +525,29 @@ impl ServeState {
         self.index.swap(index);
     }
 
-    /// Applies a named-op delta read from `path`, in one sequence for every
-    /// mode: read the delta, apply it to the current graph, find the dirty
-    /// components, rebuild their rows (when the server holds an update
-    /// context), rebuild the live engine over the new graph and invalidate
-    /// the row cache (when the live fallback is on — stale rows must never
-    /// answer the new generation), then swap the new generation and graph
-    /// in. On error the previous generation keeps serving untouched.
-    ///
-    /// The stats count the queries of dirty components as refreshed and
-    /// the rest as copied. A live-only server (`--mode single-source`: the
-    /// index is empty) stores no rows, so its entry counts are zero.
+    /// Applies the named-op delta at `path` and swaps the next generation
+    /// in; on error the previous generation keeps serving untouched. A
+    /// snapshot or ingest server refuses before opening the file; an
+    /// updatable one rebuilds the dirty components' rows under its context
+    /// lock; a live one refreshes its engine. The stats count the queries of
+    /// dirty components as refreshed and the rest as copied.
     pub fn apply_update(&self, path: &str) -> Result<RebuildStats, String> {
-        if self.ingest.is_some() {
-            return Err(
+        match &self.source {
+            Source::Fixed => Err("server was started without a live graph (snapshot mode)".into()),
+            Source::Ingest(_) => Err(
                 "this server ingests a click log; the index refreshes at epoch boundaries".into(),
-            );
-        }
-        // Poisoning recovered: the context's only mutation is the trailing
-        // whole-value `ctx.graph` assignment — a holder that panicked
-        // anywhere leaves the previous generation intact.
-        let mut update = self.update.lock().unwrap_or_else(PoisonError::into_inner);
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let ops = read_delta_tsv(BufReader::new(file))
-            .map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let graph = self
-            .current_graph(update.as_ref())
-            .ok_or("server was started without a live graph (snapshot mode)")?;
-        let (graph, delta) = simrankpp_graph::delta::apply_named(&graph, &ops)?;
-        let graph = Arc::new(graph);
-        let dirty = delta.dirty_components(&graph);
-        // An opened (mapped) generation is deep-checked by the rebuild
-        // before its clean rows are copied; the rebuilt generation serves
-        // from the heap — the snapshot file on disk is a build artifact,
-        // not the live truth, once updates start landing.
-        let (next, stats) = match update.as_ref() {
-            Some(ctx) => {
+            ),
+            Source::Rows(ctx) => {
+                // Poisoning recovered: the context's only mutation is the
+                // trailing whole-value `ctx.graph` assignment — a holder that
+                // panicked anywhere leaves the previous generation intact.
+                let mut ctx = ctx.lock().unwrap_or_else(PoisonError::into_inner);
+                let (graph, dirty) = read_delta(&ctx.graph, path)?;
+                // An opened (mapped) generation is deep-checked by the
+                // rebuild before its clean rows are copied; the rebuilt
+                // generation serves from the heap — the snapshot file on disk
+                // is a build artifact, not the live truth, once updates start
+                // landing.
                 let (next, stats) = self.index.load().rebuild_incremental(
                     &graph,
                     &dirty,
@@ -568,22 +555,12 @@ impl ServeState {
                     &ctx.rewriter,
                     None,
                 )?;
-                (Some(next), stats)
+                self.index.swap(next);
+                ctx.graph = Arc::new(graph);
+                Ok(stats)
             }
-            None => (None, RebuildStats::new(&dirty, graph.n_queries(), 0, 0)),
-        };
-        // The live side before the swap: if it fails, the old index
-        // generation and the old live context both keep serving.
-        if let Some(live) = self.live.as_ref() {
-            live.rebuild(Arc::clone(&graph), &dirty)?;
+            Source::Live(live) => live.update(path),
         }
-        if let Some(next) = next {
-            self.index.swap(next);
-        }
-        if let Some(ctx) = update.as_mut() {
-            ctx.graph = graph;
-        }
-        Ok(stats)
     }
 }
 
@@ -887,8 +864,9 @@ pub fn serve_session_with<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// Answers one query: its index row when indexed, else its live row, else
-/// `err\tunknown query`.
+/// Answers one query from the server's one row source: a live server's
+/// engine, every other server's `index`. A query the source does not hold
+/// answers `err\tunknown query`.
 fn respond<W: Write>(
     state: &ServeState,
     index: &RewriteIndex,
@@ -896,21 +874,21 @@ fn respond<W: Write>(
     out: &mut W,
     opts: &SessionOptions,
 ) -> io::Result<()> {
-    if let Some(q) = index.lookup(query) {
-        let (targets, scores) = index.row(q);
-        let row = targets
-            .iter()
-            .map(|&id| QueryId(id))
-            .zip(scores.iter().copied());
-        return write_row(out, query, row, |id| index.name_to_write(id));
-    }
-    // Not indexed: the live fallback computes the row on demand.
-    match state.live.as_ref().and_then(|live| live.serve(query)) {
-        Some((row, graph)) => write_row(out, query, row.iter().copied(), |id| {
-            graph.query_name(id).map(str::as_bytes)
+    let answered = match &state.source {
+        Source::Live(live) => live.serve(query).map(|(row, graph)| {
+            write_row(out, query, row.iter().copied(), |id| {
+                graph.query_name(id).map(str::as_bytes)
+            })
         }),
-        None => err_line(out, opts.metrics.as_deref(), "unknown query", query),
-    }
+        _ => index.lookup(query).map(|q| {
+            let (targets, scores) = index.row(q);
+            let row = targets.iter().map(|&id| QueryId(id));
+            write_row(out, query, row.zip(scores.iter().copied()), |id| {
+                index.name_to_write(id)
+            })
+        }),
+    };
+    answered.unwrap_or_else(|| err_line(out, opts.metrics.as_deref(), "unknown query", query))
 }
 
 /// Writes one `ok` line — `ok\t<query>\t<k>[\t<name>\t<score>]...` — for
@@ -1085,9 +1063,11 @@ mod tests {
 
     #[test]
     fn update_verb_refused_without_live_graph_and_on_bad_delta() {
-        // Snapshot mode: no update context.
+        // Snapshot mode: refused for what the server is, before the file
+        // is opened.
         let out = run("update /no/such/delta.tsv\n");
         assert!(out.starts_with("err\tupdate failed\t"), "{out}");
+        assert!(out.contains("snapshot mode"), "{out}");
 
         // Live graph, but unreadable delta: the old generation keeps serving.
         let state = fig3_state();

@@ -108,6 +108,21 @@ fn every_subcommand_refuses_arguments_it_does_not_take() {
         ("segment a.tsv out.seg 4 extra", "usage:"),
         ("run fig3.idx --window 3", "\"--window\""),
         ("run fig3.idx extra", "usage:"),
+        (
+            "run fig3.idx --mode single-source --cache-capacity 7",
+            "\"--mode\"",
+        ),
+        ("run fig3.idx --cache-capacity 7", "\"--cache-capacity\""),
+        ("run fig3.idx --weight-kind ecr", "\"--weight-kind\""),
+        ("listen fig3.idx --mode all-pairs", "\"--mode\""),
+        (
+            "run --graph no.tsv --cache-capacity 7",
+            "\"--cache-capacity\" needs --mode single-source",
+        ),
+        (
+            "listen --graph no.tsv --mode all-pairs --cache-capacity 7",
+            "\"--cache-capacity\" needs --mode single-source",
+        ),
         ("listen fig3.idx extra --addr 127.0.0.1:0", "usage:"),
         (
             "update fig3.idx delta.tsv out.idx extra --fixture fig3",
