@@ -511,7 +511,7 @@ impl RewriteIndex {
             .find(|&id| self.name_bytes(id) == Some(name.as_bytes()))
     }
 
-    /// [`RewriteIndex::lookup`] (benchmark-pinned; goes with ROADMAP 4(c)).
+    /// [`RewriteIndex::lookup`] (benchmark-pinned; goes with ROADMAP 12).
     pub fn lookup_id(&self, name: &str) -> Option<QueryId> {
         self.lookup(name)
     }

@@ -55,7 +55,7 @@ pub mod swap;
 pub use checkpoint::{read_checkpoint, resume_ingestor, write_checkpoint, Checkpoint};
 pub use index::{IndexMeta, RebuildStats, RewriteIndex, RewriteSet};
 pub use ingest::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer, SpannedRecord};
-pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 7(c))
+pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 12)
 pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
 pub use rowcache::{CacheStats, RowCache};

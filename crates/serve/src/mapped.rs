@@ -1,4 +1,4 @@
-//! Benchmark-pinned names for the one index type, kept until ROADMAP 4(c):
+//! Benchmark-pinned names for the one index type, kept until ROADMAP 12:
 //! the frozen `benchmark/` sources spell them and implement one trait for
 //! each of `RewriteIndex`, `MappedIndex` and `ServingIndex`, so these are
 //! distinct newtypes (aliases would make those impls conflict) that

@@ -48,7 +48,8 @@
 //! one line with intact framing:
 //!
 //! * `ok\t<query>\t<k>[\t<name>\t<score>]...` — `k` rewrites in ranking
-//!   order; an unnamed rewrite target prints as `#<id>`;
+//!   order; an unnamed rewrite target prints as `#<id>`, and a score with
+//!   six decimals, correctly rounded half to even (the bytes of `{:.6}`);
 //! * `err\t<reason>\t<detail>` — unknown query / command / unreadable file;
 //! * `done\t<count>` — closes a `batch` response block (always emitted, even
 //!   when the batch file fails mid-read);
@@ -909,9 +910,61 @@ fn write_row<'a, W: Write>(
             Some(name) => write_clean(out, name)?,
             None => write!(out, "#{}", id.0)?,
         }
-        write!(out, "\t{score:.6}")?;
+        write_score(out, score)?;
     }
     writeln!(out)
+}
+
+/// `\t` and `score` with six decimals: the bytes of `{score:.6}` without
+/// `core::fmt`. A score in `[0, 2^32)` is `m · 2^-shift` with `m < 2^53` and
+/// `shift ≥ 21`, so `m · 10^6` fits a `u128` (below 2^73), and shifting it
+/// right while rounding the dropped bits half to even is the correctly
+/// rounded `score · 10^6`. Anything else (a set sign bit, NaN, ±∞, `2^32`
+/// and up) takes the `format!` path.
+fn write_score<W: Write>(out: &mut W, score: f64) -> io::Result<()> {
+    const TWO_POW_32: u64 = 0x41F0_0000_0000_0000; // (2^32 as f64).to_bits()
+    let bits = score.to_bits();
+    if bits >= TWO_POW_32 {
+        return write_score_fallback(out, score);
+    }
+    let biased = (bits >> 52) as u32; // 0 for zero and subnormals
+    let m = bits & ((1 << 52) - 1) | u64::from(biased != 0) << 52;
+    let shift = 1075 - biased.max(1);
+    let micros = if shift >= 128 {
+        0 // m · 10^6 < 2^73 < 2^(shift - 1): under half a millionth
+    } else {
+        let scaled = u128::from(m) * 1_000_000;
+        let (q, dropped) = (scaled >> shift, scaled & ((1 << shift) - 1));
+        let half = 1 << (shift - 1);
+        (q + u128::from(dropped > half || (dropped == half && q & 1 == 1))) as u64
+    }; // ≤ 2^32 · 10^6
+    let mut buf = [0u8; 18]; // `\t`, ten integer digits, `.`, six decimals
+    let mut at = buf.len();
+    let (mut int, mut frac) = (micros / 1_000_000, micros % 1_000_000);
+    for _ in 0..6 {
+        at -= 1;
+        buf[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    at -= 1;
+    buf[at] = b'\t';
+    out.write_all(&buf[at..])
+}
+
+#[cold]
+#[inline(never)]
+fn write_score_fallback<W: Write>(out: &mut W, score: f64) -> io::Result<()> {
+    write!(out, "\t{score:.6}")
 }
 
 #[cfg(test)]
@@ -1606,6 +1659,66 @@ mod tests {
             assert_eq!(metrics.errors.load(Ordering::Relaxed), err_lines, "{out}");
         }
         assert!(clean > 0 && invalid > 0, "{clean} clean, {invalid} invalid");
+    }
+
+    /// `write_score`'s bytes against its oracle, `{:.6}`.
+    fn assert_score_matches_format(x: f64) {
+        let mut got = Vec::new();
+        write_score(&mut got, x).unwrap();
+        let want = format!("\t{x:.6}");
+        assert_eq!(got, want.as_bytes(), "{x:e} (bits {:#018x})", x.to_bits());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(20_000))]
+
+        // Every bit pattern: about half take the fallback (sign, NaN, ∞,
+        // 2^32 and up), the rest span subnormals to just below 2^32.
+        #[test]
+        fn score_writer_equals_format_on_any_bits(hi in 0u64..1 << 32, lo in 0u64..1 << 32) {
+            assert_score_matches_format(f64::from_bits(hi << 32 | lo));
+        }
+
+        #[test]
+        fn score_writer_equals_format_on_unit_scores(x in 0.0f64..1.0) {
+            assert_score_matches_format(x);
+        }
+
+        // The only scores that tie at six decimals are odd multiples of
+        // 1/128 (x · 10^6 = n + 1/2 needs 5^6 | 2n + 1): half to even.
+        #[test]
+        fn score_writer_rounds_dyadic_ties_to_even(int in 0u64..1 << 32, k in 0u64..128) {
+            assert_score_matches_format(int as f64 + k as f64 / 128.0);
+        }
+    }
+
+    #[test]
+    fn score_writer_equals_format_on_edge_cases() {
+        let below_two_pow_32 = f64::from_bits((4_294_967_296f64).to_bits() - 1);
+        for x in [
+            0.0,
+            -0.0,
+            0.0078125,
+            0.0234375,
+            0.9999995,
+            0.0000005,
+            0.00000049999999999999,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            below_two_pow_32,
+            4_294_967_296.0,
+            1e300,
+            -0.306801,
+        ] {
+            assert_score_matches_format(x);
+        }
+        for k in 0..128 * 64 {
+            assert_score_matches_format(k as f64 / 128.0);
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!
 //! This is the standard-library equivalent of the `arc-swap` crate's
 //! happy path (vendoring policy: no new dependencies). The mutex makes
-//! `load` a few nanoseconds slower than a true lock-free `ArcSwap`, which
-//! is invisible next to the microsecond-scale protocol I/O per request.
+//! `load` slower than a true lock-free `ArcSwap`: on a 2-core Xeon, a
+//! session answering lookups from a mmapped snapshot spends ≈ 40 ns per
+//! request in `load`, ≈ 3.6 % of its ≈ 1.1 µs per request. Small, but no
+//! longer hidden behind float formatting; ROADMAP 2(a) proposes an epoch
+//! check that skips the mutex.
 //!
 //! ## Poisoning
 //!

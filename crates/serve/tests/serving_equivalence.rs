@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
+use simrankpp_graph::fixtures::figure3_graph;
 use simrankpp_graph::{ClickGraph, ClickGraphBuilder, EdgeData, QueryId, WeightKind};
 use simrankpp_serve::{
-    serve_session, IndexMeta, LiveContext, RewriteIndex, ServeState, UpdateContext,
+    serve_session, IndexMeta, LiveContext, MappedIndex, RewriteIndex, ServeState, UpdateContext,
 };
 use simrankpp_util::FxHashSet;
 
@@ -102,8 +103,59 @@ fn served_rewrites(state: &ServeState, g: &ClickGraph, name: &str) -> Vec<(Query
         .collect()
 }
 
+/// The `ok` line of every named query of `index`, rendered from its rows
+/// with `{:.6}`: the protocol's bytes, independent of the server's writer.
+fn format_rendered_transcript(index: &RewriteIndex) -> (String, String) {
+    let (mut requests, mut want) = (String::new(), String::new());
+    for q in (0..index.n_queries() as u32).map(QueryId) {
+        let Some(name) = index.query_name(q) else {
+            continue;
+        };
+        let row = index.rewrites_of(q);
+        requests += &format!("rewrite {name}\n");
+        want += &format!("ok\t{name}\t{}", row.len());
+        for (target, score, target_name) in row.iter() {
+            match target_name {
+                Some(n) => want += &format!("\t{n}\t{score:.6}"),
+                None => want += &format!("\t#{}\t{score:.6}", target.0),
+            }
+        }
+        want.push('\n');
+    }
+    (requests, want)
+}
+
+/// A session over every named query of `index` — served from the heap and
+/// from the mmapped snapshot — writes exactly the `{:.6}`-rendered lines.
+fn assert_transcript_is_format_rendered(index: RewriteIndex, test: &str) {
+    let (requests, want) = format_rendered_transcript(&index);
+    assert!(!requests.is_empty());
+    let file = format!("simrankpp_serving_eq_{test}_{}.snap", std::process::id());
+    let path = std::env::temp_dir().join(file);
+    index.save(&path).unwrap();
+    let mapped = ServeState::mapped(MappedIndex::open(&path).unwrap());
+    std::fs::remove_file(&path).ok();
+    assert_eq!(session(&ServeState::fixed(index), &requests), want);
+    assert_eq!(session(&mapped, &requests), want);
+}
+
+#[test]
+fn fig3_transcript_equals_format_rendered_lines() {
+    let g = figure3_graph();
+    let rewriter = rewriter_for(&g, MethodKind::WeightedSimrank);
+    assert_transcript_is_format_rendered(RewriteIndex::build(&rewriter, None, 1), "fig3");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The golden transcript beyond fig3: every served score is `{:.6}` of
+    // the stored `f64`, unnamed targets as `#<id>`.
+    #[test]
+    fn transcript_equals_format_rendered_lines(g in arb_named_graph()) {
+        let rewriter = rewriter_for(&g, MethodKind::WeightedSimrank);
+        assert_transcript_is_format_rendered(RewriteIndex::build(&rewriter, None, 1), "arb");
+    }
 
     // Precomputed row == live row, on the wire: a single-source server and
     // a server over `RewriteIndex::build` of the same graph and config answer
