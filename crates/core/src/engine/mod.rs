@@ -86,7 +86,7 @@ pub mod single_source;
 pub mod transition;
 
 pub use single_source::{CorrectionLevel, DiagonalCorrection, RowWorkspace, SingleSourceEngine};
-pub use transition::{Transition, TransitionFactors, UniformTransition, WeightedTransition};
+pub use transition::{Transition, TransitionFactors, UniformTransition, Walk, WeightedTransition};
 
 use crate::config::SimrankConfig;
 use crate::scores::ScoreMatrix;

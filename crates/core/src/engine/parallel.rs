@@ -1,9 +1,12 @@
 //! Scoped-thread parallelism shared by the engine and the serving layer:
 //! contiguous chunks ([`run_chunked`], with per-worker state in
 //! [`run_chunked_stateful`] — the pull kernel's rows) and an index queue
-//! ([`run_indexed`] — the incremental rebuild's component blocks). Generic
-//! over the per-item result, `std::thread::scope` only.
+//! ([`run_indexed`]), which [`run_dirty_blocks`] runs the dirty component
+//! blocks of an incremental refresh on. Generic over the per-item result,
+//! `std::thread::scope` only.
 
+use crate::config::SimrankConfig;
+use simrankpp_graph::{dirty_blocks, Block, ClickGraph, DirtyComponents};
 use std::ops::Range;
 
 /// Below this item count the threading overhead outweighs the work; run
@@ -113,6 +116,34 @@ where
         .into_iter()
         .map(|v| v.expect("every index was claimed"))
         .collect()
+}
+
+/// The one dirty-block schedule, shared by the serving layer's incremental
+/// index rebuild and the live engine's refresh: `work` runs on every block of
+/// [`dirty_blocks`]`(g, dirty)` at `config` with one thread (each block is
+/// serial inside), `config.threads` workers pull the blocks largest first,
+/// and each block comes back beside its result, in block order — so any
+/// worker count gives the same result. Errors when `dirty` labels another
+/// graph.
+pub fn run_dirty_blocks<T, F>(
+    g: &ClickGraph,
+    dirty: &DirtyComponents,
+    config: &SimrankConfig,
+    work: F,
+) -> Result<Vec<(Block, T)>, String>
+where
+    T: Send,
+    F: Fn(&Block, &SimrankConfig) -> T + Sync,
+{
+    let labels = &dirty.components;
+    if labels.query_label.len() != g.n_queries() || labels.ad_label.len() != g.n_ads() {
+        return Err("dirty-component analysis was built for a different graph".into());
+    }
+    let blocks = dirty_blocks(g, dirty);
+    let local = config.with_threads(1);
+    let workers = config.effective_threads().min(blocks.len()).max(1);
+    let results = run_indexed(blocks.len(), workers, |i| work(&blocks[i], &local));
+    Ok(blocks.into_iter().zip(results).collect())
 }
 
 #[cfg(test)]

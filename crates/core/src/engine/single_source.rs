@@ -71,9 +71,9 @@
 //! [`SingleSourceEngine::new`] does that **block-locally**: §9.2's click
 //! graph is "one huge connected component and several smaller subgraphs",
 //! the score matrix is block-diagonal over them
-//! (`simrankpp_graph::sharding`), so the engine runs once per component on
+//! (`simrankpp_graph::Block`), so the engine runs once per component on
 //! its induced subgraph at the caller's own [`SimrankConfig`], the block's
-//! levels scatter through the shard's monotone id map and the block's
+//! levels scatter through the block's monotone id maps and the block's
 //! matrices are dropped before the next block runs. Peak memory is the
 //! largest block's run, the steady state `O(k·n)`, and the result is
 //! bit-identical to one whole-graph run. After a graph delta
@@ -92,10 +92,10 @@
 //! depth.
 
 use crate::config::SimrankConfig;
-use crate::engine::parallel::run_indexed;
+use crate::engine::parallel::run_dirty_blocks;
 use crate::engine::transition::{Transition, TransitionFactors};
 use crate::engine::{self, DiagonalHistory, Side};
-use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId, Shard};
+use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId};
 use simrankpp_util::TopK;
 
 /// Series level `j`'s diagonals: what the unit pin replaced at iteration
@@ -213,8 +213,8 @@ impl DiagonalCorrection {
     /// The correction for `g` given `previous`, the correction of the graph
     /// `dirty` was computed against: every dirty component that can hold a
     /// same-side pair is re-run on its induced subgraph alone
-    /// ([`Shard::from_dirty`], `config.threads` workers over the blocks,
-    /// each block serial inside), dirty components too small for that take
+    /// ([`run_dirty_blocks`]: `config.threads` workers over the blocks, each
+    /// block serial inside), dirty components too small for that take
     /// the closed form, and every clean node keeps its entries of
     /// `previous` — ids are stable across deltas, so a node without them
     /// must be dirty. `factors` are `transition`'s over the whole of `g`.
@@ -226,28 +226,21 @@ impl DiagonalCorrection {
         config: &SimrankConfig,
         transition: &T,
     ) -> Result<Self, String> {
-        let labels = &dirty.components;
-        if labels.query_label.len() != g.n_queries() || labels.ad_label.len() != g.n_ads() {
-            return Err("dirty-component analysis was built for a different graph".into());
-        }
-        let shards = Shard::from_dirty(g, dirty);
-        let local = config.with_threads(1);
-        let workers = config.effective_threads().min(shards.len()).max(1);
-        // Each worker returns only the block's levels: the block's score
-        // matrices die inside the closure.
-        let blocks = run_indexed(shards.len(), workers, |i| {
-            Self::whole_graph(&shards[i].graph, &local, transition)
-        });
+        // Each block returns only its levels: the block's score matrices
+        // die inside the closure.
+        let blocks = run_dirty_blocks(g, dirty, config, |block, local| {
+            Self::whole_graph(&block.graph, local, transition)
+        })?;
         let (qid, aid) = (|q: usize| QueryId(q as u32), |a: usize| AdId(a as u32));
         let level = |j: usize| {
             let mut d_query = vec![None; g.n_queries()];
             let mut d_ad = vec![None; g.n_ads()];
-            for (shard, block) in shards.iter().zip(&blocks) {
-                for (&q, &d) in shard.mapping.queries.iter().zip(&block.levels[j].d_query) {
-                    d_query[q.index()] = Some(d);
+            for (block, correction) in &blocks {
+                for (&q, &d) in block.queries.iter().zip(&correction.levels[j].d_query) {
+                    d_query[q as usize] = Some(d);
                 }
-                for (&a, &d) in shard.mapping.ads.iter().zip(&block.levels[j].d_ad) {
-                    d_ad[a.index()] = Some(d);
+                for (&a, &d) in block.ads.iter().zip(&correction.levels[j].d_ad) {
+                    d_ad[a as usize] = Some(d);
                 }
             }
             let old = previous.levels.get(j);
@@ -601,7 +594,7 @@ mod tests {
     use super::*;
     use crate::engine::{self, EngineRun, UniformTransition};
     use simrankpp_graph::fixtures::{figure3_graph, figure4_k22};
-    use simrankpp_graph::{ClickGraphBuilder, EdgeData, GraphDelta};
+    use simrankpp_graph::{dirty_blocks, Block, ClickGraphBuilder, EdgeData, GraphDelta};
 
     fn cfg(k: usize) -> SimrankConfig {
         SimrankConfig::default().with_iterations(k)
@@ -745,13 +738,13 @@ mod tests {
         );
     }
 
-    /// Each block's own `engine::run` at `config`, with its shard.
-    fn block_runs(g: &ClickGraph, config: &SimrankConfig) -> Vec<(Shard, EngineRun)> {
-        Shard::from_dirty(g, &DirtyComponents::all(g))
+    /// Each block's own `engine::run` at `config`, beside its block.
+    fn block_runs(g: &ClickGraph, config: &SimrankConfig) -> Vec<(Block, EngineRun)> {
+        dirty_blocks(g, &DirtyComponents::all(g))
             .into_iter()
-            .map(|shard| {
-                let run = engine::run(&shard.graph, config, &UniformTransition);
-                (shard, run)
+            .map(|block| {
+                let run = engine::run(&block.graph, config, &UniformTransition);
+                (block, run)
             })
             .collect()
     }
@@ -768,14 +761,14 @@ mod tests {
         assert!(depths.iter().any(|&d| d != depths[0]), "depths {depths:?}");
         let ss = SingleSourceEngine::new(&g, &config, &UniformTransition);
         assert_eq!(ss.levels(), 16);
-        for (shard, run) in &blocks {
-            for lq in shard.graph.queries() {
-                let q = shard.mapping.to_parent_query(lq);
+        for (block, run) in &blocks {
+            for lq in block.graph.queries() {
+                let q = QueryId(block.queries[lq.index()]);
                 for (other, got) in ss.row(&g, q) {
-                    let want = shard
-                        .mapping
-                        .to_sub_query(other)
-                        .map_or(0.0, |lo| run.queries.get(lq.0, lo.0));
+                    let want = block
+                        .queries
+                        .binary_search(&other.0)
+                        .map_or(0.0, |lo| run.queries.get(lq.0, lo as u32));
                     assert!(
                         (got - want).abs() < 1e-12,
                         "S({q}, {other}) = {got}, block {want}"
@@ -795,7 +788,7 @@ mod tests {
             let runs = block_runs(g, &config);
             let star = runs
                 .iter()
-                .find(|(shard, _)| shard.mapping.to_sub_query(QueryId(6)).is_some());
+                .find(|(block, _)| block.queries.binary_search(&6).is_ok());
             star.expect("the star is a block").1.iterations_run
         };
         assert_ne!(star_depth(&g), star_depth(&g2));

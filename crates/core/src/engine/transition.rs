@@ -121,6 +121,32 @@ impl Transition for WeightedTransition {
     }
 }
 
+/// The walk a recursive SimRank kind propagates over, as
+/// [`crate::MethodKind::walk`] picks it.
+#[derive(Debug, Clone, Copy)]
+pub enum Walk {
+    /// §4's uniform walk.
+    Uniform,
+    /// §8.2's weighted walk.
+    Weighted(WeightedTransition),
+}
+
+impl Transition for Walk {
+    fn name(&self) -> &'static str {
+        match self {
+            Walk::Uniform => UniformTransition.name(),
+            Walk::Weighted(w) => w.name(),
+        }
+    }
+
+    fn factors(&self, g: &ClickGraph) -> TransitionFactors {
+        match self {
+            Walk::Uniform => UniformTransition.factors(g),
+            Walk::Weighted(w) => w.factors(g),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,8 +15,6 @@
 //! * [`weighted`] — §8's weighted SimRank (spread × normalized-weight walk),
 //!   the same engine kernel with [`engine::WeightedTransition`];
 //! * [`pearson`] — §9.1's Pearson-correlation baseline;
-//! * [`desirability`] — §9.3's desirability score for the edge-removal
-//!   experiment;
 //! * [`complete_bipartite`] — closed forms on `K_{m,2}` (Theorems 6.1–7.1,
 //!   Appendices A–B), used for paper-exactness tests and Tables 3–4;
 //! * [`rewriter`] — the Figure 2 front-end: score → rank → stem-dedup →
@@ -29,7 +27,6 @@
 
 pub mod complete_bipartite;
 pub mod config;
-pub mod desirability;
 pub mod engine;
 pub mod evidence;
 pub mod method;
@@ -43,7 +40,7 @@ pub mod weighted;
 pub use config::{KernelKind, ShardStrategy, SimrankConfig};
 pub use engine::{
     DiagonalCorrection, RowWorkspace, SingleSourceEngine, Transition, TransitionFactors,
-    UniformTransition, WeightedTransition,
+    UniformTransition, Walk, WeightedTransition,
 };
 pub use evidence::EvidenceKind;
 pub use method::{Method, MethodKind};

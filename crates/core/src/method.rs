@@ -14,7 +14,7 @@
 //! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
 use crate::config::SimrankConfig;
-use crate::engine::{self, Side, UniformTransition, WeightedTransition};
+use crate::engine::{self, Side, Walk, WeightedTransition};
 use crate::evidence::{query_evidence, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
@@ -22,7 +22,7 @@ use crate::rewriter::{candidates, rank_candidates};
 use crate::scores::ScoreMatrix;
 use crate::weighted::SpreadMode;
 use serde::{Deserialize, Serialize};
-use simrankpp_graph::{ClickGraph, QueryId};
+use simrankpp_graph::{ClickGraph, QueryId, WeightKind};
 
 /// The similarity schemes compared in the paper's evaluation (§9) plus the
 /// §3 naive counter.
@@ -72,6 +72,22 @@ impl MethodKind {
             MethodKind::Naive | MethodKind::Pearson | MethodKind::Simrank => None,
         }
     }
+
+    /// The walk this kind's scores propagate over — uniform for SimRank and
+    /// evidence-based SimRank, §8.2's weighted walk over `weight` with the
+    /// spread factor on for weighted SimRank — or `None` for Naive and
+    /// Pearson, which do not walk. The one kind → walk mapping:
+    /// [`Method::compute`] and the live single-source engine both read it.
+    pub fn walk(self, weight: WeightKind) -> Option<Walk> {
+        match self {
+            MethodKind::Simrank | MethodKind::EvidenceSimrank => Some(Walk::Uniform),
+            MethodKind::WeightedSimrank => Some(Walk::Weighted(WeightedTransition {
+                kind: weight,
+                spread: SpreadMode::Exponential,
+            })),
+            MethodKind::Naive | MethodKind::Pearson => None,
+        }
+    }
 }
 
 /// A computed similarity method over one click graph: one stored score
@@ -90,21 +106,13 @@ impl Method {
     /// they store the query-side raw bits of [`crate::simrank::simrank`],
     /// [`crate::evidence::evidence_simrank`] and [`crate::weighted_simrank`].
     pub fn compute(kind: MethodKind, g: &ClickGraph, config: &SimrankConfig) -> Method {
-        let scores = match kind {
-            MethodKind::Naive => naive_scores(g),
-            MethodKind::Pearson => pearson_scores(g, config.weight_kind),
-            MethodKind::Simrank | MethodKind::EvidenceSimrank | MethodKind::WeightedSimrank => {
-                let chain = if kind == MethodKind::WeightedSimrank {
-                    let transition = WeightedTransition {
-                        kind: config.weight_kind,
-                        spread: SpreadMode::Exponential,
-                    };
-                    engine::iterate(g, config, &transition, Side::Query, None)
-                } else {
-                    engine::iterate(g, config, &UniformTransition, Side::Query, None)
-                };
+        let scores = match kind.walk(config.weight_kind) {
+            Some(walk) => {
+                let chain = engine::iterate(g, config, &walk, Side::Query, None);
                 ScoreMatrix::from_sorted_pairs(g.n_queries(), chain.pairs)
             }
+            None if kind == MethodKind::Naive => naive_scores(g),
+            None => pearson_scores(g, config.weight_kind),
         };
         Method {
             kind,

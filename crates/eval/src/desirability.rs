@@ -16,15 +16,57 @@
 //!
 //! Pearson is excluded: with the shared edges removed it has no common ad
 //! to work with, exactly as the paper notes.
+//!
+//! The ground truth is §9.3's desirability score
+//!
+//! ```text
+//! des(q1, q2) = Σ_{i ∈ E(q1) ∩ E(q2)}  w(q2, i) / |E(q2)|
+//! ```
+//!
+//! of a candidate `q2` that shares at least one ad with `q1`; the
+//! higher-desirability candidate is the "right" rewrite.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simrankpp_core::desirability::preferred_rewrite;
 use simrankpp_core::{Method, MethodKind, SimrankConfig};
 use simrankpp_graph::subgraph::remove_edges;
-use simrankpp_graph::{AdId, ClickGraph, QueryId};
+use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
 use std::collections::VecDeque;
+
+/// `des(q1, q2)`: average weight that `q2` sends to the ads it shares with
+/// `q1` (0 when they share no ad).
+fn desirability(g: &ClickGraph, q1: QueryId, q2: QueryId, kind: WeightKind) -> f64 {
+    let n2 = g.query_degree(q2);
+    if n2 == 0 {
+        return 0.0;
+    }
+    let shared_weight: f64 = g
+        .common_ads_iter(q1, q2)
+        .map(|(_, _, e2)| e2.weight(kind))
+        .sum();
+    shared_weight / n2 as f64
+}
+
+/// Which of two candidates is the ground-truth preferable rewrite for `q1`.
+/// Returns `None` on a tie.
+fn preferred_rewrite(
+    g: &ClickGraph,
+    q1: QueryId,
+    q2: QueryId,
+    q3: QueryId,
+    kind: WeightKind,
+) -> Option<QueryId> {
+    let d2 = desirability(g, q1, q2, kind);
+    let d3 = desirability(g, q1, q3, kind);
+    if d2 > d3 {
+        Some(q2)
+    } else if d3 > d2 {
+        Some(q3)
+    } else {
+        None
+    }
+}
 
 /// Result of the experiment for one method.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -296,7 +338,7 @@ fn connected(g: &ClickGraph, from: QueryId, to: QueryId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simrankpp_graph::WeightKind;
+    use simrankpp_graph::{ClickGraphBuilder, EdgeData};
     use simrankpp_synth::{generator::generate, GeneratorConfig};
 
     fn cfg() -> SimrankConfig {
@@ -407,5 +449,81 @@ mod tests {
         b.add_named("a", "x", EdgeData::from_clicks(1));
         let g = b.build();
         assert!(prepare_trials(&g, 5, &cfg(), 1).is_empty());
+    }
+
+    fn w(clicks: u64) -> EdgeData {
+        EdgeData::from_clicks(clicks)
+    }
+
+    #[test]
+    fn desirability_basic() {
+        // q2 shares ads a1, a2 with q1; w(q2,a1)=4, w(q2,a2)=2, |E(q2)|=3.
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q1", "a1", w(1));
+        b.add_named("q1", "a2", w(1));
+        b.add_named("q2", "a1", w(4));
+        b.add_named("q2", "a2", w(2));
+        b.add_named("q2", "a3", w(9));
+        let g = b.build();
+        let q1 = g.query_by_name("q1").unwrap();
+        let q2 = g.query_by_name("q2").unwrap();
+        let d = desirability(&g, q1, q2, WeightKind::Clicks);
+        assert!((d - 2.0).abs() < 1e-12, "got {d}"); // (4+2)/3
+    }
+
+    #[test]
+    fn desirability_no_shared_ads_is_zero() {
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q1", "a1", w(1));
+        b.add_named("q2", "a2", w(5));
+        let g = b.build();
+        let q1 = g.query_by_name("q1").unwrap();
+        let q2 = g.query_by_name("q2").unwrap();
+        assert_eq!(desirability(&g, q1, q2, WeightKind::Clicks), 0.0);
+    }
+
+    #[test]
+    fn desirability_is_asymmetric() {
+        // des is normalized by the *candidate's* degree, not q1's.
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q1", "a1", w(2));
+        b.add_named("q2", "a1", w(2));
+        b.add_named("q2", "a2", w(2));
+        let g = b.build();
+        let q1 = g.query_by_name("q1").unwrap();
+        let q2 = g.query_by_name("q2").unwrap();
+        let d12 = desirability(&g, q1, q2, WeightKind::Clicks); // 2/2 = 1
+        let d21 = desirability(&g, q2, q1, WeightKind::Clicks); // 2/1 = 2
+        assert!((d12 - 1.0).abs() < 1e-12);
+        assert!((d21 - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn preferred_rewrite_picks_higher() {
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q1", "a1", w(1));
+        b.add_named("q2", "a1", w(10)); // des = 10/1
+        b.add_named("q3", "a1", w(2));
+        b.add_named("q3", "a2", w(2)); // des = 2/2 = 1
+        let g = b.build();
+        let q = |n: &str| g.query_by_name(n).unwrap();
+        assert_eq!(
+            preferred_rewrite(&g, q("q1"), q("q2"), q("q3"), WeightKind::Clicks),
+            Some(q("q2"))
+        );
+    }
+
+    #[test]
+    fn preferred_rewrite_tie_is_none() {
+        let mut b = ClickGraphBuilder::new();
+        b.add_named("q1", "a1", w(1));
+        b.add_named("q2", "a1", w(3));
+        b.add_named("q3", "a1", w(3));
+        let g = b.build();
+        let q = |n: &str| g.query_by_name(n).unwrap();
+        assert_eq!(
+            preferred_rewrite(&g, q("q1"), q("q2"), q("q3"), WeightKind::Clicks),
+            None
+        );
     }
 }

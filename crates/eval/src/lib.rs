@@ -5,8 +5,8 @@
 //! * [`metrics`] — §9.4 metrics: precision/recall with pooled relevance,
 //!   11-point interpolated precision-recall curves, P@X;
 //! * [`depth`] — the Figure 11 rewriting-depth distribution;
-//! * [`desirability`] — the §9.3 edge-removal desirability-prediction
-//!   experiment (Figure 12);
+//! * [`desirability`] — §9.3's desirability score and the edge-removal
+//!   desirability-prediction experiment (Figure 12);
 //! * [`experiment`] — the end-to-end driver: generate → extract five
 //!   subgraphs → sample evaluation queries → run all four methods → judge →
 //!   aggregate (regenerates Table 5 and Figures 8–12);

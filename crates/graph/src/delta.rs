@@ -8,7 +8,7 @@
 //! [`ClickGraph`] to produce the next graph generation.
 //!
 //! The payoff is [`GraphDelta::dirty_components`]: SimRank scores are
-//! block-diagonal over connected components (see [`crate::sharding`]), and a
+//! block-diagonal over connected components (see [`crate::Block`]), and a
 //! delta can only change scores inside the components its edge endpoints
 //! touch. `dirty_components` labels the **new** graph's components and marks
 //! the minimal dirty set:

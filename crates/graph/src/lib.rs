@@ -17,8 +17,10 @@
 //! * an accumulating [`builder::ClickGraphBuilder`];
 //! * the immutable CSR [`ClickGraph`] with adjacency in both directions;
 //! * string interning for query/ad display names ([`interner::Interner`]);
-//! * connected components, induced subgraphs, dirty-component blocks
-//!   ([`sharding`]), degree statistics;
+//! * connected components, induced subgraphs, degree statistics;
+//! * component [`Block`]s — groups of whole components with monotone id
+//!   maps: the segmented store's segments and the dirty blocks an
+//!   incremental refresh recomputes ([`dirty_blocks`]);
 //! * incremental updates ([`delta::GraphDelta`]): batched edge
 //!   upserts/removals with dirty-component analysis for exact
 //!   component-local recompute;
@@ -26,6 +28,7 @@
 //! * the paper's worked-example graphs ([`fixtures`]): Figure 3's sample click
 //!   graph and the complete bipartite graphs of Figure 4.
 
+pub mod block;
 pub mod builder;
 pub mod components;
 pub mod delta;
@@ -36,11 +39,11 @@ pub mod ids;
 pub mod interner;
 pub mod io;
 pub mod segments;
-pub mod sharding;
 pub mod stats;
 pub mod subgraph;
 pub mod window;
 
+pub use block::{dirty_blocks, Block};
 pub use builder::ClickGraphBuilder;
 pub use delta::{
     dirty_for_endpoints, ClickLogRecord, DeltaOp, DirtyComponents, GraphDelta, NamedOp,
@@ -50,8 +53,7 @@ pub use graph::ClickGraph;
 pub use ids::{AdId, NodeRef, QueryId};
 pub use interner::Interner;
 pub use segments::{
-    component_segments, write_segmented, Segment, SegmentInfo, SegmentWriter, SegmentedStore,
+    component_segments, write_segmented, SegmentInfo, SegmentWriter, SegmentedStore,
 };
-pub use sharding::Shard;
 pub use stats::{DegreeHistogram, GraphStats};
 pub use window::SlidingWindowGraph;

@@ -3,11 +3,11 @@
 //! The §9.2 click graph decomposes into connected components, and every
 //! similarity scheme in this workspace is component-local (the score matrix
 //! is block-diagonal). The segmented store exploits that: the graph is
-//! written as a sequence of *segments* — component groups, each a fully
-//! self-contained [`crate::ClickGraph`] serialized as one zero-copy arena
-//! blob — so both the writer and any downstream consumer need to hold only
-//! **one segment** in memory at a time. Peak build memory is bounded by the
-//! largest segment, not by the whole graph.
+//! written as a sequence of *segments* — component groups, each a [`Block`]
+//! (a self-contained [`crate::ClickGraph`] plus its id maps) serialized as
+//! one zero-copy arena blob — so both the writer and any downstream consumer
+//! need to hold only **one segment** in memory at a time. Peak build memory
+//! is bounded by the largest segment, not by the whole graph.
 //!
 //! ```text
 //! offset 0    file header (24 bytes): magic "SRPPSEG\0", version u32,
@@ -33,12 +33,12 @@
 //! how the edges were partitioned. The differential test suite asserts this
 //! via [`ClickGraph::fingerprint`].
 
+use crate::block::Block;
 use crate::builder::ClickGraphBuilder;
 use crate::components::connected_components;
 use crate::edge::EdgeData;
 use crate::graph::ClickGraph;
 use crate::ids::{AdId, NodeRef, QueryId};
-use crate::subgraph::induced_subgraph;
 use simrankpp_util::{AlignedBytes, Format, Section, ENDIAN_MARK};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -119,79 +119,29 @@ const MF_SEG_NQ: u64 = 0x04; // u64 query count per segment
 const MF_SEG_NA: u64 = 0x05; // u64 ad count per segment
 const MF_SEG_NE: u64 = 0x06; // u64 edge count per segment
 
-/// One component group: a self-contained subgraph plus its local→global
-/// id maps. `queries[local.0] == global.0` for every local query id, and
-/// likewise for ads.
-#[derive(Debug, Clone)]
-pub struct Segment {
-    /// The induced subgraph of this component group (local, dense ids).
-    pub graph: ClickGraph,
-    /// Global query id per local query id.
-    pub queries: Vec<u32>,
-    /// Global ad id per local ad id.
-    pub ads: Vec<u32>,
-}
-
-impl Segment {
-    /// Whether this segment carries display names (both sides, matching
-    /// [`induced_subgraph`]'s carry-over rule).
-    pub fn has_names(&self) -> bool {
-        self.graph.query_interner().is_some() && self.graph.ad_interner().is_some()
-    }
-}
-
-/// Partitions `g` into component-group segments of roughly `target_nodes`
-/// nodes each (always at least one whole component per segment; a component
-/// larger than the target gets a segment of its own). Every node — including
+/// Partitions `g` into component-group blocks of roughly `target_nodes`
+/// nodes each (always at least one whole component per block; a component
+/// larger than the target gets a block of its own). Every node — including
 /// isolated ones, which form singleton components — lands in exactly one
-/// segment, so the segments reconstruct `g` exactly.
-pub fn component_segments(g: &ClickGraph, target_nodes: usize) -> Vec<Segment> {
-    let comps = connected_components(g);
-    if comps.count == 0 {
-        return Vec::new();
-    }
+/// block, so the blocks reconstruct `g` exactly.
+pub fn component_segments(g: &ClickGraph, target_nodes: usize) -> Vec<Block> {
     // One-pass grouping (Components::members is a full scan per call —
     // quadratic over 1M singleton components).
-    let buckets = comps.group_members(|_, _| true);
+    let buckets = connected_components(g).group_members(|_, _| true);
 
     let target = target_nodes.max(1);
     let mut segments = Vec::new();
     let mut group: Vec<NodeRef> = Vec::new();
-    for bucket in &buckets {
-        group.extend_from_slice(bucket);
+    for bucket in buckets {
+        group.extend(bucket);
         if group.len() >= target {
-            segments.push(segment_from_nodes(g, &group));
-            group.clear();
+            segments.push(Block::from_nodes(g, std::mem::take(&mut group)));
         }
     }
     if !group.is_empty() {
-        segments.push(segment_from_nodes(g, &group));
+        segments.push(Block::from_nodes(g, group));
     }
     segments
-}
-
-fn segment_from_nodes(g: &ClickGraph, nodes: &[NodeRef]) -> Segment {
-    // Order the node list queries-first, each side ascending by global id,
-    // so local ids are *monotone* in global ids. Monotone remapping keeps
-    // equal-score candidate tie-breaks (which compare ids) identical between
-    // a per-segment build and a monolithic one.
-    let mut nodes: Vec<NodeRef> = nodes.to_vec();
-    nodes.sort_unstable_by_key(|n| match n {
-        NodeRef::Query(q) => (0u8, q.0),
-        NodeRef::Ad(a) => (1u8, a.0),
-    });
-    let (sub, mapping) = induced_subgraph(g, &nodes);
-    let queries = (0..sub.n_queries())
-        .map(|i| mapping.to_parent_query(QueryId(i as u32)).0)
-        .collect();
-    let ads = (0..sub.n_ads())
-        .map(|i| mapping.to_parent_ad(AdId(i as u32)).0)
-        .collect();
-    Segment {
-        graph: sub,
-        queries,
-        ads,
-    }
 }
 
 /// Streams a segmented store front-to-back through any [`Write`] sink.
@@ -235,7 +185,7 @@ impl<W: Write> SegmentWriter<W> {
 
     /// Serializes one segment as a self-contained arena blob. All segments
     /// of a store must agree on name presence.
-    pub fn append(&mut self, seg: &Segment) -> io::Result<()> {
+    pub fn append(&mut self, seg: &Block) -> io::Result<()> {
         let g = &seg.graph;
         let named = seg.has_names();
         match self.has_names {
@@ -509,7 +459,7 @@ impl SegmentedStore {
 
     /// Reads, checksum-verifies and reconstructs exactly one segment — peak
     /// memory is that segment's blob plus its rebuilt graph.
-    pub fn load_segment(&mut self, i: usize) -> io::Result<Segment> {
+    pub fn load_segment(&mut self, i: usize) -> io::Result<Block> {
         let info = self
             .segments
             .get(i)
@@ -616,8 +566,8 @@ fn intern_in_order(
     Ok(())
 }
 
-/// Decodes one segment blob back into a [`Segment`].
-fn parse_segment(bytes: &[u8]) -> io::Result<Segment> {
+/// Decodes one segment blob back into a [`Block`].
+fn parse_segment(bytes: &[u8]) -> io::Result<Block> {
     let layout = SEGMENT.read_checked(bytes)?;
     let &[nq, na, ne, named] = layout.words::<4>(bytes, SEG_META)?;
     let eq = layout.slice_n::<u32>(bytes, SEG_EDGE_Q, ne)?;
@@ -669,7 +619,7 @@ fn parse_segment(bytes: &[u8]) -> io::Result<Segment> {
     if graph.n_edges() != eq.len() {
         return Err(SEGMENT.refuse("duplicate edges"));
     }
-    Ok(Segment {
+    Ok(Block {
         graph,
         queries: queries.to_vec(),
         ads: ads.to_vec(),

@@ -18,9 +18,10 @@ use crate::snapshot::{
     invalid, SEC_NAME_BLOB, SEC_NAME_HASH, SEC_NAME_IDS, SEC_NAME_OFFS, SEC_OFFSETS, SEC_SCORES,
     SEC_TARGETS,
 };
+use simrankpp_core::engine::parallel::run_dirty_blocks;
 use simrankpp_core::rewriter::FunnelScratch;
 use simrankpp_core::{KernelKind, Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
-use simrankpp_graph::{ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore, Shard};
+use simrankpp_graph::{Block, ClickGraph, DirtyComponents, Interner, QueryId, SegmentedStore};
 use simrankpp_util::{fnv1a, unpack_names, FxHashSet, Layout, Pod};
 use std::sync::Arc;
 
@@ -51,21 +52,23 @@ pub struct IndexMeta {
 /// A global query id and its `(global target, score)` row, ranking order.
 type BlockRow = (u32, Vec<(u32, f64)>);
 
-/// The rows of one component block — a store segment's graph or a dirty
-/// [`Shard`]'s — computed on the block alone; `queries` maps local ids to
-/// global ones (monotone) and `bid_terms` are global ids. Blocks hold whole
-/// components and monotone ids keep equal-score tie-breaks, so the rows are
-/// bit-identical to a whole-graph build's.
+/// One row slot per global query id, filled block by block.
+type RowSlots = Vec<Option<Vec<(u32, f64)>>>;
+
+/// The rows of one component [`Block`] — a store segment or a dirty block —
+/// computed on the block alone, with global ids; `bid_terms` are global ids.
+/// Blocks hold whole components and monotone ids keep equal-score
+/// tie-breaks, so the rows are bit-identical to a whole-graph build's.
 fn block_rows(
     kind: MethodKind,
-    block: &ClickGraph,
-    queries: &[u32],
+    block: &Block,
     config: &SimrankConfig,
     rewriter_config: RewriterConfig,
     bid_terms: Option<&FxHashSet<QueryId>>,
 ) -> Vec<BlockRow> {
-    let method = Method::compute(kind, block, config);
-    let rewriter = Rewriter::new(block, method, rewriter_config);
+    let queries = &block.queries;
+    let method = Method::compute(kind, &block.graph, config);
+    let rewriter = Rewriter::new(&block.graph, method, rewriter_config);
     let local_bids: Option<FxHashSet<QueryId>> = bid_terms.map(|bids| {
         queries
             .iter()
@@ -90,6 +93,19 @@ fn block_rows(
             (global, global_row)
         })
         .collect()
+}
+
+/// Places block rows in `slots` by global query id: the one scatter of
+/// block rows. Refuses an id outside `slots` and one already placed.
+fn place_rows(slots: &mut RowSlots, rows: Vec<BlockRow>) -> Result<(), String> {
+    for (global, row) in rows {
+        let slot = slots.get_mut(global as usize);
+        let slot = slot.ok_or_else(|| format!("id {global} out of range"))?;
+        if slot.replace(row).is_some() {
+            return Err(format!("query id {global} is in more than one block"));
+        }
+    }
+    Ok(())
 }
 
 /// The offset of a row ending at `total` entries: the one `u32` width check.
@@ -280,28 +296,14 @@ impl RewriteIndex {
         let n_total = usize::try_from(store.total_queries())
             .map_err(|_| bad("store query count overflows usize".into()))?;
         let has_names = store.has_names();
-        let mut rows: Vec<Option<Vec<(u32, f64)>>> = vec![None; n_total];
+        let mut rows: RowSlots = vec![None; n_total];
         let mut names: Vec<Option<String>> = vec![None; if has_names { n_total } else { 0 }];
         for i in 0..store.n_segments() {
             let seg = store.load_segment(i)?;
-            let seg_rows = block_rows(
-                kind,
-                &seg.graph,
-                &seg.queries,
-                config,
-                rewriter_config,
-                bid_terms,
-            );
-            for ((global, row), local) in seg_rows.into_iter().zip(0u32..) {
-                let slot = rows.get_mut(global as usize);
-                let slot =
-                    slot.ok_or_else(|| bad(format!("segment {i}: id {global} out of range")))?;
-                if slot.replace(row).is_some() {
-                    return Err(bad(format!(
-                        "query id {global} is in more than one segment"
-                    )));
-                }
-                if has_names {
+            let seg_rows = block_rows(kind, &seg, config, rewriter_config, bid_terms);
+            place_rows(&mut rows, seg_rows).map_err(|e| bad(format!("segment {i}: {e}")))?;
+            if has_names {
+                for (&global, local) in seg.queries.iter().zip(0u32..) {
                     names[global as usize] = seg.graph.query_name(QueryId(local)).map(Into::into);
                 }
             }
@@ -377,37 +379,19 @@ impl RewriteIndex {
                  deltas never remove nodes"
             ));
         }
-        if dirty.components.query_label.len() != new_n {
-            return Err("dirty-component analysis was built for a different graph".into());
-        }
+        // `config.threads` workers run the dirty blocks, each serial inside;
+        // blocks write disjoint rows, so any worker count gives one result.
+        let blocks = run_dirty_blocks(new_graph, dirty, config, |block, local| {
+            block_rows(self.meta.method, block, local, *rewriter_config, bid_terms)
+        })?;
         if let Some(q) = (old_n..new_n).find(|&q| !dirty.query_dirty(QueryId(q as u32))) {
             return Err(format!(
                 "new query {q} is not marked dirty — stale delta analysis?"
             ));
         }
-
-        // Parallelism lives at the block level: `config.threads` workers pull
-        // shards (largest first) off a queue, each shard serial inside and
-        // writing disjoint rows, so any worker count gives the same result.
-        let local_cfg = config.with_threads(1);
-        let shards = Shard::from_dirty(new_graph, dirty);
-        let workers = config.effective_threads().min(shards.len()).max(1);
-        let shard_rows: Vec<Vec<BlockRow>> =
-            simrankpp_core::engine::parallel::run_indexed(shards.len(), workers, |i| {
-                let shard = &shards[i];
-                let queries: Vec<u32> = shard.mapping.queries.iter().map(|q| q.0).collect();
-                block_rows(
-                    self.meta.method,
-                    &shard.graph,
-                    &queries,
-                    &local_cfg,
-                    *rewriter_config,
-                    bid_terms,
-                )
-            });
-        let mut fresh: Vec<Option<Vec<(u32, f64)>>> = vec![None; new_n];
-        for (q, row) in shard_rows.into_iter().flatten() {
-            fresh[q as usize] = Some(row);
+        let mut fresh: RowSlots = vec![None; new_n];
+        for (_, rows) in blocks {
+            place_rows(&mut fresh, rows)?;
         }
 
         // Fresh rows for dirty queries (empty when their component holds no
@@ -876,15 +860,73 @@ mod tests {
     }
 
     #[test]
+    fn build_segmented_refuses_forged_stores() {
+        use simrankpp_graph::{AdId, ClickGraphBuilder, EdgeData, SegmentWriter};
+        // A store comes from outside the program, and `append` checks only
+        // that a block's id maps match its graph: a forged store can claim
+        // any global ids and names. Each block is two queries on one ad.
+        fn block(queries: [u32; 2], ad: u32, names: Option<[&str; 2]>) -> Block {
+            let mut b = ClickGraphBuilder::new();
+            for local in 0..2 {
+                match names {
+                    Some(names) => {
+                        b.add_named(names[local], "ad", EdgeData::from_clicks(1));
+                    }
+                    None => b.add_edge(QueryId(local as u32), AdId(0), EdgeData::from_clicks(1)),
+                }
+            }
+            Block {
+                graph: b.build(),
+                queries: queries.to_vec(),
+                ads: vec![ad],
+            }
+        }
+        let refusal = |case: &str, blocks: &[Block]| {
+            let mut w = SegmentWriter::new(Vec::new()).unwrap();
+            for b in blocks {
+                w.append(b).unwrap();
+            }
+            let path = std::env::temp_dir().join(format!(
+                "simrankpp_forged_store_{}_{case}.seg",
+                std::process::id()
+            ));
+            std::fs::write(&path, w.finish().unwrap().0).unwrap();
+            let mut store = SegmentedStore::open(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let config = SimrankConfig::default();
+            let rewriter = RewriterConfig::default();
+            let kind = MethodKind::Simrank;
+            RewriteIndex::build_segmented(&mut store, kind, &config, rewriter, None)
+                .unwrap_err()
+                .to_string()
+        };
+        // Four queries in all, so 9 lies outside the store.
+        let err = refusal("range", &[block([0, 1], 0, None), block([2, 9], 1, None)]);
+        assert_eq!(err, "segment 1: id 9 out of range");
+        let err = refusal("twice", &[block([0, 1], 0, None), block([1, 3], 1, None)]);
+        assert_eq!(err, "segment 1: query id 1 is in more than one block");
+        // Ids 0..4 each once, but "b" names two of them.
+        let named = [
+            block([0, 1], 0, Some(["a", "b"])),
+            block([2, 3], 1, Some(["b", "c"])),
+        ];
+        let err = refusal("names", &named);
+        assert_eq!(err, "a query name is missing or duplicated across segments");
+        // "missing from every segment" has no forged store: `open` checks
+        // the manifest's query total against the blocks' sums, so ids that
+        // are all in range and placed once cover every id.
+    }
+
+    #[test]
     fn rebuild_incremental_parallel_workers_match_serial() {
         use simrankpp_graph::{EdgeData, GraphDelta};
-        // Shard-level parallelism must not change a single byte of the
-        // rebuilt arena (shards write disjoint rows; each stays serial).
+        // Block-level parallelism must not change a single byte of the
+        // rebuilt arena (blocks write disjoint rows; each stays serial).
         let g = figure3_graph();
         let cfg = SimrankConfig::default().with_weight_kind(WeightKind::Clicks);
         let old = fig3_index();
         let mut d = GraphDelta::new();
-        // Dirty both components so there are two shards to schedule.
+        // Dirty both components so there are two blocks to schedule.
         d.upsert(
             g.query_by_name("camera").unwrap(),
             g.ad_by_name("hp.com").unwrap(),

@@ -436,8 +436,8 @@ pub struct SpannedRecord {
     pub rec: ClickLogRecord,
 }
 
-/// Incremental reader of a growing click log. Each [`LogTailer::drain`]
-/// call parses every *complete* line appended since the last call; a
+/// Incremental reader of a growing click log. Each
+/// [`LogTailer::drain_spanned`] call parses every *complete* line appended since the last call; a
 /// partial trailing line (the writer mid-append) is left in the file for
 /// the next drain, so records are never split, truncated, or re-applied.
 ///
@@ -494,15 +494,10 @@ impl LogTailer {
         self.offset
     }
 
-    /// Reads every complete record currently available. Returns an empty
-    /// vector at (momentary) EOF; parse errors carry the 1-based line
-    /// number. The unterminated tail, if any, is pushed back for the next
-    /// call.
-    pub fn drain(&mut self) -> io::Result<Vec<ClickLogRecord>> {
-        Ok(self.drain_spanned()?.into_iter().map(|s| s.rec).collect())
-    }
-
-    /// [`Self::drain`], keeping each record's byte span for checkpointing.
+    /// Reads every complete record currently available, each with its byte
+    /// span for checkpointing. Returns an empty vector at (momentary) EOF;
+    /// parse errors carry the 1-based line number. The unterminated tail, if
+    /// any, is pushed back for the next call.
     pub fn drain_spanned(&mut self) -> io::Result<Vec<SpannedRecord>> {
         let mut records = Vec::new();
         let mut buf = String::new();
@@ -626,20 +621,24 @@ mod tests {
         f.flush().unwrap();
 
         let mut tailer = LogTailer::open(&path).unwrap();
-        assert_eq!(tailer.drain().unwrap().len(), 1);
-        assert!(tailer.drain().unwrap().is_empty(), "EOF drains empty");
+        assert_eq!(tailer.drain_spanned().unwrap().len(), 1);
+        assert!(
+            tailer.drain_spanned().unwrap().is_empty(),
+            "EOF drains empty"
+        );
 
         // A partial line stays pending until its newline arrives.
         write!(f, "+\t1\tq2\ta2\t10").unwrap();
         f.flush().unwrap();
-        assert!(tailer.drain().unwrap().is_empty());
+        assert!(tailer.drain_spanned().unwrap().is_empty());
         writeln!(f, "\t4\t0.4").unwrap();
         writeln!(f, "@\t2").unwrap();
         f.flush().unwrap();
-        let records = tailer.drain().unwrap();
+        let records = tailer.drain_spanned().unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0], ev(1, "q2", "a2"));
-        assert_eq!(records[1], ClickLogRecord::EpochMark { epoch: 2 });
+        assert_eq!(records[0].rec, ev(1, "q2", "a2"));
+        assert_eq!(records[1].rec, ClickLogRecord::EpochMark { epoch: 2 });
+        assert_eq!(records[0].end, records[1].start, "spans tile the log");
         assert_eq!(tailer.lines_read(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }

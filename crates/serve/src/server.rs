@@ -94,10 +94,8 @@ use crate::net::{ServerMetrics, ShutdownSignal};
 use crate::rowcache::{Row, RowCache};
 use crate::swap::AtomicHandle;
 use simrankpp_core::rewriter::{candidates, funnel, stem_classes, FunnelScratch, StemClasses};
-use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{
-    DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace, SimrankConfig,
-    SingleSourceEngine, UniformTransition, WeightedTransition,
+    DiagonalCorrection, MethodKind, RewriterConfig, RowWorkspace, SimrankConfig, SingleSourceEngine,
 };
 use simrankpp_graph::delta::read_delta_tsv;
 use simrankpp_graph::{ClickGraph, DirtyComponents, QueryId};
@@ -227,9 +225,9 @@ pub struct LiveContext {
 
 /// The single-source engine of `method` over the post-delta `graph`:
 /// `dirty` components re-run at `config`, clean ones copied from `previous`
-/// (`SingleSourceEngine::refreshed`). Only the recursive SimRank methods run
-/// on the propagation engine; `Naive`/`Pearson` have no single-source
-/// formulation here and are refused.
+/// (`SingleSourceEngine::refreshed`), on the walk `method` propagates over
+/// (`MethodKind::walk`). `Naive`/`Pearson` do not walk, have no
+/// single-source formulation here and are refused.
 fn live_engine(
     previous: &DiagonalCorrection,
     graph: &ClickGraph,
@@ -237,25 +235,13 @@ fn live_engine(
     method: MethodKind,
     config: &SimrankConfig,
 ) -> Result<SingleSourceEngine, String> {
-    match method {
-        MethodKind::Simrank | MethodKind::EvidenceSimrank => {
-            SingleSourceEngine::refreshed(previous, graph, dirty, config, &UniformTransition)
-        }
-        MethodKind::WeightedSimrank => SingleSourceEngine::refreshed(
-            previous,
-            graph,
-            dirty,
-            config,
-            &WeightedTransition {
-                kind: config.weight_kind,
-                spread: SpreadMode::Exponential,
-            },
-        ),
-        other => Err(format!(
+    let walk = method.walk(config.weight_kind).ok_or_else(|| {
+        format!(
             "live single-source serving needs a recursive SimRank method, not {}",
-            other.name()
-        )),
-    }
+            method.name()
+        )
+    })?;
+    SingleSourceEngine::refreshed(previous, graph, dirty, config, &walk)
 }
 
 impl LiveContext {
@@ -1304,6 +1290,22 @@ mod tests {
                 names(&indexed_line),
                 "live vs indexed rewrites diverge for {name}"
             );
+        }
+    }
+
+    #[test]
+    fn live_refuses_the_kinds_that_do_not_walk() {
+        for kind in [MethodKind::Naive, MethodKind::Pearson] {
+            let cfg = SimrankConfig::default();
+            let live = LiveContext::new(figure3_graph(), kind, cfg, RewriterConfig::default());
+            let Err(err) = live else {
+                panic!("{} has no single-source form", kind.name());
+            };
+            let want = format!(
+                "live single-source serving needs a recursive SimRank method, not {}",
+                kind.name()
+            );
+            assert_eq!(err, want);
         }
     }
 

@@ -23,7 +23,7 @@
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use simrankpp_graph::{ClickGraph, ClickGraphBuilder, Segment, SegmentWriter};
+use simrankpp_graph::{Block, ClickGraph, ClickGraphBuilder, SegmentWriter};
 
 use crate::generator::{generate, GeneratorConfig};
 
@@ -89,7 +89,7 @@ pub fn write_federation<W: Write>(
         }
         let queries: Vec<u32> = (0..nq as u32).map(|i| q_base as u32 + i).collect();
         let ads: Vec<u32> = (0..na as u32).map(|i| a_base as u32 + i).collect();
-        writer.append(&Segment {
+        writer.append(&Block {
             graph,
             queries,
             ads,

@@ -1,7 +1,7 @@
 //! Differential harness: incremental recompute == from-scratch recompute.
 //!
 //! The score matrix is block-diagonal over connected components (see
-//! `simrankpp::graph::sharding`), and component decomposition lives in one
+//! `simrankpp::graph::Block`), and component decomposition lives in one
 //! layer, the index build. This suite first pins the theorem that layer
 //! rests on at **score level**: an engine run on each component block alone
 //! reproduces that block of the monolithic run bit for bit (uniform and
@@ -40,7 +40,7 @@ use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{DiagonalCorrection, RewriterConfig, ScoreMatrix, SingleSourceEngine};
 use simrankpp::graph::components::connected_components;
 use simrankpp::graph::delta::{dirty_for_endpoints, GraphDelta};
-use simrankpp::graph::Shard;
+use simrankpp::graph::dirty_blocks;
 use simrankpp::prelude::*;
 use simrankpp::serve::RewriteIndex;
 use simrankpp::synth::generator::generate;
@@ -114,15 +114,15 @@ fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConf
     let all_dirty = dirty_for_endpoints(g, g.edges().map(|(q, a, _)| (q, a)));
     let mut block_pairs = (0usize, 0usize);
     let mut pair_counts = vec![(0usize, 0usize); c.iterations];
-    for shard in Shard::from_dirty(g, &all_dirty) {
-        let block = engine::run(&shard.graph, c, t);
+    for blk in dirty_blocks(g, &all_dirty) {
+        let block = engine::run(&blk.graph, c, t);
         assert_eq!(block.iterations_run, mono.iterations_run);
         for (sum, part) in pair_counts.iter_mut().zip(&block.pair_counts) {
             *sum = (sum.0 + part.0, sum.1 + part.1);
         }
-        let (qmap, amap) = (&shard.mapping.queries, &shard.mapping.ads);
+        let (qmap, amap) = (&blk.queries, &blk.ads);
         for (a, b, v) in block.queries.iter() {
-            let (ga, gb) = (qmap[a as usize].0, qmap[b as usize].0);
+            let (ga, gb) = (qmap[a as usize], qmap[b as usize]);
             assert_eq!(
                 v.to_bits(),
                 mono.queries.get(ga, gb).to_bits(),
@@ -130,7 +130,7 @@ fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConf
             );
         }
         for (a, b, v) in block.ads.iter() {
-            let (ga, gb) = (amap[a as usize].0, amap[b as usize].0);
+            let (ga, gb) = (amap[a as usize], amap[b as usize]);
             assert_eq!(
                 v.to_bits(),
                 mono.ads.get(ga, gb).to_bits(),
