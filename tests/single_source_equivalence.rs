@@ -1,6 +1,6 @@
 //! Differential harness for the on-demand single-source engine (ISSUE 6).
 //!
-//! The all-pairs engine is the oracle. The suite pins three contracts:
+//! The all-pairs engine is the oracle. The suite pins four contracts:
 //!
 //! * **Live row == engine row at the same config.** A row of
 //!   `SingleSourceEngine::new(g, config, t)` is the row
@@ -10,6 +10,9 @@
 //!   and 1×1 components included; to `1e-3` at the production
 //!   `prune_threshold = 1e-4`, where engine and row truncate the same sum
 //!   differently.
+//! * **Live row bits are recorded.** An FNV digest of every row's
+//!   `(id, score bits)` per graph × transition × `k` × prune cell, so a
+//!   change of summation order fails even where it stays within tolerance.
 //! * **Top-k ids are the matrix's off exact ties.** Single-source and
 //!   all-pairs top-k carry the same scores rank for rank; two ids may trade
 //!   places only where their scores tie to rounding.
@@ -24,6 +27,7 @@ use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{RowWorkspace, ScoreMatrix, SingleSourceEngine};
 use simrankpp::prelude::*;
 use simrankpp::synth::generator::{generate, GeneratorConfig};
+use simrankpp::util::arena::{fnv1a, fnv1a_seeded};
 
 fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
     let mut gen = GeneratorConfig::tiny().with_seed(seed);
@@ -178,6 +182,85 @@ fn live_rows_equal_the_index_rows_they_replace() {
                 }
             }
         }
+    }
+}
+
+/// FNV-1a over every query's live row, in query order: each row's length,
+/// then its `(id, score bits)` entries in the order `row_into` returns them.
+fn rows_digest<T: Transition>(g: &ClickGraph, c: &SimrankConfig, t: &T) -> u64 {
+    let live = SingleSourceEngine::new(g, c, t);
+    let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
+    let mut row = Vec::new();
+    let mut h = fnv1a(&[]);
+    for q in g.queries() {
+        live.row_into(g, q, &mut ws, &mut row);
+        h = fnv1a_seeded(h, &(row.len() as u64).to_le_bytes());
+        for &(id, score) in &row {
+            h = fnv1a_seeded(h, &id.0.to_le_bytes());
+            h = fnv1a_seeded(h, &score.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A recorded live-row cell: graph, uniform (else weighted expected click
+/// rate) transition, `k`, prune and [`rows_digest`].
+type RowPin = (&'static str, bool, usize, f64, u64);
+
+/// Row bits recorded before the sweeps' accumulator changed: tolerances
+/// alone would let a new summation order through. `sparse` and `dense` are
+/// the small graphs of the contract test below; `wide` has 1 200 queries, so
+/// its rows span both short and long runs of 64-id words.
+#[rustfmt::skip]
+const ROW_PINS: [RowPin; 24] = [
+    ("sparse", true, 5, 0.0, 0x07d3ae032a8a3ba9),
+    ("sparse", true, 5, 1e-4, 0x197e81f66d20a530),
+    ("sparse", true, 7, 0.0, 0x6ba4261ce56a1581),
+    ("sparse", true, 7, 1e-4, 0xfcd9d47c1e6859b8),
+    ("sparse", false, 5, 0.0, 0xdda004bc730cda7e),
+    ("sparse", false, 5, 1e-4, 0x05436d22af550579),
+    ("sparse", false, 7, 0.0, 0x03d85dc0dbb30c11),
+    ("sparse", false, 7, 1e-4, 0xa65045833dcde60b),
+    ("dense", true, 5, 0.0, 0xec0de1aaa02d9927),
+    ("dense", true, 5, 1e-4, 0xac8d9de8cecfd020),
+    ("dense", true, 7, 0.0, 0x778ad01d2d65b8e2),
+    ("dense", true, 7, 1e-4, 0x2246dad728852754),
+    ("dense", false, 5, 0.0, 0xd9da390f75843a43),
+    ("dense", false, 5, 1e-4, 0xf480d94ec4ffd1ef),
+    ("dense", false, 7, 0.0, 0x6c852a849f6adc1b),
+    ("dense", false, 7, 1e-4, 0x468336d0c75b132e),
+    ("wide", true, 5, 0.0, 0x31b8e0a8484111d1),
+    ("wide", true, 5, 1e-4, 0x7da6b2eaf2d60fd3),
+    ("wide", true, 7, 0.0, 0xa85a97b247fe6967),
+    ("wide", true, 7, 1e-4, 0xd9ae1d1a81f2b6ad),
+    ("wide", false, 5, 0.0, 0x26625f79a02420ab),
+    ("wide", false, 5, 1e-4, 0x782c273acb9f33a4),
+    ("wide", false, 7, 0.0, 0x178ada51ed41804f),
+    ("wide", false, 7, 1e-4, 0x6505fefcce3f2e49),
+];
+
+#[test]
+fn live_row_bits_are_pinned() {
+    let ecr = WeightedTransition {
+        kind: WeightKind::ExpectedClickRate,
+        spread: SpreadMode::Exponential,
+    };
+    let sparse = with_trivial_components(&synth_graph(2, 40, 11, false));
+    let dense = with_trivial_components(&synth_graph(3, 72, 0xBEEF, true));
+    let wide = synth_graph(6, 1200, 5, false);
+    for (name, uniform, k, prune, digest) in ROW_PINS {
+        let g = match name {
+            "sparse" => &sparse,
+            "dense" => &dense,
+            _ => &wide,
+        };
+        let c = cfg(k).with_prune_threshold(prune);
+        let got = if uniform {
+            rows_digest(g, &c, &UniformTransition)
+        } else {
+            rows_digest(g, &c, &ecr)
+        };
+        assert_eq!(got, digest, "{name} uniform={uniform} k={k} prune={prune}");
     }
 }
 
