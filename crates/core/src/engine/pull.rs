@@ -16,19 +16,19 @@
 //!
 //! 1. `T[q, ·] = Σ_{a ∈ E(q)} F(q, a) · S_A[a, ·]` — scan `q`'s own
 //!    neighbor list in CSR order, stream each neighbor's (sorted) score row
-//!    into a dense accumulator over the inner side, tracking touched
-//!    columns in first-touch order;
-//! 2. `S_Q'[q, q'] = C1 · Σ_{a'} T[q, a'] · F(q', a')` — drain the touched
-//!    columns, scattering each through the inner node's neighbor list into
-//!    a dense accumulator over the output side, restricted to `q' > q`
-//!    (the symmetric half above the diagonal; `q' < q` is produced by row
-//!    `q'`, the diagonal is pinned at 1).
+//!    into a `SparseAccum` over the inner side;
+//! 2. `S_Q'[q, q'] = C1 · Σ_{a'} T[q, a'] · F(q', a')` — drain `T` in
+//!    first-touch order, scattering each column through the inner node's
+//!    neighbor list into a `SparseAccum` over the output side, restricted
+//!    to `q' > q` (the symmetric half above the diagonal; `q' < q` is
+//!    produced by row `q'`, the diagonal is pinned at 1).
 //!
 //! No `F(t,i)·F(t',j)·s(i,j)` contribution is ever materialized, so there is
-//! nothing to sort or merge: the only ordering work left is a per-row `sort_unstable` of the
-//! *distinct* touched output ids — `O(r log r)` on row width. Emitted rows
-//! concatenate into a key-sorted [`PairVec`] directly (`PairKey` is
-//! min-major and every emitted pair has `q` as its minimum).
+//! nothing to sort or merge: the row is emitted by draining the output
+//! accumulator in ascending id from `q + 1`, a scan of its occupancy
+//! bitmap words with `trailing_zeros`.
+//! Emitted rows concatenate into a key-sorted [`PairVec`] directly
+//! (`PairKey` is min-major and every emitted pair has `q` as its minimum).
 //!
 //! **Determinism.** Each output row is computed start-to-finish by exactly
 //! one worker, and every accumulation order inside a row is a function of
@@ -42,7 +42,7 @@
 //!   preserves CSR neighbor order, so each row replays the identical
 //!   floating-point op sequence.
 
-use super::accum::PairVec;
+use super::accum::{PairVec, SparseAccum};
 use super::{parallel, NodeId};
 use crate::scores::fill_sym_csr;
 use simrankpp_util::PairKey;
@@ -84,21 +84,16 @@ impl CsrScratch {
     }
 }
 
-/// One worker's dense-scratch workspace: a sparse-accumulator (value array +
-/// first-touch flags + touched list) per SpGEMM pass. Sized lazily to the
-/// two node counts, kept zeroed between rows by draining touched entries,
-/// and reused across every half-step of a run — allocation-free steady
-/// state.
+/// One worker's dense-scratch workspace: a `SparseAccum` per SpGEMM pass.
+/// Sized lazily to the two node counts, kept zeroed between rows by its
+/// drains, and reused across every half-step of a run — allocation-free
+/// steady state.
 #[derive(Debug, Default)]
 pub struct PullWorkspace {
     /// Pass-1 accumulator over the inner side (`T[q, ·]`).
-    t_vals: Vec<f64>,
-    t_flag: Vec<bool>,
-    t_touched: Vec<u32>,
+    t: SparseAccum,
     /// Pass-2 accumulator over the output side (`S'[q, ·]`, upper half).
-    o_vals: Vec<f64>,
-    o_flag: Vec<bool>,
-    o_touched: Vec<u32>,
+    o: SparseAccum,
     /// Largest per-chunk output seen — the next round's capacity hint.
     out_hint: usize,
     /// The pinned-away diagonal values of this worker's rows, in row order,
@@ -108,26 +103,13 @@ pub struct PullWorkspace {
 
 impl PullWorkspace {
     fn ensure(&mut self, n_out: usize, n_inner: usize) {
-        if self.t_vals.len() < n_inner {
-            self.t_vals.resize(n_inner, 0.0);
-            self.t_flag.resize(n_inner, false);
+        if self.t.len() < n_inner {
+            self.t.resize(n_inner);
         }
-        if self.o_vals.len() < n_out {
-            self.o_vals.resize(n_out, 0.0);
-            self.o_flag.resize(n_out, false);
+        if self.o.len() < n_out {
+            self.o.resize(n_out);
         }
     }
-}
-
-/// Marks `id` touched on first contact and accumulates `v` into its cell.
-#[inline(always)]
-fn spa_add(vals: &mut [f64], flag: &mut [bool], touched: &mut Vec<u32>, id: u32, v: f64) {
-    let i = id as usize;
-    if !flag[i] {
-        flag[i] = true;
-        touched.push(id);
-    }
-    vals[i] += v;
 }
 
 /// One Jacobi half-step on the pull path.
@@ -231,26 +213,17 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
         }
         return;
     }
-    let PullWorkspace {
-        t_vals,
-        t_flag,
-        t_touched,
-        o_vals,
-        o_flag,
-        o_touched,
-        diag,
-        ..
-    } = ws;
+    let PullWorkspace { t, o, diag, .. } = ws;
 
     // Pass 1: T[q, ·] = Σ_{a ∈ E(q)} F(q, a) · S[a, ·], unit diagonal
     // included. Scan order (E(q) outer, each score row inner, both in CSR
     // order) fixes every cell's summation order.
     for (x, a) in inner.iter().enumerate() {
         let f = f_out[x];
-        spa_add(t_vals, t_flag, t_touched, a.raw(), f);
+        t.add(a.raw(), f);
         let (cols, vals) = csr.row(a.raw());
         for (i, &col) in cols.iter().enumerate() {
-            spa_add(t_vals, t_flag, t_touched, col, f * vals[i]);
+            t.add(col, f * vals[i]);
         }
     }
 
@@ -259,36 +232,28 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     if record {
         let mut pinned = 0.0;
         for (x, a) in inner.iter().enumerate() {
-            pinned += f_out[x] * t_vals[a.raw() as usize];
+            pinned += f_out[x] * t.get(a.raw());
         }
         diag.push(1.0 - c * pinned);
     }
 
     // Pass 2: drain T in first-touch order, scattering through each inner
     // node's neighbor list restricted to q' > q.
-    for &a2 in t_touched.iter() {
-        let t = t_vals[a2 as usize];
-        t_vals[a2 as usize] = 0.0;
-        t_flag[a2 as usize] = false;
+    t.drain_touched(|a2, ta| {
         let (outs, f_in) = inner_row(a2);
         let start = outs.partition_point(|x| x.raw() <= q);
-        for (y, o) in outs[start..].iter().enumerate() {
-            spa_add(o_vals, o_flag, o_touched, o.raw(), t * f_in[start + y]);
+        for (y, id) in outs[start..].iter().enumerate() {
+            o.add(id.raw(), ta * f_in[start + y]);
         }
-    }
-    t_touched.clear();
+    });
 
-    // Emit: the only sort left, over the row's distinct partner ids.
-    o_touched.sort_unstable();
-    for &oid in o_touched.iter() {
-        let v = c * o_vals[oid as usize];
-        o_vals[oid as usize] = 0.0;
-        o_flag[oid as usize] = false;
+    // Emit: every partner id is above q, drained ascending.
+    o.drain_ascending(q + 1, |oid, s| {
+        let v = c * s;
         if v > prune_threshold && v > 0.0 {
             out.push((PairKey::new(q, oid), v));
         }
-    }
-    o_touched.clear();
+    });
 }
 
 #[cfg(test)]
@@ -354,11 +319,12 @@ mod tests {
                 &mut ws,
                 None,
             );
-            assert!(ws[0].t_vals.iter().all(|&v| v == 0.0));
-            assert!(ws[0].o_vals.iter().all(|&v| v == 0.0));
-            assert!(ws[0].t_flag.iter().all(|&f| !f));
-            assert!(ws[0].o_flag.iter().all(|&f| !f));
-            assert!(ws[0].t_touched.is_empty() && ws[0].o_touched.is_empty());
+            for acc in [&ws[0].t, &ws[0].o] {
+                let (vals, words, touched) = acc.parts();
+                assert!(vals.iter().all(|&v| v == 0.0));
+                assert!(words.iter().all(|&w| w == 0));
+                assert!(touched.is_empty());
+            }
         }
     }
 }

@@ -92,6 +92,7 @@
 //! depth.
 
 use crate::config::SimrankConfig;
+use crate::engine::accum::SparseAccum;
 use crate::engine::parallel::run_dirty_blocks;
 use crate::engine::transition::{Transition, TransitionFactors};
 use crate::engine::{self, DiagonalHistory, Side};
@@ -275,61 +276,23 @@ impl DiagonalCorrection {
     }
 }
 
-/// Dense-scratch sparse accumulator over one node side: `O(1)` adds, drained
-/// in ascending-id order (deterministic summation and output order).
-#[derive(Debug)]
-struct Accum {
-    val: Vec<f64>,
-    touched: Vec<u32>,
-}
-
-impl Accum {
-    fn new(n: usize) -> Self {
-        Accum {
-            val: vec![0.0; n],
-            touched: Vec::new(),
+/// Moves `acc`'s entries (ascending id, pruned at `prune`) into `out`,
+/// leaving `acc` zeroed for reuse.
+fn drain_into(acc: &mut SparseAccum, prune: f64, out: &mut Vec<(u32, f64)>) {
+    out.clear();
+    acc.drain_ascending(0, |i, v| {
+        if v.abs() > prune {
+            out.push((i, v));
         }
-    }
-
-    #[inline]
-    fn add(&mut self, i: u32, v: f64) {
-        if self.val[i as usize] == 0.0 {
-            self.touched.push(i);
-        }
-        self.val[i as usize] += v;
-    }
-
-    /// Zeroes every touched entry without emitting: the recovery path for an
-    /// accumulator an abandoned (panicked) computation left dirty.
-    fn reset(&mut self) {
-        for &i in &self.touched {
-            self.val[i as usize] = 0.0;
-        }
-        self.touched.clear();
-    }
-
-    /// Moves the accumulated entries (ascending id, pruned at `prune`) into
-    /// `out`, resetting the accumulator for reuse.
-    fn drain_into(&mut self, prune: f64, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        self.touched.sort_unstable();
-        for &i in &self.touched {
-            let v = self.val[i as usize];
-            self.val[i as usize] = 0.0;
-            if v.abs() > prune {
-                out.push((i, v));
-            }
-        }
-        self.touched.clear();
-    }
+    });
 }
 
 /// Reusable per-query scratch: dense accumulators for both sides plus the
 /// stored forward levels (`u_j` query-space, `y_j = Aᵀu_j` ad-space).
 #[derive(Debug)]
 pub struct RowWorkspace {
-    acc_q: Accum,
-    acc_a: Accum,
+    acc_q: SparseAccum,
+    acc_a: SparseAccum,
     levels_u: Vec<Vec<(u32, f64)>>,
     levels_y: Vec<Vec<(u32, f64)>>,
     v: Vec<(u32, f64)>,
@@ -340,8 +303,8 @@ impl RowWorkspace {
     /// Scratch sized for a graph with the given side cardinalities.
     pub fn new(n_queries: usize, n_ads: usize) -> Self {
         RowWorkspace {
-            acc_q: Accum::new(n_queries),
-            acc_a: Accum::new(n_ads),
+            acc_q: SparseAccum::new(n_queries),
+            acc_a: SparseAccum::new(n_ads),
             levels_u: Vec::new(),
             levels_y: Vec::new(),
             v: Vec::new(),
@@ -352,18 +315,18 @@ impl RowWorkspace {
     /// Re-sizes the scratch for a graph with the given side cardinalities
     /// (an update may add queries, ads, or both), keeping its allocations.
     pub fn resize(&mut self, n_queries: usize, n_ads: usize) {
-        self.acc_q.reset();
-        self.acc_a.reset();
-        self.acc_q.val.resize(n_queries, 0.0);
-        self.acc_a.val.resize(n_ads, 0.0);
+        self.acc_q.resize(n_queries);
+        self.acc_a.resize(n_ads);
     }
 
     /// Computes and stores `u_j = (Tᵀ)^j u_0` and `y_j = Aᵀu_j` for
     /// `j = 0..=levels`, pruning each level at `prune`.
     ///
     /// Kept out of line: with `sweep` its only caller the compiler inlines
-    /// it there, and the fused body runs the row ≈ 2 % slower (51.5 vs
-    /// 50.5 µs a row at `k = 7`, prune 1e-4 on a 3 000-query synth graph).
+    /// it there, and the fused body runs the row ≈ 3 % slower (49.7 vs
+    /// 48.0 µs a row, medians of six alternated min-of-7 passes over every
+    /// row at `k = 7`, prune 1e-4, weighted ECR, on a 3 000-query synth
+    /// graph; 2-core x86-64 VM).
     #[inline(never)]
     fn forward(
         &mut self,
@@ -387,7 +350,7 @@ impl RowWorkspace {
                     self.acc_a.add(a.0, f.ad_to_query_by_query[lo + k] * x);
                 }
             }
-            self.acc_a.drain_into(prune, &mut self.levels_y[j]);
+            drain_into(&mut self.acc_a, prune, &mut self.levels_y[j]);
             if j == levels {
                 break;
             }
@@ -400,7 +363,7 @@ impl RowWorkspace {
                     self.acc_q.add(q.0, f.query_to_ad_by_ad[lo + k] * x);
                 }
             }
-            self.acc_q.drain_into(prune, &mut self.levels_u[j + 1]);
+            drain_into(&mut self.acc_q, prune, &mut self.levels_u[j + 1]);
         }
     }
 }
@@ -477,7 +440,7 @@ impl SingleSourceEngine {
     /// in `ws.v` as ascending-id `(query, score)` pairs.
     fn sweep(&self, g: &ClickGraph, q: QueryId, ws: &mut RowWorkspace) {
         assert_eq!(
-            (ws.acc_q.val.len(), ws.acc_a.val.len()),
+            (ws.acc_q.len(), ws.acc_a.len()),
             (g.n_queries(), g.n_ads()),
             "workspace sized for another graph"
         );
@@ -513,7 +476,7 @@ impl SingleSourceEngine {
             for &(ai, x) in &ws.levels_y[j] {
                 ws.acc_a.add(ai, self.c1 * level.d_ad[ai as usize] * x);
             }
-            ws.acc_a.drain_into(self.prune, &mut ws.m);
+            drain_into(&mut ws.acc_a, self.prune, &mut ws.m);
             // v = A m + d_Q ⊙ u_j.
             for &(ai, x) in &ws.m {
                 let a = AdId(ai);
@@ -527,7 +490,7 @@ impl SingleSourceEngine {
             for &(qi, x) in &ws.levels_u[j] {
                 ws.acc_q.add(qi, level.d_query[qi as usize] * x);
             }
-            ws.acc_q.drain_into(self.prune, &mut ws.v);
+            drain_into(&mut ws.acc_q, self.prune, &mut ws.v);
         }
     }
 
