@@ -1,7 +1,10 @@
-//! The paper's tables and figures, from one binary.
+//! The paper's tables and figures, and the ablations of its design choices,
+//! from one binary.
 //!
 //! ```text
-//! repro_all [SECTION ...]     SECTION = table1..table6 | fig8..fig12
+//! repro_all [SECTION ...]     SECTION = table1..table6 | fig8..fig12 |
+//!                                       ablation-pruning | ablation-evidence |
+//!                                       ablation-spread | ablation-weights
 //! ```
 //!
 //! With no section: Tables 1–5 and Figures 8–12 in one pass (the experiment
@@ -9,22 +12,31 @@
 //! in paper order, each followed by the paper's own numbers to compare
 //! against; the §9–§10 experiment runs only if Table 5 or a figure is asked
 //! for. `table6` (the editorial rubric, demonstrated by the simulated judge)
-//! prints only when named. Whenever the experiment ran, the machine-readable
-//! report is written to `repro_report.json`.
+//! and the ablations print only when named, each ablation followed by what
+//! to expect. Whenever the experiment ran, the machine-readable report is
+//! written to `repro_report.json`.
 
 use simrankpp_core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
 use simrankpp_core::evidence::EvidenceKind;
 use simrankpp_core::naive::naive_scores;
 use simrankpp_core::simrank::simrank;
-use simrankpp_core::SimrankConfig;
+use simrankpp_core::weighted::{weighted_simrank, SpreadMode};
+use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
+use simrankpp_eval::desirability::{prepare_trials, score_trials, weighted_walk};
+use simrankpp_eval::experiment::{judge_rewrites, run_experiment_on};
+use simrankpp_eval::metrics::coverage;
 use simrankpp_eval::report::{
     render_fig11, render_fig12, render_fig8, render_fig9_or_10, render_full, render_table5,
 };
-use simrankpp_eval::{run_experiment, ExperimentReport};
+use simrankpp_eval::{
+    precision_at_x, run_desirability_experiment, ExperimentConfig, ExperimentReport,
+    RelevanceThreshold,
+};
 use simrankpp_graph::fixtures::{figure3_graph, FIGURE3_QUERIES};
-use simrankpp_graph::{QueryId, WeightKind};
-use simrankpp_synth::generator::generate;
+use simrankpp_graph::{ClickGraph, QueryId, WeightKind};
+use simrankpp_synth::generator::{generate, SynthDataset};
 use simrankpp_synth::{EditorialJudge, Grade};
+use std::time::Instant;
 
 /// The scale-independent read-outs: id, printer, the paper's values.
 const SMALL_TABLES: [(&str, fn(), &str); 4] = [
@@ -96,26 +108,66 @@ const EVALUATION: [(&str, Render, &str); 6] = [
     ),
 ];
 
+type Ablation = fn(&ExperimentConfig, &SynthDataset);
+
+/// The ablations of the paper's design choices, printed only when named:
+/// id, printer, what to expect.
+const ABLATIONS: [(&str, Ablation, &str); 4] = [
+    (
+        "ablation-pruning",
+        ablation_pruning,
+        "Expected: orders-of-magnitude fewer pairs at threshold 1e-4 with max score\n\
+         error around the threshold itself, and early exit well before 100 iterations.",
+    ),
+    (
+        "ablation-evidence",
+        ablation_evidence,
+        "Expected: the two rows nearly identical (the paper's remark).",
+    ),
+    (
+        "ablation-spread",
+        ablation_spread,
+        "Expected: the two rows statistically indistinguishable — the desirability\n\
+         signal comes from the normalized weights, not the spread penalty.",
+    ),
+    (
+        "ablation-weights",
+        ablation_weights,
+        "Expected: expected-click-rate retains the most pairs and predicts\n\
+         desirability best; raw clicks/impressions lose pairs to spread underflow.",
+    ),
+];
+
 fn main() {
     let asked: Vec<String> = std::env::args().skip(1).collect();
     let known = |id: &str| {
         id == "table6"
             || SMALL_TABLES.iter().any(|s| s.0 == id)
             || EVALUATION.iter().any(|s| s.0 == id)
+            || ABLATIONS.iter().any(|s| s.0 == id)
     };
     if let Some(bad) = asked.iter().find(|id| !known(id)) {
         eprintln!("unknown section {bad:?}");
-        eprintln!("usage: repro_all [table1..table6 | fig8..fig12 ...]");
+        eprintln!(
+            "usage: repro_all [table1..table6 | fig8..fig12 | ablation-pruning | \
+             ablation-evidence | ablation-spread | ablation-weights ...]"
+        );
         std::process::exit(2);
     }
-    let everything = asked.is_empty();
-    let wanted = |id: &str| everything || asked.iter().any(|a| a == id);
-
     let scale = simrankpp_bench::scale();
+    let Some(config) = simrankpp_bench::experiment_config(&scale) else {
+        eprintln!("unknown scale {scale:?}");
+        eprintln!("usage: SIMRANKPP_SCALE=tiny|small|paper repro_all [SECTION ...]");
+        std::process::exit(2);
+    };
+    let everything = asked.is_empty();
+    let named = |id: &str| asked.iter().any(|a| a == id);
+    let wanted = |id: &str| everything || named(id);
+
     if everything {
-        simrankpp_bench::banner("repro_all", "Tables 1-5, Figures 8-12");
+        simrankpp_bench::banner("repro_all", "Tables 1-5, Figures 8-12", &scale);
     } else {
-        simrankpp_bench::banner("repro_all", &asked.join(", "));
+        simrankpp_bench::banner("repro_all", &asked.join(", "), &scale);
     }
     // A blank line between read-outs, none before the first.
     let mut printed = false;
@@ -134,31 +186,45 @@ fn main() {
             }
         }
     }
-    if !everything && wanted("table6") {
-        gap();
-        table6(&scale);
-    }
-    if !(everything || EVALUATION.iter().any(|s| wanted(s.0))) {
+    let evaluate = EVALUATION.iter().any(|s| wanted(s.0));
+    if !(evaluate || named("table6") || ABLATIONS.iter().any(|s| named(s.0))) {
         return;
     }
 
-    let report = run_experiment(&simrankpp_bench::experiment_config(&scale));
-    gap();
-    if everything {
-        println!("--- Table 5 + Figures 8-12: full evaluation at scale '{scale}' ---\n");
-        println!("{}", render_full(&report));
-    } else {
-        println!("--- Evaluation at scale '{scale}' ---");
-        for (id, render, paper) in EVALUATION {
-            if wanted(id) {
-                println!("\n{}\n{paper}", render(&report));
+    let dataset = generate(&config.generator);
+    if named("table6") {
+        gap();
+        table6(&dataset);
+    }
+    if evaluate {
+        let report = run_experiment_on(&config, &dataset);
+        gap();
+        if everything {
+            println!("--- Table 5 + Figures 8-12: full evaluation at scale '{scale}' ---\n");
+            println!("{}", render_full(&report));
+        } else {
+            println!("--- Evaluation at scale '{scale}' ---");
+            for (id, render, paper) in EVALUATION {
+                if wanted(id) {
+                    println!("\n{}\n{paper}", render(&report));
+                }
             }
         }
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    simrankpp_util::atomic_write_bytes(std::path::Path::new("repro_report.json"), json.as_bytes())
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
+        simrankpp_util::atomic_write_bytes(
+            std::path::Path::new("repro_report.json"),
+            json.as_bytes(),
+        )
         .expect("write repro_report.json");
-    println!("\nMachine-readable report written to repro_report.json");
+        println!("\nMachine-readable report written to repro_report.json");
+    }
+    for (id, print, expected) in ABLATIONS {
+        if named(id) {
+            gap();
+            print(&config, &dataset);
+            println!("\n{expected}");
+        }
+    }
 }
 
 fn table1() {
@@ -203,7 +269,7 @@ fn table4() {
 
 /// Table 6: the editorial scoring rubric, with one example pair per grade
 /// from the simulated judge on a generated world.
-fn table6(scale: &str) {
+fn table6(dataset: &SynthDataset) {
     println!("--- Table 6: editorial scoring rubric ---");
     println!("Score  Definition          Rubric on planted ground truth");
     println!("1      Precise rewrite     same intent, or shared core stem within a topic");
@@ -211,7 +277,6 @@ fn table6(scale: &str) {
     println!("3      Possible rewrite    complementary (ring-adjacent) topic");
     println!("4      Clear mismatch      anything else\n");
 
-    let dataset = generate(&simrankpp_bench::generator_config(scale));
     let judge = EditorialJudge::new(&dataset.world);
     let n = dataset.world.n_queries().min(400);
     let mut shown: Vec<Grade> = Vec::new();
@@ -231,6 +296,181 @@ fn table6(scale: &str) {
                 }
             }
         }
+    }
+}
+
+/// The sparse engine's pruning threshold: the accuracy/work trade-off
+/// against the exact (threshold 0) scores, and the engine's per-iteration
+/// stored pairs for the plain and the weighted walk. The max score delta is
+/// recorded only under a tolerance, so only the early-exit row prints one.
+fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
+    println!("--- Ablation: sparse-engine pruning threshold ---");
+    let g = &dataset.graph;
+    println!(
+        "graph: {} queries, {} ads, {} edges\n",
+        g.n_queries(),
+        g.n_ads(),
+        g.n_edges()
+    );
+
+    let exact_cfg = config.simrank.with_prune_threshold(0.0);
+    let t0 = Instant::now();
+    let exact = simrank(g, &exact_cfg);
+    let exact_time = t0.elapsed();
+
+    // The same diagnostics come from the shared engine for the weighted walk.
+    let weighted = weighted_simrank(g, &exact_cfg, EvidenceKind::Geometric).raw;
+    for (variant, run) in [("plain", &exact), ("weighted", &weighted)] {
+        println!("--- per-iteration engine diagnostics (exact, {variant} SimRank) ---");
+        println!("{:<6} {:>14} {:>12}", "iter", "query pairs", "ad pairs");
+        for (k, &(qp, ap)) in run.pair_counts.iter().enumerate() {
+            println!("{:<6} {qp:>14} {ap:>12}", k + 1);
+        }
+        println!();
+    }
+
+    println!("--- pruning sweep (plain SimRank) ---");
+    println!(
+        "{:<12} {:>12} {:>14} {:>16} {:>12}",
+        "threshold", "pairs", "time (ms)", "max |Δscore|", "vs exact"
+    );
+    println!(
+        "{:<12} {:>12} {:>14.0} {:>16} {:>12}",
+        "0 (exact)",
+        exact.queries.n_pairs(),
+        exact_time.as_secs_f64() * 1e3,
+        "-",
+        "1.00x"
+    );
+    for threshold in [1e-6, 1e-4, 1e-3, 1e-2] {
+        let t0 = Instant::now();
+        let pruned = simrank(g, &config.simrank.with_prune_threshold(threshold));
+        let dt = t0.elapsed();
+        println!(
+            "{:<12.0e} {:>12} {:>14.0} {:>16.2e} {:>11.2}x",
+            threshold,
+            pruned.queries.n_pairs(),
+            dt.as_secs_f64() * 1e3,
+            exact.queries.max_abs_diff(&pruned.queries),
+            exact_time.as_secs_f64() / dt.as_secs_f64().max(1e-9)
+        );
+    }
+
+    // Convergence-based early exit: run far past the fixed iteration budget
+    // and let the tolerance stop the loop.
+    let tol_cfg = config.simrank.with_iterations(100).with_tolerance(1e-6);
+    let t0 = Instant::now();
+    let tol = simrank(g, &tol_cfg);
+    println!(
+        "\ntolerance 1e-6: stopped after {} iterations (converged = {}, last Δ = {:.2e}, {:.0} ms)",
+        tol.iterations_run,
+        tol.converged,
+        tol.max_deltas.last().copied().unwrap_or(0.0),
+        t0.elapsed().as_secs_f64() * 1e3
+    );
+}
+
+/// §7: "In our experiments we used the first definition although
+/// preliminary results with both formulas did not show substantial
+/// differences." Coverage and P@X of evidence-based SimRank under Eq. 7.3
+/// and Eq. 7.4, over the 200 most popular queries of the whole graph.
+fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
+    println!("--- Ablation: geometric (Eq. 7.3) vs exponential (Eq. 7.4) evidence ---");
+    let world = &dataset.world;
+    let judge = EditorialJudge::new(world);
+    let mut by_pop: Vec<usize> = (0..world.n_queries()).collect();
+    by_pop.sort_by(|&a, &b| world.query_popularity[b].total_cmp(&world.query_popularity[a]));
+    let sample: Vec<(QueryId, QueryId)> = by_pop
+        .iter()
+        .take(200)
+        .map(|&q| (QueryId(q as u32), QueryId(q as u32)))
+        .collect();
+
+    println!(
+        "{:<14} {:>10} {:>8} {:>8} {:>8}",
+        "evidence", "coverage", "P@1", "P@3", "P@5"
+    );
+    for kind in [EvidenceKind::Geometric, EvidenceKind::Exponential] {
+        let method = Method::compute_with_evidence(
+            MethodKind::EvidenceSimrank,
+            &dataset.graph,
+            &config.simrank,
+            kind,
+        );
+        let rewriter = Rewriter::new(&dataset.graph, method, RewriterConfig::default());
+        let judged = judge_rewrites(&rewriter, &sample, &world.bids, &judge, |q| q);
+        let p = |x| precision_at_x(&judged, x, RelevanceThreshold::Grade12);
+        println!(
+            "{:<14} {:>9.1}% {:>8.3} {:>8.3} {:>8.3}",
+            kind.name(),
+            coverage(&judged) * 100.0,
+            p(1),
+            p(3),
+            p(5)
+        );
+    }
+}
+
+/// §8.2's `spread = e^(−variance)` factor on (the paper's definition) and
+/// off (the pure normalized-weight walk), scored on Figure 12's trials over
+/// the whole graph.
+fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
+    println!("--- Ablation: the §8.2 spread factor ---");
+    let trials = prepare_trials(
+        &dataset.graph,
+        config.desirability_trials,
+        &config.simrank,
+        config.seed ^ 0xD5,
+    );
+    println!("{} trials prepared\n", trials.len());
+
+    let modes = [SpreadMode::Exponential, SpreadMode::Off];
+    let scorers =
+        modes.map(|mode| move |g: &ClickGraph, c: &SimrankConfig| weighted_walk(g, c, mode));
+    let tallies = score_trials(&dataset.graph, &trials, &config.simrank, &scorers);
+    println!("{:<22} {:>12} {:>8}", "spread mode", "correct", "ties");
+    for (mode, tally) in modes.iter().zip(tallies) {
+        println!(
+            "{:<22} {:>7}/{:<4} {:>8}",
+            format!("{mode:?}"),
+            tally.correct,
+            trials.len(),
+            tally.ties
+        );
+    }
+}
+
+/// §9.2: "In all our experiments that required the use of an edge weight we
+/// used the expected click rate." Surviving (non-underflowed) score pairs
+/// and desirability-prediction accuracy for each §2 edge weight: raw counts
+/// have huge per-node variance, so `spread = e^(−variance)` underflows and
+/// kills similarity propagation.
+fn ablation_weights(config: &ExperimentConfig, dataset: &SynthDataset) {
+    println!("--- Ablation: which §2 edge weight weighted SimRank consumes ---");
+    println!(
+        "{:<22} {:>14} {:>16} {:>18}",
+        "edge weight", "score pairs", "mean pair score", "desirability acc."
+    );
+    for kind in WeightKind::ALL {
+        let cfg = config.simrank.with_weight_kind(kind);
+        let r = weighted_simrank(&dataset.graph, &cfg, EvidenceKind::Geometric);
+        let n_pairs = r.queries.n_pairs();
+        let mean = r.queries.iter().map(|(_, _, v)| v).sum::<f64>() / n_pairs.max(1) as f64;
+        let outcome = run_desirability_experiment(
+            &dataset.graph,
+            &[MethodKind::WeightedSimrank],
+            config.desirability_trials,
+            &cfg,
+            config.seed ^ 0xD5,
+        );
+        println!(
+            "{:<22} {:>14} {:>16.4} {:>13}/{:<4}",
+            kind.name(),
+            n_pairs,
+            mean,
+            outcome[0].correct,
+            outcome[0].trials
+        );
     }
 }
 

@@ -106,7 +106,8 @@ impl Transition for UniformTransition {
 pub struct WeightedTransition {
     /// Which §2 edge weight feeds the normalized weights.
     pub kind: WeightKind,
-    /// Whether the `e^(−variance)` spread factor applies (ablation knob).
+    /// Whether the `e^(−variance)` spread factor applies (the ablation knob
+    /// `repro_all ablation-spread` turns).
     pub spread: SpreadMode,
 }
 

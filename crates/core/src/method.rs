@@ -122,7 +122,7 @@ impl Method {
     }
 
     /// As [`Method::compute`] with an explicit evidence formula for the
-    /// kinds that carry one (the `ablation_evidence_fn` bench sweeps this).
+    /// kinds that carry one (`repro_all ablation-evidence` sweeps this).
     pub fn compute_with_evidence(
         kind: MethodKind,
         g: &ClickGraph,

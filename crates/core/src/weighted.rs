@@ -28,7 +28,7 @@
 //! on: `spread = e^(−variance)` is *scale sensitive*. With raw click counts a
 //! popular ad's incident weights can have variance in the thousands and
 //! `spread` underflows to 0; with the expected click rate (a rate in `[0, 1]`)
-//! variances stay small. This is reproduced by the `ablation_weights` bench.
+//! variances stay small. `repro_all ablation-weights` reproduces this.
 
 use crate::config::SimrankConfig;
 use crate::engine::{self, WeightedTransition};
@@ -53,7 +53,7 @@ pub struct TransitionWeights {
 
 /// Whether the walk uses the §8.2 `spread = e^(−variance)` factor.
 ///
-/// `Off` is an ablation knob (`ablation_spread` bench): it keeps only the
+/// `Off` is an ablation knob (`repro_all ablation-spread`): it keeps only the
 /// normalized weights, i.e. a plain weighted random walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpreadMode {
@@ -157,7 +157,8 @@ pub fn weighted_simrank(
     weighted_simrank_with_spread(g, config, evidence, SpreadMode::Exponential)
 }
 
-/// As [`weighted_simrank`] with an explicit spread mode (ablation knob).
+/// As [`weighted_simrank`] with an explicit spread mode (the ablation knob
+/// `repro_all ablation-spread` turns).
 pub fn weighted_simrank_with_spread(
     g: &ClickGraph,
     config: &SimrankConfig,

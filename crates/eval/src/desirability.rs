@@ -29,7 +29,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simrankpp_core::{Method, MethodKind, SimrankConfig};
+use simrankpp_core::weighted::{weighted_simrank_with_spread, SpreadMode};
+use simrankpp_core::{EvidenceKind, Method, MethodKind, SimrankConfig};
 use simrankpp_graph::subgraph::remove_edges;
 use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
 use std::collections::VecDeque;
@@ -182,6 +183,42 @@ pub fn prepare_trials(
 }
 
 /// Runs the experiment for the given methods, returning one outcome each.
+pub fn run_desirability_experiment(
+    g: &ClickGraph,
+    methods: &[MethodKind],
+    n_trials: usize,
+    config: &SimrankConfig,
+    seed: u64,
+) -> Vec<DesirabilityOutcome> {
+    let trials = prepare_trials(g, n_trials, config, seed);
+    let scorers: Vec<_> = methods
+        .iter()
+        .map(|&kind| move |ball: &ClickGraph, c: &SimrankConfig| Method::compute(kind, ball, c))
+        .collect();
+    methods
+        .iter()
+        .zip(score_trials(g, &trials, config, &scorers))
+        .map(|(kind, tally)| DesirabilityOutcome {
+            method: kind.name().to_owned(),
+            correct: tally.correct,
+            trials: trials.len(),
+        })
+        .collect()
+}
+
+/// One scorer's results over a set of trials.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrialTally {
+    /// Trials whose prediction was the preferred candidate.
+    pub correct: usize,
+    /// Trials whose two candidates scored the same `(final, raw)` pair:
+    /// unresolved ties, counted as misses.
+    pub ties: usize,
+}
+
+/// Scores `trials`, prepared on `g`, with each scorer: a method computed by
+/// `scorer(ball, config)` predicts the candidate with the higher
+/// `(final, raw)` score against `q1`.
 ///
 /// Per-trial scores are computed on the radius-`k+1` BFS ball around
 /// `{q1, q2, q3}` (where `k = config.iterations`): `s^k(q1,q2)` depends only
@@ -192,47 +229,46 @@ pub fn prepare_trials(
 /// distance-`k+1` neighbors. Radius `k+1` therefore makes localization
 /// exact (up to FP summation order) while keeping trials cheap on large
 /// graphs.
-pub fn run_desirability_experiment(
+pub fn score_trials<F: Fn(&ClickGraph, &SimrankConfig) -> Method>(
     g: &ClickGraph,
-    methods: &[MethodKind],
-    n_trials: usize,
+    trials: &[Trial],
     config: &SimrankConfig,
-    seed: u64,
-) -> Vec<DesirabilityOutcome> {
-    let trials = prepare_trials(g, n_trials, config, seed);
-    let mut outcomes: Vec<DesirabilityOutcome> = methods
-        .iter()
-        .map(|m| DesirabilityOutcome {
-            method: m.name().to_owned(),
-            correct: 0,
-            trials: trials.len(),
-        })
-        .collect();
-
-    for trial in &trials {
+    scorers: &[F],
+) -> Vec<TrialTally> {
+    let mut tallies = vec![TrialTally::default(); scorers.len()];
+    for trial in trials {
         let pruned = remove_edges(g, &trial.removed);
         let (ball, q1, q2, q3) = local_ball(
             &pruned,
             [trial.q1, trial.q2, trial.q3],
             config.iterations + 1,
         );
-        for (mi, &kind) in methods.iter().enumerate() {
-            let method = Method::compute(kind, &ball, config);
-            let (s2, r2) = method.score_with_tiebreak(&ball, q1, q2);
-            let (s3, r3) = method.score_with_tiebreak(&ball, q1, q3);
-            let predicted = if (s2, r2) > (s3, r3) {
-                Some(trial.q2)
-            } else if (s3, r3) > (s2, r2) {
-                Some(trial.q3)
+        for (tally, scorer) in tallies.iter_mut().zip(scorers) {
+            let method = scorer(&ball, config);
+            let s2 = method.score_with_tiebreak(&ball, q1, q2);
+            let s3 = method.score_with_tiebreak(&ball, q1, q3);
+            let predicted = if s2 > s3 {
+                trial.q2
+            } else if s3 > s2 {
+                trial.q3
             } else {
-                None // unresolved tie: a miss
+                tally.ties += 1;
+                continue;
             };
-            if predicted == Some(trial.preferred) {
-                outcomes[mi].correct += 1;
+            if predicted == trial.preferred {
+                tally.correct += 1;
             }
         }
     }
-    outcomes
+    tallies
+}
+
+/// Weighted SimRank with an explicit §8.2 spread mode, as a [`Method`]: the
+/// weighted walk's scores with the weighted kind's evidence at read-out, so
+/// `SpreadMode::Exponential` scores as `MethodKind::WeightedSimrank` does.
+pub fn weighted_walk(g: &ClickGraph, config: &SimrankConfig, spread: SpreadMode) -> Method {
+    let run = weighted_simrank_with_spread(g, config, EvidenceKind::Geometric, spread);
+    Method::from_scores(MethodKind::WeightedSimrank, run.raw.queries, None)
 }
 
 /// Induced subgraph of all nodes within `radius` edges of the seeds, plus
@@ -402,28 +438,36 @@ mod tests {
     #[test]
     fn ball_localization_is_exact() {
         // s^k on the radius-k ball must equal s^k on the whole graph for
-        // the trial pairs, for every method.
+        // the trial pairs, for every method and the spread-off walk.
         let d = generate(&GeneratorConfig::tiny());
         let cfg = cfg();
         let trials = prepare_trials(&d.graph, 4, &cfg, 3);
         assert!(!trials.is_empty());
+        type Compute = fn(&ClickGraph, &SimrankConfig) -> Method;
+        let inputs: [(&str, Compute); 4] = [
+            ("Simrank", |g, c| Method::compute(MethodKind::Simrank, g, c)),
+            ("evidence-based Simrank", |g, c| {
+                Method::compute(MethodKind::EvidenceSimrank, g, c)
+            }),
+            ("weighted Simrank", |g, c| {
+                Method::compute(MethodKind::WeightedSimrank, g, c)
+            }),
+            ("weighted walk, spread off", |g, c| {
+                weighted_walk(g, c, SpreadMode::Off)
+            }),
+        ];
         for t in &trials {
             let pruned = remove_edges(&d.graph, &t.removed);
             let (ball, q1, q2, q3) =
                 super::local_ball(&pruned, [t.q1, t.q2, t.q3], cfg.iterations + 1);
-            for kind in [
-                MethodKind::Simrank,
-                MethodKind::EvidenceSimrank,
-                MethodKind::WeightedSimrank,
-            ] {
-                let full = Method::compute(kind, &pruned, &cfg);
-                let local = Method::compute(kind, &ball, &cfg);
+            for (name, compute) in inputs {
+                let full = compute(&pruned, &cfg);
+                let local = compute(&ball, &cfg);
                 let (fs2, fr2) = full.score_with_tiebreak(&pruned, t.q1, t.q2);
                 let (ls2, lr2) = local.score_with_tiebreak(&ball, q1, q2);
                 assert!(
                     (fs2 - ls2).abs() < 1e-9 && (fr2 - lr2).abs() < 1e-9,
-                    "{}: ball score differs beyond FP reassociation tolerance: ({fs2},{fr2}) vs ({ls2},{lr2})",
-                    kind.name()
+                    "{name}: ball score differs beyond FP reassociation tolerance: ({fs2},{fr2}) vs ({ls2},{lr2})"
                 );
                 let (fs3, fr3) = full.score_with_tiebreak(&pruned, t.q1, t.q3);
                 let (ls3, lr3) = local.score_with_tiebreak(&ball, q1, q3);

@@ -21,8 +21,8 @@ use crate::depth::DepthDistribution;
 use crate::desirability::{run_desirability_experiment, DesirabilityOutcome};
 use crate::judgments::{JudgedRewrite, QueryJudgments};
 use crate::metrics::{
-    interpolated_pr_curve, mean_precision, mean_recall, pooled_relevant, precision_at_x, PrCurve,
-    RelevanceThreshold,
+    coverage, interpolated_pr_curve, mean_precision, mean_recall, pooled_relevant, precision_at_x,
+    PrCurve, RelevanceThreshold,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -223,31 +223,16 @@ pub fn run_experiment_on(config: &ExperimentConfig, dataset: &SynthDataset) -> E
     // --- 3+4. Run methods, produce and judge rewrites. ---------------------
     let judge = EditorialJudge::new(&dataset.world);
     let kinds = MethodKind::EVALUATED;
-    let mut per_method_judgments: Vec<Vec<QueryJudgments>> = Vec::with_capacity(kinds.len());
-    for kind in kinds {
-        let method = Method::compute(kind, &eval_graph, &config.simrank);
-        let rewriter = Rewriter::new(&eval_graph, method, config.rewriter);
-        let mut judgments = Vec::with_capacity(eval_pairs.len());
-        for &(parent_q, sub_q) in &eval_pairs {
-            let rewrites = rewriter.rewrites(sub_q, Some(&bid_terms));
-            let judged: Vec<JudgedRewrite> = rewrites
-                .into_iter()
-                .map(|rw| {
-                    let parent_rw = mapping.to_parent_query(rw.query);
-                    JudgedRewrite {
-                        rewrite: rw.query,
-                        score: rw.score,
-                        grade: judge.judge(parent_q, parent_rw),
-                    }
-                })
-                .collect();
-            judgments.push(QueryJudgments {
-                query: sub_q,
-                rewrites: judged,
-            });
-        }
-        per_method_judgments.push(judgments);
-    }
+    let per_method_judgments: Vec<Vec<QueryJudgments>> = kinds
+        .iter()
+        .map(|&kind| {
+            let method = Method::compute(kind, &eval_graph, &config.simrank);
+            let rewriter = Rewriter::new(&eval_graph, method, config.rewriter);
+            judge_rewrites(&rewriter, &eval_pairs, &bid_terms, &judge, |q| {
+                mapping.to_parent_query(q)
+            })
+        })
+        .collect();
 
     // --- 5. Metrics. --------------------------------------------------------
     let judgment_refs: Vec<&[QueryJudgments]> =
@@ -258,24 +243,13 @@ pub fn run_experiment_on(config: &ExperimentConfig, dataset: &SynthDataset) -> E
     let n_eval = eval_pairs.len();
     let mut methods = Vec::with_capacity(kinds.len());
     for (kind, judgments) in kinds.iter().zip(&per_method_judgments) {
-        let covered = judgments.iter().filter(|j| !j.rewrites.is_empty()).count();
-        let coverage = if n_eval == 0 {
-            0.0
-        } else {
-            covered as f64 / n_eval as f64
-        };
-        let mut p12 = [0.0f64; 5];
-        let mut p1 = [0.0f64; 5];
-        for x in 1..=5 {
-            p12[x - 1] = precision_at_x(judgments, x, RelevanceThreshold::Grade12);
-            p1[x - 1] = precision_at_x(judgments, x, RelevanceThreshold::Grade1);
-        }
+        let p_at = |t| std::array::from_fn(|x| precision_at_x(judgments, x + 1, t));
         let depth = DepthDistribution::compute(judgments, n_eval, config.rewriter.max_rewrites);
         methods.push(MethodReport {
             method: kind.name().to_owned(),
-            coverage,
-            p_at_x_grade12: p12,
-            p_at_x_grade1: p1,
+            coverage: coverage(judgments),
+            p_at_x_grade12: p_at(RelevanceThreshold::Grade12),
+            p_at_x_grade1: p_at(RelevanceThreshold::Grade1),
             pr_grade12: interpolated_pr_curve(judgments, &pool12, RelevanceThreshold::Grade12),
             pr_grade1: interpolated_pr_curve(judgments, &pool1, RelevanceThreshold::Grade1),
             mean_precision_grade12: mean_precision(judgments, RelevanceThreshold::Grade12),
@@ -305,6 +279,34 @@ pub fn run_experiment_on(config: &ExperimentConfig, dataset: &SynthDataset) -> E
         methods,
         desirability,
     }
+}
+
+/// Steps 3+4 for one method: each query's rewrites through `rewriter`'s
+/// §9.3 pipeline, restricted to `bid_terms` and graded by `judge`. Each of
+/// `queries` pairs a query's id in the judge's world with its id in the
+/// rewriter's graph; `to_world` maps a rewrite's graph id back.
+pub fn judge_rewrites(
+    rewriter: &Rewriter,
+    queries: &[(QueryId, QueryId)],
+    bid_terms: &FxHashSet<QueryId>,
+    judge: &EditorialJudge,
+    to_world: impl Fn(QueryId) -> QueryId,
+) -> Vec<QueryJudgments> {
+    queries
+        .iter()
+        .map(|&(world_q, graph_q)| QueryJudgments {
+            query: graph_q,
+            rewrites: rewriter
+                .rewrites(graph_q, Some(bid_terms))
+                .into_iter()
+                .map(|rw| JudgedRewrite {
+                    rewrite: rw.query,
+                    score: rw.score,
+                    grade: judge.judge(world_q, to_world(rw.query)),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -63,6 +63,16 @@ pub fn pooled_relevant(
     pool
 }
 
+/// Figure 8's coverage: the fraction of judged queries with ≥ 1 rewrite.
+pub fn coverage(judgments: &[QueryJudgments]) -> f64 {
+    let covered = judgments.iter().filter(|j| !j.rewrites.is_empty()).count();
+    if judgments.is_empty() {
+        0.0
+    } else {
+        covered as f64 / judgments.len() as f64
+    }
+}
+
 /// Micro-averaged precision after X rewrites: of all rewrites the method
 /// placed in ranks 1..=X (over all queries), the fraction that is relevant.
 /// (Figure 9's caption reads P@2 = 93% as "93% of its rewrites in the top
@@ -267,6 +277,14 @@ mod tests {
     #[test]
     fn precision_at_x_empty() {
         assert_eq!(precision_at_x(&[], 3, RelevanceThreshold::Grade12), 0.0);
+    }
+
+    #[test]
+    fn coverage_counts_queries_with_a_rewrite() {
+        let mut judged = method_a();
+        judged.push(QueryJudgments::default());
+        assert_eq!(coverage(&judged), 0.5);
+        assert_eq!(coverage(&[]), 0.0);
     }
 
     #[test]

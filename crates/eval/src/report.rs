@@ -1,8 +1,6 @@
 //! Paper-style text rendering of experiment results.
 //!
-//! The bench binaries print these tables; `EXPERIMENTS.md` is assembled
-//! from the same strings, so the console output and the document always
-//! agree.
+//! `repro_all` prints these tables (README, "Reproducing the paper").
 
 use crate::experiment::ExperimentReport;
 use std::fmt::Write as _;

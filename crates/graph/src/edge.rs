@@ -4,8 +4,8 @@
 //! impressions, clicks (≤ impressions), and the expected click rate (a
 //! position-adjusted clicks/impressions ratio). §9.2: *"In all our experiments
 //! that required the use of an edge weight we used the expected click rate."*
-//! [`WeightKind`] lets every algorithm choose which weight to consume, and the
-//! ablation bench `ablation_weights` sweeps all three.
+//! [`WeightKind`] lets every algorithm choose which weight to consume, and
+//! `repro_all ablation-weights` sweeps all three.
 
 use serde::{Deserialize, Serialize};
 

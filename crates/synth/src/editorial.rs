@@ -1,7 +1,7 @@
 //! Simulated editorial evaluation (§9.3, Table 6).
 //!
 //! The paper's rewrites were graded 1–4 by Yahoo!'s professional editorial
-//! team. The substitution (DESIGN.md §5): a deterministic rubric over the
+//! team. The substitution: a deterministic rubric over the
 //! planted ground truth, mirroring Table 6:
 //!
 //! | Grade | Table 6 meaning | Rubric here |

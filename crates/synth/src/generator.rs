@@ -1,5 +1,5 @@
-//! Assembles the synthetic click graph (DESIGN.md §5 substitution for the
-//! two-week Yahoo! click graph).
+//! Assembles the synthetic click graph (the substitute for the two-week
+//! Yahoo! click graph).
 //!
 //! Pipeline per generated world:
 //!
@@ -290,7 +290,7 @@ pub fn generate(config: &GeneratorConfig) -> SynthDataset {
             // kept tight (0.7–1.0, like the quality range) so per-query
             // MEAN click rates stay roughly homogeneous — the property real
             // position-normalized ECRs have, and the one §9.3's desirability
-            // experiment depends on (see EXPERIMENTS.md).
+            // experiment (Figure 12) depends on.
             let jitter = stable_jitter(query_intent[q], ad);
             let relevance = (World::topic_affinity_static(
                 config.n_topics,

@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates on a two-week US Yahoo! click graph plus human
 //! editorial judgments — neither of which is available. This crate builds
-//! the closest synthetic equivalent (DESIGN.md §5 documents the
-//! substitution argument):
+//! the closest synthetic equivalent:
 //!
 //! * [`powerlaw`] — Zipf/power-law samplers (the paper observes power laws
 //!   in ads-per-query, queries-per-ad and clicks-per-edge);

@@ -4,7 +4,7 @@
 //!
 //! * [`fx`] — an FxHash-style fast hasher and `HashMap`/`HashSet` aliases.
 //!   The allowed offline dependency list does not include `rustc-hash`, and
-//!   the algorithm is tiny, so we implement it here (see `DESIGN.md` §4).
+//!   the algorithm is tiny, so we implement it here.
 //! * [`topk`] — a bounded min-heap for top-*k* selection by score.
 //! * [`stats`] — online mean/variance (Welford) and small numeric helpers.
 //! * [`pairs`] — canonical symmetric pair keys for score matrices.

@@ -1,7 +1,7 @@
 //! Sponsored search front-end on a realistic synthetic workload.
 //!
 //! Generates a ~2 000-query click graph with the workload generator (the
-//! DESIGN.md §5 stand-in for the Yahoo! graph), runs the complete §9
+//! stand-in for the Yahoo! graph), runs the complete §9
 //! evaluation — five-subgraph extraction, traffic-sampled evaluation
 //! queries, all four methods, simulated editorial judging — and prints the
 //! paper-style report (Table 5, Figures 8–12). Then shows concrete rewrites
