@@ -57,7 +57,8 @@
 //! * [`crate::Method::compute`] (the offline build, per-block index rows,
 //!   ingest and the `serve` binary) and
 //!   [`single_source::DiagonalCorrection::whole_graph`] (the live engine's
-//!   per-block recording run, which freezes no matrix) run the query chain.
+//!   per-block recording run, which keeps only the diagonals) run the query
+//!   chain.
 //! * [`run`] — and the paper-table surface over it (`simrank`,
 //!   `evidence_simrank`, `weighted_simrank`) — runs the query chain, then the
 //!   ad chain to the depth the first one reached. The two cover every
@@ -90,7 +91,6 @@ pub use transition::{Transition, TransitionFactors, UniformTransition, Walk, Wei
 
 use crate::config::SimrankConfig;
 use crate::scores::ScoreMatrix;
-use accum::{max_delta, PairVec};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
 
 /// Output of one engine run: frozen score matrices plus the diagnostics
@@ -142,6 +142,22 @@ pub(crate) enum Side {
     Ad,
 }
 
+impl Side {
+    fn other(self) -> Side {
+        match self {
+            Side::Query => Side::Ad,
+            Side::Ad => Side::Query,
+        }
+    }
+
+    fn n_nodes(self, g: &ClickGraph) -> usize {
+        match self {
+            Side::Query => g.n_queries(),
+            Side::Ad => g.n_ads(),
+        }
+    }
+}
+
 /// What the unit pin replaced on the diagonal at every executed half-step:
 /// entry `t − 1` is `D^(t)` of the side the chain computed at `t` — the end
 /// side where `k − t` is even, the other side where it is odd. For the query
@@ -149,10 +165,10 @@ pub(crate) enum Side {
 /// or the ad-side mirror.
 pub(crate) type DiagonalHistory = Vec<Vec<f64>>;
 
-/// What one chain ends on, before any matrix is frozen.
+/// What one chain ends on.
 pub(crate) struct Chain {
     /// `S_end^(t)` at the last executed half-step `t`.
-    pub(crate) pairs: PairVec,
+    pub(crate) scores: ScoreMatrix,
     /// Stored pairs after each executed half-step; its length is the
     /// iterations run.
     counts: Vec<usize>,
@@ -186,8 +202,8 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
         })
         .collect();
     EngineRun {
-        queries: ScoreMatrix::from_sorted_pairs(g.n_queries(), q.pairs),
-        ads: ScoreMatrix::from_sorted_pairs(g.n_ads(), a.pairs),
+        queries: q.scores,
+        ads: a.scores,
         pair_counts,
         max_deltas: q.max_deltas,
         iterations_run: k,
@@ -197,9 +213,16 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
 
 /// The one loop: the chain of `config.iterations` half-steps ending on `end`,
 /// appending each executed half-step's pinned-away diagonal to `diagonals`
-/// when it is set. Returns before any freeze, so the kernel scratch and
-/// factor tables are freed before a caller builds a matrix's row index: peak
-/// memory is the larger of the two phases, not their sum.
+/// when it is set.
+///
+/// Every iterate is a frozen [`ScoreMatrix`], each score held once per
+/// endpoint row, and a half-step holds only what it reads and writes: the
+/// previous iterate (which the pull kernel reads in place) and its own
+/// upper-triangle output rows. The previous iterate is dropped before the
+/// output freezes in place, so the peak is the larger of that pair and the
+/// new matrix, plus the factor tables and `O(nodes)` per-worker scratch —
+/// at the last half-step, about the returned matrix itself. With a
+/// tolerance the end side's iterate from two half-steps back is kept too.
 pub(crate) fn iterate<T: Transition>(
     g: &ClickGraph,
     config: &SimrankConfig,
@@ -210,13 +233,10 @@ pub(crate) fn iterate<T: Transition>(
     config.validate().expect("invalid SimRank configuration");
     let factors = transition.factors(g);
 
-    // Kernel scratch — one pull workspace per worker plus the shared
-    // iterate-CSR buffers — lives for the whole run, so no half-step
-    // allocates.
+    // One pull workspace per worker, reused by every half-step.
     let mut workspaces: Vec<pull::PullWorkspace> = (0..config.effective_threads().max(1))
         .map(|_| pull::PullWorkspace::default())
         .collect();
-    let mut csr = pull::CsrScratch::default();
 
     // The four CSR row views the kernel walks: the *output* node's own row
     // in pass 1 (output-major factors), inner rows in pass 2 (inner-major).
@@ -242,64 +262,62 @@ pub(crate) fn iterate<T: Transition>(
     };
 
     // One half-step: `side`'s iterate from the other side's `prev`.
-    let mut half_step = |side: Side, prev: &PairVec, diagonal: Option<&mut Vec<f64>>| match side {
+    let mut half_step = |side: Side, prev: &ScoreMatrix, diag: Option<&mut Vec<f64>>| match side {
         Side::Query => pull::propagate_pull(
             g.n_queries(),
-            g.n_ads(),
             query_row_qfac,
             ad_row_qfac,
             prev,
             config.c1,
             config.prune_threshold,
-            &mut csr,
             &mut workspaces,
-            diagonal,
+            diag,
         ),
         Side::Ad => pull::propagate_pull(
             g.n_ads(),
-            g.n_queries(),
             ad_row_afac,
             query_row_afac,
             prev,
             config.c2,
             config.prune_threshold,
-            &mut csr,
             &mut workspaces,
-            diagonal,
+            diag,
         ),
     };
 
     let k = config.iterations;
+    // The side the chain computes at `t`; at `t = 0` that is the side whose
+    // identity the first half-step reads.
+    let side_at = |t: usize| if (k - t) % 2 == 0 { end } else { end.other() };
     let mut chain = Chain {
-        pairs: PairVec::new(),
+        scores: ScoreMatrix::empty(side_at(0).n_nodes(g)),
         counts: Vec::with_capacity(k),
         max_deltas: Vec::new(),
         converged: false,
     };
     // `S_end^(t−2)` for the early exit; the identity until an other-side
     // step hands one over.
-    let mut two_back = PairVec::new();
+    let mut two_back = ScoreMatrix::empty(end.n_nodes(g));
     for t in 1..=k {
         let on_end = (k - t) % 2 == 0;
-        let side = match (on_end, end) {
-            (true, side) => side,
-            (false, Side::Query) => Side::Ad,
-            (false, Side::Ad) => Side::Query,
-        };
-        let prev = std::mem::take(&mut chain.pairs);
+        let side = side_at(t);
+        let prev = std::mem::take(&mut chain.scores);
         let mut diagonal = Vec::new();
-        chain.pairs = half_step(side, &prev, diagonals.is_some().then_some(&mut diagonal));
-        chain.counts.push(chain.pairs.len());
+        let rows = half_step(side, &prev, diagonals.is_some().then_some(&mut diagonal));
+        if config.tolerance > 0.0 && !on_end {
+            // `prev` is `S_end^(t−1)`, the next check's `S_end^(t−2)`.
+            two_back = prev;
+        } else {
+            // Freed before the freeze grows the output to both triangles.
+            drop(prev);
+        }
+        chain.scores = ScoreMatrix::from_upper_rows(side.n_nodes(g), rows);
+        chain.counts.push(chain.scores.n_pairs());
         if let Some(history) = diagonals.as_deref_mut() {
             history.push(diagonal);
         }
-        if config.tolerance > 0.0 {
-            if !on_end {
-                // `prev` is `S_end^(t−1)`, the next step's `S_end^(t−2)`.
-                two_back = prev;
-                continue;
-            }
-            let delta = max_delta(&two_back, &chain.pairs);
+        if config.tolerance > 0.0 && on_end {
+            let delta = chain.scores.max_abs_diff(&two_back);
             chain.max_deltas.push(delta);
             if delta <= config.tolerance {
                 chain.converged = true;
@@ -336,8 +354,10 @@ mod tests {
         d.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn pair_bits(pairs: &PairVec) -> Vec<(u64, u64)> {
-        pairs.iter().map(|&(k, v)| (k.raw(), v.to_bits())).collect()
+    fn pair_bits(m: &ScoreMatrix) -> Vec<(u64, u64)> {
+        m.sorted_pairs()
+            .map(|(k, v)| (k.raw(), v.to_bits()))
+            .collect()
     }
 
     #[test]
@@ -406,8 +426,7 @@ mod tests {
         let k = plain.iterations_run;
         assert!(recorded.converged && k < 15 && k % 2 == 1);
         assert_eq!(history.len(), k);
-        let plain_q: PairVec = plain.queries.sorted_pairs().collect();
-        assert_eq!(pair_bits(&recorded.pairs), pair_bits(&plain_q));
+        assert_eq!(pair_bits(&recorded.scores), pair_bits(&plain.queries));
         // Σ_{i,j} f_i·f_j·S(i,j) over one node's neighbor ids and factors.
         let dense = |ids: Vec<u32>, f: &[f64], s: &ScoreMatrix| -> f64 {
             let mut sum = 0.0;
@@ -465,10 +484,7 @@ mod tests {
             };
             let (serial, parallel) = (record(1), record(3));
             assert_eq!(serial.len(), 3);
-            let (n_end, n_other) = match end {
-                Side::Query => (g.n_queries(), g.n_ads()),
-                Side::Ad => (g.n_ads(), g.n_queries()),
-            };
+            let (n_end, n_other) = (end.n_nodes(&g), end.other().n_nodes(&g));
             assert_eq!((serial[2].len(), serial[1].len()), (n_end, n_other));
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(bits(s), bits(p));
@@ -504,11 +520,8 @@ mod tests {
         }
         // And `run`'s query scores are the query chain's.
         let chain = iterate(&g, &cfg(7), &UniformTransition, Side::Query, None);
-        let want: PairVec = run(&g, &cfg(7), &UniformTransition)
-            .queries
-            .sorted_pairs()
-            .collect();
-        assert_eq!(pair_bits(&chain.pairs), pair_bits(&want));
+        let want = run(&g, &cfg(7), &UniformTransition).queries;
+        assert_eq!(pair_bits(&chain.scores), pair_bits(&want));
     }
 
     #[test]

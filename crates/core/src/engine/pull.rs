@@ -27,8 +27,11 @@
 //! nothing to sort or merge: the row is emitted by draining the output
 //! accumulator in ascending id from `q + 1`, a scan of its occupancy
 //! bitmap words with `trailing_zeros`.
-//! Emitted rows concatenate into a key-sorted [`PairVec`] directly
-//! (`PairKey` is min-major and every emitted pair has `q` as its minimum).
+//! Each worker's contiguous block of rows comes back as one `UpperRows`
+//! block, and the caller freezes the blocks in place into the next
+//! iterate's [`ScoreMatrix`] once the previous one is dropped
+//! (`ScoreMatrix::from_upper_rows`). So a half-step holds the previous
+//! iterate, once, and its own output rows, and nothing past its end.
 //!
 //! **Determinism.** Each output row is computed start-to-finish by exactly
 //! one worker, and every accumulation order inside a row is a function of
@@ -42,60 +45,21 @@
 //!   preserves CSR neighbor order, so each row replays the identical
 //!   floating-point op sequence.
 
-use super::accum::{PairVec, SparseAccum};
+use super::accum::SparseAccum;
 use super::{parallel, NodeId};
-use crate::scores::fill_sym_csr;
-use simrankpp_util::PairKey;
-
-/// Reusable buffers for the previous iterate's symmetric CSR form, rebuilt
-/// once per half-step (a counting pass over the pair list) and shared
-/// read-only by every worker.
-#[derive(Debug, Default)]
-pub struct CsrScratch {
-    offsets: Vec<u64>,
-    cursor: Vec<usize>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-}
-
-impl CsrScratch {
-    /// Rebuilds the CSR view of `pairs` over `n` inner-side nodes, reusing
-    /// the existing allocations.
-    pub fn rebuild(&mut self, n: usize, pairs: &[(PairKey, f64)]) {
-        fill_sym_csr(
-            n,
-            pairs,
-            &mut self.offsets,
-            &mut self.cursor,
-            &mut self.cols,
-            &mut self.vals,
-        );
-    }
-
-    /// Node `a`'s score row: ascending partner ids and their scores
-    /// (diagonal implicit).
-    #[inline]
-    fn row(&self, a: u32) -> (&[u32], &[f64]) {
-        let (lo, hi) = (
-            self.offsets[a as usize] as usize,
-            self.offsets[a as usize + 1] as usize,
-        );
-        (&self.cols[lo..hi], &self.vals[lo..hi])
-    }
-}
+use crate::scores::{ScoreMatrix, UpperRows};
 
 /// One worker's dense-scratch workspace: a `SparseAccum` per SpGEMM pass.
 /// Sized lazily to the two node counts, kept zeroed between rows by its
-/// drains, and reused across every half-step of a run — allocation-free
-/// steady state.
+/// drains, and reused across every half-step of a run — `O(nodes)`, never
+/// `O(pairs)`: the previous iterate is read in place, and the output rows
+/// are the half-step's own.
 #[derive(Debug, Default)]
 pub struct PullWorkspace {
     /// Pass-1 accumulator over the inner side (`T[q, ·]`).
     t: SparseAccum,
     /// Pass-2 accumulator over the output side (`S'[q, ·]`, upper half).
     o: SparseAccum,
-    /// Largest per-chunk output seen — the next round's capacity hint.
-    out_hint: usize,
     /// The pinned-away diagonal values of this worker's rows, in row order,
     /// when the half-step records them (empty otherwise).
     diag: Vec<f64>,
@@ -118,8 +82,8 @@ impl PullWorkspace {
 /// `F(x, inner)` factors (output-major); `inner_row(y)` is inner node `y`'s
 /// neighbor list with the matching `F(out', y)` factors (inner-major).
 /// `prev` is the inner side's iterate. Output rows are partitioned into one
-/// contiguous block per workspace; each block concatenates, in row order,
-/// into the returned key-sorted, pruned, `c`-scaled pair list.
+/// contiguous block per workspace; each block's pruned, `c`-scaled upper
+/// rows come back as one [`UpperRows`], in row order.
 ///
 /// With `diagonal` set, the half-step also records — one entry per output
 /// row, in row order — the value the unit pin replaces on the diagonal:
@@ -128,42 +92,39 @@ impl PullWorkspace {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_pull<'g, I, J, OutRow, InnerRow>(
     n_out: usize,
-    n_inner: usize,
     out_row: OutRow,
     inner_row: InnerRow,
-    prev: &PairVec,
+    prev: &ScoreMatrix,
     c: f64,
     prune_threshold: f64,
-    csr: &mut CsrScratch,
     workspaces: &mut [PullWorkspace],
     diagonal: Option<&mut Vec<f64>>,
-) -> PairVec
+) -> Vec<UpperRows>
 where
     I: NodeId + 'g,
     J: NodeId + 'g,
     OutRow: Fn(u32) -> (&'g [I], &'g [f64]) + Sync,
     InnerRow: Fn(u32) -> (&'g [J], &'g [f64]) + Sync,
 {
-    csr.rebuild(n_inner, prev);
-    let csr = &*csr;
+    let n_inner = prev.n_nodes();
     let record = diagonal.is_some();
-    let mut pieces = parallel::run_chunked_stateful(n_out, workspaces, |ws, range| {
+    let blocks = parallel::run_chunked_stateful(n_out, workspaces, |ws, range| {
         ws.ensure(n_out, n_inner);
-        let mut out: PairVec = Vec::with_capacity(ws.out_hint);
+        let mut out = UpperRows::new(range.len());
         for q in range {
             pull_row(
                 q as u32,
                 &out_row,
                 &inner_row,
-                csr,
+                prev,
                 c,
                 prune_threshold,
                 ws,
                 &mut out,
                 record,
             );
+            out.end_row();
         }
-        ws.out_hint = ws.out_hint.max(out.len());
         out
     });
     if let Some(diagonal) = diagonal {
@@ -173,18 +134,11 @@ where
             diagonal.append(&mut ws.diag);
         }
     }
-    if pieces.len() == 1 {
-        return pieces.pop().expect("one piece");
-    }
-    let mut merged = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-    for piece in pieces {
-        merged.extend_from_slice(&piece);
-    }
-    merged
+    blocks
 }
 
 /// Computes one output row (both fused passes) and appends its surviving
-/// entries — `(PairKey(q, q'), score)` for `q' > q`, ascending — to `out`,
+/// entries — `(q', score)` for `q' > q`, ascending — to `out`'s open row,
 /// and, when `record` is set, the row's pinned-away diagonal value to
 /// `ws.diag`.
 #[allow(clippy::too_many_arguments)]
@@ -193,11 +147,11 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     q: u32,
     out_row: &OutRow,
     inner_row: &InnerRow,
-    csr: &CsrScratch,
+    prev: &ScoreMatrix,
     c: f64,
     prune_threshold: f64,
     ws: &mut PullWorkspace,
-    out: &mut PairVec,
+    out: &mut UpperRows,
     record: bool,
 ) where
     I: NodeId + 'g,
@@ -213,7 +167,7 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
         }
         return;
     }
-    let PullWorkspace { t, o, diag, .. } = ws;
+    let PullWorkspace { t, o, diag } = ws;
 
     // Pass 1: T[q, ·] = Σ_{a ∈ E(q)} F(q, a) · S[a, ·], unit diagonal
     // included. Scan order (E(q) outer, each score row inner, both in CSR
@@ -221,7 +175,7 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     for (x, a) in inner.iter().enumerate() {
         let f = f_out[x];
         t.add(a.raw(), f);
-        let (cols, vals) = csr.row(a.raw());
+        let (cols, vals) = prev.row(a.raw());
         for (i, &col) in cols.iter().enumerate() {
             t.add(col, f * vals[i]);
         }
@@ -251,7 +205,7 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     o.drain_ascending(q + 1, |oid, s| {
         let v = c * s;
         if v > prune_threshold && v > 0.0 {
-            out.push((PairKey::new(q, oid), v));
+            out.push(oid, v);
         }
     });
 }
@@ -262,21 +216,7 @@ mod tests {
     use crate::config::SimrankConfig;
     use crate::engine::{run, UniformTransition};
     use simrankpp_graph::fixtures::figure3_graph;
-
-    #[test]
-    fn csr_scratch_rebuild_reuses_and_resizes() {
-        let mut csr = CsrScratch::default();
-        let pairs = vec![(PairKey::new(0, 2), 0.5), (PairKey::new(1, 2), 0.25)];
-        csr.rebuild(3, &pairs);
-        assert_eq!(csr.row(2), (&[0u32, 1][..], &[0.5, 0.25][..]));
-        assert_eq!(csr.row(0), (&[2u32][..], &[0.5][..]));
-        // Shrinking rebuild must not leak the old rows.
-        csr.rebuild(2, &[(PairKey::new(0, 1), 1.0)]);
-        assert_eq!(csr.row(0), (&[1u32][..], &[1.0][..]));
-        assert_eq!(csr.row(1), (&[0u32][..], &[1.0][..]));
-        csr.rebuild(2, &[]);
-        assert!(csr.row(0).0.is_empty() && csr.row(1).0.is_empty());
-    }
+    use simrankpp_util::PairKey;
 
     #[test]
     fn pull_rows_emit_sorted_pairs() {
@@ -293,13 +233,11 @@ mod tests {
         // leaked cell would corrupt the next row (or the next half-step).
         let g = figure3_graph();
         let factors = crate::engine::Transition::factors(&UniformTransition, &g);
-        let mut csr = CsrScratch::default();
         let mut ws = vec![PullWorkspace::default()];
-        let prev: PairVec = vec![(PairKey::new(0, 1), 0.5)];
+        let prev = ScoreMatrix::from_sorted_pairs(g.n_ads(), vec![(PairKey::new(0, 1), 0.5)]);
         for _ in 0..2 {
             let _ = propagate_pull(
                 g.n_queries(),
-                g.n_ads(),
                 |q| {
                     let q = simrankpp_graph::QueryId(q);
                     let (ads, _) = g.ads_of(q);
@@ -315,7 +253,6 @@ mod tests {
                 &prev,
                 0.8,
                 0.0,
-                &mut csr,
                 &mut ws,
                 None,
             );

@@ -185,7 +185,7 @@ impl DiagonalCorrection {
     /// reference the block-local form is bit-identical to (when `tolerance`
     /// is 0 — otherwise each block stops on its own). Every diagonal a level
     /// reads lies on the query chain, so the run is that chain's half-steps,
-    /// and no score matrix is frozen.
+    /// and the matrix it ends on is dropped.
     pub fn whole_graph<T: Transition>(
         g: &ClickGraph,
         config: &SimrankConfig,

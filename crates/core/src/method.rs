@@ -107,10 +107,7 @@ impl Method {
     /// [`crate::evidence::evidence_simrank`] and [`crate::weighted_simrank`].
     pub fn compute(kind: MethodKind, g: &ClickGraph, config: &SimrankConfig) -> Method {
         let scores = match kind.walk(config.weight_kind) {
-            Some(walk) => {
-                let chain = engine::iterate(g, config, &walk, Side::Query, None);
-                ScoreMatrix::from_sorted_pairs(g.n_queries(), chain.pairs)
-            }
+            Some(walk) => engine::iterate(g, config, &walk, Side::Query, None).scores,
             None if kind == MethodKind::Naive => naive_scores(g),
             None => pearson_scores(g, config.weight_kind),
         };

@@ -1,68 +1,54 @@
 //! Sparse symmetric score storage.
 //!
-//! SimRank scores are symmetric with unit diagonal, so engines accumulate
-//! only off-diagonal unordered pairs in a hash map ([`ScoreMatrixBuilder`]),
-//! then freeze into a per-node sorted adjacency form ([`ScoreMatrix`]) for
-//! fast `get`, per-node top-k, and iteration.
+//! SimRank scores are symmetric with unit diagonal, so only off-diagonal
+//! pairs are stored, and each score is stored once per endpoint row: a frozen
+//! [`ScoreMatrix`] is one per-node CSR arena for fast `get`, per-node top-k
+//! and iteration, and its pair list is the arena's upper triangle.
+//!
+//! The engine (`engine::pull`) emits each half-step's upper-triangle rows
+//! (`UpperRows`) and freezes them into that arena in place, so an iterate
+//! never exists as a pair list beside its matrix. [`ScoreMatrixBuilder`], an
+//! unordered-pair → score hash map, is the accumulating path of the Naive and
+//! Pearson scores, the hash-map reference engine and tests.
 
 use simrankpp_util::{FxHashMap, PairKey};
 
-/// Fills a flat symmetric CSR arena (`offsets`/`partners`/`scores`) from a
-/// key-sorted, duplicate-free pair list, reusing the caller's buffers.
-///
-/// One counting pass over `pairs` sizes every row, a prefix sum turns counts
-/// into offsets, and a placement pass scatters each pair into both endpoint
-/// rows. **Rows come out sorted without any per-row sort**: scanning pairs in
-/// `(min, max)` order, row `r` first receives its partners `< r` (one per
-/// `min`-block `m < r`, in ascending `m`) and then its partners `> r` (the
-/// `min == r` block, ascending `max`) — two ascending runs whose
-/// concatenation is ascending. This replaces the old per-node
-/// `Vec<Vec<(u32, f64)>>` push-then-sort construction and doubles as the
-/// per-half-step iterate CSR of the pull kernel (`engine::pull`).
-pub(crate) fn fill_sym_csr(
-    n: usize,
-    pairs: &[(PairKey, f64)],
-    offsets: &mut Vec<u64>,
-    cursor: &mut Vec<usize>,
-    partners: &mut Vec<u32>,
-    scores: &mut Vec<f64>,
-) {
-    debug_assert!(
-        pairs.windows(2).all(|w| w[0].0.raw() < w[1].0.raw()),
-        "pairs must be strictly sorted by key"
-    );
-    offsets.clear();
-    offsets.resize(n + 1, 0);
-    for &(k, _) in pairs {
-        let (a, b) = k.parts();
-        offsets[a as usize + 1] += 1;
-        offsets[b as usize + 1] += 1;
+/// Upper-triangle rows over a contiguous block of row ids, as the pull
+/// kernel emits them: block row `r` holds its partners above its own id,
+/// ascending, at `partners[offsets[r]..offsets[r + 1]]` (with `scores`
+/// aligned). [`ScoreMatrix::from_upper_rows`] freezes blocks that cover
+/// every row, in row order.
+#[derive(Debug)]
+pub(crate) struct UpperRows {
+    offsets: Vec<u64>,
+    partners: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+impl UpperRows {
+    /// No rows yet, with room for `rows` row bounds.
+    pub(crate) fn new(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        UpperRows {
+            offsets,
+            partners: Vec::new(),
+            scores: Vec::new(),
+        }
     }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
+
+    /// Appends one entry to the row under construction.
+    #[inline]
+    pub(crate) fn push(&mut self, partner: u32, score: f64) {
+        self.partners.push(partner);
+        self.scores.push(score);
     }
-    let nnz = offsets[n] as usize;
-    partners.clear();
-    partners.resize(nnz, 0);
-    scores.clear();
-    scores.resize(nnz, 0.0);
-    cursor.clear();
-    cursor.extend(offsets[..n].iter().map(|&o| o as usize));
-    for &(k, v) in pairs {
-        let (a, b) = k.parts();
-        let (ai, bi) = (a as usize, b as usize);
-        partners[cursor[ai]] = b;
-        scores[cursor[ai]] = v;
-        cursor[ai] += 1;
-        partners[cursor[bi]] = a;
-        scores[cursor[bi]] = v;
-        cursor[bi] += 1;
+
+    /// Closes the row under construction.
+    #[inline]
+    pub(crate) fn end_row(&mut self) {
+        self.offsets.push(self.partners.len() as u64);
     }
-    debug_assert!(
-        (0..n).all(|r| partners[offsets[r] as usize..offsets[r + 1] as usize]
-            .windows(2)
-            .all(|w| w[0] < w[1]))
-    );
 }
 
 /// Accumulating builder: an unordered-pair → score map.
@@ -166,23 +152,21 @@ impl ScoreMatrixBuilder {
 
 /// Frozen symmetric sparse score matrix with unit diagonal.
 ///
-/// The per-node view is a flat CSR arena (`offsets`/`partners`/`scores`)
-/// rather than the historical `Vec<Vec<(u32, f64)>>`: one allocation per
-/// side instead of one per node, `O(1)` [`ScoreMatrix::row`] slice
-/// views, and the layout the pull kernel consumes directly.
+/// One flat CSR arena (`offsets`/`partners`/`scores`) holds every stored
+/// score once per endpoint row: one allocation per side instead of one per
+/// node, `O(1)` [`ScoreMatrix::row`] slice views, and the layout the pull
+/// kernel reads its previous iterate from. The pair list
+/// ([`ScoreMatrix::sorted_pairs`]) is read off the arena's upper triangle,
+/// not stored beside it.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreMatrix {
     n: usize,
-    /// Packed [`PairKey`]s of the off-diagonal pairs, strictly ascending.
-    pair_keys: Vec<u64>,
-    /// Scores aligned with `pair_keys`; strictly positive.
-    pair_scores: Vec<f64>,
     /// Row bounds into `partners`/`scores`: node `a`'s row is
     /// `offsets[a]..offsets[a + 1]`. Length `n + 1`.
     offsets: Vec<u64>,
     /// Partner ids, ascending within each row.
     partners: Vec<u32>,
-    /// Scores aligned with `partners`.
+    /// Scores aligned with `partners`; strictly positive.
     scores: Vec<f64>,
 }
 
@@ -196,38 +180,108 @@ impl ScoreMatrix {
         }
     }
 
-    /// Freezes an already key-sorted, duplicate-free pair list (the unified
-    /// engine's iterate format) without the hash-map detour of
-    /// [`ScoreMatrixBuilder`]. Non-positive scores are dropped. The CSR
-    /// arena is built with a counting pass — no per-node pushes, no per-row
-    /// sorts (see `fill_sym_csr`).
+    /// Freezes an already key-sorted, duplicate-free pair list without the
+    /// hash-map detour of [`ScoreMatrixBuilder`]. Non-positive scores are
+    /// dropped. The list is consumed into upper-triangle rows and frozen
+    /// like the engine's (see `ScoreMatrix::from_upper_rows`).
     ///
     /// # Panics
-    /// Debug builds panic if `pairs` is not strictly sorted by packed key.
-    pub fn from_sorted_pairs(n: usize, mut pairs: Vec<(PairKey, f64)>) -> Self {
-        pairs.retain(|&(_, v)| v > 0.0);
-        let mut offsets = Vec::new();
-        let mut cursor = Vec::new();
-        let mut partners = Vec::new();
-        let mut scores = Vec::new();
-        fill_sym_csr(
-            n,
-            &pairs,
-            &mut offsets,
-            &mut cursor,
-            &mut partners,
-            &mut scores,
-        );
-        let mut pair_keys = Vec::with_capacity(pairs.len());
-        let mut pair_scores = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            pair_keys.push(k.raw());
-            pair_scores.push(v);
+    /// Debug builds panic if the kept pairs are not strictly sorted by
+    /// packed key.
+    pub fn from_sorted_pairs(n: usize, pairs: Vec<(PairKey, f64)>) -> Self {
+        let m = pairs.iter().filter(|&&(_, v)| v > 0.0).count();
+        let mut rows = UpperRows {
+            offsets: vec![0; n + 1],
+            partners: Vec::with_capacity(2 * m),
+            scores: Vec::with_capacity(2 * m),
+        };
+        let mut last = None;
+        for (k, v) in pairs.into_iter().filter(|&(_, v)| v > 0.0) {
+            debug_assert!(last < Some(k.raw()), "pairs must be strictly sorted by key");
+            last = Some(k.raw());
+            let (a, b) = k.parts();
+            rows.offsets[a as usize + 1] += 1;
+            rows.push(b, v);
         }
+        for i in 0..n {
+            rows.offsets[i + 1] += rows.offsets[i];
+        }
+        ScoreMatrix::from_upper_rows(n, vec![rows])
+    }
+
+    /// Freezes upper-triangle row blocks that cover rows `0..n` in order
+    /// into the symmetric arena, in place.
+    ///
+    /// The first block's buffers grow once to hold both triangles and the
+    /// later blocks are appended to them, each freed as it is copied. Then a
+    /// counting pass sizes every row's lower run, each row's upper run
+    /// shifts right past it — last row first, so a run only ever lands on
+    /// slots no earlier row still occupies — and one scan of the upper
+    /// triangle in row order writes every lower run. Row `r` first receives
+    /// its partners `< r` in ascending order and then holds its own upper
+    /// run, so **rows come out sorted without any per-row sort**, and the
+    /// pair list and its arena are never held at once.
+    pub(crate) fn from_upper_rows(n: usize, blocks: Vec<UpperRows>) -> Self {
+        let m: usize = blocks.iter().map(|b| b.partners.len()).sum();
+        let mut blocks = blocks.into_iter();
+        let mut rows = blocks.next().unwrap_or_else(|| UpperRows::new(0));
+        rows.partners.reserve_exact(2 * m - rows.partners.len());
+        rows.scores.reserve_exact(2 * m - rows.scores.len());
+        for block in blocks {
+            let base = rows.partners.len() as u64;
+            rows.offsets
+                .extend(block.offsets[1..].iter().map(|&o| base + o));
+            rows.partners.extend_from_slice(&block.partners);
+            rows.scores.extend_from_slice(&block.scores);
+        }
+        let UpperRows {
+            mut offsets,
+            mut partners,
+            mut scores,
+        } = rows;
+        assert_eq!(offsets.len(), n + 1, "row blocks must cover every row");
+
+        // `cursor[r]`: row r's lower-run length, then its next lower slot.
+        let mut cursor = vec![0usize; n];
+        for &p in &partners {
+            cursor[p as usize] += 1;
+        }
+        partners.resize(2 * m, 0);
+        scores.resize(2 * m, 0.0);
+        // A no-op unless a tiny first block came with more room than both
+        // triangles need.
+        partners.shrink_to_fit();
+        scores.shrink_to_fit();
+        let (mut below, mut upper_end) = (m, m);
+        offsets[n] = 2 * m as u64;
+        for r in (0..n).rev() {
+            below -= cursor[r];
+            let lo = offsets[r] as usize;
+            let start = lo + below;
+            partners.copy_within(lo..upper_end, start + cursor[r]);
+            scores.copy_within(lo..upper_end, start + cursor[r]);
+            offsets[r] = start as u64;
+            cursor[r] = start;
+            upper_end = lo;
+        }
+        // Every row below `q` has written its entry into row q's lower run
+        // by the time the scan reaches q, so `cursor[q]` is where q's upper
+        // run starts.
+        for q in 0..n {
+            for i in cursor[q]..offsets[q + 1] as usize {
+                let p = partners[i] as usize;
+                partners[cursor[p]] = q as u32;
+                scores[cursor[p]] = scores[i];
+                cursor[p] += 1;
+            }
+        }
+        debug_assert!(
+            (0..n).all(|r| partners[offsets[r] as usize..offsets[r + 1] as usize]
+                .windows(2)
+                .all(|w| w[0] < w[1]))
+        );
         ScoreMatrix {
             n,
-            pair_keys,
-            pair_scores,
             offsets,
             partners,
             scores,
@@ -241,7 +295,7 @@ impl ScoreMatrix {
 
     /// Number of stored (positive, off-diagonal) pairs.
     pub fn n_pairs(&self) -> usize {
-        self.pair_keys.len()
+        self.partners.len() / 2
     }
 
     /// Score of `(a, b)`: 1 on the diagonal, 0 for unstored pairs.
@@ -253,20 +307,21 @@ impl ScoreMatrix {
         ids.binary_search(&b).map(|i| vals[i]).unwrap_or(0.0)
     }
 
-    /// The stored off-diagonal pairs in packed-key-sorted order — the
-    /// engine's iterate format.
+    /// The stored off-diagonal pairs in packed-key-sorted order — the upper
+    /// triangle of the arena, row by row.
     pub fn sorted_pairs(&self) -> impl Iterator<Item = (PairKey, f64)> + '_ {
-        self.pair_keys
-            .iter()
-            .zip(self.pair_scores.iter())
-            .map(|(&k, &v)| (PairKey::from_raw(k), v))
+        self.iter().map(|(a, b, v)| (PairKey::new(a, b), v))
     }
 
     /// All stored `(a, b, score)` with `a < b`, ascending by `(a, b)`.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.sorted_pairs().map(|(k, v)| {
-            let (a, b) = k.parts();
-            (a, b, v)
+        (0..self.n as u32).flat_map(move |a| {
+            let (ids, vals) = self.row(a);
+            let above = ids.partition_point(|&b| b < a);
+            ids[above..]
+                .iter()
+                .zip(&vals[above..])
+                .map(move |(&b, &v)| (a, b, v))
         })
     }
 
@@ -319,18 +374,44 @@ impl ScoreMatrix {
     }
 
     /// Largest absolute score difference against another matrix over the
-    /// union of stored pairs (convergence / engine cross-check metric).
+    /// union of stored pairs, an unstored pair reading 0 (the engine's
+    /// convergence check and the cross-engine metric): one merge of the two
+    /// upper triangles.
     pub fn max_abs_diff(&self, other: &ScoreMatrix) -> f64 {
+        let (mut a, mut b) = (
+            self.sorted_pairs().peekable(),
+            other.sorted_pairs().peekable(),
+        );
         let mut max = 0.0f64;
-        for (k, v) in self.sorted_pairs() {
-            let (a, b) = k.parts();
-            max = max.max((v - other.get(a, b)).abs());
+        loop {
+            let d = match (a.peek(), b.peek()) {
+                (Some(&(ka, va)), Some(&(kb, vb))) => match ka.raw().cmp(&kb.raw()) {
+                    std::cmp::Ordering::Less => {
+                        a.next();
+                        va.abs()
+                    }
+                    std::cmp::Ordering::Greater => {
+                        b.next();
+                        vb.abs()
+                    }
+                    std::cmp::Ordering::Equal => {
+                        a.next();
+                        b.next();
+                        (va - vb).abs()
+                    }
+                },
+                (Some(&(_, v)), None) => {
+                    a.next();
+                    v.abs()
+                }
+                (None, Some(&(_, v))) => {
+                    b.next();
+                    v.abs()
+                }
+                (None, None) => return max,
+            };
+            max = max.max(d);
         }
-        for (k, v) in other.sorted_pairs() {
-            let (a, b) = k.parts();
-            max = max.max((v - self.get(a, b)).abs());
-        }
-        max
     }
 }
 
@@ -494,6 +575,105 @@ mod tests {
         let mb = b.build();
         assert!((ma.max_abs_diff(&mb) - 0.5).abs() < 1e-12);
         assert!((mb.max_abs_diff(&ma) - 0.5).abs() < 1e-12);
+        // Shared pairs compare by difference, one-sided ones by magnitude.
+        let ma = ScoreMatrix::from_sorted_pairs(
+            6,
+            vec![(PairKey::new(0, 1), 0.5), (PairKey::new(2, 3), 0.1)],
+        );
+        let mb = ScoreMatrix::from_sorted_pairs(
+            6,
+            vec![(PairKey::new(0, 1), 0.4), (PairKey::new(4, 5), 0.3)],
+        );
+        assert!((ma.max_abs_diff(&mb) - 0.3).abs() < 1e-15);
+        assert_eq!(
+            ScoreMatrix::empty(4).max_abs_diff(&ScoreMatrix::empty(2)),
+            0.0
+        );
+    }
+
+    /// Splits a key-sorted pair list at rows `cuts` (taken modulo `n + 1`)
+    /// into the upper-row blocks that one pull worker per chunk emits.
+    fn blocks_of(n: usize, pairs: &[(PairKey, f64)], cuts: &[usize]) -> Vec<UpperRows> {
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let mut rows = UpperRows::new(w[1] - w[0]);
+                for r in w[0]..w[1] {
+                    for &(k, v) in pairs.iter().filter(|(k, _)| k.parts().0 as usize == r) {
+                        rows.push(k.parts().1, v);
+                    }
+                    rows.end_row();
+                }
+                rows
+            })
+            .collect()
+    }
+
+    fn bits(pairs: impl Iterator<Item = (PairKey, f64)>) -> Vec<(u64, u64)> {
+        pairs.map(|(k, v)| (k.raw(), v.to_bits())).collect()
+    }
+
+    #[test]
+    fn a_frozen_matrix_holds_exactly_both_triangles() {
+        // Rows 0 and 3 are empty, node 4 = n − 1 has partners only below
+        // it, and the three blocks are copied into the first one's buffers.
+        let pairs = vec![
+            (PairKey::new(1, 2), 0.5),
+            (PairKey::new(1, 4), 0.25),
+            (PairKey::new(2, 4), 0.125),
+        ];
+        let m = ScoreMatrix::from_upper_rows(5, blocks_of(5, &pairs, &[2, 3]));
+        assert_eq!(m.offsets, vec![0, 0, 2, 4, 4, 6]);
+        assert_eq!(m.partners, vec![2, 4, 1, 4, 1, 2]);
+        assert_eq!(m.scores, vec![0.5, 0.25, 0.5, 0.125, 0.25, 0.125]);
+        assert_eq!((m.partners.capacity(), m.scores.capacity()), (6, 6));
+        assert_eq!(m.n_pairs(), 3);
+        assert_eq!(bits(m.sorted_pairs()), bits(pairs.into_iter()));
+        let m = ScoreMatrix::from_upper_rows(0, Vec::new());
+        assert_eq!((m.n_nodes(), m.n_pairs()), (0, 0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_upper_triangle_reads_back_the_pair_list(
+            n in 1usize..48,
+            raw in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16, 0u64..1 << 52), 0..200),
+            cuts in proptest::collection::vec(0usize..64, 0..4),
+        ) {
+            // Positive scores with arbitrary mantissas; many rows stay empty
+            // at small pair counts, and node n − 1 has partners only below.
+            let mut pairs: Vec<(PairKey, f64)> = raw
+                .iter()
+                .map(|&(a, b, m)| (a % n as u32, b % n as u32, m))
+                .filter(|&(a, b, _)| a != b)
+                .map(|(a, b, m)| (PairKey::new(a, b), f64::from_bits(0x3f00_0000_0000_0000 | m)))
+                .collect();
+            pairs.sort_unstable_by_key(|&(k, _)| k.raw());
+            pairs.dedup_by_key(|(k, _)| k.raw());
+            let m = ScoreMatrix::from_sorted_pairs(n, pairs.clone());
+            proptest::prop_assert_eq!(bits(m.sorted_pairs()), bits(pairs.iter().copied()));
+            proptest::prop_assert_eq!(m.n_pairs(), pairs.len());
+            proptest::prop_assert_eq!(m.partners.capacity(), 2 * pairs.len());
+            proptest::prop_assert_eq!(m.scores.capacity(), 2 * pairs.len());
+            for &(k, v) in &pairs {
+                let (a, b) = k.parts();
+                proptest::prop_assert_eq!(m.get(a, b).to_bits(), v.to_bits());
+                proptest::prop_assert_eq!(m.get(b, a).to_bits(), v.to_bits());
+            }
+            // The engine's path: the same rows in blocks, frozen in place.
+            let blocked = ScoreMatrix::from_upper_rows(n, blocks_of(n, &pairs, &cuts));
+            proptest::prop_assert_eq!(&blocked.offsets, &m.offsets);
+            proptest::prop_assert_eq!(&blocked.partners, &m.partners);
+            proptest::prop_assert_eq!(bits(blocked.sorted_pairs()), bits(m.sorted_pairs()));
+            proptest::prop_assert_eq!(blocked.partners.capacity(), 2 * pairs.len());
+            proptest::prop_assert_eq!(blocked.scores.capacity(), 2 * pairs.len());
+        }
     }
 
     #[test]
