@@ -15,6 +15,9 @@
 //! and the ablations print only when named, each ablation followed by what
 //! to expect. Whenever the experiment ran, the machine-readable report is
 //! written to `repro_report.json`.
+//!
+//! `SIMRANKPP_SCALE` picks the preset (`ExperimentConfig::at_scale`): `tiny`,
+//! `small` (the default) or `paper`; any other value exits 2.
 
 use simrankpp_core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
 use simrankpp_core::evidence::EvidenceKind;
@@ -22,15 +25,14 @@ use simrankpp_core::naive::naive_scores;
 use simrankpp_core::simrank::simrank;
 use simrankpp_core::weighted::{weighted_simrank, SpreadMode};
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
-use simrankpp_eval::desirability::{prepare_trials, score_trials, weighted_walk};
+use simrankpp_eval::desirability::{prepare_trials, score_trials, weighted_walk, Trial};
 use simrankpp_eval::experiment::{judge_rewrites, run_experiment_on};
 use simrankpp_eval::metrics::coverage;
 use simrankpp_eval::report::{
     render_fig11, render_fig12, render_fig8, render_fig9_or_10, render_full, render_table5,
 };
 use simrankpp_eval::{
-    precision_at_x, run_desirability_experiment, ExperimentConfig, ExperimentReport,
-    RelevanceThreshold,
+    precision_at_x, ExperimentConfig, ExperimentReport, RelevanceThreshold, TrialSummary,
 };
 use simrankpp_graph::fixtures::{figure3_graph, FIGURE3_QUERIES};
 use simrankpp_graph::{ClickGraph, QueryId, WeightKind};
@@ -154,8 +156,8 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let scale = simrankpp_bench::scale();
-    let Some(config) = simrankpp_bench::experiment_config(&scale) else {
+    let scale = std::env::var("SIMRANKPP_SCALE").unwrap_or_else(|_| "small".to_owned());
+    let Some(config) = ExperimentConfig::at_scale(&scale) else {
         eprintln!("unknown scale {scale:?}");
         eprintln!("usage: SIMRANKPP_SCALE=tiny|small|paper repro_all [SECTION ...]");
         std::process::exit(2);
@@ -164,11 +166,13 @@ fn main() {
     let named = |id: &str| asked.iter().any(|a| a == id);
     let wanted = |id: &str| everything || named(id);
 
-    if everything {
-        simrankpp_bench::banner("repro_all", "Tables 1-5, Figures 8-12", &scale);
+    let target = if everything {
+        "Tables 1-5, Figures 8-12".to_owned()
     } else {
-        simrankpp_bench::banner("repro_all", &asked.join(", "), &scale);
-    }
+        asked.join(", ")
+    };
+    println!("=== repro_all — reproduces {target} ===");
+    println!("scale: {scale} (set SIMRANKPP_SCALE=tiny|small|paper)\n");
     // A blank line between read-outs, none before the first.
     let mut printed = false;
     let mut gap = || {
@@ -416,26 +420,19 @@ fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
 /// the whole graph.
 fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
     println!("--- Ablation: the §8.2 spread factor ---");
-    let trials = prepare_trials(
-        &dataset.graph,
-        config.desirability_trials,
-        &config.simrank,
-        config.seed ^ 0xD5,
-    );
+    let trials = whole_graph_trials(config, dataset);
     println!("{} trials prepared\n", trials.len());
 
     let modes = [SpreadMode::Exponential, SpreadMode::Off];
     let scorers =
         modes.map(|mode| move |g: &ClickGraph, c: &SimrankConfig| weighted_walk(g, c, mode));
-    let tallies = score_trials(&dataset.graph, &trials, &config.simrank, &scorers);
+    let predictions = score_trials(&dataset.graph, &trials, &config.simrank, &scorers);
     println!("{:<22} {:>12} {:>8}", "spread mode", "correct", "ties");
-    for (mode, tally) in modes.iter().zip(tallies) {
+    for (mode, predictions) in modes.iter().zip(predictions) {
+        let o = TrialSummary::from_predictions(&format!("{mode:?}"), &predictions);
         println!(
             "{:<22} {:>7}/{:<4} {:>8}",
-            format!("{mode:?}"),
-            tally.correct,
-            trials.len(),
-            tally.ties
+            o.method, o.correct, o.trials, o.ties
         );
     }
 }
@@ -444,34 +441,41 @@ fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
 /// used the expected click rate." Surviving (non-underflowed) score pairs
 /// and desirability-prediction accuracy for each §2 edge weight: raw counts
 /// have huge per-node variance, so `spread = e^(−variance)` underflows and
-/// kills similarity propagation.
+/// kills similarity propagation. Every weight is scored on the same trials,
+/// whose ground truth `des` reads the expected click rate as §9.2 fixes it.
 fn ablation_weights(config: &ExperimentConfig, dataset: &SynthDataset) {
     println!("--- Ablation: which §2 edge weight weighted SimRank consumes ---");
+    let g = &dataset.graph;
+    let trials = whole_graph_trials(config, dataset);
     println!(
-        "{:<22} {:>14} {:>16} {:>18}",
-        "edge weight", "score pairs", "mean pair score", "desirability acc."
+        "{:<22} {:>14} {:>16} {:>18} {:>8}",
+        "edge weight", "score pairs", "mean pair score", "desirability acc.", "ties"
     );
+    let weighted =
+        |g: &ClickGraph, c: &SimrankConfig| Method::compute(MethodKind::WeightedSimrank, g, c);
     for kind in WeightKind::ALL {
         let cfg = config.simrank.with_weight_kind(kind);
-        let r = weighted_simrank(&dataset.graph, &cfg, EvidenceKind::Geometric);
-        let n_pairs = r.queries.n_pairs();
-        let mean = r.queries.iter().map(|(_, _, v)| v).sum::<f64>() / n_pairs.max(1) as f64;
-        let outcome = run_desirability_experiment(
-            &dataset.graph,
-            &[MethodKind::WeightedSimrank],
-            config.desirability_trials,
-            &cfg,
-            config.seed ^ 0xD5,
-        );
+        let scores = weighted(g, &cfg).final_scores(g);
+        let n_pairs = scores.n_pairs();
+        let mean = scores.iter().map(|(_, _, v)| v).sum::<f64>() / n_pairs.max(1) as f64;
+        let predictions = score_trials(g, &trials, &cfg, &[weighted]);
+        let o = TrialSummary::from_predictions(kind.name(), &predictions[0]);
         println!(
-            "{:<22} {:>14} {:>16.4} {:>13}/{:<4}",
-            kind.name(),
-            n_pairs,
-            mean,
-            outcome[0].correct,
-            outcome[0].trials
+            "{:<22} {:>14} {:>16.4} {:>13}/{:<4} {:>8}",
+            o.method, n_pairs, mean, o.correct, o.trials, o.ties
         );
     }
+}
+
+/// Figure 12's trials, prepared on the whole graph with the experiment's
+/// SimRank configuration (so `des` reads its edge weight).
+fn whole_graph_trials(config: &ExperimentConfig, dataset: &SynthDataset) -> Vec<Trial> {
+    prepare_trials(
+        &dataset.graph,
+        config.desirability_trials,
+        &config.simrank,
+        config.seed ^ 0xD5,
+    )
 }
 
 fn iterates(k22: &[f64], k12: &[f64]) {

@@ -12,7 +12,8 @@
 //! 4. recompute each method on the remaining graph and check whether its
 //!    similarity ordering matches the desirability ordering. Ties in the
 //!    final score fall back to the raw walk score (see `core::method`); a
-//!    tie remaining after that counts as a miss.
+//!    tie remaining after that is a [`Prediction::Tie`], which is not
+//!    correct and so lowers accuracy as a miss does.
 //!
 //! Pearson is excluded: with the shared edges removed it has no common ad
 //! to work with, exactly as the paper notes.
@@ -28,7 +29,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simrankpp_core::weighted::{weighted_simrank_with_spread, SpreadMode};
 use simrankpp_core::{EvidenceKind, Method, MethodKind, SimrankConfig};
 use simrankpp_graph::subgraph::remove_edges;
@@ -69,26 +69,15 @@ fn preferred_rewrite(
     }
 }
 
-/// Result of the experiment for one method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DesirabilityOutcome {
-    /// Method evaluated.
-    pub method: String,
-    /// Trials where the method's ordering matched the desirability ordering.
-    pub correct: usize,
-    /// Total trials.
-    pub trials: usize,
-}
-
-impl DesirabilityOutcome {
-    /// Fraction correct.
-    pub fn accuracy(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.trials as f64
-        }
-    }
+/// One method's prediction on one trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prediction {
+    /// The method scored the preferred candidate higher.
+    Correct,
+    /// The method scored the other candidate higher.
+    Wrong,
+    /// Both candidates scored the same `(final, raw)` pair: unresolved.
+    Tie,
 }
 
 /// One prepared trial.
@@ -182,43 +171,10 @@ pub fn prepare_trials(
     trials
 }
 
-/// Runs the experiment for the given methods, returning one outcome each.
-pub fn run_desirability_experiment(
-    g: &ClickGraph,
-    methods: &[MethodKind],
-    n_trials: usize,
-    config: &SimrankConfig,
-    seed: u64,
-) -> Vec<DesirabilityOutcome> {
-    let trials = prepare_trials(g, n_trials, config, seed);
-    let scorers: Vec<_> = methods
-        .iter()
-        .map(|&kind| move |ball: &ClickGraph, c: &SimrankConfig| Method::compute(kind, ball, c))
-        .collect();
-    methods
-        .iter()
-        .zip(score_trials(g, &trials, config, &scorers))
-        .map(|(kind, tally)| DesirabilityOutcome {
-            method: kind.name().to_owned(),
-            correct: tally.correct,
-            trials: trials.len(),
-        })
-        .collect()
-}
-
-/// One scorer's results over a set of trials.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrialTally {
-    /// Trials whose prediction was the preferred candidate.
-    pub correct: usize,
-    /// Trials whose two candidates scored the same `(final, raw)` pair:
-    /// unresolved ties, counted as misses.
-    pub ties: usize,
-}
-
 /// Scores `trials`, prepared on `g`, with each scorer: a method computed by
 /// `scorer(ball, config)` predicts the candidate with the higher
-/// `(final, raw)` score against `q1`.
+/// `(final, raw)` score against `q1`. Returns, per scorer, one prediction per
+/// trial in trial order.
 ///
 /// Per-trial scores are computed on the radius-`k+1` BFS ball around
 /// `{q1, q2, q3}` (where `k = config.iterations`): `s^k(q1,q2)` depends only
@@ -234,8 +190,8 @@ pub fn score_trials<F: Fn(&ClickGraph, &SimrankConfig) -> Method>(
     trials: &[Trial],
     config: &SimrankConfig,
     scorers: &[F],
-) -> Vec<TrialTally> {
-    let mut tallies = vec![TrialTally::default(); scorers.len()];
+) -> Vec<Vec<Prediction>> {
+    let mut predictions = vec![Vec::with_capacity(trials.len()); scorers.len()];
     for trial in trials {
         let pruned = remove_edges(g, &trial.removed);
         let (ball, q1, q2, q3) = local_ball(
@@ -243,7 +199,7 @@ pub fn score_trials<F: Fn(&ClickGraph, &SimrankConfig) -> Method>(
             [trial.q1, trial.q2, trial.q3],
             config.iterations + 1,
         );
-        for (tally, scorer) in tallies.iter_mut().zip(scorers) {
+        for (out, scorer) in predictions.iter_mut().zip(scorers) {
             let method = scorer(&ball, config);
             let s2 = method.score_with_tiebreak(&ball, q1, q2);
             let s3 = method.score_with_tiebreak(&ball, q1, q3);
@@ -252,15 +208,17 @@ pub fn score_trials<F: Fn(&ClickGraph, &SimrankConfig) -> Method>(
             } else if s3 > s2 {
                 trial.q3
             } else {
-                tally.ties += 1;
+                out.push(Prediction::Tie);
                 continue;
             };
-            if predicted == trial.preferred {
-                tally.correct += 1;
-            }
+            out.push(if predicted == trial.preferred {
+                Prediction::Correct
+            } else {
+                Prediction::Wrong
+            });
         }
     }
-    tallies
+    predictions
 }
 
 /// Weighted SimRank with an explicit §8.2 spread mode, as a [`Method`]: the
@@ -374,6 +332,7 @@ fn connected(g: &ClickGraph, from: QueryId, to: QueryId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TrialSummary;
     use simrankpp_graph::{ClickGraphBuilder, EdgeData};
     use simrankpp_synth::{generator::generate, GeneratorConfig};
 
@@ -401,6 +360,20 @@ mod tests {
         }
     }
 
+    /// Figure 12's read-out of `kinds` on `n` trials prepared at `seed`.
+    fn summaries(g: &ClickGraph, kinds: &[MethodKind], n: usize, seed: u64) -> Vec<TrialSummary> {
+        let trials = prepare_trials(g, n, &cfg(), seed);
+        let scorers: Vec<_> = kinds
+            .iter()
+            .map(|&kind| move |ball: &ClickGraph, c: &SimrankConfig| Method::compute(kind, ball, c))
+            .collect();
+        kinds
+            .iter()
+            .zip(score_trials(g, &trials, &cfg(), &scorers))
+            .map(|(kind, predictions)| TrialSummary::from_predictions(kind.name(), &predictions))
+            .collect()
+    }
+
     #[test]
     fn experiment_runs_all_methods() {
         let d = generate(&GeneratorConfig::tiny());
@@ -409,10 +382,10 @@ mod tests {
             MethodKind::EvidenceSimrank,
             MethodKind::WeightedSimrank,
         ];
-        let outcomes = run_desirability_experiment(&d.graph, &methods, 6, &cfg(), 11);
+        let outcomes = summaries(&d.graph, &methods, 6, 11);
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
-            assert!(o.correct <= o.trials);
+            assert!(o.correct + o.ties <= o.trials);
             assert!((0.0..=1.0).contains(&o.accuracy()));
         }
     }
@@ -423,7 +396,7 @@ mod tests {
         // better than the structure-only variants.
         let d = generate(&GeneratorConfig::tiny().with_seed(5));
         let methods = [MethodKind::Simrank, MethodKind::WeightedSimrank];
-        let outcomes = run_desirability_experiment(&d.graph, &methods, 15, &cfg(), 23);
+        let outcomes = summaries(&d.graph, &methods, 15, 23);
         assert!(outcomes[0].trials >= 5, "need enough valid trials");
         assert!(
             outcomes[1].correct >= outcomes[0].correct,

@@ -13,17 +13,18 @@
 //!    pipeline (top-100 → stem dedup → bid filter → top-5);
 //! 4. **Judging** — grade every (query, rewrite) pair with the simulated
 //!    editorial judge (Table 6 rubric on planted ground truth);
-//! 5. **Metrics** — coverage (Figure 8), 11-point interpolated P/R and P@X
-//!    at both relevance thresholds (Figures 9–10), depth bands (Figure 11),
-//!    and the desirability experiment (Figure 12).
+//! 5. **Desirability** — score every method on the §9.3 edge-removal
+//!    trials (Figure 12);
+//! 6. **Metrics** — the judged rewrites of step 4 and the per-trial
+//!    predictions of step 5 are the experiment's [`Records`]; every number
+//!    it reports is computed from them by [`crate::metrics`]: coverage
+//!    (Figure 8), 11-point interpolated P/R and P@X at both relevance
+//!    thresholds (Figures 9–10), depth bands (Figure 11) and the
+//!    correct / tie counts of Figure 12.
 
-use crate::depth::DepthDistribution;
-use crate::desirability::{run_desirability_experiment, DesirabilityOutcome};
+use crate::desirability::{prepare_trials, score_trials, Prediction};
 use crate::judgments::{JudgedRewrite, QueryJudgments};
-use crate::metrics::{
-    coverage, interpolated_pr_curve, mean_precision, mean_recall, pooled_relevant, precision_at_x,
-    PrCurve, RelevanceThreshold,
-};
+use crate::metrics::{figure12, method_reports, PrCurve, TrialSummary};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -32,7 +33,7 @@ use simrankpp_graph::subgraph::{induced_subgraph, SubgraphMapping};
 use simrankpp_graph::{ClickGraph, GraphStats, NodeRef, QueryId};
 use simrankpp_partition::{extract_subgraphs, ExtractConfig};
 use simrankpp_synth::generator::{generate, GeneratorConfig, SynthDataset};
-use simrankpp_synth::traffic::sample_eval_queries;
+use simrankpp_synth::traffic::{restrict_to_graph, sample_eval_queries};
 use simrankpp_synth::EditorialJudge;
 use simrankpp_util::FxHashSet;
 
@@ -56,40 +57,45 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for tests and the quickstart example.
-    pub fn fast() -> Self {
-        ExperimentConfig {
-            generator: GeneratorConfig::tiny(),
+    /// The preset for a scale name (`repro_all`'s `SIMRANKPP_SCALE`);
+    /// `None` for an unknown one:
+    ///
+    /// * `tiny` — seconds; smoke-testing the harness;
+    /// * `small` — the example scale (~2k queries);
+    /// * `paper` — the bench scale (~50k queries, the Table 5 shape scaled
+    ///   to a laptop); its whole `repro_all` takes ≈ 1–2 s on a 2-core
+    ///   x86-64 VM, since the evaluation graph it extracts holds only
+    ///   ≈ 1 400 queries.
+    ///
+    /// Scale changes the dataset size, the extraction bounds, the sample
+    /// and trial counts, and (at `paper`) pruning and threads; seeds and
+    /// the evaluation pipeline stay fixed, so results are deterministic per
+    /// scale.
+    pub fn at_scale(scale: &str) -> Option<Self> {
+        let (generator, n_subgraphs, min_size, max_size, sample, trials) = match scale {
+            "tiny" => (GeneratorConfig::tiny(), 2, 6, 60, 30, 8),
+            "small" => (GeneratorConfig::small(), 5, 20, 1200, 1200, 50),
+            "paper" => (GeneratorConfig::paper_scale(), 5, 200, 30_000, 1200, 50),
+            _ => return None,
+        };
+        let paper = scale == "paper";
+        Some(ExperimentConfig {
+            generator,
             extract: ExtractConfig {
-                n_subgraphs: 2,
-                min_size: 6,
-                max_size: 60,
+                n_subgraphs,
+                min_size,
+                max_size,
                 ..ExtractConfig::default()
             },
-            simrank: SimrankConfig::default().with_iterations(5),
+            simrank: SimrankConfig::default()
+                .with_iterations(7)
+                .with_prune_threshold(if paper { 1e-4 } else { 0.0 })
+                .with_threads(if paper { 0 } else { 1 }),
             rewriter: RewriterConfig::default(),
-            eval_sample_size: 30,
-            desirability_trials: 8,
+            eval_sample_size: sample,
+            desirability_trials: trials,
             seed: 0x5EED,
-        }
-    }
-
-    /// The paper-shaped configuration at example scale (~2k queries).
-    pub fn paper_shaped() -> Self {
-        ExperimentConfig {
-            generator: GeneratorConfig::small(),
-            extract: ExtractConfig {
-                n_subgraphs: 5,
-                min_size: 20,
-                max_size: 1200,
-                ..ExtractConfig::default()
-            },
-            simrank: SimrankConfig::default().with_iterations(7),
-            rewriter: RewriterConfig::default(),
-            eval_sample_size: 1200,
-            desirability_trials: 50,
-            seed: 0x5EED,
-        }
+        })
     }
 }
 
@@ -127,10 +133,25 @@ pub struct ExperimentReport {
     pub sampled_queries: usize,
     /// Evaluation queries that landed in the evaluation graph.
     pub eval_queries: usize,
-    /// Per-method §9.4 metrics (Figures 8–11).
+    /// Per-method §9.4 metrics (Figures 8–11), from `records.judged`.
     pub methods: Vec<MethodReport>,
-    /// Figure 12 outcomes (methods that support it).
-    pub desirability: Vec<DesirabilityOutcome>,
+    /// Figure 12 read-outs (methods that support it), from `records.trials`.
+    pub desirability: Vec<TrialSummary>,
+    /// The units `methods` and `desirability` average.
+    #[serde(skip)]
+    pub records: Records,
+}
+
+/// Every unit the experiment's figures average.
+#[derive(Debug, Clone, Default)]
+pub struct Records {
+    /// The rewrite cap per query (Figure 11's deepest band).
+    pub max_rewrites: usize,
+    /// Per evaluated method: each evaluation query's judged rewrites, in
+    /// sample order.
+    pub judged: Vec<(MethodKind, Vec<QueryJudgments>)>,
+    /// Per Figure 12 method: each trial's prediction, in trial order.
+    pub trials: Vec<(MethodKind, Vec<Prediction>)>,
 }
 
 /// Runs the full experiment.
@@ -203,14 +224,11 @@ pub fn run_experiment_on(config: &ExperimentConfig, dataset: &SynthDataset) -> E
         &mut rng,
     );
     // Keep queries that exist in the evaluation graph with ≥1 edge.
-    let eval_pairs: Vec<(QueryId, QueryId)> = sample
-        .iter()
-        .filter_map(|&parent| {
-            mapping
-                .to_sub_query(parent)
-                .and_then(|sub| (eval_graph.query_degree(sub) > 0).then_some((parent, sub)))
-        })
-        .collect();
+    let eval_pairs = restrict_to_graph(&sample, |parent| {
+        mapping
+            .to_sub_query(parent)
+            .filter(|&sub| eval_graph.query_degree(sub) > 0)
+    });
 
     // Bid list in evaluation-graph ids.
     let bid_terms: FxHashSet<QueryId> = dataset
@@ -222,62 +240,47 @@ pub fn run_experiment_on(config: &ExperimentConfig, dataset: &SynthDataset) -> E
 
     // --- 3+4. Run methods, produce and judge rewrites. ---------------------
     let judge = EditorialJudge::new(&dataset.world);
-    let kinds = MethodKind::EVALUATED;
-    let per_method_judgments: Vec<Vec<QueryJudgments>> = kinds
+    let judged = MethodKind::EVALUATED
         .iter()
         .map(|&kind| {
             let method = Method::compute(kind, &eval_graph, &config.simrank);
             let rewriter = Rewriter::new(&eval_graph, method, config.rewriter);
-            judge_rewrites(&rewriter, &eval_pairs, &bid_terms, &judge, |q| {
+            let judgments = judge_rewrites(&rewriter, &eval_pairs, &bid_terms, &judge, |q| {
                 mapping.to_parent_query(q)
-            })
+            });
+            (kind, judgments)
         })
         .collect();
 
-    // --- 5. Metrics. --------------------------------------------------------
-    let judgment_refs: Vec<&[QueryJudgments]> =
-        per_method_judgments.iter().map(|v| v.as_slice()).collect();
-    let pool12 = pooled_relevant(&judgment_refs, RelevanceThreshold::Grade12);
-    let pool1 = pooled_relevant(&judgment_refs, RelevanceThreshold::Grade1);
-
-    let n_eval = eval_pairs.len();
-    let mut methods = Vec::with_capacity(kinds.len());
-    for (kind, judgments) in kinds.iter().zip(&per_method_judgments) {
-        let p_at = |t| std::array::from_fn(|x| precision_at_x(judgments, x + 1, t));
-        let depth = DepthDistribution::compute(judgments, n_eval, config.rewriter.max_rewrites);
-        methods.push(MethodReport {
-            method: kind.name().to_owned(),
-            coverage: coverage(judgments),
-            p_at_x_grade12: p_at(RelevanceThreshold::Grade12),
-            p_at_x_grade1: p_at(RelevanceThreshold::Grade1),
-            pr_grade12: interpolated_pr_curve(judgments, &pool12, RelevanceThreshold::Grade12),
-            pr_grade1: interpolated_pr_curve(judgments, &pool1, RelevanceThreshold::Grade1),
-            mean_precision_grade12: mean_precision(judgments, RelevanceThreshold::Grade12),
-            mean_recall_grade12: mean_recall(judgments, &pool12, RelevanceThreshold::Grade12),
-            depth_bands: depth.figure11_bands(),
-            mean_depth: depth.mean(),
-        });
-    }
-
-    // --- Figure 12. ----------------------------------------------------------
-    let desirability = run_desirability_experiment(
+    // --- 5. Figure 12's trials. ----------------------------------------------
+    let trials = prepare_trials(
         &eval_graph,
-        &[
-            MethodKind::Simrank,
-            MethodKind::EvidenceSimrank,
-            MethodKind::WeightedSimrank,
-        ],
         config.desirability_trials,
         &config.simrank,
         config.seed ^ 0xD5,
     );
+    let kinds = [
+        MethodKind::Simrank,
+        MethodKind::EvidenceSimrank,
+        MethodKind::WeightedSimrank,
+    ];
+    let scorers = kinds
+        .map(|kind| move |ball: &ClickGraph, c: &SimrankConfig| Method::compute(kind, ball, c));
+    let predictions = score_trials(&eval_graph, &trials, &config.simrank, &scorers);
 
+    // --- 6. Metrics. --------------------------------------------------------
+    let records = Records {
+        max_rewrites: config.rewriter.max_rewrites,
+        judged,
+        trials: kinds.into_iter().zip(predictions).collect(),
+    };
     ExperimentReport {
         table5,
         sampled_queries: sample.len(),
-        eval_queries: n_eval,
-        methods,
-        desirability,
+        eval_queries: eval_pairs.len(),
+        methods: method_reports(&records),
+        desirability: figure12(&records),
+        records,
     }
 }
 
@@ -314,20 +317,84 @@ mod tests {
     use super::*;
 
     fn fast_config() -> ExperimentConfig {
-        ExperimentConfig {
-            generator: GeneratorConfig::tiny(),
-            extract: ExtractConfig {
-                n_subgraphs: 2,
-                min_size: 6,
-                max_size: 60,
-                ..ExtractConfig::default()
-            },
-            simrank: SimrankConfig::default().with_iterations(5),
-            rewriter: RewriterConfig::default(),
-            eval_sample_size: 30,
-            desirability_trials: 5,
-            seed: 0x5EED,
+        let mut c = ExperimentConfig::at_scale("tiny").unwrap();
+        c.simrank = c.simrank.with_iterations(5);
+        c
+    }
+
+    #[test]
+    fn scales_resolve() {
+        let queries = |s| ExperimentConfig::at_scale(s).unwrap().generator.n_queries;
+        assert_eq!(queries("tiny"), 60);
+        assert_eq!(queries("small"), 2_000);
+        assert_eq!(queries("paper"), 50_000);
+        assert!(ExperimentConfig::at_scale("papr").is_none());
+    }
+
+    #[test]
+    fn experiment_configs_are_consistent() {
+        for s in ["tiny", "small", "paper"] {
+            let c = ExperimentConfig::at_scale(s).unwrap();
+            assert!(c.extract.n_subgraphs >= 2);
+            assert!(c.simrank.validate().is_ok());
         }
+    }
+
+    #[test]
+    fn records_determine_the_report() {
+        use crate::depth::DepthDistribution;
+        use crate::metrics::{
+            coverage, interpolated_pr_curve, mean_precision, mean_recall, pooled_relevant,
+            precision_at_x,
+            RelevanceThreshold::{Grade1, Grade12},
+        };
+        let report = run_experiment(&ExperimentConfig::at_scale("tiny").unwrap());
+        let records = &report.records;
+        assert_eq!(records.judged.len(), report.methods.len());
+        let all: Vec<&[QueryJudgments]> =
+            records.judged.iter().map(|(_, j)| j.as_slice()).collect();
+        let pool12 = pooled_relevant(&all, Grade12);
+        let pool1 = pooled_relevant(&all, Grade1);
+        for ((kind, judged), m) in records.judged.iter().zip(&report.methods) {
+            assert_eq!(m.method, kind.name());
+            assert_eq!(judged.len(), report.eval_queries);
+            assert_eq!(m.coverage.to_bits(), coverage(judged).to_bits());
+            for x in 1..=5 {
+                let p12 = precision_at_x(judged, x, Grade12);
+                let p1 = precision_at_x(judged, x, Grade1);
+                assert_eq!(m.p_at_x_grade12[x - 1].to_bits(), p12.to_bits());
+                assert_eq!(m.p_at_x_grade1[x - 1].to_bits(), p1.to_bits());
+            }
+            let pr12 = interpolated_pr_curve(judged, &pool12, Grade12);
+            let pr1 = interpolated_pr_curve(judged, &pool1, Grade1);
+            let bits = |c: &PrCurve| (c.precision_at_recall.map(f64::to_bits), c.queries_scored);
+            assert_eq!(bits(&m.pr_grade12), bits(&pr12));
+            assert_eq!(bits(&m.pr_grade1), bits(&pr1));
+            let precision = mean_precision(judged, Grade12);
+            let recall = mean_recall(judged, &pool12, Grade12);
+            assert_eq!(m.mean_precision_grade12.to_bits(), precision.to_bits());
+            assert_eq!(m.mean_recall_grade12.to_bits(), recall.to_bits());
+            let depth = DepthDistribution::compute(judged, judged.len(), records.max_rewrites);
+            assert_eq!(
+                m.depth_bands.map(f64::to_bits),
+                depth.figure11_bands().map(f64::to_bits)
+            );
+            assert_eq!(m.mean_depth.to_bits(), depth.mean().to_bits());
+        }
+        assert_eq!(records.trials.len(), report.desirability.len());
+        for ((kind, predictions), o) in records.trials.iter().zip(&report.desirability) {
+            let count = |p| predictions.iter().filter(|&&q| q == p).count();
+            assert_eq!(o.method, kind.name());
+            assert_eq!(o.trials, predictions.len());
+            assert_eq!(o.correct, count(Prediction::Correct));
+            assert_eq!(o.ties, count(Prediction::Tie));
+            assert_eq!(o.trials, o.correct + o.ties + count(Prediction::Wrong));
+        }
+        // A tie is neither correct nor wrong, and still a trial.
+        let mixed = [Prediction::Correct, Prediction::Wrong, Prediction::Tie];
+        let summary = TrialSummary::from_predictions("m", &mixed);
+        assert_eq!((summary.correct, summary.ties, summary.trials), (1, 1, 3));
+        assert_eq!(summary.accuracy(), 1.0 / 3.0);
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! §9.4 metrics: precision/recall with pooled relevance, 11-point
-//! interpolated precision-recall curves (Figures 9–10 top), and precision
-//! after X rewrites (Figures 9–10 bottom).
+//! Every number the §9 experiment reports, as a function of its
+//! [`Records`]: §9.4's coverage (Figure 8), precision/recall with pooled
+//! relevance, 11-point interpolated precision-recall curves (Figures 9–10
+//! top), precision after X rewrites (Figures 9–10 bottom), the depth bands
+//! (Figure 11), and §9.3's desirability-prediction counts (Figure 12).
+//! [`method_reports`] and [`figure12`] assemble them.
 //!
 //! Relevance is binary at one of two thresholds:
 //! * **Grade12** — grades {1,2} positive, {3,4} negative (Figure 9);
@@ -10,6 +13,9 @@
 //! q among all methods" — the pooled union of relevant rewrites any
 //! evaluated method produced for `q`.
 
+use crate::depth::DepthDistribution;
+use crate::desirability::Prediction;
+use crate::experiment::{MethodReport, Records};
 use crate::judgments::QueryJudgments;
 use serde::{Deserialize, Serialize};
 use simrankpp_graph::QueryId;
@@ -209,6 +215,79 @@ pub fn mean_recall(
     } else {
         total / n as f64
     }
+}
+
+/// Figures 8–11 for every method in `records.judged`, in its order. Recall's
+/// pooled base spans all of those methods.
+pub fn method_reports(records: &Records) -> Vec<MethodReport> {
+    let all: Vec<&[QueryJudgments]> = records.judged.iter().map(|(_, j)| j.as_slice()).collect();
+    let pool12 = pooled_relevant(&all, RelevanceThreshold::Grade12);
+    let pool1 = pooled_relevant(&all, RelevanceThreshold::Grade1);
+    records
+        .judged
+        .iter()
+        .map(|(kind, judgments)| {
+            let p_at = |t| std::array::from_fn(|x| precision_at_x(judgments, x + 1, t));
+            let depth =
+                DepthDistribution::compute(judgments, judgments.len(), records.max_rewrites);
+            MethodReport {
+                method: kind.name().to_owned(),
+                coverage: coverage(judgments),
+                p_at_x_grade12: p_at(RelevanceThreshold::Grade12),
+                p_at_x_grade1: p_at(RelevanceThreshold::Grade1),
+                pr_grade12: interpolated_pr_curve(judgments, &pool12, RelevanceThreshold::Grade12),
+                pr_grade1: interpolated_pr_curve(judgments, &pool1, RelevanceThreshold::Grade1),
+                mean_precision_grade12: mean_precision(judgments, RelevanceThreshold::Grade12),
+                mean_recall_grade12: mean_recall(judgments, &pool12, RelevanceThreshold::Grade12),
+                depth_bands: depth.figure11_bands(),
+                mean_depth: depth.mean(),
+            }
+        })
+        .collect()
+}
+
+/// One method's Figure 12 read-out: how its per-trial predictions split.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TrialSummary {
+    /// Method (or variant) scored.
+    pub method: String,
+    /// Trials where it predicted the preferred candidate.
+    pub correct: usize,
+    /// Trials it left unresolved; neither correct nor wrong.
+    pub ties: usize,
+    /// All trials scored.
+    pub trials: usize,
+}
+
+impl TrialSummary {
+    /// Counts `predictions`, one per trial.
+    pub fn from_predictions(method: &str, predictions: &[Prediction]) -> Self {
+        let count = |p| predictions.iter().filter(|&&q| q == p).count();
+        TrialSummary {
+            method: method.to_owned(),
+            correct: count(Prediction::Correct),
+            ties: count(Prediction::Tie),
+            trials: predictions.len(),
+        }
+    }
+
+    /// Fraction correct (a tie counts against it).
+    pub fn accuracy(&self) -> f64 {
+        if self.trials == 0 {
+            0.0
+        } else {
+            self.correct as f64 / self.trials as f64
+        }
+    }
+}
+
+/// Figure 12 for every method in `records.trials`, in its order.
+pub fn figure12(records: &Records) -> Vec<TrialSummary> {
+    records
+        .trials
+        .iter()
+        .map(|(kind, predictions)| TrialSummary::from_predictions(kind.name(), predictions))
+        .collect()
 }
 
 #[cfg(test)]

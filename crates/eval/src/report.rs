@@ -185,9 +185,8 @@ fn bar(fraction: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::desirability::DesirabilityOutcome;
     use crate::experiment::MethodReport;
-    use crate::metrics::PrCurve;
+    use crate::metrics::{PrCurve, TrialSummary};
 
     fn fake_report() -> ExperimentReport {
         let method = |name: &str, cov: f64| MethodReport {
@@ -213,11 +212,13 @@ mod tests {
             sampled_queries: 120,
             eval_queries: 25,
             methods: vec![method("Pearson", 0.41), method("Simrank", 0.98)],
-            desirability: vec![DesirabilityOutcome {
+            desirability: vec![TrialSummary {
                 method: "weighted Simrank".into(),
                 correct: 46,
+                ties: 1,
                 trials: 50,
             }],
+            records: Default::default(),
         }
     }
 

@@ -17,7 +17,7 @@ use simrankpp::synth::EditorialJudge;
 
 fn main() {
     // Full paper-shaped experiment at example scale.
-    let config = ExperimentConfig::paper_shaped();
+    let config = ExperimentConfig::at_scale("small").expect("a known scale");
     println!("Generating synthetic click graph and running the §9 evaluation…\n");
     let report = run_experiment(&config);
     println!("{}", render_full(&report));

@@ -9,7 +9,7 @@ use simrankpp::synth::generator::generate;
 use simrankpp::synth::EditorialJudge;
 
 fn fast_experiment() -> ExperimentConfig {
-    let mut c = ExperimentConfig::fast();
+    let mut c = ExperimentConfig::at_scale("tiny").unwrap();
     c.simrank = c.simrank.with_iterations(5);
     c
 }
