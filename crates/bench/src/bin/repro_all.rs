@@ -20,12 +20,12 @@
 //! `small` (the default) or `paper`; any other value exits 2.
 
 use simrankpp_core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
+use simrankpp_core::engine::{self, UniformTransition, WeightedTransition};
 use simrankpp_core::evidence::EvidenceKind;
 use simrankpp_core::naive::naive_scores;
-use simrankpp_core::simrank::simrank;
-use simrankpp_core::weighted::{weighted_simrank, SpreadMode};
+use simrankpp_core::weighted::SpreadMode;
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
-use simrankpp_eval::desirability::{prepare_trials, score_trials, weighted_walk, Trial};
+use simrankpp_eval::desirability::{prepare_trials, score_trials, Trial};
 use simrankpp_eval::experiment::{judge_rewrites, run_experiment_on};
 use simrankpp_eval::metrics::coverage;
 use simrankpp_eval::report::{
@@ -245,7 +245,7 @@ fn table2() {
         .with_iterations(100)
         .with_tolerance(1e-10)
         .with_weight_kind(WeightKind::Clicks);
-    let sr = simrank(&figure3_graph(), &cfg);
+    let sr = engine::run(&figure3_graph(), &cfg, &UniformTransition);
     matrix(|a, b| format!("{:.3}", sr.queries.get(a, b)));
     println!(
         "engine: {} iterations to max |Δ| ≤ 1e-10 (converged = {}, {} query pairs stored)",
@@ -319,11 +319,15 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
 
     let exact_cfg = config.simrank.with_prune_threshold(0.0);
     let t0 = Instant::now();
-    let exact = simrank(g, &exact_cfg);
+    let exact = engine::run(g, &exact_cfg, &UniformTransition);
     let exact_time = t0.elapsed();
 
     // The same diagnostics come from the shared engine for the weighted walk.
-    let weighted = weighted_simrank(g, &exact_cfg, EvidenceKind::Geometric).raw;
+    let walk = WeightedTransition {
+        kind: exact_cfg.weight_kind,
+        spread: SpreadMode::Exponential,
+    };
+    let weighted = engine::run(g, &exact_cfg, &walk);
     for (variant, run) in [("plain", &exact), ("weighted", &weighted)] {
         println!("--- per-iteration engine diagnostics (exact, {variant} SimRank) ---");
         println!("{:<6} {:>14} {:>12}", "iter", "query pairs", "ad pairs");
@@ -348,7 +352,8 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
     );
     for threshold in [1e-6, 1e-4, 1e-3, 1e-2] {
         let t0 = Instant::now();
-        let pruned = simrank(g, &config.simrank.with_prune_threshold(threshold));
+        let pruned_cfg = config.simrank.with_prune_threshold(threshold);
+        let pruned = engine::run(g, &pruned_cfg, &UniformTransition);
         let dt = t0.elapsed();
         println!(
             "{:<12.0e} {:>12} {:>14.0} {:>16.2e} {:>11.2}x",
@@ -364,7 +369,7 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
     // and let the tolerance stop the loop.
     let tol_cfg = config.simrank.with_iterations(100).with_tolerance(1e-6);
     let t0 = Instant::now();
-    let tol = simrank(g, &tol_cfg);
+    let tol = engine::run(g, &tol_cfg, &UniformTransition);
     println!(
         "\ntolerance 1e-6: stopped after {} iterations (converged = {}, last Δ = {:.2e}, {:.0} ms)",
         tol.iterations_run,
@@ -395,11 +400,12 @@ fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
         "evidence", "coverage", "P@1", "P@3", "P@5"
     );
     for kind in [EvidenceKind::Geometric, EvidenceKind::Exponential] {
-        let method = Method::compute_with_evidence(
+        let method = Method::compute_with(
             MethodKind::EvidenceSimrank,
             &dataset.graph,
             &config.simrank,
             kind,
+            SpreadMode::Exponential,
         );
         let rewriter = Rewriter::new(&dataset.graph, method, RewriterConfig::default());
         let judged = judge_rewrites(&rewriter, &sample, &world.bids, &judge, |q| q);
@@ -424,8 +430,12 @@ fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
     println!("{} trials prepared\n", trials.len());
 
     let modes = [SpreadMode::Exponential, SpreadMode::Off];
-    let scorers =
-        modes.map(|mode| move |g: &ClickGraph, c: &SimrankConfig| weighted_walk(g, c, mode));
+    let scorers = modes.map(|mode| {
+        move |g: &ClickGraph, c: &SimrankConfig| {
+            let kind = MethodKind::WeightedSimrank;
+            Method::compute_with(kind, g, c, EvidenceKind::Geometric, mode)
+        }
+    });
     let predictions = score_trials(&dataset.graph, &trials, &config.simrank, &scorers);
     println!("{:<22} {:>12} {:>8}", "spread mode", "correct", "ties");
     for (mode, predictions) in modes.iter().zip(predictions) {

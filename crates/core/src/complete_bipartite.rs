@@ -94,7 +94,7 @@ pub fn km2_pair_limit(m: usize, c_pair: f64, c_other: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::config::SimrankConfig;
-    use crate::simrank::simrank;
+    use crate::engine::{self, UniformTransition};
     use simrankpp_graph::fixtures::complete_bipartite;
     use simrankpp_graph::EdgeData;
 
@@ -153,7 +153,7 @@ mod tests {
             let g = complete_bipartite(m, 2, EdgeData::from_clicks(1));
             for k in 1..=6 {
                 let cfg = SimrankConfig::default().with_iterations(k);
-                let engine = simrank(&g, &cfg).ads.get(0, 1);
+                let engine = engine::run(&g, &cfg, &UniformTransition).ads.get(0, 1);
                 let closed = *km2_pair_iterates(m, C, C, k).last().unwrap();
                 assert!(
                     (engine - closed).abs() < 1e-12,

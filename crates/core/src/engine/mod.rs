@@ -59,9 +59,9 @@
 //!   [`single_source::DiagonalCorrection::whole_graph`] (the live engine's
 //!   per-block recording run, which keeps only the diagonals) run the query
 //!   chain.
-//! * [`run`] — and the paper-table surface over it (`simrank`,
-//!   `evidence_simrank`, `weighted_simrank`) — runs the query chain, then the
-//!   ad chain to the depth the first one reached. The two cover every
+//! * [`run`] (the paper tables, the ablations and the differential suites,
+//!   which read both sides or the diagnostics) runs the query chain, then
+//!   the ad chain to the depth the first one reached. The two cover every
 //!   `(side, t)` between them, so `pair_counts` keeps one `(query, ad)`
 //!   entry per iteration.
 //!

@@ -9,9 +9,10 @@
 //!
 //! Evidence-based scores multiply the `k`-iteration SimRank scores at
 //! read-out (Eq. 7.5/7.6): `s_ev(q,q') = evidence(q,q') · s(q,q')`.
-//! [`evidence_multiply`] materialises it for the paper-table functions below;
-//! serving never does: [`crate::rewriter::candidates`] applies the factor per
-//! candidate when a row is read, index row or live row alike.
+//! [`evidence_multiply`] materialises it for both sides of an
+//! [`crate::engine::run`], and [`crate::Method::final_scores`] for the query
+//! side; serving never does: [`crate::rewriter::candidates`] applies the
+//! factor per candidate when a row is read, index row or live row alike.
 //!
 //! Note a consequence the evaluation depends on: pairs with **no** common
 //! neighbor have evidence 0, so their evidence-based score collapses to 0
@@ -24,9 +25,7 @@
 //! Table 4's numbers use `1/2 + 1/4 = 3/4`, consistent with Eq. 7.3. We follow
 //! Eq. 7.3 / Table 4 and flag the appendix constant as a typo.)
 
-use crate::config::SimrankConfig;
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
-use crate::simrank::{simrank, SimrankResult};
 use serde::{Deserialize, Serialize};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
 
@@ -59,47 +58,6 @@ impl EvidenceKind {
             EvidenceKind::Geometric => "geometric",
             EvidenceKind::Exponential => "exponential",
         }
-    }
-}
-
-/// Result of a walk with the evidence read-out — evidence-based SimRank (§7)
-/// and weighted SimRank (§8): both the raw walk scores and the
-/// evidence-multiplied scores.
-#[derive(Debug, Clone)]
-pub struct EvidenceSimrankResult {
-    /// The underlying walk's result (uniform for §7, weighted for §8), no
-    /// evidence factor applied.
-    pub raw: SimrankResult,
-    /// Evidence-multiplied query-side scores (Eq. 7.5).
-    pub queries: ScoreMatrix,
-    /// Evidence-multiplied ad-side scores (Eq. 7.6).
-    pub ads: ScoreMatrix,
-    /// Evidence formula used.
-    pub kind: EvidenceKind,
-}
-
-/// Runs SimRank then applies evidence at read-out (Eq. 7.5/7.6).
-pub fn evidence_simrank(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    kind: EvidenceKind,
-) -> EvidenceSimrankResult {
-    let raw = simrank(g, config);
-    apply_evidence(g, raw, kind)
-}
-
-/// Multiplies an existing SimRank result by evidence factors.
-pub fn apply_evidence(
-    g: &ClickGraph,
-    raw: SimrankResult,
-    kind: EvidenceKind,
-) -> EvidenceSimrankResult {
-    let (queries, ads) = evidence_multiply(g, &raw.queries, &raw.ads, kind);
-    EvidenceSimrankResult {
-        queries,
-        ads,
-        raw,
-        kind,
     }
 }
 
@@ -153,10 +111,17 @@ fn evidence_side(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimrankConfig;
+    use crate::engine::{self, UniformTransition};
     use simrankpp_graph::fixtures::{figure4_k12, figure4_k22};
 
-    fn cfg(k: usize) -> SimrankConfig {
-        SimrankConfig::default().with_iterations(k)
+    /// Evidence-based SimRank's query side after `k` iterations: the uniform
+    /// walk's scores and their Eq. 7.3 read-out.
+    fn raw_and_final(g: &ClickGraph, k: usize) -> (ScoreMatrix, ScoreMatrix) {
+        let config = SimrankConfig::default().with_iterations(k);
+        let raw = engine::run(g, &config, &UniformTransition).queries;
+        let finals = query_evidence(g, &raw, EvidenceKind::Geometric);
+        (raw, finals)
     }
 
     #[test]
@@ -199,9 +164,8 @@ mod tests {
         // The factor actually applied on K2,2 (two common ads) is 3/4: the
         // evidence-based score is exactly 0.75 × the plain SimRank score.
         let g = figure4_k22();
-        let r = evidence_simrank(&g, &cfg(3), EvidenceKind::Geometric);
-        let plain = crate::simrank::simrank(&g, &cfg(3));
-        assert_eq!(r.queries.get(0, 1), 0.75 * plain.queries.get(0, 1));
+        let (plain, finals) = raw_and_final(&g, 3);
+        assert_eq!(finals.get(0, 1), 0.75 * plain.get(0, 1));
     }
 
     #[test]
@@ -210,8 +174,7 @@ mod tests {
         let g = figure4_k22();
         let expected = [0.3, 0.42, 0.468, 0.4872, 0.49488, 0.497952, 0.4991808];
         for (k, &want) in expected.iter().enumerate() {
-            let r = evidence_simrank(&g, &cfg(k + 1), EvidenceKind::Geometric);
-            let got = r.queries.get(0, 1);
+            let got = raw_and_final(&g, k + 1).1.get(0, 1);
             assert!(
                 (got - want).abs() < 1e-9,
                 "iteration {}: got {got}, want {want}",
@@ -225,8 +188,8 @@ mod tests {
         // Table 4: evidence-based sim("pc","camera") = 0.4 at every iteration.
         let g = figure4_k12();
         for k in 1..=7 {
-            let r = evidence_simrank(&g, &cfg(k), EvidenceKind::Geometric);
-            assert!((r.queries.get(0, 1) - 0.4).abs() < 1e-12, "iteration {k}");
+            let got = raw_and_final(&g, k).1.get(0, 1);
+            assert!((got - 0.4).abs() < 1e-12, "iteration {k}");
         }
     }
 
@@ -236,11 +199,7 @@ mod tests {
         // the fix the evidence score was designed for.
         let k22 = figure4_k22();
         let k12 = figure4_k12();
-        let at = |g: &simrankpp_graph::ClickGraph, k: usize| {
-            evidence_simrank(g, &cfg(k), EvidenceKind::Geometric)
-                .queries
-                .get(0, 1)
-        };
+        let at = |g: &ClickGraph, k: usize| raw_and_final(g, k).1.get(0, 1);
         assert!(at(&k22, 1) < at(&k12, 1)); // 0.3 < 0.4
         for k in 2..=7 {
             assert!(at(&k22, k) > at(&k12, k), "no crossover at iteration {k}");
@@ -251,21 +210,21 @@ mod tests {
     fn no_common_neighbors_zeroes_score() {
         use simrankpp_graph::fixtures::figure3_graph;
         let g = figure3_graph();
-        let r = evidence_simrank(&g, &cfg(10), EvidenceKind::Geometric);
+        let (raw, finals) = raw_and_final(&g, 10);
         let pc = g.query_by_name("pc").unwrap().0;
         let tv = g.query_by_name("tv").unwrap().0;
         // pc and tv share no ad: evidence = 0 even though SimRank > 0.
-        assert!(r.raw.queries.get(pc, tv) > 0.0);
-        assert_eq!(r.queries.get(pc, tv), 0.0);
+        assert!(raw.get(pc, tv) > 0.0);
+        assert_eq!(finals.get(pc, tv), 0.0);
     }
 
     #[test]
     fn evidence_scores_bounded_by_raw() {
         use simrankpp_graph::fixtures::figure3_graph;
         let g = figure3_graph();
-        let r = evidence_simrank(&g, &cfg(10), EvidenceKind::Geometric);
-        for (a, b, v) in r.queries.iter() {
-            assert!(v <= r.raw.queries.get(a, b) + 1e-12);
+        let (raw, finals) = raw_and_final(&g, 10);
+        for (a, b, v) in finals.iter() {
+            assert!(v <= raw.get(a, b) + 1e-12);
         }
     }
 }

@@ -103,10 +103,35 @@ impl Method {
     /// Computes `kind` over `g`. `config` controls decay factors, iteration
     /// count, pruning, the edge-weight kind (weighted SimRank and Pearson),
     /// and threading. The SimRank kinds run only the engine's query chain, so
-    /// they store the query-side raw bits of [`crate::simrank::simrank`],
-    /// [`crate::evidence::evidence_simrank`] and [`crate::weighted_simrank`].
+    /// they store the query side of [`crate::engine::run`] over
+    /// [`MethodKind::walk`]. This is [`Method::compute_with`] at the paper's
+    /// Eq. 7.3 evidence and §8.2 spread factor.
     pub fn compute(kind: MethodKind, g: &ClickGraph, config: &SimrankConfig) -> Method {
-        let scores = match kind.walk(config.weight_kind) {
+        Method::compute_with(
+            kind,
+            g,
+            config,
+            EvidenceKind::Geometric,
+            SpreadMode::Exponential,
+        )
+    }
+
+    /// As [`Method::compute`] with an explicit evidence formula, for the
+    /// kinds that carry one, and an explicit spread mode, for weighted
+    /// SimRank's walk (`repro_all ablation-evidence` and `ablation-spread`
+    /// sweep these). Other kinds ignore them.
+    pub fn compute_with(
+        kind: MethodKind,
+        g: &ClickGraph,
+        config: &SimrankConfig,
+        evidence: EvidenceKind,
+        spread: SpreadMode,
+    ) -> Method {
+        let walk = match kind.walk(config.weight_kind) {
+            Some(Walk::Weighted(w)) => Some(Walk::Weighted(WeightedTransition { spread, ..w })),
+            walk => walk,
+        };
+        let scores = match walk {
             Some(walk) => engine::iterate(g, config, &walk, Side::Query, None).scores,
             None if kind == MethodKind::Naive => naive_scores(g),
             None => pearson_scores(g, config.weight_kind),
@@ -114,21 +139,7 @@ impl Method {
         Method {
             kind,
             scores,
-            evidence: kind.evidence(),
-        }
-    }
-
-    /// As [`Method::compute`] with an explicit evidence formula for the
-    /// kinds that carry one (`repro_all ablation-evidence` sweeps this).
-    pub fn compute_with_evidence(
-        kind: MethodKind,
-        g: &ClickGraph,
-        config: &SimrankConfig,
-        evidence: EvidenceKind,
-    ) -> Method {
-        Method {
             evidence: kind.evidence().map(|_| evidence),
-            ..Method::compute(kind, g, config)
         }
     }
 

@@ -6,12 +6,7 @@
 //! them — the failure SimRank fixes.
 
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
-use simrankpp_graph::{AdId, ClickGraph, QueryId};
-
-/// Common-ad count between two queries.
-pub fn naive_similarity(g: &ClickGraph, q1: QueryId, q2: QueryId) -> usize {
-    g.common_ads(q1, q2)
-}
+use simrankpp_graph::{AdId, ClickGraph};
 
 /// All-pairs naive similarity as a score matrix (scores are raw counts, so
 /// they are *not* bounded by 1).
@@ -56,7 +51,7 @@ mod tests {
         let m = naive_scores(&g);
         for (a, b, want) in expected {
             assert_eq!(m.get(q(a).0, q(b).0), want, "naive({a},{b})");
-            assert_eq!(naive_similarity(&g, q(a), q(b)) as f64, want);
+            assert_eq!(g.common_ads(q(a), q(b)) as f64, want);
         }
     }
 
@@ -67,7 +62,7 @@ mod tests {
         for q1 in g.queries() {
             for q2 in g.queries() {
                 if q1 < q2 {
-                    assert_eq!(m.get(q1.0, q2.0), naive_similarity(&g, q1, q2) as f64);
+                    assert_eq!(m.get(q1.0, q2.0), g.common_ads(q1, q2) as f64);
                 }
             }
         }

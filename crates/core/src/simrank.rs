@@ -9,74 +9,24 @@
 //! matching the per-iteration numbers in the paper's Tables 3–4 and the
 //! Appendix A derivations.
 //!
-//! Two engines:
-//!
-//! * [`simrank`] — sparse: a thin front-end over the unified propagation
-//!   kernel in [`crate::engine`] with the uniform `1/N` transition
-//!   ([`crate::engine::UniformTransition`]). Work is proportional to
-//!   `Σ_{(i,j)∈support} N(i)·N(j)` rather than `|Q|²`; exact when
-//!   `config.prune_threshold == 0`, and pruning plus the
-//!   `config.tolerance` early exit make 10⁵-node graphs feasible.
-//! * [`simrank_dense`] — a straightforward O(n²·d²) reference used to
-//!   cross-validate the sparse engine and for the paper's small examples.
-//!
-//! The sparse path parallelizes across scoped threads when
-//! `config.threads != 1`.
+//! The sparse engine is [`crate::engine::run`] with the uniform `1/N`
+//! transition ([`crate::engine::UniformTransition`]): work proportional to
+//! `Σ_{(i,j)∈support} N(i)·N(j)` rather than `|Q|²`, exact when
+//! `config.prune_threshold == 0`, with pruning and the `config.tolerance`
+//! early exit making 10⁵-node graphs feasible. This module keeps
+//! [`simrank_dense`], a straightforward O(n²·d²) reference used to
+//! cross-validate the sparse engine and for the paper's small examples.
 
 use crate::config::SimrankConfig;
-use crate::engine::{self, UniformTransition};
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
-
-/// Output of a SimRank computation.
-#[derive(Debug, Clone)]
-pub struct SimrankResult {
-    /// Query-side similarity scores `s(q, q')`.
-    pub queries: ScoreMatrix,
-    /// Ad-side similarity scores `s(α, α')`.
-    pub ads: ScoreMatrix,
-    /// The configuration used.
-    pub config: SimrankConfig,
-    /// Stored (query-pairs, ad-pairs) counts after each executed iteration —
-    /// diagnostics for the pruning ablation.
-    pub pair_counts: Vec<(usize, usize)>,
-    /// With a tolerance, the largest per-pair change between query-side
-    /// iterates two half-steps apart at each check — the convergence
-    /// trajectory (see [`crate::engine`]); empty at `tolerance == 0`.
-    pub max_deltas: Vec<f64>,
-    /// Iterations actually executed (less than `config.iterations` when the
-    /// `config.tolerance` early exit fires).
-    pub iterations_run: usize,
-    /// Whether iteration stopped because the max delta reached
-    /// `config.tolerance`.
-    pub converged: bool,
-}
-
-impl SimrankResult {
-    pub(crate) fn from_engine(run: engine::EngineRun, config: &SimrankConfig) -> Self {
-        SimrankResult {
-            queries: run.queries,
-            ads: run.ads,
-            config: *config,
-            pair_counts: run.pair_counts,
-            max_deltas: run.max_deltas,
-            iterations_run: run.iterations_run,
-            converged: run.converged,
-        }
-    }
-}
-
-/// Runs sparse bipartite SimRank through the unified engine.
-pub fn simrank(g: &ClickGraph, config: &SimrankConfig) -> SimrankResult {
-    SimrankResult::from_engine(engine::run(g, config, &UniformTransition), config)
-}
 
 /// Dense reference implementation (O((|Q|² + |A|²)·d²) per iteration).
 ///
 /// Exact Jacobi iteration over full matrices; intended for graphs up to a
 /// few thousand nodes (tests, paper tables, cross-validation of the sparse
-/// engine). Records no diagnostics.
-pub fn simrank_dense(g: &ClickGraph, config: &SimrankConfig) -> SimrankResult {
+/// engine). Returns the (query-side, ad-side) scores.
+pub fn simrank_dense(g: &ClickGraph, config: &SimrankConfig) -> (ScoreMatrix, ScoreMatrix) {
     config.validate().expect("invalid SimRank configuration");
     let nq = g.n_queries();
     let na = g.n_ads();
@@ -144,15 +94,7 @@ pub fn simrank_dense(g: &ClickGraph, config: &SimrankConfig) -> SimrankResult {
             }
         }
     }
-    SimrankResult {
-        queries: qb.build(),
-        ads: ab.build(),
-        config: *config,
-        pair_counts: Vec::new(),
-        max_deltas: Vec::new(),
-        iterations_run: config.iterations,
-        converged: false,
-    }
+    (qb.build(), ab.build())
 }
 
 /// Flat n x n identity matrix (shared with the weighted dense oracle).
@@ -167,11 +109,16 @@ pub(crate) fn identity(n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{self, EngineRun, UniformTransition};
     use simrankpp_graph::fixtures::{complete_bipartite, figure3_graph, figure4_k12, figure4_k22};
     use simrankpp_graph::EdgeData;
 
     fn cfg(k: usize) -> SimrankConfig {
         SimrankConfig::default().with_iterations(k)
+    }
+
+    fn run(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
+        engine::run(g, config, &UniformTransition)
     }
 
     #[test]
@@ -180,7 +127,7 @@ mod tests {
         let g = figure4_k22();
         let expected = [0.4, 0.56, 0.624, 0.6496, 0.65984, 0.663936, 0.6655744];
         for (k, &want) in expected.iter().enumerate() {
-            let r = simrank(&g, &cfg(k + 1));
+            let r = run(&g, &cfg(k + 1));
             let got = r.queries.get(0, 1);
             assert!(
                 (got - want).abs() < 1e-9,
@@ -195,7 +142,7 @@ mod tests {
         // Table 3, column sim("pc", "camera") = 0.8 at every iteration.
         let g = figure4_k12();
         for k in 1..=7 {
-            let r = simrank(&g, &cfg(k));
+            let r = run(&g, &cfg(k));
             assert!((r.queries.get(0, 1) - 0.8).abs() < 1e-12, "iteration {k}");
         }
     }
@@ -204,7 +151,7 @@ mod tests {
     fn table2_figure3_converged() {
         // Table 2: converged scores on the Figure 3 graph with C1=C2=0.8.
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(100));
+        let r = run(&g, &cfg(100));
         let q = |name: &str| g.query_by_name(name).unwrap().0;
 
         let cases = [
@@ -231,7 +178,7 @@ mod tests {
     #[test]
     fn scores_are_symmetric_and_bounded() {
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(10));
+        let r = run(&g, &cfg(10));
         for (a, b, v) in r.queries.iter() {
             assert!(v > 0.0 && v <= 1.0, "score out of range: {v}");
             assert_eq!(r.queries.get(a, b), r.queries.get(b, a));
@@ -246,9 +193,9 @@ mod tests {
     fn scores_monotone_in_iterations() {
         // For basic SimRank from s⁰=I, iterates are non-decreasing per pair.
         let g = figure3_graph();
-        let mut prev = simrank(&g, &cfg(1));
+        let mut prev = run(&g, &cfg(1));
         for k in 2..=8 {
-            let cur = simrank(&g, &cfg(k));
+            let cur = run(&g, &cfg(k));
             for (a, b, v) in cur.queries.iter() {
                 assert!(
                     v + 1e-12 >= prev.queries.get(a, b),
@@ -262,10 +209,10 @@ mod tests {
     #[test]
     fn sparse_matches_dense() {
         let g = figure3_graph();
-        let s = simrank(&g, &cfg(6));
-        let d = simrank_dense(&g, &cfg(6));
-        assert!(s.queries.max_abs_diff(&d.queries) < 1e-12);
-        assert!(s.ads.max_abs_diff(&d.ads) < 1e-12);
+        let s = run(&g, &cfg(6));
+        let (dq, da) = simrank_dense(&g, &cfg(6));
+        assert!(s.queries.max_abs_diff(&dq) < 1e-12);
+        assert!(s.ads.max_abs_diff(&da) < 1e-12);
     }
 
     #[test]
@@ -282,14 +229,14 @@ mod tests {
             b.add_edge(QueryId(q), AdId(a), EdgeData::from_clicks(1));
         }
         let g = b.build();
-        let s = simrank(&g, &cfg(5));
-        let d = simrank_dense(&g, &cfg(5));
+        let s = run(&g, &cfg(5));
+        let (dq, da) = simrank_dense(&g, &cfg(5));
         assert!(
-            s.queries.max_abs_diff(&d.queries) < 1e-10,
+            s.queries.max_abs_diff(&dq) < 1e-10,
             "query-side mismatch {}",
-            s.queries.max_abs_diff(&d.queries)
+            s.queries.max_abs_diff(&dq)
         );
-        assert!(s.ads.max_abs_diff(&d.ads) < 1e-10);
+        assert!(s.ads.max_abs_diff(&da) < 1e-10);
     }
 
     #[test]
@@ -306,8 +253,8 @@ mod tests {
             b.add_edge(QueryId(q), AdId(a), EdgeData::from_clicks(1));
         }
         let g = b.build();
-        let serial = simrank(&g, &cfg(4));
-        let parallel = simrank(&g, &cfg(4).with_threads(4));
+        let serial = run(&g, &cfg(4));
+        let parallel = run(&g, &cfg(4).with_threads(4));
         assert!(
             serial.queries.max_abs_diff(&parallel.queries) < 1e-9,
             "parallel drifted by {}",
@@ -318,8 +265,8 @@ mod tests {
     #[test]
     fn pruning_only_loses_small_scores() {
         let g = figure3_graph();
-        let exact = simrank(&g, &cfg(8));
-        let pruned = simrank(&g, &cfg(8).with_prune_threshold(0.05));
+        let exact = run(&g, &cfg(8));
+        let pruned = run(&g, &cfg(8).with_prune_threshold(0.05));
         for (a, b, v) in exact.queries.iter() {
             let p = pruned.queries.get(a, b);
             // Pruned scores are never larger, and large scores survive.
@@ -333,7 +280,7 @@ mod tests {
     #[test]
     fn disconnected_pairs_score_zero() {
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(20));
+        let r = run(&g, &cfg(20));
         let flower = g.query_by_name("flower").unwrap().0;
         for other in ["pc", "camera", "digital camera", "tv"] {
             let o = g.query_by_name(other).unwrap().0;
@@ -344,7 +291,7 @@ mod tests {
     #[test]
     fn zero_iterations_gives_identity() {
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(0));
+        let r = run(&g, &cfg(0));
         assert_eq!(r.queries.n_pairs(), 0);
         assert_eq!(r.queries.get(0, 0), 1.0);
     }
@@ -353,7 +300,7 @@ mod tests {
     fn complete_bipartite_uniform_scores() {
         // In K_{m,n} all same-side pairs have identical scores by symmetry.
         let g = complete_bipartite(4, 3, EdgeData::from_clicks(1));
-        let r = simrank(&g, &cfg(6));
+        let r = run(&g, &cfg(6));
         let first = r.queries.get(0, 1);
         for a in 0..4u32 {
             for b in (a + 1)..4u32 {
@@ -371,7 +318,7 @@ mod tests {
     #[test]
     fn pair_counts_recorded() {
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(3));
+        let r = run(&g, &cfg(3));
         assert_eq!(r.pair_counts.len(), 3);
         assert!(r.pair_counts[2].0 >= r.pair_counts[0].0);
     }
@@ -381,9 +328,9 @@ mod tests {
         // One delta per query-side check (t = 2, 4, 6, 8), and only under a
         // tolerance.
         let g = figure3_graph();
-        let r = simrank(&g, &cfg(8));
+        let r = run(&g, &cfg(8));
         assert!(r.max_deltas.is_empty());
-        let r = simrank(&g, &cfg(8).with_tolerance(1e-15));
+        let r = run(&g, &cfg(8).with_tolerance(1e-15));
         assert_eq!(r.max_deltas.len(), 4);
         assert_eq!(r.iterations_run, 8);
         assert!(!r.converged);
@@ -394,8 +341,8 @@ mod tests {
     #[test]
     fn tolerance_early_exit_matches_full_run() {
         let g = figure3_graph();
-        let full = simrank(&g, &cfg(60));
-        let tol = simrank(&g, &cfg(60).with_tolerance(1e-9));
+        let full = run(&g, &cfg(60));
+        let tol = run(&g, &cfg(60).with_tolerance(1e-9));
         assert!(tol.converged);
         assert!(tol.iterations_run < 60);
         assert_eq!(tol.iterations_run % 2, 0);

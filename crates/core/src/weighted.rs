@@ -20,9 +20,10 @@
 //!
 //! The walk recursion itself runs on the unified kernel in [`crate::engine`]
 //! via [`crate::engine::WeightedTransition`] — this module only computes the
-//! `W` factor tables ([`TransitionWeights`]) and applies the evidence factor
-//! at read-out; the raw walk scores are kept for tie-breaking (see
-//! `evidence.rs` for why the paper's Figure 12 requires this).
+//! `W` factor tables ([`TransitionWeights`]) and the dense oracle. The
+//! evidence factor is applied at read-out ([`crate::MethodKind::evidence`]),
+//! and the raw walk scores are kept for tie-breaking (see `evidence.rs` for
+//! why the paper's Figure 12 requires this).
 //!
 //! A practical note the paper's §9.2 choice of edge weight quietly depends
 //! on: `spread = e^(−variance)` is *scale sensitive*. With raw click counts a
@@ -31,10 +32,7 @@
 //! variances stay small. `repro_all ablation-weights` reproduces this.
 
 use crate::config::SimrankConfig;
-use crate::engine::{self, WeightedTransition};
-use crate::evidence::{apply_evidence, EvidenceKind, EvidenceSimrankResult};
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
-use crate::simrank::SimrankResult;
 use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
 use simrankpp_util::population_variance;
 
@@ -144,35 +142,6 @@ impl TransitionWeights {
     }
 }
 
-/// Runs weighted SimRank: evidence × weighted-walk scores after
-/// `config.iterations` Jacobi iterations. The result has the shape
-/// [`evidence_simrank`](crate::evidence::evidence_simrank) returns: `raw`
-/// holds the weighted-walk scores without the evidence factor (used for
-/// tie-breaking and the desirability experiment) and the engine diagnostics.
-pub fn weighted_simrank(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    evidence: EvidenceKind,
-) -> EvidenceSimrankResult {
-    weighted_simrank_with_spread(g, config, evidence, SpreadMode::Exponential)
-}
-
-/// As [`weighted_simrank`] with an explicit spread mode (the ablation knob
-/// `repro_all ablation-spread` turns).
-pub fn weighted_simrank_with_spread(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    evidence: EvidenceKind,
-    spread: SpreadMode,
-) -> EvidenceSimrankResult {
-    let transition = WeightedTransition {
-        kind: config.weight_kind,
-        spread,
-    };
-    let raw = SimrankResult::from_engine(engine::run(g, config, &transition), config);
-    apply_evidence(g, raw, evidence)
-}
-
 /// Dense O(n²·d²) reference for the weighted walk (no evidence factor):
 /// exact Jacobi iteration of the §8.2 equations over full matrices. Used to
 /// cross-validate the sparse engine; intended for small graphs only.
@@ -264,6 +233,8 @@ pub fn star_pair_score(weights: (f64, f64), c1: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{self, EngineRun, UniformTransition, WeightedTransition};
+    use crate::{Method, MethodKind};
     use simrankpp_graph::fixtures::{figure3_graph, figure4_k22, figure5_graphs, figure6_graphs};
     use simrankpp_graph::{ClickGraphBuilder, EdgeData};
 
@@ -271,6 +242,17 @@ mod tests {
         SimrankConfig::default()
             .with_iterations(k)
             .with_weight_kind(WeightKind::Clicks)
+    }
+
+    /// Both sides of the weighted walk, no evidence factor.
+    fn walk(g: &ClickGraph, config: &SimrankConfig, spread: SpreadMode) -> EngineRun {
+        let kind = config.weight_kind;
+        engine::run(g, config, &WeightedTransition { kind, spread })
+    }
+
+    /// Weighted SimRank's final query-side scores (evidence at read-out).
+    fn finals(g: &ClickGraph, config: &SimrankConfig) -> ScoreMatrix {
+        Method::compute(MethodKind::WeightedSimrank, g, config).final_scores(g)
     }
 
     #[test]
@@ -307,14 +289,9 @@ mod tests {
         // Figure 5: equal-click pair (flower, orchids) must beat the skewed
         // pair (flower, teleflora) — Def 8.1 rule (ii).
         let (left, right) = figure5_graphs();
-        let sl = weighted_simrank(&left, &cfg(5), EvidenceKind::Geometric);
-        let sr = weighted_simrank(&right, &cfg(5), EvidenceKind::Geometric);
-        assert!(
-            sl.queries.get(0, 1) > sr.queries.get(0, 1),
-            "left {} must exceed right {}",
-            sl.queries.get(0, 1),
-            sr.queries.get(0, 1)
-        );
+        let sl = finals(&left, &cfg(5)).get(0, 1);
+        let sr = finals(&right, &cfg(5)).get(0, 1);
+        assert!(sl > sr, "left {sl} must exceed right {sr}");
     }
 
     #[test]
@@ -326,9 +303,9 @@ mod tests {
         // rule_i_in_embedded_graph.) The important property: the heavier
         // pair never scores *lower*.
         let (left, right) = figure6_graphs();
-        let sl = weighted_simrank(&left, &cfg(5), EvidenceKind::Geometric);
-        let sr = weighted_simrank(&right, &cfg(5), EvidenceKind::Geometric);
-        assert!(sl.queries.get(0, 1) >= sr.queries.get(0, 1) - 1e-12);
+        let sl = finals(&left, &cfg(5)).get(0, 1);
+        let sr = finals(&right, &cfg(5)).get(0, 1);
+        assert!(sl >= sr - 1e-12);
     }
 
     #[test]
@@ -353,9 +330,9 @@ mod tests {
         let g = b.build();
         let q = |n: &str| g.query_by_name(n).unwrap().0;
         for k in 1..=8 {
-            let r = weighted_simrank(&g, &cfg(k), EvidenceKind::Geometric);
-            let heavy = r.queries.get(q("h1"), q("h2"));
-            let light = r.queries.get(q("l1"), q("l2"));
+            let r = finals(&g, &cfg(k));
+            let heavy = r.get(q("h1"), q("h2"));
+            let light = r.get(q("l1"), q("l2"));
             assert!(
                 heavy > light,
                 "k={k}: heavy pair {heavy} must exceed light pair {light}"
@@ -366,11 +343,13 @@ mod tests {
     #[test]
     fn evidence_applied_at_readout() {
         let g = figure4_k22();
-        let r = weighted_simrank(&g, &cfg(3), EvidenceKind::Geometric);
+        let m = Method::compute(MethodKind::WeightedSimrank, &g, &cfg(3));
+        let (q0, q1) = (simrankpp_graph::QueryId(0), simrankpp_graph::QueryId(1));
+        let (finals, raw) = m.score_with_tiebreak(&g, q0, q1);
         // Uniform K2,2: weighted walk == plain SimRank; evidence = 3/4.
-        let plain = crate::simrank::simrank(&g, &cfg(3));
-        assert!((r.raw.queries.get(0, 1) - plain.queries.get(0, 1)).abs() < 1e-12);
-        assert!((r.queries.get(0, 1) - 0.75 * plain.queries.get(0, 1)).abs() < 1e-12);
+        let plain = engine::run(&g, &cfg(3), &UniformTransition).queries;
+        assert!((raw - plain.get(0, 1)).abs() < 1e-12);
+        assert!((finals - 0.75 * plain.get(0, 1)).abs() < 1e-12);
     }
 
     #[test]
@@ -378,21 +357,20 @@ mod tests {
         // On an equal-weight graph W(q,i) = 1/N(q), so raw weighted scores
         // coincide with plain SimRank.
         let g = figure3_graph();
-        let plain = crate::simrank::simrank(&g, &cfg(6));
-        let weighted = weighted_simrank(&g, &cfg(6), EvidenceKind::Geometric);
+        let plain = engine::run(&g, &cfg(6), &UniformTransition);
+        let weighted = walk(&g, &cfg(6), SpreadMode::Exponential);
         assert!(
-            plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-12,
+            plain.queries.max_abs_diff(&weighted.queries) < 1e-12,
             "diff = {}",
-            plain.queries.max_abs_diff(&weighted.raw.queries)
+            plain.queries.max_abs_diff(&weighted.queries)
         );
-        assert!(plain.ads.max_abs_diff(&weighted.raw.ads) < 1e-12);
+        assert!(plain.ads.max_abs_diff(&weighted.ads) < 1e-12);
     }
 
     #[test]
     fn scores_bounded() {
         let (left, _) = figure5_graphs();
-        let r = weighted_simrank(&left, &cfg(10), EvidenceKind::Geometric);
-        for (_, _, v) in r.queries.iter() {
+        for (_, _, v) in finals(&left, &cfg(10)).iter() {
             assert!(v > 0.0 && v <= 1.0 + 1e-12);
         }
     }
@@ -401,29 +379,28 @@ mod tests {
     fn sparse_matches_weighted_dense() {
         let (left, _) = figure5_graphs();
         for spread in [SpreadMode::Exponential, SpreadMode::Off] {
-            let sparse =
-                weighted_simrank_with_spread(&left, &cfg(5), EvidenceKind::Geometric, spread);
+            let sparse = walk(&left, &cfg(5), spread);
             let (dense_q, dense_a) = weighted_simrank_dense(&left, &cfg(5), spread);
             assert!(
-                sparse.raw.queries.max_abs_diff(&dense_q) < 1e-12,
+                sparse.queries.max_abs_diff(&dense_q) < 1e-12,
                 "spread {spread:?}: drift {}",
-                sparse.raw.queries.max_abs_diff(&dense_q)
+                sparse.queries.max_abs_diff(&dense_q)
             );
-            assert!(sparse.raw.ads.max_abs_diff(&dense_a) < 1e-12);
+            assert!(sparse.ads.max_abs_diff(&dense_a) < 1e-12);
         }
     }
 
     #[test]
     fn diagnostics_reported_for_weighted_variant() {
         let g = figure3_graph();
-        let r = weighted_simrank(&g, &cfg(5), EvidenceKind::Geometric);
-        assert_eq!(r.raw.pair_counts.len(), 5);
-        assert!(r.raw.max_deltas.is_empty());
-        assert_eq!(r.raw.iterations_run, 5);
-        assert!(r.raw.pair_counts[4].0 >= r.raw.pair_counts[0].0);
-        let tol = weighted_simrank(&g, &cfg(5).with_tolerance(1e-15), EvidenceKind::Geometric);
-        assert_eq!(tol.raw.max_deltas.len(), 3);
-        assert!(tol.raw.max_deltas.iter().all(|&d| d >= 0.0));
+        let r = walk(&g, &cfg(5), SpreadMode::Exponential);
+        assert_eq!(r.pair_counts.len(), 5);
+        assert!(r.max_deltas.is_empty());
+        assert_eq!(r.iterations_run, 5);
+        assert!(r.pair_counts[4].0 >= r.pair_counts[0].0);
+        let tol = walk(&g, &cfg(5).with_tolerance(1e-15), SpreadMode::Exponential);
+        assert_eq!(tol.max_deltas.len(), 3);
+        assert!(tol.max_deltas.iter().all(|&d| d >= 0.0));
     }
 
     #[test]
@@ -444,17 +421,9 @@ mod tests {
         b.add_named("popular", "ad", EdgeData::new(1000, 200, 0.2));
         b.add_named("niche", "ad", EdgeData::new(10, 2, 0.2));
         let g = b.build();
-        let clicks = weighted_simrank(
-            &g,
-            &cfg(3).with_weight_kind(WeightKind::Clicks),
-            EvidenceKind::Geometric,
-        );
-        let ecr = weighted_simrank(
-            &g,
-            &cfg(3).with_weight_kind(WeightKind::ExpectedClickRate),
-            EvidenceKind::Geometric,
-        );
-        assert_eq!(clicks.queries.get(0, 1), 0.0, "spread underflow expected");
-        assert!(ecr.queries.get(0, 1) > 0.3, "ECR weights must survive");
+        let clicks = finals(&g, &cfg(3).with_weight_kind(WeightKind::Clicks));
+        let ecr = finals(&g, &cfg(3).with_weight_kind(WeightKind::ExpectedClickRate));
+        assert_eq!(clicks.get(0, 1), 0.0, "spread underflow expected");
+        assert!(ecr.get(0, 1) > 0.3, "ECR weights must survive");
     }
 }

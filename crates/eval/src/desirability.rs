@@ -29,8 +29,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simrankpp_core::weighted::{weighted_simrank_with_spread, SpreadMode};
-use simrankpp_core::{EvidenceKind, Method, MethodKind, SimrankConfig};
+use simrankpp_core::{Method, SimrankConfig};
 use simrankpp_graph::subgraph::remove_edges;
 use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
 use std::collections::VecDeque;
@@ -221,14 +220,6 @@ pub fn score_trials<F: Fn(&ClickGraph, &SimrankConfig) -> Method>(
     predictions
 }
 
-/// Weighted SimRank with an explicit §8.2 spread mode, as a [`Method`]: the
-/// weighted walk's scores with the weighted kind's evidence at read-out, so
-/// `SpreadMode::Exponential` scores as `MethodKind::WeightedSimrank` does.
-pub fn weighted_walk(g: &ClickGraph, config: &SimrankConfig, spread: SpreadMode) -> Method {
-    let run = weighted_simrank_with_spread(g, config, EvidenceKind::Geometric, spread);
-    Method::from_scores(MethodKind::WeightedSimrank, run.raw.queries, None)
-}
-
 /// Induced subgraph of all nodes within `radius` edges of the seeds, plus
 /// the seeds' ids remapped into it.
 fn local_ball(
@@ -333,6 +324,8 @@ fn connected(g: &ClickGraph, from: QueryId, to: QueryId) -> bool {
 mod tests {
     use super::*;
     use crate::metrics::TrialSummary;
+    use simrankpp_core::weighted::SpreadMode;
+    use simrankpp_core::{EvidenceKind, MethodKind};
     use simrankpp_graph::{ClickGraphBuilder, EdgeData};
     use simrankpp_synth::{generator::generate, GeneratorConfig};
 
@@ -426,7 +419,8 @@ mod tests {
                 Method::compute(MethodKind::WeightedSimrank, g, c)
             }),
             ("weighted walk, spread off", |g, c| {
-                weighted_walk(g, c, SpreadMode::Off)
+                let kind = MethodKind::WeightedSimrank;
+                Method::compute_with(kind, g, c, EvidenceKind::Geometric, SpreadMode::Off)
             }),
         ];
         for t in &trials {

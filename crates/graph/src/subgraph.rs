@@ -36,11 +36,6 @@ impl SubgraphMapping {
     pub fn to_sub_query(&self, q: QueryId) -> Option<QueryId> {
         self.query_rev.get(&q.0).copied().map(QueryId)
     }
-
-    /// The subgraph id of parent ad `a`, if included.
-    pub fn to_sub_ad(&self, a: AdId) -> Option<AdId> {
-        self.ad_rev.get(&a.0).copied().map(AdId)
-    }
 }
 
 /// Extracts the subgraph induced by `nodes`: every edge of `g` whose both

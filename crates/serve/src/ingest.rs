@@ -43,7 +43,7 @@ use simrankpp_graph::delta::{dirty_for_endpoints, parse_click_log_line, ClickLog
 use simrankpp_graph::{AdId, ClickGraph, EdgeData, Interner, QueryId, SlidingWindowGraph};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -449,7 +449,6 @@ pub struct SpannedRecord {
 #[derive(Debug)]
 pub struct LogTailer {
     reader: BufReader<File>,
-    path: PathBuf,
     line_no: usize,
     /// Absolute offset of the first unconsumed byte.
     offset: u64,
@@ -464,28 +463,18 @@ impl LogTailer {
     /// Opens `path` for tailing from absolute byte `offset` — the resume
     /// path, where a checkpoint supplies the replay offset. The offset must
     /// fall on a record boundary (checkpoints only ever store record
-    /// boundaries); line numbers in parse errors count from the seek point.
+    /// boundaries). Line numbers in parse errors count from the seek point,
+    /// so each error also names the line's absolute byte offset.
     pub fn open_at<P: AsRef<Path>>(path: P, offset: u64) -> io::Result<LogTailer> {
-        let mut file = File::open(path.as_ref())?;
+        let mut file = File::open(path)?;
         if offset > 0 {
             file.seek(SeekFrom::Start(offset))?;
         }
         Ok(LogTailer {
             reader: BufReader::new(file),
-            path: path.as_ref().to_path_buf(),
             line_no: 0,
             offset,
         })
-    }
-
-    /// The log being tailed.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Lines consumed so far (complete lines only, since open).
-    pub fn lines_read(&self) -> usize {
-        self.line_no
     }
 
     /// Absolute byte offset of the first unconsumed byte: the end of the
@@ -496,8 +485,9 @@ impl LogTailer {
 
     /// Reads every complete record currently available, each with its byte
     /// span for checkpointing. Returns an empty vector at (momentary) EOF;
-    /// parse errors carry the 1-based line number. The unterminated tail, if
-    /// any, is pushed back for the next call.
+    /// parse errors carry the 1-based line number since open and the line's
+    /// absolute byte offset. The unterminated tail, if any, is pushed back
+    /// for the next call.
     pub fn drain_spanned(&mut self) -> io::Result<Vec<SpannedRecord>> {
         let mut records = Vec::new();
         let mut buf = String::new();
@@ -517,7 +507,9 @@ impl LogTailer {
             let start = self.offset;
             self.offset += n as u64;
             self.line_no += 1;
-            if let Some(rec) = parse_click_log_line(&buf, self.line_no)? {
+            let parsed = parse_click_log_line(&buf, self.line_no)
+                .map_err(|e| io::Error::new(e.kind(), format!("{e} (byte offset {start})")))?;
+            if let Some(rec) = parsed {
                 records.push(SpannedRecord {
                     start,
                     end: self.offset,
@@ -621,7 +613,8 @@ mod tests {
         f.flush().unwrap();
 
         let mut tailer = LogTailer::open(&path).unwrap();
-        assert_eq!(tailer.drain_spanned().unwrap().len(), 1);
+        let mut drained = tailer.drain_spanned().unwrap().len();
+        assert_eq!(drained, 1);
         assert!(
             tailer.drain_spanned().unwrap().is_empty(),
             "EOF drains empty"
@@ -635,11 +628,12 @@ mod tests {
         writeln!(f, "@\t2").unwrap();
         f.flush().unwrap();
         let records = tailer.drain_spanned().unwrap();
+        drained += records.len();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].rec, ev(1, "q2", "a2"));
         assert_eq!(records[1].rec, ClickLogRecord::EpochMark { epoch: 2 });
         assert_eq!(records[0].end, records[1].start, "spans tile the log");
-        assert_eq!(tailer.lines_read(), 3);
+        assert_eq!(drained, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -710,6 +704,36 @@ mod tests {
         let replay = resumed.drain_spanned().unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].rec, ev(1, "q2", "a2"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resumed_tailer_errors_name_the_byte_offset() {
+        // Line numbers count from the seek point, so a tailer resumed mid-file
+        // must name the malformed line by its absolute byte offset too.
+        let dir = std::env::temp_dir().join(format!(
+            "simrankpp_resume_err_{}_{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("click.log");
+        // allow(file-create): test producer simulating the external log appender
+        let mut f = File::create(&path).unwrap();
+        write_click_log(&[ev(0, "q1", "a1"), ev(0, "q2", "a2")], &mut f).unwrap();
+        let boundary = f.metadata().unwrap().len();
+        write_click_log(&[ev(1, "q3", "a3")], &mut f).unwrap();
+        let bad_at = f.metadata().unwrap().len();
+        writeln!(f, "?\t1").unwrap();
+        f.flush().unwrap();
+
+        let mut resumed = LogTailer::open_at(&path, boundary).unwrap();
+        let err = resumed.drain_spanned().unwrap_err().to_string();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains(&format!("byte offset {bad_at}")), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,13 +45,6 @@ impl<T> AtomicHandle<T> {
         }
     }
 
-    /// As [`AtomicHandle::new`] from an already-shared value.
-    pub fn from_arc(value: Arc<T>) -> Self {
-        AtomicHandle {
-            slot: Mutex::new(value),
-        }
-    }
-
     /// Locks the slot, recovering from poisoning: the slot's only mutation
     /// is an atomic `Arc` replacement, so the data is consistent no matter
     /// where a previous holder panicked.
@@ -68,11 +61,8 @@ impl<T> AtomicHandle<T> {
     /// Publishes `next` as the current generation, returning the previous
     /// one (which lives until its last outstanding reader drops it).
     pub fn swap(&self, next: T) -> Arc<T> {
-        self.swap_arc(Arc::new(next))
-    }
-
-    /// As [`AtomicHandle::swap`] with an already-shared next generation.
-    pub fn swap_arc(&self, next: Arc<T>) -> Arc<T> {
+        // Allocated before the lock, so the critical section is the swap.
+        let next = Arc::new(next);
         // The publish instant: a crash on either side of the replacement
         // must leave a servable state, which the chaos suite proves by
         // aborting here. The site sits *before* the lock so an abort never

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use simrankpp::core::engine::{self, UniformTransition};
 use simrankpp::core::naive::naive_scores;
-use simrankpp::core::simrank::simrank;
 use simrankpp::graph::fixtures::{figure3_graph, FIGURE3_QUERIES};
 use simrankpp::prelude::*;
 
@@ -30,7 +30,7 @@ fn main() {
     let config = SimrankConfig::paper()
         .with_iterations(100)
         .with_weight_kind(WeightKind::Clicks);
-    let sr = simrank(&graph, &config);
+    let sr = engine::run(&graph, &config, &UniformTransition);
     print_matrix(&graph, |a, b| sr.queries.get(a.0, b.0));
 
     // --- Rewrites from each method -----------------------------------------

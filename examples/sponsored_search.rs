@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example sponsored_search`
 
+use simrankpp::eval::experiment::run_experiment_on;
 use simrankpp::eval::report::render_full;
-use simrankpp::eval::{run_experiment, ExperimentConfig};
+use simrankpp::eval::ExperimentConfig;
 use simrankpp::prelude::*;
 use simrankpp::synth::generator::generate;
 use simrankpp::synth::EditorialJudge;
@@ -19,12 +20,12 @@ fn main() {
     // Full paper-shaped experiment at example scale.
     let config = ExperimentConfig::at_scale("small").expect("a known scale");
     println!("Generating synthetic click graph and running the §9 evaluation…\n");
-    let report = run_experiment(&config);
+    let dataset = generate(&config.generator);
+    let report = run_experiment_on(&config, &dataset);
     println!("{}", render_full(&report));
 
     // Concrete rewrites for the most popular queries, with grades.
     println!("\nSample rewrites (weighted SimRank, grades from the simulated editorial judge):");
-    let dataset = generate(&config.generator);
     let judge = EditorialJudge::new(&dataset.world);
     let method = Method::compute(MethodKind::WeightedSimrank, &dataset.graph, &config.simrank);
     let rewriter = Rewriter::new(&dataset.graph, method, RewriterConfig::default());

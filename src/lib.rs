@@ -22,9 +22,12 @@
 //! `iterations` (Jacobi budget), `prune_threshold` (sparsity/accuracy
 //! trade-off; `0.0` = exact), `tolerance` (early exit once the max per-pair
 //! change between query-side iterates two half-steps apart falls to/below
-//! it; results report `iterations_run`, `converged`, `pair_counts`, and
-//! `max_deltas` with one entry per check), and `threads` (chunked
-//! parallelism).
+//! it), and `threads` (chunked parallelism). The engine has two entry
+//! points: [`core::engine::run`] returns both sides as an
+//! [`EngineRun`](core::engine::EngineRun) that reports `iterations_run`,
+//! `converged`, `pair_counts`, and `max_deltas` with one entry per check,
+//! and [`Method`](prelude::Method) computes one ranked query side with the
+//! evidence factor applied at read-out.
 //!
 //! ## Quickstart
 //!

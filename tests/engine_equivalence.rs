@@ -5,13 +5,11 @@
 //! and a seeded `synth` random graph — plain and weighted, spread on and off.
 
 use simrankpp::core::engine::{
-    self, reference, DiagonalCorrection, UniformTransition, WeightedTransition,
+    self, reference, DiagonalCorrection, EngineRun, UniformTransition, WeightedTransition,
 };
-use simrankpp::core::evidence::evidence_simrank;
-use simrankpp::core::simrank::{simrank, simrank_dense, SimrankResult};
-use simrankpp::core::weighted::{
-    weighted_simrank, weighted_simrank_dense, weighted_simrank_with_spread, SpreadMode,
-};
+use simrankpp::core::evidence::evidence_multiply;
+use simrankpp::core::simrank::simrank_dense;
+use simrankpp::core::weighted::{weighted_simrank_dense, SpreadMode};
 use simrankpp::core::{EvidenceKind, ScoreMatrix};
 use simrankpp::graph::fixtures::{figure3_graph, figure4_k22};
 use simrankpp::prelude::*;
@@ -34,14 +32,25 @@ fn cfg(k: usize) -> SimrankConfig {
         .with_weight_kind(WeightKind::Clicks)
 }
 
+/// Both sides of the uniform walk (§4).
+fn uniform(g: &ClickGraph, c: &SimrankConfig) -> EngineRun {
+    engine::run(g, c, &UniformTransition)
+}
+
+/// Both sides of the weighted walk (§8.2) over `c.weight_kind`.
+fn weighted(g: &ClickGraph, c: &SimrankConfig, spread: SpreadMode) -> EngineRun {
+    let kind = c.weight_kind;
+    engine::run(g, c, &WeightedTransition { kind, spread })
+}
+
 #[test]
 fn plain_sparse_matches_dense_on_all_fixtures() {
     for (name, g) in fixtures() {
         for k in [1, 3, 6] {
-            let s = simrank(&g, &cfg(k));
-            let d = simrank_dense(&g, &cfg(k));
-            let dq = s.queries.max_abs_diff(&d.queries);
-            let da = s.ads.max_abs_diff(&d.ads);
+            let s = uniform(&g, &cfg(k));
+            let (dq_mat, da_mat) = simrank_dense(&g, &cfg(k));
+            let dq = s.queries.max_abs_diff(&dq_mat);
+            let da = s.ads.max_abs_diff(&da_mat);
             assert!(dq < 1e-10, "{name} k={k}: query drift {dq}");
             assert!(da < 1e-10, "{name} k={k}: ad drift {da}");
         }
@@ -53,10 +62,10 @@ fn weighted_sparse_matches_dense_spread_on_and_off() {
     for (name, g) in fixtures() {
         for spread in [SpreadMode::Exponential, SpreadMode::Off] {
             for k in [1, 4] {
-                let s = weighted_simrank_with_spread(&g, &cfg(k), EvidenceKind::Geometric, spread);
+                let s = weighted(&g, &cfg(k), spread);
                 let (dq_mat, da_mat) = weighted_simrank_dense(&g, &cfg(k), spread);
-                let dq = s.raw.queries.max_abs_diff(&dq_mat);
-                let da = s.raw.ads.max_abs_diff(&da_mat);
+                let dq = s.queries.max_abs_diff(&dq_mat);
+                let da = s.ads.max_abs_diff(&da_mat);
                 assert!(dq < 1e-10, "{name} {spread:?} k={k}: query drift {dq}");
                 assert!(da < 1e-10, "{name} {spread:?} k={k}: ad drift {da}");
             }
@@ -69,15 +78,10 @@ fn weighted_with_uniform_weights_equals_plain_engine() {
     // Equal edge weights collapse W(q,i) to 1/N(q): the two transitions must
     // produce identical scores on the complete-bipartite fixture.
     let g = figure4_k22();
-    let plain = simrank(&g, &cfg(5));
-    let weighted = weighted_simrank_with_spread(
-        &g,
-        &cfg(5),
-        EvidenceKind::Geometric,
-        SpreadMode::Exponential,
-    );
-    assert!(plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-14);
-    assert!(plain.ads.max_abs_diff(&weighted.raw.ads) < 1e-14);
+    let plain = uniform(&g, &cfg(5));
+    let weighted = weighted(&g, &cfg(5), SpreadMode::Exponential);
+    assert!(plain.queries.max_abs_diff(&weighted.queries) < 1e-14);
+    assert!(plain.ads.max_abs_diff(&weighted.ads) < 1e-14);
 }
 
 #[test]
@@ -115,14 +119,8 @@ fn diagnostics_shape_is_uniform_across_variants() {
     // tolerance one max_delta per query-side check (t = 2, 4, 6).
     let g = figure3_graph();
     let config = cfg(6).with_tolerance(1e-15);
-    let plain = simrank(&g, &config);
-    let weighted = weighted_simrank_with_spread(
-        &g,
-        &config,
-        EvidenceKind::Geometric,
-        SpreadMode::Exponential,
-    )
-    .raw;
+    let plain = uniform(&g, &config);
+    let weighted = weighted(&g, &config, SpreadMode::Exponential);
     for r in [&plain, &weighted] {
         assert_eq!(r.pair_counts.len(), 6);
         assert_eq!(r.max_deltas.len(), 3);
@@ -132,7 +130,7 @@ fn diagnostics_shape_is_uniform_across_variants() {
             "deltas grow"
         );
     }
-    assert!(simrank(&g, &cfg(6)).max_deltas.is_empty());
+    assert!(uniform(&g, &cfg(6)).max_deltas.is_empty());
     // Uniform weights on Figure 3: the two variants see identical pair
     // support, so the stored-pair trajectories coincide.
     assert_eq!(plain.pair_counts, weighted.pair_counts);
@@ -194,40 +192,58 @@ fn cell(name: &str, c: &SimrankConfig) -> String {
 
 #[test]
 fn query_side_callers_equal_the_both_sides_run_bit_for_bit() {
-    // `Method::compute` runs only the query chain of half-steps; what it
-    // returns must be the query-side bits of the paper-table functions, which
-    // return both sides. `simrank(..).queries` is
-    // `engine::run(.., &UniformTransition).queries` and
-    // `weighted_simrank(..).raw.queries` the weighted run's, so these are
-    // also the query-side scores against `engine::run`, both transitions.
+    // `Method` runs only the query chain of half-steps; what it stores must
+    // be the query side of `engine::run` over the same walk, and what it
+    // reads out the query side of `evidence_multiply` over that run. The
+    // paper's kinds go through `Method::compute`; the spread-off walk and
+    // the Eq. 7.4 evidence formula (the `ablation-spread` and
+    // `ablation-evidence` cells) through `Method::compute_with`.
+    use EvidenceKind::{Exponential, Geometric};
     for (name, g) in [("figure3", figure3_graph()), ("banded", banded_graph())] {
         for c in query_side_grid() {
             let cell = cell(name, &c);
+            let plain = uniform(&g, &c);
             let m = Method::compute(MethodKind::Simrank, &g, &c);
-            assert_eq!(
-                bits(m.stored_scores()),
-                bits(&simrank(&g, &c).queries),
-                "{cell}"
-            );
+            assert_eq!(bits(m.stored_scores()), bits(&plain.queries), "{cell}");
             assert_eq!(m.evidence(), None, "{cell}");
-            for (kind, both) in [
+            let spread_on = weighted(&g, &c, SpreadMode::Exponential);
+            let spread_off = weighted(&g, &c, SpreadMode::Off);
+            for (kind, evidence, spread, run) in [
                 (
                     MethodKind::EvidenceSimrank,
-                    evidence_simrank(&g, &c, EvidenceKind::Geometric),
+                    Geometric,
+                    SpreadMode::Exponential,
+                    &plain,
                 ),
                 (
                     MethodKind::WeightedSimrank,
-                    weighted_simrank(&g, &c, EvidenceKind::Geometric),
+                    Geometric,
+                    SpreadMode::Exponential,
+                    &spread_on,
+                ),
+                (
+                    MethodKind::WeightedSimrank,
+                    Geometric,
+                    SpreadMode::Off,
+                    &spread_off,
+                ),
+                (
+                    MethodKind::EvidenceSimrank,
+                    Exponential,
+                    SpreadMode::Exponential,
+                    &plain,
                 ),
             ] {
-                let m = Method::compute(kind, &g, &c);
-                let finals = m.final_scores(&g);
-                assert_eq!(bits(&finals), bits(&both.queries), "{cell} {kind:?}");
-                assert_eq!(
-                    bits(m.stored_scores()),
-                    bits(&both.raw.queries),
-                    "{cell} {kind:?}"
-                );
+                let cell = format!("{cell} {kind:?} {evidence:?} {spread:?}");
+                let m = if (evidence, spread) == (Geometric, SpreadMode::Exponential) {
+                    Method::compute(kind, &g, &c)
+                } else {
+                    Method::compute_with(kind, &g, &c, evidence, spread)
+                };
+                assert_eq!(m.evidence(), Some(evidence), "{cell}");
+                assert_eq!(bits(m.stored_scores()), bits(&run.queries), "{cell}");
+                let (finals, _) = evidence_multiply(&g, &run.queries, &run.ads, evidence);
+                assert_eq!(bits(&m.final_scores(&g)), bits(&finals), "{cell}");
             }
         }
     }
@@ -248,17 +264,17 @@ fn early_exit_compares_same_chain_iterates() {
         // Per transition: the `Method` kinds it serves, and its run and
         // correction at a config.
         let uniform_at = |c: &SimrankConfig| {
-            let run = simrank(&g, c);
+            let run = uniform(&g, c);
             (
                 run,
                 DiagonalCorrection::whole_graph(&g, c, &UniformTransition),
             )
         };
         let weighted_at = |c: &SimrankConfig| {
-            let run = weighted_simrank(&g, c, EvidenceKind::Geometric).raw;
+            let run = engine::run(&g, c, &weighted);
             (run, DiagonalCorrection::whole_graph(&g, c, &weighted))
         };
-        type At<'a> = &'a dyn Fn(&SimrankConfig) -> (SimrankResult, DiagonalCorrection);
+        type At<'a> = &'a dyn Fn(&SimrankConfig) -> (EngineRun, DiagonalCorrection);
         let transitions: [(&str, &[MethodKind], At); 2] = [
             (
                 "uniform",
@@ -409,8 +425,8 @@ fn parallel_engine_matches_serial_on_synth_graph() {
     gen.n_queries = 300;
     gen.n_ads = 200;
     let g = generate(&gen).graph;
-    let serial = simrank(&g, &cfg(4));
-    let parallel = simrank(&g, &cfg(4).with_threads(4));
+    let serial = uniform(&g, &cfg(4));
+    let parallel = uniform(&g, &cfg(4).with_threads(4));
     let drift = serial.queries.max_abs_diff(&parallel.queries);
     assert!(drift < 1e-9, "parallel drifted by {drift}");
     assert_eq!(serial.pair_counts, parallel.pair_counts);

@@ -325,7 +325,7 @@ proptest! {
         // (and ads) in different components have score exactly 0.0.
         let g = synth_graph(n_topics, n_queries, seed, true);
         let labels = connected_components(&g);
-        let r = simrankpp::core::simrank(&g, &cfg(8));
+        let r = engine::run(&g, &cfg(8), &UniformTransition);
         for (a, b, v) in r.queries.iter() {
             prop_assert!(v > 0.0);
             prop_assert_eq!(

@@ -2,9 +2,8 @@
 //! the public facade API.
 
 use simrankpp::core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
-use simrankpp::core::evidence::{evidence_simrank, EvidenceKind};
+use simrankpp::core::engine::{self, EngineRun, UniformTransition};
 use simrankpp::core::naive::naive_scores;
-use simrankpp::core::simrank::simrank;
 use simrankpp::graph::fixtures::{figure3_graph, figure4_k12, figure4_k22};
 use simrankpp::prelude::*;
 
@@ -12,6 +11,16 @@ fn paper_cfg(iterations: usize) -> SimrankConfig {
     SimrankConfig::paper()
         .with_iterations(iterations)
         .with_weight_kind(WeightKind::Clicks)
+}
+
+/// Plain SimRank (§4), both sides.
+fn plain(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
+    engine::run(g, config, &UniformTransition)
+}
+
+/// Evidence-based SimRank (§7, Eq. 7.3) of the pair `(0, 1)`.
+fn evidence_pair(g: &ClickGraph, config: &SimrankConfig) -> f64 {
+    Method::compute(MethodKind::EvidenceSimrank, g, config).score(g, QueryId(0), QueryId(1))
 }
 
 #[test]
@@ -46,7 +55,7 @@ fn table1_common_ad_counts() {
 #[test]
 fn table2_simrank_converged() {
     let g = figure3_graph();
-    let r = simrank(&g, &paper_cfg(100));
+    let r = plain(&g, &paper_cfg(100));
     let q = |n: &str| g.query_by_name(n).unwrap().0;
     assert!((r.queries.get(q("pc"), q("camera")) - 0.619).abs() < 5e-4);
     assert!((r.queries.get(q("pc"), q("tv")) - 0.437).abs() < 5e-4);
@@ -60,11 +69,11 @@ fn table3_iteration_columns() {
     let k12 = figure4_k12();
     let want_k22 = [0.4, 0.56, 0.624, 0.6496, 0.65984, 0.663936, 0.6655744];
     for (k, want) in want_k22.iter().enumerate() {
-        let engine = simrank(&k22, &paper_cfg(k + 1)).queries.get(0, 1);
+        let engine = plain(&k22, &paper_cfg(k + 1)).queries.get(0, 1);
         assert!((engine - want).abs() < 1e-9, "k22 iteration {}", k + 1);
         let closed = *km2_pair_iterates(2, 0.8, 0.8, k + 1).last().unwrap();
         assert!((closed - want).abs() < 1e-9);
-        let k12_score = simrank(&k12, &paper_cfg(k + 1)).queries.get(0, 1);
+        let k12_score = plain(&k12, &paper_cfg(k + 1)).queries.get(0, 1);
         assert!((k12_score - 0.8).abs() < 1e-12);
     }
 }
@@ -74,9 +83,7 @@ fn table4_evidence_columns() {
     let k22 = figure4_k22();
     let want = [0.3, 0.42, 0.468, 0.4872, 0.49488, 0.497952, 0.4991808];
     for (k, want) in want.iter().enumerate() {
-        let engine = evidence_simrank(&k22, &paper_cfg(k + 1), EvidenceKind::Geometric)
-            .queries
-            .get(0, 1);
+        let engine = evidence_pair(&k22, &paper_cfg(k + 1));
         assert!((engine - want).abs() < 1e-9, "iteration {}", k + 1);
         let closed = *km2_evidence_pair_iterates(2, 0.8, 0.8, k + 1, EvidenceKind::Geometric)
             .last()
@@ -92,17 +99,13 @@ fn section6_crossover_complaint_and_fix() {
     let k22 = figure4_k22();
     let k12 = figure4_k12();
     for k in 1..=10 {
-        let plain22 = simrank(&k22, &paper_cfg(k)).queries.get(0, 1);
-        let plain12 = simrank(&k12, &paper_cfg(k)).queries.get(0, 1);
+        let plain22 = plain(&k22, &paper_cfg(k)).queries.get(0, 1);
+        let plain12 = plain(&k12, &paper_cfg(k)).queries.get(0, 1);
         assert!(plain12 > plain22, "plain SimRank must prefer K1,2 at k={k}");
     }
     for k in 2..=10 {
-        let ev22 = evidence_simrank(&k22, &paper_cfg(k), EvidenceKind::Geometric)
-            .queries
-            .get(0, 1);
-        let ev12 = evidence_simrank(&k12, &paper_cfg(k), EvidenceKind::Geometric)
-            .queries
-            .get(0, 1);
+        let ev22 = evidence_pair(&k22, &paper_cfg(k));
+        let ev12 = evidence_pair(&k12, &paper_cfg(k));
         assert!(ev22 > ev12, "evidence must prefer K2,2 at k={k}");
     }
 }

@@ -5,13 +5,18 @@ use proptest::prelude::*;
 use simrankpp::core::complete_bipartite::{
     km2_evidence_pair_iterates, km2_pair_iterates, km2_pair_limit,
 };
+use simrankpp::core::engine::{self, EngineRun, UniformTransition};
 use simrankpp::core::evidence::EvidenceKind;
 use simrankpp::core::pearson::pearson_similarity;
-use simrankpp::core::simrank::{simrank, simrank_dense};
-use simrankpp::core::weighted::weighted_simrank;
+use simrankpp::core::simrank::simrank_dense;
 use simrankpp::graph::fixtures::complete_bipartite;
 use simrankpp::prelude::*;
 use simrankpp::text::{normalize_query, stem, stem_signature};
+
+/// Plain SimRank (§4), both sides.
+fn plain(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
+    engine::run(g, config, &UniformTransition)
+}
 
 /// A random small click graph from an edge list strategy.
 fn arb_graph() -> impl Strategy<Value = ClickGraph> {
@@ -31,7 +36,7 @@ proptest! {
 
     #[test]
     fn simrank_scores_in_unit_interval(g in arb_graph(), k in 1usize..6) {
-        let r = simrank(&g, &SimrankConfig::paper().with_iterations(k));
+        let r = plain(&g, &SimrankConfig::paper().with_iterations(k));
         for (_, _, v) in r.queries.iter() {
             prop_assert!(v > 0.0 && v <= 1.0 + 1e-12);
         }
@@ -43,16 +48,16 @@ proptest! {
     #[test]
     fn simrank_sparse_equals_dense(g in arb_graph(), k in 1usize..5) {
         let cfg = SimrankConfig::paper().with_iterations(k);
-        let s = simrank(&g, &cfg);
-        let d = simrank_dense(&g, &cfg);
-        prop_assert!(s.queries.max_abs_diff(&d.queries) < 1e-9);
-        prop_assert!(s.ads.max_abs_diff(&d.ads) < 1e-9);
+        let s = plain(&g, &cfg);
+        let (dq, da) = simrank_dense(&g, &cfg);
+        prop_assert!(s.queries.max_abs_diff(&dq) < 1e-9);
+        prop_assert!(s.ads.max_abs_diff(&da) < 1e-9);
     }
 
     #[test]
     fn simrank_monotone_in_iterations(g in arb_graph()) {
-        let prev = simrank(&g, &SimrankConfig::paper().with_iterations(2));
-        let next = simrank(&g, &SimrankConfig::paper().with_iterations(3));
+        let prev = plain(&g, &SimrankConfig::paper().with_iterations(2));
+        let next = plain(&g, &SimrankConfig::paper().with_iterations(3));
         for (a, b, v) in next.queries.iter() {
             prop_assert!(v + 1e-12 >= prev.queries.get(a, b));
         }
@@ -64,8 +69,8 @@ proptest! {
     #[test]
     fn simrank_decay_monotone(g in arb_graph(), c_low in 0.2f64..0.5, c_high in 0.6f64..0.95) {
         // Higher decay factors can only increase scores.
-        let low = simrank(&g, &SimrankConfig::paper().with_decay(c_low, c_low).with_iterations(4));
-        let high = simrank(&g, &SimrankConfig::paper().with_decay(c_high, c_high).with_iterations(4));
+        let low = plain(&g, &SimrankConfig::paper().with_decay(c_low, c_low).with_iterations(4));
+        let high = plain(&g, &SimrankConfig::paper().with_decay(c_high, c_high).with_iterations(4));
         for (a, b, v) in low.queries.iter() {
             prop_assert!(high.queries.get(a, b) + 1e-12 >= v);
         }
@@ -88,9 +93,9 @@ proptest! {
     #[test]
     fn evidence_scores_never_exceed_raw(g in arb_graph(), k in 1usize..5) {
         let cfg = SimrankConfig::paper().with_iterations(k);
-        let r = simrankpp::core::evidence::evidence_simrank(&g, &cfg, EvidenceKind::Geometric);
-        for (a, b, v) in r.queries.iter() {
-            prop_assert!(v <= r.raw.queries.get(a, b) + 1e-12);
+        let m = Method::compute(MethodKind::EvidenceSimrank, &g, &cfg);
+        for (a, b, v) in m.final_scores(&g).iter() {
+            prop_assert!(v <= m.stored_scores().get(a, b) + 1e-12);
         }
     }
 
@@ -101,8 +106,8 @@ proptest! {
         let cfg = SimrankConfig::paper()
             .with_iterations(k)
             .with_weight_kind(WeightKind::Clicks);
-        let r = weighted_simrank(&g, &cfg, EvidenceKind::Geometric);
-        for (_, _, v) in r.queries.iter() {
+        let m = Method::compute(MethodKind::WeightedSimrank, &g, &cfg);
+        for (_, _, v) in m.final_scores(&g).iter() {
             prop_assert!(v > 0.0 && v <= 1.0 + 1e-9);
         }
     }
@@ -115,9 +120,9 @@ proptest! {
         let cfg = SimrankConfig::paper()
             .with_iterations(k)
             .with_weight_kind(WeightKind::Clicks);
-        let plain = simrank(&g, &cfg);
-        let weighted = weighted_simrank(&g, &cfg, EvidenceKind::Geometric);
-        prop_assert!(plain.queries.max_abs_diff(&weighted.raw.queries) < 1e-12);
+        let uniform = plain(&g, &cfg);
+        let weighted = Method::compute(MethodKind::WeightedSimrank, &g, &cfg);
+        prop_assert!(uniform.queries.max_abs_diff(weighted.stored_scores()) < 1e-12);
     }
 
     // ---------- Theorems 6.1 / 6.2 / 7.1 on random parameters ------------
@@ -161,7 +166,7 @@ proptest! {
     fn km2_recurrence_matches_engine(m in 1usize..5, k in 1usize..5) {
         let g = complete_bipartite(m, 2, EdgeData::from_clicks(1));
         let cfg = SimrankConfig::paper().with_iterations(k);
-        let engine = simrank(&g, &cfg).ads.get(0, 1);
+        let engine = plain(&g, &cfg).ads.get(0, 1);
         let closed = *km2_pair_iterates(m, 0.8, 0.8, k).last().unwrap();
         prop_assert!((engine - closed).abs() < 1e-12);
     }
