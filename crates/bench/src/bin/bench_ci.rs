@@ -21,7 +21,7 @@
 //! `--target-queries` shrinks the `1m` tier for smoke runs (keys keep their
 //! nominal 10k/100k/1m names).
 
-use simrankpp_core::engine::{self, UniformTransition};
+use simrankpp_core::engine::{self, Walk};
 use simrankpp_core::{
     Method, MethodKind, Rewriter, RewriterConfig, RowWorkspace, SimrankConfig, SingleSourceEngine,
 };
@@ -410,12 +410,12 @@ fn world0_delta(k: usize) -> GraphDelta {
 fn engine_series(opts: &Options) -> Values {
     let cfg = bench_config();
     let g = synth_graph(10_000, 7_000, None);
-    let full_run = median_ms(opts.reps, || engine::run(&g, &cfg, &UniformTransition));
+    let full_run = median_ms(opts.reps, || engine::run(&g, &cfg, &Walk::Uniform));
     // Transition factors + the block-local per-iteration diagonals: the
     // one-off cost a live server pays before answering its first query.
     let mut ss_engine = None;
     let precompute = median_ms(opts.reps, || {
-        ss_engine = Some(SingleSourceEngine::new(&g, &cfg, &UniformTransition))
+        ss_engine = Some(SingleSourceEngine::new(&g, &cfg, &Walk::Uniform))
     });
     let ss_engine = ss_engine.expect("timed run constructs the engine");
     let nq = g.n_queries() as u32;

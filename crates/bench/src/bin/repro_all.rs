@@ -20,7 +20,7 @@
 //! `small` (the default) or `paper`; any other value exits 2.
 
 use simrankpp_core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
-use simrankpp_core::engine::{self, UniformTransition, WeightedTransition};
+use simrankpp_core::engine::{self, Walk, WeightedTransition};
 use simrankpp_core::evidence::EvidenceKind;
 use simrankpp_core::naive::naive_scores;
 use simrankpp_core::weighted::SpreadMode;
@@ -124,13 +124,15 @@ const ABLATIONS: [(&str, Ablation, &str); 4] = [
     (
         "ablation-evidence",
         ablation_evidence,
-        "Expected: the two rows nearly identical (the paper's remark).",
+        "Expected: coverage and P@X nearly identical (the paper's remark); the mean\n\
+         score differs, because the two formulas scale every score differently.",
     ),
     (
         "ablation-spread",
         ablation_spread,
-        "Expected: the two rows statistically indistinguishable — the desirability\n\
-         signal comes from the normalized weights, not the spread penalty.",
+        "Expected: the two rows' accuracy statistically indistinguishable — the\n\
+         desirability signal comes from the normalized weights, not the spread\n\
+         penalty; the mean pair score differs, because spread scales every walk step.",
     ),
     (
         "ablation-weights",
@@ -245,7 +247,7 @@ fn table2() {
         .with_iterations(100)
         .with_tolerance(1e-10)
         .with_weight_kind(WeightKind::Clicks);
-    let sr = engine::run(&figure3_graph(), &cfg, &UniformTransition);
+    let sr = engine::run(&figure3_graph(), &cfg, &Walk::Uniform);
     matrix(|a, b| format!("{:.3}", sr.queries.get(a, b)));
     println!(
         "engine: {} iterations to max |Δ| ≤ 1e-10 (converged = {}, {} query pairs stored)",
@@ -319,14 +321,14 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
 
     let exact_cfg = config.simrank.with_prune_threshold(0.0);
     let t0 = Instant::now();
-    let exact = engine::run(g, &exact_cfg, &UniformTransition);
+    let exact = engine::run(g, &exact_cfg, &Walk::Uniform);
     let exact_time = t0.elapsed();
 
     // The same diagnostics come from the shared engine for the weighted walk.
-    let walk = WeightedTransition {
+    let walk = Walk::Weighted(WeightedTransition {
         kind: exact_cfg.weight_kind,
         spread: SpreadMode::Exponential,
-    };
+    });
     let weighted = engine::run(g, &exact_cfg, &walk);
     for (variant, run) in [("plain", &exact), ("weighted", &weighted)] {
         println!("--- per-iteration engine diagnostics (exact, {variant} SimRank) ---");
@@ -353,7 +355,7 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
     for threshold in [1e-6, 1e-4, 1e-3, 1e-2] {
         let t0 = Instant::now();
         let pruned_cfg = config.simrank.with_prune_threshold(threshold);
-        let pruned = engine::run(g, &pruned_cfg, &UniformTransition);
+        let pruned = engine::run(g, &pruned_cfg, &Walk::Uniform);
         let dt = t0.elapsed();
         println!(
             "{:<12.0e} {:>12} {:>14.0} {:>16.2e} {:>11.2}x",
@@ -369,7 +371,7 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
     // and let the tolerance stop the loop.
     let tol_cfg = config.simrank.with_iterations(100).with_tolerance(1e-6);
     let t0 = Instant::now();
-    let tol = engine::run(g, &tol_cfg, &UniformTransition);
+    let tol = engine::run(g, &tol_cfg, &Walk::Uniform);
     println!(
         "\ntolerance 1e-6: stopped after {} iterations (converged = {}, last Δ = {:.2e}, {:.0} ms)",
         tol.iterations_run,
@@ -382,7 +384,9 @@ fn ablation_pruning(config: &ExperimentConfig, dataset: &SynthDataset) {
 /// §7: "In our experiments we used the first definition although
 /// preliminary results with both formulas did not show substantial
 /// differences." Coverage and P@X of evidence-based SimRank under Eq. 7.3
-/// and Eq. 7.4, over the 200 most popular queries of the whole graph.
+/// and Eq. 7.4, over the 200 most popular queries of the whole graph, and
+/// the mean final score of the judged rewrites, which the formula moves
+/// even where the ranking ties.
 fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
     println!("--- Ablation: geometric (Eq. 7.3) vs exponential (Eq. 7.4) evidence ---");
     let world = &dataset.world;
@@ -396,8 +400,8 @@ fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
         .collect();
 
     println!(
-        "{:<14} {:>10} {:>8} {:>8} {:>8}",
-        "evidence", "coverage", "P@1", "P@3", "P@5"
+        "{:<14} {:>10} {:>8} {:>8} {:>8} {:>10} {:>12}",
+        "evidence", "coverage", "P@1", "P@3", "P@5", "rewrites", "mean score"
     );
     for kind in [EvidenceKind::Geometric, EvidenceKind::Exponential] {
         let method = Method::compute_with(
@@ -410,20 +414,29 @@ fn ablation_evidence(config: &ExperimentConfig, dataset: &SynthDataset) {
         let rewriter = Rewriter::new(&dataset.graph, method, RewriterConfig::default());
         let judged = judge_rewrites(&rewriter, &sample, &world.bids, &judge, |q| q);
         let p = |x| precision_at_x(&judged, x, RelevanceThreshold::Grade12);
+        let scores: Vec<f64> = judged
+            .iter()
+            .flat_map(|j| j.rewrites.iter().map(|r| r.score))
+            .collect();
+        let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
         println!(
-            "{:<14} {:>9.1}% {:>8.3} {:>8.3} {:>8.3}",
+            "{:<14} {:>9.1}% {:>8.3} {:>8.3} {:>8.3} {:>10} {:>12.6}",
             kind.name(),
             coverage(&judged) * 100.0,
             p(1),
             p(3),
-            p(5)
+            p(5),
+            scores.len(),
+            mean
         );
     }
 }
 
 /// §8.2's `spread = e^(−variance)` factor on (the paper's definition) and
 /// off (the pure normalized-weight walk), scored on Figure 12's trials over
-/// the whole graph.
+/// the whole graph, beside each mode's whole-graph final scores (the
+/// columns `ablation_weights` prints), which the mode moves even where the
+/// trials tie.
 fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
     println!("--- Ablation: the §8.2 spread factor ---");
     let trials = whole_graph_trials(config, dataset);
@@ -436,13 +449,18 @@ fn ablation_spread(config: &ExperimentConfig, dataset: &SynthDataset) {
             Method::compute_with(kind, g, c, EvidenceKind::Geometric, mode)
         }
     });
-    let predictions = score_trials(&dataset.graph, &trials, &config.simrank, &scorers);
-    println!("{:<22} {:>12} {:>8}", "spread mode", "correct", "ties");
-    for (mode, predictions) in modes.iter().zip(predictions) {
+    let g = &dataset.graph;
+    let predictions = score_trials(g, &trials, &config.simrank, &scorers);
+    println!(
+        "{:<22} {:>14} {:>16} {:>12} {:>8}",
+        "spread mode", "score pairs", "mean pair score", "correct", "ties"
+    );
+    for ((mode, scorer), predictions) in modes.iter().zip(&scorers).zip(predictions) {
+        let (n_pairs, mean) = pair_columns(g, &scorer(g, &config.simrank));
         let o = TrialSummary::from_predictions(&format!("{mode:?}"), &predictions);
         println!(
-            "{:<22} {:>7}/{:<4} {:>8}",
-            o.method, o.correct, o.trials, o.ties
+            "{:<22} {:>14} {:>16.6} {:>7}/{:<4} {:>8}",
+            o.method, n_pairs, mean, o.correct, o.trials, o.ties
         );
     }
 }
@@ -465,9 +483,7 @@ fn ablation_weights(config: &ExperimentConfig, dataset: &SynthDataset) {
         |g: &ClickGraph, c: &SimrankConfig| Method::compute(MethodKind::WeightedSimrank, g, c);
     for kind in WeightKind::ALL {
         let cfg = config.simrank.with_weight_kind(kind);
-        let scores = weighted(g, &cfg).final_scores(g);
-        let n_pairs = scores.n_pairs();
-        let mean = scores.iter().map(|(_, _, v)| v).sum::<f64>() / n_pairs.max(1) as f64;
+        let (n_pairs, mean) = pair_columns(g, &weighted(g, &cfg));
         let predictions = score_trials(g, &trials, &cfg, &[weighted]);
         let o = TrialSummary::from_predictions(kind.name(), &predictions[0]);
         println!(
@@ -475,6 +491,14 @@ fn ablation_weights(config: &ExperimentConfig, dataset: &SynthDataset) {
             o.method, n_pairs, mean, o.correct, o.trials, o.ties
         );
     }
+}
+
+/// The `score pairs` and `mean pair score` columns: `method`'s stored
+/// final-score pairs over `g` and their mean.
+fn pair_columns(g: &ClickGraph, method: &Method) -> (usize, f64) {
+    let scores = method.final_scores(g);
+    let mean = scores.iter().map(|(_, _, v)| v).sum::<f64>() / scores.n_pairs().max(1) as f64;
+    (scores.n_pairs(), mean)
 }
 
 /// Figure 12's trials, prepared on the whole graph with the experiment's

@@ -317,7 +317,7 @@ mod tests {
         let on: SimrankConfig = serde_json::from_str(&components).unwrap();
         assert_eq!(on.sharding, ShardStrategy::Components);
         let g = simrankpp_graph::fixtures::figure3_graph();
-        let run = |c: &SimrankConfig| crate::engine::run(&g, c, &crate::UniformTransition);
+        let run = |c: &SimrankConfig| crate::engine::run(&g, c, &crate::Walk::Uniform);
         let (off, on) = (run(&SimrankConfig::default()), run(&on));
         let bits = |m: &crate::ScoreMatrix| -> Vec<(u32, u32, u64)> {
             m.iter().map(|(a, b, v)| (a, b, v.to_bits())).collect()

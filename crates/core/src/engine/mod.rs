@@ -13,8 +13,9 @@
 //! and the mirror equation on the ad side. This module factors that loop out
 //! once:
 //!
-//! * [`Transition`] abstracts the per-edge walk factor ([`UniformTransition`],
-//!   [`WeightedTransition`]); new variants only supply factor tables.
+//! * [`Walk`] is the per-edge walk factor as a value (`Walk::Uniform`, or
+//!   `Walk::Weighted` with a [`WeightedTransition`]); [`Walk::factors`]
+//!   computes its [`TransitionFactors`] once per run.
 //! * Every half-step is one call of the one propagation kernel, [`pull`]: two
 //!   row-parallel Gustavson SpGEMM passes over CSR score rows
 //!   (`S' = c·F·S·Fᵀ` with unit diagonal) — no contribution buffers, no
@@ -87,7 +88,7 @@ pub mod single_source;
 pub mod transition;
 
 pub use single_source::{CorrectionLevel, DiagonalCorrection, RowWorkspace, SingleSourceEngine};
-pub use transition::{Transition, TransitionFactors, UniformTransition, Walk, WeightedTransition};
+pub use transition::{TransitionFactors, Walk, WeightedTransition};
 
 use crate::config::SimrankConfig;
 use crate::scores::ScoreMatrix;
@@ -177,18 +178,18 @@ pub(crate) struct Chain {
     converged: bool,
 }
 
-/// Runs `transition` on `g` and returns both sides' scores: the query chain,
+/// Runs `walk` on `g` and returns both sides' scores: the query chain,
 /// then the ad chain to the depth the query chain reached (so a tolerance
 /// decides the depth on the query side alone).
 ///
 /// Exact (bar floating-point rounding) when `config.prune_threshold == 0`;
 /// with a threshold, pairs whose scaled score falls at or below it are
 /// dropped after each half-step.
-pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> EngineRun {
-    let q = iterate(g, config, transition, Side::Query, None);
+pub fn run(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> EngineRun {
+    let q = iterate(g, config, walk, Side::Query, None);
     let k = q.counts.len();
     let exact = config.with_iterations(k).with_tolerance(0.0);
-    let a = iterate(g, &exact, transition, Side::Ad, None);
+    let a = iterate(g, &exact, walk, Side::Ad, None);
     // The query chain is on the query side at `t` iff `k − t` is even, and
     // the ad chain then on the ad side.
     let pair_counts = (1..=k)
@@ -223,15 +224,15 @@ pub fn run<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T
 /// new matrix, plus the factor tables and `O(nodes)` per-worker scratch —
 /// at the last half-step, about the returned matrix itself. With a
 /// tolerance the end side's iterate from two half-steps back is kept too.
-pub(crate) fn iterate<T: Transition>(
+pub(crate) fn iterate(
     g: &ClickGraph,
     config: &SimrankConfig,
-    transition: &T,
+    walk: &Walk,
     end: Side,
     mut diagonals: Option<&mut DiagonalHistory>,
 ) -> Chain {
     config.validate().expect("invalid SimRank configuration");
-    let factors = transition.factors(g);
+    let factors = walk.factors(g);
 
     // One pull workspace per worker, reused by every half-step.
     let mut workspaces: Vec<pull::PullWorkspace> = (0..config.effective_threads().max(1))
@@ -240,26 +241,10 @@ pub(crate) fn iterate<T: Transition>(
 
     // The four CSR row views the kernel walks: the *output* node's own row
     // in pass 1 (output-major factors), inner rows in pass 2 (inner-major).
-    let ad_row_qfac = |a: u32| {
-        let (qs, _) = g.queries_of(AdId(a));
-        let lo = g.ad_csr_offset(AdId(a));
-        (qs, &factors.ad_to_query[lo..lo + qs.len()])
-    };
-    let query_row_afac = |q: u32| {
-        let (ads, _) = g.ads_of(QueryId(q));
-        let lo = g.query_csr_offset(QueryId(q));
-        (ads, &factors.query_to_ad[lo..lo + ads.len()])
-    };
-    let query_row_qfac = |q: u32| {
-        let (ads, _) = g.ads_of(QueryId(q));
-        let lo = g.query_csr_offset(QueryId(q));
-        (ads, &factors.ad_to_query_by_query[lo..lo + ads.len()])
-    };
-    let ad_row_afac = |a: u32| {
-        let (qs, _) = g.queries_of(AdId(a));
-        let lo = g.ad_csr_offset(AdId(a));
-        (qs, &factors.query_to_ad_by_ad[lo..lo + qs.len()])
-    };
+    let ad_row_qfac = |a: u32| (g.queries_of(AdId(a)).0, factors.toward_ad(g, AdId(a)));
+    let query_row_afac = |q: u32| (g.ads_of(QueryId(q)).0, factors.toward_query(g, QueryId(q)));
+    let query_row_qfac = |q: u32| (g.ads_of(QueryId(q)).0, factors.of_query(g, QueryId(q)));
+    let ad_row_afac = |a: u32| (g.queries_of(AdId(a)).0, factors.of_ad(g, AdId(a)));
 
     // One half-step: `side`'s iterate from the other side's `prev`.
     let mut half_step = |side: Side, prev: &ScoreMatrix, diag: Option<&mut Vec<f64>>| match side {
@@ -328,15 +313,16 @@ pub(crate) fn iterate<T: Transition>(
     chain
 }
 
-/// [`run`] under its former name: `config.sharding` used to pick a
-/// per-component run here, which was bit-identical to the monolithic one.
-/// Kept only because the frozen `benchmark/` sources call it.
-pub fn run_with_strategy<T: Transition>(
+/// [`run`] of the weighted walk under its former name: `config.sharding`
+/// used to pick a per-component run here, which was bit-identical to the
+/// monolithic one. Kept only because the frozen `benchmark/` sources call
+/// it; ROADMAP item 12 deletes it.
+pub fn run_with_strategy(
     g: &ClickGraph,
     config: &SimrankConfig,
-    transition: &T,
+    transition: &WeightedTransition,
 ) -> EngineRun {
-    run(g, config, transition)
+    run(g, config, &Walk::Weighted(*transition))
 }
 
 #[cfg(test)]
@@ -365,7 +351,7 @@ mod tests {
         let g = figure4_k22();
         let expected = [0.4, 0.56, 0.624, 0.6496, 0.65984, 0.663936, 0.6655744];
         for (k, &want) in expected.iter().enumerate() {
-            let r = run(&g, &cfg(k + 1), &UniformTransition);
+            let r = run(&g, &cfg(k + 1), &Walk::Uniform);
             assert!(
                 (r.queries.get(0, 1) - want).abs() < 1e-9,
                 "iteration {}",
@@ -379,12 +365,12 @@ mod tests {
         // Pair counts every iteration; deltas only under a tolerance, one per
         // query-side step of the query chain (t = 1, 3, 5 of k = 5).
         let g = figure3_graph();
-        let r = run(&g, &cfg(5), &UniformTransition);
+        let r = run(&g, &cfg(5), &Walk::Uniform);
         assert_eq!(r.pair_counts.len(), 5);
         assert!(r.max_deltas.is_empty());
         assert_eq!(r.iterations_run, 5);
         assert!(!r.converged);
-        let r = run(&g, &cfg(5).with_tolerance(1e-12), &UniformTransition);
+        let r = run(&g, &cfg(5).with_tolerance(1e-12), &Walk::Uniform);
         assert_eq!(r.max_deltas.len(), 3);
         assert!(!r.converged);
         // The first check compares S_Q^(1) with the identity: the largest.
@@ -395,8 +381,8 @@ mod tests {
     #[test]
     fn tolerance_stops_early_and_flags_convergence() {
         let g = figure3_graph();
-        let full = run(&g, &cfg(100), &UniformTransition);
-        let tol = run(&g, &cfg(100).with_tolerance(1e-6), &UniformTransition);
+        let full = run(&g, &cfg(100), &Walk::Uniform);
+        let tol = run(&g, &cfg(100).with_tolerance(1e-6), &Walk::Uniform);
         assert!(tol.converged);
         assert!(tol.iterations_run < full.iterations_run);
         assert_eq!(tol.iterations_run % 2, 0);
@@ -412,17 +398,11 @@ mod tests {
         // chain that also exits early; recording leaves every score bit
         // alone.
         let g = figure3_graph();
-        let f = UniformTransition.factors(&g);
+        let f = Walk::Uniform.factors(&g);
         let config = cfg(15).with_tolerance(1e-2);
         let mut history = DiagonalHistory::new();
-        let recorded = iterate(
-            &g,
-            &config,
-            &UniformTransition,
-            Side::Query,
-            Some(&mut history),
-        );
-        let plain = run(&g, &config, &UniformTransition);
+        let recorded = iterate(&g, &config, &Walk::Uniform, Side::Query, Some(&mut history));
+        let plain = run(&g, &config, &Walk::Uniform);
         let k = plain.iterations_run;
         assert!(recorded.converged && k < 15 && k % 2 == 1);
         assert_eq!(history.len(), k);
@@ -438,19 +418,17 @@ mod tests {
             sum
         };
         for (t, d) in (1..).zip(&history) {
-            let prev = run(&g, &cfg(t - 1), &UniformTransition);
+            let prev = run(&g, &cfg(t - 1), &Walk::Uniform);
             if (k - t) % 2 == 0 {
                 for q in g.queries() {
                     let ads: Vec<u32> = g.ads_of(q).0.iter().map(|a| a.0).collect();
-                    let fac = &f.ad_to_query_by_query[g.query_csr_offset(q)..][..ads.len()];
-                    let want = 1.0 - config.c1 * dense(ads, fac, &prev.ads);
+                    let want = 1.0 - config.c1 * dense(ads, f.of_query(&g, q), &prev.ads);
                     assert!((d[q.index()] - want).abs() < 1e-12);
                 }
             } else {
                 for a in g.ads() {
                     let qs: Vec<u32> = g.queries_of(a).0.iter().map(|q| q.0).collect();
-                    let fac = &f.query_to_ad_by_ad[g.ad_csr_offset(a)..][..qs.len()];
-                    let want = 1.0 - config.c2 * dense(qs, fac, &prev.queries);
+                    let want = 1.0 - config.c2 * dense(qs, f.of_ad(&g, a), &prev.queries);
                     assert!((d[a.index()] - want).abs() < 1e-12);
                 }
             }
@@ -479,7 +457,7 @@ mod tests {
             let record = |threads| {
                 let mut history = DiagonalHistory::new();
                 let config = cfg(3).with_threads(threads);
-                iterate(&g, &config, &UniformTransition, end, Some(&mut history));
+                iterate(&g, &config, &Walk::Uniform, end, Some(&mut history));
                 history
             };
             let (serial, parallel) = (record(1), record(3));
@@ -502,7 +480,7 @@ mod tests {
         for k in 0..=8 {
             let chains = [Side::Query, Side::Ad].map(|end| {
                 let mut history = DiagonalHistory::new();
-                let chain = iterate(&g, &cfg(k), &UniformTransition, end, Some(&mut history));
+                let chain = iterate(&g, &cfg(k), &Walk::Uniform, end, Some(&mut history));
                 assert_eq!((chain.counts.len(), history.len()), (k, k));
                 (chain, history)
             });
@@ -519,18 +497,18 @@ mod tests {
             histories.push(chains);
         }
         // And `run`'s query scores are the query chain's.
-        let chain = iterate(&g, &cfg(7), &UniformTransition, Side::Query, None);
-        let want = run(&g, &cfg(7), &UniformTransition).queries;
+        let chain = iterate(&g, &cfg(7), &Walk::Uniform, Side::Query, None);
+        let want = run(&g, &cfg(7), &Walk::Uniform).queries;
         assert_eq!(pair_bits(&chain.scores), pair_bits(&want));
     }
 
     #[test]
     fn weighted_transition_diagnostics_present() {
         let g = figure3_graph();
-        let t = WeightedTransition {
+        let t = Walk::Weighted(WeightedTransition {
             kind: WeightKind::Clicks,
             spread: SpreadMode::Exponential,
-        };
+        });
         let r = run(&g, &cfg(4), &t);
         assert_eq!(r.pair_counts.len(), 4);
         assert!(r.max_deltas.is_empty());
@@ -555,20 +533,15 @@ mod tests {
             );
         }
         let g = b.build();
-        for transition in [
-            None,
-            Some(WeightedTransition {
+        for walk in [
+            Walk::Uniform,
+            Walk::Weighted(WeightedTransition {
                 kind: WeightKind::Clicks,
                 spread: SpreadMode::Exponential,
             }),
         ] {
-            let (engine, hashed) = match &transition {
-                None => (
-                    run(&g, &cfg(5), &UniformTransition),
-                    reference::run_hashmap(&g, &cfg(5), &UniformTransition),
-                ),
-                Some(t) => (run(&g, &cfg(5), t), reference::run_hashmap(&g, &cfg(5), t)),
-            };
+            let engine = run(&g, &cfg(5), &walk);
+            let hashed = reference::run_hashmap(&g, &cfg(5), &walk);
             assert!(
                 engine.queries.max_abs_diff(&hashed.queries) < 1e-12,
                 "query drift {}",

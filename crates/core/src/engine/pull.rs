@@ -214,14 +214,14 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
 mod tests {
     use super::*;
     use crate::config::SimrankConfig;
-    use crate::engine::{run, UniformTransition};
+    use crate::engine::{run, Walk};
     use simrankpp_graph::fixtures::figure3_graph;
     use simrankpp_util::PairKey;
 
     #[test]
     fn pull_rows_emit_sorted_pairs() {
         let g = figure3_graph();
-        let r = run(&g, &SimrankConfig::default(), &UniformTransition);
+        let r = run(&g, &SimrankConfig::default(), &Walk::Uniform);
         let pairs: Vec<_> = r.queries.sorted_pairs().collect();
         assert!(!pairs.is_empty());
         assert!(pairs.windows(2).all(|w| w[0].0.raw() < w[1].0.raw()));
@@ -232,7 +232,7 @@ mod tests {
         // After a full run every scratch cell must have been drained — a
         // leaked cell would corrupt the next row (or the next half-step).
         let g = figure3_graph();
-        let factors = crate::engine::Transition::factors(&UniformTransition, &g);
+        let factors = Walk::Uniform.factors(&g);
         let mut ws = vec![PullWorkspace::default()];
         let prev = ScoreMatrix::from_sorted_pairs(g.n_ads(), vec![(PairKey::new(0, 1), 0.5)]);
         for _ in 0..2 {
@@ -240,15 +240,11 @@ mod tests {
                 g.n_queries(),
                 |q| {
                     let q = simrankpp_graph::QueryId(q);
-                    let (ads, _) = g.ads_of(q);
-                    let lo = g.query_csr_offset(q);
-                    (ads, &factors.ad_to_query_by_query[lo..lo + ads.len()])
+                    (g.ads_of(q).0, factors.of_query(&g, q))
                 },
                 |a| {
                     let a = simrankpp_graph::AdId(a);
-                    let (qs, _) = g.queries_of(a);
-                    let lo = g.ad_csr_offset(a);
-                    (qs, &factors.ad_to_query[lo..lo + qs.len()])
+                    (g.queries_of(a).0, factors.toward_ad(&g, a))
                 },
                 &prev,
                 0.8,

@@ -12,7 +12,7 @@
 //! kernel: no [`SimrankConfig`] value selects it.
 
 use super::parallel;
-use super::{NodeId, Transition};
+use super::{NodeId, Walk};
 use crate::config::SimrankConfig;
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
 use simrankpp_graph::{AdId, ClickGraph, QueryId};
@@ -32,13 +32,9 @@ pub struct ReferenceRun {
 /// `FxHashMap` accumulation. Honors `config`'s decay factors, iteration
 /// count, prune threshold and thread count; `tolerance` and `sharding` are
 /// engine features and are ignored.
-pub fn run_hashmap<T: Transition>(
-    g: &ClickGraph,
-    config: &SimrankConfig,
-    transition: &T,
-) -> ReferenceRun {
+pub fn run_hashmap(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> ReferenceRun {
     config.validate().expect("invalid SimRank configuration");
-    let factors = transition.factors(g);
+    let factors = walk.factors(g);
     let threads = config.effective_threads();
 
     let mut q_scores = ScoreMatrixBuilder::new(g.n_queries());
@@ -49,11 +45,7 @@ pub fn run_hashmap<T: Transition>(
         let next_q = propagate_hashmap(
             g.n_queries(),
             g.n_ads(),
-            |a| {
-                let (qs, _) = g.queries_of(AdId(a));
-                let lo = g.ad_csr_offset(AdId(a));
-                (qs, &factors.ad_to_query[lo..lo + qs.len()])
-            },
+            |a| (g.queries_of(AdId(a)).0, factors.toward_ad(g, AdId(a))),
             &a_entries,
             config.c1,
             config.prune_threshold,
@@ -63,11 +55,7 @@ pub fn run_hashmap<T: Transition>(
         let next_a = propagate_hashmap(
             g.n_ads(),
             g.n_queries(),
-            |q| {
-                let (ads, _) = g.ads_of(QueryId(q));
-                let lo = g.query_csr_offset(QueryId(q));
-                (ads, &factors.query_to_ad[lo..lo + ads.len()])
-            },
+            |q| (g.ads_of(QueryId(q)).0, factors.toward_query(g, QueryId(q))),
             &q_entries,
             config.c2,
             config.prune_threshold,

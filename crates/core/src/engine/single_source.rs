@@ -46,12 +46,12 @@
 //!   for `j = ⌊k/2⌋..0`, starting from `v = 0`.
 //!
 //! The result `v` is `S_Q^(k)[q, ·]`, self entry included. The four scatters
-//! consume all four factor layouts of [`TransitionFactors`]:
-//! `Aᵀ` = `ad_to_query_by_query`, `Bᵀ` = `query_to_ad_by_ad`,
-//! `B` = `query_to_ad`, `A` = `ad_to_query`.
+//! read all four factor layouts of [`TransitionFactors`]: `Aᵀ` scatters
+//! through `of_query`, `Bᵀ` through `of_ad`, `B` through `toward_query` and
+//! `A` through `toward_ad`.
 //!
 //! With `prune_threshold = 0` the row equals the engine's to rounding
-//! (≤ 1e-12 over `k ∈ 1..=8`, both transitions —
+//! (≤ 1e-12 over `k ∈ 1..=8`, both walks —
 //! `tests/single_source_equivalence.rs`). With a threshold the engine drops
 //! small *pairs* after each half-step and the sweeps drop small *vector
 //! entries* after each scatter — two truncations of the same sum, within
@@ -94,7 +94,7 @@
 use crate::config::SimrankConfig;
 use crate::engine::accum::SparseAccum;
 use crate::engine::parallel::run_dirty_blocks;
-use crate::engine::transition::{Transition, TransitionFactors};
+use crate::engine::transition::{TransitionFactors, Walk};
 use crate::engine::{self, DiagonalHistory, Side};
 use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId};
 use simrankpp_util::TopK;
@@ -136,18 +136,6 @@ fn diagonal_at(t: isize, recorded: impl FnOnce(usize) -> f64) -> f64 {
     }
 }
 
-/// `F(q, ·)` over query `q`'s ad row.
-fn query_factors<'a>(g: &ClickGraph, f: &'a TransitionFactors, q: QueryId) -> &'a [f64] {
-    let lo = g.query_csr_offset(q);
-    &f.ad_to_query_by_query[lo..lo + g.query_degree(q)]
-}
-
-/// `F(a, ·)` over ad `a`'s query row.
-fn ad_factors<'a>(g: &ClickGraph, f: &'a TransitionFactors, a: AdId) -> &'a [f64] {
-    let lo = g.ad_csr_offset(a);
-    &f.query_to_ad_by_ad[lo..lo + g.ad_degree(a)]
-}
-
 /// The diagonal of a node no same-side pair can reach: with `S = I` on the
 /// other side at every iteration the pin replaces `c·Σ F²` — the value the
 /// kernel records for such a row, bit for bit.
@@ -186,13 +174,9 @@ impl DiagonalCorrection {
     /// is 0 — otherwise each block stops on its own). Every diagonal a level
     /// reads lies on the query chain, so the run is that chain's half-steps,
     /// and the matrix it ends on is dropped.
-    pub fn whole_graph<T: Transition>(
-        g: &ClickGraph,
-        config: &SimrankConfig,
-        transition: &T,
-    ) -> Self {
+    pub fn whole_graph(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> Self {
         let mut history = DiagonalHistory::new();
-        engine::iterate(g, config, transition, Side::Query, Some(&mut history));
+        engine::iterate(g, config, walk, Side::Query, Some(&mut history));
         // Entry `t − 1` is `D_Q^(t)` where `k − t` is even and `D_A^(t)`
         // where it is odd: exactly the iterations a level reads on each side.
         let level = |j| {
@@ -218,19 +202,19 @@ impl DiagonalCorrection {
     /// block serial inside), dirty components too small for that take
     /// the closed form, and every clean node keeps its entries of
     /// `previous` — ids are stable across deltas, so a node without them
-    /// must be dirty. `factors` are `transition`'s over the whole of `g`.
-    fn block_local<T: Transition>(
+    /// must be dirty. `factors` are `walk`'s over the whole of `g`.
+    fn block_local(
         previous: &DiagonalCorrection,
         g: &ClickGraph,
         factors: &TransitionFactors,
         dirty: &DirtyComponents,
         config: &SimrankConfig,
-        transition: &T,
+        walk: &Walk,
     ) -> Result<Self, String> {
         // Each block returns only its levels: the block's score matrices
         // die inside the closure.
         let blocks = run_dirty_blocks(g, dirty, config, |block, local| {
-            Self::whole_graph(&block.graph, local, transition)
+            Self::whole_graph(&block.graph, local, walk)
         })?;
         let (qid, aid) = (|q: usize| QueryId(q as u32), |a: usize| AdId(a as u32));
         let level = |j: usize| {
@@ -251,7 +235,7 @@ impl DiagonalCorrection {
                     d_query,
                     |q| dirty.query_dirty(qid(q)),
                     |q| {
-                        let f = query_factors(g, factors, qid(q));
+                        let f = factors.of_query(g, qid(q));
                         diagonal_at(t_q, |_| pairless_diagonal(f, config.c1))
                     },
                     old.map_or(&[], |l| &l.d_query),
@@ -261,7 +245,7 @@ impl DiagonalCorrection {
                     d_ad,
                     |a| dirty.ad_dirty(aid(a)),
                     |a| {
-                        let f = ad_factors(g, factors, aid(a));
+                        let f = factors.of_ad(g, aid(a));
                         diagonal_at(t_a, |_| pairless_diagonal(f, config.c2))
                     },
                     old.map_or(&[], |l| &l.d_ad),
@@ -344,10 +328,8 @@ impl RowWorkspace {
             // y_j = Aᵀ u_j: (Aᵀu)[a] = Σ_q F(q,a)·u[q], query-major factors.
             for &(qi, x) in &self.levels_u[j] {
                 let q = QueryId(qi);
-                let (ads, _) = g.ads_of(q);
-                let lo = g.query_csr_offset(q);
-                for (k, &a) in ads.iter().enumerate() {
-                    self.acc_a.add(a.0, f.ad_to_query_by_query[lo + k] * x);
+                for (&a, &w) in g.ads_of(q).0.iter().zip(f.of_query(g, q)) {
+                    self.acc_a.add(a.0, w * x);
                 }
             }
             drain_into(&mut self.acc_a, prune, &mut self.levels_y[j]);
@@ -357,10 +339,8 @@ impl RowWorkspace {
             // u_{j+1} = Bᵀ y_j: (Bᵀy)[q] = Σ_a F(a,q)·y[a], ad-major factors.
             for &(ai, x) in &self.levels_y[j] {
                 let a = AdId(ai);
-                let (qs, _) = g.queries_of(a);
-                let lo = g.ad_csr_offset(a);
-                for (k, &q) in qs.iter().enumerate() {
-                    self.acc_q.add(q.0, f.query_to_ad_by_ad[lo + k] * x);
+                for (&q, &w) in g.queries_of(a).0.iter().zip(f.of_ad(g, a)) {
+                    self.acc_q.add(q.0, w * x);
                 }
             }
             drain_into(&mut self.acc_q, prune, &mut self.levels_u[j + 1]);
@@ -388,13 +368,13 @@ impl SingleSourceEngine {
     /// one-off precompute of this mode — everything per-query afterwards).
     /// This is [`SingleSourceEngine::refreshed`] from the empty graph, with
     /// every component dirty.
-    pub fn new<T: Transition>(g: &ClickGraph, config: &SimrankConfig, transition: &T) -> Self {
+    pub fn new(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> Self {
         Self::refreshed(
             &DiagonalCorrection::default(),
             g,
             &DirtyComponents::all(g),
             config,
-            transition,
+            walk,
         )
         .expect("an all-dirty refresh copies nothing from the previous correction")
     }
@@ -406,17 +386,17 @@ impl SingleSourceEngine {
     /// result is bit-identical to [`SingleSourceEngine::new`] over `g`.
     /// Errors when `dirty` was computed for another graph or leaves a node
     /// `previous` does not cover clean.
-    pub fn refreshed<T: Transition>(
+    pub fn refreshed(
         previous: &DiagonalCorrection,
         g: &ClickGraph,
         dirty: &DirtyComponents,
         config: &SimrankConfig,
-        transition: &T,
+        walk: &Walk,
     ) -> Result<Self, String> {
         config.validate().expect("invalid SimRank configuration");
-        let factors = transition.factors(g);
+        let factors = walk.factors(g);
         let correction =
-            DiagonalCorrection::block_local(previous, g, &factors, dirty, config, transition)?;
+            DiagonalCorrection::block_local(previous, g, &factors, dirty, config, walk)?;
         Ok(SingleSourceEngine {
             factors,
             correction,
@@ -465,12 +445,10 @@ impl SingleSourceEngine {
             // m = c·(B v) + C1·(d_A ⊙ y_j), assembled in the ad accumulator.
             for &(qi, x) in &ws.v {
                 let qq = QueryId(qi);
-                let (ads, _) = g.ads_of(qq);
-                let lo = g.query_csr_offset(qq);
-                for (k, &a) in ads.iter().enumerate() {
-                    // B[a,q] = F(a,q), query-major layout.
-                    ws.acc_a
-                        .add(a.0, self.c * self.factors.query_to_ad[lo + k] * x);
+                // B[a,q] = F(a,q), query-major layout.
+                let row = self.factors.toward_query(g, qq);
+                for (&a, &w) in g.ads_of(qq).0.iter().zip(row) {
+                    ws.acc_a.add(a.0, self.c * w * x);
                 }
             }
             for &(ai, x) in &ws.levels_y[j] {
@@ -480,11 +458,10 @@ impl SingleSourceEngine {
             // v = A m + d_Q ⊙ u_j.
             for &(ai, x) in &ws.m {
                 let a = AdId(ai);
-                let (qs, _) = g.queries_of(a);
-                let lo = g.ad_csr_offset(a);
-                for (k, &qq) in qs.iter().enumerate() {
-                    // A[q,a] = F(q,a), ad-major layout.
-                    ws.acc_q.add(qq.0, self.factors.ad_to_query[lo + k] * x);
+                // A[q,a] = F(q,a), ad-major layout.
+                let row = self.factors.toward_ad(g, a);
+                for (&qq, &w) in g.queries_of(a).0.iter().zip(row) {
+                    ws.acc_q.add(qq.0, w * x);
                 }
             }
             for &(qi, x) in &ws.levels_u[j] {
@@ -555,7 +532,7 @@ impl SingleSourceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, EngineRun, UniformTransition};
+    use crate::engine::{self, EngineRun, Walk};
     use simrankpp_graph::fixtures::{figure3_graph, figure4_k22};
     use simrankpp_graph::{dirty_blocks, Block, ClickGraphBuilder, EdgeData, GraphDelta};
 
@@ -635,8 +612,8 @@ mod tests {
             figure3_with_pairless_components(),
         ] {
             for k in 0..=8 {
-                let run = engine::run(&g, &cfg(k), &UniformTransition);
-                let ss = SingleSourceEngine::new(&g, &cfg(k), &UniformTransition);
+                let run = engine::run(&g, &cfg(k), &Walk::Uniform);
+                let ss = SingleSourceEngine::new(&g, &cfg(k), &Walk::Uniform);
                 assert_eq!(ss.levels(), k / 2 + 1);
                 let err = max_row_error(&g, &run, &ss);
                 assert!(err < 1e-12, "k = {k}: live rows off by {err:e}");
@@ -655,8 +632,8 @@ mod tests {
             figure3_with_pairless_components(),
         ] {
             for k in [4, 7] {
-                let whole = DiagonalCorrection::whole_graph(&g, &cfg(k), &UniformTransition);
-                let ss = SingleSourceEngine::new(&g, &cfg(k), &UniformTransition);
+                let whole = DiagonalCorrection::whole_graph(&g, &cfg(k), &Walk::Uniform);
+                let ss = SingleSourceEngine::new(&g, &cfg(k), &Walk::Uniform);
                 assert_same_levels(ss.correction(), &whole);
             }
         }
@@ -666,7 +643,7 @@ mod tests {
     fn refreshed_copies_clean_entries_and_refuses_a_stale_analysis() {
         let g = figure3_graph();
         let config = cfg(7);
-        let old = SingleSourceEngine::new(&g, &config, &UniformTransition);
+        let old = SingleSourceEngine::new(&g, &config, &Walk::Uniform);
         let mut d = GraphDelta::new();
         d.upsert(
             g.query_by_name("camera").unwrap(),
@@ -681,9 +658,8 @@ mod tests {
         let mut previous = old.correction().clone();
         poison(&mut previous, flower, 0.123);
         let next =
-            SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &UniformTransition)
-                .unwrap();
-        let scratch = SingleSourceEngine::new(&g2, &config, &UniformTransition);
+            SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &Walk::Uniform).unwrap();
+        let scratch = SingleSourceEngine::new(&g2, &config, &Walk::Uniform);
         let mut poisoned = scratch.correction().clone();
         poison(&mut poisoned, flower, 0.123);
         assert_same_levels(next.correction(), &poisoned);
@@ -691,13 +667,13 @@ mod tests {
         // Nothing dirty and nothing to copy from: every node is "new".
         let clean = GraphDelta::new().dirty_components(&g2);
         let none = DiagonalCorrection::default();
-        let err = SingleSourceEngine::refreshed(&none, &g2, &clean, &config, &UniformTransition)
-            .unwrap_err();
+        let err =
+            SingleSourceEngine::refreshed(&none, &g2, &clean, &config, &Walk::Uniform).unwrap_err();
         assert!(err.contains("not marked dirty"), "{err}");
         // An analysis of another graph.
         let other = DirtyComponents::all(&figure4_k22());
         assert!(
-            SingleSourceEngine::refreshed(&none, &g2, &other, &config, &UniformTransition).is_err()
+            SingleSourceEngine::refreshed(&none, &g2, &other, &config, &Walk::Uniform).is_err()
         );
     }
 
@@ -706,7 +682,7 @@ mod tests {
         dirty_blocks(g, &DirtyComponents::all(g))
             .into_iter()
             .map(|block| {
-                let run = engine::run(&block.graph, config, &UniformTransition);
+                let run = engine::run(&block.graph, config, &Walk::Uniform);
                 (block, run)
             })
             .collect()
@@ -722,7 +698,7 @@ mod tests {
         let blocks = block_runs(&g, &config);
         let depths: Vec<usize> = blocks.iter().map(|(_, run)| run.iterations_run).collect();
         assert!(depths.iter().any(|&d| d != depths[0]), "depths {depths:?}");
-        let ss = SingleSourceEngine::new(&g, &config, &UniformTransition);
+        let ss = SingleSourceEngine::new(&g, &config, &Walk::Uniform);
         assert_eq!(ss.levels(), 16);
         for (block, run) in &blocks {
             for lq in block.graph.queries() {
@@ -760,9 +736,8 @@ mod tests {
         poison(&mut previous, camera, 0.5);
         let dirty = d.dirty_components(&g2);
         let next =
-            SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &UniformTransition)
-                .unwrap();
-        let mut want = SingleSourceEngine::new(&g2, &config, &UniformTransition)
+            SingleSourceEngine::refreshed(&previous, &g2, &dirty, &config, &Walk::Uniform).unwrap();
+        let mut want = SingleSourceEngine::new(&g2, &config, &Walk::Uniform)
             .correction()
             .clone();
         poison(&mut want, camera, 0.5);
@@ -772,8 +747,8 @@ mod tests {
     #[test]
     fn top_k_matches_matrix_top_k() {
         let g = figure3_graph();
-        let run = engine::run(&g, &cfg(7), &UniformTransition);
-        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
+        let run = engine::run(&g, &cfg(7), &Walk::Uniform);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &Walk::Uniform);
         for q in g.queries() {
             let got = ss.top_k(&g, q, 3);
             let want = run.queries.top_k(q.0, 3);
@@ -793,7 +768,7 @@ mod tests {
     fn disconnected_query_row_is_its_own_unit() {
         // "flower" shares no component with "camera"/"pc"/"tv" in Figure 3.
         let g = figure3_graph();
-        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &Walk::Uniform);
         let flower = g.query_by_name("flower").unwrap();
         let pc = g.query_by_name("pc").unwrap();
         let row = ss.row(&g, flower);
@@ -807,7 +782,7 @@ mod tests {
         // accumulators (drain_into never ran). The next row_into on the same
         // workspace must not inherit it.
         let g = figure3_graph();
-        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &Walk::Uniform);
         let camera = g.query_by_name("camera").unwrap();
         let clean = ss.row(&g, camera);
 
@@ -825,7 +800,7 @@ mod tests {
     #[test]
     fn row_into_refuses_a_workspace_missized_on_either_side() {
         let g = figure3_graph();
-        let ss = SingleSourceEngine::new(&g, &cfg(7), &UniformTransition);
+        let ss = SingleSourceEngine::new(&g, &cfg(7), &Walk::Uniform);
         let camera = g.query_by_name("camera").unwrap();
         for (nq, na) in [
             (g.n_queries() - 1, g.n_ads()),

@@ -112,14 +112,14 @@ fn evidence_side(
 mod tests {
     use super::*;
     use crate::config::SimrankConfig;
-    use crate::engine::{self, UniformTransition};
+    use crate::engine::{self, Walk};
     use simrankpp_graph::fixtures::{figure4_k12, figure4_k22};
 
     /// Evidence-based SimRank's query side after `k` iterations: the uniform
     /// walk's scores and their Eq. 7.3 read-out.
     fn raw_and_final(g: &ClickGraph, k: usize) -> (ScoreMatrix, ScoreMatrix) {
         let config = SimrankConfig::default().with_iterations(k);
-        let raw = engine::run(g, &config, &UniformTransition).queries;
+        let raw = engine::run(g, &config, &Walk::Uniform).queries;
         let finals = query_evidence(g, &raw, EvidenceKind::Geometric);
         (raw, finals)
     }

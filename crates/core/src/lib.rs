@@ -4,17 +4,18 @@
 //!
 //! * [`naive`] — §3's common-ad count (Table 1);
 //! * [`engine`] — the unified sparse propagation engine all recursive
-//!   variants run on: a [`engine::Transition`] abstracts the per-edge walk
+//!   variants run on: a [`engine::Walk`] value is the per-edge walk
 //!   factor, one loop runs one chain of half-steps through one row-parallel
 //!   pull kernel ([`engine::pull`]), with threshold pruning, `pair_counts`
 //!   and a same-chain tolerance early exit;
 //! * [`mod@simrank`] — §4's bipartite SimRank (Eq. 4.1/4.2), which is the
-//!   engine with [`engine::UniformTransition`], and its dense
+//!   engine with `Walk::Uniform`, and its dense
 //!   cross-validation oracle;
 //! * [`evidence`] — §7's evidence-based SimRank (Eq. 7.3–7.6): the uniform
 //!   walk with the evidence factor applied at read-out;
 //! * [`weighted`] — §8's weighted SimRank (spread × normalized-weight walk),
-//!   the same engine kernel with [`engine::WeightedTransition`];
+//!   the same engine kernel with `Walk::Weighted` (an
+//!   [`engine::WeightedTransition`]);
 //! * [`method`] — [`Method`], one ranked query side of any scheme with its
 //!   evidence applied at read-out;
 //! * [`pearson`] — §9.1's Pearson-correlation baseline;
@@ -48,8 +49,8 @@ pub mod weighted;
 
 pub use config::{KernelKind, ShardStrategy, SimrankConfig};
 pub use engine::{
-    DiagonalCorrection, RowWorkspace, SingleSourceEngine, Transition, TransitionFactors,
-    UniformTransition, Walk, WeightedTransition,
+    DiagonalCorrection, RowWorkspace, SingleSourceEngine, TransitionFactors, Walk,
+    WeightedTransition,
 };
 pub use evidence::EvidenceKind;
 pub use method::{Method, MethodKind};

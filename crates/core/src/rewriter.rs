@@ -11,7 +11,8 @@
 //! 3. **bid-term filter**: drop candidates not in the list of queries that
 //!    saw at least one bid during the collection window;
 //! 4. keep at most **5** rewrites. The number that survive is the method's
-//!    *depth* for that query.
+//!    *depth* for that query (§9.4's depth and coverage are computed by the
+//!    evaluation crate from the judged rewrites).
 
 use crate::evidence::EvidenceKind;
 use crate::method::Method;
@@ -276,24 +277,6 @@ impl<'g> Rewriter<'g> {
     ) {
         self.rewrite_ids_with(q, bid_terms, &mut FunnelScratch::default(), out);
     }
-
-    /// The §9.4 *depth* of the method for `q`: how many rewrites survive
-    /// the pipeline (≤ `max_rewrites`).
-    pub fn depth(&self, q: QueryId, bid_terms: Option<&FxHashSet<QueryId>>) -> usize {
-        self.rewrites(q, bid_terms).len()
-    }
-
-    /// §9.4 *coverage* over a query sample: the fraction with ≥ 1 rewrite.
-    pub fn coverage(&self, queries: &[QueryId], bid_terms: Option<&FxHashSet<QueryId>>) -> f64 {
-        if queries.is_empty() {
-            return 0.0;
-        }
-        let covered = queries
-            .iter()
-            .filter(|&&q| !self.rewrites(q, bid_terms).is_empty())
-            .count();
-        covered as f64 / queries.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -346,16 +329,21 @@ mod tests {
         let r = rewriter(&g, MethodKind::Simrank);
         let camera = g.query_by_name("camera").unwrap();
         let bids = FxHashSet::default();
-        assert_eq!(r.depth(camera, Some(&bids)), 0);
+        assert_eq!(r.rewrites(camera, Some(&bids)).len(), 0);
+    }
+
+    /// §9.4 coverage over every query of `g`: the fraction with ≥ 1 rewrite.
+    fn coverage(r: &Rewriter, g: &ClickGraph) -> f64 {
+        let covered = g.queries().filter(|&q| !r.rewrites(q, None).is_empty());
+        covered.count() as f64 / g.n_queries() as f64
     }
 
     #[test]
     fn coverage_on_figure3() {
         let g = figure3_graph();
         let r = rewriter(&g, MethodKind::Simrank);
-        let queries: Vec<QueryId> = g.queries().collect();
         // flower has no rewrites; the other four do → 4/5.
-        let cov = r.coverage(&queries, None);
+        let cov = coverage(&r, &g);
         assert!((cov - 0.8).abs() < 1e-12, "coverage {cov}");
     }
 
@@ -363,9 +351,8 @@ mod tests {
     fn pearson_coverage_lower_than_simrank() {
         // The Figure 8 shape on the toy graph: Pearson ≤ SimRank coverage.
         let g = figure3_graph();
-        let queries: Vec<QueryId> = g.queries().collect();
-        let sr = rewriter(&g, MethodKind::Simrank).coverage(&queries, None);
-        let pe = rewriter(&g, MethodKind::Pearson).coverage(&queries, None);
+        let sr = coverage(&rewriter(&g, MethodKind::Simrank), &g);
+        let pe = coverage(&rewriter(&g, MethodKind::Pearson), &g);
         assert!(pe <= sr);
     }
 
@@ -467,7 +454,6 @@ mod tests {
         ] {
             let r = Rewriter::new(&g, method.clone(), cfg);
             assert!(r.rewrites(camera, None).is_empty(), "{cfg:?}");
-            assert_eq!(r.depth(camera, None), 0);
         }
         assert!(method.ranked_candidates(&g, camera, 0).is_empty());
     }

@@ -10,7 +10,7 @@
 //! Appendix A derivations.
 //!
 //! The sparse engine is [`crate::engine::run`] with the uniform `1/N`
-//! transition ([`crate::engine::UniformTransition`]): work proportional to
+//! walk (`Walk::Uniform`, [`crate::engine::Walk`]): work proportional to
 //! `Σ_{(i,j)∈support} N(i)·N(j)` rather than `|Q|²`, exact when
 //! `config.prune_threshold == 0`, with pruning and the `config.tolerance`
 //! early exit making 10⁵-node graphs feasible. This module keeps
@@ -109,7 +109,7 @@ pub(crate) fn identity(n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, EngineRun, UniformTransition};
+    use crate::engine::{self, EngineRun, Walk};
     use simrankpp_graph::fixtures::{complete_bipartite, figure3_graph, figure4_k12, figure4_k22};
     use simrankpp_graph::EdgeData;
 
@@ -118,7 +118,7 @@ mod tests {
     }
 
     fn run(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
-        engine::run(g, config, &UniformTransition)
+        engine::run(g, config, &Walk::Uniform)
     }
 
     #[test]

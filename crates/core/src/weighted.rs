@@ -19,9 +19,10 @@
 //! leftover probability mass `1 − Σ_i p(α,i)` is the self-transition.
 //!
 //! The walk recursion itself runs on the unified kernel in [`crate::engine`]
-//! via [`crate::engine::WeightedTransition`] — this module only computes the
-//! `W` factor tables ([`TransitionWeights`]) and the dense oracle. The
-//! evidence factor is applied at read-out ([`crate::MethodKind::evidence`]),
+//! as `Walk::Weighted` ([`crate::engine::Walk`]), whose
+//! [`crate::engine::Walk::factors`] computes the `W` tables — this module
+//! holds the spread mode and the dense oracle. The evidence factor is
+//! applied at read-out ([`crate::MethodKind::evidence`]),
 //! and the raw walk scores are kept for tie-breaking (see `evidence.rs` for
 //! why the paper's Figure 12 requires this).
 //!
@@ -32,22 +33,10 @@
 //! variances stay small. `repro_all ablation-weights` reproduces this.
 
 use crate::config::SimrankConfig;
+use crate::engine::{Walk, WeightedTransition};
 use crate::scores::{ScoreMatrix, ScoreMatrixBuilder};
-use simrankpp_graph::{AdId, ClickGraph, QueryId, WeightKind};
+use simrankpp_graph::{AdId, ClickGraph, QueryId};
 use simrankpp_util::population_variance;
-
-/// Precomputed transition factors `W(·,·)` for both directions.
-#[derive(Debug, Clone)]
-pub struct TransitionWeights {
-    /// `W(q, a)` aligned with the query→ad CSR edge order.
-    pub w_query_to_ad: Vec<f64>,
-    /// `W(a, q)` aligned with the ad→query CSR edge order.
-    pub w_ad_to_query: Vec<f64>,
-    /// `spread(a) = e^(−variance(a))` per ad.
-    pub spread_ad: Vec<f64>,
-    /// `spread(q) = e^(−variance(q))` per query.
-    pub spread_query: Vec<f64>,
-}
 
 /// Whether the walk uses the §8.2 `spread = e^(−variance)` factor.
 ///
@@ -62,86 +51,6 @@ pub enum SpreadMode {
     Off,
 }
 
-impl TransitionWeights {
-    /// Computes all transition factors for `g` using edge weight `kind`.
-    pub fn compute(g: &ClickGraph, kind: WeightKind) -> Self {
-        Self::compute_with_spread(g, kind, SpreadMode::Exponential)
-    }
-
-    /// As [`TransitionWeights::compute`] with an explicit spread mode.
-    pub fn compute_with_spread(g: &ClickGraph, kind: WeightKind, mode: SpreadMode) -> Self {
-        let spread = |weights: &[f64]| match mode {
-            SpreadMode::Exponential => (-population_variance(weights)).exp(),
-            SpreadMode::Off => 1.0,
-        };
-        let spread_ad: Vec<f64> = g
-            .ads()
-            .map(|a| {
-                let (_, edges) = g.queries_of(a);
-                let weights: Vec<f64> = edges.iter().map(|e| e.weight(kind)).collect();
-                spread(&weights)
-            })
-            .collect();
-        let spread_query: Vec<f64> = g
-            .queries()
-            .map(|q| {
-                let (_, edges) = g.ads_of(q);
-                let weights: Vec<f64> = edges.iter().map(|e| e.weight(kind)).collect();
-                spread(&weights)
-            })
-            .collect();
-
-        // W(q, a) = spread(a) · w(q,a)/Σ_j w(q,j), laid out in query-CSR order.
-        let mut w_query_to_ad = Vec::with_capacity(g.n_edges());
-        for q in g.queries() {
-            let (ads, edges) = g.ads_of(q);
-            let total: f64 = edges.iter().map(|e| e.weight(kind)).sum();
-            for (&a, e) in ads.iter().zip(edges) {
-                let nw = if total > 0.0 {
-                    e.weight(kind) / total
-                } else {
-                    0.0
-                };
-                w_query_to_ad.push(spread_ad[a.index()] * nw);
-            }
-        }
-        // W(a, q) = spread(q) · w(a,q)/Σ_j w(a,j), in ad-CSR order.
-        let mut w_ad_to_query = Vec::with_capacity(g.n_edges());
-        for a in g.ads() {
-            let (qs, edges) = g.queries_of(a);
-            let total: f64 = edges.iter().map(|e| e.weight(kind)).sum();
-            for (&q, e) in qs.iter().zip(edges) {
-                let nw = if total > 0.0 {
-                    e.weight(kind) / total
-                } else {
-                    0.0
-                };
-                w_ad_to_query.push(spread_query[q.index()] * nw);
-            }
-        }
-        TransitionWeights {
-            w_query_to_ad,
-            w_ad_to_query,
-            spread_ad,
-            spread_query,
-        }
-    }
-
-    /// The `W(q, ·)` slice for query `q` (aligned with `g.ads_of(q)`).
-    pub fn from_query(&self, g: &ClickGraph, q: QueryId) -> &[f64] {
-        let lo = g.query_csr_offset(q);
-        let hi = g.query_csr_offset(QueryId(q.0 + 1));
-        &self.w_query_to_ad[lo..hi]
-    }
-
-    /// The `W(a, ·)` slice for ad `a` (aligned with `g.queries_of(a)`).
-    pub fn from_ad(&self, g: &ClickGraph, a: AdId) -> &[f64] {
-        let lo = g.ad_csr_offset(a);
-        let hi = g.ad_csr_offset(AdId(a.0 + 1));
-        &self.w_ad_to_query[lo..hi]
-    }
-}
-
 /// Dense O(n²·d²) reference for the weighted walk (no evidence factor):
 /// exact Jacobi iteration of the §8.2 equations over full matrices. Used to
 /// cross-validate the sparse engine; intended for small graphs only.
@@ -151,7 +60,8 @@ pub fn weighted_simrank_dense(
     spread: SpreadMode,
 ) -> (ScoreMatrix, ScoreMatrix) {
     config.validate().expect("invalid SimRank configuration");
-    let tw = TransitionWeights::compute_with_spread(g, config.weight_kind, spread);
+    let kind = config.weight_kind;
+    let f = Walk::Weighted(WeightedTransition { kind, spread }).factors(g);
     let nq = g.n_queries();
     let na = g.n_ads();
     let mut q_mat = crate::simrank::identity(nq);
@@ -161,10 +71,10 @@ pub fn weighted_simrank_dense(
         let mut next_q = crate::simrank::identity(nq);
         for q1 in 0..nq {
             let (ads1, _) = g.ads_of(QueryId(q1 as u32));
-            let w1 = tw.from_query(g, QueryId(q1 as u32));
+            let w1 = f.of_query(g, QueryId(q1 as u32));
             for q2 in (q1 + 1)..nq {
                 let (ads2, _) = g.ads_of(QueryId(q2 as u32));
-                let w2 = tw.from_query(g, QueryId(q2 as u32));
+                let w2 = f.of_query(g, QueryId(q2 as u32));
                 let mut sum = 0.0;
                 for (x, &i) in ads1.iter().enumerate() {
                     for (y, &j) in ads2.iter().enumerate() {
@@ -179,10 +89,10 @@ pub fn weighted_simrank_dense(
         let mut next_a = crate::simrank::identity(na);
         for a1 in 0..na {
             let (qs1, _) = g.queries_of(AdId(a1 as u32));
-            let w1 = tw.from_ad(g, AdId(a1 as u32));
+            let w1 = f.of_ad(g, AdId(a1 as u32));
             for a2 in (a1 + 1)..na {
                 let (qs2, _) = g.queries_of(AdId(a2 as u32));
-                let w2 = tw.from_ad(g, AdId(a2 as u32));
+                let w2 = f.of_ad(g, AdId(a2 as u32));
                 let mut sum = 0.0;
                 for (x, &i) in qs1.iter().enumerate() {
                     for (y, &j) in qs2.iter().enumerate() {
@@ -233,10 +143,10 @@ pub fn star_pair_score(weights: (f64, f64), c1: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, EngineRun, UniformTransition, WeightedTransition};
+    use crate::engine::{self, EngineRun};
     use crate::{Method, MethodKind};
     use simrankpp_graph::fixtures::{figure3_graph, figure4_k22, figure5_graphs, figure6_graphs};
-    use simrankpp_graph::{ClickGraphBuilder, EdgeData};
+    use simrankpp_graph::{ClickGraphBuilder, EdgeData, WeightKind};
 
     fn cfg(k: usize) -> SimrankConfig {
         SimrankConfig::default()
@@ -244,10 +154,20 @@ mod tests {
             .with_weight_kind(WeightKind::Clicks)
     }
 
+    /// The weighted walk over clicks.
+    fn clicks(spread: SpreadMode) -> Walk {
+        let kind = WeightKind::Clicks;
+        Walk::Weighted(WeightedTransition { kind, spread })
+    }
+
     /// Both sides of the weighted walk, no evidence factor.
     fn walk(g: &ClickGraph, config: &SimrankConfig, spread: SpreadMode) -> EngineRun {
         let kind = config.weight_kind;
-        engine::run(g, config, &WeightedTransition { kind, spread })
+        engine::run(
+            g,
+            config,
+            &Walk::Weighted(WeightedTransition { kind, spread }),
+        )
     }
 
     /// Weighted SimRank's final query-side scores (evidence at read-out).
@@ -256,30 +176,57 @@ mod tests {
     }
 
     #[test]
-    fn transition_weights_uniform_graph() {
+    fn walk_factors_on_a_uniform_graph() {
         // All weights equal → variance 0 → spread 1 → W = 1/deg.
         let g = figure4_k22();
-        let tw = TransitionWeights::compute(&g, WeightKind::Clicks);
-        for v in &tw.spread_ad {
-            assert!((v - 1.0).abs() < 1e-12);
+        let f = clicks(SpreadMode::Exponential).factors(&g);
+        for q in g.queries() {
+            for v in f.of_query(&g, q) {
+                assert!((v - 0.5).abs() < 1e-12);
+            }
         }
-        for v in &tw.w_query_to_ad {
-            assert!((v - 0.5).abs() < 1e-12);
+        for a in g.ads() {
+            for v in f.of_ad(&g, a) {
+                assert!((v - 0.5).abs() < 1e-12);
+            }
         }
     }
 
     #[test]
     fn transition_probabilities_sum_at_most_one() {
+        // Without spread every clicked row is a probability distribution;
+        // with it, the step into node i is scaled by e^(−variance(i)), so no
+        // row carries more than unit mass.
         let (left, right) = figure5_graphs();
         for g in [&left, &right] {
-            let tw = TransitionWeights::compute(g, WeightKind::Clicks);
+            let off = clicks(SpreadMode::Off).factors(g);
+            let on = clicks(SpreadMode::Exponential).factors(g);
+            let spread = |edges: &[EdgeData]| {
+                let weights: Vec<f64> =
+                    edges.iter().map(|e| e.weight(WeightKind::Clicks)).collect();
+                (-population_variance(&weights)).exp()
+            };
             for q in g.queries() {
-                let total: f64 = tw.from_query(g, q).iter().sum();
+                let total: f64 = on.of_query(g, q).iter().sum();
                 assert!(total <= 1.0 + 1e-12, "outgoing mass {total} > 1");
+                let total: f64 = off.of_query(g, q).iter().sum();
+                assert!((total - 1.0).abs() < 1e-12, "row mass {total}");
+                let (ads, _) = g.ads_of(q);
+                let steps = on.of_query(g, q).iter().zip(off.of_query(g, q));
+                for (&a, (&w_on, &w_off)) in ads.iter().zip(steps) {
+                    assert_eq!(w_on, spread(g.queries_of(a).1) * w_off);
+                }
             }
             for a in g.ads() {
-                let total: f64 = tw.from_ad(g, a).iter().sum();
+                let total: f64 = on.of_ad(g, a).iter().sum();
                 assert!(total <= 1.0 + 1e-12);
+                let total: f64 = off.of_ad(g, a).iter().sum();
+                assert!((total - 1.0).abs() < 1e-12, "row mass {total}");
+                let (qs, _) = g.queries_of(a);
+                let steps = on.of_ad(g, a).iter().zip(off.of_ad(g, a));
+                for (&q, (&w_on, &w_off)) in qs.iter().zip(steps) {
+                    assert_eq!(w_on, spread(g.ads_of(q).1) * w_off);
+                }
             }
         }
     }
@@ -347,7 +294,7 @@ mod tests {
         let (q0, q1) = (simrankpp_graph::QueryId(0), simrankpp_graph::QueryId(1));
         let (finals, raw) = m.score_with_tiebreak(&g, q0, q1);
         // Uniform K2,2: weighted walk == plain SimRank; evidence = 3/4.
-        let plain = engine::run(&g, &cfg(3), &UniformTransition).queries;
+        let plain = engine::run(&g, &cfg(3), &Walk::Uniform).queries;
         assert!((raw - plain.get(0, 1)).abs() < 1e-12);
         assert!((finals - 0.75 * plain.get(0, 1)).abs() < 1e-12);
     }
@@ -357,7 +304,7 @@ mod tests {
         // On an equal-weight graph W(q,i) = 1/N(q), so raw weighted scores
         // coincide with plain SimRank.
         let g = figure3_graph();
-        let plain = engine::run(&g, &cfg(6), &UniformTransition);
+        let plain = engine::run(&g, &cfg(6), &Walk::Uniform);
         let weighted = walk(&g, &cfg(6), SpreadMode::Exponential);
         assert!(
             plain.queries.max_abs_diff(&weighted.queries) < 1e-12,

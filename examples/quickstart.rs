@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use simrankpp::core::engine::{self, UniformTransition};
+use simrankpp::core::engine::{self, Walk};
 use simrankpp::core::naive::naive_scores;
 use simrankpp::graph::fixtures::{figure3_graph, FIGURE3_QUERIES};
 use simrankpp::prelude::*;
@@ -30,7 +30,7 @@ fn main() {
     let config = SimrankConfig::paper()
         .with_iterations(100)
         .with_weight_kind(WeightKind::Clicks);
-    let sr = engine::run(&graph, &config, &UniformTransition);
+    let sr = engine::run(&graph, &config, &Walk::Uniform);
     print_matrix(&graph, |a, b| sr.queries.get(a.0, b.0));
 
     // --- Rewrites from each method -----------------------------------------

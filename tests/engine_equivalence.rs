@@ -5,7 +5,7 @@
 //! and a seeded `synth` random graph — plain and weighted, spread on and off.
 
 use simrankpp::core::engine::{
-    self, reference, DiagonalCorrection, EngineRun, UniformTransition, WeightedTransition,
+    self, reference, DiagonalCorrection, EngineRun, Walk, WeightedTransition,
 };
 use simrankpp::core::evidence::evidence_multiply;
 use simrankpp::core::simrank::simrank_dense;
@@ -34,13 +34,13 @@ fn cfg(k: usize) -> SimrankConfig {
 
 /// Both sides of the uniform walk (§4).
 fn uniform(g: &ClickGraph, c: &SimrankConfig) -> EngineRun {
-    engine::run(g, c, &UniformTransition)
+    engine::run(g, c, &Walk::Uniform)
 }
 
 /// Both sides of the weighted walk (§8.2) over `c.weight_kind`.
 fn weighted(g: &ClickGraph, c: &SimrankConfig, spread: SpreadMode) -> EngineRun {
     let kind = c.weight_kind;
-    engine::run(g, c, &WeightedTransition { kind, spread })
+    engine::run(g, c, &Walk::Weighted(WeightedTransition { kind, spread }))
 }
 
 #[test]
@@ -90,17 +90,17 @@ fn engine_matches_hashmap_reference_on_all_fixtures() {
     // agree to rounding for both transitions on every fixture.
     for (name, g) in fixtures() {
         let c = cfg(5);
-        let engine_u = engine::run(&g, &c, &UniformTransition);
-        let hash_u = reference::run_hashmap(&g, &c, &UniformTransition);
+        let engine_u = engine::run(&g, &c, &Walk::Uniform);
+        let hash_u = reference::run_hashmap(&g, &c, &Walk::Uniform);
         assert!(
             engine_u.queries.max_abs_diff(&hash_u.queries) < 1e-12,
             "{name}: uniform drift {}",
             engine_u.queries.max_abs_diff(&hash_u.queries)
         );
-        let t = WeightedTransition {
+        let t = Walk::Weighted(WeightedTransition {
             kind: WeightKind::Clicks,
             spread: SpreadMode::Exponential,
-        };
+        });
         let engine_w = engine::run(&g, &c, &t);
         let hash_w = reference::run_hashmap(&g, &c, &t);
         assert!(
@@ -255,20 +255,17 @@ fn early_exit_compares_same_chain_iterates() {
     // against the query-side iterate two half-steps back. A run that stops at
     // `t` therefore has `t ≡ k (mod 2)`, and every query-side path over the
     // same transition returns the tolerance-0 run's bits at `k = t`.
-    let weighted = WeightedTransition {
+    let weighted = Walk::Weighted(WeightedTransition {
         kind: WeightKind::Clicks,
         spread: SpreadMode::Exponential,
-    };
+    });
     let mut stopped_early = 0;
     for (name, g) in [("figure3", figure3_graph()), ("banded", banded_graph())] {
         // Per transition: the `Method` kinds it serves, and its run and
         // correction at a config.
         let uniform_at = |c: &SimrankConfig| {
             let run = uniform(&g, c);
-            (
-                run,
-                DiagonalCorrection::whole_graph(&g, c, &UniformTransition),
-            )
+            (run, DiagonalCorrection::whole_graph(&g, c, &Walk::Uniform))
         };
         let weighted_at = |c: &SimrankConfig| {
             let run = engine::run(&g, c, &weighted);
@@ -397,17 +394,17 @@ const PINNED: [Pin; 32] = [
 
 #[test]
 fn both_sides_bits_and_pair_counts_are_pinned() {
-    let weighted = WeightedTransition {
+    let weighted = Walk::Weighted(WeightedTransition {
         kind: WeightKind::Clicks,
         spread: SpreadMode::Exponential,
-    };
+    });
     let (figure3, banded) = (figure3_graph(), banded_graph());
     for (name, uniform, k, prune, digest, pair_counts, iterations_run) in PINNED {
         let g = if name == "figure3" { &figure3 } else { &banded };
         for threads in [1, 3] {
             let c = cfg(k).with_prune_threshold(prune).with_threads(threads);
             let run = if uniform {
-                engine::run(g, &c, &UniformTransition)
+                engine::run(g, &c, &Walk::Uniform)
             } else {
                 engine::run(g, &c, &weighted)
             };

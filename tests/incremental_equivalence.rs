@@ -34,8 +34,10 @@
 //! Runs in CI under `--release` too (`cargo test --release -- incremental`):
 //! bit-identical stitching must survive optimized codegen.
 
+mod support;
+
 use proptest::prelude::*;
-use simrankpp::core::engine::{self, Transition, UniformTransition, WeightedTransition};
+use simrankpp::core::engine::{self, Walk, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{DiagonalCorrection, RewriterConfig, ScoreMatrix, SingleSourceEngine};
 use simrankpp::graph::components::connected_components;
@@ -43,23 +45,8 @@ use simrankpp::graph::delta::{dirty_for_endpoints, GraphDelta};
 use simrankpp::graph::dirty_blocks;
 use simrankpp::prelude::*;
 use simrankpp::serve::RewriteIndex;
-use simrankpp::synth::generator::generate;
 use simrankpp::synth::spam::{inject_click_spam, SpamConfig};
-
-fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
-    let mut gen = GeneratorConfig::tiny().with_seed(seed);
-    gen.n_topics = n_topics;
-    gen.n_queries = n_queries;
-    gen.n_ads = (n_queries * 2 / 3).max(4);
-    gen.max_ads_per_query = if dense { 12 } else { 4 };
-    generate(&gen).graph
-}
-
-fn cfg(k: usize) -> SimrankConfig {
-    SimrankConfig::paper()
-        .with_iterations(k)
-        .with_weight_kind(WeightKind::Clicks)
-}
+use support::{cfg, synth_graph, with_trivial_components};
 
 /// A deterministic mixed delta over `g`'s id space: `n_upserts` edge
 /// upserts (some onto existing edges, some new, some to brand-new node ids
@@ -109,7 +96,7 @@ fn mixed_delta(
 /// Runs the engine on every component block of `g` alone and checks the
 /// blocks, remapped to global ids, are exactly the monolithic run: same pair
 /// set, bit-identical f64s, same per-iteration stored-pair totals.
-fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConfig, t: &T) {
+fn assert_blocks_equal_monolithic(g: &ClickGraph, c: &SimrankConfig, t: &Walk) {
     let mono = engine::run(g, c, t);
     let all_dirty = dirty_for_endpoints(g, g.edges().map(|(q, a, _)| (q, a)));
     let mut block_pairs = (0usize, 0usize);
@@ -146,20 +133,6 @@ fn assert_blocks_equal_monolithic<T: Transition>(g: &ClickGraph, c: &SimrankConf
     assert_eq!(pair_counts, mono.pair_counts);
 }
 
-/// `g` plus what no component block covers: a 1×1 edge component and
-/// isolated nodes on both sides.
-fn with_trivial_components(g: &ClickGraph) -> ClickGraph {
-    let (nq, na) = (g.n_queries() as u32, g.n_ads() as u32);
-    let mut b = ClickGraphBuilder::new();
-    for (q, a, e) in g.edges() {
-        b.add_edge(q, a, *e);
-    }
-    b.add_edge(QueryId(nq), AdId(na), EdgeData::from_clicks(3));
-    b.reserve_queries(nq + 3);
-    b.reserve_ads(na + 2);
-    b.build()
-}
-
 fn assert_same_correction(a: &DiagonalCorrection, b: &DiagonalCorrection, what: &str) {
     let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(a.levels.len(), b.levels.len(), "{what}: level count");
@@ -175,14 +148,10 @@ fn assert_same_correction(a: &DiagonalCorrection, b: &DiagonalCorrection, what: 
 
 /// The live engine's block-local correction is the one a single whole-graph
 /// run records, bit for bit at every level.
-fn assert_live_correction_equals_monolithic<T: Transition>(
-    g: &ClickGraph,
-    c: &SimrankConfig,
-    t: &T,
-) {
+fn assert_live_correction_equals_monolithic(g: &ClickGraph, c: &SimrankConfig, t: &Walk) {
     let want = DiagonalCorrection::whole_graph(g, c, t);
     let live = SingleSourceEngine::new(g, c, t);
-    assert_same_correction(live.correction(), &want, t.name());
+    assert_same_correction(live.correction(), &want, &format!("{t:?}"));
     // Block-level workers change nothing either.
     let parallel = SingleSourceEngine::new(g, &c.with_threads(3), t);
     assert_same_correction(parallel.correction(), &want, "3 workers");
@@ -192,10 +161,10 @@ fn assert_live_correction_equals_monolithic<T: Transition>(
 /// new ad every other step), refreshing the live engine component-locally
 /// at each step: every generation equals a scratch precompute over its
 /// graph bitwise, and a clean component's row does not move a bit.
-fn assert_live_refresh_chain_equals_scratch<T: Transition>(
+fn assert_live_refresh_chain_equals_scratch(
     g0: &ClickGraph,
     c: &SimrankConfig,
-    t: &T,
+    t: &Walk,
     seed: u64,
 ) {
     let mut g = g0.clone();
@@ -275,8 +244,8 @@ proptest! {
             g
         };
         let c = cfg(5).with_prune_threshold(if variant & 4 == 4 { 1e-4 } else { 0.0 });
-        assert_blocks_equal_monolithic(&g, &c, &UniformTransition);
-        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        assert_blocks_equal_monolithic(&g, &c, &Walk::Uniform);
+        let t = Walk::Weighted(WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential });
         assert_blocks_equal_monolithic(&g, &c, &t);
     }
 
@@ -292,8 +261,8 @@ proptest! {
         // nodes in closed form.
         let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, variant & 2 == 2));
         let c = cfg(5).with_prune_threshold(if variant & 1 == 1 { 1e-4 } else { 0.0 });
-        assert_live_correction_equals_monolithic(&g, &c, &UniformTransition);
-        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        assert_live_correction_equals_monolithic(&g, &c, &Walk::Uniform);
+        let t = Walk::Weighted(WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential });
         assert_live_correction_equals_monolithic(&g, &c, &t);
     }
 
@@ -307,10 +276,10 @@ proptest! {
         let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, variant & 2 == 2));
         let c = cfg(5).with_prune_threshold(1e-4);
         if variant & 1 == 1 {
-            let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+            let t = Walk::Weighted(WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential });
             assert_live_refresh_chain_equals_scratch(&g, &c, &t, seed);
         } else {
-            assert_live_refresh_chain_equals_scratch(&g, &c, &UniformTransition, seed);
+            assert_live_refresh_chain_equals_scratch(&g, &c, &Walk::Uniform, seed);
         }
     }
 
@@ -325,7 +294,7 @@ proptest! {
         // (and ads) in different components have score exactly 0.0.
         let g = synth_graph(n_topics, n_queries, seed, true);
         let labels = connected_components(&g);
-        let r = engine::run(&g, &cfg(8), &UniformTransition);
+        let r = engine::run(&g, &cfg(8), &Walk::Uniform);
         for (a, b, v) in r.queries.iter() {
             prop_assert!(v > 0.0);
             prop_assert_eq!(
@@ -410,8 +379,8 @@ proptest! {
         let dirty = d.dirty_components(&g1);
 
         let c = cfg(5);
-        let before = engine::run(&g0, &c, &UniformTransition);
-        let after = engine::run(&g1, &c, &UniformTransition);
+        let before = engine::run(&g0, &c, &Walk::Uniform);
+        let after = engine::run(&g1, &c, &Walk::Uniform);
 
         let changed_pairs = |old: &ScoreMatrix, new: &ScoreMatrix| {
             let mut out: Vec<(u32, u32)> = Vec::new();

@@ -22,30 +22,18 @@
 //!   kernel materializes no contributions; this is the regression test that
 //!   chunking changes nothing at that scale either.
 
+#[allow(dead_code)]
+mod support;
+
 use proptest::prelude::*;
 use simrankpp::core::engine::reference::run_hashmap;
-use simrankpp::core::engine::{self, UniformTransition, WeightedTransition};
+use simrankpp::core::engine::{self, Walk, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::ScoreMatrix;
 use simrankpp::graph::delta::GraphDelta;
 use simrankpp::prelude::*;
 use simrankpp::serve::RewriteIndex;
-use simrankpp::synth::generator::{generate, GeneratorConfig};
-
-fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
-    let mut gen = GeneratorConfig::tiny().with_seed(seed);
-    gen.n_topics = n_topics;
-    gen.n_queries = n_queries;
-    gen.n_ads = (n_queries * 2 / 3).max(4);
-    gen.max_ads_per_query = if dense { 12 } else { 4 };
-    generate(&gen).graph
-}
-
-fn cfg(k: usize) -> SimrankConfig {
-    SimrankConfig::paper()
-        .with_iterations(k)
-        .with_weight_kind(WeightKind::Clicks)
-}
+use support::{cfg, synth_graph};
 
 fn assert_bit_identical(a: &ScoreMatrix, b: &ScoreMatrix, what: &str) {
     assert_eq!(a.n_pairs(), b.n_pairs(), "{what}: pair count");
@@ -109,9 +97,9 @@ proptest! {
         dense_sel in 0u8..2,
     ) {
         let g = synth_graph(n_topics, n_queries, seed, dense_sel == 1);
-        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
+        let t = Walk::Weighted(WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential });
         let c = cfg(5);
-        let (pull_u, ref_u) = (engine::run(&g, &c, &UniformTransition), run_hashmap(&g, &c, &UniformTransition));
+        let (pull_u, ref_u) = (engine::run(&g, &c, &Walk::Uniform), run_hashmap(&g, &c, &Walk::Uniform));
         assert_same_support_close(&pull_u.queries, &ref_u.queries, 1e-12, "uniform queries");
         assert_same_support_close(&pull_u.ads, &ref_u.ads, 1e-12, "uniform ads");
         let (pull_w, ref_w) = (engine::run(&g, &c, &t), run_hashmap(&g, &c, &t));
@@ -128,8 +116,8 @@ proptest! {
         let g = synth_graph(3, n_queries, seed, true);
         let prune = 1e-4;
         let c = cfg(6).with_prune_threshold(prune);
-        let pull = engine::run(&g, &c, &UniformTransition);
-        let reference = run_hashmap(&g, &c, &UniformTransition);
+        let pull = engine::run(&g, &c, &Walk::Uniform);
+        let reference = run_hashmap(&g, &c, &Walk::Uniform);
         assert_close_modulo_prune(&pull.queries, &reference.queries, prune, 1e-12, "pruned queries");
         assert_close_modulo_prune(&pull.ads, &reference.ads, prune, 1e-12, "pruned ads");
     }
@@ -143,11 +131,11 @@ proptest! {
         let g = synth_graph(3, n_queries, seed, true);
         let prune = if pruned_sel == 1 { 1e-5 } else { 0.0 };
         let base = cfg(5).with_prune_threshold(prune);
-        let t = WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential };
-        let serial_u = engine::run(&g, &base, &UniformTransition);
+        let t = Walk::Weighted(WeightedTransition { kind: WeightKind::Clicks, spread: SpreadMode::Exponential });
+        let serial_u = engine::run(&g, &base, &Walk::Uniform);
         let serial_w = engine::run(&g, &base, &t);
         for threads in [2usize, 5] {
-            let par_u = engine::run(&g, &base.with_threads(threads), &UniformTransition);
+            let par_u = engine::run(&g, &base.with_threads(threads), &Walk::Uniform);
             assert_bit_identical(&serial_u.queries, &par_u.queries, "uniform queries");
             assert_bit_identical(&serial_u.ads, &par_u.ads, "uniform ads");
             prop_assert_eq!(&serial_u.pair_counts, &par_u.pair_counts);
@@ -237,7 +225,7 @@ fn pull_kernel_is_thread_count_free_above_the_old_flush_threshold() {
     // so chunking must change nothing: bit-identical across thread counts.
     let g = dense_blobs(2, 220, 70, 12, 0xC0FFEE);
     let c = SimrankConfig::paper().with_iterations(3);
-    let serial = engine::run(&g, &c, &UniformTransition);
+    let serial = engine::run(&g, &c, &Walk::Uniform);
     assert!(
         query_side_contributions(&g, &serial.ads) > 1 << 20,
         "fixture must exceed 2^20 contributions, got {}",
@@ -245,7 +233,7 @@ fn pull_kernel_is_thread_count_free_above_the_old_flush_threshold() {
     );
 
     for threads in [3usize, 8] {
-        let par = engine::run(&g, &c.with_threads(threads), &UniformTransition);
+        let par = engine::run(&g, &c.with_threads(threads), &Walk::Uniform);
         assert_bit_identical(&serial.queries, &par.queries, "threads queries");
         assert_bit_identical(&serial.ads, &par.ads, "threads ads");
     }

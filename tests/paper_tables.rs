@@ -2,7 +2,7 @@
 //! the public facade API.
 
 use simrankpp::core::complete_bipartite::{km2_evidence_pair_iterates, km2_pair_iterates};
-use simrankpp::core::engine::{self, EngineRun, UniformTransition};
+use simrankpp::core::engine::{self, EngineRun, Walk};
 use simrankpp::core::naive::naive_scores;
 use simrankpp::graph::fixtures::{figure3_graph, figure4_k12, figure4_k22};
 use simrankpp::prelude::*;
@@ -15,7 +15,7 @@ fn paper_cfg(iterations: usize) -> SimrankConfig {
 
 /// Plain SimRank (§4), both sides.
 fn plain(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
-    engine::run(g, config, &UniformTransition)
+    engine::run(g, config, &Walk::Uniform)
 }
 
 /// Evidence-based SimRank (§7, Eq. 7.3) of the pair `(0, 1)`.

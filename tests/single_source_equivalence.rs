@@ -21,49 +21,21 @@
 //!   can never drift from the cold answer that populated it — before or
 //!   after an `update` hot-swap bumps the cache generation.
 
+mod support;
+
 use proptest::prelude::*;
-use simrankpp::core::engine::{self, Transition, UniformTransition, WeightedTransition};
+use simrankpp::core::engine::{self, Walk, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{RowWorkspace, ScoreMatrix, SingleSourceEngine};
 use simrankpp::prelude::*;
-use simrankpp::synth::generator::{generate, GeneratorConfig};
 use simrankpp::util::arena::{fnv1a, fnv1a_seeded};
+use support::{cfg, synth_graph, with_trivial_components};
 
-fn synth_graph(n_topics: usize, n_queries: usize, seed: u64, dense: bool) -> ClickGraph {
-    let mut gen = GeneratorConfig::tiny().with_seed(seed);
-    gen.n_topics = n_topics;
-    gen.n_queries = n_queries;
-    gen.n_ads = (n_queries * 2 / 3).max(4);
-    gen.max_ads_per_query = if dense { 12 } else { 4 };
-    generate(&gen).graph
-}
-
-/// `g` plus what no component block covers: a 1×1 edge component and
-/// isolated nodes on both sides.
-fn with_trivial_components(g: &ClickGraph) -> ClickGraph {
-    let (nq, na) = (g.n_queries() as u32, g.n_ads() as u32);
-    let mut b = ClickGraphBuilder::new();
-    for (q, a, e) in g.edges() {
-        b.add_edge(q, a, *e);
-    }
-    b.add_edge(QueryId(nq), AdId(na), EdgeData::from_clicks(3));
-    b.reserve_queries(nq + 3);
-    b.reserve_ads(na + 2);
-    b.build()
-}
-
-/// The unpruned paper configuration at `k` iterations.
-fn cfg(k: usize) -> SimrankConfig {
-    SimrankConfig::paper()
-        .with_iterations(k)
-        .with_weight_kind(WeightKind::Clicks)
-}
-
-fn weighted_clicks() -> WeightedTransition {
-    WeightedTransition {
+fn weighted_clicks() -> Walk {
+    Walk::Weighted(WeightedTransition {
         kind: WeightKind::Clicks,
         spread: SpreadMode::Exponential,
-    }
+    })
 }
 
 /// Largest `|live row[other] − oracle[q, other]|` over every entry either
@@ -89,7 +61,7 @@ fn max_row_error(g: &ClickGraph, oracle: &ScoreMatrix, live: &SingleSourceEngine
 
 /// `max_row_error` of the production constructor against the engine run at
 /// the same config.
-fn live_vs_engine<T: Transition>(g: &ClickGraph, c: &SimrankConfig, t: &T) -> f64 {
+fn live_vs_engine(g: &ClickGraph, c: &SimrankConfig, t: &Walk) -> f64 {
     let run = engine::run(g, c, t);
     max_row_error(g, &run.queries, &SingleSourceEngine::new(g, c, t))
 }
@@ -109,7 +81,7 @@ proptest! {
         let err = if weighted_sel == 1 {
             live_vs_engine(&g, &cfg(k), &weighted_clicks())
         } else {
-            live_vs_engine(&g, &cfg(k), &UniformTransition)
+            live_vs_engine(&g, &cfg(k), &Walk::Uniform)
         };
         prop_assert!(err <= 1e-12, "k = {}: live rows off by {:e}", k, err);
     }
@@ -122,8 +94,8 @@ proptest! {
     ) {
         let g = synth_graph(n_topics, n_queries, seed, true);
         let c = cfg(7);
-        let run = engine::run(&g, &c, &UniformTransition);
-        let eng = SingleSourceEngine::new(&g, &c, &UniformTransition);
+        let run = engine::run(&g, &c, &Walk::Uniform);
+        let eng = SingleSourceEngine::new(&g, &c, &Walk::Uniform);
         let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
         let tie = 1e-12;
         let mut ss = Vec::new();
@@ -153,7 +125,7 @@ proptest! {
 /// of it at the pruned configs production runs.
 #[test]
 fn live_rows_equal_the_index_rows_they_replace() {
-    fn check<T: Transition>(g: &ClickGraph, t: &T, what: &str) {
+    fn check(g: &ClickGraph, t: &Walk, what: &str) {
         for k in 1..=8 {
             let err = live_vs_engine(g, &cfg(k), t);
             assert!(err <= 1e-12, "{what}, k = {k}: live rows off by {err:e}");
@@ -172,12 +144,12 @@ fn live_rows_equal_the_index_rows_they_replace() {
                 let g = with_trivial_components(&synth_graph(n_topics, n_queries, seed, dense));
                 let what =
                     format!("{n_topics} topics, {n_queries} queries, seed {seed}, dense {dense}");
-                check(&g, &UniformTransition, &format!("uniform, {what}"));
+                check(&g, &Walk::Uniform, &format!("uniform, {what}"));
                 for kind in [WeightKind::Clicks, WeightKind::ExpectedClickRate] {
-                    let t = WeightedTransition {
+                    let t = Walk::Weighted(WeightedTransition {
                         kind,
                         spread: SpreadMode::Exponential,
-                    };
+                    });
                     check(&g, &t, &format!("weighted {kind:?}, {what}"));
                 }
             }
@@ -187,7 +159,7 @@ fn live_rows_equal_the_index_rows_they_replace() {
 
 /// FNV-1a over every query's live row, in query order: each row's length,
 /// then its `(id, score bits)` entries in the order `row_into` returns them.
-fn rows_digest<T: Transition>(g: &ClickGraph, c: &SimrankConfig, t: &T) -> u64 {
+fn rows_digest(g: &ClickGraph, c: &SimrankConfig, t: &Walk) -> u64 {
     let live = SingleSourceEngine::new(g, c, t);
     let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
     let mut row = Vec::new();
@@ -241,10 +213,10 @@ const ROW_PINS: [RowPin; 24] = [
 
 #[test]
 fn live_row_bits_are_pinned() {
-    let ecr = WeightedTransition {
+    let ecr = Walk::Weighted(WeightedTransition {
         kind: WeightKind::ExpectedClickRate,
         spread: SpreadMode::Exponential,
-    };
+    });
     let sparse = with_trivial_components(&synth_graph(2, 40, 11, false));
     let dense = with_trivial_components(&synth_graph(3, 72, 0xBEEF, true));
     let wide = synth_graph(6, 1200, 5, false);
@@ -256,7 +228,7 @@ fn live_row_bits_are_pinned() {
         };
         let c = cfg(k).with_prune_threshold(prune);
         let got = if uniform {
-            rows_digest(g, &c, &UniformTransition)
+            rows_digest(g, &c, &Walk::Uniform)
         } else {
             rows_digest(g, &c, &ecr)
         };

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use simrankpp::core::complete_bipartite::{
     km2_evidence_pair_iterates, km2_pair_iterates, km2_pair_limit,
 };
-use simrankpp::core::engine::{self, EngineRun, UniformTransition};
+use simrankpp::core::engine::{self, EngineRun, Walk};
 use simrankpp::core::evidence::EvidenceKind;
 use simrankpp::core::pearson::pearson_similarity;
 use simrankpp::core::simrank::simrank_dense;
@@ -15,7 +15,7 @@ use simrankpp::text::{normalize_query, stem, stem_signature};
 
 /// Plain SimRank (§4), both sides.
 fn plain(g: &ClickGraph, config: &SimrankConfig) -> EngineRun {
-    engine::run(g, config, &UniformTransition)
+    engine::run(g, config, &Walk::Uniform)
 }
 
 /// A random small click graph from an edge list strategy.
