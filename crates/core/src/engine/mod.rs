@@ -186,10 +186,11 @@ pub(crate) struct Chain {
 /// with a threshold, pairs whose scaled score falls at or below it are
 /// dropped after each half-step.
 pub fn run(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> EngineRun {
-    let q = iterate(g, config, walk, Side::Query, None);
+    let factors = walk.factors(g);
+    let q = iterate(g, config, &factors, Side::Query, None);
     let k = q.counts.len();
     let exact = config.with_iterations(k).with_tolerance(0.0);
-    let a = iterate(g, &exact, walk, Side::Ad, None);
+    let a = iterate(g, &exact, &factors, Side::Ad, None);
     // The query chain is on the query side at `t` iff `k − t` is even, and
     // the ad chain then on the ad side.
     let pair_counts = (1..=k)
@@ -212,9 +213,9 @@ pub fn run(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> EngineRun {
     }
 }
 
-/// The one loop: the chain of `config.iterations` half-steps ending on `end`,
-/// appending each executed half-step's pinned-away diagonal to `diagonals`
-/// when it is set.
+/// The one loop: the chain of `config.iterations` half-steps ending on `end`
+/// over a walk's transition `factors` on `g`, appending each executed
+/// half-step's pinned-away diagonal to `diagonals` when it is set.
 ///
 /// Every iterate is a frozen [`ScoreMatrix`], each score held once per
 /// endpoint row, and a half-step holds only what it reads and writes: the
@@ -227,12 +228,11 @@ pub fn run(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> EngineRun {
 pub(crate) fn iterate(
     g: &ClickGraph,
     config: &SimrankConfig,
-    walk: &Walk,
+    factors: &TransitionFactors,
     end: Side,
     mut diagonals: Option<&mut DiagonalHistory>,
 ) -> Chain {
     config.validate().expect("invalid SimRank configuration");
-    let factors = walk.factors(g);
 
     // One pull workspace per worker, reused by every half-step.
     let mut workspaces: Vec<pull::PullWorkspace> = (0..config.effective_threads().max(1))
@@ -401,7 +401,7 @@ mod tests {
         let f = Walk::Uniform.factors(&g);
         let config = cfg(15).with_tolerance(1e-2);
         let mut history = DiagonalHistory::new();
-        let recorded = iterate(&g, &config, &Walk::Uniform, Side::Query, Some(&mut history));
+        let recorded = iterate(&g, &config, &f, Side::Query, Some(&mut history));
         let plain = run(&g, &config, &Walk::Uniform);
         let k = plain.iterations_run;
         assert!(recorded.converged && k < 15 && k % 2 == 1);
@@ -453,11 +453,12 @@ mod tests {
             );
         }
         let g = b.build();
+        let f = Walk::Uniform.factors(&g);
         for end in [Side::Query, Side::Ad] {
             let record = |threads| {
                 let mut history = DiagonalHistory::new();
                 let config = cfg(3).with_threads(threads);
-                iterate(&g, &config, &Walk::Uniform, end, Some(&mut history));
+                iterate(&g, &config, &f, end, Some(&mut history));
                 history
             };
             let (serial, parallel) = (record(1), record(3));
@@ -476,11 +477,12 @@ mod tests {
         // half-step the chain ending on the other side at k − 1 runs: same
         // side, same input, so the same pair counts and the same diagonals.
         let g = figure3_graph();
+        let f = Walk::Uniform.factors(&g);
         let mut histories = Vec::new();
         for k in 0..=8 {
             let chains = [Side::Query, Side::Ad].map(|end| {
                 let mut history = DiagonalHistory::new();
-                let chain = iterate(&g, &cfg(k), &Walk::Uniform, end, Some(&mut history));
+                let chain = iterate(&g, &cfg(k), &f, end, Some(&mut history));
                 assert_eq!((chain.counts.len(), history.len()), (k, k));
                 (chain, history)
             });
@@ -497,7 +499,7 @@ mod tests {
             histories.push(chains);
         }
         // And `run`'s query scores are the query chain's.
-        let chain = iterate(&g, &cfg(7), &Walk::Uniform, Side::Query, None);
+        let chain = iterate(&g, &cfg(7), &f, Side::Query, None);
         let want = run(&g, &cfg(7), &Walk::Uniform).queries;
         assert_eq!(pair_bits(&chain.scores), pair_bits(&want));
     }

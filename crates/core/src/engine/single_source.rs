@@ -176,7 +176,7 @@ impl DiagonalCorrection {
     /// and the matrix it ends on is dropped.
     pub fn whole_graph(g: &ClickGraph, config: &SimrankConfig, walk: &Walk) -> Self {
         let mut history = DiagonalHistory::new();
-        engine::iterate(g, config, walk, Side::Query, Some(&mut history));
+        engine::iterate(g, config, &walk.factors(g), Side::Query, Some(&mut history));
         // Entry `t − 1` is `D_Q^(t)` where `k − t` is even and `D_A^(t)`
         // where it is odd: exactly the iterations a level reads on each side.
         let level = |j| {

@@ -132,7 +132,7 @@ impl Method {
             walk => walk,
         };
         let scores = match walk {
-            Some(walk) => engine::iterate(g, config, &walk, Side::Query, None).scores,
+            Some(walk) => engine::iterate(g, config, &walk.factors(g), Side::Query, None).scores,
             None if kind == MethodKind::Naive => naive_scores(g),
             None => pearson_scores(g, config.weight_kind),
         };

@@ -98,9 +98,8 @@ const USAGE: &str = "usage:
                [--checkpoint <path>] [--resume]
                [--addr H:P] [--admin H:P] [--max-connections N] [--read-timeout-secs S]
 flags:  anywhere among the arguments; each subcommand takes the flags shown for it, plus
-        --weight-kind K (all but segment and info; run and listen only with --graph) and
-        --failpoints SPEC (run, listen, ingest); any other flag or an extra argument is
-        refused
+        --weight-kind K (all but segment and info; run and listen only with --graph);
+        any other flag or an extra argument is refused
 method: naive | pearson | simrank | evidence | weighted (default weighted)
 mode:   all-pairs (default; precompute every row offline) | single-source
         (no offline build: rows computed per query on demand, LRU-cached in
@@ -125,14 +124,10 @@ type Command = fn(&Args) -> Result<(), String>;
 const COMMANDS: &[(&str, &str, Command)] = &[
     ("build", "--fixture --weight-kind", build),
     ("segment", "", segment),
-    (
-        "run",
-        "--graph --mode --cache-capacity --weight-kind --failpoints",
-        run,
-    ),
+    ("run", "--graph --mode --cache-capacity --weight-kind", run),
     (
         "listen",
-        "--graph --mode --cache-capacity --weight-kind --failpoints \
+        "--graph --mode --cache-capacity --weight-kind \
          --addr --admin --max-connections --read-timeout-secs",
         listen,
     ),
@@ -144,7 +139,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ("info", "", info),
     (
         "ingest",
-        "--window --decay --poll-ms --checkpoint --resume --weight-kind --failpoints \
+        "--window --decay --poll-ms --checkpoint --resume --weight-kind \
          --addr --admin --max-connections --read-timeout-secs",
         ingest,
     ),
@@ -159,11 +154,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = Args::parse(&args[1..], accepts).and_then(|args| {
-        args.arm_failpoints()?;
-        command(&args)
-    });
-    match result {
+    match Args::parse(&args[1..], accepts).and_then(|args| command(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("serve: {e}");
@@ -241,23 +232,6 @@ impl Args {
             Some("ecr") => WeightKind::ExpectedClickRate,
             Some(other) => return Err(format!("unknown weight kind {other:?}\n{USAGE}")),
         })
-    }
-
-    /// `--failpoints`: the CLI twin of the SIMRANKPP_FAILPOINTS environment
-    /// variable (same grammar). The registry always parses; the sites only
-    /// exist in binaries built with `--features failpoints`.
-    fn arm_failpoints(&self) -> Result<(), String> {
-        let Some(spec) = self.value("--failpoints") else {
-            return Ok(());
-        };
-        simrankpp_util::failpoint::configure(spec).map_err(|e| format!("bad --failpoints: {e}"))?;
-        if cfg!(not(feature = "failpoints")) {
-            eprintln!(
-                "warning: --failpoints given, but this binary was built without \
-                 the `failpoints` feature; no site will fire"
-            );
-        }
-        Ok(())
     }
 }
 

@@ -37,7 +37,7 @@
 //! `BENCH_stream.json` metrics.
 
 use crate::index::{RebuildStats, RewriteIndex};
-use crate::server::ServeState;
+use crate::state::ServeState;
 use simrankpp_core::{Method, MethodKind, Rewriter, RewriterConfig, SimrankConfig};
 use simrankpp_graph::delta::{dirty_for_endpoints, parse_click_log_line, ClickLogRecord};
 use simrankpp_graph::{AdId, ClickGraph, EdgeData, Interner, QueryId, SlidingWindowGraph};
@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Parameters of one streaming ingest pipeline. The similarity and
-/// rewriter configs play the same role as [`crate::server::UpdateContext`]:
+/// rewriter configs play the same role as [`crate::state::UpdateContext`]:
 /// every refresh must recompute with the parameters the previous
 /// generation was built with, or the incremental rebuild would mix
 /// regimes (and [`RewriteIndex::rebuild_incremental`] would refuse).
@@ -99,13 +99,24 @@ pub struct IngestMetrics {
 impl IngestMetrics {
     /// Stamps the last-checkpoint clock with the current wall time.
     pub fn mark_checkpoint(&self) {
-        let now_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
         self.last_checkpoint_unix_ms
-            .store(now_ms, Ordering::Relaxed);
+            .store(unix_ms(), Ordering::Relaxed);
     }
+
+    /// Milliseconds since the last durable checkpoint commit; `None` before
+    /// the first.
+    pub(crate) fn checkpoint_age_ms(&self) -> Option<u64> {
+        let committed = self.last_checkpoint_unix_ms.load(Ordering::Relaxed);
+        (committed != 0).then(|| unix_ms().saturating_sub(committed))
+    }
+}
+
+/// The wall clock, as milliseconds since the Unix epoch (0 if it reads
+/// before the epoch).
+fn unix_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64)
 }
 
 impl std::fmt::Display for IngestMetrics {

@@ -22,14 +22,17 @@
 //!   `open`; [`mapped`] keeps two benchmark-pinned names for the view.
 //! * [`swap`] — a hand-rolled `ArcSwap`-style [`AtomicHandle`] so a new
 //!   index generation hot-swaps in while requests keep being answered.
-//! * [`server`] — the line protocol (`rewrite <query>`, `batch <file>`,
-//!   `update <delta.tsv>`, `info`) spoken by the `serve` binary over stdin
-//!   or TCP. A server has one row source: its index, or — built with a
-//!   [`LiveContext`], the binary's `--mode single-source` — the
+//! * [`state`] — a running server's [`ServeState`]: the hot-swappable
+//!   index handle and its one row source — the index, or, built with a
+//!   [`LiveContext`] (the binary's `--mode single-source`), the
 //!   single-source engine (`simrankpp_core::SingleSourceEngine`), which
 //!   computes every row on demand; an `update` refreshes that engine per
 //!   dirty component, off the request path.
-//! * [`net`] — the threaded TCP front-end ([`NetServer`]): bounded
+//! * [`protocol`] — the line protocol (`rewrite <query>`, `batch <file>`,
+//!   `update <delta.tsv>`, `info`) spoken by the `serve` binary: one
+//!   session loop for stdin and every TCP connection, its permission
+//!   boundary per [`Transport`], and the response writers.
+//! * [`net`] — the threaded TCP transport ([`NetServer`]): bounded
 //!   thread-per-connection pool, split data/admin planes, read timeouts,
 //!   graceful drain, and shared [`ServerMetrics`] counters — all driving
 //!   the same session loop as the pipe.
@@ -47,9 +50,10 @@ pub mod ingest;
 pub mod mapped;
 pub mod mmap;
 pub mod net;
+pub mod protocol;
 pub mod rowcache;
-pub mod server;
 pub mod snapshot;
+pub mod state;
 pub mod swap;
 
 pub use checkpoint::{read_checkpoint, resume_ingestor, write_checkpoint, Checkpoint};
@@ -58,9 +62,9 @@ pub use ingest::{EpochIngestor, IngestConfig, IngestMetrics, LogTailer, SpannedR
 pub use mapped::{MappedIndex, ServingIndex}; // benchmark-pinned (ROADMAP 12)
 pub use mmap::Backing;
 pub use net::{NetConfig, NetServer, ServerMetrics, ShutdownSignal};
-pub use rowcache::{CacheStats, RowCache};
-pub use server::{
-    serve_session, serve_session_with, LiveContext, ServeState, SessionOptions, Transport,
-    UpdateContext, MAX_REQUEST_LINE_BYTES,
+pub use protocol::{
+    serve_session, serve_session_with, SessionOptions, Transport, MAX_REQUEST_LINE_BYTES,
 };
+pub use rowcache::{CacheStats, RowCache};
+pub use state::{LiveContext, ServeState, UpdateContext};
 pub use swap::AtomicHandle;

@@ -5,7 +5,7 @@
 //! dereference to the view. Nothing else uses them.
 
 use crate::index::RewriteIndex;
-use crate::server::ServeState;
+use crate::state::ServeState;
 use simrankpp_graph::QueryId;
 
 macro_rules! pinned {

@@ -37,7 +37,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use crate::server::{serve_session_with, ServeState, SessionOptions, Transport};
+use crate::protocol::{serve_session_with, SessionOptions, Transport};
+use crate::state::ServeState;
 
 /// Monotonic counters shared by every connection of one server, surfaced
 /// through the `info` verb as `net_*=value` fields.
@@ -226,20 +227,23 @@ impl NetServer {
             config,
         } = self;
         let handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let session = |transport| SessionOptions {
+            transport,
+            metrics: Some(Arc::clone(&metrics)),
+            shutdown: Some(Arc::clone(&shutdown)),
+            debug_verbs: config.debug_verbs,
+        };
 
         let admin_join = admin.map(|admin_listener| {
             let loop_ = AcceptLoop {
                 state: Arc::clone(&state),
-                metrics: Arc::clone(&metrics),
-                shutdown: Arc::clone(&shutdown),
                 handles: Arc::clone(&handles),
-                transport: Transport::NetAdmin,
                 // The admin plane is a trusted management surface; bounding
                 // it could lock an operator out of `shutdown` at the exact
                 // moment the data plane is saturated.
                 max_connections: usize::MAX,
+                session: session(Transport::NetAdmin),
                 read_timeout: config.read_timeout,
-                debug_verbs: config.debug_verbs,
             };
             thread::Builder::new()
                 .name("serve-admin-accept".to_string())
@@ -249,13 +253,10 @@ impl NetServer {
 
         let data_loop = AcceptLoop {
             state,
-            metrics,
-            shutdown,
             handles: Arc::clone(&handles),
-            transport: Transport::NetData,
             max_connections: config.max_connections,
+            session: session(Transport::NetData),
             read_timeout: config.read_timeout,
-            debug_verbs: config.debug_verbs,
         };
         data_loop.run(listener);
 
@@ -276,51 +277,47 @@ impl NetServer {
 /// One listener's accept loop: bound check, handler spawn, thread reaping.
 struct AcceptLoop {
     state: Arc<ServeState>,
-    metrics: Arc<ServerMetrics>,
-    shutdown: Arc<ShutdownSignal>,
     handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    transport: Transport,
     max_connections: usize,
+    /// What every connection's session starts from: the listener's
+    /// transport, the server's counters and shutdown signal.
+    session: SessionOptions,
     read_timeout: Option<Duration>,
-    debug_verbs: bool,
 }
 
 impl AcceptLoop {
     fn run(&self, listener: TcpListener) {
+        let metrics = counters(&self.session);
+        let shutdown = self.session.shutdown.as_deref();
+        let draining = || shutdown.is_some_and(ShutdownSignal::is_draining);
         loop {
             let stream = match listener.accept() {
                 Ok((stream, _peer)) => stream,
-                Err(_) if self.shutdown.is_draining() => break,
+                Err(_) if draining() => break,
                 // Transient accept errors (EMFILE, aborted handshake) must
                 // not kill the listener.
                 Err(_) => continue,
             };
             // The wake connection from `trigger` lands here: drop it and
             // stop accepting.
-            if self.shutdown.is_draining() {
+            if draining() {
                 break;
             }
             self.reap();
-            if self.metrics.active.load(Ordering::Relaxed) >= self.max_connections as u64 {
-                self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            if metrics.active.load(Ordering::Relaxed) >= self.max_connections as u64 {
+                metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 // Best-effort refusal — the peer may already be gone.
                 let mut stream = stream;
                 let _ = writeln!(stream, "err\tserver busy\tconnection limit reached");
                 continue;
             }
-            self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-            self.metrics.active.fetch_add(1, Ordering::Relaxed);
-            let conn = Connection {
-                state: Arc::clone(&self.state),
-                metrics: Arc::clone(&self.metrics),
-                shutdown: Arc::clone(&self.shutdown),
-                transport: self.transport,
-                read_timeout: self.read_timeout,
-                debug_verbs: self.debug_verbs,
-            };
+            metrics.accepted.fetch_add(1, Ordering::Relaxed);
+            metrics.active.fetch_add(1, Ordering::Relaxed);
+            let (state, opts) = (Arc::clone(&self.state), self.session.clone());
+            let read_timeout = self.read_timeout;
             let spawned = thread::Builder::new()
                 .name("serve-conn".to_string())
-                .spawn(move || conn.run(stream));
+                .spawn(move || handle_connection(&state, stream, &opts, read_timeout));
             match spawned {
                 Ok(handle) => self
                     .handles
@@ -330,8 +327,8 @@ impl AcceptLoop {
                 Err(_) => {
                     // Spawn failure (resource exhaustion): count the lost
                     // connection and keep the listener alive.
-                    self.metrics.active.fetch_sub(1, Ordering::Relaxed);
-                    self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+                    metrics.active.fetch_sub(1, Ordering::Relaxed);
+                    metrics.disconnects.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -359,63 +356,58 @@ impl AcceptLoop {
     }
 }
 
-/// One accepted connection: socket setup plus the shared session loop.
-struct Connection {
-    state: Arc<ServeState>,
-    metrics: Arc<ServerMetrics>,
-    shutdown: Arc<ShutdownSignal>,
-    transport: Transport,
-    read_timeout: Option<Duration>,
-    debug_verbs: bool,
+/// The server's counters, which every network session carries.
+fn counters(opts: &SessionOptions) -> &ServerMetrics {
+    opts.metrics
+        .as_deref()
+        .expect("network sessions carry the server's counters")
 }
 
-impl Connection {
-    fn run(self, stream: TcpStream) {
-        // Decrement `active` however this thread ends — including a panic
-        // inside the session loop (the `debug-panic` verb, or a real bug).
-        let _guard = ActiveGuard {
-            metrics: Arc::clone(&self.metrics),
-        };
-        // A `return` action here models the handler dying before its
-        // session loop starts: this connection closes (counted as a
-        // disconnect), every other connection and the listener live on.
-        #[cfg(feature = "failpoints")]
-        if let Some(_msg) = simrankpp_util::failpoint::eval("net-handler") {
-            self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+/// One accepted connection on its handler thread: socket setup plus the
+/// shared session loop.
+fn handle_connection(
+    state: &ServeState,
+    stream: TcpStream,
+    opts: &SessionOptions,
+    read_timeout: Option<Duration>,
+) {
+    let metrics = counters(opts);
+    // Decrement `active` however this thread ends — including a panic
+    // inside the session loop (the `debug-panic` verb, or a real bug).
+    let _guard = ActiveGuard { metrics };
+    // A `return` action here models the handler dying before its session
+    // loop starts: this connection closes (counted as a disconnect), every
+    // other connection and the listener live on.
+    #[cfg(feature = "failpoints")]
+    if let Some(_msg) = simrankpp_util::failpoint::eval("net-handler") {
+        metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    // Every response line is already batched through the session's
+    // BufWriter and flushed per request; Nagle would only add latency.
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(read_timeout);
+    let reader = match stream.try_clone() {
+        Ok(s) => BufReader::new(s),
+        Err(_) => {
+            metrics.disconnects.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Every response line is already batched through the session's
-        // BufWriter and flushed per request; Nagle would only add latency.
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.read_timeout);
-        let reader = match stream.try_clone() {
-            Ok(s) => BufReader::new(s),
-            Err(_) => {
-                self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        let mut opts = SessionOptions::network(
-            self.transport,
-            Arc::clone(&self.metrics),
-            Arc::clone(&self.shutdown),
-        );
-        opts.debug_verbs = self.debug_verbs;
-        if serve_session_with(&self.state, reader, stream, &opts).is_err() {
-            // The peer vanished mid-request (e.g. disconnected between
-            // sending half a line and its newline). Session-local: the
-            // listener and every other connection are unaffected.
-            self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-        }
+    };
+    if serve_session_with(state, reader, stream, opts).is_err() {
+        // The peer vanished mid-request (e.g. disconnected between sending
+        // half a line and its newline). Session-local: the listener and
+        // every other connection are unaffected.
+        metrics.disconnects.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Drop guard keeping the `active` gauge truthful on every exit path.
-struct ActiveGuard {
-    metrics: Arc<ServerMetrics>,
+struct ActiveGuard<'a> {
+    metrics: &'a ServerMetrics,
 }
 
-impl Drop for ActiveGuard {
+impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.metrics.active.fetch_sub(1, Ordering::Relaxed);
         if thread::panicking() {

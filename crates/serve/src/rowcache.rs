@@ -1,6 +1,6 @@
 //! A bounded, generation-aware LRU cache of live rewrite rows.
 //!
-//! The live single-source path (see [`crate::server`]) computes a query's
+//! The live single-source path (see [`crate::state`]) computes a query's
 //! rewrites on demand — milliseconds, not microseconds. The cache keeps the
 //! row the §9.3 funnel picked, as scored ids (`(QueryId, f64)` in ranking
 //! order) behind an `Arc`, so a warm repeat of a cold query is a hash probe

@@ -131,6 +131,7 @@ fn every_subcommand_refuses_arguments_it_does_not_take() {
         ("info fig3.idx extra", "usage:"),
         ("ingest click.log weighted extra", "usage:"),
         ("ingest click.log --mode all-pairs", "\"--mode\""),
+        ("run fig3.idx --failpoints x=return", "unexpected argument"),
     ];
     for (args, says) in rows {
         let out = serve(&dir, args);

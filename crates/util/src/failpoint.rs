@@ -136,12 +136,6 @@ pub fn set(site: &str, action: Action, countdown: u64) {
     );
 }
 
-/// Parses and applies a `site=action,...` spec at runtime (same grammar as
-/// the `SIMRANKPP_FAILPOINTS` environment variable).
-pub fn configure(spec: &str) -> Result<(), String> {
-    apply_spec(registry(), spec)
-}
-
 /// Removes the configuration for `site`.
 pub fn clear(site: &str) {
     let reg = registry();
@@ -305,6 +299,7 @@ mod tests {
 
     #[test]
     fn spec_grammar() {
+        let configure = |spec| apply_spec(registry(), spec);
         configure("fp-test-spec-a=return; fp-test-spec-b = 5*abort ,").unwrap();
         assert!(eval("fp-test-spec-a").is_some());
         // b has countdown 4 remaining; evaluate twice, it must not abort the
