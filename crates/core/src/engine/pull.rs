@@ -21,12 +21,32 @@
 //!    first-touch order, scattering each column through the inner node's
 //!    neighbor list into a `SparseAccum` over the output side, restricted
 //!    to `q' > q` (the symmetric half above the diagonal; `q' < q` is
-//!    produced by row `q'`, the diagonal is pinned at 1).
+//!    produced by row `q'`, the diagonal is pinned at 1). Where that
+//!    restriction starts in a neighbor list is a per-chunk cursor on the
+//!    inner node: rows ascend within a chunk, so it only moves forward.
 //!
 //! No `F(t,i)·F(t',j)·s(i,j)` contribution is ever materialized, so there is
 //! nothing to sort or merge: the row is emitted by draining the output
-//! accumulator in ascending id from `q + 1`, a scan of its occupancy
-//! bitmap words with `trailing_zeros`.
+//! accumulator in ascending id from `q + 1` (`SparseAccum::drain_ascending`,
+//! which sorts the few touched ids of a sparse row and scans the bitmap
+//! words of a dense one).
+//!
+//! **Shared rows.** Most tail queries of a click graph click one ad, and
+//! many of them click the same ad. A row `q` whose only neighbor is `a`,
+//! with factor `F(q, a)` bit-equal to that of an earlier row `p` of the same
+//! worker chunk whose only neighbor is also `a`, runs neither pass: it
+//! copies `p`'s emitted entries above `q`, and `p`'s recorded diagonal. The
+//! bits hold because pass 1 of both rows is the same ops on the same
+//! values (`F·(e_a + S[a, ·])`, one neighbor, equal factor bits), so `T` is
+//! the same cells touched in the same order; pass 2 replays that drain, and
+//! the only difference, the `q' > p` versus `q' > q` restriction, removes
+//! whole cells, never an add to a cell above `q`. So every cell above `q`
+//! sums the same values in the same order, and meets the same prune test;
+//! the diagonal reads the same `F·T[a]`. The earlier row is found through a
+//! dense slot per inner node, the latest such row of the chunk; a factor
+//! mismatch computes the row and makes it the slot's. Copies stay inside a
+//! chunk, so which rows copy depends on the worker count, but the bits do
+//! not.
 //! Each worker's contiguous block of rows comes back as one `UpperRows`
 //! block, and the caller freezes the blocks in place into the next
 //! iterate's [`ScoreMatrix`] once the previous one is dropped
@@ -39,7 +59,7 @@
 //! elements. Consequences the differential suites pin down:
 //!
 //! * thread-count invariance: any worker count produces bit-identical
-//!   iterates;
+//!   iterates, whether a shared row is copied or computed;
 //! * sharded == monolithic and incremental == from-scratch stay
 //!   **bit-identical at any scale**: a component shard's monotone remap
 //!   preserves CSR neighbor order, so each row replays the identical
@@ -49,11 +69,11 @@ use super::accum::SparseAccum;
 use super::{parallel, NodeId};
 use crate::scores::{ScoreMatrix, UpperRows};
 
-/// One worker's dense-scratch workspace: a `SparseAccum` per SpGEMM pass.
-/// Sized lazily to the two node counts, kept zeroed between rows by its
-/// drains, and reused across every half-step of a run — `O(nodes)`, never
-/// `O(pairs)`: the previous iterate is read in place, and the output rows
-/// are the half-step's own.
+/// One worker's dense-scratch workspace: a `SparseAccum` per SpGEMM pass
+/// and one [`InnerNode`] per inner node. Sized lazily to the two node
+/// counts, kept zeroed between rows by its drains, and reused across every
+/// half-step of a run — `O(nodes)`, never `O(pairs)`: the previous iterate
+/// is read in place, and the output rows are the half-step's own.
 #[derive(Debug, Default)]
 pub struct PullWorkspace {
     /// Pass-1 accumulator over the inner side (`T[q, ·]`).
@@ -63,15 +83,84 @@ pub struct PullWorkspace {
     /// The pinned-away diagonal values of this worker's rows, in row order,
     /// when the half-step records them (empty otherwise).
     diag: Vec<f64>,
+    /// Per inner node, its cursor and shared row in the chunk under way.
+    nodes: Vec<InnerNode>,
+    /// The chunk under way, counted from 1 over the workspace's life; an
+    /// [`InnerNode`] stamped with another chunk is stale.
+    chunk: u32,
+}
+
+/// What one chunk has learnt about an inner node, valid while `chunk` is
+/// the workspace's chunk under way (a stale entry reads as fresh).
+#[derive(Debug, Clone, Copy)]
+struct InnerNode {
+    chunk: u32,
+    /// Index into the node's neighbor list of its first partner above the
+    /// last row that scattered through it; [`UNSET`] before the first.
+    next: u32,
+    /// Chunk-local index of the latest row whose only neighbor is this
+    /// node; [`UNSET`] before the first.
+    shared: u32,
+}
+
+/// An [`InnerNode`] field with nothing recorded in this chunk.
+const UNSET: u32 = u32::MAX;
+
+impl InnerNode {
+    const STALE: InnerNode = InnerNode {
+        chunk: 0,
+        next: UNSET,
+        shared: UNSET,
+    };
+
+    /// This entry for `chunk`, reset if it was stamped with another.
+    #[inline]
+    fn current(&mut self, chunk: u32) -> &mut InnerNode {
+        if self.chunk != chunk {
+            *self = InnerNode {
+                chunk,
+                ..InnerNode::STALE
+            };
+        }
+        self
+    }
+
+    /// The index of the first of `outs` above row `q`. Rows ascend within a
+    /// chunk, so after a binary search on the chunk's first touch the cursor
+    /// only moves forward: `O(deg)` a chunk, not `O(log deg)` a touch.
+    #[inline]
+    fn first_above<J: NodeId>(&mut self, q: u32, outs: &[J]) -> usize {
+        let mut i = if self.next == UNSET {
+            outs.partition_point(|x| x.raw() <= q)
+        } else {
+            self.next as usize
+        };
+        while i < outs.len() && outs[i].raw() <= q {
+            i += 1;
+        }
+        self.next = i as u32;
+        i
+    }
 }
 
 impl PullWorkspace {
-    fn ensure(&mut self, n_out: usize, n_inner: usize) {
+    /// Sizes the scratch to the half-step's node counts and opens a chunk:
+    /// every [`InnerNode`] from an earlier chunk turns stale.
+    fn begin_chunk(&mut self, n_out: usize, n_inner: usize) {
         if self.t.len() < n_inner {
             self.t.resize(n_inner);
         }
         if self.o.len() < n_out {
             self.o.resize(n_out);
+        }
+        if self.nodes.len() < n_inner {
+            self.nodes.resize(n_inner, InnerNode::STALE);
+        }
+        self.chunk = self.chunk.wrapping_add(1);
+        if self.chunk == 0 {
+            // The stamp wrapped: forget every entry rather than alias one.
+            self.nodes.fill(InnerNode::STALE);
+            self.chunk = 1;
         }
     }
 }
@@ -109,11 +198,12 @@ where
     let n_inner = prev.n_nodes();
     let record = diagonal.is_some();
     let blocks = parallel::run_chunked_stateful(n_out, workspaces, |ws, range| {
-        ws.ensure(n_out, n_inner);
+        ws.begin_chunk(n_out, n_inner);
         let mut out = UpperRows::new(range.len());
-        for q in range {
+        for q in range.clone() {
             pull_row(
                 q as u32,
+                range.start as u32,
                 &out_row,
                 &inner_row,
                 prev,
@@ -140,11 +230,14 @@ where
 /// Computes one output row (both fused passes) and appends its surviving
 /// entries — `(q', score)` for `q' > q`, ascending — to `out`'s open row,
 /// and, when `record` is set, the row's pinned-away diagonal value to
-/// `ws.diag`.
+/// `ws.diag`. `start` is the first row of the chunk `out` holds. A row
+/// whose only neighbor and factor match an earlier row of the chunk copies
+/// that row's entries above `q` and its diagonal instead.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_row<'g, I, J, OutRow, InnerRow>(
     q: u32,
+    start: u32,
     out_row: &OutRow,
     inner_row: &InnerRow,
     prev: &ScoreMatrix,
@@ -167,7 +260,28 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
         }
         return;
     }
-    let PullWorkspace { t, o, diag } = ws;
+    let PullWorkspace {
+        t,
+        o,
+        diag,
+        nodes,
+        chunk,
+    } = ws;
+    let chunk = *chunk;
+
+    if let [only] = inner {
+        let node = nodes[only.raw() as usize].current(chunk);
+        let source = std::mem::replace(&mut node.shared, q - start);
+        // `source` is an earlier row of this chunk with the same only
+        // neighbor; equal factor bits make its passes this row's, op for op.
+        if source != UNSET && out_row(start + source).1[0].to_bits() == f_out[0].to_bits() {
+            out.push_tail_of(source as usize, q);
+            if record {
+                diag.push(diag[source as usize]);
+            }
+            return;
+        }
+    }
 
     // Pass 1: T[q, ·] = Σ_{a ∈ E(q)} F(q, a) · S[a, ·], unit diagonal
     // included. Scan order (E(q) outer, each score row inner, both in CSR
@@ -195,9 +309,9 @@ fn pull_row<'g, I, J, OutRow, InnerRow>(
     // node's neighbor list restricted to q' > q.
     t.drain_touched(|a2, ta| {
         let (outs, f_in) = inner_row(a2);
-        let start = outs.partition_point(|x| x.raw() <= q);
-        for (y, id) in outs[start..].iter().enumerate() {
-            o.add(id.raw(), ta * f_in[start + y]);
+        let above = nodes[a2 as usize].current(chunk).first_above(q, outs);
+        for (y, id) in outs[above..].iter().enumerate() {
+            o.add(id.raw(), ta * f_in[above + y]);
         }
     });
 
@@ -225,6 +339,124 @@ mod tests {
         let pairs: Vec<_> = r.queries.sorted_pairs().collect();
         assert!(!pairs.is_empty());
         assert!(pairs.windows(2).all(|w| w[0].0.raw() < w[1].0.raw()));
+    }
+
+    /// Single-ad queries on shared ads interleaved with multi-ad queries,
+    /// and ads clicked by one query alone, several on the same query.
+    fn shared_rows_graph() -> simrankpp_graph::ClickGraph {
+        use simrankpp_graph::{AdId, ClickGraphBuilder, EdgeData, QueryId};
+        let clicks: [&[(u32, u64)]; 16] = [
+            &[(0, 3)],
+            &[(0, 1), (1, 4)],
+            &[(0, 5)],
+            &[(1, 2)],
+            &[(2, 1), (3, 2), (5, 7), (6, 1)],
+            &[(0, 2)],
+            &[(1, 1)],
+            &[(2, 3)],
+            &[(0, 2), (2, 2), (7, 3)],
+            &[(2, 4)],
+            &[(3, 1)],
+            &[(1, 6)],
+            &[(4, 2)],
+            &[(0, 1)],
+            &[(3, 5), (4, 1)],
+            &[(2, 2)],
+        ];
+        let mut b = ClickGraphBuilder::new();
+        for (q, row) in clicks.iter().enumerate() {
+            for &(a, c) in row.iter() {
+                b.add_edge(QueryId(q as u32), AdId(a), EdgeData::from_clicks(c));
+            }
+        }
+        b.build()
+    }
+
+    /// The half-step over every row in one chunk, where each later
+    /// single-neighbor row copies an earlier one, against every row
+    /// computed alone in a chunk of its own: the same entries and
+    /// diagonals, bit for bit.
+    fn assert_shared_rows_match_alone<'g, I, J>(
+        n: usize,
+        out_row: impl Fn(u32) -> (&'g [I], &'g [f64]) + Sync,
+        inner_row: impl Fn(u32) -> (&'g [J], &'g [f64]) + Sync,
+        prev: &ScoreMatrix,
+        prune: f64,
+    ) where
+        I: NodeId + 'g,
+        J: NodeId + 'g,
+    {
+        let mut ws = vec![PullWorkspace::default()];
+        let mut diag = Vec::new();
+        let shared = propagate_pull(
+            n,
+            &out_row,
+            &inner_row,
+            prev,
+            0.8,
+            prune,
+            &mut ws,
+            Some(&mut diag),
+        );
+        let (mut alone, mut alone_diag) = (Vec::new(), Vec::new());
+        let w = &mut ws[0];
+        for q in 0..n as u32 {
+            w.begin_chunk(n, prev.n_nodes());
+            let mut row = UpperRows::new(1);
+            pull_row(
+                q, q, &out_row, &inner_row, prev, 0.8, prune, w, &mut row, true,
+            );
+            row.end_row();
+            alone.push(row);
+            alone_diag.append(&mut w.diag);
+        }
+        let bits = |m: &ScoreMatrix| {
+            m.iter()
+                .map(|(a, b, v)| (a, b, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (shared, alone) = (
+            ScoreMatrix::from_upper_rows(n, shared),
+            ScoreMatrix::from_upper_rows(n, alone),
+        );
+        assert!(shared.n_pairs() > 0);
+        assert_eq!(bits(&shared), bits(&alone), "prune {prune}, {n} rows");
+        let diag_bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            diag_bits(&diag),
+            diag_bits(&alone_diag),
+            "prune {prune}, {n} rows"
+        );
+    }
+
+    #[test]
+    fn shared_rows_copy_what_computing_them_emits() {
+        use crate::engine::{Walk, WeightedTransition};
+        use simrankpp_graph::{AdId, QueryId, WeightKind};
+        let g = shared_rows_graph();
+        let walk = Walk::Weighted(WeightedTransition {
+            kind: WeightKind::Clicks,
+            spread: crate::weighted::SpreadMode::Exponential,
+        });
+        let f = walk.factors(&g);
+        let r = run(&g, &SimrankConfig::default().with_iterations(3), &walk);
+        for prune in [0.0, 0.02] {
+            // Query rows from the ad iterate, then ad rows from the query one.
+            assert_shared_rows_match_alone(
+                g.n_queries(),
+                |q| (g.ads_of(QueryId(q)).0, f.of_query(&g, QueryId(q))),
+                |a| (g.queries_of(AdId(a)).0, f.toward_ad(&g, AdId(a))),
+                &r.ads,
+                prune,
+            );
+            assert_shared_rows_match_alone(
+                g.n_ads(),
+                |a| (g.queries_of(AdId(a)).0, f.of_ad(&g, AdId(a))),
+                |q| (g.ads_of(QueryId(q)).0, f.toward_query(&g, QueryId(q))),
+                &r.queries,
+                prune,
+            );
+        }
     }
 
     #[test]

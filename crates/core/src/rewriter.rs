@@ -91,8 +91,9 @@ pub fn stem_classes(graph: &ClickGraph, config: &RewriterConfig) -> StemClasses 
 /// path) owns one and drops it with the job.
 #[derive(Debug, Default)]
 pub struct FunnelScratch {
-    /// In: the row's unranked candidates. Out: ranked and capped at
-    /// `max_candidates`, non-finite scores dropped.
+    /// In: the row's unranked candidates. Out: non-finite scores dropped,
+    /// and only the prefix the filters read ranked — at most
+    /// `max_candidates`, often far fewer; the rest follow in no set order.
     pub candidates: Vec<Candidate>,
     /// Stem classes admitted so far in the row being filtered.
     seen: Vec<u32>,
@@ -137,6 +138,12 @@ pub fn candidates(
 /// `max_rewrites`. `classes` is [`stem_classes`] of the graph the ids belong
 /// to. Writes the surviving `(target, final score)` pairs into `out` (cleared
 /// first).
+///
+/// Only the prefix the filters read is ranked: the next chunk of the order
+/// is selected, sorted and filtered, chunks doubling from twice
+/// `max_rewrites`, until `max_rewrites` survive or `max_candidates` have
+/// been read. Under a total order that prefix is the fully ranked list's,
+/// so the output is the same.
 pub fn funnel(
     classes: &StemClasses,
     config: &RewriterConfig,
@@ -148,7 +155,6 @@ pub fn funnel(
     out.clear();
     let FunnelScratch { candidates, seen } = scratch;
     candidates.retain(|c| c.1.is_finite() && c.2.is_finite());
-    rank_candidates(candidates, config.max_candidates);
 
     // An unnamed source query has no class to seed, but named candidates
     // are still deduplicated against each other.
@@ -158,31 +164,45 @@ pub fn funnel(
         seen.push(source_class);
     }
 
-    for &(candidate, score, _raw) in candidates.iter() {
-        // Tested before the push, so `max_rewrites: 0` serves nothing.
-        if out.len() >= config.max_rewrites {
-            break;
+    let limit = config.max_candidates.min(candidates.len());
+    let (mut read, mut chunk) = (0, 2 * config.max_rewrites);
+    // Tested before each candidate, so `max_rewrites: 0` serves nothing.
+    while read < limit && out.len() < config.max_rewrites {
+        let end = limit.min(read + chunk);
+        let rest = &mut candidates[read..];
+        if end - read < rest.len() {
+            rest.select_nth_unstable_by(end - read - 1, rank_order);
         }
-        if candidate == q {
-            continue;
-        }
-        // A class is admitted before the bid filter looks at its candidate:
-        // a duplicate of an unbidden candidate is still a duplicate.
-        if config.stem_dedup {
-            let class = classes.class(candidate.0);
-            if class != StemClasses::UNNAMED {
-                if seen.contains(&class) {
-                    continue;
-                }
-                seen.push(class);
+        let ranked = &mut candidates[read..end];
+        ranked.sort_unstable_by(rank_order);
+        for &(candidate, score, _raw) in ranked.iter() {
+            if out.len() >= config.max_rewrites {
+                break;
             }
-        }
-        if let Some(bids) = bid_terms {
-            if !bids.contains(&candidate) {
+            if candidate == q {
                 continue;
             }
+            // A class is admitted before the bid filter looks at its
+            // candidate: a duplicate of an unbidden candidate is still a
+            // duplicate.
+            if config.stem_dedup {
+                let class = classes.class(candidate.0);
+                if class != StemClasses::UNNAMED {
+                    if seen.contains(&class) {
+                        continue;
+                    }
+                    seen.push(class);
+                }
+            }
+            if let Some(bids) = bid_terms {
+                if !bids.contains(&candidate) {
+                    continue;
+                }
+            }
+            out.push((candidate, score));
         }
-        out.push((candidate, score));
+        read = end;
+        chunk *= 2;
     }
 }
 
@@ -622,10 +642,124 @@ mod tests {
                 row.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
             };
             proptest::prop_assert_eq!(bits(&new), bits(&old), "{:?} q={:?}", config, q);
+            // Only the prefix the filters read comes out ranked: at least
+            // through the last served candidate, the oracle's ranked list.
             let ranked = |c: &[Candidate]| -> Vec<(u32, u64, u64)> {
                 c.iter().map(|&(id, f, r)| (id.0, f.to_bits(), r.to_bits())).collect()
             };
-            proptest::prop_assert_eq!(ranked(&scratch.candidates), ranked(&old_candidates));
+            let read = new.last().map_or(0, |last| {
+                old_candidates.iter().position(|c| c.0 == last.0).unwrap() + 1
+            });
+            proptest::prop_assert_eq!(
+                ranked(&scratch.candidates[..read]),
+                ranked(&old_candidates[..read])
+            );
+        }
+    }
+
+    /// The funnel as it ranked before it ranked only a prefix: every finite
+    /// candidate ranked (`rank_candidates`, capped at `max_candidates`),
+    /// then the filters over the whole ranked list.
+    fn funnel_rank_everything(
+        classes: &StemClasses,
+        config: &RewriterConfig,
+        q: QueryId,
+        candidates: &mut Vec<Candidate>,
+        bid_terms: Option<&FxHashSet<QueryId>>,
+        out: &mut Vec<(QueryId, f64)>,
+    ) {
+        out.clear();
+        candidates.retain(|c| c.1.is_finite() && c.2.is_finite());
+        rank_candidates(candidates, config.max_candidates);
+        let mut seen = Vec::new();
+        let source_class = classes.class(q.0);
+        if config.stem_dedup && source_class != StemClasses::UNNAMED {
+            seen.push(source_class);
+        }
+        for &(candidate, score, _raw) in candidates.iter() {
+            if out.len() >= config.max_rewrites {
+                break;
+            }
+            if candidate == q {
+                continue;
+            }
+            if config.stem_dedup {
+                let class = classes.class(candidate.0);
+                if class != StemClasses::UNNAMED {
+                    if seen.contains(&class) {
+                        continue;
+                    }
+                    seen.push(class);
+                }
+            }
+            if bid_terms.is_some_and(|bids| !bids.contains(&candidate)) {
+                continue;
+            }
+            out.push((candidate, score));
+        }
+    }
+
+    /// Scores with ties on both keys, and the non-finite values the funnel
+    /// drops.
+    const HOSTILE_POOL: [f64; 9] = [
+        0.0,
+        0.25,
+        0.25,
+        0.5,
+        1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prefix_ranking_serves_what_ranking_everything_did(
+            // Per query: a stem class from a small pool (repeats are stem
+            // duplicates; ≥ 6 is unnamed) and a bid bit.
+            queries in proptest::collection::vec((0usize..9, 0u8..2), 2..60),
+            draws in proptest::collection::vec((0u32..60, 0usize..9, 0usize..9), 0..120),
+            knobs in (0u32..60, 0u8..4, 0u8..4, 0u8..4),
+        ) {
+            let n = queries.len() as u32;
+            let names: Vec<Option<&str>> = queries
+                .iter()
+                .map(|&(i, _)| ["shoe", "shoes", "boot", "boots", "pc", "tv"].get(i).copied())
+                .collect();
+            let mut candidates: Vec<Candidate> = Vec::new();
+            for &(id, f, r) in &draws {
+                let id = QueryId(id % n);
+                if candidates.iter().all(|c| c.0 != id) {
+                    candidates.push((id, HOSTILE_POOL[f], HOSTILE_POOL[r]));
+                }
+            }
+            let (q, cap, rewrites, switches) = knobs;
+            let len = candidates.len();
+            let config = RewriterConfig {
+                max_candidates: [len / 3, len.saturating_sub(1), len, len + 4][cap as usize],
+                max_rewrites: [0, 1, 5, len + 1][rewrites as usize],
+                stem_dedup: switches & 1 == 1,
+            };
+            let bids: Option<FxHashSet<QueryId>> = (switches & 2 == 2).then(|| {
+                (0..n).filter(|&i| queries[i as usize].1 == 1).map(QueryId).collect()
+            });
+            let q = QueryId(q % n);
+            let classes = StemClasses::from_names(names.iter().copied());
+
+            let mut want = Vec::new();
+            let mut all = candidates.clone();
+            funnel_rank_everything(&classes, &config, q, &mut all, bids.as_ref(), &mut want);
+            let mut scratch = FunnelScratch { candidates, seen: vec![3; 2] };
+            let mut got = vec![(QueryId(7), 7.0)];
+            funnel(&classes, &config, q, &mut scratch, bids.as_ref(), &mut got);
+
+            let bits = |row: &[(QueryId, f64)]| -> Vec<(u32, u64)> {
+                row.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?} q={:?}", config, q);
         }
     }
 }

@@ -44,6 +44,19 @@ impl UpperRows {
         self.scores.push(score);
     }
 
+    /// Appends to the row under construction the entries of block row
+    /// `source` whose partner is above `above`.
+    #[inline]
+    pub(crate) fn push_tail_of(&mut self, source: usize, above: u32) {
+        let (lo, hi) = (
+            self.offsets[source] as usize,
+            self.offsets[source + 1] as usize,
+        );
+        let from = lo + self.partners[lo..hi].partition_point(|&p| p <= above);
+        self.partners.extend_from_within(from..hi);
+        self.scores.extend_from_within(from..hi);
+    }
+
     /// Closes the row under construction.
     #[inline]
     pub(crate) fn end_row(&mut self) {

@@ -271,8 +271,16 @@ fn answer_lines<R: BufRead, W: Write>(
             }
             Err(e) => return Err(e),
         }
+        // Every answered request counts once in `served`, whichever branch
+        // answers it; a blank line gets no answer and is not counted.
+        let answered = || {
+            if let Some(m) = metrics {
+                m.served.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         if buf.len() > MAX_REQUEST_LINE_BYTES && buf.last() != Some(&b'\n') {
             // The rest is unread and may never end: answer and close.
+            answered();
             let limit = MAX_REQUEST_LINE_BYTES.to_string();
             err_line(out, metrics, "line too long", &limit)?;
             return Ok(Ending::Closed);
@@ -284,6 +292,7 @@ fn answer_lines<R: BufRead, W: Write>(
         if line.is_empty() {
             continue;
         }
+        answered();
         // A draining server finishes nothing new: the current request is
         // answered with the farewell and the session closes, letting the
         // accept loop's join complete. The one exception is `health` — a
@@ -301,9 +310,6 @@ fn answer_lines<R: BufRead, W: Write>(
             Some((c, a)) => (c, a.trim()),
             None => (line, ""),
         };
-        if let Some(m) = metrics {
-            m.served.fetch_add(1, Ordering::Relaxed);
-        }
         match cmd {
             _ if !opts.transport.permits(cmd) => {
                 // The data plane's whole surface is rewrite/quit. `batch` in
@@ -751,12 +757,22 @@ mod tests {
                 flushes: flushes.clone(),
                 pending: Vec::new(),
             };
-            let ended = serve_session_with(&state, input, writer, opts);
+            let metrics = Arc::new(crate::net::ServerMetrics::default());
+            let opts = SessionOptions {
+                metrics: Some(Arc::clone(&metrics)),
+                ..opts.clone()
+            };
+            let ended = serve_session_with(&state, input, writer, &opts);
             assert_eq!(ended.map_err(|e| e.kind()).err(), want_err, "{case}");
             let seen = String::from_utf8(flushes.borrow().concat()).unwrap();
             assert_eq!(seen, want, "{case}");
             assert!(seen.ends_with('\n'), "{case}: flushed output ends mid-line");
             assert_eq!(flushes.borrow().len(), want_flushes, "{case}");
+            // Each answered request counts once, the draining farewell and
+            // the over-long line's `err` too; a stall answers no request.
+            let answered = seen.lines().filter(|l| !l.starts_with("err\tread timeout"));
+            let served = metrics.served.load(Ordering::Relaxed);
+            assert_eq!(served, answered.count() as u64, "{case}");
         }
         assert!(
             unheard.is_draining(),
@@ -933,7 +949,8 @@ mod tests {
         // session must end `Ok` or `InvalidData` (never by panic), every
         // response line must carry a protocol tag, and the `errors` counter
         // must equal the number of `err` lines. No fragment names a file, so
-        // `batch`/`update` only ever miss.
+        // `batch`/`update` only ever miss and every answered request gets
+        // exactly one line: `served` must equal the number of lines.
         const PIECES: &[&[u8]] = &[
             b"rewrite ",
             b"rewrite camera\n",
@@ -996,6 +1013,9 @@ mod tests {
                 err_lines += u64::from(tag == "err");
             }
             assert_eq!(metrics.errors.load(Ordering::Relaxed), err_lines, "{out}");
+            // One line per answered request, the over-long one included.
+            let lines = out.lines().count() as u64;
+            assert_eq!(metrics.served.load(Ordering::Relaxed), lines, "{out}");
         }
         assert!(clean > 0 && invalid > 0, "{clean} clean, {invalid} invalid");
     }

@@ -27,7 +27,7 @@ mod support;
 
 use proptest::prelude::*;
 use simrankpp::core::engine::reference::run_hashmap;
-use simrankpp::core::engine::{self, Walk, WeightedTransition};
+use simrankpp::core::engine::{self, DiagonalCorrection, Walk, WeightedTransition};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::ScoreMatrix;
 use simrankpp::graph::delta::GraphDelta;
@@ -236,5 +236,71 @@ fn pull_kernel_is_thread_count_free_above_the_old_flush_threshold() {
         let par = engine::run(&g, &c.with_threads(threads), &Walk::Uniform);
         assert_bit_identical(&serial.queries, &par.queries, "threads queries");
         assert_bit_identical(&serial.ads, &par.ads, "threads ads");
+    }
+}
+
+/// Rows that share their one neighbor and its factor, interleaved with
+/// rows that do not, laid out so that worker chunks split every class.
+///
+/// Query `i` of 1 040 clicks hub ad `i mod 208` alone, except every fourth
+/// (`i ≡ 3 mod 4`), which clicks the hub below its own and four private ads
+/// `208 + i/4 + 260·m` (`m < 4`) that no other query clicks. So each hub's
+/// single-ad queries sit 208 ids apart and each query's private ads 260
+/// apart. With one worker every later member of a class copies an earlier
+/// one; five workers' chunks (208 query rows, 250 ad rows) hold one member
+/// of a class each, so those rows are computed; two workers mix the two.
+/// The kernel splits rows into chunks only from 1 024 rows up, hence the
+/// size.
+fn shared_rows_graph() -> ClickGraph {
+    let (hubs, queries, multi) = (208u32, 1040u32, 260u32);
+    let mut b = ClickGraphBuilder::new();
+    for i in 0..queries {
+        let clicks = |m: u32| EdgeData::from_clicks(1 + u64::from((i * 7 + m) % 5));
+        if i % 4 != 3 {
+            b.add_edge(QueryId(i), AdId(i % hubs), clicks(0));
+            continue;
+        }
+        b.add_edge(QueryId(i), AdId((i - 1) % hubs), clicks(0));
+        for m in 0..4 {
+            b.add_edge(QueryId(i), AdId(hubs + i / 4 + multi * m), clicks(m + 1));
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn shared_rows_are_bit_identical_copied_or_computed() {
+    let g = shared_rows_graph();
+    assert_eq!((g.n_queries(), g.n_ads()), (1040, 1248));
+    let weighted = Walk::Weighted(WeightedTransition {
+        kind: WeightKind::Clicks,
+        spread: SpreadMode::Exponential,
+    });
+    for walk in [Walk::Uniform, weighted] {
+        for prune in [0.0, 1e-4] {
+            let c = cfg(7).with_prune_threshold(prune);
+            let serial = engine::run(&g, &c, &walk);
+            let serial_d = DiagonalCorrection::whole_graph(&g, &c, &walk);
+            assert!(serial.queries.n_pairs() > 0 && serial.ads.n_pairs() > 0);
+            for threads in [2usize, 5] {
+                let what = format!("{walk:?} prune {prune} threads {threads}");
+                let c = c.with_threads(threads);
+                let par = engine::run(&g, &c, &walk);
+                assert_bit_identical(&serial.queries, &par.queries, &format!("{what}: queries"));
+                assert_bit_identical(&serial.ads, &par.ads, &format!("{what}: ads"));
+                assert_eq!(serial.pair_counts, par.pair_counts, "{what}");
+                let par_d = DiagonalCorrection::whole_graph(&g, &c, &walk);
+                assert_eq!(serial_d.levels.len(), par_d.levels.len(), "{what}");
+                for (j, (a, b)) in serial_d.levels.iter().zip(&par_d.levels).enumerate() {
+                    let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&a.d_query),
+                        bits(&b.d_query),
+                        "{what}: level {j} queries"
+                    );
+                    assert_eq!(bits(&a.d_ad), bits(&b.d_ad), "{what}: level {j} ads");
+                }
+            }
+        }
     }
 }
