@@ -3,9 +3,7 @@
 //! A row under construction is a `SparseAccum`: the pull kernel's two
 //! Gustavson passes ([`super::pull`]) and the single-source sweeps
 //! ([`super::single_source`]) all add into one, and drain it either in
-//! first-touch order or in ascending id. The ascending drain sorts the
-//! touched ids when they are few over a wide span of bitmap words and scans
-//! the words otherwise ([`SparseAccum::drain_ascending`] states the rule).
+//! first-touch order or in ascending id.
 
 /// A dense-scratch sparse accumulator over ids `0..len()`: dense values, a
 /// `u64` occupancy bitmap and the touched ids in first-touch order.
@@ -91,48 +89,15 @@ impl SparseAccum {
     }
 
     /// Hands every touched `(id, value)` to `f` in ascending id and leaves
-    /// the accumulator zeroed. `from` is a lower bound the caller guarantees
-    /// for every touched id; it narrows the scan.
-    ///
-    /// A row pays for the cheaper of two drains. With `k` touched ids over
-    /// the `w` bitmap words from `from`'s word to the highest touched one,
-    /// it sorts the touched list ([`SparseAccum::drain_sorted`]) when
-    /// `k·(⌊log2 k⌋ + 1)` is at most half of `w`, and scans the words
-    /// ([`SparseAccum::drain_scanned`]) otherwise: a few ids over a wide
-    /// span sort, a dense run scans. Both hand out the same sequence.
+    /// the accumulator zeroed, scanning the bitmap words with
+    /// `trailing_zeros` from `from`'s word to the highest touched one.
+    /// `from` is a lower bound the caller guarantees for every touched id;
+    /// it narrows the scan.
     #[inline]
-    pub fn drain_ascending(&mut self, from: u32, f: impl FnMut(u32, f64)) {
-        let k = self.touched.len();
-        if k == 0 {
+    pub fn drain_ascending(&mut self, from: u32, mut f: impl FnMut(u32, f64)) {
+        if self.touched.is_empty() {
             return;
         }
-        if sorts(k, self.end_word.saturating_sub(from as usize / 64)) {
-            self.drain_sorted(from, f);
-        } else {
-            self.drain_scanned(from, f);
-        }
-    }
-
-    /// [`SparseAccum::drain_ascending`] by sorting the touched list:
-    /// `O(k log k)` whatever the span.
-    fn drain_sorted(&mut self, from: u32, mut f: impl FnMut(u32, f64)) {
-        self.touched.sort_unstable();
-        debug_assert!(
-            self.touched.first() >= Some(&from),
-            "touched ids below {from}"
-        );
-        for &id in &self.touched {
-            self.bits[id as usize / 64] = 0;
-            f(id, std::mem::take(&mut self.vals[id as usize]));
-        }
-        self.touched.clear();
-        self.end_word = 0;
-    }
-
-    /// [`SparseAccum::drain_ascending`] by scanning the bitmap words with
-    /// `trailing_zeros` from `from`'s word to the highest touched one:
-    /// `O(w + k)`, no sort.
-    fn drain_scanned(&mut self, from: u32, mut f: impl FnMut(u32, f64)) {
         let (first, end) = (from as usize / 64, self.end_word);
         let mut drained = 0;
         for (w, word) in self.bits[first..end].iter_mut().enumerate() {
@@ -156,13 +121,6 @@ impl SparseAccum {
     pub(crate) fn parts(&self) -> (&[f64], &[u64], &[u32]) {
         (&self.vals, &self.bits, &self.touched)
     }
-}
-
-/// Whether [`SparseAccum::drain_ascending`] sorts `k ≥ 1` touched ids
-/// spread over `words` bitmap words rather than scan the words.
-#[inline]
-fn sorts(k: usize, words: usize) -> bool {
-    2 * k * (k.ilog2() as usize + 1) <= words
 }
 
 #[cfg(test)]
@@ -239,54 +197,35 @@ mod tests {
     }
 
     #[test]
-    fn both_drains_hand_out_the_same_sequence() {
-        // (ids, from, whether the sort is picked): few ids over a wide span,
-        // dense runs, ids on word edges (every edge of 40 words, then a few
-        // edges far apart), and a bound inside the first word.
+    fn every_row_shape_drains_in_ascending_id() {
+        // Few ids over a wide span, dense runs, ids on word edges (every
+        // edge of 40 words, then a few edges far apart), and a bound inside
+        // the first word; each id takes two adds.
         let n = 64 * 300;
-        let wide: Vec<u32> = vec![64 * 299 + 5, 3, 64 * 150, 64 * 77 + 63];
-        let dense: Vec<u32> = (200..1400).rev().chain(2000..2100).collect();
-        let edges: Vec<u32> = (0..40).rev().flat_map(|w| [64 * w + 63, 64 * w]).collect();
-        let far_edges: Vec<u32> = vec![127, 64, 0, 63, 64 * 300 - 1];
-        let inside: Vec<u32> = vec![64 * 40 + 9, 64 * 40 + 62, 64 * 41, 64 * 280];
-        let rows = [
-            (wide, 0, true),
-            (dense, 200, false),
-            (edges, 0, false),
-            (far_edges, 0, true),
-            (inside, 64 * 40 + 9, true),
+        let rows: [(Vec<u32>, u32); 5] = [
+            (vec![64 * 299 + 5, 3, 64 * 150, 64 * 77 + 63], 0),
+            ((200..1400).rev().chain(2000..2100).collect(), 200),
+            (
+                (0..40).rev().flat_map(|w| [64 * w + 63, 64 * w]).collect(),
+                0,
+            ),
+            (vec![127, 64, 0, 63, 64 * 300 - 1], 0),
+            (
+                vec![64 * 40 + 9, 64 * 40 + 62, 64 * 41, 64 * 280],
+                64 * 40 + 9,
+            ),
         ];
-        for (ids, from, sorted) in rows {
-            let fill = |acc: &mut SparseAccum| {
-                for (k, &id) in ids.iter().enumerate() {
-                    acc.add(id, 0.1 * k as f64 - 1.0);
-                    acc.add(id, 1e-3);
+        let mut acc = SparseAccum::new(n);
+        for (ids, from) in rows {
+            let mut oracle = BTreeMap::new();
+            for (k, &id) in ids.iter().enumerate() {
+                for v in [0.1 * k as f64 - 1.0, 1e-3] {
+                    acc.add(id, v);
+                    *oracle.entry(id).or_insert(0.0) += v;
                 }
-            };
-            let mut drained = Vec::new();
-            for path in 0..3 {
-                let mut acc = SparseAccum::new(n);
-                fill(&mut acc);
-                if path == 0 {
-                    let words = acc.end_word - from as usize / 64;
-                    assert_eq!(sorts(ids.len(), words), sorted, "{ids:?}: the other drain");
-                }
-                let mut out = Vec::new();
-                let push = |i, v: f64| out.push((i, v.to_bits()));
-                match path {
-                    0 => acc.drain_ascending(from, push),
-                    1 => acc.drain_sorted(from, push),
-                    _ => acc.drain_scanned(from, push),
-                }
-                assert_zeroed(&acc);
-                drained.push(out);
             }
-            let mut want: Vec<u32> = ids.clone();
-            want.sort_unstable();
-            let got: Vec<u32> = drained[0].iter().map(|&(i, _)| i).collect();
-            assert_eq!(got, want);
-            assert_eq!(drained[0], drained[1], "sorted drain from {from}");
-            assert_eq!(drained[0], drained[2], "scanned drain from {from}");
+            let want: Vec<_> = oracle.iter().map(|(&i, v)| (i, v.to_bits())).collect();
+            assert_eq!(ascending(&mut acc, from), want, "from {from}");
         }
     }
 

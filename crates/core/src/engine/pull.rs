@@ -27,9 +27,8 @@
 //!
 //! No `F(t,i)·F(t',j)·s(i,j)` contribution is ever materialized, so there is
 //! nothing to sort or merge: the row is emitted by draining the output
-//! accumulator in ascending id from `q + 1` (`SparseAccum::drain_ascending`,
-//! which sorts the few touched ids of a sparse row and scans the bitmap
-//! words of a dense one).
+//! accumulator in ascending id from `q + 1`, a scan of its occupancy
+//! bitmap words with `trailing_zeros`.
 //!
 //! **Shared rows.** Most tail queries of a click graph click one ad, and
 //! many of them click the same ad. A row `q` whose only neighbor is `a`,
