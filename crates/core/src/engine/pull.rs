@@ -69,7 +69,7 @@ use super::{parallel, NodeId};
 use crate::scores::{ScoreMatrix, UpperRows};
 
 /// One worker's dense-scratch workspace: a `SparseAccum` per SpGEMM pass
-/// and one [`InnerNode`] per inner node. Sized lazily to the two node
+/// and one `InnerNode` per inner node. Sized lazily to the two node
 /// counts, kept zeroed between rows by its drains, and reused across every
 /// half-step of a run — `O(nodes)`, never `O(pairs)`: the previous iterate
 /// is read in place, and the output rows are the half-step's own.

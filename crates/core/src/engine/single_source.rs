@@ -8,6 +8,9 @@
 //! The forward/backward sweeps are those of Maehara et al., *Efficient
 //! SimRank Computation via Linearization*; the series they sum is not the
 //! fixed point's but the finite one the engine's `k` iterations unroll into.
+//! It answers rows, not rankings: a live miss feeds the row to
+//! [`crate::rewriter::candidates`] and [`crate::rewriter::funnel`], the same
+//! §9.3 ranking an all-pairs matrix row goes through.
 //!
 //! # The unrolled series
 //!
@@ -97,7 +100,6 @@ use crate::engine::parallel::run_dirty_blocks;
 use crate::engine::transition::{TransitionFactors, Walk};
 use crate::engine::{self, DiagonalHistory, Side};
 use simrankpp_graph::{AdId, ClickGraph, DirtyComponents, QueryId};
-use simrankpp_util::TopK;
 
 /// Series level `j`'s diagonals: what the unit pin replaced at iteration
 /// `k − 2j` on the query side and `k − 2j − 1` on the ad side.
@@ -349,7 +351,7 @@ impl RowWorkspace {
 }
 
 /// The on-demand engine: precomputed factors + per-iteration diagonals,
-/// ready to answer per-query rows and top-k requests.
+/// ready to answer per-query rows.
 ///
 /// Holds no reference to the graph; pass the *same* graph to every method
 /// (checked only by side cardinality).
@@ -491,40 +493,6 @@ impl SingleSourceEngine {
         let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
         let mut out = Vec::new();
         self.row_into(g, q, &mut ws, &mut out);
-        out
-    }
-
-    /// The `k` highest-scoring *other* queries for `q` (descending score,
-    /// ties by ascending id — [`crate::ScoreMatrix::top_k`]'s order), written
-    /// into `out`.
-    pub fn top_k_into(
-        &self,
-        g: &ClickGraph,
-        q: QueryId,
-        k: usize,
-        ws: &mut RowWorkspace,
-        out: &mut Vec<(QueryId, f64)>,
-    ) {
-        self.sweep(g, q, ws);
-        let mut top = TopK::new(k);
-        for &(other, score) in &ws.v {
-            if other != q.0 && score > 0.0 {
-                top.push(other, score);
-            }
-        }
-        out.clear();
-        out.extend(
-            top.into_sorted_vec()
-                .into_iter()
-                .map(|(i, s)| (QueryId(i), s)),
-        );
-    }
-
-    /// Allocating convenience over [`SingleSourceEngine::top_k_into`].
-    pub fn top_k(&self, g: &ClickGraph, q: QueryId, k: usize) -> Vec<(QueryId, f64)> {
-        let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
-        let mut out = Vec::new();
-        self.top_k_into(g, q, k, &mut ws, &mut out);
         out
     }
 }
@@ -745,21 +713,17 @@ mod tests {
     }
 
     #[test]
-    fn top_k_matches_matrix_top_k() {
+    fn rows_match_the_matrix_rows() {
         let g = figure3_graph();
         let run = engine::run(&g, &cfg(7), &Walk::Uniform);
         let ss = SingleSourceEngine::new(&g, &cfg(7), &Walk::Uniform);
         for q in g.queries() {
-            let got = ss.top_k(&g, q, 3);
-            let want = run.queries.top_k(q.0, 3);
-            assert_eq!(
-                got.iter().map(|&(i, _)| i.0).collect::<Vec<_>>(),
-                want.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-                "top-k ids for {:?}",
-                q
-            );
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a.1 - b.1).abs() < 1e-12);
+            let mut row = ss.row(&g, q);
+            row.retain(|&(id, s)| id != q && s > 0.0);
+            let ids: Vec<u32> = row.iter().map(|&(id, _)| id.0).collect();
+            assert_eq!(ids, run.queries.row(q.0).0, "row ids for {q:?}");
+            for &(id, s) in &row {
+                assert!((s - run.queries.get(q.0, id.0)).abs() < 1e-12);
             }
         }
     }
@@ -773,7 +737,7 @@ mod tests {
         let pc = g.query_by_name("pc").unwrap();
         let row = ss.row(&g, flower);
         assert!(row.iter().all(|&(w, _)| w != pc));
-        assert!(ss.top_k(&g, pc, 10).iter().all(|&(w, _)| w != flower));
+        assert!(ss.row(&g, pc).iter().all(|&(w, _)| w != flower));
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! * [`weighted`] — §8's weighted SimRank (spread × normalized-weight walk),
 //!   the same engine kernel with `Walk::Weighted` (an
 //!   [`engine::WeightedTransition`]);
-//! * [`method`] — [`Method`], one ranked query side of any scheme with its
+//! * [`method`] — [`Method`], one query side of any scheme with its
 //!   evidence applied at read-out;
 //! * [`pearson`] — §9.1's Pearson-correlation baseline;
 //! * [`complete_bipartite`] — closed forms on `K_{m,2}` (Theorems 6.1–7.1,
 //!   Appendices A–B), used for paper-exactness tests and Tables 3–4;
 //! * [`rewriter`] — the Figure 2 front-end: score → rank → stem-dedup →
-//!   bid-filter → top-5 rewrites.
+//!   bid-filter → top-5 rewrites, the one ranking of every served row.
 //!
 //! There are two ways into the engine: [`engine::run`] returns both sides
 //! of a walk as an [`engine::EngineRun`] with its diagnostics, and

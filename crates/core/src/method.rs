@@ -2,23 +2,20 @@
 //!
 //! §9 compares Pearson (baseline), SimRank, evidence-based SimRank, and
 //! weighted SimRank. [`Method`] computes any of them over a click graph and
-//! answers the two questions the evaluation pipeline asks: the score of a
-//! specific pair, and the ranked rewrite candidates of a query.
+//! answers the score of a specific pair; a query's ranked rewrites are
+//! [`crate::rewriter::Rewriter`]'s, which feeds the method's row through the
+//! §9.3 funnel ([`crate::rewriter::funnel`], the one place a row is ranked).
 //!
 //! A method stores one score matrix: the final score for Naive and Pearson,
 //! the walk's `S_Q^(k)` for the SimRank kinds, whose §7 evidence factor
 //! ([`MethodKind::evidence`]) is applied when a score is read — so every
 //! reader of a final score takes the graph.
-//!
-//! Ranking is by `(final score desc, raw walk score desc, id asc)` — the
-//! first stage of [`crate::rewriter::funnel`], the one place that order lives.
 
 use crate::config::SimrankConfig;
 use crate::engine::{self, Side, Walk, WeightedTransition};
 use crate::evidence::{query_evidence, EvidenceKind};
 use crate::naive::naive_scores;
 use crate::pearson::pearson_scores;
-use crate::rewriter::{candidates, rank_candidates};
 use crate::scores::ScoreMatrix;
 use crate::weighted::SpreadMode;
 use serde::{Deserialize, Serialize};
@@ -199,29 +196,12 @@ impl Method {
     pub(crate) fn row(&self, q: QueryId) -> impl Iterator<Item = (QueryId, f64)> + '_ {
         self.scores.partners(q.0).map(|(id, s)| (QueryId(id), s))
     }
-
-    /// Ranks candidate rewrites for `q` over `g`: all queries with a
-    /// positive stored score, ordered by `(final desc, raw desc, id asc)`,
-    /// truncated to `limit`.
-    pub fn ranked_candidates(
-        &self,
-        g: &ClickGraph,
-        q: QueryId,
-        limit: usize,
-    ) -> Vec<(QueryId, f64)> {
-        let mut out = Vec::new();
-        candidates(g, q, self.row(q), self.evidence, &mut out);
-        rank_candidates(&mut out, limit);
-        out.into_iter()
-            .map(|(id, score, _raw)| (id, score))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewriter::Candidate;
+    use crate::rewriter::{candidates, Candidate, Rewriter, RewriterConfig};
     use simrankpp_graph::fixtures::figure3_graph;
     use simrankpp_graph::{AdId, ClickGraphBuilder, EdgeData};
     use std::cmp::Ordering;
@@ -257,45 +237,71 @@ mod tests {
         assert_eq!(pe.score(&g, pc, tv), 0.0);
     }
 
+    /// `q`'s served row: the method's row through the §9.3 funnel with no
+    /// stem dedup and no bid filter, capped at `max_rewrites`.
+    fn served(g: &ClickGraph, m: &Method, q: QueryId, max_rewrites: usize) -> Vec<(QueryId, f64)> {
+        let config = RewriterConfig {
+            max_rewrites,
+            stem_dedup: false,
+            ..RewriterConfig::default()
+        };
+        let mut out = Vec::new();
+        Rewriter::new(g, m.clone(), config).rewrite_ids_into(q, None, &mut out);
+        out
+    }
+
     #[test]
     fn evidence_ties_break_by_raw_simrank() {
         let g = figure3_graph();
         let m = Method::compute(MethodKind::EvidenceSimrank, &g, &cfg());
         let pc = g.query_by_name("pc").unwrap();
         let tv = g.query_by_name("tv").unwrap();
-        // Evidence zeroes pc–tv but the candidate list still surfaces it
+        // Evidence zeroes pc–tv but the served row still surfaces it
         // through the raw score.
         let (final_score, raw) = m.score_with_tiebreak(&g, pc, tv);
         assert_eq!(final_score, 0.0);
         assert!(raw > 0.0);
-        let candidates = m.ranked_candidates(&g, pc, 10);
         assert!(
-            candidates.iter().any(|&(q, _)| q == tv),
+            served(&g, &m, pc, 5).contains(&(tv, 0.0)),
             "tv must appear via raw tie-break"
         );
     }
 
     #[test]
-    fn ranked_candidates_ordering() {
+    fn served_rows_rank_final_then_raw_then_id() {
         let g = figure3_graph();
+        for kind in MethodKind::EVALUATED {
+            let m = Method::compute(kind, &g, &cfg());
+            for q in g.queries() {
+                let row = served(&g, &m, q, 5);
+                let key = |&(id, _): &(QueryId, f64)| {
+                    let (f, r) = m.score_with_tiebreak(&g, q, id);
+                    (f, r, id)
+                };
+                for w in row.windows(2) {
+                    let ((f0, r0, id0), (f1, r1, id1)) = (key(&w[0]), key(&w[1]));
+                    assert_eq!(w[0].1, f0);
+                    let ranked = f0 > f1 || (f0 == f1 && (r0 > r1 || (r0 == r1 && id0 < id1)));
+                    assert!(ranked, "{}: {:?} before {:?}", kind.name(), w[0], w[1]);
+                }
+            }
+        }
+        // digital camera (2 common ads) must outrank pc/tv (1 common ad each).
         let m = Method::compute(MethodKind::EvidenceSimrank, &g, &cfg());
         let camera = g.query_by_name("camera").unwrap();
-        let ranked = m.ranked_candidates(&g, camera, 10);
-        // digital camera (2 common ads) must outrank pc/tv (1 common ad each).
         let dc = g.query_by_name("digital camera").unwrap();
-        assert_eq!(ranked[0].0, dc);
-        // Scores descending.
-        for w in ranked.windows(2) {
-            assert!(w[0].1 >= w[1].1 - 1e-15);
-        }
+        assert_eq!(served(&g, &m, camera, 5)[0].0, dc);
     }
 
     #[test]
-    fn limit_truncates() {
+    fn max_rewrites_truncates_the_ranked_row() {
         let g = figure3_graph();
         let m = Method::compute(MethodKind::Simrank, &g, &cfg());
         let camera = g.query_by_name("camera").unwrap();
-        assert!(m.ranked_candidates(&g, camera, 1).len() <= 1);
+        let full = served(&g, &m, camera, 5);
+        assert!(full.len() > 1);
+        assert_eq!(served(&g, &m, camera, 1), full[..1]);
+        assert!(served(&g, &m, camera, 0).is_empty());
     }
 
     #[test]
@@ -305,7 +311,7 @@ mod tests {
         for kind in MethodKind::EVALUATED {
             let m = Method::compute(kind, &g, &cfg());
             assert!(
-                m.ranked_candidates(&g, flower, 10).is_empty(),
+                served(&g, &m, flower, 5).is_empty(),
                 "{} gave flower a rewrite",
                 kind.name()
             );

@@ -57,24 +57,6 @@ fn rank_order(a: &Candidate, b: &Candidate) -> Ordering {
         .then_with(|| a.0.cmp(&b.0))
 }
 
-/// Orders candidates by `(final desc, raw desc, id asc)` and keeps the first
-/// `limit` — selected, then sorted, so a long row costs what it keeps. The
-/// raw walk score only matters when final scores tie — in particular when the
-/// evidence factor zeroes both candidates (no common ad), where the paper's
-/// Figure 12 behaviour shows the underlying SimRank ordering taking over
-/// (evidence-based predicts exactly as plain SimRank there).
-pub(crate) fn rank_candidates(candidates: &mut Vec<Candidate>, limit: usize) {
-    if limit == 0 {
-        candidates.clear();
-        return;
-    }
-    if candidates.len() > limit {
-        candidates.select_nth_unstable_by(limit - 1, rank_order);
-        candidates.truncate(limit);
-    }
-    candidates.sort_unstable_by(rank_order);
-}
-
 /// The stem-class table [`funnel`] dedups `graph`'s queries with under
 /// `config`: one signature id per query, each name stemmed once. Empty —
 /// nothing is stemmed — when `config.stem_dedup` is off and the funnel will
@@ -475,7 +457,6 @@ mod tests {
             let r = Rewriter::new(&g, method.clone(), cfg);
             assert!(r.rewrites(camera, None).is_empty(), "{cfg:?}");
         }
-        assert!(method.ranked_candidates(&g, camera, 0).is_empty());
     }
 
     #[test]
@@ -658,7 +639,7 @@ mod tests {
     }
 
     /// The funnel as it ranked before it ranked only a prefix: every finite
-    /// candidate ranked (`rank_candidates`, capped at `max_candidates`),
+    /// candidate sorted under `rank_order` and capped at `max_candidates`,
     /// then the filters over the whole ranked list.
     fn funnel_rank_everything(
         classes: &StemClasses,
@@ -670,7 +651,8 @@ mod tests {
     ) {
         out.clear();
         candidates.retain(|c| c.1.is_finite() && c.2.is_finite());
-        rank_candidates(candidates, config.max_candidates);
+        candidates.sort_unstable_by(rank_order);
+        candidates.truncate(config.max_candidates);
         let mut seen = Vec::new();
         let source_class = classes.class(q.0);
         if config.stem_dedup && source_class != StemClasses::UNNAMED {

@@ -2,8 +2,9 @@
 //!
 //! SimRank scores are symmetric with unit diagonal, so only off-diagonal
 //! pairs are stored, and each score is stored once per endpoint row: a frozen
-//! [`ScoreMatrix`] is one per-node CSR arena for fast `get`, per-node top-k
-//! and iteration, and its pair list is the arena's upper triangle.
+//! [`ScoreMatrix`] is one per-node CSR arena for fast `get` and id-sorted
+//! row reads, and its pair list is the arena's upper triangle. Ranking a row
+//! is [`crate::rewriter::funnel`]'s job, not the matrix's.
 //!
 //! The engine (`engine::pull`) emits each half-step's upper-triangle rows
 //! (`UpperRows`) and freezes them into that arena in place, so an iterate
@@ -355,37 +356,6 @@ impl ScoreMatrix {
         ids.iter().copied().zip(vals.iter().copied())
     }
 
-    /// The `k` highest-scoring partners of `a` (descending score, ties by
-    /// ascending id).
-    pub fn top_k(&self, a: u32, k: usize) -> Vec<(u32, f64)> {
-        let mut out = Vec::new();
-        self.top_k_into(a, k, &mut out);
-        out
-    }
-
-    /// As [`ScoreMatrix::top_k`], but writing into `out` (cleared first) so
-    /// batched per-node extraction reuses one buffer instead of allocating
-    /// per call. NaN scores are skipped (as [`TopK`](simrankpp_util::TopK)
-    /// does), keeping the comparator total; selection is O(m) + O(k log k)
-    /// rather than a full row sort.
-    pub fn top_k_into(&self, a: u32, k: usize, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        out.extend(self.partners(a).filter(|&(_, s)| !s.is_nan()));
-        let descending = |x: &(u32, f64), y: &(u32, f64)| {
-            y.1.partial_cmp(&x.1)
-                .expect("NaN scores are filtered above")
-                .then_with(|| x.0.cmp(&y.0))
-        };
-        if out.len() > k {
-            out.select_nth_unstable_by(k - 1, descending);
-            out.truncate(k);
-        }
-        out.sort_unstable_by(descending);
-    }
-
     /// Largest absolute score difference against another matrix over the
     /// union of stored pairs, an unstored pair reading 0 (the engine's
     /// convergence check and the cross-engine metric): one merge of the two
@@ -503,51 +473,6 @@ mod tests {
         let m = c.build();
         assert_eq!(m.n_nodes(), 9);
         assert!((m.get(7, 8) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_into_ranks_and_reuses_buffer() {
-        let mut b = ScoreMatrixBuilder::new(6);
-        b.set(0, 1, 0.1);
-        b.set(0, 2, 0.9);
-        b.set(0, 3, 0.5);
-        b.set(0, 4, 0.5); // tie with node 3: smaller id first
-        let m = b.build();
-        let mut buf = vec![(99u32, 0.0)];
-        m.top_k_into(0, 3, &mut buf);
-        assert_eq!(buf, vec![(2, 0.9), (3, 0.5), (4, 0.5)]);
-        assert_eq!(m.top_k(0, 2), vec![(2, 0.9), (3, 0.5)]);
-        m.top_k_into(0, 0, &mut buf);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn top_k_skips_nan_scores() {
-        // A NaN entry (only constructible via from_sorted_pairs-free paths
-        // like map_scores misuse) must be dropped, not ranked arbitrarily.
-        let mut b = ScoreMatrixBuilder::new(4);
-        b.set(0, 1, 0.4);
-        b.set(0, 2, 0.7);
-        let mut m = b.build();
-        let lo = m.offsets[0] as usize;
-        assert_eq!(m.partners[lo], 1);
-        m.scores[lo] = f64::NAN; // partner id 1 of node 0
-        let mut buf = Vec::new();
-        m.top_k_into(0, 3, &mut buf);
-        assert_eq!(buf, vec![(2, 0.7)]);
-    }
-
-    #[test]
-    fn top_k_orders_descending() {
-        let mut b = ScoreMatrixBuilder::new(5);
-        b.set(0, 1, 0.1);
-        b.set(0, 2, 0.9);
-        b.set(0, 3, 0.5);
-        b.set(2, 3, 0.7); // unrelated to node 0
-        let m = b.build();
-        let top = m.top_k(0, 2);
-        assert_eq!(top.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(m.top_k(4, 3), vec![]);
     }
 
     #[test]

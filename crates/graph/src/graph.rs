@@ -273,9 +273,10 @@ impl ClickGraph {
 
     /// Checks structural invariants; used by tests and after deserialization.
     ///
-    /// Verified: offset monotonicity, neighbor sortedness + in-range ids,
-    /// forward/backward edge-count agreement, clicks ≤ impressions, and that
-    /// each direction is the exact transpose of the other.
+    /// Verified, on each direction: offsets monotone from 0 to the neighbor
+    /// count, neighbors strictly sorted and in range, clicks ≤ impressions;
+    /// then forward/backward edge-count agreement and that each direction is
+    /// the exact transpose of the other.
     pub fn validate(&self) -> Result<(), String> {
         if self.q_offsets.is_empty() || self.a_offsets.is_empty() {
             return Err("offset arrays must have at least one entry".into());
@@ -290,12 +291,23 @@ impl ClickGraph {
                 self.a_nbrs.len()
             ));
         }
-        check_csr(&self.q_offsets, &self.q_nbrs, self.n_ads(), "query")?;
-        check_csr_q(&self.a_offsets, &self.a_nbrs, self.n_queries(), "ad")?;
+        check_csr(
+            "query",
+            &self.q_offsets,
+            &self.q_nbrs,
+            &self.q_edges,
+            AdId::index,
+            self.n_ads(),
+        )?;
+        check_csr(
+            "ad",
+            &self.a_offsets,
+            &self.a_nbrs,
+            &self.a_edges,
+            QueryId::index,
+            self.n_queries(),
+        )?;
         for (q, a, e) in self.edges() {
-            if e.clicks > e.impressions {
-                return Err(format!("edge ({q},{a}): clicks exceed impressions"));
-            }
             let (back, back_edges) = self.queries_of(a);
             match back.binary_search(&q) {
                 Ok(i) => {
@@ -310,53 +322,35 @@ impl ClickGraph {
     }
 }
 
-fn check_csr(offsets: &[u32], nbrs: &[AdId], n_other: usize, side: &str) -> Result<(), String> {
-    if *offsets.last().unwrap() as usize != nbrs.len() {
-        return Err(format!("{side}: last offset != neighbor count"));
-    }
-    for w in offsets.windows(2) {
-        if w[0] > w[1] {
-            return Err(format!("{side}: offsets not monotone"));
-        }
-        let row = &nbrs[w[0] as usize..w[1] as usize];
-        for pair in row.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(format!("{side}: neighbors not strictly sorted"));
-            }
-        }
-        if let Some(last) = row.last() {
-            if last.index() >= n_other {
-                return Err(format!("{side}: neighbor id out of range"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_csr_q(
-    offsets: &[u32],
-    nbrs: &[QueryId],
-    n_other: usize,
+/// One direction's CSR invariants: offsets start at 0, never decrease and
+/// end at the neighbor count; each row's neighbors ascend strictly and stay
+/// below `n_other` (`index` reads an id's position); no edge has more clicks
+/// than impressions. `side` names the direction in the error.
+fn check_csr<T: Copy + Ord>(
     side: &str,
+    offsets: &[u32],
+    nbrs: &[T],
+    edges: &[EdgeData],
+    index: impl Fn(T) -> usize,
+    n_other: usize,
 ) -> Result<(), String> {
+    if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(format!("{side}: offsets not monotone from 0"));
+    }
     if *offsets.last().unwrap() as usize != nbrs.len() {
         return Err(format!("{side}: last offset != neighbor count"));
     }
     for w in offsets.windows(2) {
-        if w[0] > w[1] {
-            return Err(format!("{side}: offsets not monotone"));
-        }
         let row = &nbrs[w[0] as usize..w[1] as usize];
-        for pair in row.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(format!("{side}: neighbors not strictly sorted"));
-            }
+        if row.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(format!("{side}: neighbors not strictly sorted"));
         }
-        if let Some(last) = row.last() {
-            if last.index() >= n_other {
-                return Err(format!("{side}: neighbor id out of range"));
-            }
+        if row.last().is_some_and(|&last| index(last) >= n_other) {
+            return Err(format!("{side}: neighbor id out of range"));
         }
+    }
+    if let Some(i) = edges.iter().position(|e| e.clicks > e.impressions) {
+        return Err(format!("{side}: edge {i}: clicks exceed impressions"));
     }
     Ok(())
 }
@@ -489,6 +483,81 @@ mod tests {
     #[test]
     fn validate_accepts_well_formed() {
         small().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_each_corruption_on_either_side() {
+        // `small()` has a two-neighbor row on each side: camera → [hp,
+        // bestbuy] (query ids 0..2) and hp → [pc, camera] (ad ids 0..2).
+        type Corrupt = fn(&mut crate::ClickGraph, bool);
+        fn edge0(g: &mut crate::ClickGraph, ad_side: bool) -> &mut EdgeData {
+            if ad_side {
+                &mut g.a_edges[0]
+            } else {
+                &mut g.q_edges[0]
+            }
+        }
+        let cases: [(&str, Corrupt); 6] = [
+            ("offsets not monotone", |g, ad| {
+                if ad {
+                    g.a_offsets[1] = 4
+                } else {
+                    g.q_offsets[1] = 4
+                }
+            }),
+            ("last offset", |g, ad| {
+                if ad {
+                    g.a_offsets[2] = 2
+                } else {
+                    g.q_offsets[2] = 2
+                }
+            }),
+            ("not strictly sorted", |g, ad| {
+                if ad {
+                    g.a_nbrs.swap(0, 1)
+                } else {
+                    g.q_nbrs.swap(1, 2)
+                }
+            }),
+            ("not strictly sorted", |g, ad| {
+                if ad {
+                    g.a_nbrs[1] = g.a_nbrs[0]
+                } else {
+                    g.q_nbrs[2] = g.q_nbrs[1]
+                }
+            }),
+            ("out of range", |g, ad| {
+                if ad {
+                    g.a_nbrs[1] = QueryId(7)
+                } else {
+                    g.q_nbrs[2] = AdId(7)
+                }
+            }),
+            ("clicks exceed impressions", |g, ad| {
+                let e = edge0(g, ad);
+                e.clicks = e.impressions + 1;
+            }),
+        ];
+        let mismatch: Corrupt = |g, ad| edge0(g, ad).impressions += 1;
+        for (side, ad) in [("query", false), ("ad", true)] {
+            for &(what, corrupt) in &cases {
+                let mut g = small();
+                corrupt(&mut g, ad);
+                let err = g.validate().expect_err(what);
+                assert!(
+                    err.starts_with(&format!("{side}: ")),
+                    "{side}: {what}: {err}"
+                );
+                assert!(err.contains(what), "{side}: {what}: {err}");
+            }
+            let mut g = small();
+            mismatch(&mut g, ad);
+            let err = g.validate().expect_err("data mismatch");
+            assert!(
+                err.contains("forward/backward data mismatch"),
+                "{side}: {err}"
+            );
+        }
     }
 
     #[test]

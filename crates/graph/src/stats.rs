@@ -7,7 +7,6 @@
 //! power-law exponent so the synthetic generator can be checked against the
 //! paper's observation.
 
-use crate::edge::WeightKind;
 use crate::graph::ClickGraph;
 use serde::{Deserialize, Serialize};
 
@@ -126,14 +125,6 @@ impl GraphStats {
     pub fn table5_row(&self) -> (usize, usize, usize) {
         (self.n_queries, self.n_ads, self.n_edges)
     }
-
-    /// Mean of the chosen edge weight.
-    pub fn mean_edge_weight(&self, g: &ClickGraph, kind: WeightKind) -> f64 {
-        if self.n_edges == 0 {
-            return 0.0;
-        }
-        g.edges().map(|(_, _, e)| e.weight(kind)).sum::<f64>() / self.n_edges as f64
-    }
 }
 
 #[cfg(test)]
@@ -193,14 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_edge_weight() {
+    fn totals_sum_every_edge() {
         let mut b = ClickGraphBuilder::new();
         b.add_edge(QueryId(0), AdId(0), EdgeData::new(10, 2, 0.2));
         b.add_edge(QueryId(1), AdId(0), EdgeData::new(10, 4, 0.4));
-        let g = b.build();
-        let s = GraphStats::compute(&g);
-        assert!((s.mean_edge_weight(&g, WeightKind::ExpectedClickRate) - 0.3).abs() < 1e-12);
-        assert!((s.mean_edge_weight(&g, WeightKind::Clicks) - 3.0).abs() < 1e-12);
-        assert_eq!(s.total_impressions, 20);
+        let s = GraphStats::compute(&b.build());
+        assert_eq!((s.total_clicks, s.total_impressions), (6, 20));
     }
 }

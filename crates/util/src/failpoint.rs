@@ -157,13 +157,6 @@ pub fn clear_hook(site: &str) {
     hooks.remove(site);
 }
 
-/// Removes every configured site and hook (test isolation).
-pub fn clear_all() {
-    let reg = registry();
-    reg.sites.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    reg.hooks.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
 /// Evaluates the failpoint `site`.
 ///
 /// Returns `Some(message)` when the site is configured with `return` and its
@@ -244,8 +237,7 @@ mod tests {
     use super::*;
 
     // The registry is process-global, so tests use distinct site names and
-    // clean up after themselves rather than relying on clear_all (other test
-    // threads may be mid-flight).
+    // clean up after themselves (other test threads may be mid-flight).
 
     #[test]
     fn unconfigured_site_is_inert() {

@@ -46,13 +46,6 @@ impl PairKey {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Rebuilds a key from its [`PairKey::raw`] representation (the arena
-    /// wire format stores keys as plain `u64`s).
-    #[inline]
-    pub fn from_raw(raw: u64) -> Self {
-        PairKey(raw)
-    }
 }
 
 impl From<(u32, u32)> for PairKey {

@@ -1,4 +1,4 @@
-//! Numeric helpers: online statistics and variance.
+//! Numeric helpers: the variance of a weight set.
 //!
 //! Weighted SimRank (§8.2 of the paper) needs the *variance* of the weight
 //! set incident to a node: `spread(i) = exp(-variance(i))`. The paper does
@@ -6,92 +6,23 @@
 //! which is well-defined for a single-element set (zero) and matches the
 //! worked examples (a node with equal incident weights has spread 1).
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
-///
-/// Numerically stable for long streams; population variance is
-/// `m2 / count`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance `Σ(x-μ)²/n` (0 when fewer than 2 observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance `Σ(x-μ)²/(n-1)` (0 when fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-    }
-}
-
-/// Population variance of a slice (0 for empty or single-element slices).
+/// Population variance `Σ(x-μ)²/n` of a slice (0 for empty or
+/// single-element slices), by Welford's streaming update — numerically
+/// stable for long slices.
 pub fn population_variance(values: &[f64]) -> f64 {
-    let mut s = OnlineStats::new();
-    for &v in values {
-        s.push(v);
+    let (mut count, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
+    for &x in values {
+        count += 1;
+        let delta = x - mean;
+        mean += delta / count as f64;
+        let delta2 = x - mean;
+        m2 += delta * delta2;
     }
-    s.population_variance()
-}
-
-/// `true` when `a` and `b` differ by at most `eps` absolutely.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
-    (a - b).abs() <= eps
+    if count < 2 {
+        0.0
+    } else {
+        m2 / count as f64
+    }
 }
 
 #[cfg(test)]
@@ -99,86 +30,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn single_observation_has_zero_variance() {
-        let mut s = OnlineStats::new();
-        s.push(42.0);
-        assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.population_variance(), 0.0);
+    fn short_slices_have_zero_variance() {
+        assert_eq!(population_variance(&[]), 0.0);
+        assert_eq!(population_variance(&[42.0]), 0.0);
     }
 
     #[test]
     fn known_variance() {
         // Values 2, 4, 4, 4, 5, 5, 7, 9: mean 5, population variance 4.
         let vals = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for v in vals {
-            s.push(v);
-        }
-        assert!(approx_eq(s.mean(), 5.0, 1e-12));
-        assert!(approx_eq(s.population_variance(), 4.0, 1e-12));
-        assert!(approx_eq(s.sample_variance(), 32.0 / 7.0, 1e-12));
+        assert!((population_variance(&vals) - 4.0).abs() <= 1e-12);
+        assert!((population_variance(&[1.0, 2.0, 3.0, 4.0]) - 1.25).abs() <= 1e-12);
     }
 
     #[test]
-    fn slice_helper_matches_online() {
-        let vals = [1.0, 2.0, 3.0, 4.0];
-        assert!(approx_eq(population_variance(&vals), 1.25, 1e-12));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let vals: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &v in &vals {
-            whole.push(v);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &vals[..37] {
-            left.push(v);
-        }
-        for &v in &vals[37..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!(approx_eq(left.mean(), whole.mean(), 1e-9));
-        assert!(approx_eq(
-            left.population_variance(),
-            whole.population_variance(),
-            1e-9
-        ));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn constant_stream_has_zero_variance() {
-        let mut s = OnlineStats::new();
-        for _ in 0..1000 {
-            s.push(3.5);
-        }
-        assert!(approx_eq(s.population_variance(), 0.0, 1e-12));
+    fn constant_slice_has_zero_variance() {
+        assert!(population_variance(&[3.5; 1000]).abs() <= 1e-12);
     }
 }

@@ -58,13 +58,25 @@ fn main() {
         .with_iterations(10)
         .with_weight_kind(WeightKind::Clicks);
     let method = Method::compute(MethodKind::WeightedSimrank, &graph, &config);
+    // The §9.3 ranking without its query-text filter: a user's five most
+    // similar users, best first.
+    let rewriter = RewriterConfig {
+        stem_dedup: false,
+        ..RewriterConfig::default()
+    };
+    let rewriter = Rewriter::new(&graph, method, rewriter);
+    let similar = |user| {
+        let mut out = Vec::new();
+        rewriter.rewrite_ids_into(user, None, &mut out);
+        out
+    };
 
     // User-user similarities.
     println!("Most similar users (weighted SimRank):");
     for user in graph.queries() {
-        let similar = method.ranked_candidates(&graph, user, 3);
-        let list: Vec<String> = similar
+        let list: Vec<String> = similar(user)
             .iter()
+            .take(3)
             .map(|&(u, s)| format!("{} ({s:.3})", graph.query_name(u).unwrap_or("?")))
             .collect();
         println!(
@@ -80,7 +92,7 @@ fn main() {
     for user in graph.queries() {
         let (seen, _) = graph.ads_of(user);
         let mut scores: Vec<(AdId, f64)> = Vec::new();
-        for (other, sim) in method.ranked_candidates(&graph, user, 5) {
+        for (other, sim) in similar(user) {
             let (movies, edges) = graph.ads_of(other);
             for (&movie, edge) in movies.iter().zip(edges) {
                 if seen.contains(&movie) {
@@ -114,8 +126,7 @@ fn main() {
     let alice = graph.query_by_name("alice").unwrap();
     let dave = graph.query_by_name("dave").unwrap();
     let top = |q| {
-        method
-            .ranked_candidates(&graph, q, 1)
+        similar(q)
             .first()
             .map(|&(u, _)| graph.query_name(u).unwrap().to_owned())
     };

@@ -13,9 +13,10 @@
 //! * **Live row bits are recorded.** An FNV digest of every row's
 //!   `(id, score bits)` per graph × transition × `k` × prune cell, so a
 //!   change of summation order fails even where it stays within tolerance.
-//! * **Top-k ids are the matrix's off exact ties.** Single-source and
-//!   all-pairs top-k carry the same scores rank for rank; two ids may trade
-//!   places only where their scores tie to rounding.
+//! * **Served rows are the matrix's off exact ties.** The live miss path's
+//!   top 5 (row → `candidates` → `funnel`) and the index build's
+//!   (`Rewriter` over the all-pairs method) carry the same scores rank for
+//!   rank; two ids may trade places only where their scores tie to rounding.
 //! * **Cache hits are byte-identical to cache misses, across generations.**
 //!   The serve-side row cache stores rendered responses, so a warm answer
 //!   can never drift from the cold answer that populated it — before or
@@ -25,6 +26,7 @@ mod support;
 
 use proptest::prelude::*;
 use simrankpp::core::engine::{self, Walk, WeightedTransition};
+use simrankpp::core::rewriter::{candidates, funnel, stem_classes, FunnelScratch};
 use simrankpp::core::weighted::SpreadMode;
 use simrankpp::core::{RowWorkspace, ScoreMatrix, SingleSourceEngine};
 use simrankpp::prelude::*;
@@ -94,14 +96,21 @@ proptest! {
     ) {
         let g = synth_graph(n_topics, n_queries, seed, true);
         let c = cfg(7);
-        let run = engine::run(&g, &c, &Walk::Uniform);
         let eng = SingleSourceEngine::new(&g, &c, &Walk::Uniform);
+        let config = RewriterConfig { stem_dedup: false, ..RewriterConfig::default() };
+        let index = Rewriter::new(&g, Method::compute(MethodKind::Simrank, &g, &c), config);
+        let matrix = index.method().stored_scores();
+        let classes = stem_classes(&g, &config);
         let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
+        let (mut row, mut scratch) = (Vec::new(), FunnelScratch::default());
         let tie = 1e-12;
-        let mut ss = Vec::new();
+        let (mut ss, mut ap) = (Vec::new(), Vec::new());
         for q in g.queries() {
-            eng.top_k_into(&g, q, 5, &mut ws, &mut ss);
-            let ap = run.queries.top_k(q.0, 5);
+            // The live miss path, then the index build's path.
+            eng.row_into(&g, q, &mut ws, &mut row);
+            candidates(&g, q, row.iter().copied(), None, &mut scratch.candidates);
+            funnel(&classes, &config, q, &mut scratch, None, &mut ss);
+            index.rewrite_ids_into(q, None, &mut ap);
             prop_assert_eq!(ss.len(), ap.len(), "query {}: depth", q.0);
             for (rank, (&(id_ss, s_ss), &(id_ap, s_ap))) in ss.iter().zip(&ap).enumerate() {
                 prop_assert!(
@@ -111,8 +120,8 @@ proptest! {
                 // A different id at the same rank must be an exact tie in
                 // the matrix, which it breaks by id and the row by rounding.
                 prop_assert!(
-                    id_ss.0 == id_ap || (run.queries.get(q.0, id_ss.0) - s_ap).abs() <= tie,
-                    "query {}: rank {} holds {} (matrix: {})", q.0, rank, id_ss.0, id_ap
+                    id_ss == id_ap || (matrix.get(q.0, id_ss.0) - s_ap).abs() <= tie,
+                    "query {}: rank {} holds {} (matrix: {})", q.0, rank, id_ss.0, id_ap.0
                 );
             }
         }
