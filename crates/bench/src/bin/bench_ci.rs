@@ -95,40 +95,46 @@ const GATES: &[Gate] = &[
         key: "single_source_linearized_query_vs_full_run",
         bound: Bound::AtLeast(3000.0),
         why: "a live miss (row_into, candidates, the 9.3 funnel) is one row of S^(k), not the \
-              matrix (10 000-17 000x across runs when recorded)",
+              matrix (11 000-17 000x over ten runs when recorded: the full run's median \
+              against the fastest 100 ms block of misses)",
     },
     Gate {
         tier: "engine",
         key: "single_source_precompute_vs_full_run",
         bound: Bound::AtMost(2.0),
-        why: "building the live engine may not cost twice the all-pairs run it avoids",
+        why: "building the live engine may not cost twice the all-pairs run it avoids \
+              (0.45-0.76 over ten runs when recorded)",
     },
     Gate {
         tier: "serve",
         key: "serve_10k_offline/index_build_vs_method_compute",
         bound: Bound::AtMost(0.3),
-        why: "the 9.3 funnel costs what it returns, not what it could have ranked (0.20 recorded \
-              against a Method::compute that runs only the query chain of half-steps)",
+        why: "the 9.3 funnel costs what it returns, not what it could have ranked (0.19-0.22 \
+              over ten runs when recorded, each the median of interleaved pairs, against a \
+              Method::compute that runs only the query chain of half-steps)",
     },
     Gate {
         tier: "serve",
         key: "speedup_incremental_vs_full_rebuild",
         bound: Bound::AtLeast(5.0),
-        why: "a delta in one of eight federated worlds must not make the clean seven pay",
+        why: "a delta in one of eight federated worlds must not make the clean seven pay \
+              (7.0-10.8x over ten runs when recorded)",
     },
     Gate {
         tier: "serve",
         key: "tcp_qps_scaling_8_vs_1",
         bound: Bound::AtLeast(0.5),
         why: "no-collapse floor: 8 closed-loop clients sharing this runner's cores may only tie \
-              1 client, but below half its QPS connections are blocking each other outright",
+              1 client, but below half its QPS connections are blocking each other outright \
+              (2.2-3.7 over ten runs when recorded)",
     },
     Gate {
         tier: "stream",
         key: "epoch_speedup_incremental_vs_scratch",
         bound: Bound::AtLeast(50.0),
         why: "the median epoch dirties 1 slice of 8; refreshing it must pay for what it touched, \
-              not for the whole window, to beat a scratch rebuild this far",
+              not for the whole window, to beat a scratch rebuild this far (58-69x over 30 runs \
+              when recorded, each the median of 5 rounds)",
     },
     Gate {
         tier: "stream",
@@ -205,15 +211,19 @@ static TIERS: [Tier; 4] = [
         name: "engine",
         description: "The live single-source engine against the all-pairs run it replaces, on \
                       the 10k-query synth graph (uniform transition): one engine::run, the \
-                      one-off SingleSourceEngine precompute, then 100 live misses per rep: \
-                      row_into, candidates and the 9.3 funnel at the default RewriterConfig \
-                      (served top 5), as a single-source server answers an uncached query.",
+                      one-off SingleSourceEngine precompute, then 100 live misses: row_into, \
+                      candidates and the 9.3 funnel at the default RewriterConfig (served top \
+                      5), as a single-source server answers an uncached query. The 100 misses \
+                      are looped in blocks of at least 100 ms; their key is the fastest \
+                      block's time per 100.",
         run: engine_series,
     },
     Tier {
         name: "serve",
         description: "10k-query synth graphs: RewriteIndex::build against the Method::compute it \
-                      reads; an incremental rebuild after a world-0 delta against a full one \
+                      reads, timed in interleaved pairs (compute, build; 3 pairs per rep), with \
+                      the gate on the median of the per-pair ratios; an incremental rebuild \
+                      after a world-0 delta against a full one \
                       (8-world federated graph); closed-loop loopback TCP load on an in-process \
                       NetServer at 1 and 8 clients (400 requests each, the median-QPS run).",
         run: serve_series,
@@ -222,8 +232,10 @@ static TIERS: [Tier; 4] = [
         name: "stream",
         description: "2k-query synth graph replayed one component-slice per epoch (8 slices = \
                       the window) into a live ServeState: the median epoch refresh against a \
-                      scratch rebuild. stream_recovery: checkpoint resume to a serving-ready \
-                      index against re-ingesting a long click log from byte zero. \
+                      scratch rebuild, in 5 rounds of contiguous epochs each followed by its \
+                      scratch rebuilds, the gate on the median of the rounds' ratios. \
+                      stream_recovery: checkpoint resume to a serving-ready index against \
+                      re-ingesting a long click log from byte zero. \
                       spam_contamination: a spam campaign with and without window expiry.",
         run: stream_series,
     },
@@ -322,8 +334,9 @@ fn render(tier: &Tier, opts: &Options, values: &Values, gates: &[&Gate]) -> Stri
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let description = format!(
-        "{} Keys with a '/' are wall-clock milliseconds (medians of the reps) unless named \
-         *_vs_* (a same-run ratio); bare keys are ratios, rates or counts. Every run: 5 iterations, \
+        "{} Keys with a '/' are wall-clock milliseconds (medians of the reps, or as the tier \
+         says) unless named *_vs_* (a same-run ratio); bare keys are ratios, rates or counts. \
+         Every run: 5 iterations, \
          prune_threshold 1e-4; every index: weighted SimRank.",
         tier.description
     );
@@ -339,7 +352,7 @@ fn render(tier: &Tier, opts: &Options, values: &Values, gates: &[&Gate]) -> Stri
     format!(
         "{{\n  \"bench\": \"bench_ci ({})\",\n  \"description\": {description:?},\n  \
          \"environment\": {{\n    \"recorded_unix_s\": {unix_s},\n    \"cpu_cores\": {cores},\n    \
-         \"profile\": \"release\",\n    \"harness\": \"bench_ci ({mode} mode, median wall-clock)\"\n  \
+         \"profile\": \"release\",\n    \"harness\": \"bench_ci ({mode} mode, wall-clock)\"\n  \
          }},\n  \"values\": {{\n{}\n  }},\n  \"gate\": [\n{}\n  ]\n}}\n",
         tier.name,
         values.join(",\n"),
@@ -366,6 +379,55 @@ fn median_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut times: Vec<f64> = (0..reps).map(|_| timed(&mut f).0).collect();
     percentile(&mut times, 0.5)
 }
+
+/// Interleaved pairs of `a` then `b` — `a b a b …`, after one warmup of
+/// each — so a slow stretch of the runner falls on both sides of a pair.
+/// Returns each side's median milliseconds and the median of the per-pair
+/// ratios `b / a`: the ratio a same-run gate should judge, since it does not
+/// pair one side's fast stretch with the other's slow one.
+fn interleaved_ms<A, B>(
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64, f64) {
+    black_box(a());
+    black_box(b());
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let (x, y) = (timed(&mut a).0, timed(&mut b).0);
+        ta.push(x);
+        tb.push(y);
+        ratios.push(y / x);
+    }
+    let median = |v: &mut Vec<f64>| percentile(v, 0.5);
+    (median(&mut ta), median(&mut tb), median(&mut ratios))
+}
+
+/// The minimum over `reps` timed blocks (after one warmup call) of the
+/// milliseconds one call of `f` takes, each block looping `f` for at least
+/// [`BLOCK_MS`]: a call of a few milliseconds is shorter than the runner's
+/// slow stretches, a block of many is not, and the min keeps the block that
+/// met none.
+fn looped_min_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    black_box(f()); // warmup
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let (t0, mut calls) = (Instant::now(), 0u32);
+        let ms = loop {
+            black_box(f());
+            calls += 1;
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            if ms >= BLOCK_MS {
+                break ms;
+            }
+        };
+        best = best.min(ms / f64::from(calls));
+    }
+    best
+}
+
+/// The shortest timed block of [`looped_min_ms`], in milliseconds.
+const BLOCK_MS: f64 = 100.0;
 
 /// The engine configuration every tier runs at.
 fn bench_config() -> SimrankConfig {
@@ -431,12 +493,11 @@ fn engine_series(opts: &Options) -> Values {
     let nq = g.n_queries() as u32;
     let mut ws = RowWorkspace::new(g.n_queries(), g.n_ads());
     let (mut row, mut scratch, mut served) = (Vec::new(), FunnelScratch::default(), Vec::new());
-    let rows_x100 = median_ms(opts.reps, || {
+    let rows_x100 = looped_min_ms(opts.reps, || {
         for i in 0..100u32 {
             let q = QueryId((i * 7919) % nq);
             ss_engine.row_into(&g, q, &mut ws, &mut row);
-            let list = &mut scratch.candidates;
-            candidates(&g, q, row.iter().copied(), evidence, list);
+            candidates(&g, q, row.iter().copied(), evidence, &mut scratch);
             funnel(&classes, &rewriter, q, &mut scratch, None, &mut served);
             black_box(served.len());
         }
@@ -498,11 +559,15 @@ fn serve_series(opts: &Options) -> Values {
 
     // The 10k standard graph: the offline funnel against the method it reads.
     let g = synth_graph(10_000, 7_000, None);
-    let method_ms = median_ms(reps, || weighted(&g));
     let rewriter = Rewriter::new(&g, weighted(&g), RewriterConfig::default());
     // The rewriter interns its stem-class table in the warm-up build; the
-    // timed builds are the funnel alone.
-    let build_ms = median_ms(reps, || RewriteIndex::build(&rewriter, None, 1));
+    // timed builds are the funnel alone. Each build is timed right after a
+    // Method::compute, and the gate reads the median of those pairs' ratios.
+    let (method_ms, build_ms, ratio) = interleaved_ms(
+        3 * reps,
+        || weighted(&g),
+        || RewriteIndex::build(&rewriter, None, 1),
+    );
 
     // The real wire protocol against a real NetServer on loopback; each
     // client waits for its answer before sending the next request.
@@ -545,7 +610,6 @@ fn serve_series(opts: &Options) -> Values {
             .rebuild_incremental(&g1, &dirty, &cfg, &RewriterConfig::default(), None)
             .expect("incremental rebuild")
     });
-    let ratio = build_ms / method_ms; // the funnel, in Method::compute runs
     Values::from([
         ("serve_10k_offline/method_compute_ms", method_ms),
         ("serve_10k_offline/index_build_t1_ms", build_ms),
@@ -653,6 +717,9 @@ fn ingest_config(window: u32, config: SimrankConfig) -> IngestConfig {
     }
 }
 
+/// Rounds of the stream tier's epoch-against-scratch comparison.
+const STREAM_ROUNDS: usize = 5;
+
 /// Steady-state epoch replay into a live `ServeState`, the checkpoint
 /// recovery contrast, and the §11 spam-campaign contamination contrast.
 fn stream_series(opts: &Options) -> Values {
@@ -678,23 +745,39 @@ fn stream_series(opts: &Options) -> Values {
     let (index, _, _) = ingestor.refresh().expect("first full build");
     let metrics = Arc::new(IngestMetrics::default());
     let state = ServeState::ingesting(index, Arc::clone(&metrics));
+    // Rounds of contiguous epochs, each followed by the scratch rebuilds it
+    // is compared with; the gate reads the median of the rounds' ratios, so
+    // one slow stretch of the runner in either phase of a round does not
+    // decide it.
     let epochs: u64 = if opts.quick { 8 } else { 16 };
-    let mut refresh_ms = Vec::new();
-    for e in warm..warm + epochs {
-        observe_epoch(&mut ingestor, e);
-        // Refreeze + dirty-component rebuild + swap, as the ingestor times it.
-        ingestor.refresh_and_publish(&state).expect("epoch refresh");
-        refresh_ms.push(metrics.last_refresh_us.load(Ordering::Relaxed) as f64 / 1e3);
-        black_box(state.handle().load());
+    let mut e = warm;
+    let (mut refresh_p50s, mut scratch_mss, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..STREAM_ROUNDS {
+        let mut refresh_ms = Vec::new();
+        for _ in 0..epochs {
+            observe_epoch(&mut ingestor, e);
+            e += 1;
+            // Refreeze + dirty-component rebuild + swap, as the ingestor
+            // times it.
+            ingestor.refresh_and_publish(&state).expect("epoch refresh");
+            refresh_ms.push(metrics.last_refresh_us.load(Ordering::Relaxed) as f64 / 1e3);
+            black_box(state.handle().load());
+        }
+        let refresh_p50 = percentile(&mut refresh_ms, 0.5);
+        // What every epoch boundary would cost without the dirty-component
+        // path: method + funnel + index over the graph the window holds.
+        let scratch_ms = median_ms(reps, || {
+            let method = Method::compute(MethodKind::WeightedSimrank, &world, &cfg);
+            let rewriter = Rewriter::new(&world, method, RewriterConfig::default());
+            RewriteIndex::build(&rewriter, None, 0)
+        });
+        refresh_p50s.push(refresh_p50);
+        scratch_mss.push(scratch_ms);
+        speedups.push(scratch_ms / refresh_p50);
     }
-    let refresh_p50 = percentile(&mut refresh_ms, 0.5);
-    // What every epoch boundary would cost without the dirty-component
-    // path: method + funnel + index over the graph the window holds.
-    let scratch_ms = median_ms(reps, || {
-        let method = Method::compute(MethodKind::WeightedSimrank, &world, &cfg);
-        let rewriter = Rewriter::new(&world, method, RewriterConfig::default());
-        RewriteIndex::build(&rewriter, None, 0)
-    });
+    let refresh_p50 = percentile(&mut refresh_p50s, 0.5);
+    let scratch_ms = percentile(&mut scratch_mss, 0.5);
+    let epoch_speedup = percentile(&mut speedups, 0.5);
 
     // Crash recovery: the log is long (many retired epochs) but the window
     // short, so the contrast isolates what the checkpoint buys: replaying
@@ -750,7 +833,7 @@ fn stream_series(opts: &Options) -> Values {
         &SimrankConfig::default(),
         RewriterConfig::default(),
     );
-    let (epoch_speedup, recovery_speedup) = (scratch_ms / refresh_p50, reingest_ms / resume_ms);
+    let recovery_speedup = reingest_ms / resume_ms;
     let (unwindowed, windowed) = (
         spam.unwindowed.contamination(),
         spam.windowed.contamination(),

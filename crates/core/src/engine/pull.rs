@@ -72,7 +72,9 @@ use crate::scores::{ScoreMatrix, UpperRows};
 /// and one `InnerNode` per inner node. Sized lazily to the two node
 /// counts, kept zeroed between rows by its drains, and reused across every
 /// half-step of a run — `O(nodes)`, never `O(pairs)`: the previous iterate
-/// is read in place, and the output rows are the half-step's own.
+/// is read in place, and the output rows are the half-step's own. The two
+/// accumulators trade places when the sides alternate, so they stay sized
+/// to one side each, not both to the larger.
 #[derive(Debug, Default)]
 pub struct PullWorkspace {
     /// Pass-1 accumulator over the inner side (`T[q, ·]`).
@@ -146,6 +148,10 @@ impl PullWorkspace {
     /// Sizes the scratch to the half-step's node counts and opens a chunk:
     /// every [`InnerNode`] from an earlier chunk turns stale.
     fn begin_chunk(&mut self, n_out: usize, n_inner: usize) {
+        if self.t.len() < n_inner && self.o.len() >= n_inner {
+            // The last half-step's output side is this one's inner side.
+            std::mem::swap(&mut self.t, &mut self.o);
+        }
         if self.t.len() < n_inner {
             self.t.resize(n_inner);
         }

@@ -307,13 +307,6 @@ impl RowWorkspace {
 
     /// Computes and stores `u_j = (Tᵀ)^j u_0` and `y_j = Aᵀu_j` for
     /// `j = 0..=levels`, pruning each level at `prune`.
-    ///
-    /// Kept out of line: with `sweep` its only caller the compiler inlines
-    /// it there, and the fused body runs the row ≈ 3 % slower (49.7 vs
-    /// 48.0 µs a row, medians of six alternated min-of-7 passes over every
-    /// row at `k = 7`, prune 1e-4, weighted ECR, on a 3 000-query synth
-    /// graph; 2-core x86-64 VM).
-    #[inline(never)]
     fn forward(
         &mut self,
         g: &ClickGraph,

@@ -201,7 +201,7 @@ impl Method {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewriter::{candidates, Candidate, Rewriter, RewriterConfig};
+    use crate::rewriter::{candidates, Candidate, FunnelScratch, Rewriter, RewriterConfig};
     use simrankpp_graph::fixtures::figure3_graph;
     use simrankpp_graph::{AdId, ClickGraphBuilder, EdgeData};
     use std::cmp::Ordering;
@@ -431,7 +431,9 @@ mod tests {
                 MethodKind::EvidenceSimrank,
                 MethodKind::WeightedSimrank,
             ];
-            let (mut new, mut old) = (vec![(QueryId(9), 9.0, 9.0)], Vec::new());
+            let mut new = FunnelScratch::default();
+            new.candidates.push((QueryId(9), 9.0, 9.0));
+            let mut old = Vec::new();
             for kind in kinds {
                 for ev in [EvidenceKind::Geometric, EvidenceKind::Exponential] {
                     let m = Method {
@@ -442,11 +444,12 @@ mod tests {
                     let finals = m.evidence.map(|ev| query_evidence(&g, &walk, ev));
                     for q in (0..n).map(QueryId) {
                         candidates(&g, q, m.row(q), m.evidence(), &mut new);
+                        let new = &new.candidates;
                         match &finals {
                             Some(finals) => candidates_by_merge(finals, Some(&walk), q, &mut old),
                             None => candidates_by_merge(&walk, None, q, &mut old),
                         }
-                        proptest::prop_assert_eq!(bits(&new), bits(&old), "{:?} {:?} {:?}", kind, ev, q);
+                        proptest::prop_assert_eq!(bits(new), bits(&old), "{:?} {:?} {:?}", kind, ev, q);
                     }
                 }
             }

@@ -147,7 +147,7 @@ impl LiveContext {
         self.engine
             .row_into(&self.graph, q, &mut self.ws, &mut self.row);
         let (row, evidence) = (self.row.iter().copied(), self.method.evidence());
-        candidates(&self.graph, q, row, evidence, &mut self.funnel.candidates);
+        candidates(&self.graph, q, row, evidence, &mut self.funnel);
         funnel(
             &self.classes,
             &self.rewriter,

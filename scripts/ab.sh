@@ -14,7 +14,8 @@
 # Usage: scripts/ab.sh <parent-dir> <change-dir> <workload> [pairs] [seconds]
 #   pairs defaults to 5, seconds to 15 (BENCHMARK.json's run_seconds).
 #   AB_TARGET_DIR (default: $TMPDIR or /tmp, + /ab-target) holds the builds
-#   in a/ and b/.
+#   in a/ and b/. AB_ARGS (default: none) is added to every run's flags, as
+#   in AB_ARGS="--seed 7 --graph-seed 11" for a claim's check on other seeds.
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 5 ]]; then
@@ -27,6 +28,7 @@ workload=$3
 pairs=${4:-5}
 seconds=${5:-15}
 targets=${AB_TARGET_DIR:-${TMPDIR:-/tmp}/ab-target}
+read -ra extra <<<"${AB_ARGS:-}"
 results=$(mktemp -d)
 trap 'rm -rf "$results"' EXIT
 
@@ -49,7 +51,7 @@ for ((i = 1; i <= pairs; i++)); do
         # with a failed op exits 1 but still prints its result line; a run
         # that prints none stops the script, so pairs never shift.
         line=$( (cd "$dir" && CARGO_TARGET_DIR="$targets/$side" bash benchmark/run.sh \
-            --workload "$workload" --seconds "$seconds" --trace 0) | tail -n 1 || true)
+            --workload "$workload" --seconds "$seconds" --trace 0 "${extra[@]}") | tail -n 1 || true)
         if [[ $line != "{"* ]]; then
             echo "pair $i/$pairs: side $side ($dir) printed no result" >&2
             exit 1

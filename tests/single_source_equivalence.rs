@@ -108,7 +108,7 @@ proptest! {
         for q in g.queries() {
             // The live miss path, then the index build's path.
             eng.row_into(&g, q, &mut ws, &mut row);
-            candidates(&g, q, row.iter().copied(), None, &mut scratch.candidates);
+            candidates(&g, q, row.iter().copied(), None, &mut scratch);
             funnel(&classes, &config, q, &mut scratch, None, &mut ss);
             index.rewrite_ids_into(q, None, &mut ap);
             prop_assert_eq!(ss.len(), ap.len(), "query {}: depth", q.0);
